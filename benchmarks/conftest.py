@@ -38,6 +38,18 @@ def save_artifact(results_dir: pathlib.Path, name: str, text: str) -> None:
     print(f"\n{text}\n[saved to benchmarks/results/{name}]")
 
 
+def skip_ratios_below_cores(ranks: int) -> None:
+    """Skip the wall-clock *ratio* assertions of a bench (its table is
+    already written) on a host with fewer cores than the ranks it launched:
+    oversubscribed ranks time-slice, so "distributed beats sequential" is a
+    property of the scheduler there, not of the code.  ``bench/`` reports
+    the same ratio, unasserted, as ``speedup_vs_seq``."""
+    cores = os.cpu_count() or 1
+    if cores < ranks:
+        pytest.skip(f"speedup shape needs one core per rank ({ranks}); "
+                    f"this host has {cores}")
+
+
 @pytest.fixture(scope="session")
 def table4_rows(artifact_store):
     """Run the Table IV profiling measurement once; Fig. 4 reuses it."""

@@ -15,7 +15,7 @@ from repro.coevolution.sequential import build_training_dataset
 from repro.experiments.workloads import bench_config
 from repro.parallel import DistributedRunner
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_artifact, skip_ratios_below_cores
 
 # Multi-minute full-training run: excluded from the fast CI lane.
 pytestmark = pytest.mark.slow
@@ -55,6 +55,7 @@ def test_ablation_backend(benchmark, workload, results_dir):
 
     # Processes must clearly win over both, and threads cannot approach
     # process scaling (interpreter work serializes on the GIL).
+    skip_ratios_below_cores(config.coevolution.cells + 1)
     assert proc_s < seq_s
     assert proc_s < thr_s
     assert (seq_s / proc_s) > 1.3 * (seq_s / thr_s)

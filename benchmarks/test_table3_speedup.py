@@ -21,7 +21,7 @@ from repro.experiments import table3
 from repro.experiments.workloads import PAPER_GRIDS, bench_config
 from repro.parallel import DistributedRunner
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_artifact, skip_ratios_below_cores
 
 # Multi-minute full-training run: excluded from the fast CI lane.
 pytestmark = pytest.mark.slow
@@ -51,6 +51,7 @@ def test_table3_grid(benchmark, artifact_store, rows, cols):
     artifact_store.setdefault("table3_rows", []).append(row)
 
     # Core shape: the distributed version wins.
+    skip_ratios_below_cores(rows * cols + 1)
     assert row.speedup > 1.0, (
         f"distributed ({row.distributed_mean_s:.1f}s) did not beat "
         f"single-core ({row.single_core_s:.1f}s) on {rows}x{cols}"
@@ -69,5 +70,6 @@ def test_table3_summary(benchmark, artifact_store, results_dir):
     save_artifact(results_dir, "table3.txt", text)
 
     # The paper's scaling shape: speedup grows with the grid size.
+    skip_ratios_below_cores(max(r.grid[0] * r.grid[1] for r in rows) + 1)
     speedups = [row.speedup for row in rows]
     assert speedups[0] < speedups[1] < speedups[2], speedups

@@ -237,7 +237,7 @@ class SocketBackend(_DistributedBackend):
 
     Constructor options reach :class:`~repro.parallel.DistributedRunner`
     unchanged; the load-bearing ones are ``hosts="nodeA:5,nodeB:4"`` (where
-    the ranks run; localhost entries are spawned automatically) and
+    the ranks run; localhost entries are forked from this process) and
     ``bind="0.0.0.0:5555"`` (the rendezvous address remote ``repro worker``
     processes connect to).  When the experiment's dataset came from the
     registry, each node renders its own copy instead of receiving the

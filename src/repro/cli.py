@@ -108,7 +108,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hosts", metavar="HOST:SLOTS,...",
                         help="socket backend only: where the ranks run, e.g. "
                              "'nodeA:5,nodeB:4' (localhost entries are "
-                             "spawned automatically; slots must sum to "
+                             "forked automatically; slots must sum to "
                              "cells + 1)")
     parser.add_argument("--bind", metavar="HOST:PORT",
                         help="socket backend only: coordinator listen "
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--token", default=None,
                         help="rendezvous token printed by the coordinator")
     worker.add_argument("--index", type=int, default=None,
-                        help=argparse.SUPPRESS)  # set by the coordinator spawn
+                        help=argparse.SUPPRESS)  # set by the coordinator's command
     worker.add_argument("--timeout", type=float, default=60.0,
                         help="seconds to wait for the rendezvous (default 60)")
     worker.add_argument("--quiet", action="store_true")
@@ -490,7 +490,7 @@ def _cmd_worker(args) -> int:
     from repro.mpi.socket_transport import worker_main
     from repro.runtime import pin_blas_threads
 
-    pin_blas_threads(1)  # one rank = one core, exactly like spawned ranks
+    pin_blas_threads(1)  # one rank = one core, exactly like forked workers
     return worker_main(
         args.connect,
         slots=args.slots,

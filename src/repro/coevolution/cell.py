@@ -120,11 +120,15 @@ class Cell:
         )
 
         # Preallocated sub-population networks; index 0 mirrors the center.
-        build_rng = _cell_rng(config.seed, cell_index, stream=3)
-        self._sub_generators = [Generator(config.network, build_rng)
+        # Allocated without their initial weights: the first "update
+        # genomes" normally overwrites every slot, so the stream-3 draw
+        # waits in _define_subpopulations() for a slot that would
+        # otherwise be read before it is written.
+        self._sub_generators = [Generator(config.network, None)
                                 for _ in range(neighborhood_size)]
-        self._sub_discriminators = [Discriminator(config.network, build_rng)
+        self._sub_discriminators = [Discriminator(config.network, None)
                                     for _ in range(neighborhood_size)]
+        self._sub_defined = False
         #: learning rate travelling with each sub-population member.
         self._sub_lr = [config.mutation.initial_learning_rate] * neighborhood_size
 
@@ -166,6 +170,20 @@ class Cell:
             d = Genome(d.parameters.astype(self._storage_dtype), lr, self.loss_name)
         return g, d
 
+    def _define_subpopulations(self) -> None:
+        """Give every sub-population slot its initial weights, once.
+
+        The draws (stream 3: all generators, then all discriminators) are
+        the ones an eager construction would have made, so a trajectory
+        does not depend on when — or whether — this runs.
+        """
+        if self._sub_defined:
+            return
+        build_rng = _cell_rng(self.config.seed, self.cell_index, stream=3)
+        for network in self._sub_generators + self._sub_discriminators:
+            network.initialize(build_rng)
+        self._sub_defined = True
+
     def _update_subpopulations(self, neighbor_genomes: list[tuple[Genome, Genome]]) -> None:
         """Materialize center + neighbor genomes into the preallocated nets.
 
@@ -180,6 +198,9 @@ class Cell:
         own_g, own_d = self.center_genomes(alias=True)
         entries = [(own_g, own_d)] + list(neighbor_genomes)
         entries = entries[: self.neighborhood_size]
+        if len(entries) == self.neighborhood_size:
+            self._sub_defined = True  # every slot is overwritten below
+        self._define_subpopulations()
         for i, (g_genome, d_genome) in enumerate(entries):
             g_genome.write_into(self._sub_generators[i])
             d_genome.write_into(self._sub_discriminators[i])
@@ -343,8 +364,10 @@ class Cell:
 
     def subpopulation_generators(self) -> list[Generator]:
         """The s generators backing this cell's mixture (center first)."""
+        self._define_subpopulations()
         return list(self._sub_generators)
 
     def sample_from_mixture(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """Draw ``n`` images from this cell's generator mixture."""
+        self._define_subpopulations()
         return sample_mixture(self._sub_generators, self.mixture, n, rng or self.rng)

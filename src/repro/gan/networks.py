@@ -43,11 +43,13 @@ def _cast_input(x: Tensor, dtype: np.dtype) -> Tensor:
     return Tensor(x.data.astype(dtype))
 
 
-def _mlp(sizes: list[int], hidden_activation: str, rng: np.random.Generator,
+def _mlp(sizes: list[int], hidden_activation: str,
          final: Module | None, dtype: np.dtype) -> Sequential:
+    """The layer stack with its weights still undefined (drawn by
+    :func:`_draw_initial_weights` once the arena slab backs them)."""
     layers: list[Module] = []
     for i in range(len(sizes) - 1):
-        layers.append(Linear(sizes[i], sizes[i + 1], rng, init=xavier_normal,
+        layers.append(Linear(sizes[i], sizes[i + 1], None, init=xavier_normal,
                              dtype=dtype))
         if i < len(sizes) - 2:
             layers.append(activation_module(hidden_activation))
@@ -56,10 +58,22 @@ def _mlp(sizes: list[int], hidden_activation: str, rng: np.random.Generator,
     return Sequential(*layers)
 
 
-class Generator(Module):
-    """Maps latent vectors ``(n, latent_size)`` to images ``(n, output_neurons)``."""
+def _draw_initial_weights(net: Sequential, rng: np.random.Generator) -> None:
+    """Xavier-initialise ``net``'s layers in construction order."""
+    for layer in net:
+        if isinstance(layer, Linear):
+            layer.reset_parameters(rng)
 
-    def __init__(self, settings: NetworkSettings, rng: np.random.Generator):
+
+class Generator(Module):
+    """Maps latent vectors ``(n, latent_size)`` to images ``(n, output_neurons)``.
+
+    ``rng=None`` allocates the network without drawing its weights, for
+    slots that are overwritten by a genome before anything reads them;
+    :meth:`initialize` performs the deferred draw.
+    """
+
+    def __init__(self, settings: NetworkSettings, rng: np.random.Generator | None):
         super().__init__()
         self.settings = settings
         sizes = (
@@ -67,12 +81,19 @@ class Generator(Module):
             + [settings.hidden_neurons] * settings.hidden_layers
             + [settings.output_neurons]
         )
-        self.net = _mlp(sizes, settings.activation, rng,
+        self.net = _mlp(sizes, settings.activation,
                         final=activation_module("tanh"),
                         dtype=_compute_dtype(settings))
         # One contiguous slab per network: genome flattening becomes a
-        # single memcpy and the optimizer update one fused sweep.
-        attach_arena(self)
+        # single memcpy and the optimizer update one fused sweep.  The
+        # weights are drawn straight into the slab.
+        attach_arena(self, adopt_values=False)
+        if rng is not None:
+            self.initialize(rng)
+
+    def initialize(self, rng: np.random.Generator) -> None:
+        """Draw the initial weights — what passing ``rng`` at construction does."""
+        _draw_initial_weights(self.net, rng)
 
     def layer_recipe(self):
         """The flat ``(Linear, activation, slope)`` steps of this stack.
@@ -94,9 +115,12 @@ class Generator(Module):
 
 
 class Discriminator(Module):
-    """Maps images ``(n, output_neurons)`` to real-vs-fake logits ``(n, 1)``."""
+    """Maps images ``(n, output_neurons)`` to real-vs-fake logits ``(n, 1)``.
 
-    def __init__(self, settings: NetworkSettings, rng: np.random.Generator):
+    ``rng=None`` defers the weight draw exactly as on :class:`Generator`.
+    """
+
+    def __init__(self, settings: NetworkSettings, rng: np.random.Generator | None):
         super().__init__()
         self.settings = settings
         sizes = (
@@ -104,9 +128,15 @@ class Discriminator(Module):
             + [settings.hidden_neurons] * settings.hidden_layers
             + [1]
         )
-        self.net = _mlp(sizes, settings.activation, rng, final=None,
+        self.net = _mlp(sizes, settings.activation, final=None,
                         dtype=_compute_dtype(settings))
-        attach_arena(self)
+        attach_arena(self, adopt_values=False)
+        if rng is not None:
+            self.initialize(rng)
+
+    def initialize(self, rng: np.random.Generator) -> None:
+        """See :meth:`Generator.initialize`."""
+        _draw_initial_weights(self.net, rng)
 
     def layer_recipe(self):
         """See :meth:`Generator.layer_recipe`."""

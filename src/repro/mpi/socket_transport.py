@@ -17,16 +17,24 @@ exactly like a forked rank dying under :class:`ProcessTransport` — the
 master's heartbeat layer sees the silence and degrades the run the same
 way on both substrates.
 
-Host specs (``--hosts``) are ``host:slots`` entries; ``localhost`` /
-``127.0.0.1`` / ``::1`` blocks are spawned automatically as local
-subprocesses, anything else is waited for (the coordinator prints the
-``repro worker`` command to start on that machine).
+Host specs (``--hosts``) are ``host:slots`` entries.  ``localhost`` /
+``127.0.0.1`` / ``::1`` blocks are **forked from the coordinator** at
+launch, before it starts any thread: the worker inherits the imported
+modules, the BLAS pin and whatever the launcher already loaded (the
+dataset — see :mod:`repro.parallel.runner`) copy-on-write, and runs
+:func:`worker_main` directly.  Anything else is waited for (the coordinator
+prints the ``repro worker`` command to start on that machine).  A
+replacement for a dead local worker (``max_restarts``) is started with that
+same command instead: by then the coordinator runs router threads, and a
+multi-threaded process must not fork.  Either way the worker is the one
+:func:`worker_main` body.
 """
 
 from __future__ import annotations
 
 import hmac
 import json
+import multiprocessing
 import os
 import queue
 import secrets
@@ -54,7 +62,7 @@ __all__ = [
     "parse_address",
 ]
 
-#: Hostnames the coordinator may spawn workers for by itself.
+#: Hostnames the coordinator launches workers for by itself.
 LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 
 # v2: the hello body is JSON, not pickle.
@@ -171,32 +179,79 @@ class _WorkerConnection:
         self.writer: threading.Thread | None = None
 
 
+class _ForkedWorker:
+    """A worker forked at launch, behind the slice of the ``Popen``
+    interface the coordinator uses — forked and respawned (``Popen``)
+    workers share one bookkeeping list."""
+
+    def __init__(self, process: multiprocessing.process.BaseProcess):
+        self._process = process
+        self.pid = process.pid
+
+    @property
+    def returncode(self) -> int | None:
+        return self._process.exitcode
+
+    def poll(self) -> int | None:
+        return self._process.exitcode
+
+    def wait(self, timeout: float | None = None) -> int:
+        self._process.join(timeout)
+        if self._process.exitcode is None:
+            raise subprocess.TimeoutExpired(self._process.name, timeout)
+        return self._process.exitcode
+
+    def kill(self) -> None:
+        self._process.kill()
+
+
+def _forked_worker(listener: socket.socket, connect: str,
+                   options: dict[str, Any]) -> None:
+    """Body of a worker forked from the coordinator: drop what belongs to
+    the coordinator, start as clean as ``repro worker`` does, then run the
+    same :func:`worker_main`."""
+    # The accept queue is the coordinator's: a worker holding the listener
+    # open would keep the port bound after the coordinator died.
+    listener.close()
+    from repro.parallel import elastic
+    from repro.runtime import pin_blas_threads
+
+    elastic.reset_drain_registry()
+    pin_blas_threads(1)  # one rank = one core, as `repro worker` pins
+    sys.exit(worker_main(connect, **options))
+
+
 class SocketTransport(Transport):
     """Rank hosting over TCP worker processes (the multi-node substrate).
 
     Options
     -------
     hosts:
-        Host spec (see :func:`parse_host_spec`); ``None`` spawns one local
+        Host spec (see :func:`parse_host_spec`); ``None`` forks one local
         worker hosting every rank.
     bind:
         ``host:port`` the coordinator listens on; port 0 picks a free one.
         Bind a routable address (e.g. ``0.0.0.0:5555``) for real clusters.
     token:
         Shared secret the hello frame must present; autogenerated when not
-        given or empty — auth cannot be disabled (spawned workers receive
-        the token on their command line, the hint printed for remote hosts
-        includes it).
+        given or empty — auth cannot be disabled (forked workers inherit
+        the token, respawned ones receive it on their command line, the
+        hint printed for remote hosts includes it).
     start_timeout:
         Seconds the rendezvous may take before the launch fails.
     dtype:
         Dtype policy name of the run (``float64``/``float32``/``mixed16``).
         Advertised in the hello handshake; every peer of one run must
         present the same policy or the coordinator rejects it.
+    python:
+        Interpreter that runs ``-m repro worker`` for a *replacement* local
+        worker (default: this one).  Launch-time local workers are forked
+        and never use it.
     max_restarts:
         Total replacement workers the coordinator may admit over the run
         (0, the default, keeps the legacy fail-fast behavior).  A lost
-        connection to a *spawned* worker respawns its subprocess; an
+        connection to a *local* worker starts a ``repro worker``
+        subprocess in its place; an
         externally attached worker's replacement command is printed for the
         operator.  Either way the listener keeps accepting after the
         rendezvous and the reborn worker re-runs the per-rank program — the
@@ -231,7 +286,10 @@ class SocketTransport(Transport):
         self._rank_conn: dict[int, _WorkerConnection] = {}
         self._results: "queue.Queue[WorkerOutcome]" = queue.Queue()
         self._listener: socket.socket | None = None
-        self._procs: list[subprocess.Popen | None] = [None] * len(self.hosts)
+        #: Local worker processes by host-spec index: forked at launch,
+        #: ``Popen`` once respawned; None for externally attached workers.
+        self._procs: list[_ForkedWorker | subprocess.Popen | None] = (
+            [None] * len(self.hosts))
         self._shut_down = False
         # Serializes slot assignment between concurrent admit threads, and
         # orders registration against shutdown(): a hello that completes
@@ -251,7 +309,8 @@ class SocketTransport(Transport):
         #: Bounded per-index buffers of MSG frames addressed to a
         #: respawn-pending worker, flushed to the replacement on re-admit.
         self._parked: dict[int, deque] = {}
-        self._late_thread: threading.Thread | None = None
+        #: Set by the admission that empties the rendezvous' pending set.
+        self._rendezvous_done = threading.Event()
         # -- elastic membership state (guarded by _admit_lock) --------------
         #: Wire-level membership epoch; bumped on every MEMBERSHIP
         #: broadcast.  Static runs never broadcast, so it stays 0.
@@ -265,7 +324,7 @@ class SocketTransport(Transport):
         #: starts here instead of at zero.
         self._ranks_lost_total = 0
 
-    # -- public address (for hints and spawned workers) --------------------
+    # -- public address (for hints and local workers) ----------------------
 
     @property
     def address(self) -> tuple[str, int]:
@@ -324,7 +383,9 @@ class SocketTransport(Transport):
         listener.settimeout(0.2)
         self._listener = listener
 
-        self._spawn_local_workers()
+        # Before any thread of this transport exists: forking is only safe
+        # while nothing else can hold a lock the child would inherit.
+        self._fork_local_workers()
         self._rendezvous()
         # Barrier passed: every rank is connected, routing is safe — send
         # each worker its rank block and the program, then start routing.
@@ -337,14 +398,6 @@ class SocketTransport(Transport):
             })
             wire.write_frame(conn.sock, frame)
             self._start_io_threads(conn)
-        # The listener stays open past the rendezvous: replacement workers
-        # for dead connections, elastic joiners filling vacant slots, and
-        # `repro drain` control clients are all admitted here for the rest
-        # of the run.
-        self._late_thread = threading.Thread(
-            target=self._late_accept_loop,
-            name="mpi-late-accept", daemon=True)
-        self._late_thread.start()
 
     def _start_io_threads(self, conn: _WorkerConnection) -> None:
         conn.reader = threading.Thread(
@@ -358,7 +411,7 @@ class SocketTransport(Transport):
 
     @property
     def _local_connect_host(self) -> str:
-        """Where spawned localhost workers connect: loopback of the
+        """Where local workers connect: loopback of the
         listener's family when it accepts one (default/wildcard binds),
         otherwise the bound address itself — binding a specific routable
         IP must not strand the local entries on an unreachable loopback."""
@@ -368,35 +421,53 @@ class SocketTransport(Transport):
             return "127.0.0.1"
         return self.bind_host
 
+    @property
+    def _local_connect_address(self) -> str:
+        return self._format_address(self._local_connect_host, self.address[1])
+
     def _worker_popen(self, index: int) -> subprocess.Popen:
-        port = self.address[1]
-        connect = self._format_address(self._local_connect_host, port)
+        """Start ``repro worker`` for a local block — the replacement route:
+        the coordinator runs router threads by the time a worker can die,
+        so it must not fork."""
         env = dict(os.environ)
-        # Spawned workers must resolve the same modules the program pickles
+        # The worker must resolve the same modules the program pickles
         # reference (repro itself, plus e.g. a test module defining fn) —
-        # hand them the parent's import path verbatim.
+        # hand it the parent's import path verbatim.
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in sys.path if p) or env.get("PYTHONPATH", "")
         return subprocess.Popen(
             [self.python, "-m", "repro", "worker",
-             "--connect", connect,
+             "--connect", self._local_connect_address,
              "--slots", str(len(self._blocks[index])), "--index", str(index),
              "--token", self.token, "--quiet",
              "--dtype", self.dtype,
-             # The START frame only arrives once *all* workers joined,
-             # so a spawned worker must wait out the same rendezvous
-             # window as the coordinator, not its own 60s default.
              "--timeout", str(self.start_timeout)],
             env=env,
         )
 
-    def _spawn_local_workers(self) -> None:
-        for index, (hostname, _slots) in enumerate(self.hosts):
+    def _fork_local_workers(self) -> None:
+        """Fork one worker per local host-spec entry; print the command to
+        run for every other entry."""
+        assert self._listener is not None
+        ctx = multiprocessing.get_context("fork")
+        for index, (hostname, slots) in enumerate(self.hosts):
             if not _is_local(hostname):
                 print(f"[socket] waiting for worker {index} on {hostname}: "
                       f"run `{self.worker_command(index)}`", file=sys.stderr)
                 continue
-            self._procs[index] = self._worker_popen(index)
+            process = ctx.Process(
+                target=_forked_worker,
+                args=(self._listener, self._local_connect_address, {
+                    "slots": slots, "index": index, "token": self.token,
+                    "quiet": True, "dtype": self.dtype,
+                    # The START frame only arrives once *all* workers
+                    # joined, so a worker must wait out the same rendezvous
+                    # window as the coordinator, not its own 60s default.
+                    "timeout": self.start_timeout,
+                }),
+                name=f"mpi-worker-{index}", daemon=True)
+            process.start()
+            self._procs[index] = _ForkedWorker(process)
 
     def _rendezvous(self) -> None:
         # Records how long the job sat waiting for workers to connect —
@@ -407,12 +478,12 @@ class SocketTransport(Transport):
     def _rendezvous_loop(self) -> None:
         deadline = time.monotonic() + self.start_timeout
         pending = set(range(len(self.hosts)))
-        lock = self._admit_lock
-        assert self._listener is not None
-        while True:
-            with lock:
-                if not pending:
-                    return
+        threading.Thread(target=self._accept_loop, args=(pending, deadline),
+                         name="mpi-accept", daemon=True).start()
+        # Woken by the admission that empties ``pending``; the timeout only
+        # paces the checks for a blown deadline or a worker that died.
+        while not self._rendezvous_done.wait(0.2):
+            with self._admit_lock:
                 missing = sorted(pending)
             if time.monotonic() > deadline:
                 self.shutdown()
@@ -424,12 +495,25 @@ class SocketTransport(Transport):
                 if proc is not None and proc.poll() is not None:
                     self.shutdown()
                     raise MpiError(
-                        f"spawned worker {index} exited with code "
+                        f"local worker {index} exited with code "
                         f"{proc.returncode} before the rendezvous")
+
+    def _accept_loop(self, pending: set[int], deadline: float) -> None:
+        """Accept connections for as long as the transport lives.
+
+        While worker slots are pending a connection is a rendezvous hello
+        (:meth:`_admit`); afterwards the listener stays open for
+        replacement workers, elastic joiners filling vacant slots and
+        ``repro drain`` control clients (:meth:`_admit_late`).
+        """
+        assert self._listener is not None
+        while not self._shut_down:
             try:
                 sock, _addr = self._listener.accept()
             except socket.timeout:
                 continue
+            except OSError:  # listener closed by shutdown()
+                return
             # Admit off-thread: a connection that stalls mid-hello (slow
             # network, or a hostile peer on a routable bind) must not
             # serialize behind the accept loop and starve the legitimate
@@ -440,12 +524,19 @@ class SocketTransport(Transport):
             if not self._admit_slots.acquire(blocking=False):
                 sock.close()
                 continue
-            threading.Thread(
-                target=self._admit, args=(sock, pending, lock, deadline),
-                name="mpi-rdv-admit", daemon=True).start()
+            with self._admit_lock:
+                in_rendezvous = bool(pending)
+            if in_rendezvous:
+                threading.Thread(
+                    target=self._admit, args=(sock, pending, deadline),
+                    name="mpi-rdv-admit", daemon=True).start()
+            else:
+                threading.Thread(
+                    target=self._admit_late, args=(sock,),
+                    name="mpi-late-admit", daemon=True).start()
 
     def _admit(self, sock: socket.socket, pending: set[int],
-               lock: threading.Lock, deadline: float) -> None:
+               deadline: float) -> None:
         """Validate one hello; assign a worker slot or reject the socket.
 
         The hello is the only frame read before the peer is authenticated,
@@ -480,14 +571,8 @@ class SocketTransport(Transport):
                 raise wire.WireError(
                     f"wire version mismatch: coordinator {_WIRE_VERSION}, "
                     f"worker {hello.get('version')}")
-            peer_dtype = hello.get("dtype", "float64")
-            if peer_dtype != self.dtype:
-                raise wire.WireError(
-                    f"dtype policy mismatch: coordinator runs "
-                    f"{self.dtype!r}, worker offers {peer_dtype!r} — every "
-                    f"peer of one run must share the dtype policy (start "
-                    f"the worker with --dtype {self.dtype})")
-            with lock:
+            self._require_dtype(hello)
+            with self._admit_lock:
                 if self._shut_down:
                     # The rendezvous timed out (or the job failed) while
                     # this hello was in flight: shutdown()'s close loops
@@ -497,10 +582,10 @@ class SocketTransport(Transport):
                 index = hello.get("index")
                 if index is None:  # externally started without --index
                     # Local blocks are never up for grabs: each one already
-                    # has a spawned worker carrying --index, so an index-less
-                    # hello is by definition an external machine — letting it
-                    # claim a localhost slot would strand the spawned worker
-                    # and hang the rendezvous.
+                    # has a forked worker presenting its index, so an
+                    # index-less hello is by definition an external machine
+                    # — letting it claim a localhost slot would strand the
+                    # forked worker and hang the rendezvous.
                     candidates = [i for i in sorted(pending)
                                   if len(self._blocks[i]) == hello.get("slots")
                                   and not _is_local(self.hosts[i][0])]
@@ -508,7 +593,7 @@ class SocketTransport(Transport):
                         raise wire.WireError(
                             f"no pending remote worker slot takes "
                             f"{hello.get('slots')} rank(s); check --slots "
-                            "against --hosts (localhost entries are spawned "
+                            "against --hosts (localhost entries are launched "
                             "automatically and cannot be claimed externally)")
                     # Prefer the host-spec entry naming this machine, so the
                     # placement report stays the *actual* rank-to-host
@@ -534,9 +619,11 @@ class SocketTransport(Transport):
                 self._connections[index] = conn
                 for rank in conn.ranks:
                     self._rank_conn[rank] = conn
-                # Last, so the rendezvous loop only completes once the
+                # Last, so the rendezvous only completes once the
                 # connection is fully registered.
                 pending.discard(index)
+                if not pending:
+                    self._rendezvous_done.set()
             if telemetry.enabled():
                 telemetry.count("socket.workers_admitted")
         except Exception as exc:  # noqa: BLE001 - anything a stranger sends
@@ -549,6 +636,16 @@ class SocketTransport(Transport):
             sock.close()
         finally:
             self._admit_slots.release()
+
+    def _require_dtype(self, hello: dict) -> None:
+        """Reject a worker hello whose dtype policy differs from the run's."""
+        peer_dtype = hello.get("dtype", "float64")
+        if peer_dtype != self.dtype:
+            raise wire.WireError(
+                f"dtype policy mismatch: coordinator runs "
+                f"{self.dtype!r}, worker offers {peer_dtype!r} — every "
+                f"peer of one run must share the dtype policy (start "
+                f"the worker with --dtype {self.dtype})")
 
     # -- routing ------------------------------------------------------------
 
@@ -687,23 +784,7 @@ class SocketTransport(Transport):
                   f"recover, run `{self.worker_command(conn.index)}`",
                   file=sys.stderr)
 
-    # -- late admission (replacement workers) --------------------------------
-
-    def _late_accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._shut_down:
-            try:
-                sock, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:  # listener closed by shutdown()
-                return
-            if not self._admit_slots.acquire(blocking=False):
-                sock.close()
-                continue
-            threading.Thread(
-                target=self._admit_late, args=(sock,),
-                name="mpi-late-admit", daemon=True).start()
+    # -- late admission (replacement workers, joiners, drain clients) ---------
 
     def _admit_late(self, sock: socket.socket) -> None:
         """Validate a late hello and splice the peer into the run.
@@ -739,9 +820,7 @@ class SocketTransport(Transport):
             if hello.get("cmd") == "drain":
                 self._admit_drain_request(sock, hello)
                 return
-            if hello.get("dtype", "float64") != self.dtype:
-                raise wire.WireError(
-                    f"dtype policy mismatch: coordinator runs {self.dtype!r}")
+            self._require_dtype(hello)
             index = hello.get("index")
             joining = bool(hello.get("join"))
             if index is None and not joining:
@@ -948,7 +1027,7 @@ class SocketTransport(Transport):
     def kill_rank(self, rank: int) -> None:
         """SIGKILL the worker process hosting ``rank`` (fault injection).
 
-        Spawned workers are killed outright; externally attached workers
+        Local workers are killed outright; externally attached workers
         have their connection severed instead, which is indistinguishable
         from a network partition.
         """

@@ -14,9 +14,10 @@ delivers one :class:`WorkerOutcome` per rank:
   multi-core parallelism used in all timing experiments; the fork start
   method lets children inherit the queue handles.
 * :class:`~repro.mpi.socket_transport.SocketTransport` (registered lazily
-  as ``"socket"``) — ranks live in ``repro worker`` processes connected
-  over TCP, one coordinator routing length-prefixed pickle-5 frames.  The
-  multi-node substrate; the per-rank program must be picklable.
+  as ``"socket"``) — ranks live in worker processes (forked for local
+  host entries, ``repro worker`` elsewhere) connected over TCP, one
+  coordinator routing length-prefixed pickle-5 frames.  The multi-node
+  substrate; the per-rank program must be picklable.
 
 New transports plug in through :func:`register_transport`; the launcher,
 the distributed runner and the CLI all resolve names through

@@ -57,12 +57,16 @@ class ParameterArena:
     The slab adopts the parameters' own dtype (all of a module's parameters
     must share one — a mixed-dtype module is a configuration bug and fails
     loudly here).  The gradient slab always matches the parameter slab.
+
+    ``adopt_values=False`` re-homes the parameters without copying their
+    current values into the slab — for modules allocated with undefined
+    parameters (``rng=None``), whose values are written afterwards.
     """
 
     __slots__ = ("_data", "_grad", "_tensors", "_names", "_offsets", "_shapes",
                  "__weakref__")
 
-    def __init__(self, module) -> None:
+    def __init__(self, module, *, adopt_values: bool = True) -> None:
         named = list(module.named_parameters())
         if not named:
             raise ValueError("cannot build an arena for a module without parameters")
@@ -81,7 +85,8 @@ class ParameterArena:
         for name, param in named:
             n = param.data.size
             view = slab[offset:offset + n].reshape(param.data.shape)
-            view[...] = param.data  # adopt the initial values bit-exactly
+            if adopt_values:
+                view[...] = param.data  # adopt the initial values bit-exactly
             param.data = view
             names.append(name)
             offsets.append(offset)
@@ -176,12 +181,12 @@ class ParameterArena:
         return f"ParameterArena({len(self._tensors)} tensors, {self.size} params, {grads})"
 
 
-def attach_arena(module) -> ParameterArena:
+def attach_arena(module, *, adopt_values: bool = True) -> ParameterArena:
     """Re-home ``module``'s parameters into a fresh arena (idempotent)."""
     with _REGISTRY_LOCK:
         arena = _REGISTRY.get(module)
         if arena is None:
-            arena = ParameterArena(module)
+            arena = ParameterArena(module, adopt_values=adopt_values)
             _REGISTRY[module] = arena
     return arena
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.nn.arena import arena_of
 from repro.nn.autograd import Tensor
-from repro.nn.init import PARAM_DTYPE, xavier_normal, zeros_init
+from repro.nn.init import PARAM_DTYPE, xavier_normal
 
 __all__ = [
     "Module",
@@ -82,23 +82,39 @@ class Module:
 
 
 class Linear(Module):
-    """Affine layer ``y = x W + b`` with ``W`` of shape ``(in, out)``."""
+    """Affine layer ``y = x W + b`` with ``W`` of shape ``(in, out)``.
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
+    ``rng=None`` allocates the parameters without drawing them: their
+    values are undefined until :meth:`reset_parameters` runs or the owning
+    network is overwritten whole (a genome written into it).
+    """
+
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator | None,
                  init: Callable[..., np.ndarray] = xavier_normal, bias: bool = True,
                  dtype=None):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
+        self._init = init
         dtype = np.dtype(dtype) if dtype is not None else np.dtype(PARAM_DTYPE)
+        self.weight = Tensor(np.empty((in_features, out_features), dtype=dtype),
+                             requires_grad=True)
+        self.bias = (Tensor(np.empty((out_features,), dtype=dtype), requires_grad=True)
+                     if bias else None)
+        if rng is not None:
+            self.reset_parameters(rng)
+
+    def reset_parameters(self, rng: np.random.Generator) -> None:
+        """Draw the initial weights from ``rng`` and zero the bias, in place."""
+        weight = self.weight.data
         # Only non-default dtypes pass the keyword, so arbitrary custom init
         # callables (the documented ``(shape, rng) -> ndarray`` contract)
         # keep working under the float64 reference policy.
-        weight = (init((in_features, out_features), rng) if dtype == PARAM_DTYPE
-                  else init((in_features, out_features), rng, dtype=dtype))
-        self.weight = Tensor(np.ascontiguousarray(weight, dtype=dtype), requires_grad=True)
-        self.bias = (Tensor(zeros_init((out_features,), dtype=dtype), requires_grad=True)
-                     if bias else None)
+        weight[...] = (self._init(weight.shape, rng) if weight.dtype == PARAM_DTYPE
+                       else self._init(weight.shape, rng, dtype=weight.dtype))
+        if self.bias is not None:
+            self.bias.data[...] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
         out = x @ self.weight

@@ -9,9 +9,12 @@ processes on one or many machines).
 The dataset travels in whichever way the substrate makes cheap.  Fork-based
 backends render it **once** in the parent and share the pages copy-on-write
 with every slave — the memory-efficiency behavior the paper credits for its
-superlinear small-grid speedups.  Spawn-based socket workers cannot inherit
-pages, so they receive a *dataset spec* and render it once **per node**
-(process-level cache shared by co-hosted ranks); an explicitly provided
+superlinear small-grid speedups.  Socket workers receive a *dataset spec*
+and resolve it once **per node** through a process-level cache shared by
+co-hosted ranks: the launcher fills that cache before the transport forks
+its local workers, so they inherit the pages like any forked rank, while a
+``repro worker`` process (another machine, a ``--join``, a replacement)
+finds the cache empty and renders for itself.  An explicitly provided
 dataset object is pickled across instead.  Either way the rendering is a
 deterministic function of the config, which is what keeps the same seed
 bit-identical across all three substrates.
@@ -25,6 +28,7 @@ write into the sub-population slab.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,6 +63,17 @@ _NODE_DATASETS: dict[tuple, ArrayDataset] = {}
 _NODE_DATASETS_LOCK = threading.Lock()
 
 
+def _node_dataset_key(config: ExperimentConfig, payload: tuple) -> tuple:
+    """Cache key of a registry/render payload in :data:`_NODE_DATASETS`."""
+    if payload[0] == "registry":
+        _, name, options = payload
+        # repr() keys stay hashable whatever the option values are (dict
+        # and list options are legal for registered dataset factories).
+        return ("registry", name, repr(sorted(options.items())),
+                config.dataset_size, config.seed)
+    return ("render", config.dataset_size, config.seed)
+
+
 def _materialize_dataset(config: ExperimentConfig, payload: tuple) -> ArrayDataset:
     """Resolve one slave's training data from its travel form.
 
@@ -71,25 +86,36 @@ def _materialize_dataset(config: ExperimentConfig, payload: tuple) -> ArrayDatas
     kind = payload[0]
     if kind == "inline":
         return payload[1]
-    if kind == "registry":
-        _, name, options = payload
-        # repr() keys stay hashable whatever the option values are (dict
-        # and list options are legal for registered dataset factories).
-        key = ("registry", name, repr(sorted(options.items())),
-               config.dataset_size, config.seed)
-        with _NODE_DATASETS_LOCK:
-            if key not in _NODE_DATASETS:
+    if kind not in ("registry", "render"):
+        raise ValueError(f"unknown dataset payload kind {kind!r}")
+    key = _node_dataset_key(config, payload)
+    with _NODE_DATASETS_LOCK:
+        if key not in _NODE_DATASETS:
+            if kind == "registry":
                 from repro.registry import DATASETS
 
+                _, name, options = payload
                 _NODE_DATASETS[key] = DATASETS.create(name, config, **options)
-            return _NODE_DATASETS[key]
-    if kind == "render":
-        key = ("render", config.dataset_size, config.seed)
-        with _NODE_DATASETS_LOCK:
-            if key not in _NODE_DATASETS:
+            else:
                 _NODE_DATASETS[key] = build_training_dataset(config)
-            return _NODE_DATASETS[key]
-    raise ValueError(f"unknown dataset payload kind {kind!r}")
+        return _NODE_DATASETS[key]
+
+
+@contextlib.contextmanager
+def _node_dataset_preloaded(config: ExperimentConfig, payload: tuple):
+    """Hold ``payload``'s dataset in the node cache for the enclosed launch.
+
+    Workers forked inside the block inherit the cache entry copy-on-write
+    and never load the dataset themselves.  The entry is dropped on exit:
+    the launcher is not a rank, and must not keep every corpus it ever
+    started a job on.
+    """
+    _materialize_dataset(config, payload)
+    try:
+        yield
+    finally:
+        with _NODE_DATASETS_LOCK:
+            _NODE_DATASETS.pop(_node_dataset_key(config, payload), None)
 
 
 def _distributed_entry(world, config: ExperimentConfig, dataset_payload: tuple,
@@ -335,6 +361,15 @@ class DistributedRunner:
         # caller provides an explicit plan.
         return plan, platform
 
+    def _forks_local_workers(self, size: int, transport_options: dict[str, Any]) -> bool:
+        """Will the transport fork workers from this process at launch?"""
+        if self.backend != "socket":
+            return False
+        from repro.mpi.socket_transport import LOCAL_HOSTNAMES, parse_host_spec
+
+        hosts = parse_host_spec(transport_options.get("hosts"), size)
+        return any(host in LOCAL_HOSTNAMES for host, _slots in hosts)
+
     def _transport_options(self) -> dict[str, Any]:
         options = dict(self.transport_options)
         if self.remote:
@@ -360,8 +395,9 @@ class DistributedRunner:
         return options
 
     def run(self) -> DistributedResult:
-        # One rank = one core (paper Table II).  Forked ranks inherit the
-        # pin; spawned socket workers re-pin inside _distributed_entry.
+        # One rank = one core (paper Table II).  Forked ranks and forked
+        # socket workers inherit the pin; `repro worker` processes re-pin
+        # inside _distributed_entry.
         pin_blas_threads(1)
         config = self.config
         size = config.coevolution.cells + 1
@@ -395,13 +431,22 @@ class DistributedRunner:
         start = time.perf_counter()
         fault_tolerant = (self.allow_failures if self.allow_failures is not None
                           else bool(self.fault_at) or self.fault_policy != "abort")
-        outcomes = run_mpi(
-            size, _distributed_entry,
-            args=(config, self._dataset_payload(), master_options),
-            backend=self.backend, timeout=self.timeout_s,
-            allow_failures=fault_tolerant,
-            transport_options=self._transport_options(),
-        )
+        payload = self._dataset_payload()
+        transport_options = self._transport_options()
+        # Local socket workers are forked from this process: load the
+        # dataset they will ask for once, here, instead of once per worker.
+        preload = (_node_dataset_preloaded(config, payload)
+                   if payload[0] != "inline"
+                   and self._forks_local_workers(size, transport_options)
+                   else contextlib.nullcontext())
+        with preload:
+            outcomes = run_mpi(
+                size, _distributed_entry,
+                args=(config, payload, master_options),
+                backend=self.backend, timeout=self.timeout_s,
+                allow_failures=fault_tolerant,
+                transport_options=transport_options,
+            )
         master_outcome: MasterOutcome | None = outcomes[0]
         if master_outcome is None:
             raise MpiWorkerError(getattr(outcomes, "failures", {0: "master failed"}))

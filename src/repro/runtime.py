@@ -9,8 +9,8 @@ the same issue and pin ``OMP_NUM_THREADS=1`` in the job script; this module
 does the equivalent from inside the library:
 
 * sets the usual BLAS environment variables — inherited by forked ranks
-  *and* by spawned worker subprocesses (the socket transport hands workers
-  the launcher's environment);
+  and forked socket workers *and* by ``repro worker`` subprocesses (the
+  socket transport hands replacement workers the launcher's environment);
 * additionally calls ``openblas_set_num_threads`` through ``ctypes`` on the
   already-loaded library, because environment variables are only read at
   load time.

@@ -101,6 +101,28 @@ def quick_config():
     return make_quick_config()
 
 
+def eagerly_initialize(cell):
+    """Reference for lazy sub-population construction.
+
+    Rebuilds a fresh cell's sub-population the way ``Cell.__init__`` did
+    before the stream-3 draw was deferred: every network Xavier-initialised
+    at build time, generators first, from one stream-3 RNG.  A lazily built
+    cell must be indistinguishable from this one in everything it computes.
+    """
+    from repro.coevolution.cell import _cell_rng
+    from repro.gan.networks import Discriminator, Generator
+
+    assert cell.iteration == 0 and not cell._sub_defined
+    network = cell.config.network
+    build_rng = _cell_rng(cell.config.seed, cell.cell_index, stream=3)
+    cell._sub_generators = [Generator(network, build_rng)
+                            for _ in range(cell.neighborhood_size)]
+    cell._sub_discriminators = [Discriminator(network, build_rng)
+                                for _ in range(cell.neighborhood_size)]
+    cell._sub_defined = True
+    return cell
+
+
 @pytest.fixture(scope="session")
 def small_raw_dataset(cache_dir):
     """400 rendered synthetic digits, session-cached."""

@@ -6,7 +6,7 @@ import pytest
 from repro.coevolution.cell import Cell, NEIGHBORHOOD_SIZE
 from repro.coevolution.sequential import SequentialTrainer
 from repro.profiling import RoutineTimer
-from tests.conftest import make_quick_config
+from tests.conftest import eagerly_initialize, make_quick_config
 
 
 @pytest.fixture()
@@ -107,6 +107,81 @@ class TestCellStep:
         samples = cell.sample_from_mixture(6)
         assert samples.shape == (6, 784)
         assert samples.min() >= -1 and samples.max() <= 1
+
+
+def cell_state(cell) -> list[bytes]:
+    """Everything a cell's next computation depends on, as bytes."""
+    from repro.nn import arena_of
+
+    networks = [cell.center.generator, cell.center.discriminator,
+                *cell._sub_generators, *cell._sub_discriminators]
+    return [arena_of(network).data.tobytes() for network in networks] + [
+        cell.mixture.weights.tobytes(),
+        np.asarray(cell._sub_lr).tobytes(),
+        repr(cell.rng.bit_generator.state).encode(),
+    ]
+
+
+class TestLazySubpopulations:
+    """A cell allocates its sub-population without drawing the initial
+    weights; whenever and whether the draw happens, the cell must equal
+    the eagerly initialised reference byte for byte."""
+
+    @pytest.fixture()
+    def pair(self, small_dataset):
+        lazy = Cell(make_quick_config(), 0, small_dataset)
+        eager = eagerly_initialize(Cell(make_quick_config(), 0, small_dataset))
+        return lazy, eager
+
+    @pytest.fixture()
+    def neighbors(self, small_dataset):
+        return [Cell(make_quick_config(), index, small_dataset).center_genomes()
+                for index in range(1, 8)]
+
+    @pytest.mark.parametrize("count", [4, 2, 0, 7])
+    def test_step_matches_eager(self, pair, neighbors, count):
+        lazy, eager = pair
+        for _ in range(2):
+            lazy_report = lazy.step(neighbors[:count])
+            eager_report = eager.step(neighbors[:count])
+            assert repr(lazy_report) == repr(eager_report)
+            assert cell_state(lazy) == cell_state(eager)
+
+    def test_full_neighborhood_skips_the_draw(self, pair, neighbors, monkeypatch):
+        """Four neighbours overwrite every slot: no initial weight is drawn."""
+        from repro.gan import networks
+
+        def forbidden(net, rng):
+            raise AssertionError("initial weights drawn for a covered slot")
+
+        lazy, _ = pair
+        monkeypatch.setattr(networks, "_draw_initial_weights", forbidden)
+        lazy.step(neighbors[:4])
+        lazy.sample_from_mixture(3)
+
+    def test_sample_before_any_step_matches_eager(self, pair):
+        lazy, eager = pair
+        np.testing.assert_array_equal(lazy.sample_from_mixture(6),
+                                      eager.sample_from_mixture(6))
+        assert cell_state(lazy) == cell_state(eager)
+
+    def test_subpopulation_generators_before_any_step_match_eager(self, pair):
+        from repro.nn import arena_of
+
+        lazy, eager = pair
+        for ours, theirs in zip(lazy.subpopulation_generators(),
+                                eager.subpopulation_generators()):
+            np.testing.assert_array_equal(arena_of(ours).data,
+                                          arena_of(theirs).data)
+
+    def test_restore_then_step_matches_eager(self, pair, neighbors):
+        lazy, eager = pair
+        g, d = neighbors[6]
+        for cell in (lazy, eager):
+            cell.restore(g, d, np.full(5, 0.2), iteration=3)
+        lazy.step(neighbors[:2])
+        eager.step(neighbors[:2])
+        assert cell_state(lazy) == cell_state(eager)
 
 
 class TestSequentialTrainer:

@@ -314,14 +314,18 @@ class TestWireDtype:
 
         from repro.mpi import wire
         from repro.mpi.socket_transport import (
-            _WIRE_VERSION, SocketTransport)
+            _WIRE_VERSION, SocketTransport, worker_main)
         from tests.test_mpi_socket import ring_program
 
-        transport = SocketTransport(2, hosts="127.0.0.1:2", token="tok",
+        # The matching worker is attached by hand, after the mismatched
+        # hello was turned away: a forked local worker would complete the
+        # rendezvous before the intruder even connects.
+        transport = SocketTransport(2, hosts="elsewhere:2", token="tok",
                                     start_timeout=30, dtype="float32")
         launched = threading.Thread(
             target=transport.launch, args=(ring_program, (4,)), daemon=True)
         launched.start()
+        worker = None
         try:
             deadline = time.monotonic() + 20
             while transport._listener is None:
@@ -336,12 +340,20 @@ class TestWireDtype:
             with socket_module.create_connection(("127.0.0.1", port),
                                                  timeout=10) as intruder:
                 intruder.sendall(wire.pack_frame(wire.HELLO, 2, body=hello))
+                assert intruder.recv(1) == b"", "mismatched hello not rejected"
+            worker = threading.Thread(
+                target=worker_main, args=(f"127.0.0.1:{port}",),
+                kwargs={"slots": 2, "token": "tok", "index": 0,
+                        "quiet": True, "dtype": "float32"}, daemon=True)
+            worker.start()
             launched.join(timeout=60)
             assert not launched.is_alive(), "rendezvous crashed or hung"
             outcomes = transport.collect(timeout=60)
             assert [o.value for o in outcomes] == [1.0, 0.0]
         finally:
             transport.shutdown()
+            if worker is not None:
+                worker.join(timeout=30)
         err = capsys.readouterr().err
         assert "dtype policy mismatch" in err
         assert "float32" in err and "float64" in err

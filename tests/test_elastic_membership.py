@@ -22,7 +22,7 @@ from repro.parallel.elastic import (DrainNotice, MembershipEvent,
 from repro.parallel.grid import Grid
 from repro.parallel.recovery import (FaultNotice, FaultState, FrozenCell,
                                      choose_adopter, plan_rebalance)
-from tests.conftest import make_quick_config
+from tests.conftest import eagerly_initialize, make_quick_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -322,6 +322,13 @@ class TestStaticMembershipIdentity:
         sequential = SequentialTrainer(config, module_dataset).run()
         reference = _digest(sequential.center_genomes,
                             sequential.mixture_weights)
+        # The oracle of lazy sub-population construction: the same run
+        # with every cell's sub-population initialised at build time.
+        eager = SequentialTrainer(config, module_dataset)
+        for cell in eager.cells:
+            eagerly_initialize(cell)
+        eager = eager.run()
+        assert _digest(eager.center_genomes, eager.mixture_weights) == reference
         for backend, options in [
             ("threaded", {}),
             ("process", {}),

@@ -2,8 +2,8 @@
 specs, failure synthesis and the transport registry.
 
 Per-rank programs live at module level — the socket transport pickles them
-to worker subprocesses, which re-import this module via the inherited
-``sys.path``.
+to its workers: forked local workers already hold this module, replacement
+``repro worker`` processes re-import it via the inherited ``sys.path``.
 """
 
 import numpy as np
@@ -161,6 +161,42 @@ class TestHostSpecs:
             assert not sentinel.exists(), \
                 "coordinator unpickled a pre-auth hello payload"
         finally:
+            transport.shutdown()
+
+    def test_rendezvous_returns_when_the_last_hello_is_admitted(self, monkeypatch):
+        """The admission that empties the pending set wakes the rendezvous
+        itself — no waiting for the accept loop's next poll to notice."""
+        import json
+        import queue
+        import socket as socket_module
+        import threading
+
+        from repro.mpi import wire
+        from repro.mpi.socket_transport import _WIRE_VERSION, SocketTransport
+
+        transport = SocketTransport(1, hosts="elsewhere:1", token="tok",
+                                    start_timeout=120)
+        handed_over: queue.Queue = queue.Queue()
+        # No accept loop: the test admits the one worker by hand.
+        monkeypatch.setattr(transport, "_accept_loop",
+                            lambda *args: handed_over.put(args))
+        waiter = threading.Thread(target=transport._rendezvous_loop, daemon=True)
+        waiter.start()
+        pending, deadline = handed_over.get(timeout=10)
+        with socket_module.create_server(("127.0.0.1", 0)) as server:
+            worker = socket_module.create_connection(server.getsockname())
+            coordinator_side, _ = server.accept()
+        try:
+            worker.sendall(wire.pack_frame(wire.HELLO, 1, body=json.dumps({
+                "version": _WIRE_VERSION, "token": "tok", "slots": 1,
+                "index": 0, "dtype": "float64"}).encode()))
+            transport._admit_slots.acquire()  # released by _admit
+            transport._admit(coordinator_side, pending, deadline)
+            waiter.join(timeout=10)
+            assert not waiter.is_alive(), "rendezvous missed the last admission"
+            assert not pending
+        finally:
+            worker.close()
             transport.shutdown()
 
     def test_worker_connect_requires_port(self, capsys):
@@ -387,3 +423,190 @@ class TestExternalWorkerShutdown:
             if worker.poll() is None:
                 worker.kill()
                 worker.wait(timeout=10)
+
+
+# -- fork launch ---------------------------------------------------------------
+
+#: Set in the coordinator right before a launch: a forked worker inherits
+#: the value, a ``repro worker`` process re-imports this module and sees None.
+_SET_BEFORE_LAUNCH = None
+
+
+def launch_route_program(world):
+    """How this rank's worker came to be, and which files it holds open."""
+    import os
+
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            inodes.add(os.stat(f"/proc/self/fd/{fd}").st_ino)
+        except OSError:  # the listing's own descriptor
+            pass
+    return {"inherited": _SET_BEFORE_LAUNCH, "parent": os.getppid(),
+            "pid": os.getpid(), "inodes": inodes}
+
+
+def rehost_program(world, first_run_marker):
+    """Rank 1's first incarnation idles until it is killed; whatever re-hosts
+    the rank tells rank 0 how its worker was launched."""
+    import os
+    import time
+
+    if world.Get_rank() == 0:
+        return world.recv(source=1, tag=3, timeout=120)
+    if not os.path.exists(first_run_marker):
+        open(first_run_marker, "w").close()
+        time.sleep(120)
+    world.send(_SET_BEFORE_LAUNCH, dest=0, tag=3)
+    return None
+
+
+def wait_for_drain_program(world, running_marker):
+    """Returns once this rank was asked to drain (what SIGTERM requests)."""
+    import time
+
+    from repro.parallel import elastic
+
+    open(f"{running_marker}.{world.Get_rank()}", "w").close()
+    deadline = time.monotonic() + 60
+    while not elastic.drain_requested(world.Get_rank()):
+        assert time.monotonic() < deadline, "never asked to drain"
+        time.sleep(0.02)
+    return "drained"
+
+
+def _wait_for(path, seconds=60):
+    import os
+    import time
+
+    deadline = time.monotonic() + seconds
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.02)
+
+
+class TestForkLaunch:
+    """Local host-spec entries are forked from the coordinator at launch;
+    only replacements go through ``repro worker``."""
+
+    @pytest.fixture()
+    def set_before_launch(self, monkeypatch):
+        import sys
+
+        monkeypatch.setattr(sys.modules[__name__], "_SET_BEFORE_LAUNCH",
+                            "inherited")
+
+    def test_local_workers_are_forks_without_the_listener(self, set_before_launch):
+        import os
+
+        transport = make_transport("socket", 3, hosts="127.0.0.1:2,127.0.0.1:1")
+        try:
+            transport.launch(launch_route_program, ())
+            listener = os.fstat(transport._listener.fileno()).st_ino
+            outcomes = transport.collect(timeout=60)
+        finally:
+            transport.shutdown()
+        reports = [outcome.value for outcome in outcomes]
+        assert len({report["pid"] for report in reports}) == 2  # two workers
+        for report in reports:
+            assert report["inherited"] == "inherited"
+            assert report["parent"] == os.getpid()
+            assert listener not in report["inodes"], \
+                "a forked worker kept the coordinator's listener open"
+
+    def test_no_transport_thread_exists_at_fork_time(self, monkeypatch):
+        """Every local worker is forked before the transport starts its
+        accept, admit, reader or writer threads."""
+        import os
+        import threading
+
+        before = set(threading.enumerate())
+        started_by_fork_time = []
+        real_fork = os.fork
+
+        def recording_fork():
+            started_by_fork_time.append(set(threading.enumerate()) - before)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        results = run_mpi(3, ring_program, args=(8,), backend="socket",
+                          timeout=120, transport_options={
+                              "hosts": "127.0.0.1:1,127.0.0.1:1,127.0.0.1:1"})
+        assert list(results) == [2.0, 0.0, 1.0]
+        assert started_by_fork_time == [set(), set(), set()]
+
+    def test_killed_forked_worker_is_rehosted_by_repro_worker(
+            self, tmp_path, set_before_launch):
+        import subprocess
+        import threading
+
+        marker = tmp_path / "first-incarnation-ran"
+        transport = make_transport("socket", 2, hosts="127.0.0.1:1,127.0.0.1:1",
+                                   max_restarts=1)
+        try:
+            transport.launch(rehost_program, (str(marker),))
+            assert not isinstance(transport._procs[1], subprocess.Popen)
+
+            def assassin():
+                _wait_for(marker)
+                transport.kill_rank(1)
+
+            killer = threading.Thread(target=assassin)
+            killer.start()
+            try:
+                outcomes = transport.collect(timeout=120)
+            finally:
+                killer.join()
+            assert isinstance(transport._procs[1], subprocess.Popen)
+        finally:
+            transport.shutdown()
+        # The replacement re-imported this module: nothing was inherited.
+        assert not outcomes[0].failed, outcomes[0].error
+        assert outcomes[0].value is None
+
+    def test_sigterm_on_forked_worker_drains(self, tmp_path):
+        import os
+        import signal
+
+        marker = tmp_path / "running"
+        transport = make_transport("socket", 2, hosts="127.0.0.1:1,127.0.0.1:1")
+        try:
+            transport.launch(wait_for_drain_program, (str(marker),))
+            for index in (0, 1):
+                _wait_for(f"{marker}.{index}")
+                os.kill(transport._procs[index].pid, signal.SIGTERM)
+            outcomes = transport.collect(timeout=60)
+        finally:
+            transport.shutdown()
+        assert [outcome.value for outcome in outcomes] == ["drained", "drained"]
+
+    def test_forked_workers_inherit_the_launchers_dataset(self, tmp_path,
+                                                          small_dataset):
+        """The launcher loads a registry dataset once, before the fork; no
+        worker loads it again, and the launcher lets go of it afterwards."""
+        import os
+
+        from repro.parallel import runner as runner_module
+        from repro.parallel.runner import DistributedRunner
+        from repro.registry import DATASETS
+        from tests.conftest import make_quick_config
+
+        loads = tmp_path / "loads"
+
+        def factory(config):
+            with open(loads, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return small_dataset
+
+        DATASETS.register("test-fork-preload", factory)
+        try:
+            result = DistributedRunner(
+                make_quick_config(2, 2, iterations=1), backend="socket",
+                hosts="127.0.0.1:3,127.0.0.1:2",
+                dataset_spec=("test-fork-preload", {})).run()
+        finally:
+            DATASETS.unregister("test-fork-preload")
+        assert result.complete
+        assert loads.read_text().split() == [str(os.getpid())]
+        assert not any(key[1] == "test-fork-preload"
+                       for key in runner_module._NODE_DATASETS)
