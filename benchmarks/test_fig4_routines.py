@@ -3,7 +3,7 @@
 import pytest
 from repro.experiments import fig4
 
-from benchmarks.conftest import save_artifact
+from benchmarks.conftest import save_artifact, skip_ratios_below_cores
 
 # Multi-minute full-training run: excluded from the fast CI lane.
 pytestmark = pytest.mark.slow
@@ -14,6 +14,8 @@ def test_fig4_series(benchmark, table4_rows, results_dir):
                               rounds=1, iterations=1)
     assert data["routines"] == ["gather", "train", "update genomes", "mutate"]
     assert len(data["single_core"]) == len(data["distributed"]) == 4
+    save_artifact(results_dir, "fig4.txt", fig4.format_figure(data))
+    skip_ratios_below_cores(17)  # Table IV's 4x4 grid plus the master
     # The figure's visual message: the train bar shrinks dramatically,
     # the gather bar does not.
     train_idx = data["routines"].index("train")
@@ -23,4 +25,3 @@ def test_fig4_series(benchmark, table4_rows, results_dir):
                     / max(data["single_core"][gather_idx], 1e-9))
     assert train_ratio < 0.5
     assert gather_ratio > train_ratio
-    save_artifact(results_dir, "fig4.txt", fig4.format_figure(data))

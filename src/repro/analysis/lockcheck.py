@@ -46,6 +46,7 @@ turn silent races into red builds.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import threading
 import traceback
@@ -76,10 +77,15 @@ _REAL_CONDITION = threading.Condition
 _installed = False
 _watchdog_s = 60.0
 _state = _REAL_LOCK()           # guards everything below
+#: Order-graph node of each proxy.  Not ``id()``: the graph outlives the
+#: locks, and a new lock at a dead one's address would inherit its edges —
+#: two transports built one after the other then report a cycle between
+#: their own, consistently ordered, locks.
+_keys = itertools.count(1)
 _edges: dict[tuple[int, int], str] = {}      # (held, acquiring) -> first site
 _adj: dict[int, set[int]] = {}
 _names: dict[int, str] = {}
-_held: dict[int, list[int]] = {}             # thread ident -> held lock ids
+_held: dict[int, list[int]] = {}             # thread ident -> held lock keys
 _violations: list["Violation"] = []
 _aliases: dict[int, tuple[int, str, object]] = {}   # id(obj) -> (ident, label, ref)
 
@@ -119,14 +125,15 @@ class _InstrumentedLock:
         self._name = name
         self._count = 0
         self._owner: int | None = None
+        self._key = next(_keys)
         with _state:
-            _names[id(self)] = name
+            _names[self._key] = name
 
     # -- bookkeeping -------------------------------------------------------
 
     def _note_acquire_intent(self) -> None:
         """Record held->this edges; report a cycle the moment it closes."""
-        me = id(self)
+        me = self._key
         ident = threading.get_ident()
         cycles: list[str] = []
         with _state:
@@ -163,17 +170,17 @@ class _InstrumentedLock:
         ident = threading.get_ident()
         self._owner = ident
         with _state:
-            _held.setdefault(ident, []).append(id(self))
+            _held.setdefault(ident, []).append(self._key)
 
     def _note_released(self) -> None:
         ident = threading.get_ident()
         self._owner = None
         with _state:
             held = _held.get(ident)
-            if held and id(self) in held:
+            if held and self._key in held:
                 # remove the most recent occurrence (LIFO discipline)
                 for i in range(len(held) - 1, -1, -1):
-                    if held[i] == id(self):
+                    if held[i] == self._key:
                         del held[i]
                         break
 

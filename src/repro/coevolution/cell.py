@@ -7,10 +7,12 @@ source of ``neighbor_genomes`` differs (in-memory snapshot vs MPI allgather).
 
 Per iteration (one call to :meth:`step`):
 
-1. **update genomes** — materialize center + gathered neighbor genomes into
-   the preallocated sub-population networks (profiled, Table IV row 3).
+1. **update genomes** — point the sub-population slots at the center and at
+   the gathered neighbor genomes (profiled, Table IV row 3).
 2. evaluate all s x s pairings on a batch (fitness table);
-   tournament-select (k=2) the generator and discriminator to train.
+   tournament-select (k=2) the generator and discriminator to train, and
+   copy those two into the cell's trainee pair (the copies are charged to
+   "update genomes" as well).
 3. **mutate** — Gaussian learning-rate mutation (Table I) and the
    (1+1)-ES step on the mixture weights (profiled, Table IV row 4).
 4. **train** — for every batch of the iteration: one discriminator step
@@ -18,6 +20,52 @@ Per iteration (one call to :meth:`step`):
    against a randomly drawn discriminator opponent (profiled, Table IV
    row 2; the ``skip N disc. steps`` setting thins discriminator updates).
 5. re-evaluate and promote the fittest individuals to be the new center.
+
+Who owns which bytes
+--------------------
+A cell only ever *trains* two networks per iteration and only *reads* the
+other 2·s − 2, so it owns storage for two individuals per kind and borrows
+the rest:
+
+* Each **slot** (``s`` generators, ``s`` discriminators) is a permanent
+  network object that owns no parameters.  Every step rebinds it
+  (:meth:`repro.nn.arena.ParameterArena.rebind`) onto a *read-only view*
+  of some flat vector: slot 0 onto the center's, slots 1.. onto the
+  ``parameters`` arrays of the genomes :meth:`step` was handed.  No bytes
+  move — unless the genome is in a narrower storage dtype (``mixed16``'s
+  float16), which is widened into a buffer that the slot owns and reuses.
+  The vectors handed to :meth:`step` are shared (the sequential trainer
+  gives one snapshot to four cells; thread and co-hosted socket ranks
+  receive payloads by reference), stay referenced by the slots until the
+  next step replaces them, and are **never written**: NumPy rejects a
+  write through the read-only views.  A slot whose neighbor is missing
+  keeps whatever it was bound to (Lipizzaner's stale-entry tolerance).
+* The cell owns **two slabs per kind**.  At any time one of them may hold
+  the center; the other is free and becomes the *work slab*: the selected
+  individual is copied into it (the only genome memcpy of the step), the
+  persistent **trainee** :class:`~repro.gan.pair.GANPair` — one gradient
+  slab and one set of optimizer moments per kind, reset in place — trains
+  there, and the selected slot is re-pointed at it so opponents and the
+  final fitness table see the individual as it trains.
+* **Promotion is a pointer move.**  The center is never trained in place,
+  so it is just "the vector of the current best": :meth:`_promote` rebinds
+  the center networks onto the winner's vector — the work slab when the
+  trainee won (the other slab is then next step's work slab), a
+  neighbor's vector when a neighbor won (both slabs are then free).
+  Nothing is written, so slot 0 still shows the pre-promotion center and
+  the other slots what they showed during the step, which is what
+  :meth:`subpopulation_generators` and :meth:`sample_from_mixture` report
+  after a run.  A vector the center adopted stays alive until the center
+  moves on.
+* A stale slot can still be looking at a slab that is about to become the
+  work slab (it was trained in an earlier step and its neighbor never
+  answered since); it is given a private copy first.
+* :meth:`center_genomes` copies: what leaves the cell never aliases it.
+
+Resident per cell, in genome pairs: two parameter slabs, one gradient
+slab and the optimizer moments (two under Adam) — five, plus one optimizer
+scratch block; down from ten-plus (center, its never-stepped optimizers,
+``s`` owning slots and a gradient slab on every slot ever trained).
 
 Table IV row 2 ("train") dominates the single-core budget (~85% of the
 wall time in ``benchmarks/results/table4.txt``); steps 2, 4 and 5 — the
@@ -51,10 +99,9 @@ from repro.coevolution.selection import tournament_select
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.pair import GANPair
-from repro.nn import Tensor, kernels, loss_by_name
+from repro.nn import Tensor, arena_of, kernels, loss_by_name
 from repro.nn.autograd import no_grad
 from repro.nn.losses import MUSTANGS_LOSSES
-from repro.nn.serialize import parameters_to_vector, vector_to_parameters
 from repro.profiling import NULL_TIMER, RoutineTimer
 from repro.registry import dtype_policy
 from repro.telemetry import bus as telemetry
@@ -85,6 +132,20 @@ def _cell_rng(seed: int, cell_index: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, cell_index, stream]))
 
 
+def _bind(network, vector: np.ndarray) -> None:
+    """Make ``network`` a read-only window onto ``vector`` (no copy)."""
+    window = vector.view()
+    window.flags.writeable = False
+    arena_of(network).rebind(window)
+
+
+def _window(network_class, settings, vector: np.ndarray):
+    """A network of ``network_class`` that owns no weights: a window onto ``vector``."""
+    network = network_class(settings, None)
+    _bind(network, vector)
+    return network
+
+
 class Cell:
     """State and per-iteration logic of one grid cell."""
 
@@ -109,7 +170,9 @@ class Cell:
             self.loss_name = config.training.loss_function
         self.loss = loss_by_name(self.loss_name)
 
-        # Center pair, freshly initialized per cell.
+        # Center pair, freshly initialized per cell.  It is only ever read
+        # and re-pointed (see "Who owns which bytes"), so it builds no
+        # optimizers and, once drawn, holds its weights read-only.
         init_rng = _cell_rng(config.seed, cell_index, stream=2)
         self.center = GANPair(
             Generator(config.network, init_rng),
@@ -118,17 +181,34 @@ class Cell:
             config.mutation.optimizer,
             config.mutation.initial_learning_rate,
         )
+        # The one pair this cell trains; its networks move between the
+        # cell's two slabs per kind, its optimizers are reset in place.
+        self._trainee = GANPair(
+            Generator(config.network, None),
+            Discriminator(config.network, None),
+            self.loss,
+            config.mutation.optimizer,
+            config.mutation.initial_learning_rate,
+        )
+        self._g_slabs = [arena_of(pair.generator).data
+                         for pair in (self.center, self._trainee)]
+        self._d_slabs = [arena_of(pair.discriminator).data
+                         for pair in (self.center, self._trainee)]
+        _bind(self.center.generator, self._g_slabs[0])
+        _bind(self.center.discriminator, self._d_slabs[0])
 
-        # Preallocated sub-population networks; index 0 mirrors the center.
-        # Allocated without their initial weights: the first "update
-        # genomes" normally overwrites every slot, so the stream-3 draw
-        # waits in _define_subpopulations() for a slot that would
-        # otherwise be read before it is written.
-        self._sub_generators = [Generator(config.network, None)
+        # Sub-population slots: parameterless windows, index 0 on the
+        # center.  Until the first "update genomes" (which normally binds
+        # every slot) or _define_subpopulations() (which draws stream-3
+        # weights for a slot that would otherwise be read unbound) they
+        # all look at the center, so that nothing is allocated for them.
+        self._sub_generators = [_window(Generator, config.network, self._g_slabs[0])
                                 for _ in range(neighborhood_size)]
-        self._sub_discriminators = [Discriminator(config.network, None)
+        self._sub_discriminators = [_window(Discriminator, config.network, self._d_slabs[0])
                                     for _ in range(neighborhood_size)]
         self._sub_defined = False
+        #: id(slot) -> the buffer its narrower-dtype genomes are widened into.
+        self._widened: dict[int, np.ndarray] = {}
         #: learning rate travelling with each sub-population member.
         self._sub_lr = [config.mutation.initial_learning_rate] * neighborhood_size
 
@@ -156,11 +236,10 @@ class Cell:
         backend (sequential's in-memory snapshots and the wire payloads of
         the process/socket transports) exchanges bit-identical vectors.
 
-        ``alias=True`` borrows the live parameter arenas with zero copies
-        and no quantization — for strictly local, consume-immediately uses
-        such as the sub-population update; never for payloads handed to a
-        transport, whose sender threads serialize after this method
-        returns.
+        ``alias=True`` borrows the center vectors themselves (read-only,
+        zero copies, no quantization) — for handing this cell's own
+        :meth:`step` a stand-in for a neighbor that did not answer; never
+        for payloads handed to a transport or to another cell.
         """
         lr = self.center.learning_rate
         g = genome_from_network(self.center.generator, lr, self.loss_name, alias=alias)
@@ -175,36 +254,82 @@ class Cell:
 
         The draws (stream 3: all generators, then all discriminators) are
         the ones an eager construction would have made, so a trajectory
-        does not depend on when — or whether — this runs.
+        does not depend on when — or whether — this runs.  Each slot owns
+        the vector drawn for it until a genome is bound over it.
         """
         if self._sub_defined:
             return
         build_rng = _cell_rng(self.config.seed, self.cell_index, stream=3)
         for network in self._sub_generators + self._sub_discriminators:
+            arena = arena_of(network)
+            arena.rebind(np.empty_like(arena.data))
             network.initialize(build_rng)
+            _bind(network, arena.data)
         self._sub_defined = True
 
     def _update_subpopulations(self, neighbor_genomes: list[tuple[Genome, Genome]]) -> None:
-        """Materialize center + neighbor genomes into the preallocated nets.
+        """Point the slots at the center and the neighbor genomes.
 
         This is the paper's profiled "update genomes" routine.  Excess
-        neighbors are ignored; missing neighbors leave the (stale) previous
-        parameters in place — mirroring the asynchronous tolerance of the
-        original Lipizzaner.
+        neighbors are ignored; missing neighbors leave the slot on its
+        (stale) previous vector — mirroring the asynchronous tolerance of
+        the original Lipizzaner.
         """
-        # Borrow the center arenas (zero copies): each entry is written
-        # into its sub-population slab before any training mutates the
-        # center, so the aliasing window closes inside this method.
-        own_g, own_d = self.center_genomes(alias=True)
-        entries = [(own_g, own_d)] + list(neighbor_genomes)
-        entries = entries[: self.neighborhood_size]
-        if len(entries) == self.neighborhood_size:
-            self._sub_defined = True  # every slot is overwritten below
+        neighbors = list(neighbor_genomes)[: self.neighborhood_size - 1]
+        if len(neighbors) == self.neighborhood_size - 1:
+            self._sub_defined = True  # every slot is bound below
         self._define_subpopulations()
-        for i, (g_genome, d_genome) in enumerate(entries):
-            g_genome.write_into(self._sub_generators[i])
-            d_genome.write_into(self._sub_discriminators[i])
+        _bind(self._sub_generators[0], arena_of(self.center.generator).data)
+        _bind(self._sub_discriminators[0], arena_of(self.center.discriminator).data)
+        self._sub_lr[0] = self.center.learning_rate
+        for i, (g_genome, d_genome) in enumerate(neighbors, start=1):
+            self._bind_genome(self._sub_generators[i], self.center.generator, g_genome)
+            self._bind_genome(self._sub_discriminators[i], self.center.discriminator, d_genome)
             self._sub_lr[i] = g_genome.learning_rate
+
+    def _bind_genome(self, slot, center, genome: Genome) -> None:
+        """Point ``slot`` at ``genome``'s vector; widen it first if narrower.
+
+        A float16 ``mixed16`` vector cannot be computed on in place: it is
+        widened into a buffer the slot keeps from step to step.  Should the
+        center have been promoted onto that buffer, the center keeps it and
+        the slot gets a new one.
+        """
+        vector = genome.parameters
+        dtype = arena_of(slot).data.dtype
+        if vector.dtype != dtype:
+            widened = self._widened.get(id(slot))
+            if widened is None or np.may_share_memory(widened, arena_of(center).data):
+                widened = self._widened[id(slot)] = np.empty(vector.shape, dtype)
+            np.copyto(widened, vector)
+            vector = widened
+        _bind(slot, vector)
+
+    def _load_trainee(self, g_idx: int, d_idx: int) -> None:
+        """Copy the selected individuals into the trainee pair's networks.
+
+        Per kind: take the slab the center is not using, copy the selected
+        slot's vector into it, bind the trainee network to it (writable)
+        and re-point the slot at it, so that every later read of that slot
+        this step sees the individual as it trains.
+        """
+        for slots, index, trainee, center, slabs in (
+                (self._sub_generators, g_idx, self._trainee.generator,
+                 self.center.generator, self._g_slabs),
+                (self._sub_discriminators, d_idx, self._trainee.discriminator,
+                 self.center.discriminator, self._d_slabs)):
+            held = arena_of(center).data
+            work = next(slab for slab in slabs if not np.may_share_memory(slab, held))
+            selected = arena_of(slots[index])
+            for slot in slots:
+                arena = arena_of(slot)
+                if arena is not selected and np.may_share_memory(arena.data, work):
+                    # A stale slot still shows what was trained here in an
+                    # earlier step: it keeps that, in a copy of its own.
+                    _bind(slot, arena.data.copy())
+            np.copyto(work, selected.data)
+            arena_of(trainee).rebind(work)
+            _bind(slots[index], work)
 
     # -- batching -----------------------------------------------------------------
 
@@ -263,6 +388,13 @@ class Cell:
                 table.discriminator_fitness, self.rng, config.coevolution.tournament_size
             )
 
+        # Copy-on-select: the two individuals about to be trained are the
+        # only genomes this step copies — the rest of this step's one
+        # "update genomes" call.
+        with timer.section("update_genomes", calls=0), \
+                telemetry.span("cell.update_genomes", attrs=self._span_attrs, calls=0):
+            self._load_trainee(g_idx, d_idx)
+
         with timer.section("mutate"), \
                 telemetry.span("cell.mutate", attrs=self._span_attrs):
             mutated_lr = mutate_learning_rate(
@@ -281,10 +413,9 @@ class Cell:
         # Train the selected pair against randomly drawn opponents.
         with timer.section("train"), \
                 telemetry.span("cell.train", attrs=self._span_attrs):
-            generator = self._sub_generators[g_idx]
-            discriminator = self._sub_discriminators[d_idx]
-            pair = GANPair(generator, discriminator, self.loss,
-                           config.mutation.optimizer, mutated_lr)
+            pair = self._trainee
+            pair.learning_rate = mutated_lr
+            pair.reset_optimizers()
             pair.d_optimizer.learning_rate = self._sub_lr[d_idx]
             skip = max(1, config.training.skip_discriminator_steps)
             d_loss = g_loss = float("nan")
@@ -326,16 +457,14 @@ class Cell:
         return report
 
     def _promote(self, g_idx: int, d_idx: int) -> None:
-        """Copy the winning sub-population members into the center pair.
+        """Make the winning sub-population members the center pair.
 
-        Arena-to-arena: the winner's slab is borrowed (``alias=True``) and
-        lands in the center's slab as one contiguous copy — no intermediate
-        flatten buffer on this per-iteration path.
+        A pointer move: the center networks are re-pointed at the winners'
+        vectors and nothing is written, so every slot — slot 0 on the old
+        center included — still shows what it showed during the step.
         """
-        g_vec = parameters_to_vector(self._sub_generators[g_idx], alias=True)
-        d_vec = parameters_to_vector(self._sub_discriminators[d_idx], alias=True)
-        vector_to_parameters(g_vec, self.center.generator)
-        vector_to_parameters(d_vec, self.center.discriminator)
+        _bind(self.center.generator, arena_of(self._sub_generators[g_idx]).data)
+        _bind(self.center.discriminator, arena_of(self._sub_discriminators[d_idx]).data)
         self.center.learning_rate = self._sub_lr[g_idx]
 
     # -- checkpoint restore ------------------------------------------------------
@@ -350,11 +479,14 @@ class Cell:
         """
         if iteration < 0:
             raise ValueError("iteration must be >= 0")
-        generator_genome.write_into(self.center.generator)
-        discriminator_genome.write_into(self.center.discriminator)
+        # Private copies (widened from the storage dtype if need be): the
+        # checkpoint's arrays stay the caller's.
+        for network, genome in ((self.center.generator, generator_genome),
+                                (self.center.discriminator, discriminator_genome)):
+            _bind(network, genome.parameters.astype(arena_of(network).data.dtype))
         self.loss_name = generator_genome.loss_name
         self.loss = loss_by_name(self.loss_name)
-        self.center.loss = self.loss
+        self.center.loss = self._trainee.loss = self.loss
         self.center.learning_rate = generator_genome.learning_rate
         self.mixture = MixtureWeights(np.asarray(mixture_weights, dtype=np.float64))
         self.iteration = iteration

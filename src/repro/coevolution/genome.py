@@ -7,7 +7,11 @@ the paper's Fig. 1 — through the communication layer, and materialize them
 back into networks with :func:`pair_from_genomes`.
 
 The paper's Table IV profiles "update genomes" as one of the four dominant
-routines: that is :meth:`Genome.write_into` over the gathered vectors.
+routines.  Here a cell does not copy the gathered vectors at all: it binds
+its sub-population slots onto them, read-only, and copies only the two
+individuals it selects for training (see :mod:`repro.coevolution.cell`).
+:meth:`Genome.write_into` remains the way to load a genome into a network
+that owns its weights.
 """
 
 from __future__ import annotations
@@ -41,13 +45,23 @@ class Genome:
     live :class:`~repro.nn.arena.ParameterArena` slab costs nothing to
     build), but it also means a caller that keeps training the source
     network must either pass a copy or consume the genome before the next
-    update (``write_into`` copies immediately, so the common
-    borrow-then-write pattern is safe).  Non-contiguous or non-float input
-    is normalized with exactly one copy (non-arrays and non-float dtypes
-    become float64); :meth:`copy` always deep copies.  Contiguity is
-    required so the vector rides the wire as a single out-of-band pickle-5
-    buffer instead of being escaped (and re-copied) inside the pickle
-    stream.
+    update.  Non-contiguous or non-float input is normalized with exactly
+    one copy (non-arrays and non-float dtypes become float64);
+    :meth:`copy` always deep copies.  Contiguity is required so the vector
+    rides the wire as a single out-of-band pickle-5 buffer instead of
+    being escaped (and re-copied) inside the pickle stream.
+
+    **A genome that has been exchanged is immutable.**  The consumer side
+    is zero-copy too: ``Cell.step`` binds its slots straight onto the
+    ``parameters`` arrays it is handed and keeps reading them until its
+    next step, and one array reaches several readers — the sequential
+    trainer hands one snapshot to four cells, thread and co-hosted socket
+    ranks receive payloads by reference, a socket frame's arrays are
+    windows onto its receive buffer.  So: whoever hands a genome to a cell
+    or a transport gives up writing ``parameters``; a cell never writes
+    what it was handed (its bindings are read-only views, and
+    ``write_into`` a network bound that way is refused by NumPy); anyone
+    who wants to change a received genome copies it first.
     """
 
     #: dtypes a genome vector may carry (the storage dtypes of the

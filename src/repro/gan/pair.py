@@ -1,9 +1,13 @@
 """A generator/discriminator couple with its optimizers and loss.
 
-:class:`GANPair` owns the two networks, their optimizers (rebuilt whenever a
+:class:`GANPair` owns the two networks, their optimizers (reset whenever a
 genome is copied in from a neighbor — optimizer moments are *not* migrated,
 matching Lipizzaner) and the :class:`~repro.nn.losses.GANLoss` the cell was
-assigned.  It exposes exactly the operations the cellular trainer schedules:
+assigned.  The optimizers — and with them the gradient slabs and moment
+buffers, four network-sized vectors per network under Adam — are built the
+first time they are asked for, so a pair that is only read (a cell's
+center, a pair materialized for evaluation or sampling) never pays for
+them.  It exposes exactly the operations the cellular trainer schedules:
 
 * :meth:`train_discriminator_step` / :meth:`train_generator_step` — one
   gradient step each (the paper's profiled ``train`` routine),
@@ -37,41 +41,52 @@ class GANPair:
         self.discriminator = discriminator
         self.loss = loss
         self.optimizer_name = optimizer_name
+        self._g_optimizer: Optimizer | None = None
+        self._d_optimizer: Optimizer | None = None
+        self.learning_rate = learning_rate
+
+    def _build_optimizer(self, network) -> Optimizer:
         # The networks' arenas (attached at construction) buy the fused
         # slab update; arena-less networks fall back to per-tensor steps.
-        self.g_optimizer: Optimizer = optimizer_by_name(
-            optimizer_name, generator.parameters(), learning_rate,
-            arena=arena_of(generator),
-        )
-        self.d_optimizer: Optimizer = optimizer_by_name(
-            optimizer_name, discriminator.parameters(), learning_rate,
-            arena=arena_of(discriminator),
-        )
+        return optimizer_by_name(self.optimizer_name, network.parameters(),
+                                 self._learning_rate, arena=arena_of(network))
+
+    @property
+    def g_optimizer(self) -> Optimizer:
+        if self._g_optimizer is None:
+            self._g_optimizer = self._build_optimizer(self.generator)
+        return self._g_optimizer
+
+    @property
+    def d_optimizer(self) -> Optimizer:
+        if self._d_optimizer is None:
+            self._d_optimizer = self._build_optimizer(self.discriminator)
+        return self._d_optimizer
 
     # -- learning-rate plumbing (hyperparameter mutation target) -------------
 
     @property
     def learning_rate(self) -> float:
-        return self.g_optimizer.learning_rate
+        return self._learning_rate
 
     @learning_rate.setter
     def learning_rate(self, value: float) -> None:
         if value <= 0:
             raise ValueError("learning rate must stay positive")
-        self.g_optimizer.learning_rate = value
-        self.d_optimizer.learning_rate = value
+        self._learning_rate = float(value)
+        for optimizer in (self._g_optimizer, self._d_optimizer):
+            if optimizer is not None:
+                optimizer.learning_rate = self._learning_rate
 
     def reset_optimizers(self) -> None:
-        """Drop optimizer state, e.g. after parameters were overwritten."""
-        lr = self.learning_rate
-        self.g_optimizer = optimizer_by_name(
-            self.optimizer_name, self.generator.parameters(), lr,
-            arena=arena_of(self.generator),
-        )
-        self.d_optimizer = optimizer_by_name(
-            self.optimizer_name, self.discriminator.parameters(), lr,
-            arena=arena_of(self.discriminator),
-        )
+        """Drop optimizer state, e.g. after parameters were overwritten.
+
+        In place: the moment buffers are zeroed, not reallocated, and both
+        optimizers return to the pair's learning rate.
+        """
+        for optimizer in (self._g_optimizer, self._d_optimizer):
+            if optimizer is not None:
+                optimizer.reset(self._learning_rate)
 
     # -- training steps --------------------------------------------------------
 

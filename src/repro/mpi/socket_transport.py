@@ -205,6 +205,24 @@ class _ForkedWorker:
         self._process.kill()
 
 
+def _preload_worker_imports() -> None:
+    """Import, in the launcher, what a forked worker imports lazily on its
+    way to the rendezvous.
+
+    The transport forks before it starts a thread, but the launching
+    process may run threads of its own (an embedding application; a test
+    driving ``drain_request`` against its own run).  A fork copies whatever
+    per-module import lock such a thread holds at that instant — held for
+    ever in the child, which then never says hello if it needs the same
+    module.  Seen with the ``idna`` codec, which ``getaddrinfo`` imports on
+    the first connect of a process.  A module that is already imported is
+    found without taking its lock.
+    """
+    "".encode("idna")
+    import repro.parallel.elastic  # noqa: F401
+    import repro.runtime  # noqa: F401
+
+
 def _forked_worker(listener: socket.socket, connect: str,
                    options: dict[str, Any]) -> None:
     """Body of a worker forked from the coordinator: drop what belongs to
@@ -449,6 +467,7 @@ class SocketTransport(Transport):
         """Fork one worker per local host-spec entry; print the command to
         run for every other entry."""
         assert self._listener is not None
+        _preload_worker_imports()
         ctx = multiprocessing.get_context("fork")
         for index, (hostname, slots) in enumerate(self.hosts):
             if not _is_local(hostname):

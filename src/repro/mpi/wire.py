@@ -27,10 +27,17 @@ frame as gather-write parts — header+segment-table, pickle blob, and the
 raw out-of-band buffers as live memoryviews — and :func:`write_frame`
 hands them to ``socket.sendmsg`` without ever concatenating, so a genome
 vector goes from the sender's arena snapshot to the kernel in one hop.
+
+So is the *last*: :func:`read_frame` receives a body with ``recv_into``
+into one ``bytearray`` and :func:`decode_body` hands pickle writable
+slices of it, so a received genome vector is that buffer — the cell reads
+its GEMM operands straight out of what the socket filled.  The arrays of
+one frame therefore share (and keep alive) one allocation.
 """
 
 from __future__ import annotations
 
+import ctypes
 import pickle
 import socket
 import struct
@@ -103,7 +110,7 @@ class Frame:
 
     __slots__ = ("kind", "rank", "body", "header")
 
-    def __init__(self, kind: int, rank: int, body: bytes,
+    def __init__(self, kind: int, rank: int, body: "bytes | bytearray",
                  header: bytes | None = None):
         self.kind = kind
         self.rank = rank
@@ -115,7 +122,7 @@ class Frame:
         return decode_body(self.body)
 
     @property
-    def parts(self) -> tuple[bytes, bytes]:
+    def parts(self) -> "tuple[bytes, bytes | bytearray]":
         """Header and body, ready for a gather-write forward."""
         return self.header, self.body
 
@@ -163,32 +170,67 @@ def encode_body(obj: Any) -> bytes:
     return b"".join(encode_body_parts(obj))
 
 
-def decode_body(body: bytes) -> Any:
-    """Inverse of :func:`encode_body`."""
-    view = memoryview(body)
+#: Out-of-band buffers are handed to pickle in place only at addresses that
+#: are a multiple of this (what float64, and everything narrower, needs):
+#: NumPy copies a misaligned operand on every GEMM it feeds.
+_ALIGN = 8
+
+
+def _address(buffer: "bytearray | memoryview") -> int:
+    """Address of the first byte of a writable buffer."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+
+
+def _first_buffer_offset(prefix: "bytes | bytearray") -> "int | None":
+    """Where a body's first out-of-band buffer starts, read off the body's
+    first ``4 + _SEG_LEN.size`` bytes; ``None`` if it carries no buffer."""
+    if len(prefix) < 4 + _SEG_LEN.size:
+        return None
+    (nseg,) = struct.unpack_from("!I", prefix, 0)
+    if nseg < 2:
+        return None
+    return 4 + nseg * _SEG_LEN.size + _SEG_LEN.unpack_from(prefix, 4)[0]
+
+
+def _segment_spans(view: memoryview) -> list[tuple[int, int]]:
+    """``(start, end)`` of every segment of a body, validated against it."""
     if len(view) < 4:
         raise WireError("truncated frame body")
     (nseg,) = struct.unpack_from("!I", view, 0)
-    offset = 4
-    lengths = []
-    for _ in range(nseg):
-        if offset + _SEG_LEN.size > len(view):
-            raise WireError("truncated segment table")
-        lengths.append(_SEG_LEN.unpack_from(view, offset)[0])
-        offset += _SEG_LEN.size
-    segments: list[Any] = []
-    for index, length in enumerate(lengths):
+    if nseg == 0:
+        raise WireError("frame body with no segments")
+    offset = 4 + nseg * _SEG_LEN.size
+    if offset > len(view):
+        raise WireError("truncated segment table")
+    spans = []
+    for index in range(nseg):
+        (length,) = _SEG_LEN.unpack_from(view, 4 + index * _SEG_LEN.size)
         if offset + length > len(view):
             raise WireError("truncated segment data")
-        chunk = view[offset:offset + length]
-        # Out-of-band buffers must come back *writable*: NumPy arrays
-        # reconstructed over a read-only view would refuse in-place math,
-        # silently diverging from the thread/process transports' semantics.
-        segments.append(chunk if index == 0 else bytearray(chunk))
+        spans.append((offset, offset + length))
         offset += length
-    if not segments:
-        raise WireError("frame body with no segments")
-    return pickle.loads(segments[0], buffers=segments[1:])  # repro: allow[R1] -- post-auth: frames only decoded after the size-capped JSON hello verified the shared token
+    return spans
+
+
+def decode_body(body: "bytes | bytearray | memoryview") -> Any:
+    """Inverse of :func:`encode_body`.
+
+    Out-of-band buffers must come back *writable*: NumPy arrays
+    reconstructed over a read-only view would refuse in-place math,
+    silently diverging from the thread/process transports' semantics.  A
+    writable ``body`` (the ``bytearray`` :func:`read_frame` filled) is
+    therefore shared, not copied — the arrays are windows onto it, which
+    the caller gives up by decoding; an immutable one (``bytes``) is copied
+    buffer by buffer, as is any buffer that sits misaligned in ``body``.
+    """
+    view = memoryview(body)
+    spans = _segment_spans(view)
+    base = None if view.readonly else _address(view)
+    (start, end), oob = spans[0], spans[1:]
+    buffers = [view[lo:hi] if base is not None and (base + lo) % _ALIGN == 0
+               else bytearray(view[lo:hi])
+               for lo, hi in oob]
+    return pickle.loads(view[start:end], buffers=buffers)  # repro: allow[R1] -- post-auth: frames only decoded after the size-capped JSON hello verified the shared token
 
 
 def _check_body_size(body_len: int) -> None:
@@ -260,18 +302,45 @@ def write_frame(sock: socket.socket,
     return len(frame)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
+def _read_into(sock: socket.socket, buffer: "bytearray | memoryview", *,
+               mid_frame: bool = True) -> None:
+    """Fill ``buffer`` from the socket (``recv_into``: no chunk objects)."""
+    view = memoryview(buffer)
+    got = 0
+    while got < len(view):
         try:
-            chunk = sock.recv(n - len(chunks))
+            count = sock.recv_into(view[got:])
         except (OSError, ValueError) as exc:
             raise WireError(f"connection lost while receiving: {exc}") from exc
-        if not chunk:
+        if not count:
             raise WireError("connection closed mid-frame"
-                            if chunks else "connection closed")
-        chunks.extend(chunk)
-    return bytes(chunks)
+                            if mid_frame or got else "connection closed")
+        got += count
+
+
+def _read_body(sock: socket.socket, n: int) -> bytearray:
+    """Receive an ``n``-byte segment-framed body into one ``bytearray``.
+
+    The first table entry is read ahead: it says where the first
+    out-of-band buffer — a genome vector on the exchange path — will sit.
+    The body is received behind ``pad`` spare bytes chosen so that this
+    offset lands on a multiple of :data:`_ALIGN` from the start of the
+    allocation (itself at least that aligned), and the later buffers (whole
+    float vectors) stay element-aligned behind it.  ``del body[:pad]`` then
+    drops the spare bytes; CPython advances the array's start for that and
+    moves nothing.  Where an implementation does move the bytes, the
+    placement is lost and :func:`decode_body` copies the misaligned buffers
+    instead — slower, never wrong.
+    """
+    prefix = bytearray(min(n, 4 + _SEG_LEN.size))
+    _read_into(sock, prefix)
+    first = _first_buffer_offset(prefix)
+    pad = 0 if first is None else -first % _ALIGN
+    body = bytearray(pad + n)
+    body[pad:pad + len(prefix)] = prefix
+    _read_into(sock, memoryview(body)[pad + len(prefix):])
+    del body[:pad]
+    return body
 
 
 def read_frame(sock: socket.socket,
@@ -283,11 +352,19 @@ def read_frame(sock: socket.socket,
     on a routable bind cannot make the coordinator buffer near-gigabyte
     bodies before the token is ever checked.
     """
-    header = _read_exact(sock, _HEADER.size)
+    header = bytearray(_HEADER.size)
+    _read_into(sock, header, mid_frame=False)
+    header = bytes(header)
     magic, kind, rank, body_len = _HEADER.unpack(header)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r} (protocol mismatch?)")
     if body_len > max_body:
         raise WireError(f"frame of {body_len} bytes exceeds the "
                         f"{max_body}-byte limit")
-    return Frame(kind, rank, _read_exact(sock, body_len), header=header)
+    if max_body < MAX_FRAME_BYTES:
+        # A size-capped read is a pre-auth JSON hello: not segment-framed.
+        body = bytearray(body_len)
+        _read_into(sock, body)
+    else:
+        body = _read_body(sock, body_len)
+    return Frame(kind, rank, body, header=header)

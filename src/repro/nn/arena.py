@@ -2,12 +2,13 @@
 
 The hot loop of the whole system moves *flat parameter vectors*: every
 iteration snapshots each network into a genome (``parameters_to_vector``),
-ships it to neighbors, and writes gathered genomes back into the
-sub-population networks (``vector_to_parameters`` — the paper's profiled
-"update genomes" routine).  With parameters stored tensor-by-tensor those
-operations are Python loops of small copies; with an arena they collapse to
-**one contiguous slice copy per network**, and the optimizer update becomes
-one fused vectorized sweep instead of a per-tensor loop.
+ships it to neighbors, and makes the gathered genomes the weights of the
+sub-population networks (the paper's profiled "update genomes" routine).
+With parameters stored tensor-by-tensor those operations are Python loops
+of small copies; with an arena a snapshot is **one contiguous slice copy
+per network**, a gathered vector becomes a network's weights with **no copy
+at all** (:meth:`ParameterArena.rebind`), and the optimizer update becomes
+a fused vectorized sweep instead of a per-tensor loop.
 
 :class:`ParameterArena` re-homes a module's parameters into a single
 contiguous slab in the module's parameter dtype (the configured dtype
@@ -22,14 +23,23 @@ it — gives ``.grad`` the same layout, which is what lets
 Invariants the rest of the system depends on:
 
 * **In-place discipline.** Arena-backed tensors must never have ``.data``
-  or ``.grad`` rebound; all writes go *through* the views
+  or ``.grad`` rebound one by one; all writes go *through* the views
   (``p.data[...] = ...``).  :mod:`repro.nn.serialize` and
   :mod:`repro.nn.optim` honor this; so does autograd's gradient
-  accumulation.
+  accumulation.  The one sanctioned rebinding is :meth:`ParameterArena.
+  rebind`, which moves *all* parameters onto another flat vector at once.
 * **Aliasing.** :attr:`ParameterArena.data` *is* the live parameter
   memory.  Callers that borrow it (``parameters_to_vector(alias=True)``)
   must copy before the network trains again, or hand it only to consumers
   that copy immediately (the zero-copy genome exchange path).
+* **Rebinding.** After ``rebind(flat)`` the network *is* a window onto
+  ``flat``: nothing was copied, ``flat`` stays alive for as long as the
+  binding lasts, and every forward pass reads whatever ``flat`` holds at
+  that moment.  A network bound to memory it does not own (a neighbour's
+  genome vector, shared with other cells and threads) must be bound to a
+  **read-only** view of it — then NumPy itself refuses the optimizer, a
+  ``vector_to_parameters`` or a stray ``p.data[...] =`` that would write
+  through.  Whoever trains a network binds it to a slab nobody else reads.
 * **Pickling.** Arenas are deliberately *not* carried across pickling: the
   registry is keyed weakly by module identity, so an unpickled module
   (whose parameters pickled as standalone arrays) simply has no arena and
@@ -63,7 +73,7 @@ class ParameterArena:
     parameters (``rng=None``), whose values are written afterwards.
     """
 
-    __slots__ = ("_data", "_grad", "_tensors", "_names", "_offsets", "_shapes",
+    __slots__ = ("_data", "_grad", "_tensors", "_names", "_spans", "_shapes",
                  "__weakref__")
 
     def __init__(self, module, *, adopt_values: bool = True) -> None:
@@ -78,7 +88,7 @@ class ParameterArena:
                 "an arena needs exactly one")
         slab = np.empty(total, dtype=dtypes.pop())
         names: list[str] = []
-        offsets: list[int] = []
+        spans: list[tuple[int, int]] = []
         shapes: list[tuple[int, ...]] = []
         tensors = []
         offset = 0
@@ -89,7 +99,7 @@ class ParameterArena:
                 view[...] = param.data  # adopt the initial values bit-exactly
             param.data = view
             names.append(name)
-            offsets.append(offset)
+            spans.append((offset, offset + n))
             shapes.append(param.data.shape)
             tensors.append(param)
             offset += n
@@ -97,7 +107,7 @@ class ParameterArena:
         self._grad: np.ndarray | None = None
         self._tensors = tensors
         self._names = tuple(names)
-        self._offsets = tuple(offsets)
+        self._spans = tuple(spans)
         self._shapes = tuple(shapes)
 
     # -- layout ----------------------------------------------------------------
@@ -133,8 +143,31 @@ class ParameterArena:
         """
         if flat.shape != (self.size,):
             raise ValueError(f"buffer shape {flat.shape} != ({self.size},)")
-        return [flat[off:off + int(np.prod(shape, dtype=np.intp))].reshape(shape)
-                for off, shape in zip(self._offsets, self._shapes)]
+        return [flat[lo:hi].reshape(shape)
+                for (lo, hi), shape in zip(self._spans, self._shapes)]
+
+    def rebind(self, flat: np.ndarray) -> None:
+        """Point every parameter at ``flat`` instead of the current slab.
+
+        No copy: from here on the network reads (and, if ``flat`` is
+        writable, the optimizer updates) ``flat`` itself, and
+        :attr:`data` returns it.  The previous slab is simply released.
+        ``flat`` must be a contiguous vector of this arena's size and
+        dtype — the fused kernels and the gradient slab were built for
+        that dtype, so a storage-dtype vector (``mixed16``'s float16) has
+        to be widened by the caller first.  See the module docstring for
+        who may bind what: pass a read-only view of anything borrowed.
+        """
+        if flat.shape != (self.size,):
+            raise ValueError(f"vector shape {flat.shape} != ({self.size},)")
+        if flat.dtype != self._data.dtype or not flat.flags.c_contiguous:
+            raise ValueError(
+                f"cannot bind a {flat.dtype} vector"
+                f"{'' if flat.flags.c_contiguous else ' (non-contiguous)'} "
+                f"to a {self._data.dtype} arena")
+        for tensor, view in zip(self._tensors, self.views_of(flat)):
+            tensor.data = view
+        self._data = flat
 
     # -- gradients ---------------------------------------------------------------
 

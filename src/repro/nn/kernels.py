@@ -295,10 +295,12 @@ _KERNELS_LOCK = threading.Lock()
 class FusedStepKernel:
     """Graph-free forward/backward for one fixed Linear+activation stack.
 
-    Holds references to the live parameter tensors (arena views) and the
-    arena itself; workspaces are fetched per batch size on first use.  The
-    kernel stays valid across genome writes (``vector_to_parameters``
-    mutates the slab in place, never rebinds).
+    Holds references to the parameter tensors and the arena itself;
+    workspaces are fetched per batch size on first use.  Every call reads
+    ``tensor.data`` afresh, so the kernel stays valid across genome writes
+    (``vector_to_parameters`` mutates the slab in place) and across
+    :meth:`~repro.nn.arena.ParameterArena.rebind` (which swaps every
+    tensor's ``data`` for a view of another vector of the same dtype).
 
     Deliberately does **not** reference the owning module: kernels are the
     *values* of a weak-keyed per-module registry, and a value that reached

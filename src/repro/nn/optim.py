@@ -5,13 +5,19 @@ parameters **in place** (``param.data`` is mutated) so that no reallocation
 happens inside the training loop — the hot path of the whole system.
 
 Fused path: constructed with the :class:`~repro.nn.arena.ParameterArena`
-that backs its parameters, an optimizer performs its whole update as a few
-vectorized sweeps over the flat parameter/gradient slabs — no per-tensor
-Python loop, no per-step temporaries (scratch buffers are preallocated).
-The fused update applies exactly the same elementwise operations in the
-same order as the per-tensor loop, so trajectories are bit-identical; the
-per-tensor loop remains for arena-less parameter lists and as the measured
-"before" path of ``benchmarks/test_genome_path.py``.
+that backs its parameters, an optimizer performs its whole update as
+vectorized sweeps over cache-sized spans of the flat parameter/gradient
+slabs — no per-tensor Python loop, no per-step temporaries (the scratch is
+one span long and preallocated).  The fused update applies exactly the same
+elementwise operations in the same order as the per-tensor loop, so
+trajectories are bit-identical; the per-tensor loop remains for arena-less
+parameter lists and as the measured "before" path of
+``benchmarks/test_genome_path.py``.
+
+An optimizer follows its arena: it reads ``arena.data`` on every step, so
+after :meth:`~repro.nn.arena.ParameterArena.rebind` it updates the newly
+bound slab, and :meth:`Optimizer.reset` clears its moments in place — one
+long-lived optimizer serves every individual a cell trains in turn.
 
 The learning rate is a mutable attribute: the coevolutionary algorithm's
 hyperparameter mutation (Table I: Gaussian noise, rate 1e-4, probability
@@ -39,6 +45,9 @@ class Optimizer:
     gradient-slab allocation so ``step()`` can read one flat vector.
     """
 
+    #: scratch vectors (one span long) the subclass's span update needs.
+    _SCRATCH = 1
+
     def __init__(self, parameters: Iterable[Tensor], learning_rate: float,
                  arena: ParameterArena | None = None):
         self.parameters: list[Tensor] = list(parameters)
@@ -54,8 +63,10 @@ class Optimizer:
         self.arena = arena
         if arena is not None:
             arena.ensure_grads()
+            span = min(self.BLOCK_ELEMS, arena.size)
+            self._scratch = np.empty((self._SCRATCH, span), dtype=arena.data.dtype)
 
-    #: span length (elements) of :meth:`step_blocked`; ~256 KiB per slab
+    #: span length (elements) of the fused update; ~256 KiB per slab
     #: slice at float64 (half that at float32) keeps one span's working
     #: set cache-resident.
     BLOCK_ELEMS = 32_768
@@ -68,29 +79,52 @@ class Optimizer:
             p.zero_grad()
 
     def step(self) -> None:
-        raise NotImplementedError
+        """Apply one update from the accumulated gradients."""
+        self.step_blocked()
 
     def step_blocked(self, block: int | None = None) -> None:
         """The fused slab update, swept in cache-sized spans.
 
-        Bit-identical to :meth:`step`: the update is purely elementwise, so
-        processing the slabs span by span performs exactly the same scalar
-        operations per element — it only changes memory traffic (each span's
+        The update is purely elementwise, so processing the slabs span by
+        span performs exactly the same scalar operations per element as one
+        whole-slab sweep (or the per-tensor loop, which is what runs
+        without an arena) — it only changes memory traffic: each span's
         slabs are touched while still cache-hot instead of streaming the
-        whole network through every pass).  This is the optimizer half of
-        the fused train-step kernels; without an arena it simply delegates
-        to :meth:`step`.
+        whole network through every pass.  ``block`` (at most
+        :attr:`BLOCK_ELEMS`, the scratch length) is for tests that want an
+        odd span.
         """
-        if self.arena is None:
-            self.step()
-            return
         if telemetry.enabled():
             telemetry.count("optim.steps")
+        if self.arena is None:
+            self._step_per_tensor()
+            return
         scalars = self._prepare_update()
         size = self.arena.size
-        block = block or self.BLOCK_ELEMS
+        block = min(block or self.BLOCK_ELEMS, self.BLOCK_ELEMS)
         for lo in range(0, size, block):
             self._span_update(lo, min(lo + block, size), scalars)
+
+    def reset(self, learning_rate: float) -> None:
+        """Forget every moment, in place, and take a new learning rate.
+
+        Equivalent to constructing a fresh optimizer over the same
+        parameters — what a cell needs each time it starts training another
+        individual — without reallocating the state slabs.
+        """
+        if learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
+        self.learning_rate = float(learning_rate)
+        for state in self._state_arrays():
+            state.fill(0.0)
+
+    def _state_arrays(self) -> list[np.ndarray]:
+        """The moment buffers :meth:`reset` clears (flat slabs when fused)."""
+        return []
+
+    def _step_per_tensor(self) -> None:
+        """The arena-less update: one Python loop turn per parameter."""
+        raise NotImplementedError
 
     # -- fused update pieces (arena path only) -------------------------------
 
@@ -144,8 +178,6 @@ class SGD(Optimizer):
             self._velocity_flat, self._velocity = self._flat_state()
         else:
             self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-        if self.arena is not None:
-            self._scratch = np.empty(self.arena.size, dtype=self.arena.data.dtype)
 
     def _prepare_update(self):
         return self.learning_rate
@@ -154,7 +186,7 @@ class SGD(Optimizer):
         # Each line mirrors one elementwise op of the per-tensor loop below,
         # in the same order, so the update is bit-identical.
         g = self.arena.grad[lo:hi]
-        s = self._scratch[lo:hi]
+        s = self._scratch[0, :hi - lo]
         data = self.arena.data[lo:hi]
         if self._velocity_flat is None:
             np.multiply(g, lr, out=s)           # == lr * grad elementwise
@@ -166,12 +198,12 @@ class SGD(Optimizer):
         np.multiply(v, lr, out=s)
         data -= s
 
-    def step(self) -> None:
-        if telemetry.enabled():
-            telemetry.count("optim.steps")
-        if self.arena is not None:
-            self._span_update(0, self.arena.size, self._prepare_update())
-            return
+    def _state_arrays(self) -> list[np.ndarray]:
+        if self._velocity_flat is not None:
+            return [self._velocity_flat]
+        return self._velocity or []
+
+    def _step_per_tensor(self) -> None:
         lr = self.learning_rate
         if self._velocity is None:
             for p in self.parameters:
@@ -204,6 +236,7 @@ class Adam(Optimizer):
     """Adam with bias correction (Kingma & Ba, 2015) — the paper's optimizer."""
 
     name = "adam"
+    _SCRATCH = 2
 
     def __init__(self, parameters: Iterable[Tensor], learning_rate: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
@@ -218,8 +251,6 @@ class Adam(Optimizer):
         if self.arena is not None:
             self._m_flat, self._m = self._flat_state()
             self._v_flat, self._v = self._flat_state()
-            self._scratch = np.empty(self.arena.size, dtype=self.arena.data.dtype)
-            self._scratch2 = np.empty(self.arena.size, dtype=self.arena.data.dtype)
         else:
             self._m = [np.zeros_like(p.data) for p in self.parameters]
             self._v = [np.zeros_like(p.data) for p in self.parameters]
@@ -237,7 +268,7 @@ class Adam(Optimizer):
         b1, b2, eps = self.beta1, self.beta2, self.eps
         g = self.arena.grad[lo:hi]
         m, v = self._m_flat[lo:hi], self._v_flat[lo:hi]
-        s, s2 = self._scratch[lo:hi], self._scratch2[lo:hi]
+        s, s2 = self._scratch[:, :hi - lo]
         m *= b1
         np.multiply(g, 1.0 - b1, out=s)         # == (1 - b1) * g
         m += s
@@ -252,12 +283,16 @@ class Adam(Optimizer):
         data = self.arena.data[lo:hi]
         data -= s2
 
-    def step(self) -> None:
-        if telemetry.enabled():
-            telemetry.count("optim.steps")
+    def reset(self, learning_rate: float) -> None:
+        super().reset(learning_rate)
+        self.t = 0
+
+    def _state_arrays(self) -> list[np.ndarray]:
         if self.arena is not None:
-            self._span_update(0, self.arena.size, self._prepare_update())
-            return
+            return [self._m_flat, self._v_flat]
+        return self._m + self._v
+
+    def _step_per_tensor(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corrected_lr = self.learning_rate * np.sqrt(1.0 - b2 ** self.t) / (1.0 - b1 ** self.t)
@@ -296,6 +331,7 @@ class RMSprop(Optimizer):
     """RMSprop (Tieleman & Hinton), the optimizer used by the original Lipizzaner code."""
 
     name = "rmsprop"
+    _SCRATCH = 2
 
     def __init__(self, parameters: Iterable[Tensor], learning_rate: float,
                  alpha: float = 0.99, eps: float = 1e-8,
@@ -307,8 +343,6 @@ class RMSprop(Optimizer):
         self.eps = eps
         if self.arena is not None:
             self._sq_flat, self._sq = self._flat_state()
-            self._scratch = np.empty(self.arena.size, dtype=self.arena.data.dtype)
-            self._scratch2 = np.empty(self.arena.size, dtype=self.arena.data.dtype)
         else:
             self._sq = [np.zeros_like(p.data) for p in self.parameters]
 
@@ -320,7 +354,7 @@ class RMSprop(Optimizer):
         alpha, eps = self.alpha, self.eps
         g = self.arena.grad[lo:hi]
         sq = self._sq_flat[lo:hi]
-        s, s2 = self._scratch[lo:hi], self._scratch2[lo:hi]
+        s, s2 = self._scratch[:, :hi - lo]
         sq *= alpha
         np.multiply(g, g, out=s)
         s *= 1.0 - alpha                        # == (1 - alpha) * (g * g)
@@ -332,12 +366,10 @@ class RMSprop(Optimizer):
         data = self.arena.data[lo:hi]
         data -= s2
 
-    def step(self) -> None:
-        if telemetry.enabled():
-            telemetry.count("optim.steps")
-        if self.arena is not None:
-            self._span_update(0, self.arena.size, self._prepare_update())
-            return
+    def _state_arrays(self) -> list[np.ndarray]:
+        return [self._sq_flat] if self.arena is not None else self._sq
+
+    def _step_per_tensor(self) -> None:
         lr, alpha, eps = self.learning_rate, self.alpha, self.eps
         for p, sq in zip(self.parameters, self._sq):
             g = p.grad

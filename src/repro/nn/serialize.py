@@ -2,9 +2,10 @@
 
 Grid cells exchange *genomes*: the flat parameter vector of a network plus
 its hyperparameters.  The paper's profiling (Table IV) has a dedicated
-"update genomes" routine — copying neighbor parameters into the local
-sub-population — which in this implementation is exactly
-:func:`vector_to_parameters` over the arrays gathered through MPI.
+"update genomes" routine — getting neighbor parameters into the local
+sub-population.  A cell does that by *binding* networks onto the gathered
+arrays (:meth:`repro.nn.arena.ParameterArena.rebind`) and copies, with
+these functions, only what it snapshots, trains or restores.
 
 Flattening order is the deterministic ``named_parameters()`` order, so two
 structurally identical networks round-trip bit-exactly.
@@ -106,6 +107,10 @@ def vector_to_parameters(vector: np.ndarray, module: Module) -> None:
     module's parameters (a float16 ``mixed16`` genome into a float32
     arena): the in-place copies widen it.  The cast is explicit and local —
     the arena's own dtype never changes.
+
+    The module must own its weights: one whose arena was rebound onto a
+    read-only view of somebody else's vector (a cell's sub-population
+    slot) raises ``ValueError`` instead of writing through.
     """
     vector = np.asarray(vector)
     arena = arena_of(module)

@@ -133,6 +133,12 @@ class ExchangePayload:
     last changed hands — the fence that keeps a drained rank's in-flight
     frames from corrupting its adopter's generation.  Static-membership
     runs never bump the epoch, so it stays 0 end to end.
+
+    Read-only once sent: thread and co-hosted socket ranks receive this very
+    object, and every receiving cell binds its sub-population slots
+    straight onto the genome vectors for the length of an iteration (see
+    :class:`~repro.coevolution.genome.Genome`) — nobody, sender included,
+    may write them again.
     """
 
     cell_index: int

@@ -470,9 +470,11 @@ class SlaveProcess:
         for neighbor_cell in grid.neighbor_cells(cell_index):
             payload = received.get(neighbor_cell)
             if payload is None:
-                # Strictly local fallback, consumed by cell.step() on this
-                # thread before any training: borrowing the center arenas
-                # (alias=True) is safe and skips two vector copies.
+                # Strictly local fallback for cell.step() on this thread:
+                # borrowing the center vectors (alias=True) skips two
+                # copies, and is safe for as long as the slot keeps the
+                # binding because a center vector is never written, only
+                # replaced.
                 own_g, own_d = cell.center_genomes(alias=True)
                 ordered.append((own_g, own_d))
             else:

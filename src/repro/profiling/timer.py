@@ -67,14 +67,15 @@ class RoutineTimer:
         self._counts: dict[str, int] = {}
 
     @contextlib.contextmanager
-    def section(self, name: str):
+    def section(self, name: str, calls: int = 1):
+        """Time a region; ``calls=0`` continues a call already counted."""
         start = time.perf_counter()
         try:
             yield
         finally:
             elapsed = time.perf_counter() - start
             self._totals[name] = self._totals.get(name, 0.0) + elapsed
-            self._counts[name] = self._counts.get(name, 0) + 1
+            self._counts[name] = self._counts.get(name, 0) + calls
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:
         """Manually add time (used when a section is measured externally)."""
@@ -102,7 +103,7 @@ class _NullTimer(RoutineTimer):
     """
 
     @contextlib.contextmanager
-    def section(self, name: str):
+    def section(self, name: str, calls: int = 1):
         yield
 
     def add(self, name: str, seconds: float, calls: int = 1) -> None:

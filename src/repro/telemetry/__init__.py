@@ -16,7 +16,7 @@ Spans (``telemetry.span``):
 ====================  =========================================  ==========================================
 span                  emitted by                                 meaning
 ====================  =========================================  ==========================================
-``cell.update_genomes``  ``coevolution.cell.Cell.step``          neighborhood refresh (Table IV routine)
+``cell.update_genomes``  ``coevolution.cell.Cell.step``          slot binding + copy-on-select (Table IV)
 ``cell.train``        ``coevolution.cell.Cell.step``             selection + GAN training + promotion
 ``cell.mutate``       ``coevolution.cell.Cell.step``             lr mutation + (1+1)-ES mixture update
 ``train.d_step``      ``gan.pair.GANPair``                       one discriminator batch (fused or tape)

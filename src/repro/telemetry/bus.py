@@ -252,12 +252,13 @@ _NULL_SPAN = _NullSpan()
 class _Span:
     """A live span: totals at ``basic``, plus a timeline event at ``trace``."""
 
-    __slots__ = ("_buffer", "_name", "_attrs", "_start")
+    __slots__ = ("_buffer", "_name", "_attrs", "_calls", "_start")
 
-    def __init__(self, buffer: _Buffer, name: str, attrs: dict | None):
+    def __init__(self, buffer: _Buffer, name: str, attrs: dict | None, calls: int):
         self._buffer = buffer
         self._name = name
         self._attrs = attrs
+        self._calls = calls
 
     def __enter__(self):
         self._start = time.perf_counter()
@@ -270,7 +271,7 @@ class _Span:
         with buffer.lock:
             lockcheck.check_owned(buffer.lock, "telemetry span buffer")
             buffer.span_totals[name] = buffer.span_totals.get(name, 0.0) + elapsed
-            buffer.span_counts[name] = buffer.span_counts.get(name, 0) + 1
+            buffer.span_counts[name] = buffer.span_counts.get(name, 0) + self._calls
             if _LEVEL >= TRACE:
                 buffer.events.append(SpanEvent(
                     name=name, start=self._start, duration=elapsed,
@@ -280,16 +281,19 @@ class _Span:
         return False
 
 
-def span(name: str, rank: int | None = None, attrs: dict | None = None):
+def span(name: str, rank: int | None = None, attrs: dict | None = None,
+         calls: int = 1):
     """Time a region: ``with telemetry.span("cell.train"): ...``.
 
     Off: returns the shared null context manager — no allocation, no clock
     read.  ``attrs`` (small dict, e.g. ``{"cell": 3}``) are attached to the
     timeline event at ``trace`` level and surface as Perfetto ``args``.
+    ``calls=0`` adds the time (and a timeline slice) to a call of ``name``
+    that an earlier span already counted.
     """
     if not _LEVEL:
         return _NULL_SPAN
-    return _Span(_resolve(rank), name, attrs)
+    return _Span(_resolve(rank), name, attrs, calls)
 
 
 def count(name: str, value: float = 1.0, rank: int | None = None) -> None:

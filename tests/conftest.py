@@ -123,6 +123,78 @@ def eagerly_initialize(cell):
     return cell
 
 
+def copying_cell(config, cell_index, dataset, **kwargs):
+    """Reference for the copy-on-select data path: the cell as it was.
+
+    A :class:`~repro.coevolution.cell.Cell` whose sub-population slots are
+    2·s *owning* networks: every step memcpys the center and each gathered
+    genome into them, trains the selected two in place under a freshly
+    built pair (fresh optimizer state), and copies the winners into a
+    center that owns its weights.  Slower and several times larger, and
+    obviously right — the zero-copy cell must match it byte for byte in
+    everything it computes, keeps and reports.
+    """
+    from repro.coevolution.cell import Cell, _cell_rng
+    from repro.gan.networks import Discriminator, Generator
+    from repro.gan.pair import GANPair
+    from repro.nn import arena_of
+    from repro.nn.serialize import parameters_to_vector, vector_to_parameters
+
+    class CopyingCell(Cell):
+        def __init__(self):
+            super().__init__(config, cell_index, dataset, **kwargs)
+            network, size = self.config.network, self.neighborhood_size
+            # The center owns (and is written through) its first slab.
+            arena_of(self.center.generator).rebind(self._g_slabs[0])
+            arena_of(self.center.discriminator).rebind(self._d_slabs[0])
+            self._sub_generators = [Generator(network, None) for _ in range(size)]
+            self._sub_discriminators = [Discriminator(network, None) for _ in range(size)]
+
+        def _define_subpopulations(self):
+            if self._sub_defined:
+                return
+            build_rng = _cell_rng(self.config.seed, self.cell_index, stream=3)
+            for network in self._sub_generators + self._sub_discriminators:
+                network.initialize(build_rng)
+            self._sub_defined = True
+
+        def _update_subpopulations(self, neighbor_genomes):
+            entries = [self.center_genomes(alias=True)] + list(neighbor_genomes)
+            entries = entries[: self.neighborhood_size]
+            if len(entries) == self.neighborhood_size:
+                self._sub_defined = True
+            self._define_subpopulations()
+            for i, (g_genome, d_genome) in enumerate(entries):
+                g_genome.write_into(self._sub_generators[i])
+                d_genome.write_into(self._sub_discriminators[i])
+                self._sub_lr[i] = g_genome.learning_rate
+
+        def _load_trainee(self, g_idx, d_idx):
+            self._trainee = GANPair(
+                self._sub_generators[g_idx], self._sub_discriminators[d_idx],
+                self.loss, self.config.mutation.optimizer, self._sub_lr[g_idx])
+
+        def _promote(self, g_idx, d_idx):
+            vector_to_parameters(
+                parameters_to_vector(self._sub_generators[g_idx], alias=True),
+                self.center.generator)
+            vector_to_parameters(
+                parameters_to_vector(self._sub_discriminators[d_idx], alias=True),
+                self.center.discriminator)
+            self.center.learning_rate = self._sub_lr[g_idx]
+
+        def restore(self, generator_genome, discriminator_genome,
+                    mixture_weights, iteration):
+            super().restore(generator_genome, discriminator_genome,
+                            mixture_weights, iteration)
+            # super() bound the center to private copies; own them writably.
+            for network in (self.center.generator, self.center.discriminator):
+                arena = arena_of(network)
+                arena.rebind(arena.data.copy())
+
+    return CopyingCell()
+
+
 @pytest.fixture(scope="session")
 def small_raw_dataset(cache_dir):
     """400 rendered synthetic digits, session-cached."""

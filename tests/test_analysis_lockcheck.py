@@ -83,6 +83,21 @@ def test_consistent_ordering_is_clean(checker):
     assert not lockcheck.violations()
 
 
+def test_a_dead_locks_edges_do_not_pass_to_its_address(checker):
+    """The order graph outlives the locks: a lock allocated where a dead
+    one used to be must not inherit the dead one's place in the order —
+    or two transports built one after the other read as an ABBA cycle."""
+    for round_ in range(500):
+        first, second = threading.Lock(), threading.Lock()
+        if round_ % 2:      # same addresses as a moment ago, roles swapped
+            first, second = second, first
+        with first:
+            with second:
+                pass
+        del first, second
+    assert not lockcheck.violations()
+
+
 def test_trylock_adds_no_edges(checker):
     """Non-blocking acquires cannot deadlock; inverting order via trylock
     must not be reported."""

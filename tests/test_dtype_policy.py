@@ -118,8 +118,7 @@ class TestNetworkDtype:
         optimizer = Adam(gen.parameters(), learning_rate=1e-3, arena=arena)
         arena.grad[:] = 1.0
         optimizer.step()
-        for state in (optimizer._m_flat, optimizer._v_flat,
-                      optimizer._scratch, optimizer._scratch2):
+        for state in (optimizer._m_flat, optimizer._v_flat, optimizer._scratch):
             assert state.dtype == compute
         assert arena.data.dtype == compute  # step never rebinds/promotes
 

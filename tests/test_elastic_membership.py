@@ -366,7 +366,12 @@ class TestChurnAcceptance:
         port = _free_port()
         token = "churn-acceptance"
         connect = f"127.0.0.1:{port}"
-        config = make_quick_config(4, 4, iterations=3,
+        # Long enough for the whole sequence — kill, drain at an iteration
+        # boundary, two `repro worker --join` processes started, refused,
+        # restarted and admitted — to happen while the run is live: a
+        # three-iteration run is over in about a second, before the second
+        # joiner's slot has vacated.
+        config = make_quick_config(4, 4, iterations=10,
                                    dataset_size=400, batch_size=10, batches=1)
         runner = DistributedRunner(
             config,

@@ -165,6 +165,28 @@ class TestGanPair:
         assert pair.learning_rate == 0.001
         assert getattr(pair.g_optimizer, "t", 0) == 0
 
+    def test_reset_optimizers_is_in_place(self, pair, rng):
+        pair.train_generator_step(8, rng)
+        moments = pair.g_optimizer._m_flat
+        assert moments.any()
+        pair.reset_optimizers()
+        assert pair.g_optimizer._m_flat is moments and not moments.any()
+
+    def test_optimizers_are_built_on_first_use(self, pair, rng):
+        """A pair that is only read — a cell's center, a pair rebuilt from
+        genomes for evaluation — allocates no gradients or moments."""
+        from repro.nn import arena_of
+
+        real = np.zeros((8, pair.discriminator.settings.output_neurons))
+        pair.evaluate(real, rng)
+        pair.learning_rate = 0.002
+        assert pair._g_optimizer is None and pair._d_optimizer is None
+        assert arena_of(pair.generator).grad is None
+        pair.train_generator_step(8, rng)
+        assert pair.g_optimizer.learning_rate == 0.002
+        assert pair._d_optimizer is None
+        assert arena_of(pair.discriminator).grad is None
+
     def test_discriminator_learns_to_separate(self, rng):
         """A few steps on fixed data should reduce discriminator loss."""
         config = paper_table1_config(2, 2)

@@ -76,8 +76,10 @@ class TestProbeAndPending:
         put(endpoint, ctx=CTX, source=1, tag=1)
         put(endpoint, ctx=CTX, source=1, tag=2)
         put(endpoint, ctx=(0, 9, 9), source=1, tag=1)
+        # The demux thread files messages one at a time: wait for the last
+        # one put, not only for the context counted first.
         deadline = time.monotonic() + 5
-        while endpoint.pending(CTX) < 2:
+        while endpoint.pending(CTX) < 2 or endpoint.pending((0, 9, 9)) < 1:
             assert time.monotonic() < deadline
         assert endpoint.pending(CTX) == 2
         assert endpoint.pending((0, 9, 9)) == 1

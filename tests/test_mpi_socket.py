@@ -535,6 +535,58 @@ class TestForkLaunch:
         assert list(results) == [2.0, 0.0, 1.0]
         assert started_by_fork_time == [set(), set(), set()]
 
+    def test_fork_waits_out_an_import_the_worker_needs(self):
+        """A thread of the launching process that is half way through
+        importing the idna codec (``getaddrinfo`` does, on a process's
+        first connect) holds that module's import lock; a worker forked
+        at that instant would inherit it held, and hang resolving the
+        coordinator's address.  In a fresh interpreter, with the module's
+        execution slowed to a second: the launch must wait for it, not
+        time out."""
+        import os
+        import subprocess
+        import sys
+
+        script = """
+import importlib.abc, importlib.machinery, sys, threading, time
+from repro.mpi import run_mpi
+from tests.test_mpi_socket import ring_program
+
+entered = threading.Event()
+
+class SlowLoader(importlib.abc.Loader):
+    def __init__(self, real):
+        self.real = real
+    def create_module(self, spec):
+        return self.real.create_module(spec)
+    def exec_module(self, module):    # runs under the module's import lock
+        entered.set()
+        time.sleep(1.0)
+        self.real.exec_module(module)
+
+class SlowIdna(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name != "encodings.idna":
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        spec.loader = SlowLoader(spec.loader)
+        return spec
+
+assert "encodings.idna" not in sys.modules
+sys.meta_path.insert(0, SlowIdna())
+threading.Thread(target="host".encode, args=("idna",), daemon=True).start()
+assert entered.wait(10)
+print(list(run_mpi(2, ring_program, args=(8,), backend="socket", timeout=15,
+                   transport_options={"hosts": "127.0.0.1:2"})))
+"""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[1.0, 0.0]"
+
     def test_killed_forked_worker_is_rehosted_by_repro_worker(
             self, tmp_path, set_before_launch):
         import subprocess

@@ -142,6 +142,59 @@ class TestFrames:
         wire.write_frame(b, wire.pack_frame(wire.MSG, 9, body=frame.body))
         assert wire.read_frame(a).rank == 9
 
+    @pytest.mark.parametrize("pickle_padding", range(9))
+    def test_received_arrays_are_aligned_windows_onto_the_body(
+            self, sock_pair, pickle_padding):
+        """The receive path copies nothing: the arrays a frame decodes to
+        *are* its receive buffer — writable, and aligned wherever the
+        pickle's length happens to put them (NumPy would otherwise copy a
+        misaligned GEMM operand on every use)."""
+        a, b = sock_pair
+        payload = {"pad": "x" * pickle_padding,
+                   "g": np.arange(4096.0), "d": np.arange(1025.0)[::-1].copy(),
+                   "h": np.arange(64, dtype=np.float32)}
+        wire.write_frame(a, wire.pack_frame_parts(wire.MSG, 1, payload))
+        frame = wire.read_frame(b)
+        assert isinstance(frame.body, bytearray)
+        out = frame.payload()
+        raw = np.frombuffer(frame.body, dtype=np.uint8)
+        for key in ("g", "d", "h"):
+            np.testing.assert_array_equal(out[key], payload[key])
+            assert out[key].flags.aligned and out[key].flags.writeable
+            assert np.shares_memory(out[key], raw)
+        wire.write_frame(b, frame.parts)   # the body still forwards verbatim
+        assert bytes(wire.read_frame(a).body) == bytes(frame.body)
+
+    @pytest.mark.parametrize("pickle_padding", range(9))
+    def test_misplaced_buffers_are_copied_not_handed_out_misaligned(
+            self, pickle_padding):
+        """A writable body that was not placed by ``read_frame`` (or whose
+        placement was lost) still decodes to aligned arrays."""
+        payload = ("x" * pickle_padding, np.arange(513.0))
+        body = bytearray(wire.encode_body(payload))
+        text, array = wire.decode_body(body)
+        assert text == payload[0] and array.flags.aligned and array.flags.writeable
+        np.testing.assert_array_equal(array, payload[1])
+
+    def test_json_hello_body_reads_like_any_other(self, sock_pair):
+        """HELLO bodies are JSON, not segments: a size-capped read takes
+        them as they come, whatever their first bytes spell."""
+        import json
+
+        a, b = sock_pair
+        hello = json.dumps({"token": "t" * 40, "slots": 3}).encode()
+        wire.write_frame(a, wire.pack_frame(wire.HELLO, 0, body=hello))
+        assert json.loads(wire.read_frame(b, max_body=4096).body) == \
+            {"token": "t" * 40, "slots": 3}
+
+    def test_connection_lost_mid_body_surfaces(self, sock_pair):
+        a, b = sock_pair
+        frame = wire.pack_frame(wire.MSG, 0, np.arange(1000.0))
+        a.sendall(frame[: len(frame) // 2])
+        a.close()
+        with pytest.raises(wire.WireError, match="mid-frame"):
+            wire.read_frame(b)
+
     def test_bad_magic_rejected(self, sock_pair):
         a, b = sock_pair
         a.sendall(b"XX" + bytes(20))

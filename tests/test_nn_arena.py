@@ -185,6 +185,134 @@ class TestFusedOptimizers:
         np.testing.assert_array_equal(twin._v_flat, opt._v_flat)
 
 
+class TestOptimizerReset:
+    """``reset`` is a fresh optimizer without the reallocation."""
+
+    @staticmethod
+    def build(name, net, fused):
+        from repro.nn.optim import SGD
+
+        arena = arena_of(net) if fused else None
+        if name == "sgd-momentum":
+            return SGD(net.parameters(), 1e-3, momentum=0.9, arena=arena)
+        return optimizer_by_name(name, net.parameters(), 1e-3, arena=arena)
+
+    @staticmethod
+    def run(net, optimizer, seed, steps=3):
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            for p in net.parameters():
+                grad = rng.standard_normal(p.data.shape)
+                if p.grad is None:
+                    p.grad = grad
+                else:
+                    p.grad[...] = grad
+            optimizer.step()
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("name", ["adam", "sgd", "sgd-momentum", "rmsprop"])
+    def test_reset_equals_a_fresh_optimizer(self, name, fused):
+        reused_net, fresh_net = small_generator(5), small_generator(5)
+        reused = self.build(name, reused_net, fused)
+        self.run(reused_net, reused, seed=1)
+        state_ids = [id(state) for state in reused._state_arrays()]
+        reused.reset(5e-3)
+        assert [id(state) for state in reused._state_arrays()] == state_ids  # in place
+        # Same starting weights for the twin, then the same gradients.
+        vector_to_parameters(parameters_to_vector(reused_net), fresh_net)
+        fresh = self.build(name, fresh_net, fused)
+        fresh.learning_rate = 5e-3
+        self.run(reused_net, reused, seed=2)
+        self.run(fresh_net, fresh, seed=2)
+        np.testing.assert_array_equal(parameters_to_vector(reused_net),
+                                      parameters_to_vector(fresh_net))
+
+    def test_reset_rejects_nonpositive_learning_rate(self):
+        net = small_generator(0)
+        with pytest.raises(ValueError):
+            self.build("adam", net, True).reset(0.0)
+
+    def test_scratch_is_one_span_not_one_network(self):
+        from repro.nn.optim import Optimizer
+
+        net = Generator(NetworkSettings(), np.random.default_rng(0))
+        arena = arena_of(net)
+        assert arena.size > 4 * Optimizer.BLOCK_ELEMS
+        for name in ("adam", "sgd", "rmsprop"):
+            optimizer = optimizer_by_name(name, net.parameters(), 1e-3, arena=arena)
+            assert optimizer._scratch.shape[1] == Optimizer.BLOCK_ELEMS
+
+
+class TestRebind:
+    """``ParameterArena.rebind``: a network becomes a window onto a vector."""
+
+    def test_moves_every_parameter_without_copying(self):
+        net = small_generator(0)
+        arena = arena_of(net)
+        vector = parameters_to_vector(small_generator(1))
+        arena.rebind(vector)
+        assert arena.data is vector
+        for p in net.parameters():
+            assert p.data.base is vector
+        np.testing.assert_array_equal(parameters_to_vector(net), vector)
+
+    def test_forward_reads_the_bound_vector(self):
+        from repro.nn import Tensor
+        from repro.nn import kernels
+
+        net, donor = small_generator(0), small_generator(1)
+        z = np.random.default_rng(2).standard_normal((6, SMALL.latent_size))
+        kernels.kernel_for(net)  # built before the rebind: must follow it
+        arena_of(net).rebind(parameters_to_vector(donor))
+        expected = donor(Tensor(z)).data
+        np.testing.assert_array_equal(net(Tensor(z)).data, expected)
+        np.testing.assert_array_equal(kernels.kernel_for(net).forward(z), expected)
+        arena_of(net).data[...] = 0.0   # and whatever the vector holds later
+        assert not net(Tensor(z)).data.any()
+
+    def test_optimizer_follows_the_binding(self):
+        net = small_generator(3)
+        arena = arena_of(net)
+        optimizer = optimizer_by_name("adam", net.parameters(), 1e-2, arena=arena)
+        first = arena.data
+        kept = first.copy()
+        second = first.copy()
+        arena.rebind(second)
+        arena.grad[...] = 1.0
+        optimizer.step()
+        np.testing.assert_array_equal(first, kept)
+        assert (second != kept).all()
+
+    def test_read_only_binding_refuses_every_write(self):
+        net = small_generator(4)
+        arena = arena_of(net)
+        borrowed = parameters_to_vector(small_generator(5))
+        kept = borrowed.copy()
+        window = borrowed.view()
+        window.flags.writeable = False
+        arena.rebind(window)
+        optimizer = optimizer_by_name("sgd", net.parameters(), 1e-2, arena=arena)
+        arena.grad[...] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            optimizer.step()
+        with pytest.raises(ValueError, match="read-only"):
+            vector_to_parameters(np.zeros(arena.size), net)
+        with pytest.raises(ValueError, match="read-only"):
+            load_state_dict(net, state_dict(small_generator(6)))
+        np.testing.assert_array_equal(borrowed, kept)
+        assert borrowed.flags.writeable  # only the window is frozen
+
+    def test_rejects_a_vector_it_cannot_window(self):
+        arena = arena_of(small_generator(0))
+        good = arena.data.copy()
+        with pytest.raises(ValueError, match="shape"):
+            arena.rebind(good[:-1])
+        with pytest.raises(ValueError, match="float32"):
+            arena.rebind(good.astype(np.float32))
+        with pytest.raises(ValueError, match="non-contiguous"):
+            arena.rebind(np.repeat(good, 2)[::2])
+
+
 class TestGenomeContract:
     def test_contiguous_float64_is_adopted_without_copy(self):
         vec = np.arange(10.0)

@@ -151,6 +151,17 @@ class TestProfilingReport:
         assert snap.seconds("train") >= 0.01
         assert snap.calls("train") == 2
 
+    def test_section_can_continue_a_counted_call(self):
+        timer = RoutineTimer()
+        with timer.section("update_genomes"):
+            pass
+        before = timer.seconds("update_genomes")
+        with timer.section("update_genomes", calls=0):
+            pass
+        snap = timer.snapshot()
+        assert snap.calls("update_genomes") == 1
+        assert snap.seconds("update_genomes") > before
+
     def test_null_timer_is_free(self):
         from repro.profiling import NULL_TIMER
 

@@ -57,6 +57,17 @@ class TestRecording:
         assert snap.span_totals["cell.train"] > 0.0
         assert snap.events == []  # timeline only at trace level
 
+    def test_span_can_continue_a_counted_call(self, telemetry_bus):
+        telemetry_bus.set_level("trace")
+        with telemetry_bus.span("cell.update_genomes"):
+            pass
+        with telemetry_bus.span("cell.update_genomes", calls=0):
+            time.sleep(0.001)
+        snap = telemetry_bus.snapshot()
+        assert snap.span_counts["cell.update_genomes"] == 1
+        assert snap.span_totals["cell.update_genomes"] >= 0.001
+        assert len(snap.events) == 2  # both stretches show on the timeline
+
     def test_trace_records_events_with_attrs(self, telemetry_bus):
         telemetry_bus.set_level("trace")
         with telemetry_bus.span("cell.train", attrs={"cell": 7}):
