@@ -12,7 +12,7 @@ results):
 * **fitness_table** — the all-pairs s x s evaluation (s = 5 neighborhood,
   Table I batch): batched single-forward-per-discriminator vs the
   ``s**2``-forward loop.
-* **cell_step_train_phase** — the "train" timer section of one full
+* **cell_step_train_phase** — the ``cell.train`` span seconds of one full
   ``Cell.step`` (both fitness tables plus every gradient step), i.e. the
   Table IV row the paper profiles.
 * **train_step_dtype** — the fused train step per dtype policy
@@ -40,6 +40,7 @@ so the perf trajectory across PRs is machine-readable in one file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import json
@@ -56,7 +57,7 @@ from repro.data.dataset import ArrayDataset
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.pair import GANPair
 from repro.nn import kernels, loss_by_name
-from repro.profiling import RoutineTimer
+from repro.telemetry import bus
 
 from benchmarks.conftest import RESULTS_DIR, save_artifact
 
@@ -140,6 +141,22 @@ def _bench_fitness(settings: NetworkSettings, batch: int) -> dict:
     return _interleaved_ab(loop, batched, reps=max(1, _REPS // 2))
 
 
+@contextlib.contextmanager
+def _bus_scope():
+    """Use the telemetry bus in a bench; leave it off, empty and with the
+    caller's ``REPRO_TELEMETRY`` (``set_level`` mirrors into the env)."""
+    prior_env = os.environ.get("REPRO_TELEMETRY")
+    try:
+        yield
+    finally:
+        bus.set_level("off")
+        bus.reset()
+        if prior_env is None:
+            os.environ.pop("REPRO_TELEMETRY", None)
+        else:
+            os.environ["REPRO_TELEMETRY"] = prior_env
+
+
 def _bench_cell_phase(settings: NetworkSettings, batch: int) -> dict:
     config = paper_table1_config()
     config = dataclasses.replace(
@@ -157,15 +174,16 @@ def _bench_cell_phase(settings: NetworkSettings, batch: int) -> dict:
     dataset = ArrayDataset(images)
 
     def run_phase(fused: bool) -> float:
-        """Train-section seconds of one Cell.step (cells are rebuilt per
-        call so Adam state/iteration counts stay comparable)."""
+        """``cell.train`` span seconds of one Cell.step (cells are rebuilt
+        per call so Adam state/iteration counts stay comparable)."""
         kernels.set_kernels_enabled(fused)
         try:
             cell = Cell(config, 0, dataset)
             cell.step([])                      # warm-up iteration
-            timer = RoutineTimer()
-            cell.step([], timer)
-            return timer.seconds("train")
+            with _bus_scope():
+                bus.set_level("basic")
+                cell.step([])
+                return bus.snapshot().span_seconds("cell.train")
         finally:
             kernels.set_kernels_enabled(True)
 
@@ -237,8 +255,6 @@ def _bench_telemetry(settings: NetworkSettings | None = None,
     ratio instead of biasing an extreme statistic.  CI's 2% ratchet on the
     off level reads that median.
     """
-    from repro.telemetry import bus
-
     settings = settings or NetworkSettings()
     real = np.random.default_rng(7).standard_normal((batch, settings.output_neurons))
     arms = (("baseline", "off"), ("off", "off"),
@@ -256,10 +272,9 @@ def _bench_telemetry(settings: NetworkSettings | None = None,
 
     for arm, _level in arms:
         step(arm)  # warm caches, workspaces, BLAS buffers
-    prior_env = os.environ.get("REPRO_TELEMETRY")
     times: dict[str, list[float]] = {arm: [] for arm, _level in arms}
     rounds, reps = 12, 10  # ~220ms per timed window at Table I size
-    try:
+    with _bus_scope():
         for r in range(rounds):
             # The ratchet pair alternates slots round to round (and the
             # recording pair likewise), so slot-in-round effects — GC debt
@@ -275,13 +290,6 @@ def _bench_telemetry(settings: NetworkSettings | None = None,
                     step(arm)
                 times[arm].append((time.perf_counter() - start) / reps)
                 bus.reset()  # drop the recorded spans between rounds
-    finally:
-        bus.set_level("off")
-        bus.reset()
-        if prior_env is None:
-            os.environ.pop("REPRO_TELEMETRY", None)
-        else:
-            os.environ["REPRO_TELEMETRY"] = prior_env
 
     def overhead_pct(arm: str) -> float:
         ratios = sorted(t / b for t, b in zip(times[arm], times["baseline"]))

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """The paper's distributed execution, instrumented: placement, heartbeats,
-profiling, transport counters, and the master/slave event trace.
+profiling, transport counters, and the master/slave event trace — the last
+two read from the one telemetry record of the run.
 
 Runs a 3x3 grid (10 ranks: 1 master + 9 slaves).  By default the ranks are
 forked processes and the master places them on the simulated Cluster-UY
@@ -20,8 +21,7 @@ import argparse
 from repro import Experiment, default_config
 from repro.cluster import cluster_uy
 from repro.mpi import merge_transport_stats
-from repro.parallel.tracing import EventTrace
-from repro.profiling import format_table4, profile_rows
+from repro.telemetry import format_mark_timeline, format_table4, profile_rows
 
 
 def main() -> None:
@@ -40,14 +40,14 @@ def main() -> None:
         options = {"hosts": args.hosts}
         if args.bind:
             options["bind"] = args.bind
-        experiment = Experiment(config).backend("socket", trace=True, **options)
+        experiment = Experiment(config).backend("socket", **options)
     else:
         # A busy best-effort cluster: ~30% of every node is already occupied.
         platform = cluster_uy(busy_fraction=0.3)
-        experiment = Experiment(config).backend("process", platform=platform,
-                                                trace=True)
+        experiment = Experiment(config).backend("process", platform=platform)
 
-    result = experiment.profile().run()
+    # "trace" level: span totals for the profile plus the protocol marks.
+    result = experiment.telemetry("trace").run()
 
     print(f"complete: {result.complete}; wall time {result.wall_time_s:.1f}s")
 
@@ -69,7 +69,7 @@ def main() -> None:
     print(format_table4(rows))
 
     print("\nfirst 12 events of the merged master/slave trace (Fig. 3):")
-    merged = EventTrace.format_merged(result.traces).splitlines()
+    merged = format_mark_timeline(result.telemetry).splitlines()
     print("\n".join(merged[:12]))
     print(f"... ({len(merged)} events total)")
 

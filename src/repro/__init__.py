@@ -17,10 +17,10 @@ arXiv:2004.04633), including every substrate the paper depends on:
 * :mod:`repro.parallel` — **the paper's contribution**: the master-slave
   distributed implementation (CommManager, Grid, heartbeats, two-thread
   slaves);
-* :mod:`repro.profiling` — the Table IV routine profiler;
-* :mod:`repro.telemetry` — the span/counter bus across train, exchange,
-  transport and serving, with per-rank aggregation and Perfetto/Prometheus
-  export (``REPRO_TELEMETRY=off|basic|trace``, ``repro run --trace``);
+* :mod:`repro.telemetry` — the one recorder: a span/mark/counter bus across
+  train, exchange, protocol, transport and serving, with per-rank
+  aggregation, Perfetto/Prometheus export and the Table IV / Fig. 3 views
+  (``REPRO_TELEMETRY=off|basic|trace``, ``repro run --trace``);
 * :mod:`repro.experiments` — regenerators for every table and figure;
 * :mod:`repro.serving` — batched, cached inference serving trained
   generator ensembles (model registry, request-coalescing engine, sample

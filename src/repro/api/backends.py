@@ -31,7 +31,6 @@ from repro.api.callbacks import CallbackList
 from repro.api.result import RunResult
 from repro.config import ExperimentConfig
 from repro.data.dataset import ArrayDataset
-from repro.profiling import RoutineTimer
 from repro.telemetry import bus as telemetry
 
 __all__ = [
@@ -55,7 +54,6 @@ class RunContext:
     callbacks: CallbackList = field(default_factory=CallbackList)
     backend_name: str = ""
     exchange_mode: str = "neighbors"
-    profile: bool = False
     dataset_spec: tuple[str, dict] | None = None
     """Registry name + options the dataset came from (when it did) — lets
     spawn-based backends re-render per node instead of shipping arrays."""
@@ -125,7 +123,6 @@ class SequentialBackend(TrainerBackend):
             # Each run starts from a clean bus so the result's merged view
             # covers exactly this run.
             telemetry.reset()
-        timers = [RoutineTimer() for _ in trainer.cells] if ctx.profile else None
         total = max(0, trainer.config.coevolution.iterations - trainer.start_iteration)
 
         ctx.callbacks.on_run_start(ctx)
@@ -138,7 +135,7 @@ class SequentialBackend(TrainerBackend):
             def fire_exchange(_snapshots, iteration=next_iteration):
                 ctx.callbacks.on_exchange(ctx, iteration)
 
-            reports = trainer.step_iteration(timers, on_exchange=fire_exchange)
+            reports = trainer.step_iteration(on_exchange=fire_exchange)
             executed += 1
             ctx.callbacks.on_iteration_end(ctx, reports[0].iteration, reports)
             if ctx.stop_requested:
@@ -153,7 +150,7 @@ class SequentialBackend(TrainerBackend):
                 merged = telemetry.merge_telemetry([snap])
         result = RunResult(
             backend=self.name,
-            training=trainer.result(wall, timers),
+            training=trainer.result(wall),
             iteration=trainer.cells[0].iteration if trainer.cells else 0,
             iterations_run=executed,
             stopped_early=stopped,
@@ -168,10 +165,10 @@ class _DistributedBackend(TrainerBackend):
     """Shared driver for the master–slave substrates.
 
     Extra constructor options pass straight through to
-    :class:`~repro.parallel.DistributedRunner` (``trace=``, ``platform=``,
+    :class:`~repro.parallel.DistributedRunner` (``platform=``,
     ``fault_at=``, ``heartbeat_interval_s=``, ``miss_limit=``,
-    ``timeout_s=``), so fault-injection and tracing scenarios need no
-    dedicated front door.
+    ``timeout_s=``), so fault-injection scenarios need no dedicated front
+    door.
     """
 
     name = "abstract-distributed"
@@ -190,8 +187,7 @@ class _DistributedBackend(TrainerBackend):
             runner = DistributedRunner(
                 ctx.config, backend=self.name, dataset=ctx.dataset,
                 dataset_spec=ctx.dataset_spec,
-                exchange_mode=ctx.exchange_mode, profile=ctx.profile,
-                **self.runner_options)
+                exchange_mode=ctx.exchange_mode, **self.runner_options)
         if telemetry.enabled():
             telemetry.reset()
         ctx.callbacks.on_run_start(ctx)

@@ -52,7 +52,6 @@ class Experiment:
         self._dataset_source: str | ArrayDataset | None = None
         self._dataset_options: dict[str, Any] = {}
         self._exchange_mode = "neighbors"
-        self._profile = False
         self._callbacks: list[Callback] = []
         self._checkpoint = None
         self._telemetry_level: str | None = None
@@ -128,7 +127,7 @@ class Experiment:
         """Select the execution substrate by registry name.
 
         Extra keyword options go to the backend factory (e.g.
-        ``backend("process", trace=True)`` enables event tracing).
+        ``backend("process", miss_limit=4)`` tightens failure detection).
         """
         if name not in BACKENDS:
             raise RegistryError(
@@ -177,21 +176,17 @@ class Experiment:
         self._snapshot_every = snapshot_every
         return self
 
-    def profile(self, enabled: bool = True) -> "Experiment":
-        """Record the per-routine Table IV profile during the run."""
-        self._profile = enabled
-        return self
-
     def telemetry(self, level: str = "basic",
                   trace_path: str | os.PathLike | None = None) -> "Experiment":
         """Enable the :mod:`repro.telemetry` bus for this run.
 
         ``level`` is ``off`` (counters disabled, near-zero cost),
-        ``basic`` (span totals + counters) or ``trace`` (individual span
-        events, exportable to Perfetto).  Passing ``trace_path`` implies
-        ``trace`` level and writes the merged Chrome/Perfetto trace there
-        after the run; :attr:`RunResult.telemetry` carries the merged view
-        either way.
+        ``basic`` (span totals + counters: enough for the Table IV view,
+        :meth:`RunResult.profile`) or ``trace`` (individual span and
+        protocol-mark events: the Fig. 3 lanes, exportable to Perfetto).
+        Passing ``trace_path`` implies ``trace`` level and writes the merged
+        Chrome/Perfetto trace there after the run;
+        :attr:`RunResult.telemetry` carries the merged view either way.
         """
         from repro.telemetry import bus
 
@@ -288,7 +283,6 @@ class Experiment:
             callbacks=CallbackList(self._callbacks),
             backend_name=backend.name,
             exchange_mode=self._exchange_mode,
-            profile=self._profile,
             dataset_spec=spec,
             checkpoint=self._checkpoint,
         )

@@ -23,7 +23,7 @@ from repro.coevolution.genome import Genome
 from repro.coevolution.sequential import TrainingResult
 from repro.config import ExperimentConfig
 from repro.parallel.runner import DistributedResult
-from repro.profiling import TimerSnapshot, merge_snapshots
+from repro.telemetry import TimerSnapshot, routine_profile
 
 __all__ = ["RunResult"]
 
@@ -50,7 +50,9 @@ class RunResult:
     every rank's spans/counters time-aligned (plus the launcher buffer on
     distributed runs).  ``None`` when telemetry was off.  Feed it to
     :func:`repro.telemetry.to_perfetto` / :func:`repro.telemetry.to_prometheus`
-    or inspect ``span_totals`` / ``counters`` directly."""
+    or inspect ``span_totals`` / ``counters`` directly; :meth:`profile`
+    (Table IV) and :func:`repro.telemetry.mark_timeline` (Fig. 3) are views
+    over it."""
 
     # -- common fields, promoted ------------------------------------------
 
@@ -137,11 +139,6 @@ class RunResult:
         return self.distributed.ok if self.distributed is not None else True
 
     @property
-    def traces(self) -> list:
-        """Event traces of a traced distributed run (empty otherwise)."""
-        return list(self.distributed.traces) if self.distributed is not None else []
-
-    @property
     def transport_stats(self) -> list:
         """Per-rank :class:`~repro.mpi.TransportStats` of a distributed run
         (rank order, rank 0 = master; empty on sequential runs, which move
@@ -186,18 +183,15 @@ class RunResult:
         return checkpoint
 
     def profile(self, *, parallel: bool = False) -> TimerSnapshot:
-        """Merged per-routine profile (Table IV).
+        """Per-routine profile (Table IV), a view over :attr:`telemetry`.
 
-        ``parallel=False`` sums routine times across cells (total CPU
-        work); ``parallel=True`` takes the max across concurrent slaves
-        (wall-clock view).  Requires the run to have been profiled
-        (``Experiment.profile()`` / ``--profile``).
+        ``parallel=False`` sums routine times across ranks (total CPU
+        work); ``parallel=True`` takes the max across concurrent ranks
+        (wall-clock view; the same thing on the one-rank sequential
+        backend).  Empty when the run recorded no telemetry
+        (``Experiment.telemetry("basic")`` is enough).
         """
-        if self.distributed is not None:
-            if parallel:
-                return self.distributed.distributed_profile()
-            return self.distributed.total_work_profile()
-        return merge_snapshots(self.training.timer_snapshots, parallel=parallel)
+        return routine_profile(self.telemetry, parallel=parallel)
 
     def summary(self) -> str:
         """One line for CLI/log output."""

@@ -147,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-cell checkpoint cadence in iterations "
                           "(default: every iteration for non-abort fault "
                           "policies, off for abort)")
-    run.add_argument("--profile", action="store_true")
+    run.add_argument("--profile", action="store_true",
+                     help="print the Table IV per-routine profile, computed "
+                          "from the run's telemetry (needs a level other "
+                          "than 'off')")
     run.add_argument("--checkpoint", metavar="PATH",
                      help="write a checkpoint here after training")
     run.add_argument("--metrics-jsonl", metavar="PATH",
@@ -308,8 +311,7 @@ def _report_result(result, cells: int) -> None:
 
 def _report_transport_stats(result) -> None:
     """Per-rank message/byte counters of a distributed run (rank 0 is the
-    master; the payload-byte totals sit next to the timer snapshots in the
-    profile output)."""
+    master)."""
     stats = getattr(result, "transport_stats", [])
     if not stats:
         return
@@ -323,8 +325,12 @@ def _report_transport_stats(result) -> None:
 
 
 def _report_telemetry(result) -> None:
-    """Satellite one-liner for every backend: throughput, traffic, and the
-    train-vs-communication split from the merged telemetry view."""
+    """One-liner for every backend: throughput, traffic, and the
+    train-vs-communication split from the merged telemetry view.
+
+    Exchange payloads travel *through* the transport, so the transport
+    counter already contains the exchange counter — two numbers, never a
+    sum."""
     merged = getattr(result, "telemetry", None)
     if merged is None:
         return
@@ -332,17 +338,16 @@ def _report_telemetry(result) -> None:
             if result.wall_time_s > 0 else 0.0)
     train_s = merged.span_seconds("cell.train")
     comm_s = merged.span_seconds("exchange.gather")
-    exchange_bytes = (merged.counter("exchange.bytes_sent")
-                      + merged.counter("mpi.bytes_sent"))
     print(f"telemetry: {rate:.2f} iteration(s)/s, "
-          f"exchange {exchange_bytes / 1024:.1f} KiB, "
+          f"exchange {merged.counter('exchange.bytes_sent') / 1024:.1f} KiB "
+          f"of transport {merged.counter('mpi.bytes_sent') / 1024:.1f} KiB, "
           f"train {train_s:.2f}s vs comm {comm_s:.2f}s")
 
 
 def _cmd_run(args) -> int:
     from repro.api import JsonlMetrics
 
-    experiment = _build_experiment(args).profile(args.profile)
+    experiment = _build_experiment(args)
     experiment.fault_policy(args.fault_policy,
                             max_restarts=args.max_restarts,
                             snapshot_every=args.snapshot_every)
@@ -351,6 +356,11 @@ def _cmd_run(args) -> int:
         level = os.environ.get("REPRO_TELEMETRY", "basic")
         if level not in ("off", "basic", "trace"):
             level = "basic"
+    if args.profile and level == "off" and not args.trace:
+        print("--profile prints a view over the run's telemetry; it cannot "
+              "be combined with telemetry level 'off' (use --telemetry basic)",
+              file=sys.stderr)
+        return 2
     experiment.telemetry(level=level, trace_path=args.trace)
     if args.metrics_jsonl:
         experiment.callbacks(JsonlMetrics(args.metrics_jsonl))
@@ -368,8 +378,8 @@ def _cmd_run(args) -> int:
         else:
             print(f"WARNING: no telemetry recorded; {args.trace} not written",
                   file=sys.stderr)
-    if args.profile and result.distributed is not None:
-        from repro.profiling import format_table4, profile_rows
+    if args.profile:
+        from repro.telemetry import format_table4, profile_rows
 
         rows = profile_rows(result.profile(parallel=False),
                             result.profile(parallel=True))

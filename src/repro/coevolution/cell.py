@@ -102,7 +102,6 @@ from repro.gan.pair import GANPair
 from repro.nn import Tensor, arena_of, kernels, loss_by_name
 from repro.nn.autograd import no_grad
 from repro.nn.losses import MUSTANGS_LOSSES
-from repro.profiling import NULL_TIMER, RoutineTimer
 from repro.registry import dtype_policy
 from repro.telemetry import bus as telemetry
 
@@ -364,18 +363,23 @@ class Cell:
 
     # -- the per-iteration algorithm ------------------------------------------------
 
-    def step(self, neighbor_genomes: list[tuple[Genome, Genome]],
-             timer: RoutineTimer = NULL_TIMER) -> CellReport:
-        """Run one coevolutionary iteration; returns the iteration report."""
+    def step(self, neighbor_genomes: list[tuple[Genome, Genome]]) -> CellReport:
+        """Run one coevolutionary iteration; returns the iteration report.
+
+        Invariant the Table IV view relies on: each routine span
+        (``cell.update_genomes``, ``cell.train``, ``cell.mutate`` here,
+        ``exchange.gather`` in whoever supplies ``neighbor_genomes``) is
+        *counted* exactly once per cell per iteration.  A routine that runs
+        in two stretches opens its second span with ``calls=0``, which adds
+        the time to the call already counted.
+        """
         config = self.config
 
-        with timer.section("update_genomes"), \
-                telemetry.span("cell.update_genomes", attrs=self._span_attrs):
+        with telemetry.span("cell.update_genomes", attrs=self._span_attrs):
             self._update_subpopulations(neighbor_genomes)
 
         # Selection batch + fitness table.
-        with timer.section("train"), \
-                telemetry.span("cell.train", attrs=self._span_attrs):
+        with telemetry.span("cell.train", attrs=self._span_attrs):
             selection_batch = self._next_batch()
             table = evaluate_subpopulations(
                 self._sub_generators, self._sub_discriminators,
@@ -391,12 +395,10 @@ class Cell:
         # Copy-on-select: the two individuals about to be trained are the
         # only genomes this step copies — the rest of this step's one
         # "update genomes" call.
-        with timer.section("update_genomes", calls=0), \
-                telemetry.span("cell.update_genomes", attrs=self._span_attrs, calls=0):
+        with telemetry.span("cell.update_genomes", attrs=self._span_attrs, calls=0):
             self._load_trainee(g_idx, d_idx)
 
-        with timer.section("mutate"), \
-                telemetry.span("cell.mutate", attrs=self._span_attrs):
+        with telemetry.span("cell.mutate", attrs=self._span_attrs):
             mutated_lr = mutate_learning_rate(
                 self._sub_lr[g_idx], self.rng,
                 mutation_rate=config.mutation.mutation_rate,
@@ -411,8 +413,7 @@ class Cell:
                 self.mixture = offspring
 
         # Train the selected pair against randomly drawn opponents.
-        with timer.section("train"), \
-                telemetry.span("cell.train", attrs=self._span_attrs):
+        with telemetry.span("cell.train", attrs=self._span_attrs, calls=0):
             pair = self._trainee
             pair.learning_rate = mutated_lr
             pair.reset_optimizers()

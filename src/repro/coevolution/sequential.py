@@ -17,7 +17,7 @@ which trajectory this baseline measures — only how fast it runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.coevolution.grid import ToroidalGrid
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import load_synthetic_mnist
 from repro.data.transforms import to_tanh_range
-from repro.profiling import NULL_TIMER, RoutineTimer, TimerSnapshot
 from repro.runtime import pin_blas_threads
 from repro.telemetry import bus as telemetry
 
@@ -50,7 +49,6 @@ class TrainingResult:
     mixture_weights: list[np.ndarray]
     cell_reports: list[list[CellReport]]
     wall_time_s: float
-    timer_snapshots: list[TimerSnapshot] = field(default_factory=list)
 
     @property
     def grid(self) -> ToroidalGrid:
@@ -105,8 +103,7 @@ class SequentialTrainer:
         trainer.start_iteration = checkpoint.iteration
         return trainer
 
-    def step_iteration(self, timers: list[RoutineTimer] | None = None,
-                       on_exchange=None) -> list[CellReport]:
+    def step_iteration(self, on_exchange=None) -> list[CellReport]:
         """Run exactly one synchronous-exchange iteration over all cells.
 
         The exchange semantics match the distributed per-iteration
@@ -114,59 +111,32 @@ class SequentialTrainer:
         then every cell steps against its neighbors' snapshots.
         ``on_exchange`` (optional) is called with the snapshot list between
         the two phases — the hook the :mod:`repro.api` run loop exposes.
-        ``timers`` (optional, one per cell) record the "gather" section at
-        the trainer level because here the exchange is a plain in-memory
-        snapshot (its cost is what Table IV row 1 compares against MPI).
         """
-        with_timing = timers is not None
-        cell_timers = timers if timers is not None else [NULL_TIMER] * len(self.cells)
-        snapshots: list[tuple[Genome, Genome]] = []
-        # One exchange span per iteration: the in-memory snapshot is this
-        # trainer's whole "gather" routine (the distributed backends record
-        # theirs per cell inside MpiCommManager).
-        with telemetry.span("exchange.gather"):
-            for cell, timer in zip(self.cells, cell_timers):
-                if with_timing:
-                    with timer.section("gather"):
-                        snapshots.append(cell.center_genomes())
-                else:
-                    snapshots.append(cell.center_genomes())
+        # The in-memory snapshot is this trainer's whole "gather" routine
+        # (its cost is what Table IV row 1 compares against MPI): one span
+        # per iteration, counted once per cell like the per-cell spans the
+        # distributed backends record inside MpiCommManager.
+        with telemetry.span("exchange.gather", calls=len(self.cells)):
+            snapshots = [cell.center_genomes() for cell in self.cells]
         if on_exchange is not None:
             on_exchange(snapshots)
-        reports: list[CellReport] = []
-        for index, (cell, timer) in enumerate(zip(self.cells, cell_timers)):
-            neighbor_indices = self.grid.neighbors_of(index)
-            if with_timing:
-                with timer.section("gather"):
-                    neighbors = [
-                        (snapshots[j][0].copy(), snapshots[j][1].copy())
-                        for j in neighbor_indices
-                    ]
-            else:
-                neighbors = [snapshots[j] for j in neighbor_indices]
-            reports.append(cell.step(neighbors, timer))
-        return reports
+        return [
+            cell.step([snapshots[j] for j in self.grid.neighbors_of(index)])
+            for index, cell in enumerate(self.cells)
+        ]
 
-    def result(self, wall_time_s: float,
-               timers: list[RoutineTimer] | None = None) -> TrainingResult:
+    def result(self, wall_time_s: float) -> TrainingResult:
         """Assemble the :class:`TrainingResult` for the current cell state."""
-        cell_timers = timers if timers is not None else [NULL_TIMER] * len(self.cells)
         return TrainingResult(
             config=self.config,
             center_genomes=[cell.center_genomes() for cell in self.cells],
             mixture_weights=[cell.mixture.weights.copy() for cell in self.cells],
             cell_reports=[cell.reports for cell in self.cells],
             wall_time_s=wall_time_s,
-            timer_snapshots=[t.snapshot() for t in cell_timers],
         )
 
-    def run(self, timer_factory=None, iterations: int | None = None) -> TrainingResult:
-        """Run the configured number of iterations over all cells.
-
-        ``timer_factory`` (optional) is called once per cell to produce its
-        :class:`RoutineTimer` (see :meth:`step_iteration` for what it
-        records).
-        """
+    def run(self, iterations: int | None = None) -> TrainingResult:
+        """Run the configured number of iterations over all cells."""
         # One core per process is the paper's execution model (Table II);
         # pinning BLAS makes the single-core baseline honestly single-core.
         pin_blas_threads(1)
@@ -174,10 +144,7 @@ class SequentialTrainer:
             total_iterations = iterations
         else:
             total_iterations = self.config.coevolution.iterations - self.start_iteration
-        timers: list[RoutineTimer] | None = (
-            [timer_factory() for _ in self.cells] if timer_factory is not None else None
-        )
         start = time.perf_counter()
         for _ in range(total_iterations):
-            self.step_iteration(timers)
-        return self.result(time.perf_counter() - start, timers)
+            self.step_iteration()
+        return self.result(time.perf_counter() - start)

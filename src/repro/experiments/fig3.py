@@ -2,17 +2,19 @@
 
 The paper's flow diagram shows the master (main thread + heartbeat thread)
 and a representative slave (main thread + execution thread) with their MPI
-interactions.  The regenerator runs a small *traced* distributed job and
-prints the merged, time-ordered event log; the expected event sequence of
-the figure (node info -> run task -> grid assembly -> per-iteration
-exchange+train -> results -> reduction) is checked programmatically.
+interactions.  The regenerator runs a small distributed job at telemetry
+level ``trace`` and prints its protocol marks as one merged, time-ordered
+event log (rank 0 is the master lane, rank r the ``slave-r`` lane); the
+expected event sequence of the figure (node info -> run task -> grid
+assembly -> per-iteration exchange+train -> results -> reduction) is
+checked programmatically.
 """
 
 from __future__ import annotations
 
 from repro.experiments.workloads import quick_config
 from repro.api import Experiment
-from repro.parallel.tracing import EventTrace
+from repro.telemetry import format_mark_timeline, mark_timeline
 
 __all__ = ["run", "format_figure", "EXPECTED_SLAVE_SEQUENCE"]
 
@@ -49,11 +51,11 @@ def _subsequence(events: list[str], expected: tuple[str, ...]) -> bool:
 def run(rows: int = 2, cols: int = 2, backend: str = "threaded") -> dict:
     """Run a traced job and validate both lanes of the flow diagram."""
     config = quick_config(rows, cols, iterations=2)
-    result = Experiment(config).backend(backend, trace=True).run()
+    result = Experiment(config).backend(backend).telemetry("trace").run()
 
     lanes: dict[str, list[str]] = {}
-    for trace in result.traces:
-        lanes[trace.actor] = [event.event for event in trace.events]
+    for _at, actor, event in mark_timeline(result.telemetry):
+        lanes.setdefault(actor, []).append(event.name)
 
     master_ok = _subsequence(lanes.get("master", []), EXPECTED_MASTER_SEQUENCE)
     slaves_ok = {
@@ -62,11 +64,10 @@ def run(rows: int = 2, cols: int = 2, backend: str = "threaded") -> dict:
         if actor.startswith("slave-")
     }
     return {
-        "traces": result.traces,
         "lanes": lanes,
         "master_sequence_ok": master_ok,
         "slave_sequences_ok": slaves_ok,
-        "merged": EventTrace.format_merged(result.traces),
+        "merged": format_mark_timeline(result.telemetry),
     }
 
 

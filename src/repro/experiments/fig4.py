@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.config import ExperimentConfig
 from repro.experiments import table4
-from repro.profiling import ProfileRow, format_fig4_series
+from repro.telemetry import ProfileRow, format_fig4_series
 
 __all__ = ["run", "format_figure"]
 

@@ -16,7 +16,9 @@ gains less than the compute-heavy routines.
 
 Single-core column: per-routine *sums* over all cells (all work on one
 core).  Distributed column: per-routine *maxima* across slaves (they run
-concurrently, so the slowest slave sets the wall time).
+concurrently, so the slowest slave sets the wall time).  Both columns are
+:meth:`repro.api.RunResult.profile` views over the telemetry span totals of
+a ``basic``-level run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from repro.api import Experiment
 from repro.config import ExperimentConfig
 from repro.experiments.workloads import bench_config
-from repro.profiling import ProfileRow, format_table4, profile_rows
+from repro.telemetry import ProfileRow, format_table4, profile_rows
 
 __all__ = ["run", "format_table", "PAPER_VALUES"]
 
@@ -45,10 +47,12 @@ def run(config: ExperimentConfig | None = None,
         config = bench_config(4, 4)
     dataset = Experiment(config).build_dataset()
 
-    sequential = Experiment(config).dataset(dataset).backend("sequential").profile().run()
+    sequential = (Experiment(config).dataset(dataset).backend("sequential")
+                  .telemetry("basic").run())
     single_profile = sequential.profile(parallel=False)
 
-    distributed = Experiment(config).dataset(dataset).backend(backend).profile().run()
+    distributed = (Experiment(config).dataset(dataset).backend(backend)
+                   .telemetry("basic").run())
     distributed_profile = distributed.profile(parallel=True)
 
     return profile_rows(single_profile, distributed_profile)

@@ -53,15 +53,14 @@ chain, or when the loss is not one of the three Mustangs losses.  Both
 paths consume identical RNG streams, so mixed fused/fallback populations
 stay trajectory-identical.
 
-The kill switch ``REPRO_NO_FUSED_KERNELS=1`` (or
-:func:`set_kernels_enabled`) disables the fused path globally; it is what
-the before/after benchmark ``benchmarks/test_train_step.py`` toggles.
+:func:`set_kernels_enabled` / :func:`kernels_disabled` turn the fused path
+off process-wide: how ``tests/test_nn_kernels.py`` gets its autograd
+reference and ``benchmarks/test_train_step.py`` its "before" arm.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 import weakref
 
@@ -100,7 +99,7 @@ __all__ = [
 # Global enable switch
 # ---------------------------------------------------------------------------
 
-_ENABLED = not bool(os.environ.get("REPRO_NO_FUSED_KERNELS"))  # repro: allow[R8] -- kill switch, read once before any kernel is built so every rank agrees
+_ENABLED = True
 
 
 def kernels_enabled() -> bool:

@@ -35,7 +35,6 @@ from repro.parallel.heartbeat import HeartbeatMonitor, SlaveLiveness
 from repro.parallel.master import MasterProcess
 from repro.parallel.slave import SlaveProcess
 from repro.parallel.runner import DistributedResult, DistributedRunner
-from repro.parallel.tracing import EventTrace, TraceEvent
 
 __all__ = [
     "Grid",
@@ -54,6 +53,4 @@ __all__ = [
     "SlaveProcess",
     "DistributedRunner",
     "DistributedResult",
-    "EventTrace",
-    "TraceEvent",
 ]

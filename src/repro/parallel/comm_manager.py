@@ -25,7 +25,6 @@ from repro.mpi import ANY_SOURCE, Comm, MpiTimeoutError
 from repro.mpi.stats import payload_nbytes
 from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply, Tags
-from repro.profiling import NULL_TIMER, RoutineTimer
 from repro.telemetry import bus as telemetry
 
 from repro.parallel.recovery import RESYNC_TIMEOUT_S
@@ -153,8 +152,7 @@ class CommManager:
     # -- training-time exchange ------------------------------------------------------
 
     def exchange_genomes(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                         mode: str, timer: RoutineTimer = NULL_TIMER,
-                         abort_event: threading.Event | None = None,
+                         mode: str, abort_event: threading.Event | None = None,
                          fault_state: "FaultState | None" = None,
                          catch_up: bool = False,
                          resync_until: int | None = None,
@@ -320,8 +318,7 @@ class MpiCommManager(CommManager):
         return cell  # slaves are WORLD ranks 1..N in cell order; LOCAL keeps order
 
     def exchange_genomes(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                         mode: str, timer: RoutineTimer = NULL_TIMER,
-                         abort_event: threading.Event | None = None,
+                         mode: str, abort_event: threading.Event | None = None,
                          fault_state: "FaultState | None" = None,
                          catch_up: bool = False,
                          resync_until: int | None = None,
@@ -346,10 +343,10 @@ class MpiCommManager(CommManager):
         if mode not in EXCHANGE_MODES:
             raise ValueError(f"unknown exchange mode {mode!r}; known: {EXCHANGE_MODES}")
         if mode == "allgather":
-            return self._exchange_allgather(grid, cell_index, payload, timer)
+            return self._exchange_allgather(grid, cell_index, payload)
         if mode == "async":
-            return self._exchange_async(grid, cell_index, payload, timer)
-        return self._exchange_neighbors(grid, cell_index, payload, timer, abort_event,
+            return self._exchange_async(grid, cell_index, payload)
+        return self._exchange_neighbors(grid, cell_index, payload, abort_event,
                                         fault_state, catch_up, resync_until)
 
     @staticmethod
@@ -373,14 +370,14 @@ class MpiCommManager(CommManager):
                             sends * payload_nbytes(payload))
 
     def _exchange_neighbors(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                            timer: RoutineTimer, abort_event: threading.Event | None,
+                            abort_event: threading.Event | None,
                             fault_state: "FaultState | None" = None,
                             catch_up: bool = False,
                             resync_until: int | None = None,
                             ) -> dict[int, ExchangePayload]:
         assert self.local is not None
         iteration = payload.iteration
-        with timer.section("gather"), telemetry.span("exchange.gather"):
+        with telemetry.span("exchange.gather"):
             needed = list(grid.neighbor_cells(cell_index))
             received: dict[int, ExchangePayload] = {}
             # Torus self-edges (any grid dimension of 1: on 1x1 all four
@@ -459,21 +456,21 @@ class MpiCommManager(CommManager):
                     outstanding[message.cell_index] -= 1
         return received
 
-    def _exchange_allgather(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                            timer: RoutineTimer) -> dict[int, ExchangePayload]:
+    def _exchange_allgather(self, grid: Grid, cell_index: int,
+                            payload: ExchangePayload) -> dict[int, ExchangePayload]:
         assert self.local is not None
-        with timer.section("gather"), telemetry.span("exchange.gather"):
+        with telemetry.span("exchange.gather"):
             self._count_exchange(payload, 1)
             everything: list[ExchangePayload] = self.local.allgather(payload)
             wanted = set(grid.neighbor_cells(cell_index))
             return {p.cell_index: p for p in everything if p.cell_index in wanted}
 
-    def _exchange_async(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                        timer: RoutineTimer) -> dict[int, ExchangePayload]:
+    def _exchange_async(self, grid: Grid, cell_index: int,
+                        payload: ExchangePayload) -> dict[int, ExchangePayload]:
         from repro.mpi import ANY_TAG  # LOCAL carries only exchange traffic
 
         assert self.local is not None
-        with timer.section("gather"), telemetry.span("exchange.gather"):
+        with telemetry.span("exchange.gather"):
             consumers = grid.incoming_neighbors(cell_index)
             self._count_exchange(payload, len(consumers))
             for consumer in consumers:

@@ -8,6 +8,9 @@ configuration with all slaves.  It then launches the slaves (run-task
 messages), monitors them through the heartbeat thread, and — once they
 finish — gathers their local results and performs the reduction phase,
 returning the best generative model found.
+
+Every protocol step, fault and membership decision is put on rank 0's
+telemetry timeline with ``telemetry.mark`` — the master lane of Fig. 3.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from repro.parallel.recovery import (
     rejoin_iteration,
     validate_fault_policy,
 )
-from repro.parallel.tracing import EventTrace
 from repro.telemetry import bus as telemetry
 
 __all__ = ["MasterProcess", "MasterOutcome"]
@@ -42,7 +44,7 @@ class MasterOutcome:
 
     def __init__(self, results: dict[int, SlaveResult], dead_ranks: list[int],
                  node_info: list[NodeInfo], placement: dict[int, str],
-                 trace: EventTrace, wall_time_s: float,
+                 wall_time_s: float,
                  degraded_ranks: list[int] | None = None,
                  recovered_ranks: list[int] | None = None,
                  drained_ranks: list[int] | None = None,
@@ -52,7 +54,6 @@ class MasterOutcome:
         self.dead_ranks = dead_ranks
         self.node_info = node_info
         self.placement = placement
-        self.trace = trace
         self.wall_time_s = wall_time_s
         self.degraded_ranks = degraded_ranks or []
         self.recovered_ranks = recovered_ranks or []
@@ -71,8 +72,8 @@ class MasterProcess:
     def __init__(self, comm: CommManager, config: ExperimentConfig, *,
                  platform: ClusterPlatform | None = None,
                  placement_plan: PlacementPlan | None = None,
-                 exchange_mode: str = "neighbors", profile: bool = False,
-                 trace: bool = False, fault_at: dict[int, int] | None = None,
+                 exchange_mode: str = "neighbors",
+                 fault_at: dict[int, int] | None = None,
                  fault_kill: bool = False,
                  heartbeat_interval_s: float | None = None,
                  miss_limit: int = 8,
@@ -87,8 +88,6 @@ class MasterProcess:
         self.platform = platform if platform is not None else cluster_uy()
         self.placement_plan = placement_plan
         self.exchange_mode = exchange_mode
-        self.profile = profile
-        self.trace_enabled = trace
         self.fault_at = dict(fault_at or {})
         self.fault_kill = fault_kill
         self.fault_policy = validate_fault_policy(fault_policy)
@@ -103,7 +102,6 @@ class MasterProcess:
         )
         self.miss_limit = miss_limit
         self.telemetry_level = telemetry_level
-        self.trace = EventTrace(actor="master", enabled=trace)
 
     def run(self) -> MasterOutcome:
         comm = self.comm
@@ -119,7 +117,7 @@ class MasterProcess:
 
         # (i) Gather infrastructure information.
         node_info = comm.collect_node_info()
-        self.trace.record("node info gathered", f"{len(node_info)} slaves")
+        telemetry.mark("node info gathered", f"{len(node_info)} slaves")
 
         # (ii)+(iii) Placement: either the plan the launcher derived from
         # the real host spec (socket backend), or the load-balancing
@@ -135,8 +133,8 @@ class MasterProcess:
         placement = {0: plan.task_nodes[0]}
         for i, rank in enumerate(slave_ranks):
             placement[rank] = plan.task_nodes[i + 1]
-        self.trace.record("placement decided",
-                          f"{len(plan.tasks_per_node())} nodes, max load {plan.max_load()}")
+        telemetry.mark("placement decided",
+                       f"{len(plan.tasks_per_node())} nodes, max load {plan.max_load()}")
 
         # (iv) Share the parameter configuration; launch the slaves.
         config_json = config.to_json()
@@ -149,21 +147,19 @@ class MasterProcess:
                 grid_payload=grid.to_payload(),
                 assigned_node=placement[rank],
                 exchange_mode=self.exchange_mode,
-                profile=self.profile,
-                trace=self.trace_enabled,
                 telemetry_level=slave_telemetry,
                 fault_at_iteration=self.fault_at.get(cell_index),
                 fault_kill=self.fault_kill,
                 fault_policy=self.fault_policy,
                 snapshot_every=self.snapshot_every,
             ))
-        self.trace.record("run tasks sent", f"{len(slave_ranks)} slaves")
+        telemetry.mark("run tasks sent", f"{len(slave_ranks)} slaves")
 
         # Join the collective context derivation (LOCAL excludes the master).
         comm.build_contexts(is_active_slave=False)
 
         # Background monitoring (Fig. 3: "Create heartbeat thread").
-        self.trace.record("create heartbeat thread")
+        telemetry.mark("create heartbeat thread")
         monitor = HeartbeatMonitor(
             comm, slave_ranks,
             interval_s=self.heartbeat_interval_s, miss_limit=self.miss_limit,
@@ -237,7 +233,7 @@ class MasterProcess:
                     dead_now = sorted(set(monitor.dead_ranks()) - vacant)
                     if dead_now:
                         with telemetry.span("fault.detected", rank=0):
-                            self.trace.record(
+                            telemetry.mark(
                                 "slave failure detected",
                                 ", ".join(str(r) for r in dead_now))
                             if self.fault_policy == "abort":
@@ -271,13 +267,12 @@ class MasterProcess:
 
         # Reduction phase happens in the runner (it has the metric context);
         # the master returns everything it gathered.
-        self.trace.record("final results gathered", f"{len(results)} cells")
+        telemetry.mark("final results gathered", f"{len(results)} cells")
         return MasterOutcome(
             results=results,
             dead_ranks=sorted(handled_dead | set(monitor.dead_ranks())),
             node_info=node_info,
             placement=placement,
-            trace=self.trace,
             wall_time_s=time.perf_counter() - start,
             degraded_ranks=sorted(degraded_ranks),
             recovered_ranks=sorted(recovered_ranks),
@@ -302,9 +297,9 @@ class MasterProcess:
             # adopted) has reported; until then the heartbeat keeps watch.
             resurrected = monitor.mark_finished(sender)
             if resurrected:
-                self.trace.record("rank resurrected by result", f"rank {sender}")
+                telemetry.mark("rank resurrected by result", f"rank {sender}")
         label = "recovered result received" if result.recovered else "result received"
-        self.trace.record(label, f"cell {result.cell_index} from rank {sender}")
+        telemetry.mark(label, f"cell {result.cell_index} from rank {sender}")
 
     def _drain_snapshots(self, store: CellCheckpointStore) -> None:
         if not self.snapshot_every:
@@ -444,9 +439,9 @@ class MasterProcess:
                 outstanding.setdefault(rank, set()).add(cell)
                 monitor.revive(rank)
                 recovered_ranks.add(rank)
-                self.trace.record("rank respawned",
-                                  f"rank {rank} resumes cell {cell} at "
-                                  f"iteration {snap.iteration}, rejoin {rejoin}")
+                telemetry.mark("rank respawned",
+                               f"rank {rank} resumes cell {cell} at "
+                               f"iteration {snap.iteration}, rejoin {rejoin}")
             elif self.fault_policy == "recover":
                 adopter = plan.get(cell)
                 if adopter is not None:
@@ -461,7 +456,7 @@ class MasterProcess:
                     outstanding.setdefault(adopter, set()).add(cell)
                     recovered_ranks.add(rank)
                     with telemetry.span("fault.migrated", rank=0):
-                        self.trace.record(
+                        telemetry.mark(
                             "cell migrated",
                             f"cell {cell} -> rank {adopter} from iteration "
                             f"{snap.iteration}, rejoin {rejoin}")
@@ -492,8 +487,6 @@ class MasterProcess:
                     grid_payload=grid.to_payload(),
                     assigned_node=placement[rank],
                     exchange_mode=self.exchange_mode,
-                    profile=self.profile,
-                    trace=self.trace_enabled,
                     telemetry_level=slave_telemetry,
                     fault_policy=self.fault_policy,
                     snapshot_every=self.snapshot_every,
@@ -536,8 +529,8 @@ class MasterProcess:
             comm.send_drain_ack(rank)  # duplicate or already-departed
             return False
         with telemetry.span("elastic.drain", rank=0):
-            self.trace.record("drain notice received",
-                              f"rank {rank}, {len(drain.snapshots)} cell(s)")
+            telemetry.mark("drain notice received",
+                           f"rank {rank}, {len(drain.snapshots)} cell(s)")
             for snap in drain.snapshots:
                 store.update(snap)
             while True:
@@ -593,7 +586,7 @@ class MasterProcess:
                         epoch=epoch)
                     hosted.setdefault(adopter, set()).add(cell)
                     outstanding.setdefault(adopter, set()).add(cell)
-                    self.trace.record(
+                    telemetry.mark(
                         "cell handed off",
                         f"cell {cell} -> rank {adopter} from iteration "
                         f"{snap.iteration}, rejoin {rejoin}")
@@ -675,7 +668,7 @@ class MasterProcess:
                 hosted.setdefault(rank, set()).add(cell)
                 outstanding.setdefault(rank, set()).add(cell)
                 recovered_ranks.add(rank)
-                self.trace.record(
+                telemetry.mark(
                     "joiner reclaims degraded cell",
                     f"rank {rank} resumes cell {cell} at iteration "
                     f"{snap.iteration}, rejoin {rejoin}")
@@ -685,8 +678,6 @@ class MasterProcess:
                     grid_payload=grid.to_payload(),
                     assigned_node=placement[rank],
                     exchange_mode=self.exchange_mode,
-                    profile=self.profile,
-                    trace=self.trace_enabled,
                     telemetry_level=slave_telemetry,
                     fault_policy=self.fault_policy,
                     snapshot_every=self.snapshot_every,
@@ -700,16 +691,14 @@ class MasterProcess:
                 standby_ranks.add(rank)
                 hosted[rank] = set()
                 outstanding.setdefault(rank, set())
-                self.trace.record("standby joiner parked",
-                                  f"rank {rank} at epoch {epoch}")
+                telemetry.mark("standby joiner parked",
+                               f"rank {rank} at epoch {epoch}")
                 comm.send_run_task(rank, RunTask(
                     config_json=config_json,
                     cell_index=cell,
                     grid_payload=grid.to_payload(),
                     assigned_node=placement.get(rank, info.node_name),
                     exchange_mode=self.exchange_mode,
-                    profile=self.profile,
-                    trace=self.trace_enabled,
                     telemetry_level=slave_telemetry,
                     fault_policy=self.fault_policy,
                     snapshot_every=self.snapshot_every,
@@ -732,8 +721,8 @@ class MasterProcess:
             discriminator_genome=snap.discriminator_genome,
             mixture_weights=snap.mixture_weights,
             reports=[])
-        self.trace.record("cell frozen",
-                          f"cell {cell} degraded at iteration {snap.iteration}")
+        telemetry.mark("cell frozen",
+                       f"cell {cell} degraded at iteration {snap.iteration}")
         frozen = FrozenCell(
             cell_index=cell, iteration=snap.iteration,
             generator_genome=snap.generator_genome,
@@ -758,7 +747,7 @@ class MasterProcess:
                 reborn[info.rank] = info
                 pending.discard(info.rank)
         deadline = time.monotonic() + self.restart_grace_s
-        self.trace.record("awaiting respawn", ", ".join(str(r) for r in want))
+        telemetry.mark("awaiting respawn", ", ".join(str(r) for r in want))
         while pending and time.monotonic() < deadline:
             info = self.comm.try_collect_node_info(timeout=0.1)
             if info is not None and info.rank in pending:

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.coevolution.cell import CellReport
 from repro.coevolution.genome import Genome
-from repro.profiling import TimerSnapshot
 
 __all__ = ["Tags", "NodeInfo", "RunTask", "StatusReply", "SlaveResult", "ExchangePayload"]
 
@@ -60,8 +59,6 @@ class RunTask:
     grid_payload: dict[str, Any]
     assigned_node: str
     exchange_mode: str = "neighbors"
-    profile: bool = False
-    trace: bool = False
     telemetry_level: str | None = None
     """Telemetry level the slave must adopt (``off``/``basic``/``trace``).
     Shipped in-band because remote socket workers do not inherit the
@@ -110,8 +107,6 @@ class SlaveResult:
     discriminator_genome: Genome
     mixture_weights: np.ndarray
     reports: list[CellReport] = field(default_factory=list)
-    timer: TimerSnapshot | None = None
-    trace_events: list[Any] = field(default_factory=list)
     telemetry: Any = None
     """This rank's :class:`repro.telemetry.bus.TelemetrySnapshot` (or
     ``None`` when telemetry is off) — the in-band fallback for workers

@@ -48,8 +48,6 @@ from repro.mpi.transport import available_transports
 from repro.parallel.comm_manager import MpiCommManager
 from repro.parallel.master import MasterOutcome, MasterProcess
 from repro.parallel.slave import SlaveProcess
-from repro.parallel.tracing import EventTrace
-from repro.profiling import TimerSnapshot, merge_snapshots
 from repro.runtime import pin_blas_threads
 from repro.telemetry import bus as telemetry
 
@@ -141,14 +139,14 @@ class DistributedResult:
     training: TrainingResult
     outcome_placement: dict[int, str]
     dead_ranks: list[int] = field(default_factory=list)
-    traces: list[EventTrace] = field(default_factory=list)
-    slave_timers: list[TimerSnapshot] = field(default_factory=list)
     master_wall_time_s: float = 0.0
     transport_stats: list[TransportStats] = field(default_factory=list)
     """Per-rank message/byte counters, rank order (rank 0 is the master)."""
     telemetry: Any = None
     """Merged :class:`repro.telemetry.bus.MergedTelemetry` across every rank
-    plus the launcher (``None`` when telemetry was off for the run)."""
+    plus the launcher (``None`` when telemetry was off for the run) — the
+    source of the Table IV profile and, at ``trace`` level, of the Fig. 3
+    master/slave protocol lanes."""
     fault_policy: str = "abort"
     degraded_ranks: list[int] = field(default_factory=list)
     """Ranks whose cells finished frozen at their last checkpoint (degrade
@@ -189,14 +187,6 @@ class DistributedResult:
             return True
         return not self.degraded_ranks
 
-    def distributed_profile(self) -> TimerSnapshot:
-        """Wall-clock view of the four routines: max across concurrent slaves."""
-        return merge_snapshots(self.slave_timers, parallel=True)
-
-    def total_work_profile(self) -> TimerSnapshot:
-        """CPU-work view: per-routine sum over all slaves."""
-        return merge_snapshots(self.slave_timers, parallel=False)
-
     def to_servable(self, cell: int | None = None):
         """Hand the reduced result to the serving layer (see
         :meth:`TrainingResult.to_servable`)."""
@@ -207,8 +197,8 @@ class DistributedRunner:
     """Configure once, then :meth:`run`."""
 
     def __init__(self, config: ExperimentConfig, *, backend: str | None = None,
-                 exchange_mode: str = "neighbors", profile: bool = False,
-                 trace: bool = False, platform: ClusterPlatform | None = None,
+                 exchange_mode: str = "neighbors",
+                 platform: ClusterPlatform | None = None,
                  placement: PlacementPlan | None = None,
                  fault_at: dict[int, int] | None = None,
                  fault_kill: bool = False,
@@ -273,8 +263,6 @@ class DistributedRunner:
         if max_restarts and fault_policy != "recover":
             raise ValueError("max_restarts only applies to fault_policy='recover'")
         self.exchange_mode = exchange_mode
-        self.profile = profile
-        self.trace = trace
         self.platform = platform
         self.placement = placement
         self.fault_at = fault_at
@@ -407,8 +395,6 @@ class DistributedRunner:
             platform=platform,
             placement_plan=plan,
             exchange_mode=self.exchange_mode,
-            profile=self.profile,
-            trace=self.trace,
             fault_at=self.fault_at,
             fault_kill=self.fault_kill,
             fault_policy=self.fault_policy,
@@ -465,17 +451,10 @@ class DistributedRunner:
         genomes: list[tuple[Genome, Genome] | None] = [None] * cells
         mixtures: list[np.ndarray | None] = [None] * cells
         reports: list[list[CellReport]] = [[] for _ in range(cells)]
-        timers: list[TimerSnapshot] = []
-        traces: list[EventTrace] = [outcome.trace]
         for cell_index, result in sorted(outcome.results.items()):
             genomes[cell_index] = (result.generator_genome, result.discriminator_genome)
             mixtures[cell_index] = result.mixture_weights
             reports[cell_index] = result.reports
-            if result.timer is not None:
-                timers.append(result.timer)
-            if result.trace_events:
-                traces.append(EventTrace(actor=f"slave-{result.rank}",
-                                         events=list(result.trace_events)))
 
         present = [g for g in genomes if g is not None]
         if not present:
@@ -500,7 +479,6 @@ class DistributedRunner:
             ],
             cell_reports=reports,
             wall_time_s=wall_time_s,
-            timer_snapshots=timers,
         )
         # Telemetry merge: prefer the transport-level per-rank snapshots,
         # add the in-band SlaveResult copies (the fallback path) and the
@@ -520,8 +498,6 @@ class DistributedRunner:
             training=training,
             outcome_placement=outcome.placement,
             dead_ranks=outcome.dead_ranks,
-            traces=traces,
-            slave_timers=timers,
             master_wall_time_s=outcome.wall_time_s,
             transport_stats=list(transport_stats or []),
             telemetry=merged,

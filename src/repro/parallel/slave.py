@@ -9,15 +9,18 @@ Two threads, exactly as the paper describes:
   exchanges center genomes with its neighbors through the comm-manager
   (the profiled ``gather``) and runs the cell step.
 
+Both threads put their protocol steps (the boxes of Fig. 3) on the rank's
+telemetry timeline with ``telemetry.mark``.
+
 Lifecycle (Fig. 2): the slave starts ``inactive``, becomes ``processing``
 when the *run task* message arrives, and ``finished`` after the last
 iteration, at which point it ships its local results to the master.
 
 The cell step itself runs on the fused train-step kernels of
 :mod:`repro.nn.kernels` (bit-identical to the autograd tape, automatic
-fallback; kill switch ``REPRO_NO_FUSED_KERNELS=1``), so the slave's
-``train`` profile row measures the same kernels as the sequential
-baseline — the speedup columns of Table IV stay apples to apples.
+fallback), so the slave's ``train`` profile row measures the same kernels
+as the sequential baseline — the speedup columns of Table IV stay apples
+to apples.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
 from repro.parallel.recovery import RESYNC_WINDOW, FaultState, FrozenCell
 from repro.parallel.states import SlaveStateMachine
-from repro.parallel.tracing import EventTrace
-from repro.profiling import NULL_TIMER, RoutineTimer
 from repro.telemetry import bus as telemetry
 
 __all__ = ["SlaveProcess", "InjectedFault", "DrainRequested"]
@@ -69,7 +70,6 @@ class SlaveProcess:
         self.poll_interval_s = poll_interval_s
         self.machine = SlaveStateMachine()
         self.abort_event = threading.Event()
-        self.trace = EventTrace(actor=f"slave-{comm.rank}", enabled=False)
         self._iteration = 0
         self._iteration_lock = threading.Lock()
         self._execution_error: BaseException | None = None
@@ -99,12 +99,11 @@ class SlaveProcess:
         comm.send_node_info(NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
         # 2. Wait for the workload (state: inactive).
         task = comm.wait_for_run_task()
-        self.trace.enabled = task.trace
         if task.telemetry_level is not None:
             # In-band level propagation: remote socket workers never saw
             # the master's REPRO_TELEMETRY environment.
             telemetry.set_level(task.telemetry_level)
-        self.trace.record("run task received", f"cell {task.cell_index}")
+        telemetry.mark("run task received", f"cell {task.cell_index}")
         self.machine.start_processing()
         if task.standby:
             # An elastically-joined rank with no cell of its own: park,
@@ -123,11 +122,10 @@ class SlaveProcess:
         config = ExperimentConfig.from_json(task.config_json)
         grid = Grid.from_payload(task.grid_payload)
         self._task, self._config, self._grid = task, config, grid
-        timer = RoutineTimer() if task.profile else NULL_TIMER
         result_box: dict[str, SlaveResult] = {}
         execution = threading.Thread(
             target=self._execution_main,
-            args=(task, config, grid, timer, result_box),
+            args=(task, config, grid, result_box),
             name=f"slave-{comm.rank}-exec",
             daemon=True,
         )
@@ -152,8 +150,10 @@ class SlaveProcess:
                 # Ship the own-cell result as soon as it exists — the
                 # master should not wait for adopted cells to see it.
                 result = result_box["result"]
-                self.trace.record("send results to master")
-                result.trace_events = list(self.trace.events)  # include the send event
+                telemetry.mark("send results to master")
+                if telemetry.tracing():
+                    # Retake the in-band copy so it includes the send mark.
+                    result.telemetry = telemetry.snapshot(comm.rank)
                 comm.send_result(result)
                 own_shipped = True
             if own_shipped and not any(t.is_alive() for t in self._adopted_threads):
@@ -179,13 +179,13 @@ class SlaveProcess:
     def _serve_master_once(self) -> None:
         if self.comm.poll_abort():
             self.abort_event.set()
-            self.trace.record("abort received")
+            telemetry.mark("abort received")
         if not self._drain.is_set() and elastic.drain_requested(self.comm.rank):
             # Set by the transport (DRAIN wire frame, `repro drain`) or by a
             # signal handler (SIGTERM on `repro worker`); the execution
             # threads observe the event at their next iteration boundary.
             self._drain.set()
-            self.trace.record("drain requested")
+            telemetry.mark("drain requested")
         while True:
             notice = self.comm.poll_fault_notice()
             if notice is None:
@@ -222,7 +222,7 @@ class SlaveProcess:
         config = ExperimentConfig.from_json(task.config_json)
         grid = Grid.from_payload(task.grid_payload)
         self._task, self._config, self._grid = task, config, grid
-        self.trace.record("standby", "parked, ready to adopt")
+        telemetry.mark("standby", "parked, ready to adopt")
         while True:
             self._serve_master_once()
             live_adopted = any(t.is_alive() for t in self._adopted_threads)
@@ -265,7 +265,7 @@ class SlaveProcess:
             ))
         notice = elastic.DrainNotice(rank=comm.rank, snapshots=tuple(snapshots))
         comm.send_drain_notice(notice)
-        self.trace.record("drain notice sent", f"{len(snapshots)} cell(s)")
+        telemetry.mark("drain notice sent", f"{len(snapshots)} cell(s)")
         deadline = time.monotonic() + DRAIN_ACK_TIMEOUT_S
         acked = False
         while time.monotonic() < deadline:
@@ -279,7 +279,7 @@ class SlaveProcess:
         elastic.mark_drained(comm.rank)
         self.machine.finish()
         self._serve_master_once()
-        self.trace.record("drained", "acked" if acked else "ack timeout")
+        telemetry.mark("drained", "acked" if acked else "ack timeout")
 
     def _apply_fault_notice(self, notice) -> None:
         """Record dead cells; adopt the ones assigned to this rank.
@@ -291,7 +291,7 @@ class SlaveProcess:
         fresh = self.fault_state.apply(notice)
         if not fresh:
             return
-        self.trace.record(
+        telemetry.mark(
             "fault notice received",
             f"cells {[fc.cell_index for fc in fresh]} ({notice.policy})")
         for frozen in fresh:
@@ -308,12 +308,12 @@ class SlaveProcess:
     # -- execution thread ----------------------------------------------------------------
 
     def _execution_main(self, task: RunTask, config: ExperimentConfig, grid: Grid,
-                        timer: RoutineTimer, result_box: dict) -> None:
+                        result_box: dict) -> None:
         # The execution thread is not the rank's endpoint thread, so it
         # must bind itself for its spans to land in this rank's buffer.
         telemetry.bind_rank(self.comm.rank)
         try:
-            result = self._train(task, config, grid, timer)
+            result = self._train(task, config, grid)
         except DrainRequested as exc:
             # No result: the main thread checkpoints the cell into a
             # DrainNotice and the adopting rank ships the real result.
@@ -321,16 +321,16 @@ class SlaveProcess:
             return
         except ExchangeAborted as exc:
             self._execution_error = exc
-            result = self._partial_result(task, timer, aborted=True)
+            result = self._partial_result(task, aborted=True)
         except BaseException as exc:  # noqa: BLE001 - forwarded to the main thread
             self._execution_error = exc
             return
         result_box["result"] = result
 
-    def _train(self, task: RunTask, config: ExperimentConfig, grid: Grid,
-               timer: RoutineTimer) -> SlaveResult:
+    def _train(self, task: RunTask, config: ExperimentConfig,
+               grid: Grid) -> SlaveResult:
         cell_index = task.cell_index
-        self.trace.record("assemble execution grid", f"{grid.rows}x{grid.cols}")
+        telemetry.mark("assemble execution grid", f"{grid.rows}x{grid.cols}")
         cell = Cell(config, cell_index, self.dataset,
                     neighborhood_size=grid.neighborhood_size(cell_index))
         self._cell = cell
@@ -344,11 +344,11 @@ class SlaveProcess:
             start, rejoin = snapshot.iteration, task.resume.rejoin_iteration
             with self._iteration_lock:
                 self._iteration = start
-            self.trace.record("resume from checkpoint",
-                              f"iteration {start}, rejoin {rejoin}")
-        self.trace.record("start training")
+            telemetry.mark("resume from checkpoint",
+                           f"iteration {start}, rejoin {rejoin}")
+        telemetry.mark("start training")
         result = self._train_cell(
-            task, config, grid, cell, timer, cell_index=cell_index,
+            task, config, grid, cell, cell_index=cell_index,
             start=start, rejoin=rejoin,
             inject_fault=task.resume is None, track_iteration=True,
         )
@@ -356,7 +356,7 @@ class SlaveProcess:
         return result
 
     def _train_cell(self, task: RunTask, config: ExperimentConfig, grid: Grid,
-                    cell: Cell, timer: RoutineTimer, *, cell_index: int,
+                    cell: Cell, *, cell_index: int,
                     start: int = 0, rejoin: int = 0, inject_fault: bool = False,
                     track_iteration: bool = False) -> SlaveResult:
         """The per-iteration loop, shared by the primary cell, a resumed
@@ -388,16 +388,16 @@ class SlaveProcess:
             own_g, own_d = cell.center_genomes()
             payload = ExchangePayload(cell_index, iteration, own_g, own_d,
                                       epoch=self.fault_state.current_epoch())
-            self.trace.record("get results from neighbours", f"iteration {iteration}")
+            telemetry.mark("get results from neighbours", f"iteration {iteration}")
             received = self.comm.exchange_genomes(
-                grid, cell_index, payload, task.exchange_mode, timer, self.abort_event,
+                grid, cell_index, payload, task.exchange_mode, self.abort_event,
                 fault_state=self.fault_state,
                 catch_up=iteration < rejoin,
                 resync_until=resync_until,
             )
             neighbors = self._order_neighbors(grid, cell_index, received, cell)
-            self.trace.record("train one iteration", f"iteration {iteration}")
-            cell.step(neighbors, timer)
+            telemetry.mark("train one iteration", f"iteration {iteration}")
+            cell.step(neighbors)
             self._cell_iterations[cell_index] = iteration + 1
             if track_iteration:
                 with self._iteration_lock:
@@ -413,7 +413,7 @@ class SlaveProcess:
                     mixture_weights=cell.mixture.weights.copy(),
                 ))
         self._completed_cells.add(cell_index)
-        return self._final_result(task, cell, timer, cell_index=cell_index)
+        return self._final_result(task, cell, cell_index=cell_index)
 
     def _adopted_main(self, frozen: FrozenCell) -> None:
         """Second execution thread: train an adopted cell to completion.
@@ -427,33 +427,32 @@ class SlaveProcess:
         task, config, grid = self._task, self._config, self._grid
         assert task is not None and config is not None and grid is not None
         cell_index = frozen.cell_index
-        self.trace.record("adopt cell", f"cell {cell_index} from iteration {frozen.iteration}")
-        timer = RoutineTimer() if task.profile else NULL_TIMER
+        telemetry.mark("adopt cell", f"cell {cell_index} from iteration {frozen.iteration}")
         try:
             cell = Cell(config, cell_index, self.dataset,
                         neighborhood_size=grid.neighborhood_size(cell_index))
             cell.restore(frozen.generator_genome, frozen.discriminator_genome,
                          frozen.mixture_weights, frozen.iteration)
             result = self._train_cell(
-                task, config, grid, cell, timer, cell_index=cell_index,
+                task, config, grid, cell, cell_index=cell_index,
                 start=frozen.iteration, rejoin=frozen.rejoin_iteration,
                 inject_fault=False, track_iteration=False,
             )
         except DrainRequested:
             # The host rank is leaving; the main thread hands this cell's
             # checkpoint to the master inside its DrainNotice.
-            self.trace.record("adopted cell draining", f"cell {cell_index}")
+            telemetry.mark("adopted cell draining", f"cell {cell_index}")
             return
         except ExchangeAborted:
             # The run is being torn down; the master no longer waits for
             # this cell, so there is nothing useful to ship.
-            self.trace.record("adopted cell aborted", f"cell {cell_index}")
+            telemetry.mark("adopted cell aborted", f"cell {cell_index}")
             return
         except BaseException as exc:  # noqa: BLE001 - adoption must not kill the host
-            self.trace.record("adopted cell failed", f"cell {cell_index}: {exc!r}")
+            telemetry.mark("adopted cell failed", f"cell {cell_index}: {exc!r}")
             return
         result.recovered = True
-        self.trace.record("send adopted results to master", f"cell {cell_index}")
+        telemetry.mark("send adopted results to master", f"cell {cell_index}")
         self.comm.send_result(result)
 
     @staticmethod
@@ -483,7 +482,7 @@ class SlaveProcess:
 
     # -- results --------------------------------------------------------------------------
 
-    def _final_result(self, task: RunTask, cell: Cell, timer: RoutineTimer, *,
+    def _final_result(self, task: RunTask, cell: Cell, *,
                       cell_index: int | None = None) -> SlaveResult:
         g_genome, d_genome = cell.center_genomes()
         return SlaveResult(
@@ -493,17 +492,14 @@ class SlaveProcess:
             discriminator_genome=d_genome,
             mixture_weights=cell.mixture.weights.copy(),
             reports=cell.reports,
-            timer=timer.snapshot() if timer is not NULL_TIMER else None,
-            trace_events=list(self.trace.events),
             telemetry=(telemetry.snapshot(self.comm.rank)
                        if telemetry.enabled() else None),
         )
 
-    def _partial_result(self, task: RunTask, timer: RoutineTimer, *,
-                        aborted: bool) -> SlaveResult:
+    def _partial_result(self, task: RunTask, *, aborted: bool) -> SlaveResult:
         cell = getattr(self, "_cell", None)
         if cell is None:  # pragma: no cover - abort raced the cell construction
             raise RuntimeError("aborted before the cell was constructed")
-        result = self._final_result(task, cell, timer)
+        result = self._final_result(task, cell)
         result.aborted = aborted
         return result

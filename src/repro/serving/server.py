@@ -28,7 +28,6 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from repro.profiling.timer import RoutineTimer, TimerSnapshot
 from repro.runtime import pin_blas_threads
 from repro.serving.api import (
     SampleRequest,
@@ -41,7 +40,7 @@ from repro.serving.api import (
 from repro.serving.cache import LRUSampleCache, SamplePool
 from repro.serving.engine import BatchingEngine
 from repro.serving.registry import ModelRegistry, ServableEnsemble
-from repro.telemetry import bus as telemetry
+from repro.telemetry import TimerSnapshot, bus as telemetry
 
 __all__ = ["GeneratorServer"]
 
@@ -87,7 +86,9 @@ class GeneratorServer:
         self._seed_rng = np.random.default_rng(seed)  # guarded by _lock
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=4096)
-        self._timer = RoutineTimer()
+        # Cumulative serve time and calls per path; guarded by _lock.
+        self._path_seconds: dict[str, float] = {}
+        self._path_calls: dict[str, int] = {}
         self._requests = 0
         self._rejected = 0
         self._samples = 0
@@ -262,9 +263,9 @@ class GeneratorServer:
             self._requests += 1
             self._samples += images.shape[0]
             self._latencies.append(latency)
-            # Per-path serve time in the paper's profiling vocabulary
-            # (repro.profiling.timer); see :meth:`profile`.
-            self._timer.add(cached or "engine", latency)
+            path = cached or "engine"
+            self._path_seconds[path] = self._path_seconds.get(path, 0.0) + latency
+            self._path_calls[path] = self._path_calls.get(path, 0) + 1
         if telemetry.enabled():
             telemetry.count("serving.requests")
             telemetry.count("serving.samples", images.shape[0])
@@ -274,7 +275,7 @@ class GeneratorServer:
     def profile(self) -> "TimerSnapshot":
         """Cumulative serve time split by path (``engine``/``lru``/``pool``)."""
         with self._lock:
-            return self._timer.snapshot()
+            return TimerSnapshot(dict(self._path_seconds), dict(self._path_calls))
 
     def _immediate(self, request: SampleRequest, images: np.ndarray,
                    cached: str, start: float) -> "Future[SampleResponse]":

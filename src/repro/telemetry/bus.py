@@ -22,12 +22,12 @@ Design constraints, in priority order:
    span events carry monotonic timestamps only.  At merge time each rank's
    events are aligned as ``anchor_wall + (t - anchor_mono)`` — cross-rank
    skew collapses to one constant per rank instead of per-event wall-clock
-   jitter (the same fix :mod:`repro.parallel.tracing` applies to the
-   Fig. 3 protocol traces).
+   jitter, and an NTP step mid-run cannot reorder a rank's events.
 
 Levels: ``off`` records nothing, ``basic`` accumulates per-span totals and
 counters/gauges (dict updates, no event log), ``trace`` additionally logs
-every span as a timeline event for the Perfetto export.  Set via the
+every span — and every :func:`mark` — as a timeline event for the Perfetto
+export and the Fig. 3 protocol lanes.  Set via the
 ``REPRO_TELEMETRY`` environment variable or :func:`set_level` (which also
 exports the variable, so forked and spawned workers inherit the choice).
 """
@@ -53,6 +53,7 @@ __all__ = [
     "enabled",
     "tracing",
     "span",
+    "mark",
     "count",
     "gauge",
     "bind_rank",
@@ -93,7 +94,9 @@ class SpanEvent:
     """One completed span on a rank's timeline (``trace`` level only).
 
     ``start`` is monotonic (``time.perf_counter``) — meaningful only next
-    to the owning snapshot's anchors.
+    to the owning snapshot's anchors.  ``instant`` events come from
+    :func:`mark`: a point on the timeline (``duration`` 0.0) that no span
+    total counts.
     """
 
     name: str
@@ -101,6 +104,7 @@ class SpanEvent:
     duration: float
     thread: str
     attrs: dict | None = None
+    instant: bool = False
 
 
 @dataclass
@@ -296,6 +300,27 @@ def span(name: str, rank: int | None = None, attrs: dict | None = None,
     return _Span(_resolve(rank), name, attrs, calls)
 
 
+def mark(name: str, detail: str = "", rank: int | None = None) -> None:
+    """Put a point event on the timeline: ``telemetry.mark("run tasks sent")``.
+
+    Protocol steps, fault and membership events (the boxes of the paper's
+    Fig. 3) — things that happen at an instant rather than take time.
+    Recorded at ``trace`` level only, on the same anchored clock as the
+    spans; a no-op (no allocation, no clock read) at ``off`` and ``basic``.
+    """
+    if _LEVEL < TRACE:
+        return
+    event = SpanEvent(
+        name=name, start=time.perf_counter(), duration=0.0,
+        thread=threading.current_thread().name,
+        attrs={"detail": detail} if detail else None, instant=True,
+    )
+    buffer = _resolve(rank)
+    with buffer.lock:
+        lockcheck.check_owned(buffer.lock, "telemetry mark buffer")
+        buffer.events.append(event)
+
+
 def count(name: str, value: float = 1.0, rank: int | None = None) -> None:
     """Add to a monotonic counter (no-op when telemetry is off)."""
     if not _LEVEL:
@@ -350,9 +375,9 @@ class MergedTelemetry:
     Counters and span call counts are summed across ranks; gauges keep the
     per-rank values (summing queue depths across ranks is meaningless, so
     the aggregate view exposes the peak).  Span *wall* totals are summed
-    too — the parallel=max reading of Table IV lives in
-    :func:`repro.profiling.timer.merge_snapshots`, reachable via
-    :meth:`per_rank` + the ``timer_snapshot`` adapter.
+    too — the parallel=max reading of Table IV is
+    :func:`repro.telemetry.summary.routine_profile`, computed from
+    :attr:`snapshots`.
     """
 
     snapshots: list[TelemetrySnapshot] = field(default_factory=list)

@@ -3,10 +3,11 @@
 Three read-side formats for one :class:`~repro.telemetry.bus.MergedTelemetry`:
 
 * :func:`to_perfetto` / :func:`write_trace` — Chrome/Perfetto trace-event
-  JSON.  Every span becomes one complete (``"ph": "X"``) event; each rank
+  JSON.  Every span becomes one complete (``"ph": "X"``) event and every
+  mark one thread-scoped instant (``"ph": "i"``) event; each rank
   is a process (``pid``), each recording thread a track (``tid``), with
   ``"M"`` metadata events naming both.  Timestamps are the wall-aligned
-  span starts, rebased to the earliest span and expressed in microseconds,
+  event starts, rebased to the earliest event and expressed in microseconds,
   so a 2-rank socket run opens in https://ui.perfetto.dev with the ranks'
   train/exchange spans on parallel tracks.
 * :func:`to_prometheus` / :func:`parse_prometheus` — text exposition for
@@ -46,7 +47,7 @@ def _pid_for(snapshot: TelemetrySnapshot) -> tuple[int, str]:
 def to_perfetto(merged: MergedTelemetry) -> dict:
     """Render the merged timeline as a Chrome/Perfetto trace-event dict."""
     trace_events: list[dict] = []
-    # Rebase to the earliest aligned span start so ts values stay small.
+    # Rebase to the earliest aligned event so ts values stay small.
     starts = [snap.wall_time(event.start)
               for snap in merged.snapshots for event in snap.events]
     t0 = min(starts) if starts else 0.0
@@ -70,14 +71,16 @@ def to_perfetto(merged: MergedTelemetry) -> dict:
                     "args": {"name": event.thread},
                 })
             record = {
-                "ph": "X",
                 "name": event.name,
                 "pid": pid,
                 "tid": tid,
                 "ts": round((snapshot.wall_time(event.start) - t0) * 1e6, 3),
-                "dur": round(event.duration * 1e6, 3),
-                "cat": event.name.partition(".")[0],
             }
+            if event.instant:
+                record.update(ph="i", s="t", cat="mark")
+            else:
+                record.update(ph="X", dur=round(event.duration * 1e6, 3),
+                              cat=event.name.partition(".")[0])
             if event.attrs:
                 record["args"] = dict(event.attrs)
             trace_events.append(record)

@@ -110,11 +110,13 @@ class TestRunResult:
         assert result.trainer is None
         assert result.iterations_run == 1
 
-    def test_profile_snapshots(self, cache_dir):
+    def test_profile_is_a_view_over_the_run_telemetry(self, cache_dir, telemetry_bus):
         config = make_quick_config(iterations=1)
-        result = Experiment(config).backend("sequential").profile().run()
+        result = Experiment(config).backend("sequential").telemetry("basic").run()
         total = result.profile(parallel=False)
-        assert total.totals.get("train", 0.0) > 0.0
+        assert total.seconds("train") == result.telemetry.span_seconds("cell.train") > 0.0
+        untimed = Experiment(config).backend("sequential").run()
+        assert untimed.profile().totals == {}  # telemetry off: nothing to view
 
     def test_to_servable(self, cache_dir):
         config = make_quick_config(iterations=1)

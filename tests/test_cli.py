@@ -96,23 +96,42 @@ class TestCommands:
         assert main(["fig", "2"]) == 0
         assert "FIG. 2" in capsys.readouterr().out
 
-    def test_run_sequential_tiny(self, capsys, cache_dir):
+    def test_run_sequential_tiny(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)  # default: basic
         code = main([
             "run", "--grid", "2x2", "--backend", "sequential",
             "--iterations", "1", "--dataset-size", "200",
-            "--batch-size", "20", "--batches-per-iteration", "1",
+            "--batch-size", "20", "--batches-per-iteration", "1", "--profile",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "best cell:" in out
+        # --profile prints the Table IV view on every backend.
+        assert "\noverall " in out
 
-    def test_run_threaded_tiny(self, capsys, cache_dir):
+    def test_run_threaded_tiny(self, capsys, cache_dir, monkeypatch):
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
         code = main([
             "run", "--grid", "2x2", "--backend", "threaded",
             "--iterations", "1", "--dataset-size", "200",
-            "--batch-size", "20", "--batches-per-iteration", "1",
+            "--batch-size", "20", "--batches-per-iteration", "1", "--profile",
         ])
         assert code == 0
+        out = capsys.readouterr().out
+        assert "\noverall " in out
+        # Exchange payloads are sent through the transport: its counter
+        # contains theirs, so the one-liner reports two numbers, not a sum.
+        import re
+
+        exchange, transport = map(float, re.search(
+            r"exchange ([\d.]+) KiB of transport ([\d.]+) KiB", out).groups())
+        assert 0 < exchange <= transport
+
+    def test_profile_without_telemetry_is_a_usage_error(self, capsys):
+        code = main(["run", "--grid", "2x2", "--backend", "sequential",
+                     "--profile", "--telemetry", "off"])
+        assert code == 2
+        assert "--telemetry basic" in capsys.readouterr().err
 
     def test_run_socket_tiny(self, capsys, cache_dir):
         """The CI smoke path: a 2x2 grid over two localhost workers —

@@ -5,7 +5,6 @@ import pytest
 
 from repro.coevolution.cell import Cell, NEIGHBORHOOD_SIZE
 from repro.coevolution.sequential import SequentialTrainer
-from repro.profiling import RoutineTimer
 from tests.conftest import eagerly_initialize, make_quick_config
 
 
@@ -91,12 +90,13 @@ class TestCellStep:
 
         np.testing.assert_array_equal(run(), run())
 
-    def test_profiling_sections_recorded(self, cell):
-        timer = RoutineTimer()
-        cell.step(neighbor_genomes_for(cell), timer)
-        snap = timer.snapshot()
-        for routine in ("update_genomes", "train", "mutate"):
-            assert snap.seconds(routine) > 0, routine
+    def test_each_routine_span_is_counted_once_per_step(self, cell, telemetry_bus):
+        telemetry_bus.set_level("basic")
+        cell.step(neighbor_genomes_for(cell))
+        snap = telemetry_bus.snapshot()
+        for span in ("cell.update_genomes", "cell.train", "cell.mutate"):
+            assert snap.span_counts[span] == 1, span
+            assert snap.span_seconds(span) > 0, span
 
     def test_reports_accumulate(self, cell):
         cell.step(neighbor_genomes_for(cell))
@@ -217,13 +217,6 @@ class TestSequentialTrainer:
         g0 = result.center_genomes[0][0].parameters
         g3 = result.center_genomes[3][0].parameters
         assert np.abs(g0 - g3).max() > 0
-
-    def test_timer_snapshots(self, small_dataset):
-        config = make_quick_config(2, 2, iterations=1)
-        result = SequentialTrainer(config, small_dataset).run(timer_factory=RoutineTimer)
-        assert len(result.timer_snapshots) == 4
-        assert all(s.seconds("train") > 0 for s in result.timer_snapshots)
-        assert all(s.seconds("gather") >= 0 for s in result.timer_snapshots)
 
     def test_best_cell_index(self, small_dataset):
         config = make_quick_config(2, 2, iterations=1)

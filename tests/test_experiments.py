@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments import fig1, fig2, fig4, table1, table2
 from repro.experiments.workloads import PAPER_GRIDS, bench_config, quick_config
-from repro.profiling import ProfileRow
+from repro.telemetry import ProfileRow
 
 
 class TestWorkloads:

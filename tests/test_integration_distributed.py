@@ -131,34 +131,6 @@ class TestExchangeModes:
             runner.run()
 
 
-class TestProfiledRun:
-    def test_profile_covers_all_routines(self, module_dataset):
-        config = make_quick_config(2, 2, iterations=2)
-        result = DistributedRunner(config, backend="threaded",
-                                   dataset=module_dataset, profile=True).run()
-        assert len(result.slave_timers) == 4
-        profile = result.distributed_profile()
-        for routine in ("gather", "train", "update_genomes", "mutate"):
-            assert profile.seconds(routine) > 0, routine
-
-    def test_total_work_exceeds_wall_profile(self, module_dataset):
-        config = make_quick_config(2, 2, iterations=2)
-        result = DistributedRunner(config, backend="threaded",
-                                   dataset=module_dataset, profile=True).run()
-        total = result.total_work_profile()
-        wall = result.distributed_profile()
-        assert total.seconds("train") >= wall.seconds("train")
-
-
-class TestTracing:
-    def test_traces_present_for_all_actors(self, module_dataset):
-        config = make_quick_config(2, 2, iterations=1)
-        result = DistributedRunner(config, backend="threaded",
-                                   dataset=module_dataset, trace=True).run()
-        actors = {t.actor for t in result.traces}
-        assert actors == {"master", "slave-1", "slave-2", "slave-3", "slave-4"}
-
-
 class TestPlacementOutcome:
     def test_placement_covers_all_ranks(self, module_dataset):
         config = make_quick_config(2, 2, iterations=1)

@@ -10,8 +10,14 @@ from repro.coevolution.genome import Genome
 from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
 from repro.parallel.states import IllegalTransition, SlaveState, SlaveStateMachine
-from repro.parallel.tracing import EventTrace
-from repro.profiling import ProfileRow, RoutineTimer, merge_snapshots, profile_rows
+from repro.telemetry import (
+    ProfileRow,
+    TelemetrySnapshot,
+    TimerSnapshot,
+    merge_telemetry,
+    profile_rows,
+    routine_profile,
+)
 
 
 class TestGrid:
@@ -139,64 +145,38 @@ class TestMessages:
 
 
 class TestProfilingReport:
-    def test_timer_sections(self):
-        import time
+    """The Table IV view: per-rank span totals -> the paper's four routines."""
 
-        timer = RoutineTimer()
-        with timer.section("train"):
-            time.sleep(0.01)
-        with timer.section("train"):
-            pass
-        snap = timer.snapshot()
-        assert snap.seconds("train") >= 0.01
-        assert snap.calls("train") == 2
+    @staticmethod
+    def _two_ranks():
+        return merge_telemetry([
+            TelemetrySnapshot(rank=rank,
+                              span_totals={"cell.train": seconds, "train.d_step": 9.0},
+                              span_counts={"cell.train": 3, "train.d_step": 6})
+            for rank, seconds in ((1, 1.0), (2, 2.0))])
 
-    def test_section_can_continue_a_counted_call(self):
-        timer = RoutineTimer()
-        with timer.section("update_genomes"):
-            pass
-        before = timer.seconds("update_genomes")
-        with timer.section("update_genomes", calls=0):
-            pass
-        snap = timer.snapshot()
-        assert snap.calls("update_genomes") == 1
-        assert snap.seconds("update_genomes") > before
+    def test_total_work_view_sums_ranks(self):
+        profile = routine_profile(self._two_ranks(), parallel=False)
+        assert profile.seconds("train") == pytest.approx(3.0)
+        assert profile.calls("train") == 6
 
-    def test_null_timer_is_free(self):
-        from repro.profiling import NULL_TIMER
+    def test_parallel_view_takes_the_slowest_rank(self):
+        profile = routine_profile(self._two_ranks(), parallel=True)
+        assert profile.seconds("train") == pytest.approx(2.0)
+        assert profile.calls("train") == 6
 
-        with NULL_TIMER.section("anything"):
-            pass
-        assert NULL_TIMER.snapshot().overall == 0
+    def test_sub_spans_belong_to_no_routine(self):
+        profile = routine_profile(self._two_ranks())
+        assert set(profile.totals) == {"train"}  # train.d_step not double-counted
 
-    def test_merge_serial_sums(self):
-        timers = []
-        for seconds in (1.0, 2.0):
-            t = RoutineTimer()
-            t.add("train", seconds)
-            timers.append(t.snapshot())
-        merged = merge_snapshots(timers, parallel=False)
-        assert merged.seconds("train") == pytest.approx(3.0)
-
-    def test_merge_parallel_takes_max(self):
-        timers = []
-        for seconds in (1.0, 2.0):
-            t = RoutineTimer()
-            t.add("train", seconds)
-            timers.append(t.snapshot())
-        merged = merge_snapshots(timers, parallel=True)
-        assert merged.seconds("train") == pytest.approx(2.0)
+    def test_run_without_telemetry_has_an_empty_profile(self):
+        assert routine_profile(None).overall == 0
 
     def test_profile_rows_layout(self):
-        single = RoutineTimer()
-        dist = RoutineTimer()
-        for name, s_time, d_time in (
-            ("gather", 1.0, 1.0), ("train", 10.0, 2.0),
-            ("update_genomes", 5.0, 0.5), ("mutate", 1.0, 0.7),
-        ):
-            single.add(name, s_time)
-            dist.add(name, d_time)
-        rows = profile_rows(single.snapshot(), dist.snapshot())
+        routines = ("gather", "train", "update_genomes", "mutate")
+        single = TimerSnapshot(dict(zip(routines, (1.0, 10.0, 5.0, 1.0))))
+        dist = TimerSnapshot(dict(zip(routines, (1.0, 2.0, 0.5, 0.7))))
+        rows = profile_rows(single, dist)
         assert [r.routine for r in rows] == [
             "gather", "train", "update genomes", "mutate", "overall",
         ]
@@ -208,25 +188,3 @@ class TestProfilingReport:
         row = ProfileRow("train", single_core_s=10.0, distributed_s=2.0)
         assert row.speedup == pytest.approx(5.0)
         assert row.acceleration == pytest.approx(0.8)
-
-    def test_timer_add_validation(self):
-        with pytest.raises(ValueError):
-            RoutineTimer().add("x", -1.0)
-
-
-class TestEventTrace:
-    def test_record_and_merge(self):
-        a = EventTrace(actor="master")
-        b = EventTrace(actor="slave-1")
-        a.record("first")
-        b.record("second")
-        merged = EventTrace.merged([a, b])
-        assert [e.event for e in merged] == ["first", "second"]
-
-    def test_disabled_trace_records_nothing(self):
-        trace = EventTrace(actor="x", enabled=False)
-        trace.record("ignored")
-        assert trace.events == []
-
-    def test_format_empty(self):
-        assert "empty" in EventTrace.format_merged([])

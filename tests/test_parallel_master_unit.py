@@ -130,11 +130,12 @@ class TestMasterHappyPath:
         assert comm.sent_tasks[3].fault_at_iteration == 5  # cell 2 -> rank 3
         assert comm.sent_tasks[1].fault_at_iteration is None
 
-    def test_trace_records_protocol(self, config):
+    def test_trace_level_marks_the_protocol(self, config, telemetry_bus):
+        telemetry_bus.bind_rank(0)  # what execute_rank does for the master
         comm = ScriptedMasterComm(config)
-        outcome = MasterProcess(comm, config, heartbeat_interval_s=0.02,
-                                trace=True).run()
-        events = [e.event for e in outcome.trace.events]
+        MasterProcess(comm, config, heartbeat_interval_s=0.02,
+                      telemetry_level="trace").run()
+        events = [e.name for e in telemetry_bus.snapshot(0).events if e.instant]
         for expected in ("node info gathered", "placement decided",
                          "run tasks sent", "create heartbeat thread",
                          "final results gathered"):

@@ -7,25 +7,19 @@ from repro.coevolution.genome import Genome
 from repro.parallel.master import MasterOutcome
 from repro.parallel.messages import SlaveResult
 from repro.parallel.runner import DistributedRunner
-from repro.parallel.tracing import EventTrace
-from repro.profiling import RoutineTimer
+from repro.telemetry import SpanEvent, TelemetrySnapshot, mark_timeline, routine_profile
 from tests.conftest import make_quick_config
 
 
-def make_result(cell_index, rank, value=1.0, with_timer=False):
+def make_result(cell_index, rank, value=1.0, telemetry=None):
     genome = Genome(np.full(6, value), 1e-3, "bce")
-    timer = None
-    if with_timer:
-        t = RoutineTimer()
-        t.add("train", value)
-        timer = t.snapshot()
     return SlaveResult(
         rank=rank,
         cell_index=cell_index,
         generator_genome=genome,
         discriminator_genome=genome.copy(),
         mixture_weights=np.full(5, 0.2),
-        timer=timer,
+        telemetry=telemetry,
     )
 
 
@@ -35,7 +29,6 @@ def make_outcome(results, dead=()):
         dead_ranks=list(dead),
         node_info=[],
         placement={0: "node00"},
-        trace=EventTrace(actor="master", enabled=False),
         wall_time_s=1.0,
     )
 
@@ -70,21 +63,31 @@ class TestReduction:
         with pytest.raises(RuntimeError, match="nothing to reduce"):
             runner._reduce(make_outcome({}), wall_time_s=1.0)
 
-    def test_timers_collected(self, runner):
-        results = {i: make_result(i, i + 1, value=float(i + 1), with_timer=True)
-                   for i in range(4)}
+    def test_profile_views_read_the_in_band_slave_telemetry(self, runner):
+        results = {
+            i: make_result(i, i + 1, telemetry=TelemetrySnapshot(
+                rank=i + 1, span_totals={"cell.train": float(i + 1)},
+                span_counts={"cell.train": 1}))
+            for i in range(4)}
         reduced = runner._reduce(make_outcome(results), wall_time_s=1.0)
-        assert len(reduced.slave_timers) == 4
-        # parallel merge = max; serial merge = sum
-        assert reduced.distributed_profile().seconds("train") == pytest.approx(4.0)
-        assert reduced.total_work_profile().seconds("train") == pytest.approx(10.0)
+        assert reduced.telemetry.ranks == [1, 2, 3, 4]
+        # parallel view = max over ranks; total-work view = sum
+        wall = routine_profile(reduced.telemetry, parallel=True)
+        work = routine_profile(reduced.telemetry, parallel=False)
+        assert wall.seconds("train") == pytest.approx(4.0)
+        assert work.seconds("train") == pytest.approx(10.0)
+        assert wall.calls("train") == work.calls("train") == 4
 
-    def test_traces_include_master_and_slaves(self, runner):
-        results = {0: make_result(0, 1)}
-        results[0].trace_events = [object()]  # non-empty marker
-        reduced = runner._reduce(make_outcome(results), wall_time_s=1.0)
-        actors = {t.actor for t in reduced.traces}
-        assert "master" in actors and "slave-1" in actors
+    def test_mark_lanes_include_master_and_slaves(self, runner):
+        def marked(rank, name):
+            return TelemetrySnapshot(rank=rank, events=[
+                SpanEvent(name, 0.0, 0.0, "t", instant=True)])
+
+        results = {0: make_result(0, 1, telemetry=marked(1, "start training"))}
+        reduced = runner._reduce(make_outcome(results), wall_time_s=1.0,
+                                 rank_telemetry=[marked(0, "run tasks sent")])
+        actors = {actor for _at, actor, _event in mark_timeline(reduced.telemetry)}
+        assert actors == {"master", "slave-1"}
 
 
 class TestValidation:

@@ -65,7 +65,7 @@ class ScriptedComm(CommManager):
         return self.abort_now.is_set()
 
     # exchange ---------------------------------------------------------------------
-    def exchange_genomes(self, grid, cell_index, payload, mode, timer=None,
+    def exchange_genomes(self, grid, cell_index, payload, mode,
                          abort_event=None, fault_state=None, catch_up=False,
                          resync_until=None):
         if abort_event is not None and abort_event.is_set():
@@ -134,23 +134,29 @@ class TestHappyPath:
         assert comm.status_replies[0].rank == 1
         assert comm.status_replies[0].state in ("inactive", "processing", "finished")
 
-    def test_profile_flag_produces_timer(self, config, small_dataset):
-        comm = ScriptedComm(make_task(config, profile=True))
+    def test_trace_level_marks_the_protocol_steps(self, config, small_dataset,
+                                                  telemetry_bus):
+        telemetry_bus.bind_rank(1)  # what execute_rank does for the main thread
+        comm = ScriptedComm(make_task(config, telemetry_level="trace"))
         result = SlaveProcess(comm, small_dataset).run()
-        assert result.timer is not None
-        assert result.timer.seconds("train") > 0
+        marks = [e.name for e in result.telemetry.events if e.instant]
+        assert "start training" in marks
+        # The in-band copy is retaken after the send mark, so it is in it.
+        assert marks[-1] == "send results to master"
+        assert result.telemetry.span_seconds("cell.train") > 0
 
-    def test_trace_flag_records_events(self, config, small_dataset):
-        comm = ScriptedComm(make_task(config, trace=True))
+    def test_basic_level_ships_totals_and_no_marks(self, config, small_dataset,
+                                                   telemetry_bus):
+        telemetry_bus.bind_rank(1)
+        comm = ScriptedComm(make_task(config, telemetry_level="basic"))
         result = SlaveProcess(comm, small_dataset).run()
-        events = [e.event for e in result.trace_events]
-        assert "start training" in events
-        assert "send results to master" in events
+        assert result.telemetry.events == []
+        assert result.telemetry.span_counts["cell.train"] == 2  # one per iteration
 
-    def test_no_trace_by_default(self, config, small_dataset):
+    def test_no_telemetry_by_default(self, config, small_dataset):
         comm = ScriptedComm(make_task(config))
         result = SlaveProcess(comm, small_dataset).run()
-        assert result.trace_events == []
+        assert result.telemetry is None
 
 
 class TestAbortPath:

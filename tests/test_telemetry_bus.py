@@ -1,13 +1,13 @@
 """Unit tests for the :mod:`repro.telemetry.bus` span/counter bus."""
 
 import pickle
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.mpi.stats import TransportStats, transport_stats_from_telemetry
-from repro.profiling.timer import snapshot_from_telemetry
 from repro.telemetry.bus import MergedTelemetry, SpanEvent, TelemetrySnapshot, merge_telemetry
 
 
@@ -78,6 +78,37 @@ class TestRecording:
         assert event.attrs == {"cell": 7}
         assert event.duration >= 0.0
         assert event.thread  # the recording thread's name
+
+    @pytest.mark.parametrize("level", ["off", "basic"])
+    def test_mark_below_trace_is_a_no_op_without_allocation(self, telemetry_bus, level):
+        telemetry_bus.set_level(level)
+        telemetry_bus.mark("warm-up")
+        before = sys.getallocatedblocks()
+        for _ in range(1000):
+            telemetry_bus.mark("run tasks sent", "4 slaves")
+        assert sys.getallocatedblocks() - before < 50  # none per call
+        assert telemetry_bus.all_snapshots() == []  # not even a buffer
+
+    def test_mark_at_trace_is_an_instant_on_the_timeline(self, telemetry_bus):
+        telemetry_bus.set_level("trace")
+        with telemetry_bus.span("exchange.gather", rank=2):
+            telemetry_bus.mark("get results from neighbours", "iteration 0", rank=2)
+        telemetry_bus.mark("train one iteration", rank=2)
+        snap = pickle.loads(pickle.dumps(telemetry_bus.snapshot(2)))
+        first, second = (e for e in snap.events if e.instant)
+        assert (first.name, first.attrs) == (
+            "get results from neighbours", {"detail": "iteration 0"})
+        assert (second.name, second.attrs, second.duration) == (
+            "train one iteration", None, 0.0)
+        assert first.start < second.start  # same clock as the spans
+        # Marks take no time: no span total or call count knows them.
+        assert set(snap.span_counts) == {"exchange.gather"}
+
+    def test_mark_follows_the_thread_rank_binding(self, telemetry_bus):
+        telemetry_bus.set_level("trace")
+        telemetry_bus.bind_rank(3)
+        telemetry_bus.mark("start training")
+        assert [e.name for e in telemetry_bus.snapshot(3).events] == ["start training"]
 
     def test_counters_and_gauge_peaks(self, telemetry_bus):
         telemetry_bus.set_level("basic")
@@ -199,17 +230,6 @@ class TestMerge:
 
 
 class TestAdapters:
-    def test_timer_snapshot_from_telemetry(self, telemetry_bus):
-        telemetry_bus.set_level("basic")
-        with telemetry_bus.span("cell.train", rank=1):
-            time.sleep(0.001)
-        with telemetry_bus.span("exchange.gather", rank=1):
-            pass
-        timer = snapshot_from_telemetry(telemetry_bus.snapshot(1))
-        assert timer.calls("train") == 1
-        assert timer.calls("gather") == 1
-        assert timer.seconds("train") > 0.0
-
     def test_transport_stats_round_trip_through_the_bus(self, telemetry_bus):
         telemetry_bus.set_level("basic")
         stats = TransportStats(rank=2)

@@ -14,7 +14,12 @@ from repro.telemetry.export import (
     to_prometheus,
     write_trace,
 )
-from repro.telemetry.summary import format_summary, summarize
+from repro.telemetry.summary import (
+    format_mark_timeline,
+    format_summary,
+    mark_timeline,
+    summarize,
+)
 
 
 def _rank_snapshot(rank, events, *, anchor_wall=1000.0, anchor_mono=0.0,
@@ -89,6 +94,21 @@ class TestPerfetto:
         assert {e["args"]["cell"] for e in train} == {0, 1}
         assert all(e["cat"] == "cell" for e in train)
 
+    def test_marks_become_thread_scoped_instant_events(self):
+        rank1 = _rank_snapshot(1, [SpanEvent("cell.train", 0.1, 0.5, "exec")])
+        rank1.events.append(SpanEvent("start training", 0.05, 0.0, "exec",
+                                      {"detail": "cell 0"}, instant=True))
+        trace = to_perfetto(merge_telemetry([rank1]))
+        (mark,) = [e for e in trace["traceEvents"] if e["ph"] == "i"]
+        (span,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert mark["name"] == "start training" and mark["s"] == "t"
+        assert mark["args"] == {"detail": "cell 0"} and "dur" not in mark
+        assert (mark["pid"], mark["tid"]) == (span["pid"], span["tid"])
+        assert mark["ts"] == 0.0 and span["ts"] == pytest.approx(0.05 * 1e6)
+        # repro trace totals count spans only.
+        summary = summarize(trace)
+        assert summary["events"] == 1 and set(summary["spans"]) == {"cell.train"}
+
     def test_launcher_snapshot_uses_reserved_pid(self):
         launcher = _rank_snapshot(None, [SpanEvent("socket.rendezvous", 0, 1, "t")])
         trace = to_perfetto(merge_telemetry([launcher]))
@@ -99,6 +119,51 @@ class TestPerfetto:
         path = tmp_path / "trace.json"
         written = write_trace(str(path), _two_rank_merged())
         assert json.loads(path.read_text()) == written
+
+
+def _marked(rank, anchor_wall, anchor_mono, offsets):
+    """A rank that marked ``e@<offset>`` at each monotonic offset past its anchor."""
+    snap = TelemetrySnapshot(rank=rank, anchor_wall=anchor_wall,
+                             anchor_mono=anchor_mono)
+    snap.events = [SpanEvent(f"e@{offset}", anchor_mono + offset, 0.0, "t",
+                             instant=True) for offset in offsets]
+    return snap
+
+
+class TestMarkTimeline:
+    """Fig. 3: the per-rank marks merged onto one axis through each rank's
+    single wall/monotonic anchor pair."""
+
+    def test_ranks_interleave_by_anchored_monotonic_time(self):
+        # Both ranks anchored at wall=1000 with monotonic clocks hours
+        # apart (different boot times).  Only the offsets past the anchor
+        # place an event, so whatever the slave's wall clock did after the
+        # anchor was taken (an NTP step, say) cannot reorder anything.
+        master = _marked(0, 1000.0, 50.0, [0.0, 2.0, 4.0])
+        slave = _marked(1, 1000.0, 70000.0, [1.0, 3.0, 5.0])
+        timeline = mark_timeline(merge_telemetry([slave, master]))
+        assert [actor for _at, actor, _event in timeline] == [
+            "master", "slave-1", "master", "slave-1", "master", "slave-1"]
+        assert [at for at, _actor, _event in timeline] == pytest.approx(
+            [1000.0, 1001.0, 1002.0, 1003.0, 1004.0, 1005.0])
+
+    def test_spans_are_not_marks(self):
+        snap = _marked(1, 0.0, 0.0, [1.0])
+        snap.events.append(SpanEvent("cell.train", 0.5, 0.2, "t"))
+        (entry,) = mark_timeline(merge_telemetry([snap]))
+        assert entry[2].name == "e@1.0"
+
+    def test_format_shows_rebased_times_actor_and_detail(self):
+        slave = _marked(2, 1000.0, 9000.0, [0.0, 1.0])
+        slave.events[1] = SpanEvent("train one iteration", 9001.0, 0.0, "t",
+                                    {"detail": "iteration 0"}, instant=True)
+        first, second = format_mark_timeline(merge_telemetry([slave])).splitlines()
+        assert first == "[   0.0000s] slave-2    e@0.0"
+        assert second == "[   1.0000s] slave-2    train one iteration (iteration 0)"
+
+    def test_empty(self):
+        assert "empty" in format_mark_timeline(None)
+        assert mark_timeline(merge_telemetry([])) == []
 
 
 class TestPrometheus:

@@ -35,13 +35,13 @@ class TestSequentialTraced:
                   .backend("sequential").telemetry("trace").run())
         merged = result.telemetry
         assert merged is not None
-        # Table IV routines all appear, with paper-consistent call counts
-        # (4 cells x 2 iterations; train spans twice per step — selection
-        # and the gradient phase; sequential gathers once per iteration).
-        assert merged.span_counts["cell.train"] == 16
-        assert merged.span_counts["cell.update_genomes"] == 8
-        assert merged.span_counts["cell.mutate"] == 8
-        assert merged.span_counts["exchange.gather"] == 2
+        # Table IV routines all appear, each counted once per cell per
+        # iteration (4 cells x 2 iterations) however many stretches it ran
+        # in; the sequential gather is one span per iteration, counted for
+        # its four cells.
+        for span in ("cell.train", "cell.update_genomes", "cell.mutate",
+                     "exchange.gather"):
+            assert merged.span_counts[span] == 8, span
         assert merged.counter("optim.steps") > 0
         assert merged.counter("kernels.forward") > 0
         assert merged.events > 0  # trace level keeps the timeline
@@ -52,7 +52,7 @@ class TestSequentialTraced:
         result = (Experiment(config).dataset(module_dataset)
                   .backend("sequential").telemetry("basic").run())
         merged = result.telemetry
-        assert merged.span_counts["cell.train"] == 8  # 4 cells x 2 spans/step
+        assert merged.span_counts["cell.train"] == 4  # one per cell per step
         assert merged.events == 0
 
     def test_off_by_default(self, telemetry_bus, module_dataset):
@@ -82,11 +82,11 @@ class TestDistributedTraced:
         # Master (rank 0) plus four slaves, launcher last if present.
         worker_ranks = [r for r in merged.ranks if r is not None]
         assert worker_ranks == [0, 1, 2, 3, 4]
-        # Each slave trained its one cell for two iterations (two train
-        # spans per step) and gathered neighbours each iteration.
+        # Each slave trained its one cell for two iterations and gathered
+        # neighbours each iteration.
         for rank in (1, 2, 3, 4):
             snap = merged.per_rank(rank)
-            assert snap.span_counts["cell.train"] == 4
+            assert snap.span_counts["cell.train"] == 2
             assert snap.span_counts["exchange.gather"] == 2
         # Transport counters flowed through the bus.
         assert merged.counter("mpi.messages_sent") > 0
