@@ -110,14 +110,14 @@ class RunResult:
     def drained_ranks(self) -> list[int]:
         """Ranks that left voluntarily mid-run (graceful drain, not a fault)."""
         if self.distributed is not None:
-            return list(getattr(self.distributed, "drained_ranks", []))
+            return list(self.distributed.drained_ranks)
         return []
 
     @property
     def joined_ranks(self) -> list[int]:
         """Ranks admitted through the live rendezvous after launch."""
         if self.distributed is not None:
-            return list(getattr(self.distributed, "joined_ranks", []))
+            return list(self.distributed.joined_ranks)
         return []
 
     @property
@@ -125,9 +125,7 @@ class RunResult:
         """The run's :class:`repro.parallel.elastic.MembershipLog` — every
         epoch transition in order (``None`` on sequential runs and backends
         that do not report one)."""
-        if self.distributed is not None:
-            return getattr(self.distributed, "membership", None)
-        return None
+        return self.distributed.membership if self.distributed is not None else None
 
     @property
     def ok(self) -> bool:

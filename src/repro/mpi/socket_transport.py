@@ -82,6 +82,9 @@ _WIRE_VERSION = 4
 #: yet presented the rendezvous token.
 _HELLO_MAX_BYTES = 4096
 
+#: Seconds a freshly accepted connection gets to deliver its hello.
+_HELLO_TIMEOUT_S = 5.0
+
 
 # -- spec parsing -------------------------------------------------------------
 
@@ -267,7 +270,7 @@ class SocketTransport(Transport):
         and never use it.
     max_restarts:
         Total replacement workers the coordinator may admit over the run
-        (0, the default, keeps the legacy fail-fast behavior).  A lost
+        (0, the default: a lost worker is never replaced).  A lost
         connection to a *local* worker starts a ``repro worker``
         subprocess in its place; an
         externally attached worker's replacement command is printed for the
@@ -327,7 +330,10 @@ class SocketTransport(Transport):
         #: Bounded per-index buffers of MSG frames addressed to a
         #: respawn-pending worker, flushed to the replacement on re-admit.
         self._parked: dict[int, deque] = {}
-        #: Set by the admission that empties the rendezvous' pending set.
+        #: Worker indexes the rendezvous still waits for (guarded by
+        #: _admit_lock); empty from the barrier on.
+        self._pending: set[int] = set(range(len(self.hosts)))
+        #: Set by the admission that empties ``_pending``.
         self._rendezvous_done = threading.Event()
         # -- elastic membership state (guarded by _admit_lock) --------------
         #: Wire-level membership epoch; bumped on every MEMBERSHIP
@@ -409,15 +415,19 @@ class SocketTransport(Transport):
         # each worker its rank block and the program, then start routing.
         for conn in self._connections:
             assert conn is not None
-            frame = wire.pack_frame(wire.START, conn.index, {
-                "ranks": conn.ranks,
-                "size": self.size,
-                "program": program,
-            })
-            wire.write_frame(conn.sock, frame)
-            self._start_io_threads(conn)
+            self._start_worker(conn)
 
-    def _start_io_threads(self, conn: _WorkerConnection) -> None:
+    def _start_worker(self, conn: _WorkerConnection, **history: Any) -> None:
+        """Send a registered worker its START frame (rank block, program,
+        and for a late arrival its slot's ``history``), then start routing
+        for it."""
+        assert self._program is not None
+        wire.write_frame(conn.sock, wire.pack_frame(wire.START, conn.index, {
+            "ranks": conn.ranks,
+            "size": self.size,
+            "program": self._program,
+            **history,
+        }))
         conn.reader = threading.Thread(
             target=self._reader_loop, args=(conn,),
             name=f"mpi-router-recv-{conn.index}", daemon=True)
@@ -496,14 +506,13 @@ class SocketTransport(Transport):
 
     def _rendezvous_loop(self) -> None:
         deadline = time.monotonic() + self.start_timeout
-        pending = set(range(len(self.hosts)))
-        threading.Thread(target=self._accept_loop, args=(pending, deadline),
-                         name="mpi-accept", daemon=True).start()
-        # Woken by the admission that empties ``pending``; the timeout only
+        threading.Thread(target=self._accept_loop, name="mpi-accept",
+                         daemon=True).start()
+        # Woken by the admission that empties ``_pending``; the timeout only
         # paces the checks for a blown deadline or a worker that died.
         while not self._rendezvous_done.wait(0.2):
             with self._admit_lock:
-                missing = sorted(pending)
+                missing = sorted(self._pending)
             if time.monotonic() > deadline:
                 self.shutdown()
                 raise MpiError(
@@ -517,14 +526,11 @@ class SocketTransport(Transport):
                         f"local worker {index} exited with code "
                         f"{proc.returncode} before the rendezvous")
 
-    def _accept_loop(self, pending: set[int], deadline: float) -> None:
-        """Accept connections for as long as the transport lives.
-
-        While worker slots are pending a connection is a rendezvous hello
-        (:meth:`_admit`); afterwards the listener stays open for
-        replacement workers, elastic joiners filling vacant slots and
-        ``repro drain`` control clients (:meth:`_admit_late`).
-        """
+    def _accept_loop(self) -> None:
+        """Accept connections for as long as the transport lives: the
+        rendezvous' workers first, then replacement workers, elastic
+        joiners filling vacant slots and ``repro drain`` control clients —
+        all through :meth:`_admit`."""
         assert self._listener is not None
         while not self._shut_down:
             try:
@@ -543,54 +549,136 @@ class SocketTransport(Transport):
             if not self._admit_slots.acquire(blocking=False):
                 sock.close()
                 continue
-            with self._admit_lock:
-                in_rendezvous = bool(pending)
-            if in_rendezvous:
-                threading.Thread(
-                    target=self._admit, args=(sock, pending, deadline),
-                    name="mpi-rdv-admit", daemon=True).start()
-            else:
-                threading.Thread(
-                    target=self._admit_late, args=(sock,),
-                    name="mpi-late-admit", daemon=True).start()
+            threading.Thread(target=self._admit, args=(sock,),
+                             name="mpi-admit", daemon=True).start()
 
-    def _admit(self, sock: socket.socket, pending: set[int],
-               deadline: float) -> None:
-        """Validate one hello; assign a worker slot or reject the socket.
+    def _read_hello(self, sock: socket.socket) -> dict:
+        """Read and authenticate the one frame accepted from a stranger.
 
-        The hello is the only frame read before the peer is authenticated,
-        so it is held to a stricter standard than the rest of the protocol:
-        a few-KiB size cap, a JSON body (never pickle — unpickling
-        pre-auth bytes would hand arbitrary code execution to anyone who
-        can reach a routable bind), and the token compared before any
-        other field is interpreted.
+        The hello is read before the peer is trusted, so it is held to a
+        stricter standard than the rest of the protocol: a few-KiB size
+        cap, a JSON body (never pickle — unpickling pre-auth bytes would
+        hand arbitrary code execution to anyone who can reach a routable
+        bind), and the token compared before any other field is
+        interpreted.
+        """
+        # Short budget: a silent or hostile connection (port scanner on a
+        # routable bind) must cost seconds, not the rendezvous window —
+        # real peers send their hello instantly.
+        sock.settimeout(_HELLO_TIMEOUT_S)
+        frame = wire.read_frame(sock, max_body=_HELLO_MAX_BYTES)
+        sock.settimeout(None)
+        if frame.kind != wire.HELLO:
+            raise wire.WireError(f"expected HELLO, got kind {frame.kind}")
+        try:
+            hello = json.loads(frame.body)
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise wire.WireError(
+                f"hello is not valid JSON (a worker running wire "
+                f"version 1 sends pickle hellos — upgrade it to this "
+                f"release): {exc}") from exc
+        if not isinstance(hello, dict):
+            raise wire.WireError("hello is not a JSON object")
+        if not hmac.compare_digest(str(hello.get("token") or ""), self.token):
+            raise wire.WireError("bad rendezvous token")
+        if hello.get("version") != _WIRE_VERSION:
+            raise wire.WireError(
+                f"wire version mismatch: coordinator {_WIRE_VERSION}, "
+                f"worker {hello.get('version')}")
+        # Every peer of one run shares the dtype policy; the drain control
+        # client hosts no rank and moves no genome, so it names none.
+        peer_dtype = hello.get("dtype", "float64")
+        if hello.get("cmd") != "drain" and peer_dtype != self.dtype:
+            raise wire.WireError(
+                f"dtype policy mismatch: coordinator runs "
+                f"{self.dtype!r}, worker offers {peer_dtype!r} — every "
+                f"peer of one run must share the dtype policy (start "
+                f"the worker with --dtype {self.dtype})")
+        return hello
+
+    def _resolve_slot(self, hello: dict) -> int:
+        """The worker slot a hello may take (caller holds ``_admit_lock``).
+
+        Open slots are the rendezvous' pending ones until the barrier;
+        afterwards the slots awaiting a replacement, plus — for a
+        ``--join`` hello — the vacant ones (connection gone, no
+        replacement pending).
+        """
+        slots = hello.get("slots")
+        vacant = {i for i, conn in enumerate(self._connections)
+                  if conn is not None and conn.dead
+                  and i not in self._respawn_pending}
+        if self._pending:
+            # Local blocks are never up for grabs: each one already has a
+            # forked worker presenting its index, so an index-less hello
+            # is by definition an external machine — letting it claim a
+            # localhost slot would strand the forked worker and hang the
+            # rendezvous.
+            state, open_slots = "pending", self._pending
+            unclaimed = {i for i in self._pending
+                         if not _is_local(self.hosts[i][0])}
+        elif hello.get("join"):
+            state, open_slots = "vacant", self._respawn_pending | vacant
+            unclaimed = vacant
+        else:
+            state, open_slots = "awaiting a replacement", self._respawn_pending
+            unclaimed = set()
+        index = hello.get("index")
+        if index is None:
+            candidates = sorted(i for i in unclaimed
+                                if len(self._blocks[i]) == slots)
+            if not candidates:
+                raise wire.WireError(
+                    f"no {state} worker slot takes {slots} rank(s) without "
+                    "an --index; check --slots against --hosts (localhost "
+                    "entries are launched automatically, a replacement "
+                    "names its --index, and --join fills only slots whose "
+                    "worker died or drained)")
+            # Prefer the host-spec entry naming this machine, so the
+            # placement report stays the *actual* rank-to-host mapping
+            # even when two same-sized workers race to connect; fall back
+            # to spec order when nothing matches.
+            reported = str(hello.get("host", "")).casefold()
+            short = reported.partition(".")[0]
+            matching = [i for i in candidates
+                        if self.hosts[i][0].casefold() in (reported, short)]
+            index = (matching or candidates)[0]
+        index = int(index)
+        if index not in open_slots:
+            raise wire.WireError(f"worker slot {index} is not {state}")
+        if slots != len(self._blocks[index]):
+            raise wire.WireError(
+                f"worker {index} offered {slots} slot(s), host spec "
+                f"expects {len(self._blocks[index])}")
+        return index
+
+    def _register(self, sock: socket.socket, index: int,
+                  host: str) -> _WorkerConnection:
+        """Route ``index``'s rank block to ``sock`` (caller holds
+        ``_admit_lock``)."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _WorkerConnection(index, host, sock, self._blocks[index])
+        self._connections[index] = conn
+        for rank in conn.ranks:
+            self._rank_conn[rank] = conn
+        return conn
+
+    def _admit(self, sock: socket.socket) -> None:
+        """The one admission: authenticate a hello, then give the peer a
+        worker slot, or serve its drain request, or reject the socket.
+
+        During the rendezvous a registered worker just waits — START
+        follows the barrier (:meth:`launch`).  A later one is a
+        **replacement** (its slot awaits one) or an **elastic joiner**
+        (``--join``, any vacant slot matching its ``--slots``): it is
+        started at once with its slot's history, handed the frames parked
+        for it, and announced to its peers.
         """
         try:
-            # Short per-hello budget: a silent or hostile connection (port
-            # scanner on a routable bind) must cost seconds, not the whole
-            # rendezvous window — real workers send their hello instantly.
-            sock.settimeout(min(5.0, max(0.1, deadline - time.monotonic())))
-            frame = wire.read_frame(sock, max_body=_HELLO_MAX_BYTES)
-            sock.settimeout(None)
-            if frame.kind != wire.HELLO:
-                raise wire.WireError(f"expected HELLO, got kind {frame.kind}")
-            try:
-                hello = json.loads(frame.body)
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise wire.WireError(
-                    f"hello is not valid JSON (a worker running wire "
-                    f"version 1 sends pickle hellos — upgrade it to this "
-                    f"release): {exc}") from exc
-            if not isinstance(hello, dict):
-                raise wire.WireError("hello is not a JSON object")
-            if not hmac.compare_digest(
-                    str(hello.get("token") or ""), self.token):
-                raise wire.WireError("bad rendezvous token")
-            if hello.get("version") != _WIRE_VERSION:
-                raise wire.WireError(
-                    f"wire version mismatch: coordinator {_WIRE_VERSION}, "
-                    f"worker {hello.get('version')}")
-            self._require_dtype(hello)
+            hello = self._read_hello(sock)
+            if hello.get("cmd") == "drain":
+                self._admit_drain_request(sock, hello)
+                return
             with self._admit_lock:
                 if self._shut_down:
                     # The rendezvous timed out (or the job failed) while
@@ -598,53 +686,46 @@ class SocketTransport(Transport):
                     # already ran, so registering now would leak the
                     # socket and strand the worker waiting for START.
                     raise wire.WireError("coordinator is shutting down")
-                index = hello.get("index")
-                if index is None:  # externally started without --index
-                    # Local blocks are never up for grabs: each one already
-                    # has a forked worker presenting its index, so an
-                    # index-less hello is by definition an external machine
-                    # — letting it claim a localhost slot would strand the
-                    # forked worker and hang the rendezvous.
-                    candidates = [i for i in sorted(pending)
-                                  if len(self._blocks[i]) == hello.get("slots")
-                                  and not _is_local(self.hosts[i][0])]
-                    if not candidates:
-                        raise wire.WireError(
-                            f"no pending remote worker slot takes "
-                            f"{hello.get('slots')} rank(s); check --slots "
-                            "against --hosts (localhost entries are launched "
-                            "automatically and cannot be claimed externally)")
-                    # Prefer the host-spec entry naming this machine, so the
-                    # placement report stays the *actual* rank-to-host
-                    # mapping even when two same-sized workers race to
-                    # connect; fall back to spec order when nothing matches.
-                    reported = str(hello.get("host", "")).casefold()
-                    short = reported.partition(".")[0]
-                    matching = [i for i in candidates
-                                if self.hosts[i][0].casefold()
-                                in (reported, short)]
-                    index = (matching or candidates)[0]
-                index = int(index)
-                if index not in pending:
-                    raise wire.WireError(f"worker slot {index} is not pending")
-                if hello.get("slots") != len(self._blocks[index]):
-                    raise wire.WireError(
-                        f"worker {index} offered {hello.get('slots')} "
-                        f"slot(s), host spec expects "
-                        f"{len(self._blocks[index])}")
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn = _WorkerConnection(index, self.hosts[index][0], sock,
-                                         self._blocks[index])
-                self._connections[index] = conn
-                for rank in conn.ranks:
-                    self._rank_conn[rank] = conn
-                # Last, so the rendezvous only completes once the
-                # connection is fully registered.
-                pending.discard(index)
-                if not pending:
-                    self._rendezvous_done.set()
+                in_rendezvous = bool(self._pending)
+                index = self._resolve_slot(hello)
+                respawning = index in self._respawn_pending
+                joining = not in_rendezvous and not respawning
+                host = (str(hello["host"]) if joining and hello.get("host")
+                        else self.hosts[index][0])
+                conn = self._register(sock, index, host)
+                if in_rendezvous:
+                    # Last, so the rendezvous only completes once the
+                    # connection is fully registered.
+                    self._pending.discard(index)
+                    if not self._pending:
+                        self._rendezvous_done.set()
+                else:
+                    parked = self._parked.pop(index, ())
+                    self._respawn_pending.discard(index)
+                    incarnation = self._index_incarnations.get(index, 1) + 1
+                    self._index_incarnations[index] = incarnation
+                    peer_losses = self._ranks_lost_total
+            if in_rendezvous:
+                if telemetry.enabled():
+                    telemetry.count("socket.workers_admitted")
+                return
+            # Incarnation carryover: the worker seeds its ranks'
+            # TransportStats from the slot's full history so counters
+            # aggregate across incarnations instead of resetting.
+            self._start_worker(conn, respawn=respawning, join=joining,
+                               incarnation=incarnation,
+                               peer_losses=peer_losses)
+            # Control frames the master sent into the respawn gap
+            # (heartbeat requests, fault notices) arrive late, not never.
+            for _rank, header, body in parked:
+                conn.outbound.put((header, body))
+            self._broadcast_membership(
+                list(conn.ranks), "back" if respawning else "joined")
             if telemetry.enabled():
-                telemetry.count("socket.workers_admitted")
+                telemetry.count("socket.workers_readmitted")
+            verb = "re-admitted" if respawning else "joined"
+            print(f"[socket] worker {index} {verb}, hosting rank(s) "
+                  f"{conn.ranks}", file=sys.stderr)
         except Exception as exc:  # noqa: BLE001 - anything a stranger sends
             # The listener may sit on a routable address: one garbage or
             # hostile connection (non-JSON hello, wrong token, absurd
@@ -655,16 +736,6 @@ class SocketTransport(Transport):
             sock.close()
         finally:
             self._admit_slots.release()
-
-    def _require_dtype(self, hello: dict) -> None:
-        """Reject a worker hello whose dtype policy differs from the run's."""
-        peer_dtype = hello.get("dtype", "float64")
-        if peer_dtype != self.dtype:
-            raise wire.WireError(
-                f"dtype policy mismatch: coordinator runs "
-                f"{self.dtype!r}, worker offers {peer_dtype!r} — every "
-                f"peer of one run must share the dtype policy (start "
-                f"the worker with --dtype {self.dtype})")
 
     # -- routing ------------------------------------------------------------
 
@@ -761,7 +832,8 @@ class SocketTransport(Transport):
             self._broadcast_membership(sorted(conn.ranks), "left")
 
     def _broadcast_membership(self, ranks: list[int], state: str) -> None:
-        """Epoch-stamped MEMBERSHIP broadcast (generalizes RANK_LOST).
+        """Epoch-stamped MEMBERSHIP broadcast: which peer ranks to stop
+        or resume sending to.
 
         States: ``lost`` (death), ``back`` (respawned replacement),
         ``left`` (graceful drain), ``joined`` (elastic joiner).  Each
@@ -803,134 +875,7 @@ class SocketTransport(Transport):
                   f"recover, run `{self.worker_command(conn.index)}`",
                   file=sys.stderr)
 
-    # -- late admission (replacement workers, joiners, drain clients) ---------
-
-    def _admit_late(self, sock: socket.socket) -> None:
-        """Validate a late hello and splice the peer into the run.
-
-        Same trust boundary as the rendezvous :meth:`_admit` — size-capped
-        JSON hello, token compared first.  Three admissible shapes:
-
-        * a **replacement** worker (``--index`` naming a connection marked
-          dead with a respawn pending) — PR-9 semantics;
-        * an **elastic joiner** (``--join``) — admitted into any vacant
-          slot (a dead or drained connection with no respawn pending)
-          whose rank count matches its ``--slots``;
-        * a **drain control client** (``repro drain <rank>``) — asks the
-          coordinator to request a graceful drain of the worker hosting
-          the rank, gets a one-frame acknowledgement, and disconnects.
-        """
-        try:
-            sock.settimeout(5.0)
-            frame = wire.read_frame(sock, max_body=_HELLO_MAX_BYTES)
-            sock.settimeout(None)
-            if frame.kind != wire.HELLO:
-                raise wire.WireError(f"expected HELLO, got kind {frame.kind}")
-            hello = json.loads(frame.body)
-            if not isinstance(hello, dict):
-                raise wire.WireError("hello is not a JSON object")
-            if not hmac.compare_digest(
-                    str(hello.get("token") or ""), self.token):
-                raise wire.WireError("bad rendezvous token")
-            if hello.get("version") != _WIRE_VERSION:
-                raise wire.WireError(
-                    f"wire version mismatch: coordinator {_WIRE_VERSION}, "
-                    f"worker {hello.get('version')}")
-            if hello.get("cmd") == "drain":
-                self._admit_drain_request(sock, hello)
-                return
-            self._require_dtype(hello)
-            index = hello.get("index")
-            joining = bool(hello.get("join"))
-            if index is None and not joining:
-                raise wire.WireError(
-                    "replacement workers must present --index "
-                    "(or --join to fill any vacant slot)")
-            with self._admit_lock:
-                if self._shut_down:
-                    raise wire.WireError("coordinator is shutting down")
-                if index is None:
-                    index = self._vacant_slot_for(hello)
-                index = int(index)
-                respawning = index in self._respawn_pending
-                if not respawning and not joining:
-                    raise wire.WireError(
-                        f"worker slot {index} is not awaiting a replacement")
-                if joining and not respawning and not self._slot_vacant(index):
-                    raise wire.WireError(
-                        f"worker slot {index} is not vacant")
-                if hello.get("slots") != len(self._blocks[index]):
-                    raise wire.WireError(
-                        f"worker {index} offered {hello.get('slots')} "
-                        f"slot(s), host spec expects "
-                        f"{len(self._blocks[index])}")
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                host = (str(hello.get("host")) if joining and hello.get("host")
-                        else self.hosts[index][0])
-                conn = _WorkerConnection(index, host, sock,
-                                         self._blocks[index])
-                self._connections[index] = conn
-                for rank in conn.ranks:
-                    self._rank_conn[rank] = conn
-                parked = self._parked.pop(index, None)
-                self._respawn_pending.discard(index)
-                incarnation = self._index_incarnations.get(index, 1) + 1
-                self._index_incarnations[index] = incarnation
-                peer_losses = self._ranks_lost_total
-            assert self._program is not None
-            wire.write_frame(conn.sock, wire.pack_frame(wire.START, conn.index, {
-                "ranks": conn.ranks,
-                "size": self.size,
-                "program": self._program,
-                "respawn": respawning,
-                "join": joining and not respawning,
-                # Incarnation carryover: the worker seeds its ranks'
-                # TransportStats from the slot's full history so counters
-                # aggregate across incarnations instead of resetting.
-                "incarnation": incarnation,
-                "peer_losses": peer_losses,
-            }))
-            self._start_io_threads(conn)
-            if parked:
-                # Control frames the master sent into the respawn gap
-                # (heartbeat requests, fault notices) arrive late, not never.
-                for rank, header, body in parked:
-                    conn.outbound.put((header, body))
-            self._broadcast_membership(
-                list(conn.ranks), "back" if respawning else "joined")
-            if telemetry.enabled():
-                telemetry.count("socket.workers_readmitted")
-            verb = "re-admitted" if respawning else "joined"
-            print(f"[socket] worker {index} {verb}, hosting rank(s) "
-                  f"{conn.ranks}", file=sys.stderr)
-        except Exception as exc:  # noqa: BLE001 - anything a stranger sends
-            if telemetry.enabled():
-                telemetry.count("socket.hello_rejected")
-            print(f"[socket] rejected late connection: {exc}", file=sys.stderr)
-            sock.close()
-        finally:
-            self._admit_slots.release()
-
-    def _slot_vacant(self, index: int) -> bool:
-        """A slot whose connection is gone and no replacement is pending
-        (caller holds ``_admit_lock``)."""
-        conn = self._connections[index]
-        return (conn is not None and conn.dead
-                and index not in self._respawn_pending)
-
-    def _vacant_slot_for(self, hello: dict) -> int:
-        """The lowest vacant slot matching a joiner's rank count
-        (caller holds ``_admit_lock``)."""
-        candidates = [
-            i for i in range(len(self._blocks))
-            if self._slot_vacant(i)
-            and len(self._blocks[i]) == hello.get("slots")
-        ]
-        if not candidates:
-            raise wire.WireError(
-                f"no vacant worker slot takes {hello.get('slots')} rank(s); "
-                f"joiners can only fill slots whose worker died or drained")
-        return candidates[0]
+    # -- drain requests -------------------------------------------------------
 
     def _admit_drain_request(self, sock: socket.socket, hello: dict) -> None:
         """Handle a ``repro drain`` control client (post-auth).
@@ -940,14 +885,11 @@ class SocketTransport(Transport):
         member of the run.
         """
         rank = int(hello.get("rank", -1))
-        conn = self._rank_conn.get(rank)
-        if conn is None or conn.dead:
-            reply = {"ok": False,
-                     "error": f"rank {rank} is not hosted by a live worker"}
+        try:
+            self.drain_rank(rank)
+        except ValueError as exc:
+            reply = {"ok": False, "error": str(exc)}
         else:
-            conn.outbound.put(wire.pack_frame(
-                wire.DRAIN, rank,
-                body=json.dumps({"rank": rank}).encode("utf-8")))
             reply = {"ok": True, "rank": rank}
             if telemetry.enabled():
                 telemetry.count("socket.drain_requests")
@@ -1073,7 +1015,7 @@ class _WorkerHub:
         self.inboxes: dict[int, queue.SimpleQueue] = {
             rank: queue.SimpleQueue() for rank in ranks
         }
-        #: World ranks the coordinator declared lost (RANK_LOST frames);
+        #: World ranks the coordinator declared gone (MEMBERSHIP frames);
         #: sends to them are dropped at the hub instead of burning a frame
         #: on a route the coordinator would discard anyway.
         self.lost_ranks: set[int] = set()
@@ -1133,8 +1075,6 @@ class _WorkerHub:
                     inbox = self.inboxes.get(frame.rank)
                     if inbox is not None:
                         inbox.put(frame.payload())
-                elif frame.kind == wire.RANK_LOST:
-                    self._on_rank_lost(frame.payload())
                 elif frame.kind == wire.MEMBERSHIP:
                     self._on_membership(frame.payload())
                 elif frame.kind == wire.DRAIN:
@@ -1162,25 +1102,13 @@ class _WorkerHub:
             # __main__) must fail the hosted ranks fast, not strand them.
             self._on_connection_lost()
 
-    def _on_rank_lost(self, notice: Any) -> None:
-        """Apply one RANK_LOST broadcast: track lost peers, count them."""
-        ranks = set(notice.get("ranks", ())) - self.ranks
-        if notice.get("state") == "back":
-            self.lost_ranks -= ranks
-            return
-        fresh = ranks - self.lost_ranks
-        self.lost_ranks |= fresh
-        if fresh:
-            for stats in self.stats_by_rank.values():
-                stats.count_rank_lost(len(fresh))
-
     def _on_membership(self, notice: Any) -> None:
         """Apply one epoch-stamped MEMBERSHIP broadcast.
 
-        ``lost`` keeps RANK_LOST semantics (peers dropped + counted);
-        ``left`` is a *planned* departure — peers stop sending to the
-        ranks but the loss counter stays untouched (a drain is not a
-        fault); ``back``/``joined`` put the ranks back in play.
+        ``lost`` drops the peers and counts the loss; ``left`` is a
+        *planned* departure — peers stop sending to the ranks but the loss
+        counter stays untouched (a drain is not a fault);
+        ``back``/``joined`` put the ranks back in play.
         """
         state = notice.get("state")
         ranks = set(notice.get("ranks", ())) - self.ranks
@@ -1215,12 +1143,10 @@ def _seed_transport_stats(ranks: list[int], start: dict,
     ``incarnation - 1`` — aggregated across every respawn/join, never
     reset), the run's cumulative peer losses (``peer_losses`` — a joiner
     admitted after a death must report the loss its slot lived through),
-    and this process's own connect retries.  Pre-v4 coordinators send
-    neither field; the legacy ``respawn`` flag then seeds one reconnect.
+    and this process's own connect retries.  The rendezvous START names
+    neither: a first incarnation with nothing lost.
     """
-    incarnation = int(start.get("incarnation", 0))
-    if incarnation <= 0:
-        incarnation = 2 if start.get("respawn") else 1
+    incarnation = int(start.get("incarnation", 1))
     peer_losses = int(start.get("peer_losses", 0))
     stats_by_rank: dict[int, TransportStats] = {}
     for rank in ranks:

@@ -73,8 +73,9 @@ class TransportStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     ranks_lost: int = 0
-    """Peer-loss notices this rank observed (``RANK_LOST`` frames, or the
-    synthesized equivalent on in-process transports)."""
+    """Peer-loss notices this rank observed (``MEMBERSHIP`` frames with
+    state ``lost``, or the synthesized equivalent on in-process
+    transports)."""
     reconnects: int = 0
     """Times this rank's hosting connection was (re-)established beyond the
     first — 1 for every rank of a respawned socket worker."""

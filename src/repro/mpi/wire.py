@@ -5,9 +5,10 @@ One frame is a fixed header followed by an opaque body::
     header := magic(2) kind(1) rank(4, signed) body_len(4)
     body   := nseg(4) seg_len(8)*nseg seg*nseg
 
-``kind`` is the protocol verb (HELLO/START/MSG/RESULT/SHUTDOWN), ``rank``
-its addressing field (destination rank for MSG, reporting rank for RESULT,
-unused otherwise).  Segment 0 is the pickle (protocol 5); segments 1..n are
+``kind`` is the protocol verb (HELLO/START/MSG/RESULT/SHUTDOWN/MEMBERSHIP/
+DRAIN), ``rank`` its addressing field (destination rank for MSG, reporting
+rank for RESULT, target rank for DRAIN, unused otherwise).  Segment 0 is
+the pickle (protocol 5); segments 1..n are
 the out-of-band buffers pickle 5 extracted — NumPy genome vectors therefore
 travel as raw buffer copies instead of being embedded (and escaped) inside
 the pickle stream, which is the fast path the exchange loop lives on.
@@ -16,7 +17,7 @@ The one exception is HELLO: its body is a small UTF-8 JSON object, *not* a
 pickle.  HELLO arrives before the sender has proven it knows the rendezvous
 token, and unpickling attacker-controlled bytes is arbitrary code
 execution — the coordinator must be able to authenticate the frame without
-ever touching :mod:`pickle` (see ``SocketTransport._admit``).
+ever touching :mod:`pickle` (see ``SocketTransport._read_hello``).
 
 The body is opaque to routers: the coordinator forwards MSG frames by
 passing header and body through untouched (the destination rank is already
@@ -61,7 +62,6 @@ __all__ = [
     "MSG",
     "RESULT",
     "SHUTDOWN",
-    "RANK_LOST",
     "MEMBERSHIP",
     "DRAIN",
 ]
@@ -75,13 +75,10 @@ START = 2      #: coordinator -> worker: rank assignment + the program
 MSG = 3        #: an Envelope in flight; ``rank`` = destination world rank
 RESULT = 4     #: worker -> coordinator: one rank's outcome; ``rank`` = rank
 SHUTDOWN = 5   #: coordinator -> worker: drain and exit
-RANK_LOST = 6  #: coordinator -> workers: peer ranks lost (or back after a
-               #: respawn) — replaces silent socket death with an explicit
-               #: liveness broadcast; body = {"ranks": [...], "state": ...}
-MEMBERSHIP = 7  #: coordinator -> workers: epoch-stamped membership change,
-                #: generalizing RANK_LOST to elastic join/leave; body =
-                #: {"epoch": int, "ranks": [...], "state": "lost"|"back"|
-                #: "joined"|"left"}
+# 6 is retired (a liveness broadcast MEMBERSHIP superseded): never reuse it.
+MEMBERSHIP = 7  #: coordinator -> workers: epoch-stamped membership change;
+                #: body = {"epoch": int, "ranks": [...], "state": "lost"|
+                #: "back"|"joined"|"left"}
 DRAIN = 8      #: control verb: coordinator -> worker requests the named
                #: rank drain gracefully (checkpoint + hand off its cells);
                #: also the reply kind for the ``repro drain`` control

@@ -96,8 +96,10 @@ class HeartbeatMonitor:
             return [rank for rank, l in self.liveness.items() if l.dead]
 
     def mark_finished(self, rank: int) -> bool:
-        """Called by the master's main thread when a result arrives — result
-        reception is the authoritative end-of-execution signal.
+        """Called by the master's main thread when a rank needs no more
+        watching: its last result arrived — result reception is the
+        authoritative end-of-execution signal — or it drained (a planned
+        departure is accounted, but not dead).
 
         A result beats a concurrent death declaration: a slave that went
         quiet during its final iterations (long batch, loaded node) can
@@ -116,27 +118,13 @@ class HeartbeatMonitor:
         return resurrected
 
     def revive(self, rank: int) -> None:
-        """Put a respawned rank back under monitoring (recover policy)."""
+        """Put a respawned or joined rank (back) under monitoring."""
         with self._lock:
             entry = self.liveness[rank]
             entry.dead = False
             entry.missed_rounds = 0
             entry.state = SlaveState.PROCESSING.value
             entry.last_reply_at = time.monotonic()
-
-    def retire(self, rank: int) -> None:
-        """Stop monitoring a gracefully drained rank.
-
-        A drain is a planned departure: the rank is accounted (so the
-        monitor stops requesting its status and :meth:`all_accounted` can
-        complete) but *not* dead — ``dead_ranks`` must stay empty for a
-        run whose only churn was voluntary.
-        """
-        with self._lock:
-            entry = self.liveness[rank]
-            entry.state = SlaveState.FINISHED.value
-            entry.missed_rounds = 0
-            entry.dead = False
 
     # -- the heartbeat loop ---------------------------------------------------------------
 
@@ -145,7 +133,11 @@ class HeartbeatMonitor:
             with self._lock:
                 targets = [l.rank for l in self.liveness.values() if not l.accounted]
             if not targets:
-                return
+                # Idle, not done: revive() may put a respawned or joined
+                # rank back under watch long after the last survivor
+                # finished.  stop() ends the loop.
+                self._stop.wait(self.interval_s)
+                continue
             for rank in targets:
                 self.comm.request_status(rank)
             # Give slaves one interval to answer, then account.

@@ -1,8 +1,11 @@
 """Fault recovery for distributed training: policies, migration, rejoin.
 
 The paper's heartbeat thread (Section III-B, Fig. 3) only *detects* slave
-failure; the master then aborts the survivors.  This module is the layer
-that turns detection into recovery.  Three policies:
+failure; the master then aborts the survivors.  This module holds what turns
+detection into recovery: the notice types the master's membership
+transition (:class:`~repro.parallel.elastic.MembershipTable`) emits, the
+slave-side :class:`FaultState` that applies them, and the two pure planning
+functions the transition calls.  Three policies:
 
 * ``abort`` — the paper-faithful default: survivors are aborted gracefully
   and the run reports its dead ranks.
@@ -57,7 +60,6 @@ __all__ = [
     "FaultNotice",
     "ResumeDirective",
     "FaultState",
-    "choose_adopter",
     "plan_rebalance",
     "rejoin_iteration",
     "RESYNC_WINDOW",
@@ -104,6 +106,21 @@ class FrozenCell:
     for the same cell with a higher epoch *replaces* this entry (a frozen
     cell reclaimed by a joiner, an adopted cell re-adopted after a second
     death); exchange payloads stamped with an older epoch are fenced out."""
+
+    @classmethod
+    def from_snapshot(cls, snapshot: CellSnapshot, *, adopter_rank: int | None,
+                      rejoin_iteration: int, epoch: int) -> "FrozenCell":
+        """The hand-off record of ``snapshot``'s cell at ``epoch``."""
+        return cls(
+            cell_index=snapshot.cell_index,
+            iteration=snapshot.iteration,
+            generator_genome=snapshot.generator_genome,
+            discriminator_genome=snapshot.discriminator_genome,
+            mixture_weights=snapshot.mixture_weights,
+            adopter_rank=adopter_rank,
+            rejoin_iteration=rejoin_iteration,
+            epoch=epoch,
+        )
 
     def snapshot(self) -> CellSnapshot:
         return CellSnapshot(
@@ -223,27 +240,6 @@ class FaultState:
         return frozen.adopter_rank - self._first_slave_rank
 
 
-def choose_adopter(outstanding: Mapping[int, Iterable[int]],
-                   excluded: Iterable[int] = ()) -> int | None:
-    """The surviving rank that should adopt the next orphaned cell.
-
-    Candidates are ranks still working (non-empty outstanding cell set) and
-    not themselves dead; least-loaded wins, lowest rank breaks ties.
-    Returns ``None`` when nobody can adopt (all survivors already finished).
-    """
-    banned = set(excluded)
-    candidates = []
-    for rank, cells in outstanding.items():
-        if rank in banned:
-            continue
-        load = len(list(cells))
-        if load:
-            candidates.append((load, rank))
-    if not candidates:
-        return None
-    return min(candidates)[1]
-
-
 def plan_rebalance(orphans: Iterable[int],
                    candidates: Mapping[int, Iterable[int]],
                    grid=None,
@@ -264,9 +260,8 @@ def plan_rebalance(orphans: Iterable[int],
     * lowest rank breaks remaining ties.
 
     With ``grid=None`` (or a grid too small for locality to differentiate,
-    e.g. 2x2 where every cell neighbors every other) the scoring degrades
-    to exactly :func:`choose_adopter`'s least-loaded-lowest-rank rule.
-    Orphans nobody can take map to ``None``.
+    e.g. 2x2 where every cell neighbors every other) the scoring is
+    least-loaded, lowest rank.  Orphans nobody can take map to ``None``.
     """
     banned = set(excluded)
     loads: dict[int, int] = {}
@@ -287,9 +282,8 @@ def plan_rebalance(orphans: Iterable[int],
             neighborhood.discard(orphan)
         best = None
         for rank in sorted(hosted):
-            # choose_adopter compatibility: an idle survivor (load 0 that
-            # was never a standby joiner) is still eligible here — the
-            # caller controls eligibility via the candidates mapping.
+            # An idle candidate (load 0) is eligible: the caller controls
+            # eligibility through the candidates mapping.
             locality = len(hosted[rank] & neighborhood)
             key = (-locality, loads[rank], rank)
             if best is None or key < best[0]:

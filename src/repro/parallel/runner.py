@@ -502,9 +502,9 @@ class DistributedRunner:
             transport_stats=list(transport_stats or []),
             telemetry=merged,
             fault_policy=self.fault_policy,
-            degraded_ranks=list(getattr(outcome, "degraded_ranks", [])),
-            recovered_ranks=list(getattr(outcome, "recovered_ranks", [])),
-            drained_ranks=list(getattr(outcome, "drained_ranks", [])),
-            joined_ranks=list(getattr(outcome, "joined_ranks", [])),
-            membership=getattr(outcome, "membership", None),
+            degraded_ranks=outcome.degraded_ranks,
+            recovered_ranks=outcome.recovered_ranks,
+            drained_ranks=outcome.drained_ranks,
+            joined_ranks=outcome.joined_ranks,
+            membership=outcome.membership,
         )

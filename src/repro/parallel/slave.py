@@ -91,9 +91,13 @@ class SlaveProcess:
     def run(self) -> SlaveResult | None:
         """Full slave lifecycle; returns the result it also sent the master.
 
-        Returns ``None`` on the elastic exits — a drained rank (its cells
-        left through a :class:`~repro.parallel.elastic.DrainNotice`) and a
-        standby joiner released by the master's end-of-run abort."""
+        A standby rank (an elastic joiner admitted with no cell of its own)
+        is the same slave without an own-cell execution thread: it serves
+        the master, adopts when a :class:`FaultNotice` names it, and leaves
+        on the master's end-of-run abort or a drain.  Returns ``None`` on
+        the elastic exits — a drained rank (its cells left through a
+        :class:`~repro.parallel.elastic.DrainNotice`) and a released
+        standby."""
         comm = self.comm
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
         comm.send_node_info(NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
@@ -105,40 +109,42 @@ class SlaveProcess:
             telemetry.set_level(task.telemetry_level)
         telemetry.mark("run task received", f"cell {task.cell_index}")
         self.machine.start_processing()
-        if task.standby:
-            # An elastically-joined rank with no cell of its own: park,
-            # answer heartbeats, stay ready to adopt.
-            return self._standby_main(task)
-        # 3. Join the LOCAL/GLOBAL communication contexts.  A respawned
-        # worker re-attaches non-collectively — its peers built theirs
-        # before it was born and will not re-enter the collective.
+        # 3. Join the LOCAL/GLOBAL communication contexts.  A rank born
+        # mid-run (respawned, or joined) re-attaches non-collectively — its
+        # peers built theirs before it existed and will not re-enter the
+        # collective — and replays the run's fault history so its view of
+        # frozen cells matches the survivors'.
         if task.resume is not None:
             comm.rejoin_contexts(is_active_slave=True)
             for notice in task.resume.notices:
                 self.fault_state.apply(notice)
         else:
             comm.build_contexts(is_active_slave=True)
-        # 4. Launch the execution thread (Fig. 3: "Create execution thread").
         config = ExperimentConfig.from_json(task.config_json)
         grid = Grid.from_payload(task.grid_payload)
         self._task, self._config, self._grid = task, config, grid
+        # 4. Launch the execution thread (Fig. 3: "Create execution thread").
         result_box: dict[str, SlaveResult] = {}
-        execution = threading.Thread(
-            target=self._execution_main,
-            args=(task, config, grid, result_box),
-            name=f"slave-{comm.rank}-exec",
-            daemon=True,
-        )
-        execution.start()
+        execution: threading.Thread | None = None
+        if task.standby:
+            telemetry.mark("standby", "parked, ready to adopt")
+        else:
+            execution = threading.Thread(
+                target=self._execution_main,
+                args=(task, config, grid, result_box),
+                name=f"slave-{comm.rank}-exec",
+                daemon=True,
+            )
+            execution.start()
         # 5. Main thread: the master's communication interface.  Keeps
         # serving while *any* hosted cell still trains — the slave may have
         # adopted a dead rank's cell into a second execution thread.
         result: SlaveResult | None = None
-        own_shipped = False
         while True:
             self._serve_master_once()
-            if not execution.is_alive() and not own_shipped:
+            if execution is not None and not execution.is_alive():
                 execution.join()
+                execution = None
                 if self._execution_error is not None and not isinstance(
                         self._execution_error, (ExchangeAborted, DrainRequested)):
                     raise self._execution_error
@@ -155,13 +161,17 @@ class SlaveProcess:
                     # Retake the in-band copy so it includes the send mark.
                     result.telemetry = telemetry.snapshot(comm.rank)
                 comm.send_result(result)
-                own_shipped = True
-            if own_shipped and not any(t.is_alive() for t in self._adopted_threads):
-                break
+            if execution is None and not any(
+                    t.is_alive() for t in self._adopted_threads):
+                # Nothing left to train.  A standby rank stays, ready to
+                # adopt, until a drain or the master's abort releases it.
+                if (not task.standby or self._drain.is_set()
+                        or self.abort_event.is_set()):
+                    break
             time.sleep(self.poll_interval_s)
         if self._drain.is_set():
-            # Drain arrived after the own cell shipped: hand off whatever
-            # adopted cells stopped unfinished (possibly none).
+            # Drain arrived after the own cell shipped (or on a standby):
+            # hand off whatever adopted cells stopped unfinished.
             self._drain_and_exit()
             return result
         for thread in self._adopted_threads:
@@ -202,41 +212,6 @@ class SlaveProcess:
                     timestamp=time.time(),
                 )
             )
-
-    def _standby_main(self, task: RunTask) -> None:
-        """Park an elastically-joined rank until it adopts or is released.
-
-        The joiner attaches to the communication contexts non-collectively
-        (its peers built theirs long before it was born), replays the run's
-        fault history so its view of frozen cells matches the survivors',
-        then serves the master loop: heartbeats keep it monitored, a
-        :class:`FaultNotice` naming it as adopter starts execution threads
-        exactly like any surviving slave's, and the master's end-of-run
-        abort (or a drain) releases it.
-        """
-        comm = self.comm
-        comm.rejoin_contexts(is_active_slave=True)
-        if task.resume is not None:
-            for notice in task.resume.notices:
-                self.fault_state.apply(notice)
-        config = ExperimentConfig.from_json(task.config_json)
-        grid = Grid.from_payload(task.grid_payload)
-        self._task, self._config, self._grid = task, config, grid
-        telemetry.mark("standby", "parked, ready to adopt")
-        while True:
-            self._serve_master_once()
-            live_adopted = any(t.is_alive() for t in self._adopted_threads)
-            if self._drain.is_set() and not live_adopted:
-                self._drain_and_exit()
-                return None
-            if self.abort_event.is_set() and not live_adopted:
-                break
-            time.sleep(self.poll_interval_s)
-        for thread in self._adopted_threads:
-            thread.join()
-        self.machine.finish()
-        self._serve_master_once()
-        return None
 
     def _drain_and_exit(self) -> None:
         """The graceful-departure protocol (planned leave, not a fault).

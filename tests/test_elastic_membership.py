@@ -21,7 +21,7 @@ from repro.parallel.elastic import (DrainNotice, MembershipEvent,
                                     MembershipLog, MembershipTable)
 from repro.parallel.grid import Grid
 from repro.parallel.recovery import (FaultNotice, FaultState, FrozenCell,
-                                     choose_adopter, plan_rebalance)
+                                     plan_rebalance)
 from tests.conftest import eagerly_initialize, make_quick_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -61,39 +61,47 @@ def _digest(center_genomes, mixture_weights) -> str:
 
 
 class TestMembershipTable:
+    """The table's bookkeeping; what its transitions decide is covered in
+    ``tests/test_membership_transitions.py``."""
+
     def test_launch_is_epoch_zero(self):
-        table = MembershipTable([1, 2, 3, 4])
+        table = MembershipTable(Grid(2, 2), "abort", 5)
         assert table.epoch == 0
-        assert table.members() == (1, 2, 3, 4)
+        assert table.vacant() == set()
         launch = table.log.events[0]
         assert launch.epoch == 0
         assert launch.kind == "launch"
         assert launch.ranks == (1, 2, 3, 4)
 
     def test_every_transition_bumps_the_epoch(self):
-        table = MembershipTable([1, 2, 3, 4])
-        assert table.bump("death", [2], cells=[1]) == 1
-        assert table.bump("drain", [4], cells=[3]) == 2
-        assert table.bump("join", [2]) == 3
-        assert table.bump("respawn", [4]) == 4
+        table = MembershipTable(Grid(2, 2), "abort", 5)
+        none = dict(snapshots={}, rejoin=0)
+        assert table.depart("death", [2], **none).epoch == 1
+        assert table.depart("drain", [4], **none).epoch == 2
+        assert table.arrive("join", 2, **none).epoch == 3
+        assert table.arrive("respawn", 4, **none).epoch == 4
         assert table.log.epochs() == [0, 1, 2, 3, 4]
         kinds = [event.kind for event in table.log]
         assert kinds == ["launch", "death", "drain", "join", "respawn"]
+        assert table.log.events[1].cells == (1,)  # rank 2's orphaned cell
 
-    def test_members_track_departures_and_arrivals(self):
-        table = MembershipTable([1, 2, 3])
-        table.bump("death", [2])
-        assert table.members() == (1, 3)
-        table.bump("drain", [3])
-        assert table.members() == (1,)
-        table.bump("join", [2])
-        table.bump("respawn", [3])
-        assert table.members() == (1, 2, 3)
+    def test_vacancies_track_departures_and_arrivals(self):
+        table = MembershipTable(Grid(1, 3), "abort", 5)
+        none = dict(snapshots={}, rejoin=0)
+        table.depart("death", [2], **none)
+        assert table.vacant() == {2}
+        table.depart("drain", [3], **none)
+        assert table.vacant() == {2, 3}
+        table.arrive("join", 2, **none)
+        table.arrive("respawn", 3, **none)
+        assert table.vacant() == set()
 
     def test_unknown_kind_rejected(self):
-        table = MembershipTable([1])
-        with pytest.raises(ValueError, match="unknown membership kind"):
-            table.bump("eviction", [1])
+        table = MembershipTable(Grid(1, 1), "abort", 5)
+        with pytest.raises(ValueError, match="death or drain"):
+            table.depart("eviction", [1], snapshots={}, rejoin=0)
+        with pytest.raises(ValueError, match="respawn or join"):
+            table.arrive("death", 1, snapshots={}, rejoin=0)
         with pytest.raises(ValueError, match="unknown membership kind"):
             MembershipEvent(epoch=1, kind="eviction", ranks=(1,))
 
@@ -110,11 +118,9 @@ class TestMembershipTable:
 
 
 class TestPlanRebalance:
-    def test_degenerates_to_choose_adopter_without_grid(self):
-        candidates = {3: {7}, 4: {8, 9}}
-        plan = plan_rebalance([1], candidates)
-        assert plan == {1: choose_adopter(candidates)}
-        assert plan[1] == 3  # least loaded
+    def test_least_loaded_lowest_rank_without_grid(self):
+        assert plan_rebalance([1], {3: {7}, 4: {8, 9}}) == {1: 3}
+        assert plan_rebalance([1], {4: {8}, 3: {7}}) == {1: 3}  # tie: lowest
 
     def test_prefers_neighborhood_locality(self):
         # Cell 5's torus neighbors on 4x4 are {1, 4, 6, 9}.  Rank 1 hosts
@@ -250,15 +256,12 @@ class TestStatsCarryover:
             assert seeded[rank].ranks_lost == 2
             assert seeded[rank].send_retries == 1
 
-    def test_legacy_respawn_flag_seeds_one_reconnect(self):
-        seeded = _seed_transport_stats([4], {"respawn": True},
-                                       connect_retries=0)
-        assert seeded[4].reconnects == 1
-
-    def test_first_incarnation_starts_clean(self):
-        seeded = _seed_transport_stats([1], {"incarnation": 1,
-                                             "peer_losses": 0},
-                                       connect_retries=0)
+    @pytest.mark.parametrize("start", [
+        {"incarnation": 1, "peer_losses": 0},
+        {},  # the rendezvous START names neither
+    ])
+    def test_first_incarnation_starts_clean(self, start):
+        seeded = _seed_transport_stats([1], start, connect_retries=0)
         assert seeded[1].reconnects == 0
         assert seeded[1].ranks_lost == 0
 

@@ -116,6 +116,26 @@ class TestHeartbeatFinishRace:
             monitor.stop()
 
 
+    def test_rank_revived_after_everyone_finished_is_watched_again(self):
+        """A rank respawned or joined *after* the survivors finished (the
+        respawn wait alone can outlast them) must still be polled: if it
+        dies a second time the master has to hear about it."""
+        comm = StubComm()
+        monitor = HeartbeatMonitor(comm, [1, 2], interval_s=0.02, miss_limit=2)
+        monitor.start()
+        try:
+            monitor.mark_finished(1)
+            monitor.mark_finished(2)
+            assert monitor.all_accounted()
+            time.sleep(0.1)  # several idle rounds with nobody to poll
+            monitor.revive(2)
+            # Rank 2 stays silent: declared dead within miss_limit rounds.
+            assert wait_until(monitor.deaths_detected.is_set, timeout=2.0)
+            assert monitor.dead_ranks() == [2]
+        finally:
+            monitor.stop()
+
+
 # -- initial-state recovery without a dataset ---------------------------------
 
 

@@ -91,9 +91,11 @@ class TestHostSpecs:
         with pytest.raises(ValueError, match="must be a number"):
             parse_address("[::1]:5o55")
 
-    def test_garbage_hello_rejected_not_fatal(self):
+    @pytest.mark.parametrize("when", ["rendezvous", "after-the-barrier"])
+    def test_garbage_hello_rejected_not_fatal(self, when, capsys):
         """A stranger's malformed hello must reject that connection only,
-        never crash the coordinator's rendezvous."""
+        never crash the coordinator — during the rendezvous or, through the
+        same admission, on the listener it keeps open afterwards."""
         import socket as socket_module
         import threading
         import time
@@ -112,6 +114,8 @@ class TestHostSpecs:
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
             port = transport._listener.getsockname()[1]
+            if when == "after-the-barrier":
+                launched.join(timeout=60)
             with socket_module.create_connection(("127.0.0.1", port),
                                                  timeout=10) as intruder:
                 # Valid magic, HELLO kind, but the payload is not a dict.
@@ -122,6 +126,12 @@ class TestHostSpecs:
             outcomes = transport.collect(timeout=60)
             # Ring of 2: each rank returns the other's value.
             assert [o.value for o in outcomes] == [1.0, 0.0]
+            seen = ""
+            while "rejected connection" not in seen:
+                assert time.monotonic() < deadline, "hello never rejected"
+                time.sleep(0.05)
+                seen += capsys.readouterr().err
+            assert "hello is not valid JSON" in seen
         finally:
             transport.shutdown()
 
@@ -179,10 +189,10 @@ class TestHostSpecs:
         handed_over: queue.Queue = queue.Queue()
         # No accept loop: the test admits the one worker by hand.
         monkeypatch.setattr(transport, "_accept_loop",
-                            lambda *args: handed_over.put(args))
+                            lambda: handed_over.put("started"))
         waiter = threading.Thread(target=transport._rendezvous_loop, daemon=True)
         waiter.start()
-        pending, deadline = handed_over.get(timeout=10)
+        handed_over.get(timeout=10)
         with socket_module.create_server(("127.0.0.1", 0)) as server:
             worker = socket_module.create_connection(server.getsockname())
             coordinator_side, _ = server.accept()
@@ -191,10 +201,10 @@ class TestHostSpecs:
                 "version": _WIRE_VERSION, "token": "tok", "slots": 1,
                 "index": 0, "dtype": "float64"}).encode()))
             transport._admit_slots.acquire()  # released by _admit
-            transport._admit(coordinator_side, pending, deadline)
+            transport._admit(coordinator_side)
             waiter.join(timeout=10)
             assert not waiter.is_alive(), "rendezvous missed the last admission"
-            assert not pending
+            assert not transport._pending
         finally:
             worker.close()
             transport.shutdown()

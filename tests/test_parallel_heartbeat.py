@@ -145,10 +145,19 @@ class TestMonitor:
         finally:
             monitor.stop()
 
-    def test_monitor_thread_exits_when_all_accounted(self, comm):
+    def test_monitor_idles_when_all_accounted_and_stop_ends_it(self, comm):
+        """With everyone accounted the loop stops polling but stays up —
+        revive() may hand it a rank again — and stop() ends it."""
         monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=2)
         monitor.start()
-        assert wait_until(lambda: not monitor._thread.is_alive())
+        assert wait_until(monitor.all_accounted)
+        time.sleep(0.1)  # let an in-flight round finish
+        polled = len(comm.requests)
+        time.sleep(0.1)
+        assert len(comm.requests) == polled
+        assert monitor._thread.is_alive()
+        monitor.stop()
+        assert not monitor._thread.is_alive()
 
     def test_snapshot_is_a_copy(self, comm):
         monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=3)
