@@ -34,7 +34,7 @@ is a no-op.
 **Alias crossing.**  The PR-4 arena contract: live parameter-arena views
 (``alias=True``) must never cross a thread or transport boundary.  The
 arena registers live aliases here; :func:`check_no_alias` (called by
-``Endpoint.send_to``) reports any registered alias found inside an outgoing
+``Endpoint.send_group``) reports any registered alias found inside an outgoing
 payload, and :func:`check_alias_use` reports use from a thread other than
 the borrower.
 

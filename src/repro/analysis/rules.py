@@ -313,7 +313,7 @@ class AliasEscapeRule(Rule):
     components = frozenset({"nn", "gan", "coevolution", "parallel", "mpi", "serving"})
 
     _SEND_ATTRS = {
-        "send", "send_to", "put", "put_nowait", "publish", "submit",
+        "send", "send_group", "put", "put_nowait", "publish", "submit",
         "exchange_genomes", "send_result", "send_node_info", "reply_status",
     }
 

@@ -340,7 +340,9 @@ def _report_telemetry(result) -> None:
     comm_s = merged.span_seconds("exchange.gather")
     print(f"telemetry: {rate:.2f} iteration(s)/s, "
           f"exchange {merged.counter('exchange.bytes_sent') / 1024:.1f} KiB "
-          f"of transport {merged.counter('mpi.bytes_sent') / 1024:.1f} KiB, "
+          f"of transport {merged.counter('mpi.bytes_sent') / 1024:.1f} KiB "
+          f"({merged.counter('exchange.genomes_sent'):.0f} of "
+          f"{merged.counter('mpi.messages_sent'):.0f} messages), "
           f"train {train_s:.2f}s vs comm {comm_s:.2f}s")
 
 

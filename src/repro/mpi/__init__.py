@@ -6,7 +6,8 @@ scratch:
 
 * point-to-point ``send``/``recv``/``isend``/``irecv``/``probe``/``iprobe``
   with tags and wildcards (pickled Python objects, like mpi4py's lowercase
-  methods);
+  methods), plus ``send_group`` — one object to a list of ``(dest, tag)``,
+  moved once per destination host (``send`` is the group of one);
 * collectives: ``bcast``, ``gather``, ``allgather``, ``scatter``,
   ``reduce``, ``allreduce``, ``barrier``;
 * communicator management: ``Split`` (builds the paper's LOCAL and GLOBAL

@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
-from repro.mpi.endpoint import Endpoint, Envelope
+from repro.mpi.endpoint import Endpoint, Group
 from repro.mpi.errors import MpiError
 
 __all__ = ["Comm", "CartComm", "Status", "Request"]
@@ -139,14 +139,34 @@ class Comm:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Send a pickled Python object (buffered, returns immediately)."""
-        self._check_user_tag(tag)
-        self._send_raw(obj, dest, tag)
+        self.send_group(obj, [(dest, tag)])
+
+    def send_group(self, obj: Any, dests: Sequence[tuple[int, int]]) -> int:
+        """Send one object to every ``(dest, tag)`` in ``dests`` (buffered,
+        returns immediately) — each destination receives it as if sent by
+        :meth:`send`, in order with this rank's other sends to it.
+
+        The transport moves the object once per destination *host*, not
+        once per destination: ranks that share a host receive the same
+        object, which they must treat as read-only.  Returns the number of
+        hosts written (see :mod:`repro.mpi.stats`).
+        """
+        for _, tag in dests:
+            self._check_user_tag(tag)
+        return self._send_group_raw(obj, dests)
+
+    def _send_group_raw(self, obj: Any, dests: Sequence[tuple[int, int]]) -> int:
+        for dest, _ in dests:
+            if not 0 <= dest < self.size:
+                raise ValueError(f"dest {dest} outside communicator of size {self.size}")
+        if not dests:
+            return 0
+        routes = tuple((self._group[dest], tag) for dest, tag in dests)
+        return self._endpoint.send_group(
+            Group(self._context, self._rank, obj, routes))
 
     def _send_raw(self, obj: Any, dest: int, tag: int) -> None:
-        if not 0 <= dest < self.size:
-            raise ValueError(f"dest {dest} outside communicator of size {self.size}")
-        envelope = Envelope(self._context, self._rank, tag, obj)
-        self._endpoint.send_to(self._group[dest], envelope)
+        self._send_group_raw(obj, [(dest, tag)])
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              status: Status | None = None, timeout: float | None = None) -> Any:

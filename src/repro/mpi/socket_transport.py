@@ -5,17 +5,20 @@ Topology is hub-and-spoke.  One **coordinator** (the launching process —
 worker processes (``repro worker --connect host:port``) connect, present a
 hello frame, and receive a contiguous block of ranks plus the pickled
 per-rank program.  After the rendezvous barrier the coordinator becomes a
-pure router — ``MSG`` frames are forwarded to the destination rank's
-connection *without re-pickling* (the frame body passes through opaque) —
-and a results collector.
+pure router — a ``MSG`` frame is forwarded to every worker its routing
+table names, once per connection and *without unpickling* (header, routes
+and body pass through as the objects that were received) — and a results
+collector.
 
-Each worker hosts its block of ranks as threads sharing one connection:
-sends to co-hosted ranks short-circuit through in-process queues, sends to
-remote ranks are framed onto the socket.  A worker that dies (process kill,
-network partition) surfaces as synthesized failed outcomes for its ranks,
-exactly like a forked rank dying under :class:`ProcessTransport` — the
-master's heartbeat layer sees the silence and degrades the run the same
-way on both substrates.
+Each worker hosts its block of ranks as threads sharing one connection.
+What moves is a *group* — one payload plus its ``(rank, tag)`` routes (see
+:class:`~repro.mpi.endpoint.Group`): co-hosted destinations take the object
+by reference through in-process queues, and all remote destinations share
+**one** frame, which each destination worker decodes once for every rank
+it hosts.  A worker that dies (process kill, network partition) surfaces as
+synthesized failed outcomes for its ranks, exactly like a forked rank dying
+under :class:`ProcessTransport` — the master's heartbeat layer sees the
+silence and degrades the run the same way on both substrates.
 
 Host specs (``--hosts``) are ``host:slots`` entries.  ``localhost`` /
 ``127.0.0.1`` / ``::1`` blocks are **forked from the coordinator** at
@@ -48,7 +51,7 @@ from typing import Any, Callable, Sequence
 
 from repro.mpi import wire
 from repro.mpi.backoff import retry_connect
-from repro.mpi.endpoint import SHUTDOWN
+from repro.mpi.endpoint import SHUTDOWN, Group, Link
 from repro.mpi.errors import MpiError
 from repro.mpi.stats import TransportStats
 from repro.mpi.transport import Transport, WorkerOutcome, execute_rank
@@ -75,7 +78,11 @@ LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 #     broadcasts epoch-stamped MEMBERSHIP frames and START carries the
 #     slot's incarnation count + cumulative peer losses so TransportStats
 #     aggregate across incarnations instead of resetting.
-_WIRE_VERSION = 4
+# v5: group routing prefix — every frame header counts the (rank, tag)
+#     routes that follow it, a MSG is addressed by them (one body for all
+#     its destinations) and pickles (context, source, payload) instead of
+#     an Envelope; START names every worker's rank block.
+_WIRE_VERSION = 5
 
 #: Size cap on the pre-auth hello body.  A real hello is ~150 bytes; the
 #: coordinator refuses to buffer more than this for a peer that has not
@@ -174,7 +181,7 @@ class _WorkerConnection:
         self.sock = sock
         self.ranks = ranks
         #: Packed frames, forwarded (header, body) parts, or None to stop.
-        self.outbound: "queue.Queue[bytes | tuple[bytes, bytes] | None]" = queue.Queue()
+        self.outbound: "queue.Queue[bytes | tuple[bytes, bytearray] | None]" = queue.Queue()
         self.finished: set[int] = set()
         self.dead = False
         self.lock = threading.Lock()
@@ -425,6 +432,7 @@ class SocketTransport(Transport):
         wire.write_frame(conn.sock, wire.pack_frame(wire.START, conn.index, {
             "ranks": conn.ranks,
             "size": self.size,
+            "blocks": self._blocks,
             "program": self._program,
             **history,
         }))
@@ -717,8 +725,8 @@ class SocketTransport(Transport):
                                peer_losses=peer_losses)
             # Control frames the master sent into the respawn gap
             # (heartbeat requests, fault notices) arrive late, not never.
-            for _rank, header, body in parked:
-                conn.outbound.put((header, body))
+            for parts in parked:
+                conn.outbound.put(parts)
             self._broadcast_membership(
                 list(conn.ranks), "back" if respawning else "joined")
             if telemetry.enabled():
@@ -758,27 +766,30 @@ class SocketTransport(Transport):
             self._mark_dead(conn)
 
     def _route(self, frame: wire.Frame) -> None:
-        """Forward a MSG frame to its destination rank's worker, untouched —
-        the received header and body pass through verbatim (no re-pickle,
-        no re-pack, no concatenation) on the exchange hot path.
+        """Forward a MSG frame to every worker its routes name, untouched —
+        the received header and body objects pass through verbatim (no
+        unpickle, no re-pack, no copy) on the exchange hot path, queued
+        once per destination *connection* however many of its ranks are
+        listed; each worker picks out the routes it hosts.
 
-        Frames addressed to a dead worker are dropped — the exact semantics
-        of the process transport's abandoned relay lanes, which the
-        heartbeat/abort path depends on.  Exception: a worker whose
-        replacement is still awaited gets its frames *parked* (bounded) and
-        flushed on re-admission, so the master's control messages sent into
-        the respawn gap are delivered rather than lost.
+        The share of a dead worker is dropped — the exact semantics of the
+        process transport's abandoned lanes, which the heartbeat/abort
+        path depends on.  Exception: a worker whose replacement is still
+        awaited gets its share *parked* (bounded) and flushed on
+        re-admission, so the master's control messages sent into the
+        respawn gap are delivered rather than lost.
         """
-        conn = self._rank_conn.get(frame.rank)
-        if conn is None or conn.dead:
-            if conn is not None and not self._shut_down:
+        for conn in dict.fromkeys(self._rank_conn.get(rank)
+                                  for rank, _ in frame.routes):
+            if conn is None:
+                continue
+            if not conn.dead:
+                conn.outbound.put(frame.parts)
+            elif not self._shut_down:
                 with self._admit_lock:
                     if conn.index in self._respawn_pending:
                         self._parked.setdefault(
-                            conn.index, deque(maxlen=512)).append(
-                                (frame.rank, frame.header, frame.body))
-            return
-        conn.outbound.put(frame.parts)
+                            conn.index, deque(maxlen=512)).append(frame.parts)
 
     def _writer_loop(self, conn: _WorkerConnection) -> None:
         while True:
@@ -1007,14 +1018,20 @@ class SocketTransport(Transport):
 class _WorkerHub:
     """One worker process's shared connection: demux inboxes + framed sends."""
 
-    def __init__(self, sock: socket.socket, ranks: list[int], size: int,
+    def __init__(self, sock: socket.socket, ranks: list[int],
+                 blocks: Sequence[Sequence[int]],
                  stats_by_rank: dict[int, TransportStats] | None = None):
+        """``ranks`` are hosted here; ``blocks`` is every worker slot's
+        rank block, this worker's included."""
         self.sock = sock
         self.ranks = set(ranks)
-        self.size = size
         self.inboxes: dict[int, queue.SimpleQueue] = {
             rank: queue.SimpleQueue() for rank in ranks
         }
+        #: World rank -> index of the worker slot hosting it (static: a
+        #: replacement or joiner takes over a slot's whole block).
+        self._worker_of = {rank: index for index, block in enumerate(blocks)
+                           for rank in block}
         #: World ranks the coordinator declared gone (MEMBERSHIP frames);
         #: sends to them are dropped at the hub instead of burning a frame
         #: on a route the coordinator would discard anyway.
@@ -1027,36 +1044,58 @@ class _WorkerHub:
                                         name="mpi-worker-hub", daemon=True)
         self._reader.start()
 
-    def peers_for(self, rank: int) -> dict[int, Callable[[Any], None]]:
-        """Putters for one hosted rank: local queues for co-hosted ranks,
-        framed sends for everyone else."""
-        peers: dict[int, Callable[[Any], None]] = {}
-        for dest in range(self.size):
-            if dest in self.ranks:
-                peers[dest] = self.inboxes[dest].put
-            else:
-                peers[dest] = self._remote_putter(dest)
-        return peers
+    def links(self, routes: Sequence[tuple[int, int]]) -> list[Link]:
+        """The outbound paths a group with ``routes`` uses from any hosted
+        rank: the in-process hand-over if a destination is co-hosted, and
+        the shared connection if one is not — a single lane per sending
+        rank, since every frame of a worker serializes on the one socket
+        anyway."""
+        unknown = {rank for rank, _ in routes} - self._worker_of.keys()
+        if unknown:
+            raise MpiError(f"unknown destination rank {min(unknown)}")
+        links = []
+        if any(rank in self.ranks for rank, _ in routes):
+            links.append(Link(self.deliver))
+        workers = {self._worker_of[rank] for rank, _ in self._remote(routes)}
+        if workers:
+            links.append(Link(self.send_remote, "wire", len(workers)))
+        return links
 
-    def _remote_putter(self, dest: int) -> Callable[[Any], None]:
-        def put(envelope: Any) -> None:
-            if dest in self.lost_ranks:
-                return  # declared dead by the coordinator: drop, fail-fast
+    def _remote(self, routes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+        """The routes that leave this worker; ranks the coordinator
+        declared gone are dropped here, fail-fast."""
+        return [(rank, tag) for rank, tag in routes
+                if rank not in self.ranks and rank not in self.lost_ranks]
 
-            # Gather-write parts: the envelope's genome vectors ride as
-            # live memoryviews straight into sendmsg — the first hop makes
-            # zero payload copies, like the coordinator's forward path.
-            # The views stay valid for the whole write: the envelope is
-            # referenced here until write_frame returns.
-            parts = wire.pack_frame_parts(wire.MSG, dest, envelope)
-            try:
-                with self._send_lock:
-                    if self._closed:
-                        return  # coordinator gone: drop, like a dead pipe
-                    wire.write_frame(self.sock, parts)
-            except wire.WireError:
-                self._on_connection_lost()
-        return put
+    def deliver(self, group: Group) -> None:
+        """Put one group into the inbox of every destination hosted here —
+        the *same* object, whether a co-hosted rank sent it or the reader
+        just decoded it off the wire, so all of them share its payload."""
+        for rank in dict.fromkeys(rank for rank, _ in group.routes):
+            inbox = self.inboxes.get(rank)
+            if inbox is not None:
+                inbox.put(group)
+
+    def send_remote(self, group: Group) -> None:
+        """Frame one group for all its destinations on other workers."""
+        routes = self._remote(group.routes)
+        if not routes:
+            return  # the last remote destination was lost since links()
+        # Gather-write parts: the payload's genome vectors ride as live
+        # memoryviews straight into sendmsg — the first hop makes zero
+        # payload copies, like the coordinator's forward path.  The views
+        # stay valid for the whole write: the group is referenced here
+        # until write_frame returns.
+        parts = wire.pack_frame_parts(
+            wire.MSG, 0, (group.context, group.source, group.payload),
+            routes=routes)
+        try:
+            with self._send_lock:
+                if self._closed:
+                    return  # coordinator gone: drop, like a dead pipe
+                wire.write_frame(self.sock, parts)
+        except wire.WireError:
+            self._on_connection_lost()
 
     def send_result(self, outcome: WorkerOutcome) -> None:
         parts = wire.pack_frame_parts(wire.RESULT, outcome.rank, outcome)
@@ -1072,9 +1111,9 @@ class _WorkerHub:
             while True:
                 frame = wire.read_frame(self.sock)
                 if frame.kind == wire.MSG:
-                    inbox = self.inboxes.get(frame.rank)
-                    if inbox is not None:
-                        inbox.put(frame.payload())
+                    # Decoded once for every rank hosted here.
+                    self.deliver(Group(*frame.payload(), frame.routes))
+                    del frame  # the inboxes own the body now, not a blocked read
                 elif frame.kind == wire.MEMBERSHIP:
                     self._on_membership(frame.payload())
                 elif frame.kind == wire.DRAIN:
@@ -1302,14 +1341,12 @@ def worker_main(connect: str, *, slots: int = 1, token: str | None = None,
     # connect retries), then hand them to execute_rank — one stats record
     # per rank, connection events included.
     stats_by_rank = _seed_transport_stats(ranks, start, connect_retries[0])
-    hub = _WorkerHub(sock, ranks, size, stats_by_rank)
+    hub = _WorkerHub(sock, ranks, start["blocks"], stats_by_rank)
     outcomes: dict[int, WorkerOutcome] = {}
 
     def run_rank(rank: int) -> None:
-        # puts_block=True: socket sends can stall on a full TCP window, so
-        # endpoints route them through per-destination relays.
         outcomes[rank] = execute_rank(rank, size, hub.inboxes[rank],
-                                      hub.peers_for(rank), True, fn, args,
+                                      hub.links, fn, args,
                                       stats=stats_by_rank[rank])
 
     threads = [threading.Thread(target=run_rank, args=(rank,),

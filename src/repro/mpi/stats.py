@@ -9,6 +9,17 @@ and strings reachable from each message (via :func:`payload_nbytes`), not
 serialized wire bytes — in-memory transports never serialize at all, and
 using one metric everywhere keeps the backend-overhead benchmark an
 apples-to-apples comparison.
+
+**Groups.**  A send is one payload with a list of ``(rank, tag)``
+destinations (a plain send is the group of one), and a transport writes it
+once per distinct destination *host*: per rank on the thread and process
+transports, per worker on the socket transport — the sender's own worker
+included, whose co-hosted ranks take the object by reference.  The sender
+counts exactly that: one message and the payload bytes **per host
+written**, however many ranks or tags share the host.  Receives count per
+rank: one message and the payload bytes for each rank a group reaches,
+once, whether the rank shares the received copy or not.  The bus counters
+``exchange.genomes_sent``/``exchange.bytes_sent`` follow the same rule.
 """
 
 from __future__ import annotations
@@ -83,15 +94,16 @@ class TransportStats:
     """Transient transport operations retried through
     :mod:`repro.mpi.backoff` (connects and sends alike)."""
 
-    def count_sent(self, payload: Any) -> None:
-        self.messages_sent += 1
-        nbytes = payload_nbytes(payload)
+    def count_sent(self, payload: Any, hosts: int = 1) -> None:
+        """One group written to ``hosts`` distinct destination hosts."""
+        self.messages_sent += hosts
+        nbytes = hosts * payload_nbytes(payload)
         self.bytes_sent += nbytes
         if telemetry.enabled():
             # Absorbed into the bus: the same counts, rank-tagged, so the
             # merged RunResult.telemetry carries transport traffic without
             # a second accounting path.
-            telemetry.count("mpi.messages_sent", rank=self.rank)
+            telemetry.count("mpi.messages_sent", hosts, rank=self.rank)
             telemetry.count("mpi.bytes_sent", nbytes, rank=self.rank)
 
     def count_received(self, payload: Any) -> None:

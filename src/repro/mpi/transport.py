@@ -38,7 +38,7 @@ from typing import Any, Callable, Sequence
 
 from repro.mpi.comm import Comm
 from repro.mpi.constants import WORLD_CONTEXT
-from repro.mpi.endpoint import SHUTDOWN, Endpoint
+from repro.mpi.endpoint import SHUTDOWN, Endpoint, Link, mailbox_links
 from repro.mpi.stats import TransportStats
 from repro.telemetry import bus as telemetry
 
@@ -74,15 +74,16 @@ class WorkerOutcome:
         return self.error is not None
 
 
-def execute_rank(rank: int, size: int, inbox, peers: dict[int, Callable[[Any], None]],
-                 puts_block: bool, fn: Callable[..., Any],
-                 args: Sequence[Any], *,
+def execute_rank(rank: int, size: int, inbox,
+                 links: Callable[[Sequence[tuple[int, int]]], Sequence[Link]],
+                 fn: Callable[..., Any], args: Sequence[Any], *,
                  stats: TransportStats | None = None) -> WorkerOutcome:
     """Run one rank's program to completion (shared by every transport).
 
-    Builds the rank's endpoint and WORLD communicator, runs
-    ``fn(world, *args)``, and captures the outcome — value or traceback —
-    together with the endpoint's transport counters.  A host that already
+    Builds the rank's endpoint (``inbox`` and ``links`` as
+    :class:`~repro.mpi.endpoint.Endpoint` takes them) and WORLD
+    communicator, runs ``fn(world, *args)``, and captures the outcome —
+    value or traceback — together with the endpoint's transport counters.  A host that already
     accounts connection-level events (the socket worker hub counting
     reconnects and peer losses) passes its pre-seeded ``stats`` record in;
     by default a fresh one is created.
@@ -93,7 +94,7 @@ def execute_rank(rank: int, size: int, inbox, peers: dict[int, Callable[[Any], N
     # counters from the endpoint) to its own buffer; the snapshot rides
     # back inside the outcome so the launcher merges all ranks time-aligned.
     telemetry.bind_rank(rank)
-    endpoint = Endpoint(rank, inbox, peers, puts_block=puts_block, stats=stats)
+    endpoint = Endpoint(rank, inbox, links, stats=stats)
     try:
         world = Comm(endpoint, WORLD_CONTEXT, range(size))
         value = fn(world, *args)
@@ -161,19 +162,22 @@ class ThreadTransport(Transport):
         self._threads: list[threading.Thread] = []
 
     def launch(self, fn: Callable[..., Any], args: Sequence[Any] = ()) -> None:
-        # In-memory queues never block on put; endpoints send directly.
-        peers = {rank: mailbox.put for rank, mailbox in enumerate(self.mailboxes)}
+        # In-memory queues never block on put; endpoints send directly, and
+        # a group reaches each destination rank as the sender's own object.
+        links = mailbox_links(
+            {rank: mailbox.put for rank, mailbox in enumerate(self.mailboxes)},
+            blocking=False)
         for rank in range(self.size):
             thread = threading.Thread(
-                target=self._run_rank, args=(rank, peers, fn, args),
+                target=self._run_rank, args=(rank, links, fn, args),
                 name=f"mpi-rank-{rank}", daemon=True,
             )
             self._threads.append(thread)
             thread.start()
 
-    def _run_rank(self, rank: int, peers, fn, args) -> None:
+    def _run_rank(self, rank: int, links, fn, args) -> None:
         self.results.put(execute_rank(rank, self.size, self.mailboxes[rank],
-                                      peers, False, fn, args))
+                                      links, fn, args))
 
     def collect(self, timeout: float | None) -> list[WorkerOutcome]:
         outcomes = []
@@ -202,27 +206,30 @@ class ProcessTransport(Transport):
         super().__init__(size)
         self._ctx = multiprocessing.get_context("fork")
         # SimpleQueue: a plain pipe + lock; one pickling hop, no feeder
-        # thread of its own (the Endpoint relay provides the async layer).
+        # thread of its own (the Endpoint lane provides the async layer).
         self.mailboxes = [self._ctx.SimpleQueue() for _ in range(size)]
         self.results = self._ctx.SimpleQueue()
         self._processes: list[multiprocessing.process.BaseProcess] = []
 
     def launch(self, fn: Callable[..., Any], args: Sequence[Any] = ()) -> None:
-        peers = {rank: mailbox.put for rank, mailbox in enumerate(self.mailboxes)}
+        # Pipe-backed mailboxes have finite kernel buffers: a put can block
+        # once a dead rank's pipe fills, so every destination gets its own
+        # lane and a send never blocks its caller.  A group is pickled once
+        # per destination rank, whatever the number of tags it carries.
+        links = mailbox_links(
+            {rank: mailbox.put for rank, mailbox in enumerate(self.mailboxes)},
+            blocking=True)
         for rank in range(self.size):
             process = self._ctx.Process(
-                target=self._run_rank, args=(rank, peers, fn, args),
+                target=self._run_rank, args=(rank, links, fn, args),
                 name=f"mpi-rank-{rank}", daemon=True,
             )
             self._processes.append(process)
             process.start()
 
-    def _run_rank(self, rank: int, peers, fn, args) -> None:
-        # Pipe-backed mailboxes have finite kernel buffers: a put can block
-        # once a dead rank's pipe fills, so endpoints route sends through
-        # non-blocking per-destination relay threads (puts_block=True).
+    def _run_rank(self, rank: int, links, fn, args) -> None:
         self.results.put(execute_rank(rank, self.size, self.mailboxes[rank],
-                                      peers, True, fn, args))
+                                      links, fn, args))
 
     def collect(self, timeout: float | None) -> list[WorkerOutcome]:
         """Wait for one outcome per rank.

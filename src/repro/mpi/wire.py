@@ -1,15 +1,21 @@
 """Length-prefix framing for the TCP transport.
 
-One frame is a fixed header followed by an opaque body::
+One frame is a fixed header, a routing table and an opaque body::
 
-    header := magic(2) kind(1) rank(4, signed) body_len(4)
+    header := magic(2) kind(1) rank(4, signed) nroutes(2) body_len(4)
+    routes := (rank(4, signed) tag(8, signed)) * nroutes
     body   := nseg(4) seg_len(8)*nseg seg*nseg
 
 ``kind`` is the protocol verb (HELLO/START/MSG/RESULT/SHUTDOWN/MEMBERSHIP/
-DRAIN), ``rank`` its addressing field (destination rank for MSG, reporting
-rank for RESULT, target rank for DRAIN, unused otherwise).  Segment 0 is
-the pickle (protocol 5); segments 1..n are
-the out-of-band buffers pickle 5 extracted — NumPy genome vectors therefore
+DRAIN) and ``rank`` its addressing field (reporting rank for RESULT, target
+rank for DRAIN, unused otherwise).  A MSG is addressed by its **routes**
+instead: every ``(destination world rank, tag)`` the one body goes to.  A
+plain send is the group of one route; a genome going to four neighbour
+cells is one frame with four routes, however many workers host them.  No
+other kind carries routes.
+
+Segment 0 of the body is the pickle (protocol 5); segments 1..n are the
+out-of-band buffers pickle 5 extracted — NumPy genome vectors therefore
 travel as raw buffer copies instead of being embedded (and escaped) inside
 the pickle stream, which is the fast path the exchange loop lives on.
 
@@ -19,13 +25,17 @@ token, and unpickling attacker-controlled bytes is arbitrary code
 execution — the coordinator must be able to authenticate the frame without
 ever touching :mod:`pickle` (see ``SocketTransport._read_hello``).
 
-The body is opaque to routers: the coordinator forwards MSG frames by
-passing header and body through untouched (the destination rank is already
-in the header), so relayed genomes are never re-pickled or re-copied.
+The body is opaque to routers: everything the coordinator needs is in the
+struct-packed routes, so it never unpickles a MSG.  It forwards the
+received header+routes bytes and the received body object untouched, once
+per destination *connection* (:attr:`Frame.parts`) — relayed genomes are
+never re-pickled, re-packed or copied, and a body bound for two workers is
+one buffer queued twice.  The receiving worker ignores the routes it does
+not host.
 
 The *first* hop is zero-copy too: :func:`pack_frame_parts` returns the
-frame as gather-write parts — header+segment-table, pickle blob, and the
-raw out-of-band buffers as live memoryviews — and :func:`write_frame`
+frame as gather-write parts — header+routes+segment-table, pickle blob, and
+the raw out-of-band buffers as live memoryviews — and :func:`write_frame`
 hands them to ``socket.sendmsg`` without ever concatenating, so a genome
 vector goes from the sender's arena snapshot to the kernel in one hop.
 
@@ -33,7 +43,8 @@ So is the *last*: :func:`read_frame` receives a body with ``recv_into``
 into one ``bytearray`` and :func:`decode_body` hands pickle writable
 slices of it, so a received genome vector is that buffer — the cell reads
 its GEMM operands straight out of what the socket filled.  The arrays of
-one frame therefore share (and keep alive) one allocation.
+one frame therefore share (and keep alive) one allocation, and so do all
+the co-hosted ranks a group frame is delivered to: it is decoded once.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import ctypes
 import pickle
 import socket
 import struct
-from typing import Any
+from typing import Any, Sequence
 
 from repro.mpi.errors import MpiError
 
@@ -66,13 +77,14 @@ __all__ = [
     "DRAIN",
 ]
 
-#: Protocol magic; bump when the frame layout changes.
-MAGIC = b"\xc5\x01"
+#: Protocol magic; bump when the frame layout changes (02: the header grew
+#: the route count).
+MAGIC = b"\xc5\x02"
 
 # Frame kinds.
 HELLO = 1      #: worker -> coordinator: join the rendezvous
 START = 2      #: coordinator -> worker: rank assignment + the program
-MSG = 3        #: an Envelope in flight; ``rank`` = destination world rank
+MSG = 3        #: one payload in flight to every ``(rank, tag)`` in its routes
 RESULT = 4     #: worker -> coordinator: one rank's outcome; ``rank`` = rank
 SHUTDOWN = 5   #: coordinator -> worker: drain and exit
 # 6 is retired (a liveness broadcast MEMBERSHIP superseded): never reuse it.
@@ -85,7 +97,8 @@ DRAIN = 8      #: control verb: coordinator -> worker requests the named
                #: client.  ``rank`` = target world rank; body carries the
                #: acknowledgement payload on replies.
 
-_HEADER = struct.Struct("!2sBiI")   # magic, kind, rank, body_len
+_HEADER = struct.Struct("!2sBiHI")  # magic, kind, rank, nroutes, body_len
+_ROUTE = struct.Struct("!iq")       # destination world rank, tag
 _SEG_LEN = struct.Struct("!Q")
 
 #: Refuse frames above this size — a corrupted length prefix must not
@@ -100,32 +113,45 @@ class WireError(MpiError):
 class Frame:
     """One decoded frame header plus its still-serialized body.
 
-    ``header`` keeps the raw received header bytes so routers can forward
-    the frame verbatim (``write_frame(sock, frame.parts)``) without
-    re-packing or concatenating anything.
+    ``header`` keeps the raw received header and routing table so routers
+    can forward the frame verbatim (``write_frame(sock, frame.parts)``)
+    without re-packing or concatenating anything.
     """
 
-    __slots__ = ("kind", "rank", "body", "header")
+    __slots__ = ("kind", "rank", "routes", "body", "header")
 
     def __init__(self, kind: int, rank: int, body: "bytes | bytearray",
-                 header: bytes | None = None):
+                 header: bytes | None = None,
+                 routes: "Sequence[tuple[int, int]]" = ()):
         self.kind = kind
         self.rank = rank
+        self.routes = tuple(routes)
         self.body = body
         self.header = (header if header is not None
-                       else _HEADER.pack(MAGIC, kind, rank, len(body)))
+                       else _pack_header(kind, rank, self.routes, len(body)))
 
     def payload(self) -> Any:
         return decode_body(self.body)
 
     @property
     def parts(self) -> "tuple[bytes, bytes | bytearray]":
-        """Header and body, ready for a gather-write forward."""
+        """Header (routes included) and body, ready for a gather-write
+        forward — the very objects that were received."""
         return self.header, self.body
 
     @property
     def nbytes(self) -> int:
-        return _HEADER.size + len(self.body)
+        return len(self.header) + len(self.body)
+
+
+def _pack_header(kind: int, rank: int, routes: "Sequence[tuple[int, int]]",
+                 body_len: int) -> bytes:
+    """Fixed header plus the routing table."""
+    try:
+        return _HEADER.pack(MAGIC, kind, rank, len(routes), body_len) + b"".join(
+            _ROUTE.pack(dest, tag) for dest, tag in routes)
+    except struct.error as exc:
+        raise WireError(f"unroutable frame ({len(routes)} route(s)): {exc}") from exc
 
 
 def encode_body_parts(obj: Any) -> list["bytes | memoryview"]:
@@ -235,7 +261,7 @@ def _check_body_size(body_len: int) -> None:
         # Fail at the sender with the real cause: otherwise the oversized
         # frame is only rejected by the receiver's read_frame (surfacing
         # as a misleading lost-connection failure), and a body over the
-        # u32 header field would die as a struct.error inside a relay
+        # u32 header field would die as a struct.error inside a lane
         # thread, silently losing the message.
         raise WireError(
             f"frame body of {body_len} bytes exceeds the "
@@ -245,25 +271,29 @@ def _check_body_size(body_len: int) -> None:
 
 
 def pack_frame(kind: int, rank: int, obj: Any = None, *,
-               body: bytes | None = None) -> bytes:
+               body: bytes | None = None,
+               routes: "Sequence[tuple[int, int]]" = ()) -> bytes:
     """A complete wire frame; pass ``body`` to forward without re-pickling."""
     encoded = encode_body(obj) if body is None else body
     _check_body_size(len(encoded))
-    return _HEADER.pack(MAGIC, kind, rank, len(encoded)) + encoded
+    return _pack_header(kind, rank, routes, len(encoded)) + encoded
 
 
-def pack_frame_parts(kind: int, rank: int, obj: Any) -> list["bytes | memoryview"]:
+def pack_frame_parts(kind: int, rank: int, obj: Any, *,
+                     routes: "Sequence[tuple[int, int]]" = ()
+                     ) -> list["bytes | memoryview"]:
     """A complete wire frame as gather-write parts (no payload copies).
 
-    The header and the body's segment table are merged into one small
-    ``bytes`` part; the pickle blob and each out-of-band buffer follow as
-    their own parts.  Send with :func:`write_frame`; the out-of-band
-    buffers go from their owner's memory to the kernel in one hop.
+    The header, the routes and the body's segment table are merged into one
+    small ``bytes`` part; the pickle blob and each out-of-band buffer
+    follow as their own parts.  Send with :func:`write_frame`; the
+    out-of-band buffers go from their owner's memory to the kernel in one
+    hop.  ``routes`` is every ``(destination rank, tag)`` of a MSG.
     """
     parts = encode_body_parts(obj)
-    _check_body_size(body_parts_nbytes(parts))
-    header = _HEADER.pack(MAGIC, kind, rank, body_parts_nbytes(parts))
-    return [header + parts[0], *parts[1:]]
+    body_len = body_parts_nbytes(parts)
+    _check_body_size(body_len)
+    return [_pack_header(kind, rank, routes, body_len) + parts[0], *parts[1:]]
 
 
 #: Conservative bound under every platform's IOV_MAX (Linux: 1024); frames
@@ -351,17 +381,22 @@ def read_frame(sock: socket.socket,
     """
     header = bytearray(_HEADER.size)
     _read_into(sock, header, mid_frame=False)
-    header = bytes(header)
-    magic, kind, rank, body_len = _HEADER.unpack(header)
+    magic, kind, rank, nroutes, body_len = _HEADER.unpack(header)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r} (protocol mismatch?)")
-    if body_len > max_body:
-        raise WireError(f"frame of {body_len} bytes exceeds the "
+    # The routing table counts against the cap: a stranger must not buy
+    # buffer space with routes either.
+    frame_len = nroutes * _ROUTE.size + body_len
+    if frame_len > max_body:
+        raise WireError(f"frame of {frame_len} bytes exceeds the "
                         f"{max_body}-byte limit")
+    table = bytearray(nroutes * _ROUTE.size)
+    _read_into(sock, table)
+    routes = _ROUTE.iter_unpack(table)
     if max_body < MAX_FRAME_BYTES:
         # A size-capped read is a pre-auth JSON hello: not segment-framed.
         body = bytearray(body_len)
         _read_into(sock, body)
     else:
         body = _read_body(sock, body_len)
-    return Frame(kind, rank, body, header=header)
+    return Frame(kind, rank, body, header=bytes(header + table), routes=routes)

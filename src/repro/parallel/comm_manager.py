@@ -363,11 +363,33 @@ class MpiCommManager(CommManager):
         return (int(Tags.EXCHANGE) * 1000 + iteration) * 1024 + dest_cell
 
     def _count_exchange(self, payload: ExchangePayload, sends: int) -> None:
-        """Mirror one exchange round into the bus (enabled-path only)."""
+        """Mirror one exchange round into the bus (enabled-path only);
+        ``sends`` counts destination hosts, the :mod:`repro.mpi.stats`
+        rule for groups."""
         if sends and telemetry.enabled():
             telemetry.count("exchange.genomes_sent", sends)
             telemetry.count("exchange.bytes_sent",
                             sends * payload_nbytes(payload))
+
+    def _send_to_consumers(self, grid: Grid, cell_index: int,
+                           payload: ExchangePayload,
+                           fault_state: "FaultState | None" = None) -> None:
+        """Send my center along every *incoming* edge (cells that list me
+        as neighbor) as one group: the transport moves it once per
+        destination host, not once per edge."""
+        assert self.local is not None
+        iteration = payload.iteration
+        dests = []
+        for consumer in grid.incoming_neighbors(cell_index):
+            dest = self._local_rank_of_cell(grid, consumer)
+            if fault_state is not None:
+                if fault_state.skip_send(consumer, iteration):
+                    continue
+                route = fault_state.send_route(consumer)
+                if route is not None:
+                    dest = route  # the adopter: one more entry of the list
+            dests.append((dest, self._exchange_tag(iteration, consumer)))
+        self._count_exchange(payload, self.local.send_group(payload, dests))
 
     def _exchange_neighbors(self, grid: Grid, cell_index: int, payload: ExchangePayload,
                             abort_event: threading.Event | None,
@@ -394,22 +416,9 @@ class MpiCommManager(CommManager):
                 # received — run the round communication-free; the caller
                 # backfills missing neighbors with the own-center fallback.
                 return received
-            # Send my center along every *incoming* edge (cells that list me
-            # as neighbor), then receive one message per outgoing edge.
-            consumers = grid.incoming_neighbors(cell_index)
-            sends = 0
-            for consumer in consumers:
-                dest = self._local_rank_of_cell(grid, consumer)
-                if fault_state is not None:
-                    if fault_state.skip_send(consumer, iteration):
-                        continue
-                    route = fault_state.send_route(consumer)
-                    if route is not None:
-                        dest = route
-                self.local.send(payload, dest=dest,
-                                tag=self._exchange_tag(iteration, consumer))
-                sends += 1
-            self._count_exchange(payload, sends)
+            # Send along the incoming edges, then receive one message per
+            # outgoing edge.
+            self._send_to_consumers(grid, cell_index, payload, fault_state)
             tag = self._exchange_tag(iteration, cell_index)
             outstanding = Counter(cell for cell in needed if cell != cell_index)
             deadline = (time.monotonic() + RESYNC_TIMEOUT_S
@@ -471,11 +480,7 @@ class MpiCommManager(CommManager):
 
         assert self.local is not None
         with telemetry.span("exchange.gather"):
-            consumers = grid.incoming_neighbors(cell_index)
-            self._count_exchange(payload, len(consumers))
-            for consumer in consumers:
-                self.local.send(payload, dest=self._local_rank_of_cell(grid, consumer),
-                                tag=self._exchange_tag(payload.iteration, consumer))
+            self._send_to_consumers(grid, cell_index, payload)
             # Drain whatever is already here; never block.
             while self.local.iprobe(source=ANY_SOURCE, tag=ANY_TAG):
                 message: ExchangePayload = self.local.recv(

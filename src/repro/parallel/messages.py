@@ -129,11 +129,17 @@ class ExchangePayload:
     frames from corrupting its adopter's generation.  Static-membership
     runs never bump the epoch, so it stays 0 end to end.
 
-    Read-only once sent: thread and co-hosted socket ranks receive this very
-    object, and every receiving cell binds its sub-population slots
-    straight onto the genome vectors for the length of an iteration (see
+    Read-only once sent, and **shared**: a payload goes out as one group
+    to all its consumers (:meth:`repro.mpi.comm.Comm.send_group`), so
+    thread and co-hosted socket ranks receive this very object, and all the
+    consumers hosted by another socket worker receive the one copy that
+    worker decoded — their genome vectors are windows onto a single
+    receive buffer.  Every receiving cell binds its sub-population slots
+    straight onto those vectors for the length of an iteration (see
     :class:`~repro.coevolution.genome.Genome`) — nobody, sender included,
-    may write them again.
+    may write them again.  Under ``recover`` the same genome objects also
+    ride the :class:`~repro.coevolution.checkpoint.CellSnapshot` taken at
+    the end of the previous iteration.
     """
 
     cell_index: int

@@ -341,6 +341,10 @@ class SlaveProcess:
         resync_until = rejoin + RESYNC_WINDOW if rejoin else None
         self._cells[cell_index] = cell
         self._cell_iterations[cell_index] = start
+        # The center copy a checkpoint took at the end of an iteration is
+        # the one the next exchange sends: nothing trains in between, and
+        # both consumers only read it.
+        centers = None
         for iteration in range(start, config.coevolution.iterations):
             if self.abort_event.is_set():
                 raise ExchangeAborted(f"cell {cell_index}: abort before iteration {iteration}")
@@ -360,7 +364,8 @@ class SlaveProcess:
                 raise InjectedFault(
                     f"slave {self.comm.rank} crashing at iteration {iteration} as requested"
                 )
-            own_g, own_d = cell.center_genomes()
+            own_g, own_d = centers or cell.center_genomes()
+            centers = None
             payload = ExchangePayload(cell_index, iteration, own_g, own_d,
                                       epoch=self.fault_state.current_epoch())
             telemetry.mark("get results from neighbours", f"iteration {iteration}")
@@ -379,12 +384,12 @@ class SlaveProcess:
                     self._iteration = iteration + 1
             if task.snapshot_every and (iteration + 1) % task.snapshot_every == 0 \
                     and iteration + 1 < config.coevolution.iterations:
-                g, d = cell.center_genomes()
+                centers = cell.center_genomes()
                 self.comm.send_cell_snapshot(CellSnapshot(
                     cell_index=cell_index,
                     iteration=iteration + 1,
-                    generator_genome=g,
-                    discriminator_genome=d,
+                    generator_genome=centers[0],
+                    discriminator_genome=centers[1],
                     mixture_weights=cell.mixture.weights.copy(),
                 ))
         self._completed_cells.add(cell_index)

@@ -99,13 +99,19 @@ class Registry:
 
     def get(self, name: str) -> Callable[..., Any]:
         """The factory registered under ``name`` (importing it if lazy)."""
-        if name in self._factories:
-            return self._factories[name]
-        if name in self._lazy:
-            module_name, _, attr = self._lazy[name].partition(":")
+        # Rank threads of one worker resolve the same built-in at the same
+        # moment (every cell's first loss lookup).  The factory is published
+        # before the path is dropped, so a name gone from the lazy map is
+        # already in the other one, and every step is safe to repeat.
+        path = self._lazy.get(name)
+        if path is not None:
+            module_name, _, attr = path.partition(":")
             factory = getattr(importlib.import_module(module_name), attr)
             self._factories[name] = factory
-            del self._lazy[name]
+            self._lazy.pop(name, None)
+            return factory
+        factory = self._factories.get(name)
+        if factory is not None:
             return factory
         raise RegistryError(
             f"unknown {self.kind} {name!r}; known: {sorted(self.known())}")

@@ -1,9 +1,9 @@
 """Linted as repro.parallel.fixture: live arena aliases crossing boundaries."""
 
 
-def exchange(cell, endpoint):
+def exchange(cell, comm):
     vector = cell.center_genomes(alias=True)
-    endpoint.send_to(1, vector)
+    comm.send_group(vector, [(1, 0)])
 
 
 class NeighborCache:

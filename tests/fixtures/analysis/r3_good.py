@@ -1,9 +1,9 @@
 """Linted as repro.parallel.fixture: copies cross, aliases stay local."""
 
 
-def exchange(cell, endpoint):
+def exchange(cell, comm):
     vector = cell.center_genomes(alias=True)
-    endpoint.send_to(1, vector.copy())
+    comm.send_group(vector.copy(), [(1, 0)])
 
 
 class NeighborCache:

@@ -236,7 +236,7 @@ def test_alias_inside_payload_is_detected(checker):
     vector = np.zeros(8)
     lockcheck.register_alias(vector, "test-arena-slab")
     payload = {"genome": (vector, 2e-4), "iteration": 3}
-    lockcheck.check_no_alias(payload, "Endpoint.send_to")
+    lockcheck.check_no_alias(payload, "Endpoint.send_group")
     violations = lockcheck.clear_violations()
     assert any(v.kind == "alias-escape" for v in violations)
 
@@ -244,7 +244,7 @@ def test_alias_inside_payload_is_detected(checker):
 def test_copies_pass_the_payload_check(checker):
     vector = np.zeros(8)
     lockcheck.register_alias(vector, "test-arena-slab")
-    lockcheck.check_no_alias({"genome": vector.copy()}, "Endpoint.send_to")
+    lockcheck.check_no_alias({"genome": vector.copy()}, "Endpoint.send_group")
     assert not lockcheck.violations()
 
 

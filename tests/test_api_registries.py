@@ -57,6 +57,44 @@ class TestRegistryCore:
         with pytest.raises(RegistryError):
             registry.register("bad", 42)
 
+    def test_first_resolution_of_a_lazy_entry_is_race_free(self):
+        """The rank threads of one worker all resolve the loss at their
+        first cell build: every one of them must get the factory, whichever
+        thread moves the entry out of the lazy map."""
+        import json
+        import sys
+        import threading
+
+        def race(workers=8):
+            registry = Registry("thing")
+            registry.register_lazy("loads", "json:loads")
+            barrier = threading.Barrier(workers)
+            failures = []
+
+            def resolve():
+                barrier.wait(timeout=10)
+                try:
+                    assert registry.get("loads") is json.loads
+                except BaseException as exc:  # noqa: BLE001 - collected
+                    failures.append(exc)
+
+            threads = [threading.Thread(target=resolve) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert registry.known() == {"loads"}
+            return failures
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            failures = [exc for _ in range(300) for exc in race()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures, failures[:3]
+
 
 class TestBuiltins:
     def test_backends(self):

@@ -126,6 +126,11 @@ class TestCommands:
         exchange, transport = map(float, re.search(
             r"exchange ([\d.]+) KiB of transport ([\d.]+) KiB", out).groups())
         assert 0 < exchange <= transport
+        # One message per destination host: on a 2x2 torus each cell has
+        # two distinct neighbours, so one iteration is 8, not 16.
+        exchanged, sent = map(int, re.search(
+            r"\((\d+) of (\d+) messages\)", out).groups())
+        assert exchanged == 8 <= sent
 
     def test_profile_without_telemetry_is_a_usage_error(self, capsys):
         code = main(["run", "--grid", "2x2", "--backend", "sequential",

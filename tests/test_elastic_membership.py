@@ -360,36 +360,55 @@ def _free_port() -> int:
 
 
 class TestChurnAcceptance:
-    """4x4 over TCP with every kind of churn at once: one worker killed,
-    one drained over the wire, two fresh workers joined mid-run.  The run
-    must finish with every cell trained and the membership log recording
-    each transition."""
+    """Every kind of churn at once over TCP: a worker killed, a rank
+    drained over the wire, fresh workers joined mid-run.  The run must
+    finish with every cell trained and the membership log recording each
+    transition."""
 
     def test_4x4_kill_drain_join(self, module_dataset):
+        # Ranks 0-14 share the big worker; ranks 15 and 16 each get a
+        # single-rank worker, so the kill and the drain vacate slots a
+        # `repro worker --join` can fill.  (Not 17 single-rank workers:
+        # CI-sized machines cannot schedule that many python processes,
+        # and the churn under test is membership churn, not the box's.)
+        self._churn(module_dataset, grid=(4, 4),
+                    hosts="127.0.0.1:15,127.0.0.1:1,127.0.0.1:1",
+                    iterations=10, kill_cell=14, fault_kill=True,
+                    dead=[15], drains=[16], joiner_slots=1, joined=[15, 16])
+
+    def test_3x3_two_workers_fault_drain_join(self, module_dataset):
+        """The benchmark's split, where every exchange is a group mixing
+        co-hosted and remote destinations: a rank of worker A crashes and
+        its cell is adopted, worker B (ranks 5-9) is drained rank by rank
+        until it leaves, and a five-slot worker joins in its place."""
+        self._churn(module_dataset, grid=(3, 3),
+                    hosts="127.0.0.1:5,127.0.0.1:5",
+                    iterations=40, kill_cell=0, fault_kill=False,
+                    dead=[1], drains=[5, 6, 7, 8, 9], joiner_slots=5,
+                    joined=[5, 6, 7, 8, 9])
+
+    def _churn(self, module_dataset, *, grid, hosts, iterations, kill_cell,
+               fault_kill, dead, drains, joiner_slots, joined):
         port = _free_port()
         token = "churn-acceptance"
         connect = f"127.0.0.1:{port}"
-        # Long enough for the whole sequence — kill, drain at an iteration
-        # boundary, two `repro worker --join` processes started, refused,
-        # restarted and admitted — to happen while the run is live: a
-        # three-iteration run is over in about a second, before the second
-        # joiner's slot has vacated.
-        config = make_quick_config(4, 4, iterations=10,
+        cells = grid[0] * grid[1]
+        # ``iterations``: long enough for the whole sequence — kill, drain
+        # at an iteration boundary, `repro worker --join` processes
+        # started, refused, restarted and admitted — to happen while the
+        # run is live: a three-iteration run is over in about a second,
+        # before the last joiner's slot has vacated.
+        config = make_quick_config(*grid, iterations=iterations,
                                    dataset_size=400, batch_size=10, batches=1)
         runner = DistributedRunner(
             config,
             backend="socket",
-            # Ranks 0-14 share the big worker; ranks 15 and 16 each get a
-            # single-rank worker, so the kill and the drain vacate slots a
-            # `repro worker --join` can fill.  (Not 17 single-rank workers:
-            # CI-sized machines cannot schedule that many python processes,
-            # and the churn under test is membership churn, not the box's.)
-            hosts="127.0.0.1:15,127.0.0.1:1,127.0.0.1:1",
+            hosts=hosts,
             bind=connect,
             token=token,
             dataset=module_dataset,
-            fault_at={14: 1},         # cell 14 -> rank 15 dies mid-run
-            fault_kill=True,
+            fault_at={kill_cell: 1},  # its rank dies mid-run
+            fault_kill=fault_kill,
             fault_policy="recover",
             snapshot_every=1,
             heartbeat_interval_s=0.1,
@@ -405,25 +424,27 @@ class TestChurnAcceptance:
         thread.start()
         joiners: list[subprocess.Popen] = []
         try:
-            # Drain rank 10 over the wire, retrying until the coordinator
-            # is up and hosting it.
+            # Drain over the wire, retrying until the coordinator is up
+            # and hosting the rank.
             deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                if drain_request(connect, rank=16, token=token,
-                                 timeout=5.0) == 0:
-                    break
-                time.sleep(0.5)
-            else:
-                pytest.fail("drain request never reached the coordinator")
+            for rank in drains:
+                while time.monotonic() < deadline:
+                    if drain_request(connect, rank=rank, token=token,
+                                     timeout=5.0) == 0:
+                        break
+                    time.sleep(0.5)
+                else:
+                    pytest.fail("drain request never reached the coordinator")
 
-            # Two fresh workers ask to join; they are refused until a slot
+            # Fresh workers ask to join; they are refused until a slot
             # vacates (the kill, the drain), so keep respawning rejected
             # ones while the run is live.
             env = {**os.environ, "PYTHONPATH": SRC}
             cmd = [sys.executable, "-m", "repro", "worker",
                    "--connect", connect, "--token", token, "--join",
-                   "--quiet"]
-            joiners = [subprocess.Popen(cmd, env=env) for _ in range(2)]
+                   "--slots", str(joiner_slots), "--quiet"]
+            joiners = [subprocess.Popen(cmd, env=env)
+                       for _ in range(len(joined) // joiner_slots)]
             while thread.is_alive():
                 thread.join(timeout=0.5)
                 for i, proc in enumerate(joiners):
@@ -444,18 +465,18 @@ class TestChurnAcceptance:
                     proc.kill()
 
         result = box["result"]
-        assert result.dead_ranks == [15]
-        assert result.drained_ranks == [16]
-        assert sorted(result.joined_ranks) == [15, 16]
+        assert result.dead_ranks == dead
+        assert result.drained_ranks == drains
+        assert sorted(result.joined_ranks) == joined
         assert result.ok, f"degraded {result.degraded_ranks}"
-        assert len(result.training.center_genomes) == 16
-        for cell in range(16):
+        assert len(result.training.center_genomes) == cells
+        for cell in range(cells):
             assert result.training.cell_reports[cell], f"cell {cell} untrained"
         log = result.membership
         kinds = [event.kind for event in log]
         assert kinds[0] == "launch"
-        assert kinds.count("death") == 1
-        assert kinds.count("drain") == 1
-        assert kinds.count("join") == 2
+        assert kinds.count("death") == len(dead)
+        assert kinds.count("drain") == len(drains)
+        assert kinds.count("join") == len(joined)
         # Epochs are gapless and monotonic: every transition was recorded.
         assert log.epochs() == list(range(len(kinds)))

@@ -262,6 +262,103 @@ class TestChaosMatrixSocket:
         assert by_rank[4].reconnects >= 1
 
 
+class TestTwoWorkerSplit:
+    """The benchmark's 3x3 split (ranks 0-4 | 5-9): every exchange is a
+    group that mixes co-hosted and remote destinations, and an adopter may
+    sit on the sender's own worker.  A co-hosted rank cannot be killed with
+    ``os._exit`` (the whole worker would go), so the victim crashes."""
+
+    HOSTS = "127.0.0.1:5,127.0.0.1:5"
+
+    @pytest.mark.parametrize("policy", ["degrade", "recover"])
+    def test_crash_on_a_shared_worker(self, module_dataset, policy):
+        config = make_quick_config(3, 3, iterations=4, batch_size=10, batches=1)
+        result = DistributedRunner(
+            config,
+            backend="socket",
+            hosts=self.HOSTS,
+            dataset=module_dataset,
+            fault_at={6: 1},          # cell 6 -> rank 7, mid-run
+            fault_policy=policy,
+            snapshot_every=1,
+            heartbeat_interval_s=0.05,
+            miss_limit=6,
+            timeout_s=240,
+        ).run()
+        assert result.dead_ranks == [7]
+        assert result.ok
+        assert len(result.training.center_genomes) == 9
+        if policy == "degrade":
+            assert result.degraded_ranks == [7]
+        else:
+            assert result.recovered_ranks == [7]
+            assert result.training.cell_reports[6], "adopted cell has no reports"
+
+    def test_send_rerouted_to_an_adopter_on_the_senders_worker(self):
+        """Cell 6 (rank 7, worker B) is adopted by rank 2 on worker A:
+        cell 0's group then has every destination on its own worker — the
+        adopter is one more entry of the list, takes the payload by
+        reference like the other co-hosted ranks, and no frame is written."""
+        import socket
+
+        from repro.mpi import wire
+        from repro.mpi.comm import Comm
+        from repro.mpi.constants import WORLD_CONTEXT
+        from repro.mpi.endpoint import Endpoint
+        from repro.mpi.socket_transport import _WorkerHub
+        from repro.parallel.comm_manager import MpiCommManager
+        from repro.parallel.grid import Grid
+        from repro.parallel.messages import ExchangePayload
+        from repro.parallel.recovery import FaultNotice, FaultState, FrozenCell
+
+        blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        ours, coordinator = socket.socketpair()
+        coordinator.settimeout(30)
+        hub = _WorkerHub(ours, blocks[0], blocks)
+        endpoints = {rank: Endpoint(rank, hub.inboxes[rank], hub.links)
+                     for rank in blocks[0]}
+        try:
+            managers = {}
+            for rank in (1, 2, 3, 4):
+                managers[rank] = MpiCommManager(
+                    Comm(endpoints[rank], WORLD_CONTEXT, range(10)))
+                managers[rank].rejoin_contexts(is_active_slave=True)
+            grid = Grid(3, 3)
+            assert sorted(grid.incoming_neighbors(0)) == [1, 2, 3, 6]
+            state = FaultState()
+            state.apply(FaultNotice(policy="recover", dead_ranks=(7,), cells=(
+                FrozenCell(cell_index=6, iteration=1, generator_genome=None,
+                           discriminator_genome=None, mixture_weights=None,
+                           adopter_rank=2, rejoin_iteration=2, epoch=1),)))
+            payload = ExchangePayload(0, 3, np.arange(8.0), np.arange(4.0), epoch=1)
+            sender = managers[1]
+            sender._send_to_consumers(grid, 0, payload, state)
+
+            tag = sender._exchange_tag
+            local = {rank: managers[rank].local for rank in (2, 3, 4)}
+            # Rank 2 hosts cell 1 and speaks for adopted cell 6.
+            assert local[2].recv(source=0, tag=tag(3, 1), timeout=30) is payload
+            assert local[2].recv(source=0, tag=tag(3, 6), timeout=30) is payload
+            assert local[3].recv(source=0, tag=tag(3, 2), timeout=30) is payload
+            assert local[4].recv(source=0, tag=tag(3, 3), timeout=30) is payload
+            # One host written (the sender's own worker), nothing framed:
+            # the next frame on the wire is the marker sent after it.
+            assert endpoints[1].stats.messages_sent == 1
+            sender.local.send("marker", dest=8, tag=0)
+            frame = wire.read_frame(coordinator)
+            assert frame.payload()[2] == "marker"
+            # Below the rejoin iteration the adopted cell is skipped.
+            early = ExchangePayload(0, 1, np.arange(8.0), np.arange(4.0), epoch=1)
+            sender._send_to_consumers(grid, 0, early, state)
+            assert local[2].recv(source=0, tag=tag(1, 1), timeout=30) is early
+            assert not local[2].iprobe(source=0, tag=tag(1, 6))
+        finally:
+            for endpoint in endpoints.values():
+                endpoint.close()
+            coordinator.close()
+            ours.close()
+
+
 class TestSocketRecoverAcceptance:
     """The acceptance-scale run: a 4x4 grid over TCP with one rank killed
     mid-run completes under recover with trained genomes for every cell."""

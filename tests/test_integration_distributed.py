@@ -108,6 +108,70 @@ class TestSequentialDistributedEquivalence:
             assert weights.sum() == pytest.approx(1.0)
 
 
+class TestGroupExchange:
+    """A cell's center pair travels once per destination *worker*: the
+    genomes are the sequential oracle's whatever the host split, and the
+    exchange volume is one message per distinct (cell, worker) pair."""
+
+    @staticmethod
+    def _cell_worker_pairs(config, hosts) -> int:
+        from repro.mpi.socket_transport import parse_host_spec
+        from repro.parallel.grid import Grid
+
+        grid = Grid(config.coevolution.grid_rows, config.coevolution.grid_cols)
+        worker_of, rank = {}, 0
+        for index, (_, slots) in enumerate(parse_host_spec(hosts, grid.cell_count + 1)):
+            for _ in range(slots):
+                worker_of[rank] = index
+                rank += 1
+        return len({(cell, worker_of[grid.rank_of_cell(consumer)])
+                    for cell in range(grid.cell_count)
+                    for consumer in grid.incoming_neighbors(cell)})
+
+    def _run(self, config, dataset, hosts):
+        from repro.api import Experiment
+
+        sequential = SequentialTrainer(config, dataset).run()
+        result = (Experiment(config).dataset(dataset)
+                  .backend("socket", hosts=hosts).telemetry("basic").run())
+        assert result.complete
+        for cell, (sg, sd) in enumerate(sequential.center_genomes):
+            dg, dd = result.center_genomes[cell]
+            np.testing.assert_array_equal(sg.parameters, dg.parameters)
+            np.testing.assert_array_equal(sd.parameters, dd.parameters)
+            np.testing.assert_array_equal(sequential.mixture_weights[cell],
+                                          result.mixture_weights[cell])
+        return result
+
+    @pytest.mark.parametrize("hosts,pairs", [
+        ("127.0.0.1:5,127.0.0.1:5", 18),
+        ("127.0.0.1:4,127.0.0.1:3,127.0.0.1:3", 27),    # one row per worker
+        ("127.0.0.1:10", 9),
+    ])
+    def test_3x3_matches_sequential_on_any_split(self, module_dataset,
+                                                 telemetry_bus, hosts, pairs):
+        iterations = 2
+        config = make_quick_config(3, 3, iterations=iterations,
+                                   batch_size=10, batches=1)
+        assert self._cell_worker_pairs(config, hosts) == pairs
+        result = self._run(config, module_dataset, hosts)
+        assert (result.telemetry.counter("exchange.genomes_sent")
+                == pairs * iterations)                  # 36 per iteration before
+
+    def test_2x2_moves_eight_messages_per_iteration(self, module_dataset,
+                                                    telemetry_bus):
+        """Every 2x2 cell neighbours the same cell on two sides: the
+        duplicate ``(rank, tag)`` pair rides one message (16 before)."""
+        iterations = 3
+        config = make_quick_config(2, 2, iterations=iterations)
+        result = self._run(config, module_dataset, "127.0.0.1:3,127.0.0.1:2")
+        assert result.telemetry.counter("exchange.genomes_sent") == 8 * iterations
+        from repro.mpi.stats import payload_nbytes
+
+        assert (result.telemetry.counter("exchange.bytes_sent")
+                == 8 * iterations * payload_nbytes(result.center_genomes[0]))
+
+
 class TestExchangeModes:
     def test_async_mode_completes(self, module_dataset):
         config = make_quick_config(2, 2, iterations=3)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.endpoint import Endpoint, Envelope
+from repro.mpi.endpoint import Endpoint, Group, Link, mailbox_links
 from repro.mpi.errors import MpiError, MpiTimeoutError
 
 CTX = (0,)
@@ -17,14 +17,13 @@ CTX = (0,)
 @pytest.fixture()
 def endpoint():
     inbox = queue.SimpleQueue()
-    peers = {0: inbox.put}
-    ep = Endpoint(0, inbox, peers)
+    ep = Endpoint(0, inbox, mailbox_links({0: inbox.put}, blocking=False))
     yield ep
     ep.close()
 
 
 def put(endpoint, source=1, tag=0, payload="x", ctx=CTX):
-    endpoint._inbox.put(Envelope(ctx, source, tag, payload))
+    endpoint._inbox.put(Group(ctx, source, payload, ((0, tag),)))
 
 
 class TestMatching:
@@ -98,20 +97,20 @@ class TestTimeoutsAndShutdown:
 
     def test_recv_after_close_raises(self):
         inbox = queue.SimpleQueue()
-        ep = Endpoint(0, inbox, {0: inbox.put})
+        ep = Endpoint(0, inbox, mailbox_links({0: inbox.put}, blocking=False))
         ep.close()
         with pytest.raises(MpiError, match="closed"):
             ep.recv(CTX, 1, 1, timeout=5)
 
     def test_close_idempotent(self):
         inbox = queue.SimpleQueue()
-        ep = Endpoint(0, inbox, {0: inbox.put})
+        ep = Endpoint(0, inbox, mailbox_links({0: inbox.put}, blocking=False))
         ep.close()
         ep.close()
 
     def test_send_to_unknown_rank(self, endpoint):
         with pytest.raises(MpiError, match="unknown destination"):
-            endpoint.send_to(99, Envelope(CTX, 0, 0, None))
+            endpoint.send_group(Group(CTX, 0, None, ((99, 0),)))
 
 
 class TestConcurrentReceivers:

@@ -135,6 +135,41 @@ class TestFrames:
         assert kind == "payload"
         np.testing.assert_array_equal(array, np.arange(8.0))
 
+    def test_routes_travel_beside_the_body(self, sock_pair):
+        """A MSG is addressed by its routes — struct-packed between header
+        and body, duplicates and negative (collective) tags included — so
+        a router reads them without touching the pickle, and forwards them
+        verbatim with it."""
+        a, b = sock_pair
+        routes = [(3, 7), (4, 7), (4, 7), (9, -20), (2, 2**30)]
+        wire.write_frame(a, wire.pack_frame_parts(
+            wire.MSG, 0, ("genome", np.arange(8.0)), routes=routes))
+        frame = wire.read_frame(b)
+        assert frame.routes == tuple(routes)
+        assert frame.nbytes == len(frame.header) + len(frame.body)
+        wire.write_frame(b, frame.parts)
+        relayed = wire.read_frame(a)
+        assert relayed.routes == tuple(routes)
+        assert relayed.header == frame.header
+        np.testing.assert_array_equal(relayed.payload()[1], np.arange(8.0))
+        # Packed and parts forms agree; frames without routes carry none.
+        assert b"".join(wire.pack_frame_parts(wire.MSG, 0, "x", routes=routes)) \
+            == wire.pack_frame(wire.MSG, 0, "x", routes=routes)
+        wire.write_frame(a, wire.pack_frame(wire.RESULT, 5, "done"))
+        assert wire.read_frame(b).routes == ()
+
+    def test_unpackable_route_fails_at_the_sender(self):
+        with pytest.raises(wire.WireError, match="unroutable"):
+            wire.pack_frame_parts(wire.MSG, 0, "x", routes=[(2**40, 0)])
+
+    def test_routes_count_against_a_capped_read(self, sock_pair):
+        """A pre-auth peer cannot buy buffer space with a routing table."""
+        a, b = sock_pair
+        wire.write_frame(a, wire.pack_frame(
+            wire.HELLO, 0, body=b"{}", routes=[(0, 0)] * 400))
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.read_frame(b, max_body=4096)
+
     def test_repack_with_new_rank_still_possible(self, sock_pair):
         a, b = sock_pair
         wire.write_frame(a, wire.pack_frame(wire.MSG, 1, "x"))
@@ -205,7 +240,7 @@ class TestFrames:
         import struct
 
         a, b = sock_pair
-        a.sendall(struct.pack("!2sBiI", wire.MAGIC, wire.MSG, 0, 2**31 - 1)
+        a.sendall(struct.pack("!2sBiHI", wire.MAGIC, wire.MSG, 0, 0, 2**31 - 1)
                   + struct.pack("!I", 0))
         with pytest.raises(wire.WireError):
             wire.read_frame(b)

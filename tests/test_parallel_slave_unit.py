@@ -202,3 +202,45 @@ class TestFaultInjection:
         comm = ScriptedComm(make_task(config, fault_at_iteration=0))
         with pytest.raises(InjectedFault):
             SlaveProcess(comm, small_dataset).run()
+
+
+class TestCheckpointStreaming:
+    def test_one_center_snapshot_per_iteration(self, small_dataset, monkeypatch):
+        """Under ``snapshot_every=1`` the copy a checkpoint took is the one
+        the next exchange sends: N iterations cost N+1 center snapshots
+        (one per exchange, one for the final result), not 2N."""
+        from repro.coevolution.cell import Cell
+
+        iterations = 4
+        config = make_quick_config(2, 2, iterations=iterations)
+        comm = ScriptedComm(make_task(config, fault_policy="recover",
+                                      snapshot_every=1))
+        snapshots, payloads = [], []
+        comm.send_cell_snapshot = snapshots.append
+        exchange = comm.exchange_genomes
+
+        def recording_exchange(grid, cell_index, payload, *args, **kwargs):
+            payloads.append(payload)
+            return exchange(grid, cell_index, payload, *args, **kwargs)
+
+        comm.exchange_genomes = recording_exchange
+        calls = []
+        center_genomes = Cell.center_genomes
+
+        def counting(self, *args, **kwargs):
+            if not kwargs.get("alias"):
+                calls.append(self.iteration)
+            return center_genomes(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cell, "center_genomes", counting)
+        SlaveProcess(comm, small_dataset).run()
+
+        assert len(calls) == iterations + 1
+        assert [s.iteration for s in snapshots] == list(range(1, iterations))
+        # The checkpoint after iteration i and the payload of iteration i+1
+        # are the same pair of genome objects.
+        for snapshot in snapshots:
+            payload = payloads[snapshot.iteration]
+            assert payload.iteration == snapshot.iteration
+            assert payload.generator_genome is snapshot.generator_genome
+            assert payload.discriminator_genome is snapshot.discriminator_genome
