@@ -1,41 +1,26 @@
-"""Bench: the train routine, before/after the fused kernels (PR 5).
+"""Bench: the train step per dtype policy, and what telemetry costs it.
 
-Table IV row 2 ("train") dominates the single-core budget; this benchmark
-measures the three layers the fused kernels of :mod:`repro.nn.kernels`
-rebuild, each against the autograd tape it replaces (toggled with
-``kernels_disabled()`` — same code base, same RNG streams, bit-identical
-results):
+Table IV row 2 ("train") dominates the single-core budget; every network
+runs it on the kernels of :mod:`repro.nn.kernels` (the before/after arms
+against the autograd tape were retired with the tape path itself — the
+PR 5 numbers are in CHANGES.md).  Two measurements remain:
 
-* **train_step** — one full train step at Table I size: a discriminator
-  update (real batch vs freshly generated fakes) plus a generator update,
-  through ``GANPair.train_*_step``.
-* **fitness_table** — the all-pairs s x s evaluation (s = 5 neighborhood,
-  Table I batch): batched single-forward-per-discriminator vs the
-  ``s**2``-forward loop.
-* **cell_step_train_phase** — the ``cell.train`` span seconds of one full
-  ``Cell.step`` (both fitness tables plus every gradient step), i.e. the
-  Table IV row the paper profiles.
-* **train_step_dtype** — the fused train step per dtype policy
+* **train_step_dtype** — one full train step at Table I size (a
+  discriminator update plus a generator update through
+  ``GANPair.train_*_step``) per dtype policy
   (``float64``/``float32``/``mixed16``), same seeds and RNG streams per
   arm; the per-dtype rows record seconds-per-call and the speedup over
   the float64 reference arm.
 * **telemetry** — the same train step under the ``repro.telemetry`` bus at
   off/basic/trace levels.  The off level is the shipping default and CI
   (``REPRO_BENCH_ASSERT_TELEMETRY=1``) asserts it stays within 2% of the
-  untraced ``train_step`` baseline.
+  untraced baseline arm.
 
-Honest-numbers note: at Table I size the train step is BLAS-bound — the
-GEMMs are shared by both paths, so the end-to-end speedup here is the tape
-overhead plus the stacked-forward/blocked-optimizer wins, not a multiple.
-The Python-side machinery the kernels delete is visible undiluted in the
-``overhead_dominated`` entry, measured at a narrow width where the per-op
-tape cost outweighs the arithmetic.
-
-Measurements interleave the two modes round-robin (this guards against
-drift on noisy shared machines) and keep the fastest round per mode.
-Results land in ``benchmarks/results/BENCH_train_step.json``; an
-aggregated ``BENCH_summary.json`` merges every ``BENCH_*.json`` artifact
-so the perf trajectory across PRs is machine-readable in one file.
+Measurements interleave their arms round-robin (this guards against drift
+on noisy shared machines) and keep the fastest round per arm.  Results land
+in ``benchmarks/results/BENCH_train_step.json``; an aggregated
+``BENCH_summary.json`` merges every ``BENCH_*.json`` artifact so the perf
+trajectory across PRs is machine-readable in one file.
 """
 
 from __future__ import annotations
@@ -50,13 +35,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import NetworkSettings, paper_table1_config
-from repro.coevolution.cell import Cell
-from repro.coevolution.fitness import evaluate_subpopulations
-from repro.data.dataset import ArrayDataset
+from repro.config import NetworkSettings
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.pair import GANPair
-from repro.nn import kernels, loss_by_name
+from repro.nn import loss_by_name
 from repro.telemetry import bus
 
 from benchmarks.conftest import RESULTS_DIR, save_artifact
@@ -70,75 +52,14 @@ _SETTINGS = (NetworkSettings(latent_size=8, hidden_layers=2, hidden_neurons=16,
                              output_neurons=36)
              if _TINY else NetworkSettings())
 _BATCH = 10 if _TINY else 100          # Table I batch size
-_NEIGHBORHOOD = 5
 _ROUNDS = 3 if _TINY else 6
 _REPS = 3 if _TINY else 20
-
-#: Narrow topology for the overhead-dominated data point: the tape's per-op
-#: cost is fixed, so at small widths it dwarfs the arithmetic it wraps.
-_NARROW = NetworkSettings(latent_size=8, hidden_layers=2, hidden_neurons=16,
-                          output_neurons=36)
-_NARROW_BATCH = 10
-
-
-def _interleaved_ab(run_before, run_after, rounds: int = _ROUNDS,
-                    reps: int = _REPS) -> dict:
-    """Fastest-round seconds-per-call for both modes, measured round-robin."""
-    best = {"before": float("inf"), "after": float("inf")}
-    for _ in range(rounds):
-        for key, fn in (("before", run_before), ("after", run_after)):
-            start = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            best[key] = min(best[key], (time.perf_counter() - start) / reps)
-    return {
-        "before_s_per_call": best["before"],
-        "after_s_per_call": best["after"],
-        "speedup": best["before"] / best["after"] if best["after"] > 0 else float("inf"),
-    }
 
 
 def _build_pair(settings: NetworkSettings, seed: int = 0) -> GANPair:
     rng = np.random.default_rng(seed)
     return GANPair(Generator(settings, rng), Discriminator(settings, rng),
                    loss_by_name("bce"), "adam", 2e-4)
-
-
-def _bench_train_step(settings: NetworkSettings, batch: int) -> dict:
-    real = np.random.default_rng(7).standard_normal((batch, settings.output_neurons))
-    pair = _build_pair(settings)
-    rng = np.random.default_rng(42)
-
-    def step_tape() -> None:
-        with kernels.kernels_disabled():
-            pair.train_discriminator_step(real, rng)
-            pair.train_generator_step(batch, rng)
-
-    def step_fused() -> None:
-        pair.train_discriminator_step(real, rng)
-        pair.train_generator_step(batch, rng)
-
-    step_fused()  # warm caches, workspaces, BLAS buffers
-    return _interleaved_ab(step_tape, step_fused)
-
-
-def _bench_fitness(settings: NetworkSettings, batch: int) -> dict:
-    build = np.random.default_rng(3)
-    gens = [Generator(settings, build) for _ in range(_NEIGHBORHOOD)]
-    discs = [Discriminator(settings, build) for _ in range(_NEIGHBORHOOD)]
-    loss = loss_by_name("bce")
-    real = np.random.default_rng(9).standard_normal((batch, settings.output_neurons))
-    rng = np.random.default_rng(5)
-
-    def loop() -> None:
-        with kernels.kernels_disabled():
-            evaluate_subpopulations(gens, discs, loss, real, rng)
-
-    def batched() -> None:
-        evaluate_subpopulations(gens, discs, loss, real, rng)
-
-    batched()
-    return _interleaved_ab(loop, batched, reps=max(1, _REPS // 2))
 
 
 @contextlib.contextmanager
@@ -157,50 +78,8 @@ def _bus_scope():
             os.environ["REPRO_TELEMETRY"] = prior_env
 
 
-def _bench_cell_phase(settings: NetworkSettings, batch: int) -> dict:
-    config = paper_table1_config()
-    config = dataclasses.replace(
-        config,
-        network=settings,
-        coevolution=dataclasses.replace(config.coevolution, grid_rows=1,
-                                        grid_cols=1, iterations=4),
-        execution=dataclasses.replace(config.execution, number_of_tasks=2),
-        training=dataclasses.replace(config.training, batch_size=batch,
-                                     batches_per_iteration=3),
-        dataset_size=batch * 8,
-    )
-    images = np.random.default_rng(11).standard_normal(
-        (config.dataset_size, settings.output_neurons))
-    dataset = ArrayDataset(images)
-
-    def run_phase(fused: bool) -> float:
-        """``cell.train`` span seconds of one Cell.step (cells are rebuilt
-        per call so Adam state/iteration counts stay comparable)."""
-        kernels.set_kernels_enabled(fused)
-        try:
-            cell = Cell(config, 0, dataset)
-            cell.step([])                      # warm-up iteration
-            with _bus_scope():
-                bus.set_level("basic")
-                cell.step([])
-                return bus.snapshot().span_seconds("cell.train")
-        finally:
-            kernels.set_kernels_enabled(True)
-
-    run_phase(True)
-    best = {"before": float("inf"), "after": float("inf")}
-    for _ in range(_ROUNDS):
-        best["before"] = min(best["before"], run_phase(False))
-        best["after"] = min(best["after"], run_phase(True))
-    return {
-        "before_s_per_call": best["before"],
-        "after_s_per_call": best["after"],
-        "speedup": best["before"] / best["after"],
-    }
-
-
 def _bench_dtypes(settings: NetworkSettings, batch: int) -> dict:
-    """Fused train step per dtype policy; float64 is the reference arm.
+    """The train step per dtype policy; float64 is the reference arm.
 
     One identically-seeded pair + RNG per arm (the arms differ *only* in
     dtype), the real batch stays float64 like the dataset pipeline, and
@@ -235,7 +114,7 @@ def _bench_dtypes(settings: NetworkSettings, batch: int) -> dict:
 
 def _bench_telemetry(settings: NetworkSettings | None = None,
                      batch: int = 100) -> dict:
-    """Telemetry cost on the fused train step, per bus level.
+    """Telemetry cost on the train step, per bus level.
 
     Always measured at Table I size, even in the tiny CI lane: the paper's
     step is BLAS-bound there (~20ms/call), so the bus's fixed per-span cost
@@ -308,13 +187,9 @@ def _bench_telemetry(settings: NetworkSettings | None = None,
 
 def test_train_step_bench(results_dir):
     benches = {
-        "train_step": _bench_train_step(_SETTINGS, _BATCH),
-        "fitness_table": _bench_fitness(_SETTINGS, _BATCH),
-        "cell_step_train_phase": _bench_cell_phase(_SETTINGS, _BATCH),
-        "overhead_dominated": _bench_train_step(_NARROW, _NARROW_BATCH),
         "train_step_dtype": _bench_dtypes(_SETTINGS, _BATCH),
+        "telemetry": _bench_telemetry(),
     }
-    benches["telemetry"] = _bench_telemetry()
     payload = {
         "network": {
             "latent_size": _SETTINGS.latent_size,
@@ -333,12 +208,6 @@ def test_train_step_bench(results_dir):
     write_summary(results_dir)
 
     # Machinery assertions only (thresholds are read off the artifact).
-    for name, bench in benches.items():
-        if "before_s_per_call" not in bench:
-            continue
-        assert bench["before_s_per_call"] > 0, name
-        assert bench["after_s_per_call"] > 0, name
-        assert np.isfinite(bench["speedup"]), name
     assert benches["telemetry"]["off_s_per_call"] > 0
     for name, row in benches["train_step_dtype"].items():
         assert row["s_per_call"] > 0, name

@@ -55,9 +55,8 @@ execution backend and select it from the same facade::
     LOSSES.register("wgan", MyWassersteinLoss)
     Experiment().loss("wgan").run()
 
-The pre-facade entry points (:class:`SequentialTrainer`,
-:class:`DistributedRunner`) remain exported and behave identically, but
-direct construction is deprecated in favor of :class:`Experiment`.
+The engines behind the facade (:class:`SequentialTrainer`,
+:class:`DistributedRunner`) remain exported for direct use.
 """
 
 # The runtime concurrency checker must patch the threading factories before

@@ -9,7 +9,7 @@ declared layers, bottom to top:
 ====== =====================================================
 layer  components
 ====== =====================================================
-0      ``registry``, ``runtime``, ``_deprecation``, ``analysis``
+0      ``registry``, ``runtime``, ``analysis``
        (leaf-safe: import nothing from repro)
 1      ``telemetry``, ``config``
 2      ``data``, ``nn``
@@ -41,7 +41,7 @@ from repro.analysis.rules import FileContext, Rule
 __all__ = ["LAYERS", "LayeringRule", "eager_repro_imports"]
 
 LAYERS: dict[str, int] = {
-    "registry": 0, "runtime": 0, "_deprecation": 0, "analysis": 0,
+    "registry": 0, "runtime": 0, "analysis": 0,
     "telemetry": 1, "config": 1,
     "data": 2, "nn": 2,
     "gan": 3,

@@ -9,9 +9,8 @@ run loop.  See :mod:`repro.api.experiment` for the full tour::
     result = Experiment().grid(2, 2).backend("process").run()
     print(result.summary())
 
-The old entry points (:class:`~repro.coevolution.SequentialTrainer`,
-:class:`~repro.parallel.DistributedRunner`) keep working but are deprecated
-in favor of this module.
+The engines it drives (:class:`~repro.coevolution.SequentialTrainer`,
+:class:`~repro.parallel.DistributedRunner`) stay usable directly.
 """
 
 from repro.api.backends import (

@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import _deprecation
 from repro.api.callbacks import CallbackList
 from repro.api.result import RunResult
 from repro.config import ExperimentConfig
@@ -112,11 +111,10 @@ class SequentialBackend(TrainerBackend):
         from repro.coevolution.sequential import SequentialTrainer
         from repro.runtime import pin_blas_threads
 
-        with _deprecation.suppressed():
-            if ctx.checkpoint is not None:
-                trainer = SequentialTrainer.from_checkpoint(ctx.checkpoint, ctx.dataset)
-            else:
-                trainer = SequentialTrainer(ctx.config, ctx.dataset)
+        if ctx.checkpoint is not None:
+            trainer = SequentialTrainer.from_checkpoint(ctx.checkpoint, ctx.dataset)
+        else:
+            trainer = SequentialTrainer(ctx.config, ctx.dataset)
         ctx.trainer = trainer
         pin_blas_threads(1)
         if telemetry.enabled():
@@ -183,11 +181,10 @@ class _DistributedBackend(TrainerBackend):
             raise ValueError(
                 f"the {self.name!r} backend cannot resume a checkpoint; "
                 "resume runs on the 'sequential' backend")
-        with _deprecation.suppressed():
-            runner = DistributedRunner(
-                ctx.config, backend=self.name, dataset=ctx.dataset,
-                dataset_spec=ctx.dataset_spec,
-                exchange_mode=ctx.exchange_mode, **self.runner_options)
+        runner = DistributedRunner(
+            ctx.config, backend=self.name, dataset=ctx.dataset,
+            dataset_spec=ctx.dataset_spec,
+            exchange_mode=ctx.exchange_mode, **self.runner_options)
         if telemetry.enabled():
             telemetry.reset()
         ctx.callbacks.on_run_start(ctx)

@@ -70,13 +70,10 @@ scratch block; down from ten-plus (center, its never-stepped optimizers,
 Table IV row 2 ("train") dominates the single-core budget (~85% of the
 wall time in ``benchmarks/results/table4.txt``); steps 2, 4 and 5 — the
 fitness tables and the gradient steps — therefore run on the graph-free
-fused kernels of :mod:`repro.nn.kernels` whenever the networks are
-kernel-eligible: one batched forward per discriminator for the s x s
-table, hand-derived backward straight into the arena gradient slabs, and
-cache-blocked optimizer sweeps.  The kernels are bit-identical to the
-autograd tape (same seed, same genome bytes) and fall back to it
-automatically, so every backend — sequential, threaded, process, socket —
-trains the same trajectory with or without them.
+kernels of :mod:`repro.nn.kernels`: one batched forward per discriminator
+for the s x s table, hand-derived backward straight into the arena
+gradient slabs, and cache-blocked optimizer sweeps — the same code on every
+backend, dtype and loss.
 
 The RNG discipline matters: a cell consumes randomness only from its own
 ``rng`` (seeded from the experiment seed and the cell index), so the same
@@ -99,8 +96,8 @@ from repro.coevolution.selection import tournament_select
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.pair import GANPair
-from repro.nn import Tensor, arena_of, kernels, loss_by_name
-from repro.nn.autograd import no_grad
+from repro.nn import arena_of, kernel_for, loss_by_name
+from repro.nn.kernels import loss_kernel_for
 from repro.nn.losses import MUSTANGS_LOSSES
 from repro.registry import dtype_policy
 from repro.telemetry import bus as telemetry
@@ -349,17 +346,12 @@ class Cell:
         """Generator-loss of mixture samples under the center discriminator.
 
         A cheap stand-in for the end-of-run quality metric: low when the
-        blended samples fool the current discriminator.  Runs on the fused
-        kernel forward when available (bit-identical, no tape).
+        blended samples fool the current discriminator.
         """
         samples = sample_mixture(self._sub_generators, weights, batch_size, self.rng)
-        fused = kernels.fused_generator_value(self.center.discriminator,
-                                              self.loss, samples)
-        if fused is not None:
-            return fused
-        with no_grad():
-            logits = self.center.discriminator(Tensor(samples))
-            return self.loss.generator_loss(logits).item()
+        d_kernel = kernel_for(self.center.discriminator)
+        return loss_kernel_for(self.loss).g_value(
+            d_kernel.forward(d_kernel.as_compute(samples)))
 
     # -- the per-iteration algorithm ------------------------------------------------
 

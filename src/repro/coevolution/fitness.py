@@ -7,15 +7,10 @@ average generator-loss across discriminator opponents; a discriminator's is
 its average discriminator-loss across generator opponents.  Lower is better
 for both.
 
-Two implementations produce bitwise-identical tables:
-
-* the **batched kernel path** (default): all ``s`` latent batches drawn in
-  one RNG call, the ``s`` fake batches plus the real batch stacked into one
-  matrix, one graph-free forward per discriminator, and the whole ``s x s``
-  loss table computed with vectorized NumPy
-  (:func:`repro.nn.kernels.fused_fitness_table`);
-* the **autograd loop** (fallback for arena-less networks, custom stacks or
-  losses): per-network forwards and ``s**2`` Python-level loss calls.
+The table is batched: all ``s`` latent batches drawn in one RNG call, the
+``s`` fake batches plus the real batch stacked into one matrix, one
+graph-free forward per discriminator (:mod:`repro.nn.kernels`), and each
+discriminator's column of losses computed from the stacked logits.
 """
 
 from __future__ import annotations
@@ -27,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.gan.networks import Discriminator, Generator
-from repro.gan.sampling import sample_latent
-from repro.nn import Tensor
-from repro.nn.autograd import no_grad
+from repro.nn import kernel_for
+from repro.nn.kernels import loss_kernel_for
 from repro.nn.losses import GANLoss
 
 __all__ = ["FitnessTable", "evaluate_subpopulations"]
@@ -74,49 +68,40 @@ def evaluate_subpopulations(generators: Sequence[Generator],
                             rng: np.random.Generator) -> FitnessTable:
     """Score all generator/discriminator pairings on one real batch.
 
-    Dispatches to the batched kernel path when every network is
-    kernel-eligible and the loss is one of the Mustangs trio; both paths
-    consume the RNG stream identically and return bitwise-equal tables
-    (asserted by ``tests/test_nn_kernels.py``), so mixed populations across
-    cells or backends stay trajectory-identical.
+    The one draw for all ``s`` latent batches is stream-order-identical to
+    ``s`` separate draws, and the table is bitwise equal to ``s**2``
+    separate loss evaluations (asserted by ``tests/test_nn_kernels.py``).
     """
     if not generators or not discriminators:
         raise ValueError("sub-populations must be non-empty")
-    from repro.nn import kernels
+    l_kernel = loss_kernel_for(loss)
+    g_kernels = [kernel_for(g) for g in generators]
+    d_kernels = [kernel_for(d) for d in discriminators]
+    latent = g_kernels[0].in_dim
+    features = g_kernels[0].dims[-1]
+    if any(k.in_dim != latent or k.dims[-1] != features for k in g_kernels) \
+            or any(k.in_dim != features or k.dims[-1] != 1 for k in d_kernels):
+        raise ValueError("sub-population networks do not share one "
+                         "latent -> image -> logit shape")
+    dtypes = {str(k.dtype) for k in (*g_kernels, *d_kernels)}
+    if len(dtypes) != 1:
+        raise ValueError(f"mixed-dtype neighbourhood: {sorted(dtypes)}")
 
-    table = kernels.fused_fitness_table(
-        generators, discriminators, loss, real_batch, rng)
-    if table is not None:
-        return table
-    return _evaluate_subpopulations_loop(
-        generators, discriminators, loss, real_batch, rng)
-
-
-def _evaluate_subpopulations_loop(generators: Sequence[Generator],
-                                  discriminators: Sequence[Discriminator],
-                                  loss: GANLoss, real_batch: np.ndarray,
-                                  rng: np.random.Generator) -> FitnessTable:
-    """The autograd reference implementation (and kernel fallback).
-
-    Generator outputs and discriminator real-logits are computed once per
-    network and reused across the s x s pairings; every pairing still costs
-    one discriminator forward on the fake batch plus two Python-level loss
-    evaluations — the overhead the batched path removes.
-    """
+    s = len(g_kernels)
     n = real_batch.shape[0]
-    with no_grad():
-        fakes = []
-        for gen in generators:
-            z = Tensor(sample_latent(n, gen.settings.latent_size, rng))
-            fakes.append(gen(z))
-        real = Tensor(real_batch)
-        real_logits = [disc(real) for disc in discriminators]
+    z_all = g_kernels[0].as_compute(rng.standard_normal((s, n, latent)))
+    stack = np.empty((s * n + n, features), dtype=d_kernels[0].dtype)
+    for i, gk in enumerate(g_kernels):
+        gk.forward(z_all[i], final_out=stack[i * n:(i + 1) * n])
+    stack[s * n:] = real_batch
 
-        g_losses = np.empty((len(generators), len(discriminators)))
-        d_losses = np.empty_like(g_losses)
-        for j, disc in enumerate(discriminators):
-            for i, fake in enumerate(fakes):
-                fake_logits = disc(fake)
-                g_losses[i, j] = loss.generator_loss(fake_logits).item()
-                d_losses[i, j] = loss.discriminator_loss(real_logits[j], fake_logits).item()
+    blocks = tuple(slice(i * n, (i + 1) * n) for i in range(s + 1))
+    g_losses = np.empty((s, len(d_kernels)))
+    d_losses = np.empty_like(g_losses)
+    for j, dk in enumerate(d_kernels):
+        # One wide GEMM chain per discriminator; the width-1 logit head
+        # runs per row block (see ``FusedStepKernel.forward``).
+        logits = dk.forward(stack, branches=blocks)
+        g_losses[:, j], d_losses[:, j] = l_kernel.table_column(
+            logits[s * n:], logits[:s * n].reshape(s, n))
     return FitnessTable(g_losses=g_losses, d_losses=d_losses)

@@ -61,10 +61,8 @@ def sample_mixture(generators: Sequence[Generator], mixture: MixtureWeights, n: 
     """Draw ``n`` images from the weighted mixture of generators."""
     if len(generators) != mixture.weights.size:
         raise ValueError("one weight per generator required")
-    if n <= 0:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return np.empty((0, generators[0].settings.output_neurons))
+    if n <= 0:  # nothing to draw: leave ``rng`` untouched
+        return generate_images(generators[0], n, rng)
     counts = rng.multinomial(n, mixture.weights)
     pieces = []
     for generator, count in zip(generators, counts):

@@ -8,10 +8,8 @@ per-iteration ``allgather`` of the distributed implementation, so (with the
 same seed) both produce identical genomes — asserted by the integration
 tests — and the runtime comparison isolates parallelization effects only.
 
-Cells train through the fused kernels of :mod:`repro.nn.kernels` here just
-as they do on every distributed backend (bit-identical to autograd, with
-automatic fallback), so enabling or disabling the kernels never changes
-which trajectory this baseline measures — only how fast it runs.
+Cells train through the kernels of :mod:`repro.nn.kernels` here exactly as
+they do on every distributed backend.
 """
 
 from __future__ import annotations
@@ -74,13 +72,6 @@ class SequentialTrainer:
     """Train the whole grid in one process (the single-core baseline)."""
 
     def __init__(self, config: ExperimentConfig, dataset: ArrayDataset | None = None):
-        from repro import _deprecation
-
-        _deprecation.warn_once(
-            "SequentialTrainer",
-            "direct SequentialTrainer use is deprecated; run it through "
-            "repro.api.Experiment(config).backend('sequential').run()",
-        )
         self.config = config
         self.grid = ToroidalGrid(config.coevolution.grid_rows, config.coevolution.grid_cols)
         self.dataset = dataset if dataset is not None else build_training_dataset(config)

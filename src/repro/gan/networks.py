@@ -95,17 +95,6 @@ class Generator(Module):
         """Draw the initial weights — what passing ``rng`` at construction does."""
         _draw_initial_weights(self.net, rng)
 
-    def layer_recipe(self):
-        """The flat ``(Linear, activation, slope)`` steps of this stack.
-
-        This is what :func:`repro.nn.kernels.kernel_for` consumes to build
-        the graph-free fused train-step kernel; ``None`` (never for this
-        fixed MLP) would mean "fall back to autograd".
-        """
-        from repro.nn.kernels import sequential_recipe
-
-        return sequential_recipe(self.net)
-
     def forward(self, z: Tensor) -> Tensor:
         if z.ndim != 2 or z.shape[1] != self.settings.latent_size:
             raise ValueError(
@@ -137,12 +126,6 @@ class Discriminator(Module):
     def initialize(self, rng: np.random.Generator) -> None:
         """See :meth:`Generator.initialize`."""
         _draw_initial_weights(self.net, rng)
-
-    def layer_recipe(self):
-        """See :meth:`Generator.layer_recipe`."""
-        from repro.nn.kernels import sequential_recipe
-
-        return sequential_recipe(self.net)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 2 or x.shape[1] != self.settings.output_neurons:

@@ -10,9 +10,8 @@ center, a pair materialized for evaluation or sampling) never pays for
 them.  It exposes exactly the operations the cellular trainer schedules:
 
 * :meth:`train_discriminator_step` / :meth:`train_generator_step` — one
-  gradient step each (the paper's profiled ``train`` routine),
-* :meth:`evaluate` — both losses on a batch without touching parameters
-  (used for fitness evaluation during selection).
+  gradient step each (the paper's profiled ``train`` routine), run on the
+  graph-free kernels of :mod:`repro.nn.kernels`.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ import numpy as np
 from repro.config import ExperimentConfig
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.sampling import sample_latent
-from repro.nn import Tensor, arena_of, loss_by_name, optimizer_by_name
-from repro.nn import kernels
-from repro.nn.autograd import no_grad
+from repro.nn import kernel_for, loss_by_name, optimizer_by_name
+from repro.nn.kernels import loss_kernel_for
 from repro.nn.losses import GANLoss
 from repro.nn.optim import Optimizer
 from repro.telemetry import bus as telemetry
@@ -45,22 +43,18 @@ class GANPair:
         self._d_optimizer: Optimizer | None = None
         self.learning_rate = learning_rate
 
-    def _build_optimizer(self, network) -> Optimizer:
-        # The networks' arenas (attached at construction) buy the fused
-        # slab update; arena-less networks fall back to per-tensor steps.
-        return optimizer_by_name(self.optimizer_name, network.parameters(),
-                                 self._learning_rate, arena=arena_of(network))
-
     @property
     def g_optimizer(self) -> Optimizer:
         if self._g_optimizer is None:
-            self._g_optimizer = self._build_optimizer(self.generator)
+            self._g_optimizer = optimizer_by_name(
+                self.optimizer_name, self.generator, self._learning_rate)
         return self._g_optimizer
 
     @property
     def d_optimizer(self) -> Optimizer:
         if self._d_optimizer is None:
-            self._d_optimizer = self._build_optimizer(self.discriminator)
+            self._d_optimizer = optimizer_by_name(
+                self.optimizer_name, self.discriminator, self._learning_rate)
         return self._d_optimizer
 
     # -- learning-rate plumbing (hyperparameter mutation target) -------------
@@ -98,77 +92,65 @@ class GANPair:
         also trains the discriminator against *neighbor* generators, so any
         generator can be passed as the adversary.
 
-        The step runs through the graph-free fused kernel
-        (:mod:`repro.nn.kernels`, bit-identical to the tape) whenever both
-        networks are kernel-eligible; otherwise — unpickled/arena-less
-        networks, custom stacks or losses — it falls back to autograd.
+        Draw latents, generate fakes, stack ``[real; fake]`` through one
+        discriminator forward (row-blocking keeps bits equal to two
+        passes), backward into the arena grad slab with per-branch
+        reductions, then the cache-blocked optimizer sweep.
         """
         adversary = generator if generator is not None else self.generator
         with telemetry.span("train.d_step"):
-            fused = kernels.fused_discriminator_step(
-                self.discriminator, adversary, self.loss, self.d_optimizer,
-                real_batch, rng)
-            if fused is not None:
-                return fused
+            d_kernel = kernel_for(self.discriminator)
+            g_kernel = kernel_for(adversary)
+            optimizer = self.d_optimizer  # first use allocates the grad slab
             n = real_batch.shape[0]
-            with no_grad():
-                z = Tensor(sample_latent(n, adversary.settings.latent_size, rng))
-                fake = adversary(z).detach()
-            real_logits = self.discriminator(Tensor(real_batch))
-            fake_logits = self.discriminator(fake)
-            loss = self.loss.discriminator_loss(real_logits, fake_logits)
-            self.d_optimizer.zero_grad()
-            loss.backward()
-            self.d_optimizer.step()
-            return loss.item()
+            ws = d_kernel.workspace(2 * n)
+            x = ws.x_stack
+            x[:n] = real_batch  # assignment casts into the stack's compute dtype
+            z = g_kernel.as_compute(sample_latent(n, g_kernel.in_dim, rng))
+            # The generator writes its final activation straight into the stack.
+            g_kernel.forward(z, final_out=x[n:])
+
+            halves = (slice(0, n), slice(n, 2 * n))
+            logits = d_kernel.forward(x, ws=ws, branches=halves)
+            value = loss_kernel_for(self.loss).d_step(logits, n, ws.grads[-1])
+            d_kernel.backward(x, ws, ws.grads[-1], branches=halves)
+            optimizer.step_blocked()
+            return value
 
     def train_generator_step(self, batch_size: int, rng: np.random.Generator,
                              discriminator: Discriminator | None = None) -> float:
         """One generator update against ``discriminator`` (default: own).
 
-        Fused-kernel fast path with autograd fallback, exactly as in
-        :meth:`train_discriminator_step`.
+        The backward runs through the adversary for its *input* gradient
+        only: its weight gradients are never computed, and its grad slab is
+        left as it was — a network's gradients are fully rewritten before
+        its own next optimizer step and are never serialized.
         """
         adversary = discriminator if discriminator is not None else self.discriminator
         with telemetry.span("train.g_step"):
-            fused = kernels.fused_generator_step(
-                self.generator, adversary, self.loss, self.g_optimizer,
-                batch_size, rng)
-            if fused is not None:
-                return fused
-            z = Tensor(sample_latent(batch_size, self.generator.settings.latent_size, rng))
-            fake = self.generator(z)
-            fake_logits = adversary(fake)
-            loss = self.loss.generator_loss(fake_logits)
-            self.g_optimizer.zero_grad()
-            # The adversary's parameters also collect gradients here; clear them
-            # afterwards instead of before so the generator sees a fresh tape.
-            loss.backward()
-            self.g_optimizer.step()
-            adversary.zero_grad()
-            return loss.item()
-
-    # -- evaluation --------------------------------------------------------------
-
-    def evaluate(self, real_batch: np.ndarray, rng: np.random.Generator,
-                 generator: Generator | None = None,
-                 discriminator: Discriminator | None = None) -> tuple[float, float]:
-        """Return ``(discriminator_loss, generator_loss)`` on one batch, no updates.
-
-        Used for the all-pairs fitness evaluation of the sub-population; runs
-        entirely under :func:`~repro.nn.autograd.no_grad`.
-        """
-        gen = generator if generator is not None else self.generator
-        disc = discriminator if discriminator is not None else self.discriminator
-        n = real_batch.shape[0]
-        with no_grad():
-            z = Tensor(sample_latent(n, gen.settings.latent_size, rng))
-            fake = gen(z)
-            real_logits = disc(Tensor(real_batch))
-            fake_logits = disc(fake)
-            d_loss = self.loss.discriminator_loss(real_logits, fake_logits).item()
-            g_loss = self.loss.generator_loss(fake_logits).item()
-        return d_loss, g_loss
+            g_kernel = kernel_for(self.generator)
+            d_kernel = kernel_for(adversary)
+            optimizer = self.g_optimizer  # first use allocates the grad slab
+            n = batch_size
+            g_ws = g_kernel.workspace(n)
+            d_ws = d_kernel.workspace(n)
+            if g_ws is d_ws:
+                # Workspaces are shared by *signature*: two networks with
+                # identical stacks would clobber each other's activations.
+                raise ValueError("generator and discriminator have identical "
+                                 f"layer stacks ({g_kernel!r}); cannot train one "
+                                 "against the other")
+            z = g_kernel.as_compute(sample_latent(n, g_kernel.in_dim, rng))
+            fake = g_kernel.forward(z, ws=g_ws)
+            logits = d_kernel.forward(fake, ws=d_ws)
+            value = loss_kernel_for(self.loss).g_step(logits, d_ws.grads[-1])
+            d_fake_grad = d_kernel.backward(fake, d_ws, d_ws.grads[-1],
+                                            param_grads=False, input_grad=True)
+            # dL/d fake continues straight into the generator backward (its
+            # first move is the final activation's VJP, on the intact ``fake``).
+            g_kernel.backward(z, g_ws, d_fake_grad)
+            optimizer.step_blocked()
+            return value
 
 
 def build_gan_pair(config: ExperimentConfig, rng: np.random.Generator,

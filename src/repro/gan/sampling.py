@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gan.networks import Generator
-from repro.nn import Tensor
-from repro.nn.autograd import no_grad
+from repro.nn import kernel_for
 
 __all__ = ["sample_latent", "generate_images"]
 
@@ -25,30 +24,20 @@ def sample_latent(n: int, latent_size: int, rng: np.random.Generator) -> np.ndar
 
 def generate_images(generator: Generator, n: int, rng: np.random.Generator,
                     batch: int = 512) -> np.ndarray:
-    """Generate ``n`` images without recording the autograd tape.
+    """Generate ``n`` images (in the generator's compute dtype).
 
     Generation happens in chunks of ``batch`` so the activation memory stays
-    bounded when the metrics pipeline asks for thousands of samples.  When
-    the generator is kernel-eligible the chunks run through the graph-free
-    fused forward (same ops, same bits — see :mod:`repro.nn.kernels`),
-    writing each chunk straight into the output array.
+    bounded when the metrics pipeline asks for thousands of samples; each
+    chunk's forward writes straight into the output array.
     """
-    latent_size = generator.settings.latent_size
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    if n <= 0:
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        return np.empty((0, generator.settings.output_neurons))
-    from repro.nn import kernels
-
-    fused = kernels.fused_sample_images(generator, n, rng, batch)
-    if fused is not None:
-        return fused
-    pieces: list[np.ndarray] = []
-    with no_grad():
-        for lo in range(0, n, batch):
-            count = min(batch, n - lo)
-            z = Tensor(sample_latent(count, latent_size, rng))
-            pieces.append(generator(z).numpy())
-    return np.concatenate(pieces, axis=0)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    kernel = kernel_for(generator)
+    out = np.empty((n, kernel.dims[-1]), dtype=kernel.dtype)
+    for lo in range(0, n, batch):
+        count = min(batch, n - lo)
+        z = kernel.as_compute(sample_latent(count, kernel.in_dim, rng))
+        kernel.forward(z, final_out=out[lo:lo + count])
+    return out

@@ -74,7 +74,7 @@ def train_digit_classifier(images: np.ndarray, labels: np.ndarray,
     if images.ndim != 2:
         raise ValueError("images must be (n, pixels)")
     classifier = DigitClassifier(rng, input_size=images.shape[1], hidden_size=hidden_size)
-    optimizer = Adam(classifier.parameters(), learning_rate)
+    optimizer = Adam(classifier, learning_rate)
     dataset = ArrayDataset(images, np.asarray(labels, dtype=np.int64))
     loader = DataLoader(dataset, min(batch_size, len(dataset)), rng, drop_last=False)
     for _ in range(epochs):

@@ -7,11 +7,13 @@ functionality the paper's networks need, built from scratch on NumPy:
   network backing all parameters (and gradients), enabling single-memcpy
   genome flattening and fused optimizer steps.
 * :mod:`repro.nn.autograd` — reverse-mode automatic differentiation on a
-  dynamically built tape (:class:`Tensor`).
-* :mod:`repro.nn.kernels` — graph-free fused train-step kernels for the
-  fixed Linear+activation stacks (forward into preallocated workspaces,
-  hand-derived backward straight into the arena's gradient slab), bit-
-  identical to the tape and enabled by default with automatic fallback.
+  dynamically built tape (:class:`Tensor`): trains the metrics classifier,
+  differentiates plug-in losses on their logits, and is the oracle the
+  kernels are tested against.
+* :mod:`repro.nn.kernels` — graph-free train-step kernels for the fixed
+  Linear+activation stacks (forward into preallocated workspaces,
+  hand-derived backward straight into the arena's gradient slab): how
+  every GAN network runs, bit-identical to the tape.
 * :mod:`repro.nn.functional` — numerically stable composite ops
   (softplus, log-sigmoid, binary cross-entropy with logits, ...).
 * :mod:`repro.nn.modules` — ``Module``/``Linear``/``Sequential`` and the
@@ -28,13 +30,7 @@ from repro.nn.arena import ParameterArena, arena_of, attach_arena
 from repro.nn.autograd import Tensor, no_grad, tensor
 from repro.nn import functional
 from repro.nn import kernels
-from repro.nn.kernels import (
-    FusedStepKernel,
-    kernel_for,
-    kernels_disabled,
-    kernels_enabled,
-    set_kernels_enabled,
-)
+from repro.nn.kernels import FusedStepKernel, kernel_for
 from repro.nn.init import (
     PARAM_DTYPE,
     kaiming_normal,
@@ -82,9 +78,6 @@ __all__ = [
     "kernels",
     "FusedStepKernel",
     "kernel_for",
-    "kernels_enabled",
-    "kernels_disabled",
-    "set_kernels_enabled",
     "Module",
     "Linear",
     "Sequential",

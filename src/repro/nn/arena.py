@@ -40,25 +40,21 @@ Invariants the rest of the system depends on:
   **read-only** view of it — then NumPy itself refuses the optimizer, a
   ``vector_to_parameters`` or a stray ``p.data[...] =`` that would write
   through.  Whoever trains a network binds it to a slab nobody else reads.
-* **Pickling.** Arenas are deliberately *not* carried across pickling: the
-  registry is keyed weakly by module identity, so an unpickled module
-  (whose parameters pickled as standalone arrays) simply has no arena and
-  every consumer falls back to the per-tensor path — slower, never wrong.
+* **Pickling.** A module owns its arena (``module._arena``), so the arena
+  crosses ``pickle``/``copy.deepcopy`` with it and re-homes the copied
+  parameters into the copied slabs on arrival (:meth:`__setstate__`).
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 
 import numpy as np
 
 __all__ = ["ParameterArena", "attach_arena", "arena_of"]
 
-#: module -> arena; weak keys so arenas die with their networks and
-#: unpickled module copies (new identities) transparently have none.
-_REGISTRY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_REGISTRY_LOCK = threading.Lock()
+#: serializes the first-request attach; every later lookup is lock-free.
+_ATTACH_LOCK = threading.Lock()
 
 
 class ParameterArena:
@@ -73,8 +69,7 @@ class ParameterArena:
     parameters (``rng=None``), whose values are written afterwards.
     """
 
-    __slots__ = ("_data", "_grad", "_tensors", "_names", "_spans", "_shapes",
-                 "__weakref__")
+    __slots__ = ("_data", "_grad", "_tensors", "_names", "_spans", "_shapes")
 
     def __init__(self, module, *, adopt_values: bool = True) -> None:
         named = list(module.named_parameters())
@@ -86,6 +81,11 @@ class ParameterArena:
             raise ValueError(
                 f"module parameters span multiple dtypes {sorted(map(str, dtypes))}; "
                 "an arena needs exactly one")
+        if any(isinstance(p.data.base, np.ndarray) for _, p in named):
+            raise ValueError(
+                f"parameters of {type(module).__name__} are already views of "
+                "another buffer (a sub-module of an arena-backed network?); "
+                "ask the network that owns them")
         slab = np.empty(total, dtype=dtypes.pop())
         names: list[str] = []
         spans: list[tuple[int, int]] = []
@@ -137,9 +137,8 @@ class ParameterArena:
     def views_of(self, flat: np.ndarray) -> list[np.ndarray]:
         """Per-parameter reshaped views of an external flat buffer.
 
-        Used by the fused optimizers so their moment buffers expose the
-        same per-parameter structure as the legacy path (state snapshots
-        stay format-compatible) while living in one slab.
+        Used by the optimizers to snapshot their flat moment slabs in the
+        per-parameter structure of ``state_arrays()``.
         """
         if flat.shape != (self.size,):
             raise ValueError(f"buffer shape {flat.shape} != ({self.size},)")
@@ -209,6 +208,21 @@ class ParameterArena:
             p is t for p, t in zip(params, self._tensors)
         )
 
+    # -- pickle / deepcopy ------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        # Views arrive as standalone copies: make the parameters (and
+        # gradients) windows onto the slabs that travelled with them again.
+        self.rebind(self._data)
+        if self._grad is not None:
+            for tensor, view in zip(self._tensors, self.views_of(self._grad)):
+                tensor.grad = view
+
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         grads = "with grads" if self._grad is not None else "no grads"
         return f"ParameterArena({len(self._tensors)} tensors, {self.size} params, {grads})"
@@ -216,14 +230,13 @@ class ParameterArena:
 
 def attach_arena(module, *, adopt_values: bool = True) -> ParameterArena:
     """Re-home ``module``'s parameters into a fresh arena (idempotent)."""
-    with _REGISTRY_LOCK:
-        arena = _REGISTRY.get(module)
+    with _ATTACH_LOCK:
+        arena = module.__dict__.get("_arena")
         if arena is None:
-            arena = ParameterArena(module, adopt_values=adopt_values)
-            _REGISTRY[module] = arena
+            arena = module._arena = ParameterArena(module, adopt_values=adopt_values)
     return arena
 
 
-def arena_of(module) -> ParameterArena | None:
-    """The arena backing ``module``, or ``None`` (then use per-tensor paths)."""
-    return _REGISTRY.get(module)
+def arena_of(module) -> ParameterArena:
+    """The arena backing ``module``, attached on first request."""
+    return module.__dict__.get("_arena") or attach_arena(module)

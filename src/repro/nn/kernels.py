@@ -1,19 +1,20 @@
-"""Fused, graph-free train-step kernels for the fixed Linear+activation MLPs.
+"""Graph-free train-step kernels: how every Linear+activation network runs.
 
-The autograd :class:`~repro.nn.autograd.Tensor` path builds, per batch, a
-tape of ~100 nodes (one heap allocation plus a closure pair per op) for
-networks whose structure never changes: the paper's Table I stacks are plain
-``Linear -> activation`` chains.  A :class:`FusedStepKernel` is built once
-per network from its :meth:`layer recipe <repro.gan.networks.Generator.
-layer_recipe>`: it preallocates activation/gradient workspaces sized to the
-batch, runs the forward with ``np.matmul(..., out=)`` and in-place
-activations, and runs the hand-derived backward writing gradients *directly
-into the arena's gradient slab* — no graph, no per-op allocation.
+An autograd :class:`~repro.nn.autograd.Tensor` forward/backward builds, per
+batch, a tape of ~100 nodes (one heap allocation plus a closure pair per
+op) for networks whose structure never changes: the paper's Table I stacks
+are plain ``Linear -> activation`` chains.  A :class:`FusedStepKernel` is
+built once per network from its :func:`layer_recipe`: it preallocates
+activation/gradient workspaces sized to the batch, runs the forward with
+``np.matmul(..., out=)`` and in-place activations, and runs the
+hand-derived backward writing gradients *directly into the arena's gradient
+slab* — no graph, no per-op allocation.
 
 Bit-identity contract
 ---------------------
 The kernels replay **exactly the same NumPy operations in the same order**
-as the autograd path, so with the same seed they produce the same genome
+as the autograd tape (the oracle ``tests/conftest.py`` builds its
+reference steps from), so with the same seed they produce the same genome
 bytes (asserted by ``tests/test_nn_kernels.py`` down to a 50-iteration
 training trajectory).  The rules that make this work:
 
@@ -43,30 +44,22 @@ own golden hashes.  Workspaces are keyed by dtype (it is part of the
 kernel signature), so same-topology networks under different policies
 never share buffers.
 
-Fallback contract
------------------
-``kernel_for`` returns ``None`` — and every ``fused_*`` entry point
-declines, letting the caller run the autograd path — when the network has
-no :class:`~repro.nn.arena.ParameterArena` (e.g. it crossed a pickle
-boundary), when its module stack is not a recognized Linear+activation
-chain, or when the loss is not one of the three Mustangs losses.  Both
-paths consume identical RNG streams, so mixed fused/fallback populations
-stay trajectory-identical.
-
-:func:`set_kernels_enabled` / :func:`kernels_disabled` turn the fused path
-off process-wide: how ``tests/test_nn_kernels.py`` gets its autograd
-reference and ``benchmarks/test_train_step.py`` its "before" arm.
+One path
+--------
+:func:`kernel_for` returns a network's kernel or raises ``ValueError``
+naming what it cannot run; a loss outside the Mustangs trio differentiates
+its own ``discriminator_loss``/``generator_loss`` on the logits alone
+(:class:`_TapeLossKernel`) and enters the same hand-derived backward.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
-import weakref
 
 import numpy as np
 
 from repro.nn.arena import arena_of
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.losses import BCELoss, GANLoss, HeuristicLoss, LeastSquaresLoss
 from repro.nn.modules import (
     Identity,
@@ -74,7 +67,6 @@ from repro.nn.modules import (
     Linear,
     Module,
     ReLU,
-    Sequential,
     Sigmoid,
     Tanh,
 )
@@ -84,46 +76,8 @@ __all__ = [
     "FusedStepKernel",
     "kernel_for",
     "loss_kernel_for",
-    "kernels_enabled",
-    "set_kernels_enabled",
-    "kernels_disabled",
-    "fused_discriminator_step",
-    "fused_generator_step",
-    "fused_fitness_table",
-    "fused_generator_value",
-    "fused_sample_images",
-    "sequential_recipe",
+    "layer_recipe",
 ]
-
-# ---------------------------------------------------------------------------
-# Global enable switch
-# ---------------------------------------------------------------------------
-
-_ENABLED = True
-
-
-def kernels_enabled() -> bool:
-    """Whether the fused kernels are globally enabled (default: yes)."""
-    return _ENABLED
-
-
-def set_kernels_enabled(enabled: bool) -> bool:
-    """Toggle the fused kernels globally; returns the previous setting."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def kernels_disabled():
-    """Context manager forcing the autograd path (benchmarks, A/B tests)."""
-    previous = set_kernels_enabled(False)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
-
 
 # ---------------------------------------------------------------------------
 # Layer recipes
@@ -132,60 +86,47 @@ def kernels_disabled():
 #: activation tag per module type; the tag drives the in-place forward and
 #: the hand-derived VJP in the backward sweep.
 _ACTIVATION_TAGS = {
-    Tanh: ("tanh", None),
-    Sigmoid: ("sigmoid", None),
-    ReLU: ("relu", None),
-    Identity: (None, None),
+    Tanh: "tanh",
+    Sigmoid: "sigmoid",
+    ReLU: "relu",
+    LeakyReLU: "leaky_relu",
+    Identity: None,
 }
 
 
-def sequential_recipe(net: Module) -> list[tuple[Linear, str | None, float | None]] | None:
-    """Flatten a ``Sequential`` into ``(linear, activation, slope)`` steps.
+def layer_recipe(module: Module) -> list[tuple[Linear, str | None, float | None]]:
+    """Flatten a network into ``(linear, activation, slope)`` steps.
 
-    Returns ``None`` when the stack contains anything but ``Linear`` (with
-    bias) and the known activations — the signal to fall back to autograd.
-    An activation folds onto the preceding linear step; a leading
-    activation or two in a row have no step to fold onto and are likewise
-    unsupported (``None``), except ``Identity``, which is simply dropped.
+    A network *is* its leaf layers in registration order (what
+    ``Sequential`` applies, however deeply nested).  Each must be a
+    ``Linear`` with bias or a known activation, which folds onto the
+    preceding linear step (``Identity`` is dropped); anything else is a
+    ``ValueError`` naming the layer.
     """
-    if not isinstance(net, Sequential):
-        return None
     steps: list[tuple[Linear, str | None, float | None]] = []
-    for layer in net:
-        if isinstance(layer, Linear):
+
+    def unsupported(layer: Module, why: str) -> ValueError:
+        return ValueError(f"{type(module).__name__} cannot run on the kernels: "
+                          f"layer {type(layer).__name__} {why}")
+
+    for layer in (m for m in module.modules() if not m._modules):
+        if type(layer) is Linear:
             if layer.bias is None:
-                return None
+                raise unsupported(layer, f"({layer!r}) has no bias")
             steps.append((layer, None, None))
             continue
-        tag: str | None
-        slope: float | None
-        if isinstance(layer, LeakyReLU):
-            tag, slope = "leaky_relu", float(layer.negative_slope)
-        elif type(layer) in _ACTIVATION_TAGS:
-            tag, slope = _ACTIVATION_TAGS[type(layer)]
-        else:
-            return None
+        if type(layer) not in _ACTIVATION_TAGS:
+            raise unsupported(layer, "is neither Linear nor a known activation")
+        tag = _ACTIVATION_TAGS[type(layer)]
         if tag is None:  # Identity: nothing to apply
             continue
         if not steps or steps[-1][1] is not None:
-            # activation with no preceding linear (or two in a row)
-            return None
-        linear, _, _ = steps[-1]
-        steps[-1] = (linear, tag, slope)
-    return steps if steps else None
-
-
-def _module_recipe(module: Module):
-    """A network's layer recipe: its own hook when provided, else a walk."""
-    recipe_fn = getattr(module, "layer_recipe", None)
-    if recipe_fn is not None:
-        return recipe_fn()
-    if isinstance(module, Sequential):
-        return sequential_recipe(module)
-    inner = getattr(module, "net", None)
-    if isinstance(inner, Sequential):
-        return sequential_recipe(inner)
-    return None
+            raise unsupported(layer, "has no Linear of its own to fold onto")
+        slope = float(layer.negative_slope) if tag == "leaky_relu" else None
+        steps[-1] = (steps[-1][0], tag, slope)
+    if not steps:
+        raise ValueError(f"{type(module).__name__} has no Linear layer")
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +227,6 @@ def _workspace(signature: tuple, in_dim: int, dims: tuple[int, ...], n: int,
 # The per-network kernel
 # ---------------------------------------------------------------------------
 
-#: module -> FusedStepKernel | None (None caches "not eligible")
-_KERNELS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_KERNELS_LOCK = threading.Lock()
-
-
 class FusedStepKernel:
     """Graph-free forward/backward for one fixed Linear+activation stack.
 
@@ -300,22 +236,15 @@ class FusedStepKernel:
     (``vector_to_parameters`` mutates the slab in place) and across
     :meth:`~repro.nn.arena.ParameterArena.rebind` (which swaps every
     tensor's ``data`` for a view of another vector of the same dtype).
-
-    Deliberately does **not** reference the owning module: kernels are the
-    *values* of a weak-keyed per-module registry, and a value that reached
-    back to its key would pin every kernelized network (and its arena
-    slabs) in memory forever.
+    It lives on its module (``module._kernel``, see :func:`kernel_for`) and
+    so travels with it through ``pickle``/``copy.deepcopy``.
     """
 
-    __slots__ = ("arena", "steps", "in_dim", "dims", "dtype", "signature",
-                 "__weakref__")
+    __slots__ = ("arena", "steps", "in_dim", "dims", "dtype", "signature")
 
-    def __init__(self, module: Module, recipe) -> None:
-        arena = arena_of(module)
-        if arena is None:
-            raise ValueError("fused kernels require an arena-backed module")
-        self.arena = arena
-        self.steps = list(recipe)
+    def __init__(self, module: Module) -> None:
+        self.steps = layer_recipe(module)
+        self.arena = arena = arena_of(module)
         self.in_dim = self.steps[0][0].in_features
         self.dims = tuple(linear.out_features for linear, _, _ in self.steps)
         self.dtype = arena.data.dtype
@@ -329,7 +258,8 @@ class FusedStepKernel:
             params.append(linear.weight)
             params.append(linear.bias)
         if not arena.backs(params):
-            raise ValueError("layer recipe does not cover the module's arena")
+            raise ValueError(f"{type(module).__name__} cannot run on the kernels: "
+                             "it has parameters outside its Linear layers")
 
     # -- forward ------------------------------------------------------------
 
@@ -525,41 +455,56 @@ def _activation_vjp(act: str | None, slope: float | None, out_act: np.ndarray,
         raise ValueError(f"unknown activation tag {act!r}")
 
 
-def kernel_for(module: Module) -> FusedStepKernel | None:
-    """The cached fused kernel for ``module``, or ``None`` when ineligible.
+def kernel_for(module: Module) -> FusedStepKernel:
+    """The kernel that runs ``module``, built on first request.
 
-    Ineligible: no parameter arena (the module crossed a pickle boundary),
-    an unrecognized layer stack, or a recipe that does not exactly cover
-    the arena.  The verdict is cached either way (weakly, per module).
+    Raises ``ValueError`` naming the layer when the stack is not a
+    Linear+activation chain.  Two threads asking first at once build two
+    interchangeable kernels and one is kept: a kernel holds no state.
     """
-    with _KERNELS_LOCK:
-        if module in _KERNELS:
-            return _KERNELS[module]
-    kernel: FusedStepKernel | None = None
-    recipe = _module_recipe(module)
-    if recipe and arena_of(module) is not None:
-        try:
-            kernel = FusedStepKernel(module, recipe)
-        except ValueError:
-            kernel = None
-    with _KERNELS_LOCK:
-        _KERNELS[module] = kernel
+    kernel = module.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = module._kernel = FusedStepKernel(module)
     return kernel
 
 
 # ---------------------------------------------------------------------------
-# Loss kernels (exact-type dispatch; custom losses fall back to autograd)
+# Loss kernels (hand-derived for the Mustangs trio, tape-on-logits otherwise)
 # ---------------------------------------------------------------------------
 
 
 class _LossKernel:
     """Scalar values and logits-gradients for one GAN loss formulation.
 
-    Every method replays the autograd ops of the corresponding
+    What the train steps and the fitness table call is :meth:`d_step`,
+    :meth:`g_step`, :meth:`g_value` and :meth:`table_column`; the
+    hand-derived kernels build the first and last from the pieces below,
+    each replaying the autograd ops of the corresponding
     ``GANLoss``/``functional`` code path (see the derivations in
-    ``tests/test_nn_kernels.py``); gradients fold the constant
-    ``1/count`` mean factor the way the recorded tape does.
+    ``tests/test_nn_kernels.py``) and folding the constant ``1/count`` mean
+    factor the way the recorded tape does.
     """
+
+    def d_step(self, logits, n_real: int, out) -> float:
+        """Discriminator loss of the stacked ``[real; fake]`` logits;
+        writes dL/d logits into ``out``."""
+        value = self.d_value(logits[:n_real], logits[n_real:])
+        self.d_grad(logits, n_real, out)
+        return value
+
+    def g_step(self, fake_logits, out) -> float:
+        """Generator loss of ``fake_logits``; writes dL/d logits into ``out``."""
+        value = self.g_value(fake_logits)
+        self.g_grad(fake_logits, out)
+        return value
+
+    def table_column(self, real_logits: np.ndarray,
+                     fake_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One discriminator's column of the s x s table: the generator and
+        discriminator losses of each of the ``s`` row blocks of ``fake_rows``
+        (``(s, n)``) against ``real_logits`` (``(n, 1)``)."""
+        return (self.g_value_rows(fake_rows),
+                self.d_real_value(real_logits) + self.d_fake_value_rows(fake_rows))
 
     def d_value(self, real_logits, fake_logits) -> float:
         raise NotImplementedError
@@ -727,6 +672,53 @@ class _LeastSquaresLossKernel(_LossKernel):
         return float(_mean_all(d * d))
 
 
+class _TapeLossKernel(_LossKernel):
+    """Any other ``GANLoss``: its own methods, differentiated on the logits.
+
+    The tape sees only the ``(n, 1)`` logits — never a network — and hands
+    back the value and dL/d logits the hand-derived kernels would; a loss
+    that ignores an input leaves that block of the gradient zero.
+    """
+
+    def __init__(self, loss: GANLoss) -> None:
+        self.loss = loss
+
+    @staticmethod
+    def _grad_into(out: np.ndarray, leaf: Tensor) -> None:
+        out[...] = 0.0 if leaf.grad is None else leaf.grad
+
+    def d_step(self, logits, n_real: int, out) -> float:
+        real = Tensor(logits[:n_real], requires_grad=True)
+        fake = Tensor(logits[n_real:], requires_grad=True)
+        value = self.loss.discriminator_loss(real, fake)
+        value.backward()
+        self._grad_into(out[:n_real], real)
+        self._grad_into(out[n_real:], fake)
+        return value.item()
+
+    def g_step(self, fake_logits, out) -> float:
+        fake = Tensor(fake_logits, requires_grad=True)
+        value = self.loss.generator_loss(fake)
+        value.backward()
+        self._grad_into(out, fake)
+        return value.item()
+
+    def g_value(self, fake_logits) -> float:
+        with no_grad():
+            return self.loss.generator_loss(Tensor(fake_logits)).item()
+
+    def table_column(self, real_logits, fake_rows):
+        s, n = fake_rows.shape
+        g_col, d_col = np.empty(s), np.empty(s)
+        with no_grad():
+            real = Tensor(real_logits)
+            for i in range(s):
+                fake = Tensor(fake_rows[i].reshape(n, 1))
+                g_col[i] = self.loss.generator_loss(fake).item()
+                d_col[i] = self.loss.discriminator_loss(real, fake).item()
+        return g_col, d_col
+
+
 _LOSS_KERNELS: dict[type, _LossKernel] = {
     BCELoss: _BceLossKernel(),
     HeuristicLoss: _HeuristicLossKernel(),
@@ -734,194 +726,7 @@ _LOSS_KERNELS: dict[type, _LossKernel] = {
 }
 
 
-def loss_kernel_for(loss: GANLoss) -> _LossKernel | None:
-    """Exact-type lookup: subclasses may override methods, so they fall back."""
-    return _LOSS_KERNELS.get(type(loss))
-
-
-# ---------------------------------------------------------------------------
-# Fused train-step entry points (return None -> caller runs autograd path)
-# ---------------------------------------------------------------------------
-
-
-def fused_discriminator_step(discriminator, generator, loss: GANLoss,
-                             optimizer, real_batch: np.ndarray,
-                             rng: np.random.Generator) -> float | None:
-    """One fused discriminator update; ``None`` if any piece is ineligible.
-
-    Mirrors ``GANPair.train_discriminator_step``: draw latents, generate
-    fakes (no grad), stack ``[real; fake]`` through one discriminator
-    forward (row-blocking keeps bits equal to two passes), hand-derived
-    backward into the arena grad slab with per-branch reductions, then the
-    cache-blocked optimizer sweep.
-    """
-    if not _ENABLED:
-        return None
-    d_kernel = kernel_for(discriminator)
-    g_kernel = kernel_for(generator)
-    l_kernel = loss_kernel_for(loss)
-    if d_kernel is None or g_kernel is None or l_kernel is None:
-        return None
-    if optimizer.arena is not d_kernel.arena:
-        return None
-    from repro.gan.sampling import sample_latent
-
-    n = real_batch.shape[0]
-    ws = d_kernel.workspace(2 * n)
-    x = ws.x_stack
-    x[:n] = real_batch  # assignment casts into the stack's compute dtype
-    z = g_kernel.as_compute(sample_latent(n, g_kernel.in_dim, rng))
-    # The generator writes its final activation straight into the stack.
-    g_kernel.forward(z, final_out=x[n:])
-
-    halves = (slice(0, n), slice(n, 2 * n))
-    logits = d_kernel.forward(x, ws=ws, branches=halves)
-    value = l_kernel.d_value(logits[:n], logits[n:])
-    l_kernel.d_grad(logits, n, ws.grads[-1])
-    d_kernel.backward(x, ws, ws.grads[-1], branches=halves)
-    optimizer.step_blocked()
-    return value
-
-
-def fused_generator_step(generator, discriminator, loss: GANLoss,
-                         optimizer, batch_size: int,
-                         rng: np.random.Generator) -> float | None:
-    """One fused generator update against ``discriminator`` (any adversary).
-
-    The backward runs through the adversary *input-grads only*: autograd
-    computes the adversary's weight gradients too, then throws them away
-    (``adversary.zero_grad()``); the kernel computes neither and skips the
-    clearing fill.  The adversary's grad-slab content differs from the
-    autograd path's (stale vs zeroed) but is never read before being
-    overwritten — both the fused and the tape path fully rewrite a
-    network's gradients (overwrite resp. ``zero_grad``+accumulate) before
-    its next optimizer step, and gradients are never serialized.
-    """
-    if not _ENABLED:
-        return None
-    g_kernel = kernel_for(generator)
-    d_kernel = kernel_for(discriminator)
-    l_kernel = loss_kernel_for(loss)
-    if g_kernel is None or d_kernel is None or l_kernel is None:
-        return None
-    if optimizer.arena is not g_kernel.arena:
-        return None
-    from repro.gan.sampling import sample_latent
-
-    n = batch_size
-    g_ws = g_kernel.workspace(n)
-    d_ws = d_kernel.workspace(n)
-    if g_ws is d_ws:
-        # Workspaces are shared by *signature*; two distinct networks with
-        # identical recipes (impossible for the shipped Generator vs
-        # Discriminator, but reachable through custom modules) would
-        # clobber each other's live activations here — fall back.
-        return None
-    z = g_kernel.as_compute(sample_latent(n, g_kernel.in_dim, rng))
-    fake = g_kernel.forward(z, ws=g_ws)
-    logits = d_kernel.forward(fake, ws=d_ws)
-    value = l_kernel.g_value(logits)
-    l_kernel.g_grad(logits, d_ws.grads[-1])
-    d_fake_grad = d_kernel.backward(fake, d_ws, d_ws.grads[-1],
-                                    param_grads=False, input_grad=True)
-    # dL/d fake continues straight into the generator backward (its first
-    # move is the final activation's VJP, using the still-intact ``fake``).
-    g_kernel.backward(z, g_ws, d_fake_grad)
-    optimizer.step_blocked()
-    return value
-
-
-def fused_generator_value(discriminator, loss: GANLoss,
-                          samples: np.ndarray) -> float | None:
-    """Generator-loss of ``samples`` under ``discriminator``, no tape.
-
-    The mixture-fitness proxy of ``Cell`` — one kernel forward plus the
-    scalar loss, bit-identical to ``loss.generator_loss(disc(x)).item()``.
-    ``None`` (fall back to autograd) under the usual eligibility rules.
-    """
-    if not _ENABLED:
-        return None
-    d_kernel = kernel_for(discriminator)
-    l_kernel = loss_kernel_for(loss)
-    if d_kernel is None or l_kernel is None:
-        return None
-    return l_kernel.g_value(d_kernel.forward(d_kernel.as_compute(samples)))
-
-
-def fused_sample_images(generator, n: int, rng: np.random.Generator,
-                        batch: int) -> np.ndarray | None:
-    """Generate ``n`` images chunk by chunk through the kernel forward.
-
-    Consumes the RNG exactly like the autograd chunk loop of
-    ``repro.gan.sampling.generate_images`` (same ``sample_latent`` calls in
-    the same order), writing each chunk straight into the output array.
-    ``None`` (fall back) when the generator is ineligible.
-    """
-    if not _ENABLED:
-        return None
-    kernel = kernel_for(generator)
-    if kernel is None:
-        return None
-    from repro.gan.sampling import sample_latent
-
-    out = np.empty((n, kernel.dims[-1]), dtype=kernel.dtype)
-    for lo in range(0, n, batch):
-        count = min(batch, n - lo)
-        z = kernel.as_compute(sample_latent(count, kernel.in_dim, rng))
-        kernel.forward(z, final_out=out[lo:lo + count])
-    return out
-
-
-def fused_fitness_table(generators, discriminators, loss: GANLoss,
-                        real_batch: np.ndarray, rng: np.random.Generator):
-    """Batched all-pairs fitness; ``None`` if any network/loss is ineligible.
-
-    Draws all ``s`` latent batches in one RNG call (stream-order-identical
-    to ``s`` separate draws), stacks the fakes plus the real batch into one
-    ``((s+1)*n, features)`` matrix and runs **one forward per
-    discriminator**; the full ``s x s`` loss table comes from the stacked
-    logits with vectorized NumPy instead of ``s**2`` Python-level loss
-    calls.  Exactly equal (bitwise) to the loop — asserted by the tests.
-    """
-    if not _ENABLED:
-        return None
-    l_kernel = loss_kernel_for(loss)
-    if l_kernel is None:
-        return None
-    g_kernels = [kernel_for(g) for g in generators]
-    d_kernels = [kernel_for(d) for d in discriminators]
-    if any(k is None for k in g_kernels) or any(k is None for k in d_kernels):
-        return None
-    latent = g_kernels[0].in_dim
-    features = g_kernels[0].dims[-1]
-    if any(k.in_dim != latent or k.dims[-1] != features for k in g_kernels):
-        return None
-    if any(k.in_dim != features or k.dims[-1] != 1 for k in d_kernels):
-        return None
-    if len({k.dtype for k in (*g_kernels, *d_kernels)}) != 1:
-        return None  # mixed-precision neighborhoods take the autograd path
-
-    s = len(g_kernels)
-    n = real_batch.shape[0]
-    # One draw for all s batches: same stream order as s separate draws.
-    z_all = g_kernels[0].as_compute(rng.standard_normal((s, n, latent)))
-    stack = np.empty((s * n + n, features), dtype=d_kernels[0].dtype)
-    for i, gk in enumerate(g_kernels):
-        gk.forward(z_all[i], final_out=stack[i * n:(i + 1) * n])
-    stack[s * n:] = real_batch
-
-    blocks = tuple(slice(i * n, (i + 1) * n) for i in range(s + 1))
-    g_losses = np.empty((s, len(d_kernels)))
-    d_losses = np.empty_like(g_losses)
-    for j, dk in enumerate(d_kernels):
-        # One wide GEMM chain per discriminator; the width-1 logit head
-        # runs per row block (see ``forward``'s bit-stability note).
-        logits = dk.forward(stack, branches=blocks)
-        fake_rows = logits[:s * n].reshape(s, n)
-        real_rows = logits[s * n:]
-        g_losses[:, j] = l_kernel.g_value_rows(fake_rows)
-        d_losses[:, j] = l_kernel.d_real_value(real_rows) \
-            + l_kernel.d_fake_value_rows(fake_rows)
-    from repro.coevolution.fitness import FitnessTable
-
-    return FitnessTable(g_losses=g_losses, d_losses=d_losses)
+def loss_kernel_for(loss: GANLoss) -> _LossKernel:
+    """The hand-derived kernel for exactly the Mustangs trio — a subclass
+    may override a method — and the tape-on-logits adapter otherwise."""
+    return _LOSS_KERNELS.get(type(loss)) or _TapeLossKernel(loss)

@@ -64,13 +64,7 @@ class Module:
             yield from module.modules()
 
     def zero_grad(self) -> None:
-        arena = arena_of(self)
-        if arena is not None:
-            # One fused fill over the gradient slab instead of a walk.
-            arena.zero_grads()
-            return
-        for p in self.parameters():
-            p.zero_grad()
+        arena_of(self).zero_grads()
 
     # -- execution ---------------------------------------------------------------
 

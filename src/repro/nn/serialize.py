@@ -10,12 +10,9 @@ these functions, only what it snapshots, trains or restores.
 Flattening order is the deterministic ``named_parameters()`` order, so two
 structurally identical networks round-trip bit-exactly.
 
-Arena fast path: networks whose parameters live in a
-:class:`~repro.nn.arena.ParameterArena` flatten and un-flatten with **one
-contiguous slice copy** (or no copy at all with ``alias=True``) instead of
-a per-tensor Python loop.  The per-tensor loops remain as the fallback for
-arena-less modules and as the measured "before" path of
-``benchmarks/test_genome_path.py``.
+Every module's parameters live in a :class:`~repro.nn.arena.ParameterArena`,
+so flattening and un-flattening are **one contiguous slice copy** (or no
+copy at all with ``alias=True``).
 """
 
 from __future__ import annotations
@@ -37,67 +34,35 @@ __all__ = [
 
 def count_parameters(module: Module) -> int:
     """Total number of scalar parameters in ``module``."""
-    arena = arena_of(module)
-    if arena is not None:
-        return arena.size
-    return sum(p.size for p in module.parameters())
-
-
-def _flatten_loop(module: Module, out: np.ndarray) -> np.ndarray:
-    """Per-tensor flatten (the pre-arena hot path, kept as fallback)."""
-    offset = 0
-    for p in module.parameters():
-        n = p.size
-        out[offset:offset + n] = p.data.ravel()
-        offset += n
-    return out
-
-
-def _scatter_loop(vector: np.ndarray, module: Module) -> None:
-    """Per-tensor write-back (the pre-arena hot path, kept as fallback)."""
-    offset = 0
-    for p in module.parameters():
-        n = p.size
-        p.data[...] = vector[offset:offset + n].reshape(p.data.shape)
-        offset += n
+    return arena_of(module).size
 
 
 def parameters_to_vector(module: Module, out: np.ndarray | None = None, *,
                          alias: bool = False) -> np.ndarray:
-    """Concatenate all parameters into one flat vector (the module's dtype).
+    """Copy all parameters into one flat vector (the module's dtype).
 
     ``out`` may be a preallocated buffer of the right size (the distributed
     runner reuses one buffer per neighbor to avoid per-iteration allocation).
 
-    ``alias=True`` (arena-backed modules, ``out=None`` only) returns the
-    arena's **live** parameter memory with zero copies.  The caller owns the
-    aliasing hazard: copy before the network trains again, or hand the
-    vector only to consumers that copy immediately (see the contract on
-    :class:`~repro.coevolution.genome.Genome`).  Arena-less modules ignore
-    ``alias`` — there is no single buffer to borrow — and copy as usual.
+    ``alias=True`` (``out=None`` only) returns the arena's **live** parameter
+    memory with zero copies.  The caller owns the aliasing hazard: copy
+    before the network trains again, or hand the vector only to consumers
+    that copy immediately (see the contract on
+    :class:`~repro.coevolution.genome.Genome`).
     """
-    arena = arena_of(module)
-    if arena is not None:
-        data = arena.data
-        if out is None:
-            if alias:
-                # Under REPRO_LOCKCHECK the borrow is tracked: use from
-                # another thread or inside an outgoing payload is reported.
-                lockcheck.register_alias(
-                    data, f"arena[{type(module).__name__}]")
-                return data
-            return data.copy()
-        if out.shape != data.shape:
-            raise ValueError(f"buffer shape {out.shape} != {data.shape}")
-        np.copyto(out, data)
-        return out
-    params = module.parameters()
-    total = sum(p.size for p in params)
+    data = arena_of(module).data
     if out is None:
-        out = np.empty(total, dtype=params[0].data.dtype if params else np.float64)
-    elif out.shape != (total,):
-        raise ValueError(f"buffer shape {out.shape} != ({total},)")
-    return _flatten_loop(module, out)
+        if alias:
+            # Under REPRO_LOCKCHECK the borrow is tracked: use from
+            # another thread or inside an outgoing payload is reported.
+            lockcheck.register_alias(
+                data, f"arena[{type(module).__name__}]")
+            return data
+        return data.copy()
+    if out.shape != data.shape:
+        raise ValueError(f"buffer shape {out.shape} != {data.shape}")
+    np.copyto(out, data)
+    return out
 
 
 def vector_to_parameters(vector: np.ndarray, module: Module) -> None:
@@ -105,7 +70,7 @@ def vector_to_parameters(vector: np.ndarray, module: Module) -> None:
 
     The incoming vector may be in a *storage* dtype narrower than the
     module's parameters (a float16 ``mixed16`` genome into a float32
-    arena): the in-place copies widen it.  The cast is explicit and local —
+    arena): the in-place copy widens it.  The cast is explicit and local —
     the arena's own dtype never changes.
 
     The module must own its weights: one whose arena was rebound onto a
@@ -114,16 +79,10 @@ def vector_to_parameters(vector: np.ndarray, module: Module) -> None:
     """
     vector = np.asarray(vector)
     arena = arena_of(module)
-    if arena is not None:
-        if vector.shape != (arena.size,):
-            raise ValueError(f"vector shape {vector.shape} != ({arena.size},)")
-        if vector is not arena.data:  # self-assignment: already in place
-            np.copyto(arena.data, vector, casting="unsafe")
-        return
-    total = sum(p.size for p in module.parameters())
-    if vector.shape != (total,):
-        raise ValueError(f"vector shape {vector.shape} != ({total},)")
-    _scatter_loop(vector, module)
+    if vector.shape != (arena.size,):
+        raise ValueError(f"vector shape {vector.shape} != ({arena.size},)")
+    if vector is not arena.data:  # self-assignment: already in place
+        np.copyto(arena.data, vector, casting="unsafe")
 
 
 def state_dict(module: Module) -> dict[str, np.ndarray]:

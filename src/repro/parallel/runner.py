@@ -214,13 +214,6 @@ class DistributedRunner:
                  hosts: Any = None, bind: str | None = None,
                  token: str | None = None,
                  transport_options: dict[str, Any] | None = None):
-        from repro import _deprecation
-
-        _deprecation.warn_once(
-            "DistributedRunner",
-            "direct DistributedRunner use is deprecated; run it through "
-            "repro.api.Experiment(config).backend('process').run()",
-        )
         self.config = config
         self.backend = backend if backend is not None else config.execution.backend
         transports = available_transports()

@@ -16,11 +16,9 @@ Lifecycle (Fig. 2): the slave starts ``inactive``, becomes ``processing``
 when the *run task* message arrives, and ``finished`` after the last
 iteration, at which point it ships its local results to the master.
 
-The cell step itself runs on the fused train-step kernels of
-:mod:`repro.nn.kernels` (bit-identical to the autograd tape, automatic
-fallback), so the slave's ``train`` profile row measures the same kernels
-as the sequential baseline — the speedup columns of Table IV stay apples
-to apples.
+The cell step itself runs on the kernels of :mod:`repro.nn.kernels`, so the
+slave's ``train`` profile row measures the same code as the sequential
+baseline — the speedup columns of Table IV stay apples to apples.
 """
 
 from __future__ import annotations

@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gan.networks import Generator
-from repro.nn import Tensor
-from repro.nn.autograd import no_grad
-from repro.registry import dtype_policy
+from repro.nn import kernel_for
 
 __all__ = ["MIN_GEMM_ROWS", "SamplePlan", "build_plan", "forward_rows", "assemble"]
 
@@ -86,28 +84,21 @@ def forward_rows(generator: Generator, latents: np.ndarray,
     for RNG-stream parity) are cast to the generator's compute dtype once
     per chunk, and the output lands in that dtype.
     """
+    kernel = kernel_for(generator)
     n = latents.shape[0]
-    out_width = generator.settings.output_neurons
-    dtype = np.dtype(dtype_policy(
-        getattr(generator.settings, "dtype", "float64")).compute)
-    if n == 0:
-        return np.empty((0, out_width), dtype=dtype)
-    out = np.empty((n, out_width), dtype=dtype)
-    with no_grad():
-        for lo in range(0, n, chunk):
-            block = np.ascontiguousarray(latents[lo:lo + chunk], dtype=dtype)
-            rows = block.shape[0]
-            if rows < MIN_GEMM_ROWS:
-                pad = np.zeros((MIN_GEMM_ROWS - rows, block.shape[1]),
-                               dtype=dtype)
-                block = np.concatenate([block, pad], axis=0)
-            out[lo:lo + rows] = generator(Tensor(block)).numpy()[:rows]
+    out = np.empty((n, kernel.dims[-1]), dtype=kernel.dtype)
+    for lo in range(0, n, chunk):
+        block = np.ascontiguousarray(latents[lo:lo + chunk], dtype=kernel.dtype)
+        rows = block.shape[0]
+        if rows < MIN_GEMM_ROWS:
+            pad = np.zeros((MIN_GEMM_ROWS - rows, block.shape[1]),
+                           dtype=kernel.dtype)
+            block = np.concatenate([block, pad], axis=0)
+        out[lo:lo + rows] = kernel.forward(block)[:rows]
     return out
 
 
-def assemble(plan: SamplePlan, blocks: list[np.ndarray], out_width: int) -> np.ndarray:
-    """Concatenate per-component outputs and apply the plan's shuffle."""
-    if plan.total == 0:
-        return np.empty((0, out_width))
-    images = np.concatenate([b for b in blocks if b.shape[0]], axis=0)
-    return images[plan.permutation]
+def assemble(plan: SamplePlan, blocks: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-component outputs (zero-row blocks included, so an
+    empty plan keeps the blocks' width and dtype) and apply the shuffle."""
+    return np.concatenate(blocks, axis=0)[plan.permutation]

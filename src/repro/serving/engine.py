@@ -299,7 +299,7 @@ class BatchingEngine:
                     outputs[j].append(merged[lo:lo + rows])
                     lo += rows
             for job, plan, blocks in zip(jobs, plans, outputs):
-                images = assemble(plan, blocks, ensemble.output_neurons)
+                images = assemble(plan, blocks)
                 if job.deliver(images=images):
                     with self._lock:
                         self._stats.completed += 1

@@ -183,7 +183,7 @@ class ServableEnsemble:
         plan = build_plan(n, mixture, self.latent_size, rng)
         blocks = [forward_rows(generator, latents)
                   for generator, latents in zip(self.generators, plan.latents)]
-        return assemble(plan, blocks, self.output_neurons)
+        return assemble(plan, blocks)
 
 
 class ModelRegistry:

@@ -41,7 +41,7 @@ Counters (``telemetry.count``):
 ==========================  =========================================
 counter                     emitted by
 ==========================  =========================================
-``optim.steps``             ``nn.optim.Optimizer`` + tape fallback
+``optim.steps``             ``nn.optim.Optimizer``
 ``kernels.forward``         ``nn.kernels.FusedStepKernel.forward``
 ``kernels.backward``        ``nn.kernels.FusedStepKernel.backward``
 ``exchange.genomes_sent``   ``parallel.comm_manager``

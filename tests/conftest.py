@@ -195,6 +195,102 @@ def copying_cell(config, cell_index, dataset, **kwargs):
     return CopyingCell()
 
 
+# -- the autograd tape as the oracle of the kernels ---------------------------
+#
+# ``src`` runs every GAN network on ``repro.nn.kernels``; these are the same
+# steps written against ``Module.forward`` and the tape, consuming the RNG
+# identically.  The bit-identity tests compare the two.
+
+
+def tape_discriminator_step(pair, real_batch, rng, generator=None):
+    """``GANPair.train_discriminator_step`` on the tape."""
+    from repro.gan.sampling import sample_latent
+    from repro.nn import Tensor, no_grad
+
+    adversary = generator if generator is not None else pair.generator
+    with no_grad():
+        z = Tensor(sample_latent(real_batch.shape[0], adversary.settings.latent_size, rng))
+        fake = adversary(z).detach()
+    loss = pair.loss.discriminator_loss(pair.discriminator(Tensor(real_batch)),
+                                        pair.discriminator(fake))
+    pair.d_optimizer.zero_grad()
+    loss.backward()
+    pair.d_optimizer.step()
+    return loss.item()
+
+
+def tape_generator_step(pair, batch_size, rng, discriminator=None):
+    """``GANPair.train_generator_step`` on the tape."""
+    from repro.gan.sampling import sample_latent
+    from repro.nn import Tensor
+
+    adversary = discriminator if discriminator is not None else pair.discriminator
+    z = Tensor(sample_latent(batch_size, pair.generator.settings.latent_size, rng))
+    loss = pair.loss.generator_loss(adversary(pair.generator(z)))
+    pair.g_optimizer.zero_grad()
+    # The adversary's parameters collect gradients too; clear them afterwards.
+    loss.backward()
+    pair.g_optimizer.step()
+    adversary.zero_grad()
+    return loss.item()
+
+
+def tape_generate_images(generator, n, rng, batch=512):
+    """``generate_images`` (``n`` > 0) through ``Generator.forward``."""
+    from repro.gan.sampling import sample_latent
+    from repro.nn import Tensor, no_grad
+
+    pieces = []
+    with no_grad():
+        for lo in range(0, n, batch):
+            z = Tensor(sample_latent(min(batch, n - lo), generator.settings.latent_size, rng))
+            pieces.append(generator(z).numpy())
+    return np.concatenate(pieces, axis=0)
+
+
+def tape_fitness_table(generators, discriminators, loss, real_batch, rng):
+    """``evaluate_subpopulations`` as s separate draws and s**2 loss calls."""
+    from repro.coevolution.fitness import FitnessTable
+    from repro.gan.sampling import sample_latent
+    from repro.nn import Tensor, no_grad
+
+    n = real_batch.shape[0]
+    with no_grad():
+        fakes = [gen(Tensor(sample_latent(n, gen.settings.latent_size, rng)))
+                 for gen in generators]
+        real = Tensor(real_batch)
+        g_losses = np.empty((len(generators), len(discriminators)))
+        d_losses = np.empty_like(g_losses)
+        for j, disc in enumerate(discriminators):
+            real_logits = disc(real)
+            for i, fake in enumerate(fakes):
+                fake_logits = disc(fake)
+                g_losses[i, j] = loss.generator_loss(fake_logits).item()
+                d_losses[i, j] = loss.discriminator_loss(real_logits, fake_logits).item()
+    return FitnessTable(g_losses=g_losses, d_losses=d_losses)
+
+
+@pytest.fixture()
+def tape_reference(monkeypatch):
+    """From here to the end of the test, everything a ``Cell`` computes
+    runs on the tape (request it late with ``request.getfixturevalue``)."""
+    from repro.coevolution import cell, mixture
+    from repro.gan.pair import GANPair
+    from repro.nn import Tensor, no_grad
+
+    def mixture_fitness(self, weights, batch_size):
+        samples = mixture.sample_mixture(self._sub_generators, weights, batch_size, self.rng)
+        with no_grad():
+            logits = self.center.discriminator(Tensor(samples))
+            return self.loss.generator_loss(logits).item()
+
+    monkeypatch.setattr(GANPair, "train_discriminator_step", tape_discriminator_step)
+    monkeypatch.setattr(GANPair, "train_generator_step", tape_generator_step)
+    monkeypatch.setattr(cell, "evaluate_subpopulations", tape_fitness_table)
+    monkeypatch.setattr(mixture, "generate_images", tape_generate_images)
+    monkeypatch.setattr(cell.Cell, "_mixture_fitness", mixture_fitness)
+
+
 @pytest.fixture(scope="session")
 def small_raw_dataset(cache_dir):
     """400 rendered synthetic digits, session-cached."""

@@ -1,11 +1,9 @@
 """Tests for the Experiment facade: resolution, equivalence, resume."""
 
-import warnings
 
 import numpy as np
 import pytest
 
-from repro import _deprecation
 from repro.api import Experiment, RunResult
 from repro.config import default_config
 
@@ -60,8 +58,7 @@ class TestEquivalence:
 
         config = make_quick_config(iterations=2)
         facade = Experiment(config).backend("sequential").run()
-        with _deprecation.suppressed():
-            trainer = SequentialTrainer(config)
+        trainer = SequentialTrainer(config)
         direct = trainer.run()
         assert _genomes_equal(facade.center_genomes, direct.center_genomes)
 
@@ -79,14 +76,6 @@ class TestEquivalence:
         sequential = Experiment(config).backend("sequential").run()
         threaded = Experiment(config).backend("threaded").run()
         assert _genomes_equal(sequential.center_genomes, threaded.center_genomes)
-
-    def test_facade_emits_no_deprecation_warnings(self, cache_dir):
-        config = make_quick_config(iterations=1)
-        _deprecation.reset()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            Experiment(config).backend("sequential").run()
-            Experiment(config).backend("threaded").run()
 
 
 class TestRunResult:
@@ -161,8 +150,7 @@ class TestResume:
         from repro.coevolution.checkpoint import TrainingCheckpoint, save_checkpoint
         from repro.coevolution.sequential import SequentialTrainer
 
-        with _deprecation.suppressed():
-            trainer = SequentialTrainer(config)
+        trainer = SequentialTrainer(config)
         trainer.run(iterations=1)
         path = tmp_path / "partial.npz"
         save_checkpoint(path, TrainingCheckpoint.from_trainer(trainer))
@@ -178,8 +166,7 @@ class TestResume:
         from repro.coevolution.sequential import SequentialTrainer
 
         config = make_quick_config(iterations=2)
-        with _deprecation.suppressed():
-            trainer = SequentialTrainer(config)
+        trainer = SequentialTrainer(config)
         trainer.run(iterations=1)
         path = tmp_path / "partial.npz"
         save_checkpoint(path, TrainingCheckpoint.from_trainer(trainer))
@@ -192,8 +179,7 @@ class TestResume:
         from repro.coevolution.sequential import SequentialTrainer
 
         config = make_quick_config(iterations=2)
-        with _deprecation.suppressed():
-            trainer = SequentialTrainer(config)
+        trainer = SequentialTrainer(config)
         trainer.run(iterations=1)
         path = tmp_path / "partial.npz"
         save_checkpoint(path, TrainingCheckpoint.from_trainer(trainer))

@@ -160,7 +160,16 @@ class TestExtensibility:
                 training=dataclasses.replace(config.training, loss_function="nope"),
             )
 
-    def test_custom_loss_trains(self, cache_dir):
+    def test_custom_loss_trains(self, cache_dir, monkeypatch):
+        """...on the kernels: the tape sees the loss's logits and nothing
+        else (no network forward goes through ``Tensor``), and the input
+        ``_ConstantLoss.discriminator_loss`` ignores gets a zero gradient."""
+        from repro.nn import Linear
+
+        def no_tape_forward(self, x):
+            raise AssertionError("a network was forwarded through the tape")
+
+        monkeypatch.setattr(Linear, "forward", no_tape_forward)
         LOSSES.register("constant", _ConstantLoss)
         try:
             config = make_quick_config(iterations=1)
@@ -170,6 +179,35 @@ class TestExtensibility:
                        for g, _ in result.center_genomes)
         finally:
             LOSSES.unregister("constant")
+
+    def test_plug_in_loss_digest_is_pinned_on_every_backend(self, cache_dir):
+        """The quickstart's ``SmoothedBCELoss`` 2x2 run: one trajectory on
+        all four backends, and the one the full tape trained before plug-in
+        losses rode the kernels (digest recorded at commit 122d2e7)."""
+        import hashlib
+        import importlib.util
+        import pathlib
+
+        path = pathlib.Path(__file__).parent.parent / "examples" / "api_quickstart.py"
+        spec = importlib.util.spec_from_file_location("api_quickstart", path)
+        quickstart = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(quickstart)
+        LOSSES.register("smoothed-bce", quickstart.SmoothedBCELoss)
+        try:
+            for backend in ("sequential", "threaded", "process", "socket"):
+                result = (Experiment(default_config(2, 2, seed=9))
+                          .scaled(iterations=6, dataset_size=1000, batch_size=50,
+                                  batches_per_iteration=2)
+                          .loss("smoothed-bce").backend(backend).run())
+                digest = hashlib.sha256()
+                for g, d in result.center_genomes:
+                    digest.update(g.parameters.tobytes())
+                    digest.update(d.parameters.tobytes())
+                assert digest.hexdigest() == (
+                    "2a543059a35e8c73b55b1a9c2d1b0e87"
+                    "632903313427f584a04b3526de4f4c7f"), backend
+        finally:
+            LOSSES.unregister("smoothed-bce")
 
     def test_custom_dataset_by_name(self, cache_dir):
         from repro.api.datasets import synthetic_mnist
@@ -191,10 +229,7 @@ class TestExtensibility:
             name = "recording"
 
             def execute(self, ctx):
-                from repro import _deprecation
-
-                with _deprecation.suppressed():
-                    trainer = SequentialTrainer(ctx.config, ctx.dataset)
+                trainer = SequentialTrainer(ctx.config, ctx.dataset)
                 training = trainer.result(0.0)
                 return RunResult(backend=self.name, training=training)
 

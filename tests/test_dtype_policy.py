@@ -102,6 +102,26 @@ class TestNetworkDtype:
         logits = disc(fake)
         assert logits.data.dtype == compute
 
+    @pytest.mark.parametrize("name", ["float64", "float32", "mixed16"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_samples_carry_the_compute_dtype_even_when_empty(self, name, n):
+        from repro.coevolution.mixture import MixtureWeights, sample_mixture
+        from repro.gan.networks import Generator
+        from repro.gan.sampling import generate_images
+        from repro.serving.compute import assemble, build_plan, forward_rows
+
+        compute = np.dtype(dtype_policy(name).compute)
+        settings = NetworkSettings(dtype=name)
+        rng = np.random.default_rng(0)
+        gens = [Generator(settings, rng) for _ in range(2)]
+        mixture = MixtureWeights.uniform(2)
+        plan = build_plan(n, mixture.weights, settings.latent_size, rng)
+        served = assemble(plan, [forward_rows(g, z) for g, z in zip(gens, plan.latents)])
+        for images in (generate_images(gens[0], n, rng),
+                       sample_mixture(gens, mixture, n, rng), served):
+            assert images.shape == (n, settings.output_neurons)
+            assert images.dtype == compute
+
     @pytest.mark.parametrize("name", ["float32", "mixed16"])
     def test_gradients_and_optimizer_state_match_compute(self, name):
         from repro.gan.networks import Generator
@@ -115,7 +135,7 @@ class TestNetworkDtype:
         assert arena.data.dtype == compute
         arena.ensure_grads()
         assert arena.grad.dtype == compute
-        optimizer = Adam(gen.parameters(), learning_rate=1e-3, arena=arena)
+        optimizer = Adam(gen, learning_rate=1e-3)
         arena.grad[:] = 1.0
         optimizer.step()
         for state in (optimizer._m_flat, optimizer._v_flat, optimizer._scratch):

@@ -149,15 +149,6 @@ class TestGanPair:
             other.discriminator.parameters()[0].grad == 0
         )
 
-    def test_evaluate_changes_nothing(self, pair, rng):
-        real = rng.uniform(-1, 1, size=(10, 784))
-        g_before = pair.generator.parameters()[0].numpy().copy()
-        d_before = pair.discriminator.parameters()[0].numpy().copy()
-        d_loss, g_loss = pair.evaluate(real, rng)
-        assert np.isfinite(d_loss) and np.isfinite(g_loss)
-        np.testing.assert_array_equal(g_before, pair.generator.parameters()[0].numpy())
-        np.testing.assert_array_equal(d_before, pair.discriminator.parameters()[0].numpy())
-
     def test_reset_optimizers_keeps_lr(self, pair):
         pair.learning_rate = 0.001
         pair.g_optimizer.t = 5 if hasattr(pair.g_optimizer, "t") else 0
@@ -175,10 +166,12 @@ class TestGanPair:
     def test_optimizers_are_built_on_first_use(self, pair, rng):
         """A pair that is only read — a cell's center, a pair rebuilt from
         genomes for evaluation — allocates no gradients or moments."""
+        from repro.coevolution.fitness import evaluate_subpopulations
         from repro.nn import arena_of
 
         real = np.zeros((8, pair.discriminator.settings.output_neurons))
-        pair.evaluate(real, rng)
+        evaluate_subpopulations([pair.generator], [pair.discriminator],
+                                pair.loss, real, rng)
         pair.learning_rate = 0.002
         assert pair._g_optimizer is None and pair._d_optimizer is None
         assert arena_of(pair.generator).grad is None

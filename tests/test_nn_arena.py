@@ -1,4 +1,4 @@
-"""Arena invariants: slab-backed views, fused optimizers, aliasing rules.
+"""Arena invariants: slab-backed views, slab optimizers, aliasing rules.
 
 The whole genome hot path rests on a handful of structural guarantees
 (see :mod:`repro.nn.arena`): parameters stay bound to slab views through
@@ -6,6 +6,7 @@ every mutation, borrowed vectors alias the live slab, copies never do, and
 checkpoints round-trip bit-exactly through the arena.
 """
 
+import copy
 import pickle
 
 import numpy as np
@@ -68,6 +69,22 @@ class TestAttachment:
         with pytest.raises(ValueError, match="without parameters"):
             attach_arena(Tanh())
 
+    def test_arena_of_attaches_on_first_request(self):
+        rng = np.random.default_rng(1)
+        bare = Sequential(Linear(3, 4, rng), Tanh(), Linear(4, 2, rng))
+        before = np.concatenate([p.data.ravel() for p in bare.parameters()])
+        arena = arena_of(bare)
+        assert arena_of(bare) is arena and attach_arena(bare) is arena
+        np.testing.assert_array_equal(arena.data, before)
+
+    def test_sub_module_of_an_arena_backed_network_is_refused(self):
+        """Its parameters are views of the owner's slab: re-homing them
+        into a second slab would silently detach the owner."""
+        net = small_generator()
+        with pytest.raises(ValueError, match="already views"):
+            parameters_to_vector(net.net)
+        assert all(p.data.base is arena_of(net).data for p in net.parameters())
+
 
 class TestSerializeFastPaths:
     def test_out_buffer_is_reused(self):
@@ -113,30 +130,11 @@ class TestSerializeFastPaths:
         np.testing.assert_array_equal(arena.data, arena_of(donor).data)
 
 
-class TestFusedOptimizers:
-    @pytest.mark.parametrize("name", ["adam", "sgd", "rmsprop"])
-    def test_fused_step_matches_legacy_bit_exactly(self, name):
-        fused_net, legacy_net = small_generator(3), small_generator(3)
-        arena = arena_of(fused_net)
-        fused = optimizer_by_name(name, fused_net.parameters(), 1e-3, arena=arena)
-        legacy = optimizer_by_name(name, legacy_net.parameters(), 1e-3)
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            grad = rng.standard_normal(arena.size)
-            arena.grad[...] = grad
-            offset = 0
-            for p in legacy_net.parameters():
-                p.grad = grad[offset:offset + p.size].reshape(p.data.shape).copy()
-                offset += p.size
-            fused.step()
-            legacy.step()
-        np.testing.assert_array_equal(
-            arena.data, parameters_to_vector(legacy_net))
-
+class TestSlabOptimizers:
     def test_step_mutates_views_in_place_without_rebinding(self):
         net = small_generator(4)
         arena = arena_of(net)
-        opt = optimizer_by_name("adam", net.parameters(), 1e-3, arena=arena)
+        opt = optimizer_by_name("adam", net, 1e-3)
         ids = [(id(p.data), id(p.grad)) for p in net.parameters()]
         arena.grad[...] = 1.0
         opt.step()
@@ -148,19 +146,13 @@ class TestFusedOptimizers:
     def test_zero_grad_fused_fill(self):
         net = small_generator(6)
         arena = arena_of(net)
-        opt = optimizer_by_name("adam", net.parameters(), 1e-3, arena=arena)
+        opt = optimizer_by_name("adam", net, 1e-3)
         arena.grad[...] = 3.0
         opt.zero_grad()
         assert (arena.grad == 0.0).all()
         arena.grad[...] = 2.0
         net.zero_grad()  # the module-level fast path hits the same slab
         assert (arena.grad == 0.0).all()
-
-    def test_wrong_arena_rejected_loudly(self):
-        net, other = small_generator(0), small_generator(1)
-        with pytest.raises(ValueError, match="does not back"):
-            optimizer_by_name("adam", net.parameters(), 1e-3,
-                              arena=arena_of(other))
 
     def test_ensure_grads_adopts_accumulated_gradients(self):
         net = small_generator(7)
@@ -171,31 +163,31 @@ class TestFusedOptimizers:
         assert p.grad.base is arena.grad
         assert (p.grad == 5.0).all()
 
-    def test_fused_state_snapshot_roundtrip(self):
+    def test_state_snapshot_roundtrip(self):
         net = small_generator(8)
         arena = arena_of(net)
-        opt = optimizer_by_name("adam", net.parameters(), 1e-3, arena=arena)
+        opt = optimizer_by_name("adam", net, 1e-3)
         arena.grad[...] = 1.5
         opt.step()
         snapshot = opt.state_arrays()
-        twin = optimizer_by_name("adam", net.parameters(), 1e-3, arena=arena)
+        twin = optimizer_by_name("adam", net, 1e-3)
         twin.load_state_arrays(snapshot)
         assert twin.t == opt.t
         np.testing.assert_array_equal(twin._m_flat, opt._m_flat)
         np.testing.assert_array_equal(twin._v_flat, opt._v_flat)
+        assert [m.shape for m in snapshot["m"]] == [p.shape for p in net.parameters()]
 
 
 class TestOptimizerReset:
     """``reset`` is a fresh optimizer without the reallocation."""
 
     @staticmethod
-    def build(name, net, fused):
+    def build(name, net):
         from repro.nn.optim import SGD
 
-        arena = arena_of(net) if fused else None
         if name == "sgd-momentum":
-            return SGD(net.parameters(), 1e-3, momentum=0.9, arena=arena)
-        return optimizer_by_name(name, net.parameters(), 1e-3, arena=arena)
+            return SGD(net, 1e-3, momentum=0.9)
+        return optimizer_by_name(name, net, 1e-3)
 
     @staticmethod
     def run(net, optimizer, seed, steps=3):
@@ -209,18 +201,17 @@ class TestOptimizerReset:
                     p.grad[...] = grad
             optimizer.step()
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("name", ["adam", "sgd", "sgd-momentum", "rmsprop"])
-    def test_reset_equals_a_fresh_optimizer(self, name, fused):
+    def test_reset_equals_a_fresh_optimizer(self, name):
         reused_net, fresh_net = small_generator(5), small_generator(5)
-        reused = self.build(name, reused_net, fused)
+        reused = self.build(name, reused_net)
         self.run(reused_net, reused, seed=1)
         state_ids = [id(state) for state in reused._state_arrays()]
         reused.reset(5e-3)
         assert [id(state) for state in reused._state_arrays()] == state_ids  # in place
         # Same starting weights for the twin, then the same gradients.
         vector_to_parameters(parameters_to_vector(reused_net), fresh_net)
-        fresh = self.build(name, fresh_net, fused)
+        fresh = self.build(name, fresh_net)
         fresh.learning_rate = 5e-3
         self.run(reused_net, reused, seed=2)
         self.run(fresh_net, fresh, seed=2)
@@ -230,7 +221,7 @@ class TestOptimizerReset:
     def test_reset_rejects_nonpositive_learning_rate(self):
         net = small_generator(0)
         with pytest.raises(ValueError):
-            self.build("adam", net, True).reset(0.0)
+            self.build("adam", net).reset(0.0)
 
     def test_scratch_is_one_span_not_one_network(self):
         from repro.nn.optim import Optimizer
@@ -239,7 +230,7 @@ class TestOptimizerReset:
         arena = arena_of(net)
         assert arena.size > 4 * Optimizer.BLOCK_ELEMS
         for name in ("adam", "sgd", "rmsprop"):
-            optimizer = optimizer_by_name(name, net.parameters(), 1e-3, arena=arena)
+            optimizer = optimizer_by_name(name, net, 1e-3)
             assert optimizer._scratch.shape[1] == Optimizer.BLOCK_ELEMS
 
 
@@ -273,7 +264,7 @@ class TestRebind:
     def test_optimizer_follows_the_binding(self):
         net = small_generator(3)
         arena = arena_of(net)
-        optimizer = optimizer_by_name("adam", net.parameters(), 1e-2, arena=arena)
+        optimizer = optimizer_by_name("adam", net, 1e-2)
         first = arena.data
         kept = first.copy()
         second = first.copy()
@@ -291,7 +282,7 @@ class TestRebind:
         window = borrowed.view()
         window.flags.writeable = False
         arena.rebind(window)
-        optimizer = optimizer_by_name("sgd", net.parameters(), 1e-2, arena=arena)
+        optimizer = optimizer_by_name("sgd", net, 1e-2)
         arena.grad[...] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             optimizer.step()
@@ -363,13 +354,22 @@ class TestCheckpointRoundTrip:
 
 
 class TestPicklingSafety:
-    def test_unpickled_network_falls_back_without_an_arena(self):
+    @pytest.mark.parametrize("clone_of", [
+        lambda net: pickle.loads(pickle.dumps(net)), copy.deepcopy])
+    def test_clone_arrives_arena_backed(self, clone_of):
         net = small_generator(2)
-        clone = pickle.loads(pickle.dumps(net))
-        assert arena_of(clone) is None
-        np.testing.assert_array_equal(
-            parameters_to_vector(clone), parameters_to_vector(net))
-        # The fallback loop still round-trips writes.
-        vec = np.arange(arena_of(net).size, dtype=np.float64)
+        arena_of(net).ensure_grads()[...] = 3.0
+        clone = clone_of(net)
+        arena = arena_of(clone)
+        assert arena is not arena_of(net)
+        assert not np.shares_memory(arena.data, arena_of(net).data)
+        for p in clone.parameters():
+            assert p.data.base is arena.data and p.grad.base is arena.grad
+        np.testing.assert_array_equal(arena.data, arena_of(net).data)
+        assert (arena.grad == 3.0).all()
+        # One slab write reaches every parameter of the clone, and only it.
+        vec = np.arange(arena.size, dtype=np.float64)
         vector_to_parameters(vec, clone)
-        np.testing.assert_array_equal(parameters_to_vector(clone), vec)
+        np.testing.assert_array_equal(
+            np.concatenate([p.data.ravel() for p in clone.parameters()]), vec)
+        assert not np.array_equal(parameters_to_vector(net), vec)

@@ -1,47 +1,48 @@
-"""Fused train-step kernels: bit-identity, fallback, and machinery tests.
+"""Train-step kernels: bit-identity with the tape, and machinery tests.
 
 The contract under test (see :mod:`repro.nn.kernels`): with the same seed,
-the graph-free fused path produces **bitwise identical** results to the
-autograd tape — forward outputs, per-layer gradients, loss values, the
-s x s fitness table, and whole training trajectories — and falls back to
-the tape automatically whenever a network or loss is not kernel-eligible.
+the graph-free kernels every GAN network runs on produce **bitwise
+identical** results to the autograd tape — forward outputs, per-layer
+gradients, loss values, the s x s fitness table, and whole training
+trajectories.  The tape side comes from ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NetworkSettings
 from repro.coevolution.cell import Cell
-from repro.coevolution.fitness import (
-    _evaluate_subpopulations_loop,
-    evaluate_subpopulations,
-)
+from repro.coevolution.fitness import evaluate_subpopulations
 from repro.data.dataset import ArrayDataset
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.pair import GANPair
 from repro.gan.sampling import generate_images
 from repro.nn import (
+    FusedStepKernel,
     Linear,
+    Module,
     Sequential,
     Tanh,
     Tensor,
     arena_of,
     kernel_for,
-    kernels_disabled,
     loss_by_name,
     optimizer_by_name,
     parameters_to_vector,
-    set_kernels_enabled,
 )
-from repro.nn.kernels import (
-    fused_fitness_table,
-    kernels_enabled,
-    loss_kernel_for,
-    sequential_recipe,
+from repro.nn.kernels import _TapeLossKernel, layer_recipe, loss_kernel_for
+from tests.conftest import (
+    tape_discriminator_step,
+    tape_fitness_table,
+    tape_generate_images,
+    tape_generator_step,
 )
 
 #: Small but representative topology: every hidden/output width is >= 4
@@ -65,65 +66,164 @@ def genome_bytes(pair: GANPair) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Eligibility and fallback
+# What runs on the kernels, and what is refused by name
 # ---------------------------------------------------------------------------
 
 
-class TestEligibility:
-    def test_networks_are_kernel_eligible(self):
+class TestKernelFor:
+    def test_networks_run_on_kernels(self):
         rng = np.random.default_rng(0)
-        assert kernel_for(Generator(SETTINGS, rng)) is not None
-        assert kernel_for(Discriminator(SETTINGS, rng)) is not None
+        for net in (Generator(SETTINGS, rng), Discriminator(SETTINGS, rng)):
+            kernel = kernel_for(net)
+            assert isinstance(kernel, FusedStepKernel)
+            assert kernel_for(net) is kernel  # built once, kept on the module
 
-    def test_pickled_network_falls_back(self):
-        """Pickling drops the arena; the kernel must decline, not break."""
+    def test_any_linear_activation_tree_gets_an_arena_and_a_kernel(self):
         rng = np.random.default_rng(0)
-        generator = pickle.loads(pickle.dumps(Generator(SETTINGS, rng)))
-        assert arena_of(generator) is None
-        assert kernel_for(generator) is None
-        # and the verdict is cached (same object -> same answer)
-        assert kernel_for(generator) is None
+        nested = Sequential(Sequential(Linear(4, 8, rng), Tanh()), Linear(8, 3, rng))
+        x = rng.standard_normal((5, 4))
+        expected = nested(Tensor(x)).numpy()
+        np.testing.assert_array_equal(kernel_for(nested).forward(x), expected)
 
-    def test_unrecognized_stack_falls_back(self):
-        class Odd(Sequential):
-            def forward(self, x):
-                return super().forward(x).relu()
+    @pytest.mark.parametrize("build, named", [
+        (lambda rng: Sequential(Linear(4, 3, rng, bias=False)), "Linear"),
+        (lambda rng: Sequential(Linear(4, 3, rng), _Doubling()), "_Doubling"),
+        (lambda rng: Sequential(Tanh(), Linear(4, 3, rng)), "Tanh"),       # leading act
+        (lambda rng: Sequential(Linear(4, 3, rng), Tanh(), Tanh()), "Tanh"),  # two in a row
+        (lambda rng: Sequential(), "Sequential"),                           # empty
+    ])
+    def test_unsupported_stack_is_an_error_naming_the_layer(self, build, named):
+        net = build(np.random.default_rng(0))
+        with pytest.raises(ValueError, match=named):
+            layer_recipe(net)
+        with pytest.raises(ValueError, match=named):
+            kernel_for(net)
 
+    def test_parameters_outside_the_linear_layers_are_refused(self):
+        class Scaled(Module):
+            def __init__(self, rng):
+                super().__init__()
+                self.scale = Tensor(np.ones(1), requires_grad=True)
+                self.body = Linear(4, 3, rng)
+
+        with pytest.raises(ValueError, match="outside its Linear layers"):
+            kernel_for(Scaled(np.random.default_rng(0)))
+
+    def test_identical_stacks_cannot_train_against_each_other(self):
         rng = np.random.default_rng(0)
-        odd = Odd(Linear(4, 3, rng), Tanh())
-        assert sequential_recipe(odd) is not None  # the stack itself is fine
-        assert kernel_for(odd) is None             # ...but it has no arena
+        square = NetworkSettings(latent_size=12, hidden_layers=1,
+                                 hidden_neurons=12, output_neurons=12)
+        twin = Generator(square, rng)
+        pair = GANPair(Generator(square, rng), twin, loss_by_name("bce"), "adam", 1e-3)
+        with pytest.raises(ValueError, match="identical layer stacks"):
+            pair.train_generator_step(BATCH, rng)
 
-    def test_recipe_rejects_unsupported_layers(self):
-        rng = np.random.default_rng(0)
-        assert sequential_recipe(Sequential(Tanh())) is None          # leading act
-        assert sequential_recipe(Sequential()) is None                # empty
-        assert sequential_recipe(
-            Sequential(Linear(4, 3, rng, bias=False))) is None        # no bias
-        assert sequential_recipe(
-            Sequential(Linear(4, 3, rng), Tanh(), Tanh())) is None    # double act
-        assert sequential_recipe("not a module") is None
-
-    def test_custom_loss_falls_back(self):
+    def test_loss_kernel_lookup_is_by_exact_type(self):
         from repro.nn.losses import BCELoss
 
         class TweakedBCE(BCELoss):
             name = "tweaked"
 
-        assert loss_kernel_for(TweakedBCE()) is None
-        assert loss_kernel_for(BCELoss()) is not None
+        assert isinstance(loss_kernel_for(TweakedBCE()), _TapeLossKernel)
+        assert not isinstance(loss_kernel_for(BCELoss()), _TapeLossKernel)
 
-    def test_kill_switch(self):
-        assert kernels_enabled()
-        with kernels_disabled():
-            assert not kernels_enabled()
-            with kernels_disabled():
-                assert not kernels_enabled()
-            assert not kernels_enabled()
-        assert kernels_enabled()
-        previous = set_kernels_enabled(False)
-        assert previous is True
-        assert set_kernels_enabled(True) is False
+
+class _Doubling(Module):
+    def forward(self, x):
+        return x * 2.0
+
+
+class TestClonesStayOnTheKernel:
+    """A network that crosses pickle/deepcopy comes back arena-backed and
+    kernel-run, with the optimizers that travelled still driving its slab."""
+
+    @pytest.mark.parametrize("clone_of", [
+        lambda pair: pickle.loads(pickle.dumps(pair)), copy.deepcopy])
+    def test_clone_trains_the_original_trajectory(self, clone_of):
+        real = np.random.default_rng(5).standard_normal((BATCH, SETTINGS.output_neurons))
+        pair = build_pair("bce", seed=3)
+        warm = np.random.default_rng(7)
+        pair.train_discriminator_step(real, warm)   # moments and grads exist
+        pair.train_generator_step(BATCH, warm)
+        clone = clone_of(pair)
+        for net, opt in ((clone.generator, clone.g_optimizer),
+                         (clone.discriminator, clone.d_optimizer)):
+            arena = arena_of(net)
+            assert isinstance(kernel_for(net), FusedStepKernel)
+            assert kernel_for(net).arena is arena and opt.arena is arena
+            assert arena is not arena_of(pair.generator)
+            assert all(p.data.base is arena.data and p.grad.base is arena.grad
+                       for p in net.parameters())
+        rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
+        for _ in range(10):
+            assert (pair.train_discriminator_step(real, rng_a)
+                    == clone.train_discriminator_step(real, rng_b))
+            assert (pair.train_generator_step(BATCH, rng_a)
+                    == clone.train_generator_step(BATCH, rng_b))
+        assert genome_bytes(pair) == genome_bytes(clone)
+
+    def test_unpickled_network_joins_the_fitness_table(self):
+        rng = np.random.default_rng(47)
+        gens = [Generator(SETTINGS, rng) for _ in range(3)]
+        discs = [Discriminator(SETTINGS, rng) for _ in range(3)]
+        real = rng.standard_normal((BATCH, SETTINGS.output_neurons))
+        loss = loss_by_name("bce")
+        table = evaluate_subpopulations(gens, discs, loss, real, np.random.default_rng(3))
+        mixed = [pickle.loads(pickle.dumps(gens[0]))] + gens[1:]
+        again = evaluate_subpopulations(mixed, discs, loss, real, np.random.default_rng(3))
+        np.testing.assert_array_equal(table.g_losses, again.g_losses)
+        np.testing.assert_array_equal(table.d_losses, again.d_losses)
+
+
+# ---------------------------------------------------------------------------
+# The two definitions of each loss, pinned together
+# ---------------------------------------------------------------------------
+
+
+class TestTapeOnLogitsEqualsHandDerived:
+    """Each Mustangs loss is written twice — the tape ``GANLoss`` and the
+    hand-derived kernel.  Under the float64 reference policy the two agree
+    to the byte; the hand kernels fold their ``1/count`` factors in float64
+    whatever the logits' dtype, so under float32 they agree to float32
+    rounding (and pin their own per-dtype golden hashes instead)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(loss_name=st.sampled_from(LOSSES),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           n_real=st.integers(1, 64), n_fake=st.integers(1, 64),
+           seed=st.integers(0, 2**32 - 1))
+    def test_value_and_gradient_agree(self, loss_name, dtype, n_real, n_fake, seed):
+        loss = loss_by_name(loss_name)
+        hand, tape = loss_kernel_for(loss), _TapeLossKernel(loss)
+        assert not isinstance(hand, _TapeLossKernel)
+        logits = (np.random.default_rng(seed).standard_normal((n_real + n_fake, 1))
+                  * 4.0).astype(dtype)
+        if dtype is np.float64:
+            same = np.testing.assert_array_equal
+        else:
+            def same(a, b):
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-7)
+        fake = logits[n_real:]
+        for step in (lambda k, out: k.d_step(logits, n_real, out),
+                     lambda k, out: k.g_step(fake, out[n_real:])):
+            out_hand, out_tape = np.zeros_like(logits), np.zeros_like(logits)
+            same(step(hand, out_hand), step(tape, out_tape))
+            same(out_hand, out_tape)
+        same(hand.g_value(fake), tape.g_value(fake))
+        for col_hand, col_tape in zip(
+                hand.table_column(logits[:n_real], fake.reshape(1, n_fake)),
+                tape.table_column(logits[:n_real], fake.reshape(1, n_fake))):
+            same(col_hand, col_tape)
+
+    def test_ignored_input_leaves_a_zero_gradient_block(self):
+        class FakeOnly(type(loss_by_name("bce"))):
+            def discriminator_loss(self, real_logits, fake_logits):
+                return (fake_logits * fake_logits).mean()
+
+        logits = np.random.default_rng(0).standard_normal((6, 1))
+        out = np.full_like(logits, np.nan)
+        loss_kernel_for(FakeOnly()).d_step(logits, 2, out)
+        assert not out[:2].any() and out[2:].all()
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +240,8 @@ class TestForwardIdentity:
         rng = np.random.default_rng(1)
         for net in (Generator(settings, rng), Discriminator(settings, rng)):
             kernel = kernel_for(net)
-            assert kernel is not None
             x = rng.standard_normal((BATCH, kernel.in_dim))
-            with kernels_disabled():
-                expected = net(Tensor(x)).numpy()
-            np.testing.assert_array_equal(kernel.forward(x), expected)
+            np.testing.assert_array_equal(kernel.forward(x), net(Tensor(x)).numpy())
 
     def test_stacked_forward_matches_separate_calls(self):
         """Row blocks of one stacked forward == per-block autograd calls."""
@@ -156,16 +253,14 @@ class TestForwardIdentity:
         stack = np.concatenate([a, b], axis=0)
         blocks = (slice(0, BATCH), slice(BATCH, 3 * BATCH))
         out = kernel.forward(stack, branches=blocks)
-        with kernels_disabled():
-            np.testing.assert_array_equal(out[:BATCH], disc(Tensor(a)).numpy())
-            np.testing.assert_array_equal(out[BATCH:], disc(Tensor(b)).numpy())
+        np.testing.assert_array_equal(out[:BATCH], disc(Tensor(a)).numpy())
+        np.testing.assert_array_equal(out[BATCH:], disc(Tensor(b)).numpy())
 
     def test_generate_images_matches_autograd(self):
         rng = np.random.default_rng(3)
         generator = Generator(SETTINGS, rng)
         fused = generate_images(generator, 700, np.random.default_rng(7), batch=256)
-        with kernels_disabled():
-            tape = generate_images(generator, 700, np.random.default_rng(7), batch=256)
+        tape = tape_generate_images(generator, 700, np.random.default_rng(7), batch=256)
         np.testing.assert_array_equal(fused, tape)
 
 
@@ -186,11 +281,9 @@ class TestStepIdentity:
         for mode in ("tape", "fused"):
             pair = build_pair(loss_name)
             rng = np.random.default_rng(9)
-            if mode == "tape":
-                with kernels_disabled():
-                    loss = pair.train_discriminator_step(real, rng)
-            else:
-                loss = pair.train_discriminator_step(real, rng)
+            step = (tape_discriminator_step if mode == "tape"
+                    else GANPair.train_discriminator_step)
+            loss = step(pair, real, rng)
             results[mode] = (loss, _layer_grads(pair.discriminator),
                              parameters_to_vector(pair.discriminator))
         assert results["tape"][0] == results["fused"][0]
@@ -204,11 +297,9 @@ class TestStepIdentity:
         for mode in ("tape", "fused"):
             pair = build_pair(loss_name)
             rng = np.random.default_rng(11)
-            if mode == "tape":
-                with kernels_disabled():
-                    loss = pair.train_generator_step(BATCH, rng)
-            else:
-                loss = pair.train_generator_step(BATCH, rng)
+            step = (tape_generator_step if mode == "tape"
+                    else GANPair.train_generator_step)
+            loss = step(pair, BATCH, rng)
             results[mode] = (loss, _layer_grads(pair.generator),
                              parameters_to_vector(pair.generator))
         assert results["tape"][0] == results["fused"][0]
@@ -224,17 +315,15 @@ class TestStepIdentity:
                    for _ in range(5)]
         genomes = {}
         losses = {}
-        for mode in ("tape", "fused"):
+        for mode, d_step, g_step in (
+                ("tape", tape_discriminator_step, tape_generator_step),
+                ("fused", GANPair.train_discriminator_step, GANPair.train_generator_step)):
             pair = build_pair(loss_name)
             rng = np.random.default_rng(23)
             seen = []
             for it in range(50):
-                seen.append(pair.train_discriminator_step(batches[it % 5], rng)
-                            if mode == "fused" else _tape(
-                                pair.train_discriminator_step, batches[it % 5], rng))
-                seen.append(pair.train_generator_step(BATCH, rng)
-                            if mode == "fused" else _tape(
-                                pair.train_generator_step, BATCH, rng))
+                seen.append(d_step(pair, batches[it % 5], rng))
+                seen.append(g_step(pair, BATCH, rng))
             genomes[mode] = genome_bytes(pair)
             losses[mode] = seen
         assert losses["tape"] == losses["fused"]
@@ -244,26 +333,18 @@ class TestStepIdentity:
         """Neighbor opponents (the cellular algorithm's case) stay bit-equal."""
         real = np.random.default_rng(5).standard_normal((BATCH, SETTINGS.output_neurons))
         results = {}
-        for mode in ("tape", "fused"):
+        for mode, d_step, g_step in (
+                ("tape", tape_discriminator_step, tape_generator_step),
+                ("fused", GANPair.train_discriminator_step, GANPair.train_generator_step)):
             pair = build_pair("bce")
             rng_nets = np.random.default_rng(31)
             opponent_g = Generator(SETTINGS, rng_nets)
             opponent_d = Discriminator(SETTINGS, rng_nets)
             rng = np.random.default_rng(37)
-            if mode == "tape":
-                with kernels_disabled():
-                    d = pair.train_discriminator_step(real, rng, generator=opponent_g)
-                    g = pair.train_generator_step(BATCH, rng, discriminator=opponent_d)
-            else:
-                d = pair.train_discriminator_step(real, rng, generator=opponent_g)
-                g = pair.train_generator_step(BATCH, rng, discriminator=opponent_d)
+            d = d_step(pair, real, rng, generator=opponent_g)
+            g = g_step(pair, BATCH, rng, discriminator=opponent_d)
             results[mode] = (d, g, genome_bytes(pair))
         assert results["tape"] == results["fused"]
-
-
-def _tape(fn, *args):
-    with kernels_disabled():
-        return fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -281,35 +362,44 @@ class TestBatchedFitness:
         real = rng.standard_normal((BATCH, SETTINGS.output_neurons))
 
         rng_a, rng_b = np.random.default_rng(43), np.random.default_rng(43)
-        batched = fused_fitness_table(gens, discs, loss, real, rng_a)
-        loop = _evaluate_subpopulations_loop(gens, discs, loss, real, rng_b)
-        assert batched is not None
+        batched = evaluate_subpopulations(gens, discs, loss, real, rng_a)
+        loop = tape_fitness_table(gens, discs, loss, real, rng_b)
         np.testing.assert_array_equal(batched.g_losses, loop.g_losses)
         np.testing.assert_array_equal(batched.d_losses, loop.d_losses)
         # identical RNG consumption: the paths stay interchangeable mid-run
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
-    def test_dispatch_prefers_batched_and_falls_back(self):
-        rng = np.random.default_rng(47)
-        gens = [Generator(SETTINGS, rng) for _ in range(3)]
-        discs = [Discriminator(SETTINGS, rng) for _ in range(3)]
-        loss = loss_by_name("bce")
-        real = rng.standard_normal((BATCH, SETTINGS.output_neurons))
+    def test_plug_in_loss_equals_loop_exactly(self):
+        """A loss outside the trio gets its column from the tape on logits."""
+        from repro.nn.losses import LeastSquaresLoss
 
-        fused = evaluate_subpopulations(gens, discs, loss, real,
-                                        np.random.default_rng(3))
-        # one pickled (arena-less) member forces the loop for the whole table
-        mixed = [pickle.loads(pickle.dumps(gens[0]))] + gens[1:]
-        assert kernel_for(mixed[0]) is None
-        loop = evaluate_subpopulations(mixed, discs, loss, real,
-                                       np.random.default_rng(3))
-        # pickling round-trips the exact parameter bytes, so the loop table
-        # over the pickled member equals the batched table over the original
-        np.testing.assert_array_equal(fused.g_losses, loop.g_losses)
-        np.testing.assert_array_equal(fused.d_losses, loop.d_losses)
+        class Plugged(LeastSquaresLoss):
+            name = "plugged"
+
+        rng = np.random.default_rng(41)
+        gens = [Generator(SETTINGS, rng) for _ in range(3)]
+        discs = [Discriminator(SETTINGS, rng) for _ in range(2)]
+        real = rng.standard_normal((BATCH, SETTINGS.output_neurons))
+        rng_a, rng_b = np.random.default_rng(43), np.random.default_rng(43)
+        batched = evaluate_subpopulations(gens, discs, Plugged(), real, rng_a)
+        loop = tape_fitness_table(gens, discs, Plugged(), real, rng_b)
+        np.testing.assert_array_equal(batched.g_losses, loop.g_losses)
+        np.testing.assert_array_equal(batched.d_losses, loop.d_losses)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_mixed_dtype_neighbourhood_is_an_error(self):
+        import dataclasses
+
+        rng = np.random.default_rng(0)
+        narrow = dataclasses.replace(SETTINGS, dtype="float32")
+        with pytest.raises(ValueError, match="mixed-dtype"):
+            evaluate_subpopulations(
+                [Generator(SETTINGS, rng), Generator(narrow, rng)],
+                [Discriminator(SETTINGS, rng)], loss_by_name("bce"),
+                rng.standard_normal((BATCH, SETTINGS.output_neurons)), rng)
 
     def test_fitness_caching(self):
-        table = fused_fitness_table(
+        table = evaluate_subpopulations(
             [Generator(SETTINGS, np.random.default_rng(0)) for _ in range(2)],
             [Discriminator(SETTINGS, np.random.default_rng(1)) for _ in range(2)],
             loss_by_name("bce"),
@@ -319,33 +409,6 @@ class TestBatchedFitness:
         assert table.generator_fitness is first          # cached, not recomputed
         assert table.discriminator_fitness is table.discriminator_fitness
         np.testing.assert_array_equal(first, table.g_losses.mean(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# Fallback training path (pickled, arena-less networks)
-# ---------------------------------------------------------------------------
-
-
-class TestFallbackTraining:
-    def test_pickled_pair_trains_identically(self):
-        """An unpickled (kernel-ineligible) pair must train — on the tape —
-        to the exact same genome as the fused pair."""
-        real = np.random.default_rng(5).standard_normal((BATCH, SETTINGS.output_neurons))
-        fused_pair = build_pair("bce", seed=3)
-        loose = build_pair("bce", seed=3)
-        generator = pickle.loads(pickle.dumps(loose.generator))
-        discriminator = pickle.loads(pickle.dumps(loose.discriminator))
-        fallback_pair = GANPair(generator, discriminator, loss_by_name("bce"),
-                                "adam", 2e-4)
-        assert kernel_for(generator) is None and kernel_for(discriminator) is None
-
-        rng_a, rng_b = np.random.default_rng(53), np.random.default_rng(53)
-        for _ in range(3):
-            assert (fused_pair.train_discriminator_step(real, rng_a)
-                    == fallback_pair.train_discriminator_step(real, rng_b))
-            assert (fused_pair.train_generator_step(BATCH, rng_a)
-                    == fallback_pair.train_generator_step(BATCH, rng_b))
-        assert genome_bytes(fused_pair) == genome_bytes(fallback_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +427,14 @@ class TestStepBlocked:
         grads = np.random.default_rng(61).standard_normal(arena_of(plain_net).size)
         opts = []
         for net in (plain_net, blocked_net):
-            arena = arena_of(net)
-            opt = optimizer_by_name(name, net.parameters(), 1e-3, arena=arena)
-            arena.grad[...] = grads
+            opt = optimizer_by_name(name, net, 1e-3)
+            opt.arena.grad[...] = grads
             opts.append(opt)
         for _ in range(3):
             opts[0].step()
             opts[1].step_blocked(block=1000)   # odd block, exercises the tail
         np.testing.assert_array_equal(parameters_to_vector(plain_net),
                                       parameters_to_vector(blocked_net))
-
-    def test_blocked_without_arena_delegates(self):
-        rng = np.random.default_rng(67)
-        net = pickle.loads(pickle.dumps(Generator(SETTINGS, rng)))
-        opt = optimizer_by_name("adam", net.parameters(), 1e-3)
-        for p in net.parameters():
-            p.grad = np.ones_like(p.data)
-        before = parameters_to_vector(net)
-        opt.step_blocked()
-        assert opt.t == 1
-        assert not np.array_equal(before, parameters_to_vector(net))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +443,7 @@ class TestStepBlocked:
 
 
 class TestCellTrajectory:
-    def test_cell_iterations_bit_identical(self):
+    def test_cell_iterations_bit_identical(self, request):
         from repro.config import ExperimentConfig
         import dataclasses
 
@@ -411,15 +462,12 @@ class TestCellTrajectory:
             (config.dataset_size, SETTINGS.output_neurons))
         dataset = ArrayDataset(images)
         genomes = {}
-        for mode in ("tape", "fused"):
-            cell = Cell(config, 0, dataset)
+        for mode in ("fused", "tape"):
             if mode == "tape":
-                with kernels_disabled():
-                    for _ in range(8):
-                        cell.step([])
-            else:
-                for _ in range(8):
-                    cell.step([])
+                request.getfixturevalue("tape_reference")
+            cell = Cell(config, 0, dataset)
+            for _ in range(8):
+                cell.step([])
             g, d = cell.center_genomes()
             genomes[mode] = g.parameters.tobytes() + d.parameters.tobytes()
         assert genomes["tape"] == genomes["fused"]
@@ -432,16 +480,15 @@ class TestCellTrajectory:
 
 class TestResourceDiscipline:
     def test_kernelized_networks_are_collectable(self):
-        """The kernel registry is weak-keyed; a kernel must not reference
-        its own module, or every kernelized network (and its multi-MB arena
-        slab) would be pinned forever in long-lived processes."""
+        """Arena and kernel live on the module and die with it: nothing
+        global may pin a kernelized network (and its multi-MB slabs)."""
         import gc
         import weakref
 
         refs = []
         for i in range(8):
             net = Generator(SETTINGS, np.random.default_rng(i))
-            assert kernel_for(net) is not None
+            kernel_for(net)
             refs.append(weakref.ref(net))
             del net
         gc.collect()

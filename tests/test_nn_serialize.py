@@ -56,8 +56,9 @@ class TestVector:
             vector_to_parameters(np.zeros(3), net)
 
     def test_write_is_in_place(self, net):
+        size = count_parameters(net)  # first request: parameters move into the arena
         params_before = [p.data for p in net.parameters()]
-        vector_to_parameters(np.zeros(count_parameters(net)), net)
+        vector_to_parameters(np.zeros(size), net)
         for before, param in zip(params_before, net.parameters()):
             assert param.data is before  # same buffer, mutated
             assert np.all(param.data == 0)
