@@ -1,10 +1,9 @@
-"""Ablation: exchange synchrony (per-iteration blocking vs stale/async).
+"""Ablation: exchange transport (neighbour point-to-point vs LOCAL allgather).
 
-The paper's implementation synchronizes neighbor exchange every iteration;
-Lipizzaner's original design tolerates stale neighbors.  This bench runs
-both on the same workload: the async variant must never be slower than the
-synchronous one beyond noise (it removes the wait), at the cost of training
-on possibly stale genomes.
+Both modes are synchronous — every iteration blocks for the neighbours'
+current centers; this bench times the two transports on the same workload.
+(The stale ``async`` variant it used to compare against is gone: its result
+depended on arrival order.)
 """
 
 
@@ -30,28 +29,6 @@ def _run(config, dataset, mode):
     return DistributedRunner(
         config, backend="process", dataset=dataset, exchange_mode=mode
     ).run()
-
-
-def test_ablation_sync_vs_async(benchmark, workload, results_dir):
-    config, dataset = workload
-    sync_result = _run(config, dataset, "neighbors")
-    async_result = benchmark.pedantic(
-        lambda: _run(config, dataset, "async"), rounds=1, iterations=1
-    )
-    assert sync_result.complete and async_result.complete
-
-    sync_s = sync_result.training.wall_time_s
-    async_s = async_result.training.wall_time_s
-    lines = [
-        "ABLATION — EXCHANGE SYNCHRONY (3x3, process backend)",
-        f"synchronous (paper):  {sync_s:8.2f}s",
-        f"asynchronous (stale): {async_s:8.2f}s",
-        f"async/sync ratio:     {async_s / sync_s:8.2f}",
-    ]
-    save_artifact(results_dir, "ablation_sync.txt", "\n".join(lines))
-    # Removing the synchronization wait must not make things slower
-    # (allow 30% noise — the workload is seconds-scale).
-    assert async_s < sync_s * 1.3
 
 
 def test_ablation_allgather_exchange(benchmark, workload, results_dir):

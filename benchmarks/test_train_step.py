@@ -19,8 +19,8 @@ PR 5 numbers are in CHANGES.md).  Two measurements remain:
 Measurements interleave their arms round-robin (this guards against drift
 on noisy shared machines) and keep the fastest round per arm.  Results land
 in ``benchmarks/results/BENCH_train_step.json``; an aggregated
-``BENCH_summary.json`` merges every ``BENCH_*.json`` artifact so the perf
-trajectory across PRs is machine-readable in one file.
+``BENCH_summary.json`` merges every ``BENCH_*.json`` artifact into one
+machine-readable file (a CI artifact; git ignores it).
 """
 
 from __future__ import annotations

@@ -112,7 +112,7 @@ class Experiment:
 
     def exchange(self, mode: str) -> "Experiment":
         """Neighbor-exchange mode for distributed backends
-        (``neighbors`` / ``allgather`` / ``async``)."""
+        (``neighbors`` / ``allgather``)."""
         self._exchange_mode = mode
         return self
 

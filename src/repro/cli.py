@@ -103,7 +103,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", choices=sorted(DATASETS.known()),
                         default=DEFAULT_DATASET,
                         help="training corpus (from the dataset registry)")
-    parser.add_argument("--exchange", choices=("neighbors", "allgather", "async"),
+    parser.add_argument("--exchange", choices=("neighbors", "allgather"),
                         default="neighbors")
     parser.add_argument("--hosts", metavar="HOST:SLOTS,...",
                         help="socket backend only: where the ranks run, e.g. "

@@ -84,6 +84,7 @@ cell or in which order cells execute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -102,7 +103,7 @@ from repro.nn.losses import MUSTANGS_LOSSES
 from repro.registry import dtype_policy
 from repro.telemetry import bus as telemetry
 
-__all__ = ["Cell", "CellReport", "NEIGHBORHOOD_SIZE"]
+__all__ = ["Cell", "CellReport", "NEIGHBORHOOD_SIZE", "step_block"]
 
 #: s = 5: the cell itself plus W, N, E, S (paper Fig. 1).
 NEIGHBORHOOD_SIZE = 5
@@ -496,3 +497,24 @@ class Cell:
         """Draw ``n`` images from this cell's generator mixture."""
         self._define_subpopulations()
         return sample_mixture(self._sub_generators, self.mixture, n, rng or self.rng)
+
+
+def step_block(cells: Mapping[int, Cell], neighbors_of: Callable[[int], Iterable[int]],
+               genomes: Mapping[int, Mapping[int, tuple[Genome, Genome]]]) -> list[CellReport]:
+    """Step a block of cells one iteration, in cell-index order.
+
+    The one step every trainer runs: the sequential trainer's block is the
+    whole grid, a slave's is the cells its rank hosts.  ``genomes[i]`` maps
+    neighbour cell -> center pair as cell ``i`` sees it this iteration; a
+    neighbour missing from it (a communication-free catch-up, a resync
+    timeout) falls back to ``i``'s own center, borrowed without a copy —
+    safe because the slot only reads it and a center vector is never
+    written, only replaced.
+    """
+    reports = []
+    for index in sorted(cells):
+        cell = cells[index]
+        seen = genomes.get(index, {})
+        reports.append(cell.step([seen.get(neighbor) or cell.center_genomes(alias=True)
+                                  for neighbor in neighbors_of(index)]))
+    return reports

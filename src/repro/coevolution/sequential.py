@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ExperimentConfig
-from repro.coevolution.cell import Cell, CellReport
+from repro.coevolution.cell import Cell, CellReport, step_block
 from repro.coevolution.genome import Genome
 from repro.coevolution.grid import ToroidalGrid
 from repro.data.dataset import ArrayDataset
@@ -99,22 +99,23 @@ class SequentialTrainer:
 
         The exchange semantics match the distributed per-iteration
         ``allgather``: the centers of *all* cells are snapshotted first,
-        then every cell steps against its neighbors' snapshots.
-        ``on_exchange`` (optional) is called with the snapshot list between
-        the two phases — the hook the :mod:`repro.api` run loop exposes.
+        then every cell steps against its neighbors' snapshots — through
+        :func:`~repro.coevolution.cell.step_block`, as the block that is the
+        whole grid with no halo.  ``on_exchange`` (optional) is called with
+        the snapshot list between the two phases — the hook the
+        :mod:`repro.api` run loop exposes.
         """
         # The in-memory snapshot is this trainer's whole "gather" routine
         # (its cost is what Table IV row 1 compares against MPI): one span
-        # per iteration, counted once per cell like the per-cell spans the
+        # per iteration, counted once per cell like the per-round span the
         # distributed backends record inside MpiCommManager.
         with telemetry.span("exchange.gather", calls=len(self.cells)):
             snapshots = [cell.center_genomes() for cell in self.cells]
         if on_exchange is not None:
             on_exchange(snapshots)
-        return [
-            cell.step([snapshots[j] for j in self.grid.neighbors_of(index)])
-            for index, cell in enumerate(self.cells)
-        ]
+        everyone = dict(enumerate(snapshots))
+        return step_block(dict(enumerate(self.cells)), self.grid.neighbors_of,
+                          dict.fromkeys(everyone, everyone))
 
     def result(self, wall_time_s: float) -> TrainingResult:
         """Assemble the :class:`TrainingResult` for the current cell state."""

@@ -12,7 +12,8 @@ parallel/distributed implementation of Mustangs/Lipizzaner:
   communicator split of Section III-D.
 * :mod:`repro.parallel.master` / :mod:`repro.parallel.slave` — the two
   process roles of Section III-B, with the slave's two-thread design (main
-  thread = master interface, execution thread = training) and the
+  thread = master interface, execution thread = training the block of
+  cells the rank hosts) and the
   ``inactive -> processing -> finished`` state machine of Fig. 2.
 * :mod:`repro.parallel.heartbeat` — the master's heartbeat thread and the
   liveness protocol, including failure detection and graceful abort.

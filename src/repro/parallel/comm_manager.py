@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.mpi import ANY_SOURCE, Comm, MpiTimeoutError
 from repro.mpi.stats import payload_nbytes
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # type-only: recovery types never constructed here
 
 __all__ = ["CommManager", "MpiCommManager", "ExchangeAborted", "EXCHANGE_MODES"]
 
-EXCHANGE_MODES = ("neighbors", "allgather", "async")
+EXCHANGE_MODES = ("neighbors", "allgather")
 
 
 class ExchangeAborted(RuntimeError):
@@ -151,13 +151,48 @@ class CommManager:
 
     # -- training-time exchange ------------------------------------------------------
 
+    def exchange_round(self, grid: Grid, payloads: Mapping[int, ExchangePayload],
+                       mode: str, abort_event: threading.Event | None = None,
+                       fault_state: "FaultState | None" = None,
+                       catch_up: Collection[int] = (),
+                       resync_until: Mapping[int, int] | None = None,
+                       ) -> dict[int, dict[int, ExchangePayload]]:
+        """One iteration of neighbor exchange for the block of cells a rank
+        hosts (cell -> its payload); returns cell -> (neighbor cell ->
+        payload).
+
+        * ``neighbors`` — point-to-point with the overlapping neighborhoods
+          (synchronous: blocks for every neighbor, honoring an abort).
+          Every cell's payload is sent before any cell receives — what
+          keeps a multi-cell block deadlock-free (see
+          :mod:`repro.parallel.recovery`).
+        * ``allgather`` — collective over LOCAL, paper-style, for a block
+          of one: every slave receives every center and keeps its
+          neighbors'.
+
+        Recovery hooks (``neighbors`` mode only — the non-abort fault
+        policies require it, and only they grow a block past one cell):
+        ``fault_state`` satisfies receives from dead cells locally and
+        reroutes sends to adopting ranks; cells in ``catch_up`` run the
+        round communication-free (a recovered cell replaying iterations
+        below its rejoin point); ``resync_until`` (cell -> iteration)
+        bounds a cell's receive wait for its first synchronized iterations,
+        whose peers' original payloads died with the old rank.
+        """
+        raise NotImplementedError
+
     def exchange_genomes(self, grid: Grid, cell_index: int, payload: ExchangePayload,
                          mode: str, abort_event: threading.Event | None = None,
                          fault_state: "FaultState | None" = None,
                          catch_up: bool = False,
                          resync_until: int | None = None,
                          ) -> dict[int, ExchangePayload]:
-        raise NotImplementedError
+        """:meth:`exchange_round` for a block of one cell."""
+        return self.exchange_round(
+            grid, {cell_index: payload}, mode, abort_event, fault_state,
+            catch_up=(cell_index,) if catch_up else (),
+            resync_until=None if resync_until is None else {cell_index: resync_until},
+        )[cell_index]
 
     # -- results ------------------------------------------------------------------------
 
@@ -175,8 +210,6 @@ class MpiCommManager(CommManager):
         self.world = world
         self.local: Comm | None = None
         self.global_: Comm | None = None
-        #: latest genome payload seen per neighbor cell (async mode cache).
-        self._async_cache: dict[int, ExchangePayload] = {}
 
     # -- identity -------------------------------------------------------------------
 
@@ -317,48 +350,40 @@ class MpiCommManager(CommManager):
         assert self.local is not None, "build_contexts must run before exchanging"
         return cell  # slaves are WORLD ranks 1..N in cell order; LOCAL keeps order
 
-    def exchange_genomes(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                         mode: str, abort_event: threading.Event | None = None,
-                         fault_state: "FaultState | None" = None,
-                         catch_up: bool = False,
-                         resync_until: int | None = None,
-                         ) -> dict[int, ExchangePayload]:
-        """One iteration of neighbor exchange; returns cell -> payload.
-
-        * ``neighbors`` — point-to-point with the overlapping neighborhoods
-          (synchronous: blocks for all four neighbors, honoring an abort).
-        * ``allgather`` — collective over LOCAL, paper-style; every slave
-          receives every center and keeps its neighbors'.
-        * ``async`` — send and drain whatever already arrived; missing
-          neighbors fall back to their latest known genome (stale exchange).
-
-        Recovery hooks (``neighbors`` mode only — the non-abort fault
-        policies require it): ``fault_state`` satisfies receives from dead
-        cells locally and reroutes sends to adopting ranks; ``catch_up``
-        runs the round communication-free (an adopted cell replaying
-        iterations below its rejoin point); ``resync_until`` bounds the
-        receive wait for the adopted cell's first synchronized iterations,
-        whose peers' original payloads died with the old rank.
-        """
+    def exchange_round(self, grid: Grid, payloads: Mapping[int, ExchangePayload],
+                       mode: str, abort_event: threading.Event | None = None,
+                       fault_state: "FaultState | None" = None,
+                       catch_up: Collection[int] = (),
+                       resync_until: Mapping[int, int] | None = None,
+                       ) -> dict[int, dict[int, ExchangePayload]]:
         if mode not in EXCHANGE_MODES:
             raise ValueError(f"unknown exchange mode {mode!r}; known: {EXCHANGE_MODES}")
-        if mode == "allgather":
-            return self._exchange_allgather(grid, cell_index, payload)
-        if mode == "async":
-            return self._exchange_async(grid, cell_index, payload)
-        return self._exchange_neighbors(grid, cell_index, payload, abort_event,
-                                        fault_state, catch_up, resync_until)
+        # One span per round, counted once per cell (the Table IV rule).
+        with telemetry.span("exchange.gather", calls=len(payloads)):
+            if mode == "allgather":
+                ((cell_index, payload),) = payloads.items()
+                return {cell_index: self._exchange_allgather(grid, cell_index, payload)}
+            for cell_index, payload in payloads.items():
+                if cell_index not in catch_up:
+                    self._send_to_consumers(grid, cell_index, payload, fault_state)
+            resync_until = resync_until or {}
+            return {
+                cell_index: self._receive_neighbors(
+                    grid, cell_index, payload, abort_event, fault_state,
+                    cell_index in catch_up, resync_until.get(cell_index))
+                for cell_index, payload in sorted(payloads.items())
+            }
 
     @staticmethod
     def _exchange_tag(iteration: int, dest_cell: int) -> int:
         """Tag encoding (iteration, destination cell).
 
         The iteration part keeps a fast neighbor's round-(k+1) message from
-        matching a round-k receive; the destination part keeps a rank that
-        hosts *several* cells (fault recovery: an adopter running a second
-        execution thread) from stealing a co-hosted cell's message on its
-        ``ANY_SOURCE`` receive.  Stays far below ``MAX_USER_TAG`` (2**30)
-        for any realistic grid/iteration count.
+        matching a round-k receive; the destination part separates the
+        co-hosted cells of one block (fault recovery: an adopted cell joins
+        its adopter's block), so one cell's ``ANY_SOURCE`` receive never
+        takes a message addressed to another.  Stays far below
+        ``MAX_USER_TAG`` (2**30) for any realistic grid/iteration count.
         """
         return (int(Tags.EXCHANGE) * 1000 + iteration) * 1024 + dest_cell
 
@@ -391,106 +416,82 @@ class MpiCommManager(CommManager):
             dests.append((dest, self._exchange_tag(iteration, consumer)))
         self._count_exchange(payload, self.local.send_group(payload, dests))
 
-    def _exchange_neighbors(self, grid: Grid, cell_index: int, payload: ExchangePayload,
-                            abort_event: threading.Event | None,
-                            fault_state: "FaultState | None" = None,
-                            catch_up: bool = False,
-                            resync_until: int | None = None,
-                            ) -> dict[int, ExchangePayload]:
+    def _receive_neighbors(self, grid: Grid, cell_index: int, payload: ExchangePayload,
+                           abort_event: threading.Event | None,
+                           fault_state: "FaultState | None",
+                           catch_up: bool, resync_until: int | None,
+                           ) -> dict[int, ExchangePayload]:
+        """Receive one message per outgoing edge of ``cell_index``."""
         assert self.local is not None
         iteration = payload.iteration
-        with telemetry.span("exchange.gather"):
-            needed = list(grid.neighbor_cells(cell_index))
-            received: dict[int, ExchangePayload] = {}
-            # Torus self-edges (any grid dimension of 1: on 1x1 all four
-            # neighbors wrap to the center) are satisfied locally — sends
-            # follow incoming_neighbors, which excludes self, so no message
-            # ever arrives for them; waiting on them deadlocked 1x1 runs.
-            self_edges = sum(1 for cell in needed if cell == cell_index)
-            if self_edges:
-                received[cell_index] = payload
-            if catch_up:
-                # Replaying below the rejoin point: nobody expects this
-                # cell's payloads (they satisfy it from the frozen
-                # checkpoint) and nobody resends what its predecessor
-                # received — run the round communication-free; the caller
-                # backfills missing neighbors with the own-center fallback.
-                return received
-            # Send along the incoming edges, then receive one message per
-            # outgoing edge.
-            self._send_to_consumers(grid, cell_index, payload, fault_state)
-            tag = self._exchange_tag(iteration, cell_index)
-            outstanding = Counter(cell for cell in needed if cell != cell_index)
-            deadline = (time.monotonic() + RESYNC_TIMEOUT_S
-                        if resync_until is not None and iteration < resync_until
-                        else None)
-            while sum(outstanding.values()) > 0:
-                if fault_state is not None:
-                    # Re-checked every poll: a fault notice that arrives
-                    # while this receive is blocked on a now-dead neighbor
-                    # unblocks it here.
-                    for cell in [c for c, n in outstanding.items() if n > 0]:
-                        frozen = fault_state.frozen_payload(cell, iteration)
-                        if frozen is not None:
-                            received[cell] = frozen
-                            outstanding[cell] = 0
-                    if sum(outstanding.values()) == 0:
-                        break
-                if abort_event is not None and abort_event.is_set():
-                    raise ExchangeAborted(f"cell {cell_index}: abort during exchange")
-                if deadline is not None and time.monotonic() > deadline:
-                    # Resync window: the payloads this slot waits for may
-                    # have been sent to the rank that died — fall back to
-                    # the own-center alias instead of blocking forever.
+        needed = list(grid.neighbor_cells(cell_index))
+        received: dict[int, ExchangePayload] = {}
+        # Torus self-edges (any grid dimension of 1: on 1x1 all four
+        # neighbors wrap to the center) are satisfied locally — sends
+        # follow incoming_neighbors, which excludes self, so no message
+        # ever arrives for them; waiting on them deadlocked 1x1 runs.
+        if cell_index in needed:
+            received[cell_index] = payload
+        if catch_up:
+            # Replaying below the rejoin point: nobody expects this cell's
+            # payloads (they satisfy it from the frozen checkpoint) and
+            # nobody resends what its predecessor received — the round is
+            # communication-free; the step backfills missing neighbors
+            # with the own-center fallback.
+            return received
+        tag = self._exchange_tag(iteration, cell_index)
+        outstanding = Counter(cell for cell in needed if cell != cell_index)
+        deadline = (time.monotonic() + RESYNC_TIMEOUT_S
+                    if resync_until is not None and iteration < resync_until
+                    else None)
+        while sum(outstanding.values()) > 0:
+            if fault_state is not None:
+                # Re-checked every poll: a fault notice that arrives while
+                # this receive is blocked on a now-dead neighbor unblocks
+                # it here.
+                for cell in [c for c, n in outstanding.items() if n > 0]:
+                    frozen = fault_state.frozen_payload(cell, iteration)
+                    if frozen is not None:
+                        received[cell] = frozen
+                        outstanding[cell] = 0
+                if sum(outstanding.values()) == 0:
                     break
-                try:
-                    message: ExchangePayload = self.local.recv(
-                        source=ANY_SOURCE, tag=tag, timeout=0.25
-                    )
-                except MpiTimeoutError:
+            if abort_event is not None and abort_event.is_set():
+                raise ExchangeAborted(f"cell {cell_index}: abort during exchange")
+            if deadline is not None and time.monotonic() > deadline:
+                # Resync window: the payloads this slot waits for may have
+                # been sent to the rank that died — fall back to the
+                # own-center alias instead of blocking forever.
+                break
+            try:
+                message: ExchangePayload = self.local.recv(
+                    source=ANY_SOURCE, tag=tag, timeout=0.25
+                )
+            except MpiTimeoutError:
+                continue
+            if fault_state is not None:
+                # Epoch fence: a payload stamped before the epoch in which
+                # its cell last changed hands is the leaving rank's final
+                # in-flight frame — drop it, the cell's new owner re-sends
+                # under the current epoch.  Static runs never bump epochs,
+                # so every payload passes.
+                min_epoch = fault_state.min_epoch_for(message.cell_index)
+                if getattr(message, "epoch", 0) < min_epoch:
+                    if telemetry.enabled():
+                        telemetry.count("exchange.stale_dropped")
                     continue
-                if fault_state is not None:
-                    # Epoch fence: a payload stamped before the epoch in
-                    # which its cell last changed hands is the leaving
-                    # rank's final in-flight frame — drop it, the cell's
-                    # new owner re-sends under the current epoch.  Static
-                    # runs never bump epochs, so every payload passes.
-                    min_epoch = fault_state.min_epoch_for(message.cell_index)
-                    if getattr(message, "epoch", 0) < min_epoch:
-                        if telemetry.enabled():
-                            telemetry.count("exchange.stale_dropped")
-                        continue
-                if outstanding.get(message.cell_index, 0) > 0:
-                    received[message.cell_index] = message
-                    outstanding[message.cell_index] -= 1
+            if outstanding.get(message.cell_index, 0) > 0:
+                received[message.cell_index] = message
+                outstanding[message.cell_index] -= 1
         return received
 
     def _exchange_allgather(self, grid: Grid, cell_index: int,
                             payload: ExchangePayload) -> dict[int, ExchangePayload]:
         assert self.local is not None
-        with telemetry.span("exchange.gather"):
-            self._count_exchange(payload, 1)
-            everything: list[ExchangePayload] = self.local.allgather(payload)
-            wanted = set(grid.neighbor_cells(cell_index))
-            return {p.cell_index: p for p in everything if p.cell_index in wanted}
-
-    def _exchange_async(self, grid: Grid, cell_index: int,
-                        payload: ExchangePayload) -> dict[int, ExchangePayload]:
-        from repro.mpi import ANY_TAG  # LOCAL carries only exchange traffic
-
-        assert self.local is not None
-        with telemetry.span("exchange.gather"):
-            self._send_to_consumers(grid, cell_index, payload)
-            # Drain whatever is already here; never block.
-            while self.local.iprobe(source=ANY_SOURCE, tag=ANY_TAG):
-                message: ExchangePayload = self.local.recv(
-                    source=ANY_SOURCE, tag=ANY_TAG
-                )
-                cached = self._async_cache.get(message.cell_index)
-                if cached is None or message.iteration >= cached.iteration:
-                    self._async_cache[message.cell_index] = message
-            wanted = set(grid.neighbor_cells(cell_index))
-            return {c: p for c, p in self._async_cache.items() if c in wanted}
+        self._count_exchange(payload, 1)
+        everything: list[ExchangePayload] = self.local.allgather(payload)
+        wanted = set(grid.neighbor_cells(cell_index))
+        return {p.cell_index: p for p in everything if p.cell_index in wanted}
 
     # -- results ------------------------------------------------------------------------------
 

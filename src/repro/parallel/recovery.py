@@ -14,15 +14,22 @@ functions the transition calls.  Three policies:
   and the run completes with ``degraded_ranks`` populated.
 * ``recover`` — the dead rank's cells *migrate*: either a freshly
   respawned replacement worker (socket backend, up to ``--max-restarts``)
-  resumes them from checkpoint, or a surviving slave adopts them, runs
-  them in a second execution thread, and rejoins the synchronous exchange.
+  resumes them from checkpoint, or a surviving slave adopts them into its
+  block (the cells it trains in one loop — see
+  :mod:`repro.parallel.slave`) and rejoins the synchronous exchange.
 
 The rejoin protocol (why it cannot deadlock)
 --------------------------------------------
 
+Every rank runs one exchange round per iteration for its whole block, and
+a round sends the payload of every hosted cell before any hosted cell
+receives.  So no receive ever waits on a send of the same round that sits
+behind it — not another rank's, and not a co-hosted cell's, whose payload
+the adopter delivers to itself through the ordinary send path.  A block of
+any size therefore exchanges exactly like a block of one.
+
 Only *direct* neighbors of a dead cell ``c`` ever send to it
-(:meth:`Grid.incoming_neighbors`), and the synchronous neighbors exchange
-sends before it receives.  When ``c`` stops answering, its direct
+(:meth:`Grid.incoming_neighbors`).  When ``c`` stops answering, its direct
 neighbors block inside their exchange at most one iteration past ``c``'s
 last send — so when the master's :class:`FaultNotice` reaches them they
 are still *before* the rejoin iteration ``R``.  From the notice on:
@@ -34,10 +41,12 @@ are still *before* the rejoin iteration ``R``.  From the notice on:
   center to ``c``'s consumers and receives from ``c``'s neighbors, with
   the routing override mapping cell ``c`` to the adopting rank.
 
-The adopted cell catches up from its checkpoint to ``R`` without
-communicating (neighbor slots fall back to its own center, exactly the
-async-mode fallback), then exchanges synchronously.  ``R`` is chosen past
-every live cell's known iteration plus the torus diameter; because
+The adopted cell is admitted at an iteration boundary of its adopter's
+block and catches up from its checkpoint without communicating (every
+neighbor slot is its own center, except torus self-edges), then exchanges
+synchronously from ``R``.  ``R`` is chosen past every live cell's known
+iteration plus the torus diameter — which is why admitting a cell whose
+``R`` the block has already passed is a protocol violation; because
 payloads sent to the dead rank before the notice are lost, the adopter's
 first synchronized iterations additionally carry a bounded resync timeout
 (:data:`RESYNC_TIMEOUT_S`) instead of blocking forever on a payload that
@@ -160,7 +169,7 @@ class FaultState:
     """A slave's thread-safe view of every dead cell in the run.
 
     The main (communication) thread applies :class:`FaultNotice` messages;
-    the execution threads consult it on every exchange round — including
+    the execution thread consults it on every exchange round — including
     mid-wait, so a notice that arrives while a receive is blocked on a dead
     neighbor unblocks it on the next poll.
     """

@@ -3,18 +3,38 @@
 Two threads, exactly as the paper describes:
 
 * the **main thread** is the communication interface to the master — it
-  answers status (heartbeat) requests with the slave's current state and
-  watches for an abort order;
-* the **execution thread** performs the GAN training: per iteration it
-  exchanges center genomes with its neighbors through the comm-manager
-  (the profiled ``gather``) and runs the cell step.
+  answers status (heartbeat) requests with the block's current iteration,
+  watches for an abort order or a drain, and queues the cells a fault
+  notice hands to this rank;
+* the **execution thread** performs the GAN training of the rank's
+  **block**: the ``{cell index: Cell}`` map the rank hosts, stepped by one
+  loop with one iteration counter.  A rank launches with a block of one
+  (its own cell); recovery grows the block, never the thread count.
+
+**One admission.**  A cell enters the block in one of four ways — the
+launch cell (fresh, from iteration 0), a respawn's resume directive, a
+fault-notice adoption, a standby's reclaim or adoption — and all four go
+through the same step at an iteration boundary: restore the cell from its
+snapshot, then run it communication-free from the snapshot iteration up to
+the block's iteration (see :mod:`repro.parallel.recovery`).  An empty block
+(standby, respawn) takes the admitted cell's iteration; a cell admitted
+ahead of the block waits until the block reaches it.  Every hosted cell
+shares the block's counter, so the heartbeat reply, the drain checkpoint,
+fault injection and abort all read one number.
+
+**One round.**  Per iteration the block builds every stepping cell's
+payload, exchanges them in one :meth:`CommManager.exchange_round` (send
+all, then receive per cell), and steps the cells in index order through
+:func:`repro.coevolution.cell.step_block` — the function the sequential
+trainer steps its whole grid with.
 
 Both threads put their protocol steps (the boxes of Fig. 3) on the rank's
 telemetry timeline with ``telemetry.mark``.
 
 Lifecycle (Fig. 2): the slave starts ``inactive``, becomes ``processing``
 when the *run task* message arrives, and ``finished`` after the last
-iteration, at which point it ships its local results to the master.
+iteration, at which point it ships one result per hosted cell to the
+master.
 
 The cell step itself runs on the kernels of :mod:`repro.nn.kernels`, so the
 slave's ``train`` profile row measures the same code as the sequential
@@ -24,12 +44,13 @@ baseline — the speedup columns of Table IV stay apples to apples.
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 import time
 
 from repro.config import ExperimentConfig
-from repro.coevolution.cell import Cell
+from repro.coevolution.cell import Cell, step_block
 from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.data.dataset import ArrayDataset
@@ -37,11 +58,11 @@ from repro.parallel import elastic
 from repro.parallel.comm_manager import CommManager, ExchangeAborted
 from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
-from repro.parallel.recovery import RESYNC_WINDOW, FaultState, FrozenCell
+from repro.parallel.recovery import RESYNC_WINDOW, FaultState
 from repro.parallel.states import SlaveStateMachine
 from repro.telemetry import bus as telemetry
 
-__all__ = ["SlaveProcess", "InjectedFault", "DrainRequested"]
+__all__ = ["SlaveProcess", "InjectedFault"]
 
 #: How long a draining slave waits for the master's ack before exiting
 #: anyway — the master may itself be tearing down.
@@ -52,10 +73,15 @@ class InjectedFault(RuntimeError):
     """Deliberate crash requested by a fault-injection run task."""
 
 
-class DrainRequested(RuntimeError):
-    """Raised inside an execution thread at an iteration boundary when the
-    rank has been asked to leave gracefully.  Not an error: the main thread
-    turns it into a :class:`~repro.parallel.elastic.DrainNotice` hand-off."""
+def _checkpoint(cell: Cell, centers: tuple[Genome, Genome]) -> CellSnapshot:
+    """``cell`` as it stands at an iteration boundary, with ``centers``."""
+    return CellSnapshot(
+        cell_index=cell.cell_index,
+        iteration=cell.iteration,
+        generator_genome=centers[0],
+        discriminator_genome=centers[1],
+        mixture_weights=cell.mixture.weights.copy(),
+    )
 
 
 class SlaveProcess:
@@ -68,34 +94,44 @@ class SlaveProcess:
         self.poll_interval_s = poll_interval_s
         self.machine = SlaveStateMachine()
         self.abort_event = threading.Event()
+        self.fault_state = FaultState()
+        # Set from the drain registry by the main thread; the execution
+        # thread stops at its next iteration boundary.
+        self._drain = threading.Event()
+        #: The block's iteration — the one counter every hosted cell shares.
         self._iteration = 0
         self._iteration_lock = threading.Lock()
         self._execution_error: BaseException | None = None
-        self.fault_state = FaultState()
-        self._adopted_threads: list[threading.Thread] = []
+        #: ``(cell index, snapshot or None for a fresh cell, rejoin
+        #: iteration)``: queued by the main thread, admitted by the
+        #: execution thread at its next iteration boundary.
+        self._admissions: queue.SimpleQueue = queue.SimpleQueue()
+        # The block, owned by the execution thread (the main thread reads
+        # it only once that thread has ended): hosted cells, each one's
+        # rejoin iteration, and the center copy its last checkpoint took —
+        # the payload of its next exchange.
+        self._block: dict[int, Cell] = {}
+        self._rejoin: dict[int, int] = {}
+        self._centers: dict[int, tuple[Genome, Genome]] = {}
         self._task: RunTask | None = None
         self._config: ExperimentConfig | None = None
         self._grid: Grid | None = None
-        # Elastic drain bookkeeping: every hosted cell (own + adopted)
-        # registers here so a graceful departure can checkpoint whatever is
-        # still unfinished and hand it off through a DrainNotice.
-        self._drain = threading.Event()
-        self._cells: dict[int, Cell] = {}
-        self._cell_iterations: dict[int, int] = {}
-        self._completed_cells: set[int] = set()
+        #: What was shipped for the task's own cell (:meth:`run`'s value).
+        self._result: SlaveResult | None = None
 
     # -- public entry point -------------------------------------------------------
 
     def run(self) -> SlaveResult | None:
-        """Full slave lifecycle; returns the result it also sent the master.
+        """Full slave lifecycle; returns the result it sent the master for
+        the task's own cell.
 
         A standby rank (an elastic joiner admitted with no cell of its own)
-        is the same slave without an own-cell execution thread: it serves
-        the master, adopts when a :class:`FaultNotice` names it, and leaves
-        on the master's end-of-run abort or a drain.  Returns ``None`` on
-        the elastic exits — a drained rank (its cells left through a
-        :class:`~repro.parallel.elastic.DrainNotice`) and a released
-        standby."""
+        starts with an empty block: it serves the master, admits a cell
+        when a :class:`FaultNotice` names it, and leaves on the master's
+        end-of-run abort or a drain.  Returns ``None`` when nothing was
+        shipped for the task's cell — a standby, or a drained rank whose
+        cells left through a :class:`~repro.parallel.elastic.DrainNotice`.
+        """
         comm = self.comm
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
         comm.send_node_info(NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
@@ -118,69 +154,39 @@ class SlaveProcess:
                 self.fault_state.apply(notice)
         else:
             comm.build_contexts(is_active_slave=True)
-        config = ExperimentConfig.from_json(task.config_json)
-        grid = Grid.from_payload(task.grid_payload)
-        self._task, self._config, self._grid = task, config, grid
-        # 4. Launch the execution thread (Fig. 3: "Create execution thread").
-        result_box: dict[str, SlaveResult] = {}
-        execution: threading.Thread | None = None
+        self._task = task
+        self._config = ExperimentConfig.from_json(task.config_json)
+        self._grid = Grid.from_payload(task.grid_payload)
+        # 4. Queue the task's cell and launch the execution thread (Fig. 3:
+        # "Create execution thread") — the only one, whatever the block grows to.
         if task.standby:
             telemetry.mark("standby", "parked, ready to adopt")
+        elif task.resume is None:
+            self._admissions.put((task.cell_index, None, 0))
         else:
-            execution = threading.Thread(
-                target=self._execution_main,
-                args=(task, config, grid, result_box),
-                name=f"slave-{comm.rank}-exec",
-                daemon=True,
-            )
-            execution.start()
-        # 5. Main thread: the master's communication interface.  Keeps
-        # serving while *any* hosted cell still trains — the slave may have
-        # adopted a dead rank's cell into a second execution thread.
-        result: SlaveResult | None = None
-        while True:
+            self._admissions.put((task.cell_index, task.resume.snapshot,
+                                  task.resume.rejoin_iteration))
+        execution = threading.Thread(target=self._train_block,
+                                     name=f"slave-{comm.rank}-exec", daemon=True)
+        execution.start()
+        # 5. Main thread: the master's communication interface, for as long
+        # as the block trains.
+        while execution.is_alive():
             self._serve_master_once()
-            if execution is not None and not execution.is_alive():
-                execution.join()
-                execution = None
-                if self._execution_error is not None and not isinstance(
-                        self._execution_error, (ExchangeAborted, DrainRequested)):
-                    raise self._execution_error
-                if isinstance(self._execution_error, DrainRequested):
-                    # Planned departure: hand unfinished cells to the
-                    # master instead of shipping a result.
-                    self._drain_and_exit()
-                    return None
-                # Ship the own-cell result as soon as it exists — the
-                # master should not wait for adopted cells to see it.
-                result = result_box["result"]
-                telemetry.mark("send results to master")
-                if telemetry.tracing():
-                    # Retake the in-band copy so it includes the send mark.
-                    result.telemetry = telemetry.snapshot(comm.rank)
-                comm.send_result(result)
-            if execution is None and not any(
-                    t.is_alive() for t in self._adopted_threads):
-                # Nothing left to train.  A standby rank stays, ready to
-                # adopt, until a drain or the master's abort releases it.
-                if (not task.standby or self._drain.is_set()
-                        or self.abort_event.is_set()):
-                    break
-            time.sleep(self.poll_interval_s)
+            execution.join(self.poll_interval_s)
+        if self._execution_error is not None:
+            raise self._execution_error
         if self._drain.is_set():
-            # Drain arrived after the own cell shipped (or on a standby):
-            # hand off whatever adopted cells stopped unfinished.
+            # Planned departure: hand the unfinished cells to the master.
             self._drain_and_exit()
-            return result
-        for thread in self._adopted_threads:
-            thread.join()
-        # 6. Finished: every hosted cell is done (Fig. 3: "Send results to
-        # master" — adopted cells shipped theirs from their own threads).
+            return self._result
+        # 6. Finished: every hosted cell has shipped its result (Fig. 3:
+        # "Send results to master").
         self.machine.finish()
         # Answer any still-in-flight status request so the heartbeat sees a
         # clean FINISHED before this rank exits.
         self._serve_master_once()
-        return result
+        return self._result
 
     # -- main-thread duties -----------------------------------------------------------
 
@@ -191,7 +197,7 @@ class SlaveProcess:
         if not self._drain.is_set() and elastic.drain_requested(self.comm.rank):
             # Set by the transport (DRAIN wire frame, `repro drain`) or by a
             # signal handler (SIGTERM on `repro worker`); the execution
-            # threads observe the event at their next iteration boundary.
+            # thread observes the event at its next iteration boundary.
             self._drain.set()
             telemetry.mark("drain requested")
         while True:
@@ -214,28 +220,19 @@ class SlaveProcess:
     def _drain_and_exit(self) -> None:
         """The graceful-departure protocol (planned leave, not a fault).
 
-        Joins the execution threads (they stopped at an iteration
-        boundary), checkpoints every hosted cell that has not finished,
-        ships the batch to the master as a :class:`DrainNotice`, then keeps
+        The execution thread stopped at an iteration boundary, so every cell
+        still in the block is checkpointed exactly; an adoption it never
+        got to admit leaves with the snapshot it came with.  The batch goes
+        to the master as one :class:`DrainNotice`, then the rank keeps
         answering heartbeats until the master acknowledges the hand-off —
         the ack means the cells have new owners and this rank may vanish
         without being declared dead.
         """
         comm = self.comm
-        for thread in self._adopted_threads:
-            thread.join()
-        snapshots = []
-        for cell_index, cell in sorted(self._cells.items()):
-            if cell_index in self._completed_cells:
-                continue
-            g_genome, d_genome = cell.center_genomes()
-            snapshots.append(CellSnapshot(
-                cell_index=cell_index,
-                iteration=self._cell_iterations.get(cell_index, 0),
-                generator_genome=g_genome,
-                discriminator_genome=d_genome,
-                mixture_weights=cell.mixture.weights.copy(),
-            ))
+        snapshots = [_checkpoint(cell, cell.center_genomes())
+                     for _index, cell in sorted(self._block.items())]
+        while not self._admissions.empty():
+            snapshots.append(self._admissions.get()[1])
         notice = elastic.DrainNotice(rank=comm.rank, snapshots=tuple(snapshots))
         comm.send_drain_notice(notice)
         telemetry.mark("drain notice sent", f"{len(snapshots)} cell(s)")
@@ -255,11 +252,12 @@ class SlaveProcess:
         telemetry.mark("drained", "acked" if acked else "ack timeout")
 
     def _apply_fault_notice(self, notice) -> None:
-        """Record dead cells; adopt the ones assigned to this rank.
+        """Record dead cells; queue the ones assigned to this rank.
 
-        Runs on the main thread.  The execution threads pick the frozen
-        cells up through :class:`FaultState` on their next exchange poll;
-        adoption spawns one additional execution thread per inherited cell.
+        Runs on the main thread.  The execution thread sees the frozen
+        cells through :class:`FaultState` on its next exchange poll, and
+        admits the adopted ones into its block at its next iteration
+        boundary.
         """
         fresh = self.fault_state.apply(notice)
         if not fresh:
@@ -269,215 +267,152 @@ class SlaveProcess:
             f"cells {[fc.cell_index for fc in fresh]} ({notice.policy})")
         for frozen in fresh:
             if frozen.adopter_rank == self.comm.rank:
-                thread = threading.Thread(
-                    target=self._adopted_main,
-                    args=(frozen,),
-                    name=f"slave-{self.comm.rank}-adopt-{frozen.cell_index}",
-                    daemon=True,
-                )
-                self._adopted_threads.append(thread)
-                thread.start()
+                self._admissions.put((frozen.cell_index, frozen.snapshot(),
+                                      frozen.rejoin_iteration))
 
     # -- execution thread ----------------------------------------------------------------
 
-    def _execution_main(self, task: RunTask, config: ExperimentConfig, grid: Grid,
-                        result_box: dict) -> None:
+    def _train_block(self) -> None:
+        """The execution thread: admit, exchange and step the block until
+        nothing is left to train, shipping results as the block finishes."""
         # The execution thread is not the rank's endpoint thread, so it
         # must bind itself for its spans to land in this rank's buffer.
         telemetry.bind_rank(self.comm.rank)
-        try:
-            result = self._train(task, config, grid)
-        except DrainRequested as exc:
-            # No result: the main thread checkpoints the cell into a
-            # DrainNotice and the adopting rank ships the real result.
-            self._execution_error = exc
-            return
-        except ExchangeAborted as exc:
-            self._execution_error = exc
-            result = self._partial_result(task, aborted=True)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to the main thread
-            self._execution_error = exc
-            return
-        result_box["result"] = result
-
-    def _train(self, task: RunTask, config: ExperimentConfig,
-               grid: Grid) -> SlaveResult:
-        cell_index = task.cell_index
+        task, grid = self._task, self._grid
+        total = self._config.coevolution.iterations
         telemetry.mark("assemble execution grid", f"{grid.rows}x{grid.cols}")
-        cell = Cell(config, cell_index, self.dataset,
-                    neighborhood_size=grid.neighborhood_size(cell_index))
-        self._cell = cell
-        start, rejoin = 0, 0
-        if task.resume is not None:
-            # Respawned worker: resume the cell from its checkpoint and
-            # rejoin the synchronous exchange at the negotiated iteration.
-            snapshot: CellSnapshot = task.resume.snapshot
-            cell.restore(snapshot.generator_genome, snapshot.discriminator_genome,
-                         snapshot.mixture_weights, snapshot.iteration)
-            start, rejoin = snapshot.iteration, task.resume.rejoin_iteration
-            with self._iteration_lock:
-                self._iteration = start
-            telemetry.mark("resume from checkpoint",
-                           f"iteration {start}, rejoin {rejoin}")
         telemetry.mark("start training")
-        result = self._train_cell(
-            task, config, grid, cell, cell_index=cell_index,
-            start=start, rejoin=rejoin,
-            inject_fault=task.resume is None, track_iteration=True,
-        )
-        result.recovered = task.resume is not None
-        return result
-
-    def _train_cell(self, task: RunTask, config: ExperimentConfig, grid: Grid,
-                    cell: Cell, *, cell_index: int,
-                    start: int = 0, rejoin: int = 0, inject_fault: bool = False,
-                    track_iteration: bool = False) -> SlaveResult:
-        """The per-iteration loop, shared by the primary cell, a resumed
-        cell (respawned worker) and adopted cells (second execution
-        thread).  Iterations below ``rejoin`` run communication-free (see
-        :mod:`repro.parallel.recovery`)."""
-        resync_until = rejoin + RESYNC_WINDOW if rejoin else None
-        self._cells[cell_index] = cell
-        self._cell_iterations[cell_index] = start
-        # The center copy a checkpoint took at the end of an iteration is
-        # the one the next exchange sends: nothing trains in between, and
-        # both consumers only read it.
-        centers = None
-        for iteration in range(start, config.coevolution.iterations):
-            if self.abort_event.is_set():
-                raise ExchangeAborted(f"cell {cell_index}: abort before iteration {iteration}")
-            if self._drain.is_set():
-                # Iteration boundary only — the cell state is consistent
-                # here, so the drain checkpoint is exact.
-                raise DrainRequested(
-                    f"cell {cell_index}: drain before iteration {iteration}")
-            if (inject_fault and task.fault_at_iteration is not None
-                    and iteration == task.fault_at_iteration):
-                if task.fault_kill:
-                    # A genuine process death: no exception, no result, no
-                    # goodbye — the transport and the heartbeat layer must
-                    # notice on their own.  Never reached on the threaded
-                    # backend (the runner rejects the combination).
-                    os._exit(86)
-                raise InjectedFault(
-                    f"slave {self.comm.rank} crashing at iteration {iteration} as requested"
-                )
-            own_g, own_d = centers or cell.center_genomes()
-            centers = None
-            payload = ExchangePayload(cell_index, iteration, own_g, own_d,
-                                      epoch=self.fault_state.current_epoch())
-            telemetry.mark("get results from neighbours", f"iteration {iteration}")
-            received = self.comm.exchange_genomes(
-                grid, cell_index, payload, task.exchange_mode, self.abort_event,
-                fault_state=self.fault_state,
-                catch_up=iteration < rejoin,
-                resync_until=resync_until,
-            )
-            neighbors = self._order_neighbors(grid, cell_index, received, cell)
-            telemetry.mark("train one iteration", f"iteration {iteration}")
-            cell.step(neighbors)
-            self._cell_iterations[cell_index] = iteration + 1
-            if track_iteration:
+        try:
+            while True:
+                self._admit_queued(wait=task.standby and not self._block)
+                if not self._block:
+                    # Nothing to train.  A standby stays, ready to adopt,
+                    # until a drain or the master's abort releases it.
+                    if task.standby and not (self._drain.is_set()
+                                             or self.abort_event.is_set()):
+                        continue
+                    return
+                iteration = self._iteration
+                if iteration == total:
+                    self._ship()
+                    continue
+                if self.abort_event.is_set():
+                    raise ExchangeAborted(
+                        f"rank {self.comm.rank}: abort before iteration {iteration}")
+                if self._drain.is_set():
+                    # Iteration boundary only — the cell states are
+                    # consistent here, so the drain checkpoints are exact.
+                    return
+                if iteration == task.fault_at_iteration:
+                    if task.fault_kill:
+                        # A genuine process death: no exception, no result,
+                        # no goodbye — the transport and the heartbeat layer
+                        # must notice on their own.  Never reached on the
+                        # threaded backend (the runner rejects the combination).
+                        os._exit(86)
+                    raise InjectedFault(
+                        f"slave {self.comm.rank} crashing at iteration {iteration} as requested")
+                self._round({index: cell for index, cell in self._block.items()
+                             if cell.iteration == iteration}, iteration)
                 with self._iteration_lock:
                     self._iteration = iteration + 1
-            if task.snapshot_every and (iteration + 1) % task.snapshot_every == 0 \
-                    and iteration + 1 < config.coevolution.iterations:
-                centers = cell.center_genomes()
-                self.comm.send_cell_snapshot(CellSnapshot(
-                    cell_index=cell_index,
-                    iteration=iteration + 1,
-                    generator_genome=centers[0],
-                    discriminator_genome=centers[1],
-                    mixture_weights=cell.mixture.weights.copy(),
-                ))
-        self._completed_cells.add(cell_index)
-        return self._final_result(task, cell, cell_index=cell_index)
-
-    def _adopted_main(self, frozen: FrozenCell) -> None:
-        """Second execution thread: train an adopted cell to completion.
-
-        Restores the dead rank's cell from its checkpoint, catches up
-        communication-free to the rejoin iteration, then exchanges
-        synchronously on the dead cell's behalf.  Ships its own
-        :class:`SlaveResult` (tagged ``recovered``) when done.
-        """
-        telemetry.bind_rank(self.comm.rank)
-        task, config, grid = self._task, self._config, self._grid
-        assert task is not None and config is not None and grid is not None
-        cell_index = frozen.cell_index
-        telemetry.mark("adopt cell", f"cell {cell_index} from iteration {frozen.iteration}")
-        try:
-            cell = Cell(config, cell_index, self.dataset,
-                        neighborhood_size=grid.neighborhood_size(cell_index))
-            cell.restore(frozen.generator_genome, frozen.discriminator_genome,
-                         frozen.mixture_weights, frozen.iteration)
-            result = self._train_cell(
-                task, config, grid, cell, cell_index=cell_index,
-                start=frozen.iteration, rejoin=frozen.rejoin_iteration,
-                inject_fault=False, track_iteration=False,
-            )
-        except DrainRequested:
-            # The host rank is leaving; the main thread hands this cell's
-            # checkpoint to the master inside its DrainNotice.
-            telemetry.mark("adopted cell draining", f"cell {cell_index}")
-            return
         except ExchangeAborted:
-            # The run is being torn down; the master no longer waits for
-            # this cell, so there is nothing useful to ship.
-            telemetry.mark("adopted cell aborted", f"cell {cell_index}")
-            return
-        except BaseException as exc:  # noqa: BLE001 - adoption must not kill the host
-            telemetry.mark("adopted cell failed", f"cell {cell_index}: {exc!r}")
-            return
-        result.recovered = True
-        telemetry.mark("send adopted results to master", f"cell {cell_index}")
-        self.comm.send_result(result)
+            self._ship(aborted=True)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the main thread
+            self._execution_error = exc
 
-    @staticmethod
-    def _order_neighbors(grid: Grid, cell_index: int,
-                         received: dict[int, ExchangePayload],
-                         cell: Cell) -> list[tuple[Genome, Genome]]:
-        """Arrange received genomes in the cell's canonical neighbor order.
+    def _admit_queued(self, *, wait: bool) -> None:
+        """Admit every queued cell; with ``wait``, give the first one a poll
+        interval to arrive."""
+        while True:
+            try:
+                cell_index, snapshot, rejoin = self._admissions.get(wait, self.poll_interval_s)
+            except queue.Empty:
+                return
+            self._admit(cell_index, snapshot, rejoin)
+            wait = False
 
-        Missing neighbors (async mode before their first message) fall back
-        to the cell's *own* center, matching the initial sub-population
-        state; the cell treats them as stale entries.
-        """
-        ordered = []
-        for neighbor_cell in grid.neighbor_cells(cell_index):
-            payload = received.get(neighbor_cell)
-            if payload is None:
-                # Strictly local fallback for cell.step() on this thread:
-                # borrowing the center vectors (alias=True) skips two
-                # copies, and is safe for as long as the slot keeps the
-                # binding because a center vector is never written, only
-                # replaced.
-                own_g, own_d = cell.center_genomes(alias=True)
-                ordered.append((own_g, own_d))
-            else:
-                ordered.append((payload.generator_genome, payload.discriminator_genome))
-        return ordered
+    def _admit(self, cell_index: int, snapshot: CellSnapshot | None, rejoin: int) -> None:
+        """The one admission: restore the cell, then catch it up to the
+        block communication-free (below ``rejoin`` no round of it talks)."""
+        cell = Cell(self._config, cell_index, self.dataset,
+                    neighborhood_size=self._grid.neighborhood_size(cell_index))
+        if snapshot is not None:
+            cell.restore(snapshot.generator_genome, snapshot.discriminator_genome,
+                         snapshot.mixture_weights, snapshot.iteration)
+            telemetry.mark("admit cell", f"cell {cell_index} from iteration "
+                                         f"{snapshot.iteration}, rejoin {rejoin}")
+        if not self._block:
+            with self._iteration_lock:
+                self._iteration = cell.iteration
+        elif self._iteration > rejoin:
+            # rejoin_iteration's horizon (past every known iteration) rules
+            # this out: the cell would have missed synchronized rounds.
+            raise RuntimeError(
+                f"cell {cell_index} admitted at block iteration {self._iteration}, "
+                f"past its rejoin iteration {rejoin}")
+        self._block[cell_index] = cell
+        self._rejoin[cell_index] = rejoin
+        while cell.iteration < self._iteration:
+            self._round({cell_index: cell}, cell.iteration)
 
-    # -- results --------------------------------------------------------------------------
-
-    def _final_result(self, task: RunTask, cell: Cell, *,
-                      cell_index: int | None = None) -> SlaveResult:
-        g_genome, d_genome = cell.center_genomes()
-        return SlaveResult(
-            rank=self.comm.rank,
-            cell_index=task.cell_index if cell_index is None else cell_index,
-            generator_genome=g_genome,
-            discriminator_genome=d_genome,
-            mixture_weights=cell.mixture.weights.copy(),
-            reports=cell.reports,
-            telemetry=(telemetry.snapshot(self.comm.rank)
-                       if telemetry.enabled() else None),
+    def _round(self, cells: dict[int, Cell], iteration: int) -> None:
+        """One synchronous iteration of ``cells`` (all at ``iteration``):
+        exchange every payload in one round, step the cells in index order,
+        stream the checkpoints that are due."""
+        task, grid = self._task, self._grid
+        epoch = self.fault_state.current_epoch()
+        payloads = {}
+        for index, cell in cells.items():
+            # The center copy a checkpoint took at the end of the previous
+            # iteration is the one this exchange sends: nothing trains in
+            # between, and both consumers only read it.
+            g_genome, d_genome = self._centers.pop(index, None) or cell.center_genomes()
+            payloads[index] = ExchangePayload(index, iteration, g_genome, d_genome,
+                                              epoch=epoch)
+        telemetry.mark("get results from neighbours", f"iteration {iteration}")
+        received = self.comm.exchange_round(
+            grid, payloads, task.exchange_mode, self.abort_event,
+            fault_state=self.fault_state,
+            catch_up=[index for index in cells if iteration < self._rejoin[index]],
+            resync_until={index: self._rejoin[index] + RESYNC_WINDOW
+                          for index in cells if self._rejoin[index]},
         )
+        telemetry.mark("train one iteration", f"iteration {iteration}")
+        step_block(cells, grid.neighbor_cells, {
+            index: {neighbor: (p.generator_genome, p.discriminator_genome)
+                    for neighbor, p in seen.items()}
+            for index, seen in received.items()})
+        done = iteration + 1
+        if (task.snapshot_every and done % task.snapshot_every == 0
+                and done < self._config.coevolution.iterations):
+            for index, cell in cells.items():
+                centers = self._centers[index] = cell.center_genomes()
+                self.comm.send_cell_snapshot(_checkpoint(cell, centers))
 
-    def _partial_result(self, task: RunTask, *, aborted: bool) -> SlaveResult:
-        cell = getattr(self, "_cell", None)
-        if cell is None:  # pragma: no cover - abort raced the cell construction
-            raise RuntimeError("aborted before the cell was constructed")
-        result = self._final_result(task, cell)
-        result.aborted = aborted
-        return result
+    def _ship(self, *, aborted: bool = False) -> None:
+        """Send one result per hosted cell to the master; empty the block."""
+        task = self._task
+        telemetry.mark("send results to master")
+        # Taken after the mark, so the in-band copy includes it.
+        snapshot = telemetry.snapshot(self.comm.rank) if telemetry.enabled() else None
+        for index, cell in sorted(self._block.items()):
+            g_genome, d_genome = cell.center_genomes()
+            result = SlaveResult(
+                rank=self.comm.rank,
+                cell_index=index,
+                generator_genome=g_genome,
+                discriminator_genome=d_genome,
+                mixture_weights=cell.mixture.weights.copy(),
+                reports=cell.reports,
+                telemetry=snapshot,
+                aborted=aborted,
+                # Every cell but a launched rank's own came from a snapshot.
+                recovered=task.resume is not None or index != task.cell_index,
+            )
+            self.comm.send_result(result)
+            if index == task.cell_index and not task.standby:
+                self._result = result
+        self._block.clear()
+        self._rejoin.clear()
+        self._centers.clear()

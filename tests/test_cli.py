@@ -40,6 +40,11 @@ class TestParser:
         assert args.loss == "bce"
         assert args.exchange == "neighbors"
 
+    def test_async_exchange_is_gone(self):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "--exchange", "async"])
+        assert exit_info.value.code == 2
+
     def test_table_number_validated(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table", "5"])

@@ -173,15 +173,6 @@ class TestGroupExchange:
 
 
 class TestExchangeModes:
-    def test_async_mode_completes(self, module_dataset):
-        config = make_quick_config(2, 2, iterations=3)
-        result = DistributedRunner(
-            config, backend="threaded", dataset=module_dataset,
-            exchange_mode="async",
-        ).run()
-        assert result.complete
-        assert all(len(r) == 3 for r in result.training.cell_reports)
-
     def test_unknown_mode_rejected(self, module_dataset):
         config = make_quick_config(2, 2, iterations=1)
         runner = DistributedRunner(config, backend="threaded",

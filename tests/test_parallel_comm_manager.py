@@ -113,7 +113,7 @@ class TestHeartbeatPlumbing:
         assert all(run_mpi(2, program, backend="threaded", timeout=30))
 
 
-def _exchange_world(mode, grid_rows=2, grid_cols=2, iterations=1):
+def _exchange_world(mode, grid_rows=2, grid_cols=2):
     """All slaves exchange; returns per-slave dict of neighbor -> payload."""
     grid_payload = Grid(grid_rows, grid_cols).to_payload()
 
@@ -124,19 +124,8 @@ def _exchange_world(mode, grid_rows=2, grid_cols=2, iterations=1):
             return None
         grid = Grid.from_payload(grid_payload)
         cell = comm.rank - 1
-        out = None
-        for iteration in range(iterations):
-            received = comm.exchange_genomes(
-                grid, cell, make_payload(cell, iteration), mode
-            )
-            out = {c: p.generator_genome.parameters[0] for c, p in received.items()}
-            if mode == "async" and iteration < iterations - 1:
-                # Async never blocks; give in-flight messages the window the
-                # real training step provides before the next drain.
-                import time
-
-                time.sleep(0.05)
-        return out
+        received = comm.exchange_genomes(grid, cell, make_payload(cell), mode)
+        return {c: p.generator_genome.parameters[0] for c, p in received.items()}
 
     size = grid_rows * grid_cols + 1
     return run_mpi(size, program, backend="threaded", timeout=60)
@@ -160,13 +149,6 @@ class TestExchangeModes:
         for rank in range(1, 10):
             cell = rank - 1
             assert set(results[rank]) == set(grid.neighbor_cells(cell))
-
-    def test_async_mode_eventually_delivers(self):
-        # After a couple of iterations the async cache holds all neighbors.
-        results = _exchange_world("async", iterations=3)
-        grid = Grid(2, 2)
-        for rank in range(1, 5):
-            assert set(results[rank]) == set(grid.neighbor_cells(rank - 1))
 
     def test_unknown_mode_raises(self):
         def program(world):
@@ -200,7 +182,38 @@ class TestExchangeModes:
         assert all(run_mpi(3, program, backend="threaded", timeout=30))
 
     def test_modes_registry(self):
-        assert EXCHANGE_MODES == ("neighbors", "allgather", "async")
+        assert EXCHANGE_MODES == ("neighbors", "allgather")
+
+
+class TestBlockRound:
+    def test_block_of_two_neighbours_exchanges_without_deadlock(self):
+        """1x3 torus, rank 1 hosts cells 0 and 2 (cell 2 adopted from the
+        silent rank 3).  The two co-hosted cells neighbour each other: the
+        round sends every payload (the one for the co-hosted neighbour
+        through the self-send path) before any cell receives, so neither
+        waits on the other — receiving cell by cell would deadlock here."""
+        from repro.parallel.recovery import FaultNotice, FaultState, FrozenCell
+
+        def program(world):
+            comm = MpiCommManager(world)
+            comm.build_contexts(is_active_slave=not comm.is_master)
+            if comm.rank in (0, 3):
+                return None
+            state = FaultState()
+            state.apply(FaultNotice(policy="recover", dead_ranks=(3,), cells=(
+                FrozenCell(cell_index=2, iteration=0, generator_genome=None,
+                           discriminator_genome=None, mixture_weights=None,
+                           adopter_rank=1, rejoin_iteration=0),)))
+            hosted = (0, 2) if comm.rank == 1 else (1,)
+            received = comm.exchange_round(
+                Grid(1, 3), {cell: make_payload(cell) for cell in hosted},
+                "neighbors", fault_state=state)
+            return {cell: {c: p.generator_genome.parameters[0] for c, p in seen.items()}
+                    for cell, seen in received.items()}
+
+        results = run_mpi(4, program, backend="threaded", timeout=60)
+        assert results[1] == {0: {0: 0.0, 1: 1.0, 2: 2.0}, 2: {0: 0.0, 1: 1.0, 2: 2.0}}
+        assert results[2] == {1: {0: 0.0, 1: 1.0, 2: 2.0}}
 
 
 class TestResults:
