@@ -2,11 +2,14 @@
 """Heartbeat-based failure detection: a slave dies mid-run, the master
 notices through missing heartbeats and aborts the survivors gracefully.
 
-This exercises the control protocol of Section III-B: the master's
-heartbeat thread periodically requests each slave's state; a slave that
-stops answering is declared dead, the master broadcasts an abort, and the
-surviving slaves deliver partial results instead of hanging on the dead
-neighbor's genome exchange.
+This exercises the control protocol of Section III-B.  The paper's
+heartbeat thread is a tick of the master's one receive loop here: every
+heartbeat interval it requests each slave's state, and a slave that stops
+answering is declared dead.  The master then sends the abort to the
+survivors and to the rank it declared dead (silence is not proof of death:
+a live but slow rank must not be left waiting).  The surviving slaves
+deliver partial results instead of hanging on the dead neighbor's genome
+exchange.
 
 Run:  python examples/fault_tolerance.py
 """

@@ -314,7 +314,7 @@ class AliasEscapeRule(Rule):
 
     _SEND_ATTRS = {
         "send", "send_group", "put", "put_nowait", "publish", "submit",
-        "exchange_genomes", "send_result", "send_node_info", "reply_status",
+        "exchange_genomes",
     }
 
     @staticmethod

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,61 +179,29 @@ class CellSnapshot:
 
 
 class CellCheckpointStore:
-    """Latest per-cell snapshot, kept in master memory (optionally on disk).
+    """Latest per-cell snapshot, kept in master memory.
 
-    Thread-safe; :meth:`update` keeps only the newest snapshot per cell.
-    With a ``directory`` every accepted snapshot is also written atomically
-    as ``cell_<index>.npz`` so a crashed *master* leaves recoverable state
-    behind too.
+    :meth:`update` keeps only the newest snapshot per cell.  Read and
+    written by the master's one receive loop only, so it needs no lock.
     """
 
-    def __init__(self, directory: str | os.PathLike | None = None):
-        self._lock = threading.Lock()
+    def __init__(self):
         self._latest: dict[int, CellSnapshot] = {}
-        self._directory = None if directory is None else os.fspath(directory)
-        if self._directory is not None:
-            os.makedirs(self._directory, exist_ok=True)
 
     def update(self, snapshot: CellSnapshot) -> bool:
         """Keep ``snapshot`` iff it is newer than the stored one."""
-        with self._lock:
-            current = self._latest.get(snapshot.cell_index)
-            if current is not None and current.iteration >= snapshot.iteration:
-                return False
-            self._latest[snapshot.cell_index] = snapshot
-        if self._directory is not None:
-            self._spill(snapshot)
+        current = self._latest.get(snapshot.cell_index)
+        if current is not None and current.iteration >= snapshot.iteration:
+            return False
+        self._latest[snapshot.cell_index] = snapshot
         return True
 
     def latest(self, cell_index: int) -> CellSnapshot | None:
-        with self._lock:
-            return self._latest.get(cell_index)
+        return self._latest.get(cell_index)
 
     def iterations(self) -> dict[int, int]:
         """cell index -> iteration of the stored snapshot."""
-        with self._lock:
-            return {cell: s.iteration for cell, s in self._latest.items()}
-
-    def _spill(self, snapshot: CellSnapshot) -> None:
-        path = os.path.join(self._directory, f"cell_{snapshot.cell_index}.npz")
-        g, d = snapshot.generator_genome, snapshot.discriminator_genome
-        metadata = {
-            "version": _FORMAT_VERSION,
-            "cell_index": snapshot.cell_index,
-            "iteration": snapshot.iteration,
-            "learning_rates": [g.learning_rate, d.learning_rate],
-            "loss_name": g.loss_name,
-        }
-        arrays = {
-            "metadata": np.frombuffer(json.dumps(metadata).encode(), dtype=np.uint8),
-            "generator": g.parameters,
-            "discriminator": d.parameters,
-            "mixture": snapshot.mixture_weights,
-        }
-        tmp = f"{path}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        os.replace(tmp, path)
+        return {cell: s.iteration for cell, s in self._latest.items()}
 
 
 def initial_cell_snapshot(config: ExperimentConfig, cell_index: int,

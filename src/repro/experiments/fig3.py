@@ -2,7 +2,10 @@
 
 The paper's flow diagram shows the master (main thread + heartbeat thread)
 and a representative slave (main thread + execution thread) with their MPI
-interactions.  The regenerator runs a small distributed job at telemetry
+interactions.  Here the master is single-threaded: the paper's heartbeat
+thread is the heartbeat tick of the master's one receive loop, and its
+"Create heartbeat thread" box is the ``start heartbeat`` mark, where the
+launched ranks go under that tick's watch.  The regenerator runs a small distributed job at telemetry
 level ``trace`` and prints its protocol marks as one merged, time-ordered
 event log (rank 0 is the master lane, rank r the ``slave-r`` lane); the
 expected event sequence of the figure (node info -> run task -> grid
@@ -33,7 +36,7 @@ EXPECTED_MASTER_SEQUENCE = (
     "node info gathered",
     "placement decided",
     "run tasks sent",
-    "create heartbeat thread",
+    "start heartbeat",
     "result received",
     "final results gathered",
 )

@@ -82,7 +82,7 @@ LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 #     routes that follow it, a MSG is addressed by them (one body for all
 #     its destinations) and pickles (context, source, payload) instead of
 #     an Envelope; START names every worker's rank block.
-_WIRE_VERSION = 5
+_WIRE_VERSION = 6  # v6: the control protocol is one typed stream per direction
 
 #: Size cap on the pre-auth hello body.  A real hello is ~150 bytes; the
 #: coordinator refuses to buffer more than this for a peer that has not

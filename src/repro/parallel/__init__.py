@@ -10,13 +10,17 @@ parallel/distributed implementation of Mustangs/Lipizzaner:
   (replaces ``node-comm``): every inter-process interaction behind an
   abstract interface, MPI underneath, including the WORLD / LOCAL / GLOBAL
   communicator split of Section III-D.
+* :mod:`repro.parallel.messages` — the control protocol: one stream of
+  typed messages each way between master and slaves, one tag each.
 * :mod:`repro.parallel.master` / :mod:`repro.parallel.slave` — the two
-  process roles of Section III-B, with the slave's two-thread design (main
-  thread = master interface, execution thread = training the block of
-  cells the rank hosts) and the
+  process roles of Section III-B: a single-threaded master whose one
+  receive loop also ticks the heartbeat, and the slave's two-thread design
+  (main thread = master interface, blocked in one receive; execution
+  thread = training the block of cells the rank hosts) with the
   ``inactive -> processing -> finished`` state machine of Fig. 2.
-* :mod:`repro.parallel.heartbeat` — the master's heartbeat thread and the
-  liveness protocol, including failure detection and graceful abort.
+* :mod:`repro.parallel.heartbeat` — the master's liveness table, advanced
+  by the receive loop's heartbeat tick: failure detection from explicit
+  timestamps.
 * :mod:`repro.parallel.runner` — one-call entry point running the whole
   job over any registered MPI transport: process (true parallel), threaded
   (deterministic), or socket (TCP workers on one or many machines).

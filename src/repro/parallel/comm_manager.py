@@ -8,7 +8,9 @@ functions".  :class:`CommManager` is that abstract interface;
 
 Three communication contexts, exactly as in Section III-D:
 
-* **WORLD** — job setup, run-task messages, status control, results;
+* **WORLD** — the control protocol: one stream of typed messages from the
+  master to the slaves and one back (see :mod:`repro.parallel.messages`),
+  moved by :meth:`CommManager.send` and :meth:`CommManager.receive`;
 * **LOCAL** — only the active slaves; carries the per-iteration genome
   exchange (the profiled ``gather`` routine) without involving the master;
 * **GLOBAL** — master + all slaves; final collective operations.
@@ -19,19 +21,18 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Collection, Mapping
+from typing import TYPE_CHECKING, Any, Collection, Mapping
 
 from repro.mpi import ANY_SOURCE, Comm, MpiTimeoutError
 from repro.mpi.stats import payload_nbytes
 from repro.parallel.grid import Grid
-from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply, Tags
+from repro.parallel.messages import ExchangePayload, Tags
 from repro.telemetry import bus as telemetry
 
 from repro.parallel.recovery import RESYNC_TIMEOUT_S
 
 if TYPE_CHECKING:  # type-only: recovery types never constructed here
-    from repro.coevolution.checkpoint import CellSnapshot
-    from repro.parallel.recovery import FaultNotice, FaultState
+    from repro.parallel.recovery import FaultState
 
 __all__ = ["CommManager", "MpiCommManager", "ExchangeAborted", "EXCHANGE_MODES"]
 
@@ -64,19 +65,7 @@ class CommManager:
     def is_master(self) -> bool:
         return self.rank == 0
 
-    # -- setup phase ------------------------------------------------------------
-
-    def send_node_info(self, info: NodeInfo) -> None:
-        raise NotImplementedError
-
-    def collect_node_info(self) -> list[NodeInfo]:
-        raise NotImplementedError
-
-    def send_run_task(self, slave_rank: int, task: RunTask) -> None:
-        raise NotImplementedError
-
-    def wait_for_run_task(self) -> RunTask:
-        raise NotImplementedError
+    # -- communication contexts ---------------------------------------------------
 
     def build_contexts(self, is_active_slave: bool) -> None:
         """Collectively derive the LOCAL and GLOBAL communicators."""
@@ -86,68 +75,19 @@ class CommManager:
         """Re-derive LOCAL/GLOBAL *non-collectively* (respawned rank)."""
         raise NotImplementedError
 
-    def try_collect_node_info(self, timeout: float) -> NodeInfo | None:
-        """One late node-info message, if any (respawn/join detection).
+    # -- the control protocol -----------------------------------------------------
 
-        Polled unconditionally by the master loop, so the default is "no
-        late arrivals" rather than NotImplementedError: comms without an
-        open rendezvous simply never see one.
-        """
-        return None
-
-    # -- heartbeat / control ------------------------------------------------------
-
-    def request_status(self, slave_rank: int) -> None:
+    def send(self, dest: int, message: Any) -> None:
+        """Put one typed control message on ``dest``'s inbox: the master's
+        when ``dest`` is 0, a slave's otherwise — a slave may address its
+        own (the execution thread's exit wakes the main thread that way)."""
         raise NotImplementedError
 
-    def poll_status_request(self) -> bool:
+    def receive(self, timeout: float | None = None) -> Any:
+        """The next message of this rank's inbox, in arrival order; blocks
+        for at most ``timeout`` seconds (``None``: until one arrives) and
+        returns ``None`` when none did."""
         raise NotImplementedError
-
-    def reply_status(self, reply: StatusReply) -> None:
-        raise NotImplementedError
-
-    def drain_status_replies(self) -> list[StatusReply]:
-        raise NotImplementedError
-
-    def send_abort(self, slave_rank: int) -> None:
-        raise NotImplementedError
-
-    def poll_abort(self) -> bool:
-        raise NotImplementedError
-
-    # -- fault recovery ------------------------------------------------------------
-
-    def send_cell_snapshot(self, snapshot: "CellSnapshot") -> None:
-        raise NotImplementedError
-
-    def drain_cell_snapshots(self) -> "list[CellSnapshot]":
-        raise NotImplementedError
-
-    def send_fault_notice(self, slave_rank: int, notice: "FaultNotice") -> None:
-        raise NotImplementedError
-
-    def poll_fault_notice(self) -> "FaultNotice | None":
-        # Polled unconditionally by the slave serve loop, so the default is
-        # "no notice" rather than NotImplementedError: a comm that does not
-        # participate in fault recovery simply never surfaces one.
-        return None
-
-    # -- elastic membership (graceful drain) ---------------------------------------
-
-    def send_drain_notice(self, notice) -> None:
-        """Leaving slave -> master: final checkpoints for hand-off."""
-        raise NotImplementedError
-
-    def poll_drain_notice(self):
-        # Defaults mirror poll_fault_notice: polled unconditionally by the
-        # master loop, absent on comms without elastic membership.
-        return None
-
-    def send_drain_ack(self, slave_rank: int) -> None:
-        raise NotImplementedError
-
-    def poll_drain_ack(self) -> bool:
-        return False
 
     # -- training-time exchange ------------------------------------------------------
 
@@ -194,14 +134,6 @@ class CommManager:
             resync_until=None if resync_until is None else {cell_index: resync_until},
         )[cell_index]
 
-    # -- results ------------------------------------------------------------------------
-
-    def send_result(self, result: SlaveResult) -> None:
-        raise NotImplementedError
-
-    def try_collect_result(self, timeout: float) -> SlaveResult | None:
-        raise NotImplementedError
-
 
 class MpiCommManager(CommManager):
     """The MPI implementation used by both the master and the slaves."""
@@ -221,23 +153,7 @@ class MpiCommManager(CommManager):
     def size(self) -> int:
         return self.world.Get_size()
 
-    # -- setup phase -------------------------------------------------------------------
-
-    def send_node_info(self, info: NodeInfo) -> None:
-        self.world.send(info, dest=0, tag=Tags.NODE_INFO)
-
-    def collect_node_info(self) -> list[NodeInfo]:
-        infos = []
-        for _ in range(self.size - 1):
-            infos.append(self.world.recv(source=ANY_SOURCE, tag=Tags.NODE_INFO))
-        infos.sort(key=lambda i: i.rank)
-        return infos
-
-    def send_run_task(self, slave_rank: int, task: RunTask) -> None:
-        self.world.send(task, dest=slave_rank, tag=Tags.RUN_TASK)
-
-    def wait_for_run_task(self) -> RunTask:
-        return self.world.recv(source=0, tag=Tags.RUN_TASK)
+    # -- communication contexts -----------------------------------------------------
 
     def build_contexts(self, is_active_slave: bool) -> None:
         """LOCAL = active slaves only; GLOBAL = everyone (a WORLD duplicate).
@@ -265,83 +181,21 @@ class MpiCommManager(CommManager):
                       if is_active_slave else None)
         self.global_ = self.world.Attach_derived((1, 0), everyone)
 
-    def try_collect_node_info(self, timeout: float) -> NodeInfo | None:
+    # -- the control protocol -----------------------------------------------------------
+    #
+    # One tag per direction, so a slave addressing itself lands on the
+    # same stream as the master's orders.
+
+    def send(self, dest: int, message: Any) -> None:
+        tag = Tags.TO_MASTER if dest == 0 else Tags.TO_SLAVE
+        self.world.send(message, dest=dest, tag=tag)
+
+    def receive(self, timeout: float | None = None) -> Any:
+        tag = Tags.TO_MASTER if self.is_master else Tags.TO_SLAVE
         try:
-            return self.world.recv(source=ANY_SOURCE, tag=Tags.NODE_INFO,
-                                   timeout=timeout)
+            return self.world.recv(source=ANY_SOURCE, tag=tag, timeout=timeout)
         except MpiTimeoutError:
             return None
-
-    # -- heartbeat / control -------------------------------------------------------------
-
-    def request_status(self, slave_rank: int) -> None:
-        self.world.send(None, dest=slave_rank, tag=Tags.STATUS_REQUEST)
-
-    def poll_status_request(self) -> bool:
-        if self.world.iprobe(source=0, tag=Tags.STATUS_REQUEST):
-            self.world.recv(source=0, tag=Tags.STATUS_REQUEST)
-            return True
-        return False
-
-    def reply_status(self, reply: StatusReply) -> None:
-        self.world.send(reply, dest=0, tag=Tags.STATUS_REPLY)
-
-    def drain_status_replies(self) -> list[StatusReply]:
-        replies = []
-        while self.world.iprobe(source=ANY_SOURCE, tag=Tags.STATUS_REPLY):
-            replies.append(self.world.recv(source=ANY_SOURCE, tag=Tags.STATUS_REPLY))
-        return replies
-
-    def send_abort(self, slave_rank: int) -> None:
-        self.world.send(None, dest=slave_rank, tag=Tags.ABORT)
-
-    def poll_abort(self) -> bool:
-        if self.world.iprobe(source=0, tag=Tags.ABORT):
-            self.world.recv(source=0, tag=Tags.ABORT)
-            return True
-        return False
-
-    # -- fault recovery -------------------------------------------------------------
-
-    def send_cell_snapshot(self, snapshot: "CellSnapshot") -> None:
-        self.world.send(snapshot, dest=0, tag=Tags.CHECKPOINT)
-
-    def drain_cell_snapshots(self) -> "list[CellSnapshot]":
-        snapshots = []
-        while self.world.iprobe(source=ANY_SOURCE, tag=Tags.CHECKPOINT):
-            snapshots.append(self.world.recv(source=ANY_SOURCE, tag=Tags.CHECKPOINT))
-        return snapshots
-
-    def send_fault_notice(self, slave_rank: int, notice: "FaultNotice") -> None:
-        self.world.send(notice, dest=slave_rank, tag=Tags.FAULT_NOTICE)
-
-    def poll_fault_notice(self) -> "FaultNotice | None":
-        if self.world.iprobe(source=0, tag=Tags.FAULT_NOTICE):
-            return self.world.recv(source=0, tag=Tags.FAULT_NOTICE)
-        return None
-
-    # -- elastic membership (graceful drain) ---------------------------------------
-    #
-    # DRAIN shares one tag in both directions: slave -> 0 carries the
-    # DrainNotice (final checkpoints), 0 -> slave carries the ack (None).
-    # Direction disambiguates — iprobe filters on the source rank.
-
-    def send_drain_notice(self, notice) -> None:
-        self.world.send(notice, dest=0, tag=Tags.DRAIN)
-
-    def poll_drain_notice(self):
-        if self.world.iprobe(source=ANY_SOURCE, tag=Tags.DRAIN):
-            return self.world.recv(source=ANY_SOURCE, tag=Tags.DRAIN)
-        return None
-
-    def send_drain_ack(self, slave_rank: int) -> None:
-        self.world.send(None, dest=slave_rank, tag=Tags.DRAIN)
-
-    def poll_drain_ack(self) -> bool:
-        if self.world.iprobe(source=0, tag=Tags.DRAIN):
-            self.world.recv(source=0, tag=Tags.DRAIN)
-            return True
-        return False
 
     # -- training-time exchange -------------------------------------------------------------
 
@@ -492,14 +346,3 @@ class MpiCommManager(CommManager):
         everything: list[ExchangePayload] = self.local.allgather(payload)
         wanted = set(grid.neighbor_cells(cell_index))
         return {p.cell_index: p for p in everything if p.cell_index in wanted}
-
-    # -- results ------------------------------------------------------------------------------
-
-    def send_result(self, result: SlaveResult) -> None:
-        self.world.send(result, dest=0, tag=Tags.RESULT)
-
-    def try_collect_result(self, timeout: float) -> SlaveResult | None:
-        try:
-            return self.world.recv(source=ANY_SOURCE, tag=Tags.RESULT, timeout=timeout)
-        except MpiTimeoutError:
-            return None

@@ -1,4 +1,4 @@
-"""The master's heartbeat thread (paper Section III-B and Fig. 3).
+"""The master's heartbeat (paper Section III-B and Fig. 3).
 
 "During the execution, the master periodically performs control activities
 to determine if all slaves are working properly, are on time, or are
@@ -6,20 +6,23 @@ delayed ... handled by a thread of the master process (the heartbeat
 thread), in order to perform the system monitoring in background, without
 interfering with the main processing."
 
-:class:`HeartbeatMonitor` runs that loop: every ``interval`` it sends a
-status request to each still-processing slave, drains the replies, and
-tracks per-slave liveness.  A slave that misses ``miss_limit`` consecutive
-rounds is declared dead; if failure detection is enabled the monitor then
-asks the master to abort the remaining slaves gracefully.
+Here the heartbeat is a tick of the master's one receive loop rather than
+a thread: :class:`HeartbeatMonitor` is the liveness table that loop
+advances.  Every ``interval_s`` a watched rank's round closes — a miss if
+no status reply arrived since it was pinged — and the next opens with a new
+ping; ``miss_limit`` consecutive misses declare the rank dead, and the
+master turns the death into a membership transition.  The table reads no
+clock: every call takes the time as ``now``, so a heartbeat timeout depends
+only on the timestamps passed in, and the master's loop waits for a message
+at most until :meth:`HeartbeatMonitor.next_tick`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
-from repro.parallel.comm_manager import CommManager
+from repro.parallel.messages import StatusReply
 from repro.parallel.states import SlaveState
 
 __all__ = ["SlaveLiveness", "HeartbeatMonitor"]
@@ -32,9 +35,12 @@ class SlaveLiveness:
     rank: int
     state: str = SlaveState.INACTIVE.value
     iteration: int = 0
-    last_reply_at: float = field(default_factory=time.monotonic)
     missed_rounds: int = 0
     dead: bool = False
+    due: float = 0.0
+    """When the rank's current round closes (its next ping goes out)."""
+    awaiting: bool = False
+    """Pinged, and no status reply since."""
 
     @property
     def finished(self) -> bool:
@@ -47,121 +53,83 @@ class SlaveLiveness:
 
 
 class HeartbeatMonitor:
-    """Background liveness monitoring, one instance inside the master."""
+    """The master's liveness table; empty until :meth:`watch` arms a rank."""
 
-    def __init__(self, comm: CommManager, slave_ranks: list[int], *,
-                 interval_s: float = 0.25, miss_limit: int = 8):
+    def __init__(self, *, interval_s: float = 0.25, miss_limit: int = 8):
         if interval_s <= 0:
             raise ValueError("interval must be positive")
         if miss_limit < 1:
             raise ValueError("miss_limit must be >= 1")
-        self.comm = comm
         self.interval_s = interval_s
         self.miss_limit = miss_limit
-        self.liveness: dict[int, SlaveLiveness] = {
-            rank: SlaveLiveness(rank) for rank in slave_ranks
-        }
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, name="heartbeat", daemon=True)
-        self.deaths_detected = threading.Event()
+        self.liveness: dict[int, SlaveLiveness] = {}
 
-    # -- lifecycle ------------------------------------------------------------------
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-
-    # -- queries (thread-safe) ---------------------------------------------------------
-
-    def snapshot(self) -> dict[int, SlaveLiveness]:
-        with self._lock:
-            return {
-                rank: SlaveLiveness(rank=l.rank, state=l.state, iteration=l.iteration,
-                                    last_reply_at=l.last_reply_at,
-                                    missed_rounds=l.missed_rounds, dead=l.dead)
-                for rank, l in self.liveness.items()
-            }
+    # -- queries ----------------------------------------------------------------------
 
     def all_accounted(self) -> bool:
-        with self._lock:
-            return all(l.accounted for l in self.liveness.values())
+        return all(l.accounted for l in self.liveness.values())
 
     def dead_ranks(self) -> list[int]:
-        with self._lock:
-            return [rank for rank, l in self.liveness.items() if l.dead]
+        return [rank for rank, l in self.liveness.items() if l.dead]
+
+    def next_tick(self) -> float:
+        """When :meth:`tick` next has work (``inf`` with nobody watched)."""
+        return min((l.due for l in self.liveness.values() if not l.accounted),
+                   default=math.inf)
+
+    # -- the table's inputs -------------------------------------------------------------
+
+    def watch(self, rank: int, now: float) -> None:
+        """Put ``rank`` (back) under watch, pinged at the next tick: at
+        launch, and for a respawned or joined rank."""
+        self.liveness[rank] = SlaveLiveness(rank, state=SlaveState.PROCESSING.value,
+                                            due=now)
+
+    def record(self, reply: StatusReply) -> None:
+        """A status reply arrived: the rank answered this round."""
+        entry = self.liveness.get(reply.rank)
+        if entry is None or entry.accounted:
+            return
+        entry.state = reply.state
+        entry.iteration = reply.iteration
+        entry.missed_rounds = 0
+        entry.awaiting = False
 
     def mark_finished(self, rank: int) -> bool:
-        """Called by the master's main thread when a rank needs no more
-        watching: its last result arrived — result reception is the
-        authoritative end-of-execution signal — or it drained (a planned
-        departure is accounted, but not dead).
+        """The master's word that a rank needs no more watching: its last
+        result arrived — result reception is the authoritative
+        end-of-execution signal — or it drained (a planned departure is
+        accounted, but not dead).
 
-        A result beats a concurrent death declaration: a slave that went
+        A result beats an earlier death declaration: a slave that went
         quiet during its final iterations (long batch, loaded node) can
         exhaust the miss budget *after* its FINISHED result is already in
-        flight.  Clearing ``dead`` here resurrects such a rank; the master
-        re-reads :meth:`dead_ranks` before acting on ``deaths_detected`` so
-        a resurrected rank is never aborted or migrated.  Returns whether a
-        death declaration was overturned.
+        flight.  Clearing ``dead`` here resurrects such a rank, and the
+        master only acts on ranks :meth:`dead_ranks` still names, so a
+        resurrected rank is never migrated.  Returns whether a death
+        declaration was overturned.
         """
-        with self._lock:
-            entry = self.liveness[rank]
-            entry.state = SlaveState.FINISHED.value
-            entry.missed_rounds = 0
-            resurrected = entry.dead
-            entry.dead = False
+        entry = self.liveness[rank]
+        entry.state = SlaveState.FINISHED.value
+        entry.missed_rounds = 0
+        resurrected = entry.dead
+        entry.dead = False
         return resurrected
 
-    def revive(self, rank: int) -> None:
-        """Put a respawned or joined rank (back) under monitoring."""
-        with self._lock:
-            entry = self.liveness[rank]
-            entry.dead = False
-            entry.missed_rounds = 0
-            entry.state = SlaveState.PROCESSING.value
-            entry.last_reply_at = time.monotonic()
-
-    # -- the heartbeat loop ---------------------------------------------------------------
-
-    def _loop(self) -> None:
-        while not self._stop.is_set():
-            with self._lock:
-                targets = [l.rank for l in self.liveness.values() if not l.accounted]
-            if not targets:
-                # Idle, not done: revive() may put a respawned or joined
-                # rank back under watch long after the last survivor
-                # finished.  stop() ends the loop.
-                self._stop.wait(self.interval_s)
+    def tick(self, now: float) -> list[int]:
+        """Close every round that is due at ``now`` and open the next;
+        returns the ranks to ping.  A rank that has not answered since its
+        last ping misses the round, and dies at ``miss_limit`` misses."""
+        ping = []
+        for rank, entry in self.liveness.items():
+            if entry.accounted or entry.due > now:
                 continue
-            for rank in targets:
-                self.comm.request_status(rank)
-            # Give slaves one interval to answer, then account.
-            self._stop.wait(self.interval_s)
-            replied = set()
-            for reply in self.comm.drain_status_replies():
-                replied.add(reply.rank)
-                with self._lock:
-                    entry = self.liveness.get(reply.rank)
-                    if entry is None or entry.accounted:
-                        continue
-                    entry.state = reply.state
-                    entry.iteration = reply.iteration
-                    entry.last_reply_at = time.monotonic()
-                    entry.missed_rounds = 0
-            newly_dead = []
-            with self._lock:
-                for rank in targets:
-                    entry = self.liveness[rank]
-                    if rank in replied or entry.accounted:
-                        continue
-                    entry.missed_rounds += 1
-                    if entry.missed_rounds >= self.miss_limit:
-                        entry.dead = True
-                        newly_dead.append(rank)
-            if newly_dead:
-                self.deaths_detected.set()
+            if entry.awaiting:
+                entry.missed_rounds += 1
+                if entry.missed_rounds >= self.miss_limit:
+                    entry.dead = True
+                    continue
+            entry.awaiting = True
+            entry.due = now + self.interval_s
+            ping.append(rank)
+        return ping

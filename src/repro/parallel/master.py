@@ -5,9 +5,17 @@ computing infrastructure (node-info messages from every slave, plus the
 simulated platform model), (ii) decide in which node each slave executes,
 (iii) assign workload balancing the per-node load, (iv) share the parameter
 configuration with all slaves.  It then launches the slaves (run-task
-messages), monitors them through the heartbeat thread, and — once they
-finish — gathers their local results and performs the reduction phase,
-returning the best generative model found.
+messages), monitors them through the heartbeat, and — once they finish —
+gathers their local results and performs the reduction phase, returning
+the best generative model found.
+
+The master is single-threaded: one receive loop (:meth:`MasterProcess._step`)
+takes every slave message in arrival order and runs the heartbeat's tick
+(:class:`~repro.parallel.heartbeat.HeartbeatMonitor`), waiting for a
+message at most until the next tick is due.  The launch node-info gather,
+the main watch loop, the respawn grace wait and the straggler drain are all
+that loop with a different stop condition, so the heartbeat keeps ticking
+through each of them.
 
 Every protocol step, fault and membership decision is put on rank 0's
 telemetry timeline with ``telemetry.mark`` — the master lane of Fig. 3.
@@ -15,8 +23,10 @@ telemetry timeline with ``telemetry.mark`` — the master lane of Fig. 3.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.cluster import ClusterPlatform, PlacementPlan, cluster_uy, place_tasks
 from repro.config import ExperimentConfig
@@ -26,10 +36,18 @@ from repro.coevolution.checkpoint import (
     initial_cell_snapshot,
 )
 from repro.parallel.comm_manager import CommManager
-from repro.parallel.elastic import MembershipLog, MembershipTable, Transition
+from repro.parallel.elastic import DrainNotice, MembershipLog, MembershipTable, Transition
 from repro.parallel.grid import Grid
 from repro.parallel.heartbeat import HeartbeatMonitor
-from repro.parallel.messages import NodeInfo, RunTask, SlaveResult
+from repro.parallel.messages import (
+    Abort,
+    DrainAck,
+    NodeInfo,
+    RunTask,
+    SlaveResult,
+    StatusReply,
+    StatusRequest,
+)
 from repro.parallel.recovery import (
     ResumeDirective,
     rejoin_iteration,
@@ -71,11 +89,11 @@ class MasterOutcome:
 class MasterProcess:
     """One master rank; drive with :meth:`run`.
 
-    After launch the master watches and reacts: the poll loop in
-    :meth:`run` detects a death, a drain notice or a late arrival, asks the
-    :class:`~repro.parallel.elastic.MembershipTable` what follows, and
-    :meth:`_apply` performs it — the only place a membership decision is
-    sent or marked.
+    After launch the master watches and reacts: :meth:`_react` turns a
+    death, a drain notice or a late arrival into a question to the
+    :class:`~repro.parallel.elastic.MembershipTable`, and :meth:`_apply`
+    performs the answer — the only place a membership decision is sent or
+    marked.
     """
 
     def __init__(self, comm: CommManager, config: ExperimentConfig, *,
@@ -123,9 +141,23 @@ class MasterProcess:
         rows, cols = config.coevolution.grid_rows, config.coevolution.grid_cols
         grid = self._grid = Grid(rows, cols, first_slave_rank=1)
         slave_ranks = grid.slave_ranks()
+        monitor = self._monitor = HeartbeatMonitor(
+            interval_s=self.heartbeat_interval_s, miss_limit=self.miss_limit)
+        results = self._results = {}
+        self._store = CellCheckpointStore()
+        table = self._table = MembershipTable(
+            grid, self.fault_policy, config.coevolution.iterations)
+        #: NodeInfo messages not yet claimed: the launch gather, then
+        #: respawns and elastic joiners.
+        self._arrivals: list[NodeInfo] = []
+        self._drains: list[DrainNotice] = []
+        self._restarts_used = 0
+        self._aborted = False
 
         # (i) Gather infrastructure information.
-        node_info = self._node_info = comm.collect_node_info()
+        self._wait(lambda: len(self._arrivals) == len(slave_ranks))
+        node_info = self._node_info = sorted(self._arrivals, key=lambda i: i.rank)
+        self._arrivals = []
         telemetry.mark("node info gathered", f"{len(node_info)} slaves")
 
         # (ii)+(iii) Placement: either the plan the launcher derived from
@@ -150,49 +182,37 @@ class MasterProcess:
         self._slave_telemetry = (telemetry.level_name()
                                  if telemetry.enabled() else None)
         for rank in slave_ranks:
-            comm.send_run_task(rank, self._run_task(rank, grid.cell_of_rank(rank)))
+            comm.send(rank, self._run_task(rank, grid.cell_of_rank(rank)))
         telemetry.mark("run tasks sent", f"{len(slave_ranks)} slaves")
 
         # Join the collective context derivation (LOCAL excludes the master).
         comm.build_contexts(is_active_slave=False)
 
-        # Background monitoring (Fig. 3: "Create heartbeat thread").
-        telemetry.mark("create heartbeat thread")
-        monitor = self._monitor = HeartbeatMonitor(
-            comm, slave_ranks,
-            interval_s=self.heartbeat_interval_s, miss_limit=self.miss_limit,
-        )
-        monitor.start()
+        # Fig. 3's "Create heartbeat thread": the launched ranks go under
+        # the watch of the receive loop's heartbeat tick.
+        telemetry.mark("start heartbeat")
+        now = time.monotonic()
+        for rank in slave_ranks:
+            monitor.watch(rank, now)
 
-        # Main thread: collect results as slaves finish, and react to
-        # membership changes through the table.
-        results = self._results = {}
-        self._store = CellCheckpointStore()
-        table = self._table = MembershipTable(
-            grid, self.fault_policy, config.coevolution.iterations)
-        self._restarts_used = 0
-        self._stray_node_info: list[NodeInfo] = []
-        self._aborted = False
-        try:
-            while True:
-                self._collect_result(timeout=0.1)
-                self._drain_snapshots()
-                if not self._aborted:
-                    self._poll_membership()
-                if len(results) == len(slave_ranks):
+        # Collect results as slaves finish, and react to membership changes
+        # through the table.
+        while len(results) < len(slave_ranks):
+            if monitor.all_accounted():
+                # Everyone is finished or dead; give stragglers a second.
+                count = len(results)
+                if not self._wait(lambda: len(results) > count,
+                                  time.monotonic() + 1.0):
                     break
-                if monitor.all_accounted():
-                    # Everyone is finished or dead; drain stragglers briefly.
-                    if self._collect_result(timeout=1.0):
-                        continue
-                    break
-            # Release parked joiners: a standby rank serves until the
-            # master's abort reaches it (its adopted cells, if any, have
-            # already shipped — the completion check above said so).
-            for rank in table.standby():
-                comm.send_abort(rank)
-        finally:
-            monitor.stop()
+            else:
+                self._step()
+            if not self._aborted:
+                self._react()
+        # Release parked joiners: a standby rank serves until the master's
+        # abort reaches it (its adopted cells, if any, have already shipped
+        # — the completion check above said so).
+        for rank in table.standby():
+            comm.send(rank, Abort())
 
         # Reduction phase happens in the runner (it has the metric context);
         # the master returns everything it gathered.
@@ -231,12 +251,47 @@ class MasterProcess:
             standby=resume is not None and resume.snapshot is None,
         )
 
-    # -- intake ---------------------------------------------------------------------
+    # -- the receive loop ---------------------------------------------------------------
 
-    def _collect_result(self, timeout: float) -> bool:
-        result = self.comm.try_collect_result(timeout=timeout)
-        if result is None:
-            return False
+    def _step(self, deadline: float = math.inf) -> bool:
+        """One turn of the receive loop: wait for the next slave message —
+        no later than the next heartbeat tick or ``deadline`` — and take it
+        in, then run the tick if it is due.  Returns whether a message
+        arrived."""
+        wake = min(self._monitor.next_tick(), deadline)
+        now = time.monotonic()
+        message = self.comm.receive(None if wake == math.inf else max(0.0, wake - now))
+        if message is not None:
+            self._handle(message)
+        for rank in self._monitor.tick(time.monotonic()):
+            self.comm.send(rank, StatusRequest())
+        return message is not None
+
+    def _wait(self, done: Callable[[], bool], deadline: float = math.inf) -> bool:
+        """Run the receive loop until ``done()`` (True) or ``deadline`` (False)."""
+        while not done():
+            if time.monotonic() >= deadline:
+                return False
+            self._step(deadline)
+        return True
+
+    def _handle(self, message) -> None:
+        """Take one slave message in.  What it records is immediate; the
+        membership reactions it may call for wait for :meth:`_react`."""
+        if isinstance(message, StatusReply):
+            self._monitor.record(message)
+        elif isinstance(message, SlaveResult):
+            self._take_result(message)
+        elif isinstance(message, CellSnapshot):
+            self._store.update(message)
+        elif isinstance(message, DrainNotice):
+            self._drains.append(message)
+        elif isinstance(message, NodeInfo):
+            self._arrivals.append(message)
+        else:
+            raise TypeError(f"unexpected message to the master: {message!r}")
+
+    def _take_result(self, result: SlaveResult) -> None:
         self._results[result.cell_index] = result
         self._table.finish(result.cell_index)
         sender = result.rank
@@ -247,25 +302,16 @@ class MasterProcess:
                 telemetry.mark("rank resurrected by result", f"rank {sender}")
         label = "recovered result received" if result.recovered else "result received"
         telemetry.mark(label, f"cell {result.cell_index} from rank {sender}")
-        return True
 
-    def _drain_snapshots(self) -> None:
-        if not self.snapshot_every:
-            return
-        for snapshot in self.comm.drain_cell_snapshots():
-            self._store.update(snapshot)
-
-    def _poll_membership(self) -> None:
-        """Turn whatever the run reported since the last poll into
+    def _react(self) -> None:
+        """Turn whatever the run reported since the last turn into
         transitions: drains, then late arrivals, then deaths."""
-        comm, table, monitor = self.comm, self._table, self._monitor
+        table = self._table
         # Planned departures come in *before* death handling: a draining
         # rank that also tripped the miss limit must be handed off from its
         # fresh snapshots, not "recovered".
-        while not self._aborted:
-            drain = comm.poll_drain_notice()
-            if drain is None:
-                break
+        while self._drains and not self._aborted:
+            drain = self._drains.pop(0)
             telemetry.mark("drain notice received",
                            f"rank {drain.rank}, {len(drain.snapshots)} cell(s)")
             # Exact, taken at an iteration boundary moments ago: the
@@ -276,36 +322,29 @@ class MasterProcess:
         if self._aborted:
             return
         # A NodeInfo outside start-up/respawn-grace is an elastic joiner
-        # filling a vacant slot.  One whose slot is not (yet) vacant is
+        # filling a vacant slot.  One whose slot is not (yet) vacant stays
         # parked: it may be a respawn racing its own death declaration
-        # (_await_respawns claims it from the stash) or a joiner racing the
-        # heartbeat's detection of the vacancy.
-        info = comm.try_collect_node_info(timeout=0.0)
-        if info is not None:
-            self._stray_node_info.append(info)
-        for stray in list(self._stray_node_info):
-            if stray.rank in table.vacant():
-                self._stray_node_info.remove(stray)
-                self._arrive("join", stray)
-        if monitor.deaths_detected.is_set():
-            # Clear *before* reading the dead set: a death declared
-            # between the read and the clear must re-raise the flag.
-            monitor.deaths_detected.clear()
-            dead_now = sorted(set(monitor.dead_ranks()) - table.vacant())
-            if dead_now:
-                with telemetry.span("fault.detected", rank=0):
-                    telemetry.mark("slave failure detected",
-                                   ", ".join(str(r) for r in dead_now))
-                    self._depart("death", dead_now)
+        # (_await_respawns claims it) or a joiner racing the heartbeat's
+        # detection of the vacancy.
+        for info in list(self._arrivals):
+            if info.rank in table.vacant():
+                self._arrivals.remove(info)
+                self._arrive("join", info)
+        dead_now = sorted(set(self._monitor.dead_ranks()) - table.vacant())
+        if dead_now:
+            with telemetry.span("fault.detected", rank=0):
+                telemetry.mark("slave failure detected",
+                               ", ".join(str(r) for r in dead_now))
+                self._depart("death", dead_now)
 
     # -- membership changes: gather the inputs, decide, apply ---------------------------
 
     def _depart(self, kind: str, ranks: list[int]) -> None:
-        # Drain in-flight results first: a result that raced its own death
-        # declaration (or drain) means the cell needs no hand-off at all.
-        while self._collect_result(timeout=0.0):
+        # Take in what has already arrived first: a result that raced its
+        # own death declaration (or drain) means the cell needs no hand-off.
+        now = time.monotonic()
+        while self._step(now):
             pass
-        self._drain_snapshots()
         table = self._table
         reborn: dict[int, NodeInfo] = {}
         if (kind == "death" and self.fault_policy == "recover"
@@ -343,8 +382,7 @@ class MasterProcess:
                                             self._grid.neighborhood_size(cell)))
             for cell in cells
         }
-        known = [l.iteration for l in self._monitor.snapshot().values()
-                 if not l.dead]
+        known = [l.iteration for l in self._monitor.liveness.values() if not l.dead]
         known += list(self._store.iterations().values())
         known += [snap.iteration for snap in snapshots.values()]
         diameter = self._grid.rows // 2 + self._grid.cols // 2
@@ -360,7 +398,7 @@ class MasterProcess:
                     # Accounted but not dead: a drain is not a fault.
                     self._monitor.mark_finished(rank)
                 elif kind in ("respawn", "join"):
-                    self._monitor.revive(rank)
+                    self._monitor.watch(rank, time.monotonic())
             for cell in transition.cells:
                 index = cell.cell_index
                 if cell.adopter_rank is None:
@@ -381,42 +419,40 @@ class MasterProcess:
                         f"iteration {cell.iteration}, rejoin "
                         f"{cell.rejoin_iteration}")
             if transition.abort:
-                # Paper-faithful: gracefully abort the survivors.
+                # Paper-faithful: gracefully abort the survivors — and the
+                # ranks declared dead, since silence is not proof of death:
+                # a live one left out would wait on neighbours that already
+                # left.  A truly dead rank never reads its copy.
                 self._aborted = True
-                for rank in transition.peers:
-                    comm.send_abort(rank)
+                doomed = set(transition.peers)
+                if kind == "death":
+                    doomed.update(transition.ranks)
+                for rank in sorted(doomed):
+                    comm.send(rank, Abort())
             elif transition.notice is not None:
                 for rank in transition.peers:
-                    comm.send_fault_notice(rank, transition.notice)
+                    comm.send(rank, transition.notice)
             for rank, cell, directive in transition.starts:
                 if directive.snapshot is None:
                     telemetry.mark("standby joiner parked",
                                    f"rank {rank} at epoch {transition.epoch}")
-                comm.send_run_task(rank, self._run_task(rank, cell, directive))
+                comm.send(rank, self._run_task(rank, cell, directive))
             if transition.ack is not None:
-                comm.send_drain_ack(transition.ack)
+                comm.send(transition.ack, DrainAck())
 
     def _await_respawns(self, want: list[int]) -> dict[int, NodeInfo]:
-        """Wait (bounded) for replacement workers to introduce themselves."""
-        reborn: dict[int, NodeInfo] = {}
-        pending = set(want)
-        # A respawn may have introduced itself before its death was even
-        # handled — the poll loop stashed the stray NodeInfo for us.
-        for info in list(self._stray_node_info):
-            if info.rank in pending:
-                self._stray_node_info.remove(info)
-                reborn[info.rank] = info
-                pending.discard(info.rank)
-        deadline = time.monotonic() + self.restart_grace_s
+        """Wait (bounded) for replacement workers to introduce themselves.
+
+        A respawn may have introduced itself before its death was even
+        handled; the receive loop keeps every NodeInfo in ``_arrivals``,
+        and what is not claimed here is a joiner for :meth:`_react`.
+        """
         telemetry.mark("awaiting respawn", ", ".join(str(r) for r in want))
-        while pending and time.monotonic() < deadline:
-            info = self.comm.try_collect_node_info(timeout=0.1)
-            if info is not None and info.rank in pending:
+        self._wait(lambda: set(want) <= {info.rank for info in self._arrivals},
+                   time.monotonic() + self.restart_grace_s)
+        reborn: dict[int, NodeInfo] = {}
+        for info in list(self._arrivals):
+            if info.rank in want and info.rank not in reborn:
+                self._arrivals.remove(info)
                 reborn[info.rank] = info
-                pending.discard(info.rank)
-                continue
-            if info is not None:
-                self._stray_node_info.append(info)  # a joiner: the poll loop's
-            self._collect_result(timeout=0.0)
-            self._drain_snapshots()
         return reborn

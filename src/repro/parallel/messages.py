@@ -1,9 +1,21 @@
 """Message types and tags of the master-slave protocol.
 
 All payloads are plain dataclasses of picklable fields so they cross the
-process transport unchanged.  Tags partition WORLD traffic by purpose; the
-genome exchange between slaves runs on the separate LOCAL communicator and
-therefore reuses a single tag without interference.
+process transport unchanged.  The control protocol is two streams of typed
+messages on WORLD, one tag each way, and every role receives with one
+blocking receive and dispatches on the message's type:
+
+* master -> slave on :attr:`Tags.TO_SLAVE`: :class:`RunTask`,
+  :class:`StatusRequest`, :class:`Abort`,
+  :class:`~repro.parallel.recovery.FaultNotice`, :class:`DrainAck`;
+* slave -> master on :attr:`Tags.TO_MASTER`: :class:`NodeInfo`,
+  :class:`StatusReply`, :class:`SlaveResult`,
+  :class:`~repro.coevolution.checkpoint.CellSnapshot`,
+  :class:`~repro.parallel.elastic.DrainNotice`.
+
+The genome exchange between slaves runs on the separate LOCAL communicator
+under :attr:`Tags.EXCHANGE`.  The field-less orders (status request, abort,
+drain ack) carry no payload bytes, exactly like the bare tags they replace.
 """
 
 from __future__ import annotations
@@ -17,22 +29,18 @@ import numpy as np
 from repro.coevolution.cell import CellReport
 from repro.coevolution.genome import Genome
 
-__all__ = ["Tags", "NodeInfo", "RunTask", "StatusReply", "SlaveResult", "ExchangePayload"]
+__all__ = [
+    "Tags", "NodeInfo", "RunTask", "StatusRequest", "StatusReply", "Abort",
+    "DrainAck", "SlaveResult", "ExchangePayload",
+]
 
 
 class Tags(enum.IntEnum):
-    """WORLD-communicator tags (LOCAL uses only EXCHANGE)."""
+    """WORLD carries the two control streams, LOCAL only EXCHANGE."""
 
-    NODE_INFO = 1
-    RUN_TASK = 2
-    STATUS_REQUEST = 3
-    STATUS_REPLY = 4
-    RESULT = 5
-    ABORT = 6
+    TO_SLAVE = 1
+    TO_MASTER = 2
     EXCHANGE = 7
-    CHECKPOINT = 8
-    FAULT_NOTICE = 9
-    DRAIN = 10
 
 
 @dataclass(frozen=True)
@@ -83,8 +91,13 @@ class RunTask:
     standby: bool = False
     """True when this task parks an elastically-joined rank with no cell of
     its own yet: the slave replays the resume directive's fault notices,
-    joins the communicators, and serves the master loop — ready to adopt a
-    cell when a later drain or death re-balances onto it."""
+    joins the communicators, and serves the master — ready to adopt a cell
+    when a later drain or death re-balances onto it."""
+
+
+@dataclass(frozen=True)
+class StatusRequest:
+    """Master -> slave: one heartbeat ping; answered with a :class:`StatusReply`."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,16 @@ class StatusReply:
     state: str
     iteration: int
     timestamp: float
+
+
+@dataclass(frozen=True)
+class Abort:
+    """Master -> slave: stop training and ship what you have."""
+
+
+@dataclass(frozen=True)
+class DrainAck:
+    """Master -> draining slave: your cells have new owners, you may leave."""
 
 
 @dataclass

@@ -2,14 +2,20 @@
 
 Two threads, exactly as the paper describes:
 
-* the **main thread** is the communication interface to the master — it
-  answers status (heartbeat) requests with the block's current iteration,
-  watches for an abort order or a drain, and queues the cells a fault
-  notice hands to this rank;
+* the **main thread** is the communication interface to the master.  It
+  blocks in one receive on the rank's inbox and dispatches on the message
+  type: it answers status (heartbeat) requests with the block's current
+  iteration, raises the abort order, and queues the cells a fault notice
+  hands to this rank.  It reads the drain registry at every wake — the
+  master's status requests bound that wait by the heartbeat interval —
+  and never polls: the execution thread's exit wakes it with a message the
+  rank sends to itself;
 * the **execution thread** performs the GAN training of the rank's
   **block**: the ``{cell index: Cell}`` map the rank hosts, stepped by one
   loop with one iteration counter.  A rank launches with a block of one
-  (its own cell); recovery grows the block, never the thread count.
+  (its own cell); recovery grows the block, never the thread count.  A
+  standby's execution thread blocks on its admission queue until a cell
+  arrives or the main thread wakes it to leave.
 
 **One admission.**  A cell enters the block in one of four ways — the
 launch cell (fresh, from iteration 0), a respawn's resume directive, a
@@ -48,6 +54,7 @@ import queue
 import socket
 import threading
 import time
+from dataclasses import dataclass
 
 from repro.config import ExperimentConfig
 from repro.coevolution.cell import Cell, step_block
@@ -57,8 +64,17 @@ from repro.data.dataset import ArrayDataset
 from repro.parallel import elastic
 from repro.parallel.comm_manager import CommManager, ExchangeAborted
 from repro.parallel.grid import Grid
-from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
-from repro.parallel.recovery import RESYNC_WINDOW, FaultState
+from repro.parallel.messages import (
+    Abort,
+    DrainAck,
+    ExchangePayload,
+    NodeInfo,
+    RunTask,
+    SlaveResult,
+    StatusReply,
+    StatusRequest,
+)
+from repro.parallel.recovery import RESYNC_WINDOW, FaultNotice, FaultState
 from repro.parallel.states import SlaveStateMachine
 from repro.telemetry import bus as telemetry
 
@@ -71,6 +87,12 @@ DRAIN_ACK_TIMEOUT_S = 30.0
 
 class InjectedFault(RuntimeError):
     """Deliberate crash requested by a fault-injection run task."""
+
+
+@dataclass(frozen=True)
+class ExecutionEnded:
+    """The execution thread's last message, sent to its own rank: it wakes
+    the main thread, blocked in its receive, to wind the rank up."""
 
 
 def _checkpoint(cell: Cell, centers: tuple[Genome, Genome]) -> CellSnapshot:
@@ -87,11 +109,9 @@ def _checkpoint(cell: Cell, centers: tuple[Genome, Genome]) -> CellSnapshot:
 class SlaveProcess:
     """One slave rank; drive with :meth:`run`."""
 
-    def __init__(self, comm: CommManager, dataset: ArrayDataset,
-                 poll_interval_s: float = 0.005):
+    def __init__(self, comm: CommManager, dataset: ArrayDataset):
         self.comm = comm
         self.dataset = dataset
-        self.poll_interval_s = poll_interval_s
         self.machine = SlaveStateMachine()
         self.abort_event = threading.Event()
         self.fault_state = FaultState()
@@ -104,7 +124,8 @@ class SlaveProcess:
         self._execution_error: BaseException | None = None
         #: ``(cell index, snapshot or None for a fresh cell, rejoin
         #: iteration)``: queued by the main thread, admitted by the
-        #: execution thread at its next iteration boundary.
+        #: execution thread at its next iteration boundary.  ``None`` is the
+        #: main thread's wake for a standby blocked on an empty queue.
         self._admissions: queue.SimpleQueue = queue.SimpleQueue()
         # The block, owned by the execution thread (the main thread reads
         # it only once that thread has ended): hosted cells, each one's
@@ -134,9 +155,13 @@ class SlaveProcess:
         """
         comm = self.comm
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
-        comm.send_node_info(NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
-        # 2. Wait for the workload (state: inactive).
-        task = comm.wait_for_run_task()
+        comm.send(0, NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
+        # 2. Wait for the workload (state: inactive).  Whatever comes first
+        # was sent to an earlier incarnation of this rank (the socket
+        # coordinator parks messages sent into a respawn gap): stale.
+        task = comm.receive()
+        while not isinstance(task, RunTask):
+            task = comm.receive()
         if task.telemetry_level is not None:
             # In-band level propagation: remote socket workers never saw
             # the master's REPRO_TELEMETRY environment.
@@ -171,9 +196,9 @@ class SlaveProcess:
         execution.start()
         # 5. Main thread: the master's communication interface, for as long
         # as the block trains.
-        while execution.is_alive():
-            self._serve_master_once()
-            execution.join(self.poll_interval_s)
+        while self._serve(comm.receive()):
+            pass
+        execution.join()
         if self._execution_error is not None:
             raise self._execution_error
         if self._drain.is_set():
@@ -183,39 +208,40 @@ class SlaveProcess:
         # 6. Finished: every hosted cell has shipped its result (Fig. 3:
         # "Send results to master").
         self.machine.finish()
-        # Answer any still-in-flight status request so the heartbeat sees a
-        # clean FINISHED before this rank exits.
-        self._serve_master_once()
         return self._result
 
     # -- main-thread duties -----------------------------------------------------------
 
-    def _serve_master_once(self) -> None:
-        if self.comm.poll_abort():
-            self.abort_event.set()
-            telemetry.mark("abort received")
+    def _serve(self, message) -> bool:
+        """Dispatch one message of the rank's inbox; False once the
+        execution thread has ended."""
+        if isinstance(message, ExecutionEnded):
+            return False
         if not self._drain.is_set() and elastic.drain_requested(self.comm.rank):
             # Set by the transport (DRAIN wire frame, `repro drain`) or by a
             # signal handler (SIGTERM on `repro worker`); the execution
             # thread observes the event at its next iteration boundary.
             self._drain.set()
+            self._admissions.put(None)
             telemetry.mark("drain requested")
-        while True:
-            notice = self.comm.poll_fault_notice()
-            if notice is None:
-                break
-            self._apply_fault_notice(notice)
-        while self.comm.poll_status_request():
+        if isinstance(message, StatusRequest):
             with self._iteration_lock:
                 iteration = self._iteration
-            self.comm.reply_status(
-                StatusReply(
-                    rank=self.comm.rank,
-                    state=self.machine.state.value,
-                    iteration=iteration,
-                    timestamp=time.time(),
-                )
-            )
+            self.comm.send(0, StatusReply(
+                rank=self.comm.rank,
+                state=self.machine.state.value,
+                iteration=iteration,
+                timestamp=time.time(),
+            ))
+        elif isinstance(message, Abort):
+            self.abort_event.set()
+            self._admissions.put(None)
+            telemetry.mark("abort received")
+        elif isinstance(message, FaultNotice):
+            self._apply_fault_notice(message)
+        else:
+            raise RuntimeError(f"rank {self.comm.rank}: unexpected message {message!r}")
+        return True
 
     def _drain_and_exit(self) -> None:
         """The graceful-departure protocol (planned leave, not a fault).
@@ -232,26 +258,27 @@ class SlaveProcess:
         snapshots = [_checkpoint(cell, cell.center_genomes())
                      for _index, cell in sorted(self._block.items())]
         while not self._admissions.empty():
-            snapshots.append(self._admissions.get()[1])
+            queued = self._admissions.get()
+            if queued is not None:
+                snapshots.append(queued[1])
         notice = elastic.DrainNotice(rank=comm.rank, snapshots=tuple(snapshots))
-        comm.send_drain_notice(notice)
+        comm.send(0, notice)
         telemetry.mark("drain notice sent", f"{len(snapshots)} cell(s)")
         deadline = time.monotonic() + DRAIN_ACK_TIMEOUT_S
         acked = False
-        while time.monotonic() < deadline:
-            self._serve_master_once()
-            if comm.poll_drain_ack():
+        while not self.abort_event.is_set():
+            message = comm.receive(timeout=max(0.0, deadline - time.monotonic()))
+            if message is None:
+                break
+            if isinstance(message, DrainAck):
                 acked = True
                 break
-            if self.abort_event.is_set():
-                break
-            time.sleep(self.poll_interval_s)
+            self._serve(message)
         elastic.mark_drained(comm.rank)
         self.machine.finish()
-        self._serve_master_once()
         telemetry.mark("drained", "acked" if acked else "ack timeout")
 
-    def _apply_fault_notice(self, notice) -> None:
+    def _apply_fault_notice(self, notice: FaultNotice) -> None:
         """Record dead cells; queue the ones assigned to this rank.
 
         Runs on the main thread.  The execution thread sees the frozen
@@ -274,7 +301,8 @@ class SlaveProcess:
 
     def _train_block(self) -> None:
         """The execution thread: admit, exchange and step the block until
-        nothing is left to train, shipping results as the block finishes."""
+        nothing is left to train, shipping results as the block finishes;
+        then wake the main thread."""
         # The execution thread is not the rank's endpoint thread, so it
         # must bind itself for its spans to land in this rank's buffer.
         telemetry.bind_rank(self.comm.rank)
@@ -320,17 +348,20 @@ class SlaveProcess:
             self._ship(aborted=True)
         except BaseException as exc:  # noqa: BLE001 - re-raised by the main thread
             self._execution_error = exc
+        finally:
+            self.comm.send(self.comm.rank, ExecutionEnded())
 
     def _admit_queued(self, *, wait: bool) -> None:
-        """Admit every queued cell; with ``wait``, give the first one a poll
-        interval to arrive."""
+        """Admit every queued cell; with ``wait``, block for the first
+        queue entry — an admission, or the main thread's wake."""
         while True:
             try:
-                cell_index, snapshot, rejoin = self._admissions.get(wait, self.poll_interval_s)
+                queued = self._admissions.get(block=wait)
             except queue.Empty:
                 return
-            self._admit(cell_index, snapshot, rejoin)
             wait = False
+            if queued is not None:
+                self._admit(*queued)
 
     def _admit(self, cell_index: int, snapshot: CellSnapshot | None, rejoin: int) -> None:
         """The one admission: restore the cell, then catch it up to the
@@ -388,7 +419,7 @@ class SlaveProcess:
                 and done < self._config.coevolution.iterations):
             for index, cell in cells.items():
                 centers = self._centers[index] = cell.center_genomes()
-                self.comm.send_cell_snapshot(_checkpoint(cell, centers))
+                self.comm.send(0, _checkpoint(cell, centers))
 
     def _ship(self, *, aborted: bool = False) -> None:
         """Send one result per hosted cell to the master; empty the block."""
@@ -410,7 +441,7 @@ class SlaveProcess:
                 # Every cell but a launched rank's own came from a snapshot.
                 recovered=task.resume is not None or index != task.cell_index,
             )
-            self.comm.send_result(result)
+            self.comm.send(0, result)
             if index == task.cell_index and not task.standby:
                 self._result = result
         self._block.clear()

@@ -3,8 +3,6 @@ policy), the heartbeat finish/death race, no-fault bit-identity of
 recovery-enabled runs, and the CLI's fault reporting contract."""
 
 import hashlib
-import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +10,6 @@ import pytest
 
 from repro.parallel import DistributedRunner
 from repro.parallel.heartbeat import HeartbeatMonitor
-from repro.parallel.messages import StatusReply
 from repro.parallel.states import SlaveState
 from tests.conftest import make_quick_config
 
@@ -44,35 +41,14 @@ def _genome_digest(result) -> str:
 # -- heartbeat finish/death race ----------------------------------------------
 
 
-class StubComm:
-    """Controllable stand-in for the master's comm manager."""
-
-    def __init__(self):
-        self.requests: list[int] = []
-        self._replies: list[StatusReply] = []
-        self._lock = threading.Lock()
-
-    def request_status(self, rank: int) -> None:
-        with self._lock:
-            self.requests.append(rank)
-
-    def queue_reply(self, rank: int, state: str = "processing", iteration: int = 0):
-        with self._lock:
-            self._replies.append(StatusReply(rank, state, iteration, time.time()))
-
-    def drain_status_replies(self):
-        with self._lock:
-            replies, self._replies = self._replies, []
-            return replies
-
-
-def wait_until(predicate, timeout=5.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
+def silent_until_dead(monitor, rank):
+    """Tick ``monitor`` (interval 1.0) until the silent ``rank`` is dead;
+    returns the time of the fatal tick."""
+    now = 0.0
+    while rank not in monitor.dead_ranks():
+        monitor.tick(now)
+        now += 1.0
+    return now - 1.0
 
 
 class TestHeartbeatFinishRace:
@@ -81,59 +57,47 @@ class TestHeartbeatFinishRace:
     budget while its result is already in flight."""
 
     def test_delayed_finish_overturns_death_declaration(self):
-        comm = StubComm()
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=2)
-        monitor.start()
-        try:
-            # The slave never answers: the monitor declares it dead.
-            assert wait_until(monitor.deaths_detected.is_set)
-            assert monitor.dead_ranks() == [1]
-            # ... then its result arrives (the delayed finish).
-            assert monitor.mark_finished(1) is True  # death overturned
-            assert monitor.dead_ranks() == []
-            assert monitor.snapshot()[1].finished
-            assert monitor.all_accounted()
-        finally:
-            monitor.stop()
+        monitor = HeartbeatMonitor(interval_s=1.0, miss_limit=2)
+        monitor.watch(1, 0.0)
+        # The slave never answers: the monitor declares it dead.
+        silent_until_dead(monitor, 1)
+        # ... then its result arrives (the delayed finish).
+        assert monitor.mark_finished(1) is True  # death overturned
+        assert monitor.dead_ranks() == []
+        assert monitor.liveness[1].finished
+        assert monitor.all_accounted()
 
     def test_mark_finished_without_prior_death_is_not_a_resurrection(self):
-        comm = StubComm()
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=100)
+        monitor = HeartbeatMonitor(interval_s=1.0, miss_limit=100)
+        monitor.watch(1, 0.0)
         assert monitor.mark_finished(1) is False
 
     def test_revive_resets_liveness_for_a_respawned_rank(self):
-        comm = StubComm()
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=2)
-        monitor.start()
-        try:
-            assert wait_until(monitor.deaths_detected.is_set)
-            monitor.revive(1)
-            entry = monitor.snapshot()[1]
-            assert not entry.dead
-            assert entry.missed_rounds == 0
-            assert entry.state == SlaveState.PROCESSING.value
-        finally:
-            monitor.stop()
-
+        monitor = HeartbeatMonitor(interval_s=1.0, miss_limit=2)
+        monitor.watch(1, 0.0)
+        died_at = silent_until_dead(monitor, 1)
+        monitor.watch(1, died_at + 1.0)
+        entry = monitor.liveness[1]
+        assert not entry.dead
+        assert entry.missed_rounds == 0
+        assert entry.state == SlaveState.PROCESSING.value
 
     def test_rank_revived_after_everyone_finished_is_watched_again(self):
         """A rank respawned or joined *after* the survivors finished (the
-        respawn wait alone can outlast them) must still be polled: if it
+        respawn wait alone can outlast them) must still be pinged: if it
         dies a second time the master has to hear about it."""
-        comm = StubComm()
-        monitor = HeartbeatMonitor(comm, [1, 2], interval_s=0.02, miss_limit=2)
-        monitor.start()
-        try:
-            monitor.mark_finished(1)
-            monitor.mark_finished(2)
-            assert monitor.all_accounted()
-            time.sleep(0.1)  # several idle rounds with nobody to poll
-            monitor.revive(2)
-            # Rank 2 stays silent: declared dead within miss_limit rounds.
-            assert wait_until(monitor.deaths_detected.is_set, timeout=2.0)
-            assert monitor.dead_ranks() == [2]
-        finally:
-            monitor.stop()
+        monitor = HeartbeatMonitor(interval_s=1.0, miss_limit=2)
+        monitor.watch(1, 0.0)
+        monitor.watch(2, 0.0)
+        monitor.mark_finished(1)
+        monitor.mark_finished(2)
+        assert monitor.all_accounted()
+        assert monitor.tick(10.0) == []  # idle: nobody to ping
+        monitor.watch(2, 20.0)
+        # Rank 2 stays silent: declared dead within miss_limit rounds.
+        for now in (20.0, 21.0, 22.0):
+            monitor.tick(now)
+        assert monitor.dead_ranks() == [2]
 
 
 # -- initial-state recovery without a dataset ---------------------------------

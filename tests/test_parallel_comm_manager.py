@@ -9,7 +9,16 @@ from repro.coevolution.genome import Genome
 from repro.mpi import run_mpi
 from repro.parallel.comm_manager import EXCHANGE_MODES, ExchangeAborted, MpiCommManager
 from repro.parallel.grid import Grid
-from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
+from repro.parallel.messages import (
+    Abort,
+    ExchangePayload,
+    NodeInfo,
+    RunTask,
+    SlaveResult,
+    StatusReply,
+    StatusRequest,
+    Tags,
+)
 
 
 def make_payload(cell, iteration=0, size=8):
@@ -22,9 +31,10 @@ class TestSetupPhase:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                infos = comm.collect_node_info()
+                infos = sorted((comm.receive() for _ in range(comm.size - 1)),
+                               key=lambda i: i.rank)
                 return [(i.rank, i.node_name) for i in infos]
-            comm.send_node_info(NodeInfo(comm.rank, f"host{comm.rank}", 0))
+            comm.send(0, NodeInfo(comm.rank, f"host{comm.rank}", 0))
             return None
 
         results = run_mpi(4, program, backend="threaded", timeout=30)
@@ -36,10 +46,10 @@ class TestSetupPhase:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                comm.send_run_task(1, task)
-                comm.send_run_task(2, task)
+                comm.send(1, task)
+                comm.send(2, task)
                 return "sent"
-            return comm.wait_for_run_task().cell_index
+            return comm.receive().cell_index
 
         results = run_mpi(3, program, backend="threaded", timeout=30)
         assert results[1] == 0 and results[2] == 0
@@ -63,24 +73,12 @@ class TestHeartbeatPlumbing:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                comm.request_status(1)
-                import time
-
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    replies = comm.drain_status_replies()
-                    if replies:
-                        return (replies[0].rank, replies[0].state)
-                return None
-            # Slave: poll until the request arrives, answer once.
-            import time
-
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if comm.poll_status_request():
-                    comm.reply_status(StatusReply(comm.rank, "processing", 3, 0.0))
-                    return "replied"
-            return None
+                comm.send(1, StatusRequest())
+                reply = comm.receive(timeout=5)
+                return (reply.rank, reply.state)
+            assert isinstance(comm.receive(timeout=5), StatusRequest)
+            comm.send(0, StatusReply(comm.rank, "processing", 3, 0.0))
+            return "replied"
 
         results = run_mpi(2, program, backend="threaded", timeout=30)
         assert results[0] == (1, "processing")
@@ -90,27 +88,41 @@ class TestHeartbeatPlumbing:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                comm.send_abort(1)
+                comm.send(1, Abort())
                 return None
-            import time
-
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                if comm.poll_abort():
-                    return True
-            return False
+            return isinstance(comm.receive(timeout=5), Abort)
 
         results = run_mpi(2, program, backend="threaded", timeout=30)
         assert results[1] is True
 
     def test_poll_with_nothing_pending(self):
+        """A zero-timeout receive is a poll: ``None`` on either side."""
+        def program(world):
+            return MpiCommManager(world).receive(timeout=0) is None
+
+        assert all(run_mpi(2, program, backend="threaded", timeout=30))
+
+    def test_each_direction_is_one_stream_and_a_slave_can_wake_itself(self):
+        """Master -> slave orders and a slave's message to itself share the
+        slave's inbox, in arrival order; the master's inbox is separate."""
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                return comm.drain_status_replies() == []
-            return (not comm.poll_status_request()) and (not comm.poll_abort())
+                comm.send(1, StatusRequest())
+                comm.send(1, Abort())
+                return type(comm.receive(timeout=5)).__name__
+            first, second = comm.receive(timeout=5), comm.receive(timeout=5)
+            comm.send(comm.rank, StatusReply(comm.rank, "mine", 0, 0.0))
+            own = comm.receive(timeout=5)
+            comm.send(0, StatusReply(comm.rank, "processing", 0, 0.0))
+            return [type(first).__name__, type(second).__name__, own.state]
 
-        assert all(run_mpi(2, program, backend="threaded", timeout=30))
+        results = run_mpi(2, program, backend="threaded", timeout=30)
+        assert results[0] == "StatusReply"
+        assert results[1] == ["StatusRequest", "Abort", "mine"]
+
+    def test_tags_are_one_per_direction_plus_the_exchange(self):
+        assert [tag.name for tag in Tags] == ["TO_SLAVE", "TO_MASTER", "EXCHANGE"]
 
 
 def _exchange_world(mode, grid_rows=2, grid_cols=2):
@@ -224,9 +236,9 @@ class TestResults:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                collected = comm.try_collect_result(timeout=5.0)
+                collected = comm.receive(timeout=5.0)
                 return collected.cell_index
-            comm.send_result(result)
+            comm.send(0, result)
             return None
 
         results = run_mpi(2, program, backend="threaded", timeout=30)
@@ -236,7 +248,7 @@ class TestResults:
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
-                return comm.try_collect_result(timeout=0.05)
+                return comm.receive(timeout=0.05)
             return None
 
         results = run_mpi(2, program, backend="threaded", timeout=30)

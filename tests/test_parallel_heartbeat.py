@@ -1,7 +1,7 @@
-"""Unit tests for the heartbeat monitor, using a fake comm layer."""
+"""Unit tests for the heartbeat's liveness table, driven by explicit ``now``
+values: no clock, no sleep, no thread."""
 
-import threading
-import time
+import math
 
 import pytest
 
@@ -10,40 +10,15 @@ from repro.parallel.messages import StatusReply
 from repro.parallel.states import SlaveState
 
 
-class FakeComm:
-    """A controllable stand-in for the master's comm manager."""
-
-    def __init__(self):
-        self.requests: list[int] = []
-        self._replies: list[StatusReply] = []
-        self._lock = threading.Lock()
-
-    def request_status(self, rank: int) -> None:
-        with self._lock:
-            self.requests.append(rank)
-
-    def queue_reply(self, rank: int, state: str = "processing", iteration: int = 0):
-        with self._lock:
-            self._replies.append(StatusReply(rank, state, iteration, time.time()))
-
-    def drain_status_replies(self):
-        with self._lock:
-            replies, self._replies = self._replies, []
-            return replies
+def reply(rank, state="processing", iteration=0):
+    return StatusReply(rank, state, iteration, 0.0)
 
 
-def wait_until(predicate, timeout=5.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
-
-
-@pytest.fixture()
-def comm():
-    return FakeComm()
+def watched(*ranks, interval_s=1.0, miss_limit=3):
+    monitor = HeartbeatMonitor(interval_s=interval_s, miss_limit=miss_limit)
+    for rank in ranks:
+        monitor.watch(rank, 0.0)
+    return monitor
 
 
 class TestLiveness:
@@ -58,109 +33,117 @@ class TestLiveness:
 
 
 class TestMonitor:
-    def test_validation(self, comm):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            HeartbeatMonitor(comm, [1], interval_s=0.0)
+            HeartbeatMonitor(interval_s=0.0)
         with pytest.raises(ValueError):
-            HeartbeatMonitor(comm, [1], miss_limit=0)
+            HeartbeatMonitor(miss_limit=0)
 
-    def test_polls_processing_slaves(self, comm):
-        monitor = HeartbeatMonitor(comm, [1, 2], interval_s=0.02, miss_limit=100)
-        monitor.start()
-        try:
-            assert wait_until(lambda: comm.requests.count(1) >= 2)
-            assert wait_until(lambda: comm.requests.count(2) >= 2)
-        finally:
-            monitor.stop()
+    def test_polls_processing_slaves(self):
+        monitor = watched(1, 2)
+        assert monitor.tick(0.0) == [1, 2]  # a watched rank is pinged at once
+        assert monitor.tick(0.5) == []      # nothing due before the interval
+        assert monitor.next_tick() == 1.0
+        assert monitor.tick(1.0) == [1, 2]
 
-    def test_records_replies(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=100)
-        monitor.start()
-        try:
-            comm.queue_reply(1, "processing", iteration=7)
-            assert wait_until(
-                lambda: monitor.snapshot()[1].iteration == 7
-            )
-            assert monitor.snapshot()[1].missed_rounds == 0
-        finally:
-            monitor.stop()
+    def test_records_replies(self):
+        monitor = watched(1)
+        monitor.tick(0.0)
+        monitor.record(reply(1, iteration=7))
+        entry = monitor.liveness[1]
+        assert entry.iteration == 7 and not entry.awaiting
 
-    def test_detects_death_after_miss_limit(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=3)
-        monitor.start()
-        try:
-            assert wait_until(monitor.deaths_detected.is_set)
-            assert monitor.dead_ranks() == [1]
-            assert monitor.all_accounted()
-        finally:
-            monitor.stop()
+    def test_reply_resets_the_miss_count(self):
+        monitor = watched(1)
+        for now in (0.0, 1.0, 2.0):
+            monitor.tick(now)
+        assert monitor.liveness[1].missed_rounds == 2
+        monitor.record(reply(1))
+        assert monitor.liveness[1].missed_rounds == 0
+        monitor.tick(3.0)  # answered since the last ping: no miss
+        assert monitor.liveness[1].missed_rounds == 0
 
-    def test_replying_slave_stays_alive(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=3)
+    def test_detects_death_after_miss_limit(self):
+        """Death at exactly ``miss_limit`` unanswered rounds, not before."""
+        monitor = watched(1, miss_limit=3)
+        for now in (0.0, 1.0, 2.0):
+            monitor.tick(now)
+        assert monitor.dead_ranks() == []
+        assert monitor.tick(3.0) == []  # the third miss: dead, not pinged
+        assert monitor.dead_ranks() == [1]
+        assert monitor.all_accounted()
+        assert monitor.next_tick() == math.inf
 
-        # Answer every request promptly from a feeder thread.
-        stop = threading.Event()
+    def test_replying_slave_stays_alive(self):
+        monitor = watched(1, miss_limit=2)
+        for now in range(50):
+            assert monitor.tick(float(now)) == [1]
+            monitor.record(reply(1))
+        assert monitor.dead_ranks() == []
 
-        def feeder():
-            answered = 0
-            while not stop.is_set():
-                if len(comm.requests) > answered:
-                    answered = len(comm.requests)
-                    comm.queue_reply(1, "processing")
-                time.sleep(0.005)
+    def test_a_late_reply_still_counts_for_its_round(self):
+        monitor = watched(1, miss_limit=2)
+        monitor.tick(0.0)
+        monitor.tick(1.0)  # one miss
+        monitor.record(reply(1))
+        monitor.tick(2.0)
+        assert monitor.liveness[1].missed_rounds == 0
 
-        thread = threading.Thread(target=feeder, daemon=True)
-        thread.start()
-        monitor.start()
-        try:
-            time.sleep(0.3)  # many intervals
-            assert not monitor.deaths_detected.is_set()
-            assert monitor.dead_ranks() == []
-        finally:
-            stop.set()
-            monitor.stop()
-            thread.join(timeout=2)
+    def test_mark_finished_stops_polling(self):
+        """Accounted ranks are not pinged."""
+        monitor = watched(1, 2)
+        monitor.tick(0.0)
+        monitor.mark_finished(1)
+        assert monitor.tick(1.0) == [2]
+        assert monitor.liveness[1].missed_rounds == 0
 
-    def test_mark_finished_stops_polling(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=1000)
-        monitor.start()
-        try:
-            assert wait_until(lambda: len(comm.requests) >= 1)
-            monitor.mark_finished(1)
-            count = len(comm.requests)
-            time.sleep(0.1)
-            # At most one in-flight round after marking finished.
-            assert len(comm.requests) <= count + 1
-            assert monitor.all_accounted()
-        finally:
-            monitor.stop()
+    def test_finished_reply_accounts_slave(self):
+        monitor = watched(1)
+        monitor.tick(0.0)
+        monitor.record(reply(1, SlaveState.FINISHED.value, iteration=9))
+        assert monitor.liveness[1].finished
+        assert monitor.all_accounted()
+        assert monitor.tick(1.0) == []
 
-    def test_finished_reply_accounts_slave(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=1000)
-        monitor.start()
-        try:
-            comm.queue_reply(1, SlaveState.FINISHED.value, iteration=9)
-            assert wait_until(lambda: monitor.snapshot()[1].finished)
-            assert monitor.all_accounted()
-        finally:
-            monitor.stop()
+    def test_idles_until_a_rank_is_watched_again(self):
+        monitor = watched(1, miss_limit=2)
+        monitor.tick(0.0)
+        monitor.mark_finished(1)
+        assert monitor.next_tick() == math.inf
+        assert monitor.tick(100.0) == []
+        monitor.watch(1, 200.0)
+        assert monitor.next_tick() == 200.0
+        assert monitor.tick(200.0) == [1]
 
-    def test_monitor_idles_when_all_accounted_and_stop_ends_it(self, comm):
-        """With everyone accounted the loop stops polling but stays up —
-        revive() may hand it a rank again — and stop() ends it."""
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=2)
-        monitor.start()
-        assert wait_until(monitor.all_accounted)
-        time.sleep(0.1)  # let an in-flight round finish
-        polled = len(comm.requests)
-        time.sleep(0.1)
-        assert len(comm.requests) == polled
-        assert monitor._thread.is_alive()
-        monitor.stop()
-        assert not monitor._thread.is_alive()
+    def test_mark_finished_after_a_death_resurrects_the_rank(self):
+        monitor = watched(1, miss_limit=1)
+        monitor.tick(0.0)
+        monitor.tick(1.0)
+        assert monitor.dead_ranks() == [1]
+        assert monitor.mark_finished(1) is True
+        assert monitor.dead_ranks() == [] and monitor.liveness[1].finished
 
-    def test_snapshot_is_a_copy(self, comm):
-        monitor = HeartbeatMonitor(comm, [1], interval_s=0.02, miss_limit=3)
-        snap = monitor.snapshot()
-        snap[1].dead = True
-        assert not monitor.liveness[1].dead
+    def test_revive_rearms_the_rank(self):
+        """A respawned or joined rank is watched afresh: cleared, pinged at
+        the next tick, and given the full miss budget again."""
+        monitor = watched(1, miss_limit=2)
+        for now in (0.0, 1.0, 2.0):
+            monitor.tick(now)
+        assert monitor.dead_ranks() == [1]
+        monitor.watch(1, 5.0)
+        entry = monitor.liveness[1]
+        assert not entry.dead and entry.missed_rounds == 0
+        assert entry.state == SlaveState.PROCESSING.value
+        assert monitor.tick(5.0) == [1]
+        monitor.tick(6.0)
+        assert monitor.dead_ranks() == []
+        monitor.tick(7.0)
+        assert monitor.dead_ranks() == [1]
+
+    def test_late_replies_of_an_accounted_rank_are_ignored(self):
+        monitor = watched(1, miss_limit=1)
+        monitor.tick(0.0)
+        monitor.tick(1.0)
+        monitor.record(reply(1, iteration=4))
+        assert monitor.dead_ranks() == [1]
+        assert monitor.liveness[1].iteration == 0

@@ -6,6 +6,7 @@ the block (adoption, standby, drain) — from the MPI runtime (which has its
 own tests).
 """
 
+import queue
 import threading
 
 import pytest
@@ -14,9 +15,18 @@ from repro.coevolution.cell import Cell
 from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.parallel import elastic
-from repro.parallel.comm_manager import CommManager
+from repro.parallel.comm_manager import CommManager, ExchangeAborted
 from repro.parallel.grid import Grid
-from repro.parallel.messages import ExchangePayload, RunTask
+from repro.parallel.messages import (
+    Abort,
+    DrainAck,
+    ExchangePayload,
+    NodeInfo,
+    RunTask,
+    SlaveResult,
+    StatusReply,
+    StatusRequest,
+)
 from repro.parallel.recovery import FaultNotice, FrozenCell, ResumeDirective
 from repro.parallel.slave import InjectedFault, SlaveProcess
 from repro.parallel.states import SlaveState
@@ -24,19 +34,28 @@ from tests.conftest import make_quick_config
 
 
 class ScriptedComm(CommManager):
-    """Plays the master and all neighbors for one slave under test."""
+    """Plays the master and all neighbors for one slave under test.
 
-    def __init__(self, task: RunTask, rank: int = 1):
+    The slave's inbox is a queue the test fills through :meth:`deliver`
+    (the task is in it from the start); what the slave sends the master
+    is recorded by type.  ``abort_at`` delivers an abort inside that
+    iteration's exchange, which then fails like a real aborted one.
+    """
+
+    def __init__(self, task: RunTask, rank: int = 1, abort_at=None):
         self._rank = rank
         self.task = task
+        self.abort_at = abort_at
+        self.inbox: queue.Queue = queue.Queue()
+        self.inbox.put(task)
+        self.receive_calls = 0
         self.node_info = None
         self.status_replies = []
+        self.replied = threading.Event()
         self.result = None
         self.results = []
+        self.snapshots = []
         self.contexts_built = False
-        self.abort_now = threading.Event()
-        self.request_status_now = threading.Event()
-        self._echo_genomes: dict[int, ExchangePayload] = {}
 
     # identity ---------------------------------------------------------------
     @property
@@ -47,35 +66,52 @@ class ScriptedComm(CommManager):
     def size(self):
         return 5
 
-    # setup ---------------------------------------------------------------------
-    def send_node_info(self, info):
-        self.node_info = info
-
-    def wait_for_run_task(self):
-        return self.task
-
     def build_contexts(self, is_active_slave):
         self.contexts_built = True
 
-    # heartbeat -------------------------------------------------------------------
-    def poll_status_request(self):
-        if self.request_status_now.is_set():
-            self.request_status_now.clear()
-            return True
-        return False
+    # the control protocol -----------------------------------------------------
+    def deliver(self, message):
+        """The master sends ``message`` to the slave."""
+        self.inbox.put(message)
 
-    def reply_status(self, reply):
-        self.status_replies.append(reply)
+    def settle(self):
+        """Return once the main thread has taken in everything delivered so
+        far: a status request queued behind it has been answered."""
+        self.replied.clear()
+        self.deliver(StatusRequest())
+        assert self.replied.wait(30), "main thread stopped serving"
 
-    def poll_abort(self):
-        return self.abort_now.is_set()
+    def receive(self, timeout=None):
+        self.receive_calls += 1
+        try:
+            return self.inbox.get(timeout=timeout)
+        except queue.Empty:
+            return None
+
+    def send(self, dest, message):
+        if dest == self.rank:
+            self.inbox.put(message)
+        elif isinstance(message, NodeInfo):
+            self.node_info = message
+        elif isinstance(message, StatusReply):
+            self.status_replies.append(message)
+            self.replied.set()
+        elif isinstance(message, SlaveResult):
+            self.results.append(message)
+            self.result = message
+        elif isinstance(message, CellSnapshot):
+            self.snapshots.append(message)
+        else:
+            raise AssertionError(f"unexpected send to {dest}: {message!r}")
 
     # exchange ---------------------------------------------------------------------
     def exchange_round(self, grid, payloads, mode, abort_event=None,
                        fault_state=None, catch_up=(), resync_until=None):
+        iteration = next(iter(payloads.values())).iteration
+        if iteration == self.abort_at:
+            self.deliver(Abort())
+            assert abort_event.wait(30), "abort never reached the execution thread"
         if abort_event is not None and abort_event.is_set():
-            from repro.parallel.comm_manager import ExchangeAborted
-
             raise ExchangeAborted("scripted abort")
         # Echo each cell's own center back as every neighbor's genome.
         return {
@@ -89,11 +125,6 @@ class ScriptedComm(CommManager):
             }
             for cell_index, payload in payloads.items()
         }
-
-    # results -----------------------------------------------------------------------
-    def send_result(self, result):
-        self.results.append(result)
-        self.result = result
 
 
 def make_task(config, **overrides):
@@ -136,12 +167,20 @@ class TestHappyPath:
 
     def test_status_requests_answered_during_training(self, config, small_dataset):
         comm = ScriptedComm(make_task(config))
-        slave = SlaveProcess(comm, small_dataset, poll_interval_s=0.001)
-        comm.request_status_now.set()  # pending before training starts
-        slave.run()
-        assert comm.status_replies, "no status reply recorded"
-        assert comm.status_replies[0].rank == 1
-        assert comm.status_replies[0].state in ("inactive", "processing", "finished")
+        comm.deliver(StatusRequest())  # pending before training starts
+        SlaveProcess(comm, small_dataset).run()
+        (reply,) = comm.status_replies
+        assert reply.rank == 1 and reply.state == "processing"
+
+    def test_a_silent_master_costs_the_main_thread_two_receives(self, config,
+                                                                small_dataset):
+        """The main thread blocks instead of polling: with no status
+        request it wakes for the task and for the execution thread's exit,
+        nothing else (each status request would add one)."""
+        comm = ScriptedComm(make_task(config))
+        SlaveProcess(comm, small_dataset).run()
+        assert comm.receive_calls == 2
+        assert comm.inbox.empty()
 
     def test_trace_level_marks_the_protocol_steps(self, config, small_dataset,
                                                   telemetry_bus):
@@ -174,29 +213,13 @@ class TestAbortPath:
 
         coev = dataclasses.replace(config.coevolution, iterations=1000)
         long_config = dataclasses.replace(config, coevolution=coev)
-        comm = ScriptedComm(make_task(long_config))
-        slave = SlaveProcess(comm, small_dataset, poll_interval_s=0.001)
-
-        # Trip the abort as soon as the first status reply proves the
-        # execution thread is alive.
-        def tripwire():
-            import time
-
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if slave._iteration >= 1:
-                    comm.abort_now.set()
-                    return
-                time.sleep(0.002)
-
-        trigger = threading.Thread(target=tripwire, daemon=True)
-        trigger.start()
+        comm = ScriptedComm(make_task(long_config), abort_at=1)
+        slave = SlaveProcess(comm, small_dataset)
         result = slave.run()
-        trigger.join(timeout=5)
 
         assert result.aborted
         assert slave.machine.state is SlaveState.FINISHED
-        assert 0 < len(result.reports) < 1000
+        assert len(result.reports) == 1  # iteration 0 done, 1 aborted
 
 
 class TestFaultInjection:
@@ -224,8 +247,7 @@ class TestCheckpointStreaming:
         config = make_quick_config(2, 2, iterations=iterations)
         comm = ScriptedComm(make_task(config, fault_policy="recover",
                                       snapshot_every=1))
-        snapshots, payloads = [], []
-        comm.send_cell_snapshot = snapshots.append
+        payloads = []
         exchange = comm.exchange_round
 
         def recording_exchange(grid, block_payloads, *args, **kwargs):
@@ -245,10 +267,10 @@ class TestCheckpointStreaming:
         SlaveProcess(comm, small_dataset).run()
 
         assert len(calls) == iterations + 1
-        assert [s.iteration for s in snapshots] == list(range(1, iterations))
+        assert [s.iteration for s in comm.snapshots] == list(range(1, iterations))
         # The checkpoint after iteration i and the payload of iteration i+1
         # are the same pair of genome objects.
-        for snapshot in snapshots:
+        for snapshot in comm.snapshots:
             payload = payloads[snapshot.iteration]
             assert payload.iteration == snapshot.iteration
             assert payload.generator_genome is snapshot.generator_genome
@@ -258,24 +280,23 @@ class TestCheckpointStreaming:
 class RecoveryComm(ScriptedComm):
     """ScriptedComm plus the recovery surface, on a deterministic schedule.
 
-    ``notice`` reaches the slave's main thread once the block round of
-    ``release_at`` runs (at the first poll when ``None``), and that round
-    returns only after two full serve cycles — so the admission lands on
-    the next iteration boundary.  ``on_round(comm, iteration, cells)`` runs
-    inside every round; the slave's threads are sampled throughout.
+    ``notice`` is delivered inside the block round of ``release_at`` (with
+    the task when ``None``), and that round returns only once the main
+    thread has taken it in — so the admission lands on the next iteration
+    boundary.  ``on_round(comm, iteration, cells)`` runs inside every
+    round; the slave's threads are sampled throughout.  A drain notice is
+    acknowledged at once.
     """
 
     def __init__(self, task, notice=None, release_at=None, on_round=None,
                  abort_after_results=None):
         super().__init__(task)
-        self.notice = notice
         self.release_at = release_at
         self.on_round = on_round
         self.abort_after_results = abort_after_results
-        self.released = threading.Event()
-        if release_at is None:
-            self.released.set()
-        self.replied = threading.Event()
+        self.notice = notice
+        if release_at is None and notice is not None:
+            self.deliver(notice)
         self.rounds = []            # (iteration, cells, catch-up cells)
         self.thread_counts = []
         self.drain_notices = []
@@ -285,49 +306,35 @@ class RecoveryComm(ScriptedComm):
             thread.name.startswith(f"slave-{self.rank}-")
             for thread in threading.enumerate()))
 
-    def settle(self):
-        """Return once the main thread has run two full serve cycles."""
-        for _ in range(2):
-            self.replied.clear()
-            self.request_status_now.set()
-            assert self.replied.wait(30), "main thread stopped serving"
-
     def rejoin_contexts(self, is_active_slave=True):
         self.contexts_built = True
 
-    def reply_status(self, reply):
-        super().reply_status(reply)
-        self.replied.set()
-
-    def poll_fault_notice(self):
+    def receive(self, timeout=None):
         self._sample()
-        if self.notice is not None and self.released.is_set():
-            notice, self.notice = self.notice, None
-            return notice
-        return None
+        return super().receive(timeout)
 
     def exchange_round(self, grid, payloads, mode, *args, **kwargs):
         self._sample()
         iteration = next(iter(payloads.values())).iteration
         cells = sorted(payloads)
         self.rounds.append((iteration, cells, sorted(kwargs.get("catch_up", ()))))
-        if iteration == self.release_at and not self.released.is_set():
-            self.released.set()
+        if iteration == self.release_at and self.notice is not None:
+            self.deliver(self.notice)
+            self.notice = None
             self.settle()
         if self.on_round is not None:
             self.on_round(self, iteration, cells)
         return super().exchange_round(grid, payloads, mode, *args, **kwargs)
 
-    def send_result(self, result):
-        super().send_result(result)
-        if len(self.results) == self.abort_after_results:
-            self.abort_now.set()
-
-    def send_drain_notice(self, notice):
-        self.drain_notices.append(notice)
-
-    def poll_drain_ack(self):
-        return bool(self.drain_notices)
+    def send(self, dest, message):
+        if isinstance(message, elastic.DrainNotice):
+            self.drain_notices.append(message)
+            self.deliver(DrainAck())
+            return
+        super().send(dest, message)
+        if (isinstance(message, SlaveResult)
+                and len(self.results) == self.abort_after_results):
+            self.deliver(Abort())
 
 
 def cell3_notice(config, dataset, *, iteration, rejoin):
@@ -381,7 +388,7 @@ class TestBlock:
         config = make_quick_config(2, 2, iterations=4)
         notice = cell3_notice(config, small_dataset, iteration=1, rejoin=4)
         comm = RecoveryComm(make_task(config), notice=notice, release_at=1)
-        result = SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+        result = SlaveProcess(comm, small_dataset).run()
 
         assert comm.thread_counts and max(comm.thread_counts) == 1
         # Admitted at boundary 2: one communication-free catch-up round
@@ -397,7 +404,7 @@ class TestBlock:
         config = make_quick_config(2, 2, iterations=4)
         notice = cell3_notice(config, small_dataset, iteration=1, rejoin=4)
         comm = RecoveryComm(standby_task(config), notice=notice, abort_after_results=1)
-        result = SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+        result = SlaveProcess(comm, small_dataset).run()
 
         assert result is None  # a standby ships no cell of its own
         assert comm.thread_counts and max(comm.thread_counts) == 1
@@ -420,7 +427,7 @@ class TestBlock:
 
         comm = RecoveryComm(standby_task(config), notice=notice,
                             on_round=heartbeat, abort_after_results=1)
-        SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+        SlaveProcess(comm, small_dataset).run()
         assert seen == [(1, 1), (2, 2), (3, 3)]
 
     def test_failing_adopted_cell_fails_the_rank(self, small_dataset, monkeypatch):
@@ -439,7 +446,7 @@ class TestBlock:
         monkeypatch.setattr(Cell, "step", failing)
         comm = RecoveryComm(make_task(config), notice=notice, release_at=0)
         with pytest.raises(RuntimeError, match="adopted cell blew up"):
-            SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+            SlaveProcess(comm, small_dataset).run()
         assert comm.results == []
 
     def test_drain_hands_off_the_whole_block_at_one_iteration(self, small_dataset):
@@ -454,7 +461,7 @@ class TestBlock:
         comm = RecoveryComm(make_task(config), notice=notice, release_at=1,
                             on_round=drain_in_block_round)
         try:
-            result = SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+            result = SlaveProcess(comm, small_dataset).run()
         finally:
             elastic.reset_drain_registry()
 
@@ -466,7 +473,7 @@ class TestBlock:
         config = make_quick_config(2, 2, iterations=5)
         notice = cell3_notice(config, small_dataset, iteration=3, rejoin=5)
         comm = RecoveryComm(make_task(config), notice=notice, release_at=0)
-        SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+        SlaveProcess(comm, small_dataset).run()
 
         # Admitted at boundary 1, stepped only once the block reached 3.
         assert [round_[:2] for round_ in comm.rounds] == [
@@ -480,4 +487,4 @@ class TestBlock:
         notice = cell3_notice(config, small_dataset, iteration=0, rejoin=1)
         comm = RecoveryComm(make_task(config), notice=notice, release_at=1)
         with pytest.raises(RuntimeError, match="past its rejoin iteration 1"):
-            SlaveProcess(comm, small_dataset, poll_interval_s=0.001).run()
+            SlaveProcess(comm, small_dataset).run()
