@@ -601,7 +601,7 @@ class BareSocketRetryRule(Rule):
 
     The fault-tolerance PR centralized transient-network retry in
     :mod:`repro.mpi.backoff` (bounded attempts, exponential delay, jitter,
-    counted via ``TransportStats.count_send_retry``).  A loop that calls a
+    counted in ``TransportStats.send_retries``).  A loop that calls a
     socket primitive, swallows the ``OSError``/``WireError`` it raises and
     goes around again is an unbounded, unjittered, uncounted retry — it
     masks dead peers from the heartbeat layer and synchronized reconnect

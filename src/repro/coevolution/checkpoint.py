@@ -18,8 +18,7 @@ Two granularities live here:
 
 Resume semantics: cell RNG streams are re-derived from ``(seed, cell,
 iteration)``, so a resumed run is deterministic given the checkpoint, though
-not bit-identical to the uninterrupted run (the standard trade-off; noted in
-DESIGN.md).
+not bit-identical to the uninterrupted run (the standard trade-off).
 """
 
 from __future__ import annotations

@@ -30,11 +30,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
 from repro.mpi.comm import CartComm, Comm, Status
 from repro.mpi.errors import MpiError, MpiTimeoutError, MpiWorkerError
 from repro.mpi.launcher import run_mpi
-from repro.mpi.stats import (
-    TransportStats,
-    merge_transport_stats,
-    transport_stats_from_telemetry,
-)
+from repro.mpi.stats import TransportStats, merge_transport_stats
 from repro.mpi.transport import (
     Transport,
     available_transports,
@@ -59,7 +55,6 @@ __all__ = [
     "Transport",
     "TransportStats",
     "merge_transport_stats",
-    "transport_stats_from_telemetry",
     "available_transports",
     "make_transport",
     "register_transport",

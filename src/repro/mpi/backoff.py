@@ -86,9 +86,9 @@ def with_backoff(fn: Callable[[], Any], *,
                  rng: random.Random | None = None) -> Any:
     """Call ``fn`` under the policy; re-raise the last error when exhausted.
 
-    ``on_retry(attempt, exc)`` fires before each wait — transports use it to
-    bump their ``send_retries``/``reconnects`` counters so recovery work is
-    visible in :class:`~repro.mpi.stats.TransportStats`.
+    ``on_retry(attempt, exc)`` fires before each wait — the socket worker
+    counts its connect retries with it, so recovery work is visible as
+    :attr:`~repro.mpi.stats.TransportStats.send_retries`.
     """
     rng = rng if rng is not None else _fresh_rng()
     delays = policy.delays(rng)

@@ -70,8 +70,11 @@ def run_mpi(size: int, fn: Callable[..., Any], args: Sequence[Any] = (),
     ordered = sorted(outcomes, key=lambda o: o.rank)
     by_rank = RankResults([None] * size)
     by_rank.failures = failures
+    # An outcome without stats is one the transport synthesized for a rank
+    # that died before reporting: the one place a rank counts as lost.
     by_rank.transport_stats = [
-        outcome.stats if outcome.stats is not None else TransportStats(outcome.rank)
+        outcome.stats if outcome.stats is not None
+        else TransportStats(outcome.rank, ranks_lost=1)
         for outcome in ordered
     ]
     # Telemetry snapshots ride the same path as the transport counters:

@@ -18,7 +18,10 @@ by reference through in-process queues, and all remote destinations share
 it hosts.  A worker that dies (process kill, network partition) surfaces as
 synthesized failed outcomes for its ranks, exactly like a forked rank dying
 under :class:`ProcessTransport` — the master's heartbeat layer sees the
-silence and degrades the run the same way on both substrates.
+silence and degrades the run the same way on both substrates.  The
+coordinator keeps no membership view of its own: it drops a dead
+connection's share of every frame, and the survivors learn of a death,
+drain, respawn or join only from the master's fault notices and aborts.
 
 Host specs (``--hosts``) are ``host:slots`` entries.  ``localhost`` /
 ``127.0.0.1`` / ``::1`` blocks are **forked from the coordinator** at
@@ -46,7 +49,6 @@ import subprocess
 import sys
 import threading
 import time
-from collections import deque
 from typing import Any, Callable, Sequence
 
 from repro.mpi import wire
@@ -82,7 +84,11 @@ LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 #     routes that follow it, a MSG is addressed by them (one body for all
 #     its destinations) and pickles (context, source, payload) instead of
 #     an Envelope; START names every worker's rank block.
-_WIRE_VERSION = 6  # v6: the control protocol is one typed stream per direction
+# v6: the control protocol is one typed stream per direction.
+# v7: the MEMBERSHIP broadcast (kind 7) and START's incarnation and
+#     peer-loss counts are gone — the master's notices are the only
+#     membership record; START's respawn/join flags remain.
+_WIRE_VERSION = 7
 
 #: Size cap on the pre-auth hello body.  A real hello is ~150 bytes; the
 #: coordinator refuses to buffer more than this for a peer that has not
@@ -332,28 +338,13 @@ class SocketTransport(Transport):
         self._restarts_used = 0
         self._program: bytes | None = None
         #: Worker indexes whose connection died and whose replacement is
-        #: still awaited; frames to their ranks are parked, not dropped.
+        #: still awaited; frames to their ranks are dropped meanwhile.
         self._respawn_pending: set[int] = set()
-        #: Bounded per-index buffers of MSG frames addressed to a
-        #: respawn-pending worker, flushed to the replacement on re-admit.
-        self._parked: dict[int, deque] = {}
         #: Worker indexes the rendezvous still waits for (guarded by
         #: _admit_lock); empty from the barrier on.
         self._pending: set[int] = set(range(len(self.hosts)))
         #: Set by the admission that empties ``_pending``.
         self._rendezvous_done = threading.Event()
-        # -- elastic membership state (guarded by _admit_lock) --------------
-        #: Wire-level membership epoch; bumped on every MEMBERSHIP
-        #: broadcast.  Static runs never broadcast, so it stays 0.
-        self._epoch = 0
-        #: Times each worker slot's connection was established (1 = the
-        #: original rendezvous).  Carried in late START frames so a
-        #: replacement or joiner seeds ``reconnects`` with its slot's full
-        #: history, not just "1 if respawn".
-        self._index_incarnations: dict[int, int] = {}
-        #: Cumulative ranks lost over the run — a joiner's ``ranks_lost``
-        #: starts here instead of at zero.
-        self._ranks_lost_total = 0
 
     # -- public address (for hints and local workers) ----------------------
 
@@ -424,17 +415,17 @@ class SocketTransport(Transport):
             assert conn is not None
             self._start_worker(conn)
 
-    def _start_worker(self, conn: _WorkerConnection, **history: Any) -> None:
+    def _start_worker(self, conn: _WorkerConnection, **late: bool) -> None:
         """Send a registered worker its START frame (rank block, program,
-        and for a late arrival its slot's ``history``), then start routing
-        for it."""
+        and for a late arrival its ``respawn``/``join`` flag), then start
+        routing for it."""
         assert self._program is not None
         wire.write_frame(conn.sock, wire.pack_frame(wire.START, conn.index, {
             "ranks": conn.ranks,
             "size": self.size,
             "blocks": self._blocks,
             "program": self._program,
-            **history,
+            **late,
         }))
         conn.reader = threading.Thread(
             target=self._reader_loop, args=(conn,),
@@ -679,8 +670,8 @@ class SocketTransport(Transport):
         follows the barrier (:meth:`launch`).  A later one is a
         **replacement** (its slot awaits one) or an **elastic joiner**
         (``--join``, any vacant slot matching its ``--slots``): it is
-        started at once with its slot's history, handed the frames parked
-        for it, and announced to its peers.
+        started at once, with the flag that says which.  Its peers hear of
+        it from the master, once its slave introduces itself there.
         """
         try:
             hello = self._read_hello(sock)
@@ -708,27 +699,12 @@ class SocketTransport(Transport):
                     if not self._pending:
                         self._rendezvous_done.set()
                 else:
-                    parked = self._parked.pop(index, ())
                     self._respawn_pending.discard(index)
-                    incarnation = self._index_incarnations.get(index, 1) + 1
-                    self._index_incarnations[index] = incarnation
-                    peer_losses = self._ranks_lost_total
             if in_rendezvous:
                 if telemetry.enabled():
                     telemetry.count("socket.workers_admitted")
                 return
-            # Incarnation carryover: the worker seeds its ranks'
-            # TransportStats from the slot's full history so counters
-            # aggregate across incarnations instead of resetting.
-            self._start_worker(conn, respawn=respawning, join=joining,
-                               incarnation=incarnation,
-                               peer_losses=peer_losses)
-            # Control frames the master sent into the respawn gap
-            # (heartbeat requests, fault notices) arrive late, not never.
-            for parts in parked:
-                conn.outbound.put(parts)
-            self._broadcast_membership(
-                list(conn.ranks), "back" if respawning else "joined")
+            self._start_worker(conn, respawn=respawning, join=joining)
             if telemetry.enabled():
                 telemetry.count("socket.workers_readmitted")
             verb = "re-admitted" if respawning else "joined"
@@ -774,22 +750,14 @@ class SocketTransport(Transport):
 
         The share of a dead worker is dropped — the exact semantics of the
         process transport's abandoned lanes, which the heartbeat/abort
-        path depends on.  Exception: a worker whose replacement is still
-        awaited gets its share *parked* (bounded) and flushed on
-        re-admission, so the master's control messages sent into the
-        respawn gap are delivered rather than lost.
+        path depends on — and so is the share of one whose replacement is
+        still awaited: the replacement's slave skips everything before its
+        run task, whose resume directive replays every notice so far.
         """
         for conn in dict.fromkeys(self._rank_conn.get(rank)
                                   for rank, _ in frame.routes):
-            if conn is None:
-                continue
-            if not conn.dead:
+            if conn is not None and not conn.dead:
                 conn.outbound.put(frame.parts)
-            elif not self._shut_down:
-                with self._admit_lock:
-                    if conn.index in self._respawn_pending:
-                        self._parked.setdefault(
-                            conn.index, deque(maxlen=512)).append(frame.parts)
 
     def _writer_loop(self, conn: _WorkerConnection) -> None:
         while True:
@@ -827,44 +795,10 @@ class SocketTransport(Transport):
                        f"{conn.host} lost before rank {rank} reported a "
                        f"result{exit_note}"),
             ))
-        if self._shut_down:
-            return
+        # A worker whose every rank reported first left as planned (a
+        # drain): its slot is vacant for a `repro worker --join`.
         if unreported:
-            # Silent socket death becomes an explicit liveness broadcast:
-            # surviving workers learn which peer ranks are gone (and, after
-            # a respawn, back) instead of inferring it from dropped frames.
-            self._broadcast_membership(sorted(unreported), "lost")
             self._maybe_respawn(conn)
-        else:
-            # Every hosted rank reported before the connection closed: a
-            # planned departure (drain), not a death.  Peers stop sending
-            # to the ranks, the slot becomes vacant — a later
-            # `repro worker --join` may fill it.
-            self._broadcast_membership(sorted(conn.ranks), "left")
-
-    def _broadcast_membership(self, ranks: list[int], state: str) -> None:
-        """Epoch-stamped MEMBERSHIP broadcast: which peer ranks to stop
-        or resume sending to.
-
-        States: ``lost`` (death), ``back`` (respawned replacement),
-        ``left`` (graceful drain), ``joined`` (elastic joiner).  Each
-        broadcast bumps the wire-level epoch; static runs never get here,
-        so their epoch stays 0 and no extra frame ever moves.
-        """
-        with self._admit_lock:
-            self._epoch += 1
-            epoch = self._epoch
-            if state == "lost":
-                self._ranks_lost_total += len(ranks)
-        frame = wire.pack_frame(wire.MEMBERSHIP, 0,
-                                {"epoch": epoch, "ranks": list(ranks),
-                                 "state": state})
-        for conn in self._connections:
-            if conn is None or conn.dead:
-                continue
-            conn.outbound.put(frame)
-        if telemetry.enabled():
-            telemetry.count(f"socket.rank_{state}", len(ranks))
 
     def _maybe_respawn(self, conn: _WorkerConnection) -> None:
         """Queue a replacement worker for a dead connection, budget allowing."""
@@ -1019,8 +953,7 @@ class _WorkerHub:
     """One worker process's shared connection: demux inboxes + framed sends."""
 
     def __init__(self, sock: socket.socket, ranks: list[int],
-                 blocks: Sequence[Sequence[int]],
-                 stats_by_rank: dict[int, TransportStats] | None = None):
+                 blocks: Sequence[Sequence[int]]):
         """``ranks`` are hosted here; ``blocks`` is every worker slot's
         rank block, this worker's included."""
         self.sock = sock
@@ -1032,11 +965,6 @@ class _WorkerHub:
         #: replacement or joiner takes over a slot's whole block).
         self._worker_of = {rank: index for index, block in enumerate(blocks)
                            for rank in block}
-        #: World ranks the coordinator declared gone (MEMBERSHIP frames);
-        #: sends to them are dropped at the hub instead of burning a frame
-        #: on a route the coordinator would discard anyway.
-        self.lost_ranks: set[int] = set()
-        self.stats_by_rank = stats_by_rank or {}
         self.shutdown_seen = threading.Event()
         self._send_lock = threading.Lock()
         self._closed = False
@@ -1056,16 +984,11 @@ class _WorkerHub:
         links = []
         if any(rank in self.ranks for rank, _ in routes):
             links.append(Link(self.deliver))
-        workers = {self._worker_of[rank] for rank, _ in self._remote(routes)}
+        workers = {self._worker_of[rank] for rank, _ in routes
+                   if rank not in self.ranks}
         if workers:
             links.append(Link(self.send_remote, "wire", len(workers)))
         return links
-
-    def _remote(self, routes: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-        """The routes that leave this worker; ranks the coordinator
-        declared gone are dropped here, fail-fast."""
-        return [(rank, tag) for rank, tag in routes
-                if rank not in self.ranks and rank not in self.lost_ranks]
 
     def deliver(self, group: Group) -> None:
         """Put one group into the inbox of every destination hosted here —
@@ -1078,9 +1001,8 @@ class _WorkerHub:
 
     def send_remote(self, group: Group) -> None:
         """Frame one group for all its destinations on other workers."""
-        routes = self._remote(group.routes)
-        if not routes:
-            return  # the last remote destination was lost since links()
+        routes = [(rank, tag) for rank, tag in group.routes
+                  if rank not in self.ranks]
         # Gather-write parts: the payload's genome vectors ride as live
         # memoryviews straight into sendmsg — the first hop makes zero
         # payload copies, like the coordinator's forward path.  The views
@@ -1114,8 +1036,6 @@ class _WorkerHub:
                     # Decoded once for every rank hosted here.
                     self.deliver(Group(*frame.payload(), frame.routes))
                     del frame  # the inboxes own the body now, not a blocked read
-                elif frame.kind == wire.MEMBERSHIP:
-                    self._on_membership(frame.payload())
                 elif frame.kind == wire.DRAIN:
                     # Coordinator requests a graceful drain of one hosted
                     # rank: flag it in the process-wide registry; the
@@ -1141,25 +1061,6 @@ class _WorkerHub:
             # __main__) must fail the hosted ranks fast, not strand them.
             self._on_connection_lost()
 
-    def _on_membership(self, notice: Any) -> None:
-        """Apply one epoch-stamped MEMBERSHIP broadcast.
-
-        ``lost`` drops the peers and counts the loss; ``left`` is a
-        *planned* departure — peers stop sending to the ranks but the loss
-        counter stays untouched (a drain is not a fault);
-        ``back``/``joined`` put the ranks back in play.
-        """
-        state = notice.get("state")
-        ranks = set(notice.get("ranks", ())) - self.ranks
-        if state in ("back", "joined"):
-            self.lost_ranks -= ranks
-            return
-        fresh = ranks - self.lost_ranks
-        self.lost_ranks |= fresh
-        if fresh and state == "lost":
-            for stats in self.stats_by_rank.values():
-                stats.count_rank_lost(len(fresh))
-
     def _on_connection_lost(self) -> None:
         """Coordinator died: close every hosted endpoint so blocked receives
         fail fast instead of hanging the worker forever."""
@@ -1170,31 +1071,6 @@ class _WorkerHub:
         for inbox in self.inboxes.values():
             inbox.put(SHUTDOWN)
         self.shutdown_seen.set()
-
-
-def _seed_transport_stats(ranks: list[int], start: dict,
-                          connect_retries: int) -> dict[int, TransportStats]:
-    """One pre-seeded :class:`TransportStats` per hosted rank.
-
-    Seeds each counter with what the connection itself already knows:
-    the slot's incarnation history from the coordinator (``incarnation`` =
-    total connections ever made for this slot, so ``reconnects`` =
-    ``incarnation - 1`` — aggregated across every respawn/join, never
-    reset), the run's cumulative peer losses (``peer_losses`` — a joiner
-    admitted after a death must report the loss its slot lived through),
-    and this process's own connect retries.  The rendezvous START names
-    neither: a first incarnation with nothing lost.
-    """
-    incarnation = int(start.get("incarnation", 1))
-    peer_losses = int(start.get("peer_losses", 0))
-    stats_by_rank: dict[int, TransportStats] = {}
-    for rank in ranks:
-        stats = TransportStats(rank)
-        stats.apply_carryover(reconnects=incarnation - 1,
-                              ranks_lost=peer_losses,
-                              send_retries=connect_retries)
-        stats_by_rank[rank] = stats
-    return stats_by_rank
 
 
 def drain_request(connect: str, *, rank: int, token: str | None = None,
@@ -1336,18 +1212,17 @@ def worker_main(connect: str, *, slots: int = 1, token: str | None = None,
     except ValueError:
         pass
 
-    # Pre-seed each rank's transport counters with what the connection
-    # itself already knows (incarnation history, run-wide peer losses,
-    # connect retries), then hand them to execute_rank — one stats record
-    # per rank, connection events included.
-    stats_by_rank = _seed_transport_stats(ranks, start, connect_retries[0])
-    hub = _WorkerHub(sock, ranks, start["blocks"], stats_by_rank)
+    hub = _WorkerHub(sock, ranks, start["blocks"])
     outcomes: dict[int, WorkerOutcome] = {}
 
     def run_rank(rank: int) -> None:
+        # Each rank's counters start with what this connection knows: it
+        # is a reconnect when it hosts a replacement or a joiner, and it
+        # took this process's connect retries.
+        stats = TransportStats(rank, reconnects=int(respawn or joined),
+                               send_retries=connect_retries[0])
         outcomes[rank] = execute_rank(rank, size, hub.inboxes[rank],
-                                      hub.links, fn, args,
-                                      stats=stats_by_rank[rank])
+                                      hub.links, fn, args, stats=stats)
 
     threads = [threading.Thread(target=run_rank, args=(rank,),
                                 name=f"mpi-rank-{rank}", daemon=True)

@@ -33,7 +33,6 @@ __all__ = [
     "TransportStats",
     "payload_nbytes",
     "merge_transport_stats",
-    "transport_stats_from_telemetry",
 ]
 
 #: How deep :func:`payload_nbytes` walks nested containers/dataclasses.
@@ -84,15 +83,16 @@ class TransportStats:
     bytes_sent: int = 0
     bytes_received: int = 0
     ranks_lost: int = 0
-    """Peer-loss notices this rank observed (``MEMBERSHIP`` frames with
-    state ``lost``, or the synthesized equivalent on in-process
-    transports)."""
+    """1 when the transport lost this rank: it died before reporting, so
+    :func:`~repro.mpi.launcher.run_mpi` stands this record in for the
+    one it never sent.  Every transport counts it the same way."""
     reconnects: int = 0
-    """Times this rank's hosting connection was (re-)established beyond the
-    first — 1 for every rank of a respawned socket worker."""
+    """1 for a rank hosted by a replacement or ``--join`` socket worker:
+    this incarnation joined mid-run over a new connection."""
     send_retries: int = 0
-    """Transient transport operations retried through
-    :mod:`repro.mpi.backoff` (connects and sends alike)."""
+    """Connect attempts the hosting socket worker retried through
+    :mod:`repro.mpi.backoff` before it reached the coordinator (sends are
+    never retried)."""
 
     def count_sent(self, payload: Any, hosts: int = 1) -> None:
         """One group written to ``hosts`` distinct destination hosts."""
@@ -114,39 +114,6 @@ class TransportStats:
             telemetry.count("mpi.messages_received", rank=self.rank)
             telemetry.count("mpi.bytes_received", nbytes, rank=self.rank)
 
-    def count_rank_lost(self, n: int = 1) -> None:
-        self.ranks_lost += n
-        if telemetry.enabled():
-            telemetry.count("mpi.ranks_lost", n, rank=self.rank)
-
-    def count_reconnect(self, n: int = 1) -> None:
-        self.reconnects += n
-        if telemetry.enabled():
-            telemetry.count("mpi.reconnects", n, rank=self.rank)
-
-    def count_send_retry(self, n: int = 1) -> None:
-        self.send_retries += n
-        if telemetry.enabled():
-            telemetry.count("mpi.send_retries", n, rank=self.rank)
-
-    def apply_carryover(self, *, reconnects: int = 0, ranks_lost: int = 0,
-                        send_retries: int = 0) -> None:
-        """Seed recovery counters carried across a rank's incarnations.
-
-        A respawned or joining worker starts from fresh counters, but the
-        rank's *history* — how many times its hosting connection was
-        re-established, how many peer losses it lived through — must
-        aggregate across incarnations, not reset.  The coordinator carries
-        those totals in the START frame; the worker applies them here
-        before the first message moves.
-        """
-        if reconnects:
-            self.count_reconnect(reconnects)
-        if ranks_lost:
-            self.count_rank_lost(ranks_lost)
-        if send_retries:
-            self.count_send_retry(send_retries)
-
     def summary(self) -> str:
         """One line for CLI/log output."""
         line = (f"rank {self.rank}: sent {self.messages_sent} msg / "
@@ -154,9 +121,9 @@ class TransportStats:
                 f"{self.messages_received} msg / "
                 f"{_format_bytes(self.bytes_received)}")
         if self.ranks_lost or self.reconnects or self.send_retries:
-            line += (f", recovery: {self.ranks_lost} peer(s) lost, "
+            line += (f", recovery: {self.ranks_lost} rank(s) lost, "
                      f"{self.reconnects} reconnect(s), "
-                     f"{self.send_retries} retry(ies)")
+                     f"{self.send_retries} connect retry(ies)")
         return line
 
 
@@ -172,27 +139,6 @@ def merge_transport_stats(stats: Iterable[TransportStats]) -> TransportStats:
         total.reconnects += record.reconnects
         total.send_retries += record.send_retries
     return total
-
-
-def transport_stats_from_telemetry(
-    snapshot: "telemetry.TelemetrySnapshot",
-) -> TransportStats:
-    """Thin adapter: rebuild a :class:`TransportStats` view from the bus.
-
-    The bus is the primary record when telemetry is enabled; this keeps the
-    old reduction/reporting code paths working off a telemetry snapshot.
-    """
-    counters = snapshot.counters
-    return TransportStats(
-        rank=-1 if snapshot.rank is None else snapshot.rank,
-        messages_sent=int(counters.get("mpi.messages_sent", 0)),
-        messages_received=int(counters.get("mpi.messages_received", 0)),
-        bytes_sent=int(counters.get("mpi.bytes_sent", 0)),
-        bytes_received=int(counters.get("mpi.bytes_received", 0)),
-        ranks_lost=int(counters.get("mpi.ranks_lost", 0)),
-        reconnects=int(counters.get("mpi.reconnects", 0)),
-        send_retries=int(counters.get("mpi.send_retries", 0)),
-    )
 
 
 def _format_bytes(n: int) -> str:

@@ -83,10 +83,10 @@ def execute_rank(rank: int, size: int, inbox,
     Builds the rank's endpoint (``inbox`` and ``links`` as
     :class:`~repro.mpi.endpoint.Endpoint` takes them) and WORLD
     communicator, runs ``fn(world, *args)``, and captures the outcome —
-    value or traceback — together with the endpoint's transport counters.  A host that already
-    accounts connection-level events (the socket worker hub counting
-    reconnects and peer losses) passes its pre-seeded ``stats`` record in;
-    by default a fresh one is created.
+    value or traceback — together with the endpoint's transport counters.  A host that knows
+    connection-level events (a socket worker's reconnect and connect
+    retries) passes its pre-seeded ``stats`` record in; by default a fresh
+    one is created.
     """
     if stats is None:
         stats = TransportStats(rank)

@@ -6,8 +6,8 @@ One frame is a fixed header, a routing table and an opaque body::
     routes := (rank(4, signed) tag(8, signed)) * nroutes
     body   := nseg(4) seg_len(8)*nseg seg*nseg
 
-``kind`` is the protocol verb (HELLO/START/MSG/RESULT/SHUTDOWN/MEMBERSHIP/
-DRAIN) and ``rank`` its addressing field (reporting rank for RESULT, target
+``kind`` is the protocol verb (HELLO/START/MSG/RESULT/SHUTDOWN/DRAIN) and
+``rank`` its addressing field (reporting rank for RESULT, target
 rank for DRAIN, unused otherwise).  A MSG is addressed by its **routes**
 instead: every ``(destination world rank, tag)`` the one body goes to.  A
 plain send is the group of one route; a genome going to four neighbour
@@ -73,7 +73,6 @@ __all__ = [
     "MSG",
     "RESULT",
     "SHUTDOWN",
-    "MEMBERSHIP",
     "DRAIN",
 ]
 
@@ -87,10 +86,8 @@ START = 2      #: coordinator -> worker: rank assignment + the program
 MSG = 3        #: one payload in flight to every ``(rank, tag)`` in its routes
 RESULT = 4     #: worker -> coordinator: one rank's outcome; ``rank`` = rank
 SHUTDOWN = 5   #: coordinator -> worker: drain and exit
-# 6 is retired (a liveness broadcast MEMBERSHIP superseded): never reuse it.
-MEMBERSHIP = 7  #: coordinator -> workers: epoch-stamped membership change;
-                #: body = {"epoch": int, "ranks": [...], "state": "lost"|
-                #: "back"|"joined"|"left"}
+# 6 and 7 are retired (coordinator liveness and membership broadcasts; the
+# master's notices are the only membership record): never reuse them.
 DRAIN = 8      #: control verb: coordinator -> worker requests the named
                #: rank drain gracefully (checkpoint + hand off its cells);
                #: also the reply kind for the ``repro drain`` control

@@ -162,6 +162,8 @@ class MembershipTable:
         self._log.record(MembershipEvent(epoch=0, kind="launch", ranks=ranks))
         #: unfinished cell -> the live rank that owns it
         self._owner = {grid.cell_of_rank(rank): rank for rank in ranks}
+        #: finished cell -> the owner whose result finished it
+        self._finished: dict[int, int] = {}
         #: dead rank -> the cell kept for its replacement process
         self._held: dict[int, int] = {}
         #: frozen cell -> the departed rank that owned it
@@ -221,7 +223,15 @@ class MembershipTable:
     def finish(self, cell: int) -> None:
         """A cell's result arrived: it needs no owner any more."""
         with self._lock:
-            self._owner.pop(cell, None)
+            if cell in self._owner:
+                self._finished[cell] = self._owner.pop(cell)
+
+    def moved(self, cell: int, rank: int) -> bool:
+        """True once a transition took ``cell`` from ``rank``: froze it, or
+        gave it to another rank (under ``abort`` nothing moves)."""
+        with self._lock:
+            owner = self._owner.get(cell, self._finished.get(cell, rank))
+            return cell in self._degraded or owner != rank
 
     def idle(self, rank: int) -> bool:
         """True for a member with no unfinished cell left."""

@@ -292,9 +292,15 @@ class MasterProcess:
             raise TypeError(f"unexpected message to the master: {message!r}")
 
     def _take_result(self, result: SlaveResult) -> None:
+        sender = result.rank
+        if self._table.moved(result.cell_index, sender):
+            # From a rank declared dead after all (aborted, or late): the
+            # frozen placeholder or the new owner's result stands.
+            telemetry.mark("stale result dropped",
+                           f"cell {result.cell_index} from rank {sender}")
+            return
         self._results[result.cell_index] = result
         self._table.finish(result.cell_index)
-        sender = result.rank
         if self._table.idle(sender):
             # A rank is finished only once every cell it hosts (own plus
             # adopted) has reported; until then the heartbeat keeps watch.
@@ -418,20 +424,20 @@ class MasterProcess:
                         f"cell {index} -> rank {cell.adopter_rank} from "
                         f"iteration {cell.iteration}, rejoin "
                         f"{cell.rejoin_iteration}")
+            # Silence is not proof of death: a rank declared dead may be
+            # alive, and its neighbours stop sending to it — so under every
+            # policy it is aborted.  A truly dead rank never reads its copy,
+            # nor does a replacement (it skips what precedes its run task).
+            doomed = set(transition.ranks) if kind == "death" else set()
             if transition.abort:
-                # Paper-faithful: gracefully abort the survivors — and the
-                # ranks declared dead, since silence is not proof of death:
-                # a live one left out would wait on neighbours that already
-                # left.  A truly dead rank never reads its copy.
+                # Paper-faithful: gracefully abort the survivors too.
                 self._aborted = True
-                doomed = set(transition.peers)
-                if kind == "death":
-                    doomed.update(transition.ranks)
-                for rank in sorted(doomed):
-                    comm.send(rank, Abort())
+                doomed.update(transition.peers)
             elif transition.notice is not None:
                 for rank in transition.peers:
                     comm.send(rank, transition.notice)
+            for rank in sorted(doomed):
+                comm.send(rank, Abort())
             for rank, cell, directive in transition.starts:
                 if directive.snapshot is None:
                     telemetry.mark("standby joiner parked",

@@ -157,8 +157,9 @@ class SlaveProcess:
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
         comm.send(0, NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
         # 2. Wait for the workload (state: inactive).  Whatever comes first
-        # was sent to an earlier incarnation of this rank (the socket
-        # coordinator parks messages sent into a respawn gap): stale.
+        # is for an earlier incarnation of this rank — a heartbeat ping,
+        # or the abort its death was answered with — and the run task's
+        # resume directive replays every notice so far: skip it.
         task = comm.receive()
         while not isinstance(task, RunTask):
             task = comm.receive()

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.placement import PlacementPlan, migration_count
-from repro.mpi.socket_transport import _seed_transport_stats, drain_request
-from repro.mpi.stats import TransportStats
+from repro.mpi.socket_transport import drain_request
 from repro.parallel import DistributedRunner, elastic
 from repro.parallel.elastic import (DrainNotice, MembershipEvent,
                                     MembershipLog, MembershipTable)
@@ -231,39 +230,6 @@ class TestDrainRegistry:
                             mixture_weights=None)
         notice = DrainNotice(rank=8, snapshots=(snap,))
         assert notice.cells == (7,)
-
-
-# -- transport-stats carry-over -----------------------------------------------
-
-
-class TestStatsCarryover:
-    def test_apply_carryover_accumulates(self):
-        stats = TransportStats(4)
-        stats.apply_carryover(reconnects=2, ranks_lost=1, send_retries=3)
-        stats.count_reconnect()
-        assert stats.reconnects == 3
-        assert stats.ranks_lost == 1
-        assert stats.send_retries == 3
-
-    def test_seed_from_start_frame(self):
-        # Incarnation 3 = two re-establishments of the slot; the joiner
-        # also inherits the run's cumulative peer losses.
-        seeded = _seed_transport_stats(
-            [4, 5], {"incarnation": 3, "peer_losses": 2}, connect_retries=1)
-        for rank in (4, 5):
-            assert seeded[rank].rank == rank
-            assert seeded[rank].reconnects == 2
-            assert seeded[rank].ranks_lost == 2
-            assert seeded[rank].send_retries == 1
-
-    @pytest.mark.parametrize("start", [
-        {"incarnation": 1, "peer_losses": 0},
-        {},  # the rendezvous START names neither
-    ])
-    def test_first_incarnation_starts_clean(self, start):
-        seeded = _seed_transport_stats([1], start, connect_retries=0)
-        assert seeded[1].reconnects == 0
-        assert seeded[1].ranks_lost == 0
 
 
 # -- placement under migration ------------------------------------------------

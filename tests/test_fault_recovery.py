@@ -154,6 +154,8 @@ class TestChaosMatrixProcess:
         assert result.dead_ranks == [2]
         assert result.fault_policy == policy
         assert len(result.training.center_genomes) == 4
+        # The killed rank, and only it, counts as lost.
+        assert [s.ranks_lost for s in result.transport_stats] == [0, 0, 1, 0, 0]
         if policy == "abort":
             assert not result.ok and not result.complete
         elif policy == "degrade":
@@ -173,6 +175,13 @@ class TestChaosMatrixSocket:
     dies with os._exit — a real socket-visible death."""
 
     HOSTS = "127.0.0.1:4,127.0.0.1:1"   # rank 4 (cell 3) alone on worker B
+
+    @staticmethod
+    def _assert_one_rank_lost(result):
+        """As on the process backend: the killed rank counts as lost, and
+        none of the co-hosted survivors does."""
+        assert sum(s.ranks_lost for s in result.transport_stats) == 1
+        assert result.transport_stats[4].ranks_lost == 1
 
     def _run(self, dataset, *, kill_at, policy, **options):
         config = make_quick_config(2, 2, iterations=3)
@@ -195,6 +204,7 @@ class TestChaosMatrixSocket:
         result = self._run(module_dataset, kill_at=1, policy="abort")
         assert result.dead_ranks == [4]
         assert not result.ok and not result.complete
+        self._assert_one_rank_lost(result)
 
     def test_socket_degrade_before_first_checkpoint(self, module_dataset):
         result = self._run(module_dataset, kill_at=0, policy="degrade")
@@ -203,6 +213,7 @@ class TestChaosMatrixSocket:
         assert result.degraded_ranks == [4]
         # The frozen cell reports its initial-state genomes.
         assert len(result.training.center_genomes) == 4
+        self._assert_one_rank_lost(result)
 
     def test_socket_recover_by_adoption(self, module_dataset):
         """No restart budget: a surviving worker's slave adopts the cell."""
@@ -211,6 +222,7 @@ class TestChaosMatrixSocket:
         assert result.ok, f"degraded {result.degraded_ranks}"
         assert result.recovered_ranks == [4]
         assert result.training.cell_reports[3], "adopted cell has no reports"
+        self._assert_one_rank_lost(result)
 
     def test_socket_recover_by_respawn(self, module_dataset):
         """With a restart budget the coordinator respawns a replacement
@@ -221,9 +233,8 @@ class TestChaosMatrixSocket:
         assert result.ok, f"degraded {result.degraded_ranks}"
         assert result.recovered_ranks == [4]
         assert result.training.cell_reports[3], "respawned cell has no reports"
-        # The replacement's hosting connection counts one reconnect.
-        by_rank = {s.rank: s for s in result.transport_stats}
-        assert by_rank[4].reconnects >= 1
+        # The reborn rank counts one reconnect; the rendezvous ranks none.
+        assert [s.reconnects for s in result.transport_stats] == [0, 0, 0, 0, 1]
 
 
 class TestTwoWorkerSplit:

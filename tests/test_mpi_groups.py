@@ -5,11 +5,12 @@ transport moves, written once per destination host.
   ``send``; in-process destinations share the object; the sender counts one
   message per host written;
 * socket worker hub — a group frame is decoded once for all the ranks it
-  names there, co-hosted destinations take a group by reference, lost ranks
-  are filtered out of the one remote frame;
+  names there, co-hosted destinations take a group by reference, every
+  remote destination shares the one frame;
 * coordinator — a group frame is forwarded once per destination connection
   as the very objects that were received; a dead connection's share is
-  dropped, a respawn-pending one parked and flushed on re-admission.
+  dropped, whether or not a replacement is awaited, and the group's other
+  routes still go through.
 """
 
 import json
@@ -163,27 +164,6 @@ class TestWorkerHub:
         assert stats.messages_sent == 2
         assert stats.bytes_sent == 2 * (payload["g"].nbytes + payload["d"].nbytes)
 
-    def test_lost_rank_is_skipped_without_dropping_the_others(self, hub_and_wire):
-        hub, endpoints, coordinator = hub_and_wire
-        wire.write_frame(coordinator, wire.pack_frame(
-            wire.MEMBERSHIP, 0, {"epoch": 1, "ranks": [6], "state": "lost"}))
-        wire.write_frame(coordinator, wire.pack_frame_parts(
-            wire.MSG, 0, (CTX, 9, "fence"), routes=[(0, 1)]))
-        endpoints[0].recv(CTX, 9, 1, timeout=30)        # MEMBERSHIP applied
-        assert hub.lost_ranks == {6}
-
-        group = Group(CTX, 1, "genome", ((2, 31), (6, 32), (7, 33)))
-        assert endpoints[1].send_group(group) == 2
-        assert endpoints[2].recv(CTX, 1, 31, timeout=30).payload == "genome"
-        frame = wire.read_frame(coordinator)
-        assert frame.routes == ((7, 33),)
-        # All remote destinations lost: no frame at all, and nothing counted.
-        sent_before = endpoints[1].stats.messages_sent
-        assert endpoints[1].send_group(Group(CTX, 1, "nobody", ((6, 34),))) == 0
-        endpoints[1].send_group(Group(CTX, 1, "next", ((7, 35),)))
-        assert wire.read_frame(coordinator).payload()[2] == "next"
-        assert endpoints[1].stats.messages_sent == sent_before + 1
-
     def test_sends_from_one_rank_share_one_wire_lane(self, hub_and_wire):
         hub, endpoints, coordinator = hub_and_wire
         for index in range(20):
@@ -273,7 +253,7 @@ class TestCoordinatorRouting:
         assert relayed.routes == frame.routes
         np.testing.assert_array_equal(relayed.payload()[2]["g"], _genomes()["g"])
 
-    def test_dead_share_dropped_and_pending_share_parked(self, coordinator):
+    def test_dead_and_respawn_pending_shares_are_dropped(self, coordinator):
         transport, _far_ends = coordinator
         a, b, c = transport._connections
         b.dead = True                                # dead, no replacement
@@ -281,20 +261,49 @@ class TestCoordinatorRouting:
         transport._respawn_pending.add(c.index)
         frame = _received_group_frame([(1, 1), (5, 2), (8, 3), (9, 3)], "genome")
         transport._route(frame)
-        assert len(_queued(a)) == 1
+        (parts,) = _queued(a)
+        assert parts[1] is frame.body
         assert _queued(b) == [] and _queued(c) == []
-        assert b.index not in transport._parked
-        (parked,) = transport._parked[c.index]
-        assert parked[1] is frame.body
 
-    def test_parked_share_is_flushed_to_the_readmitted_worker(self, coordinator):
+    def test_a_route_to_a_dead_worker_keeps_the_others(self, coordinator):
+        """Worker A's hub knows nothing of deaths: it frames every remote
+        route, and the coordinator drops only the dead worker's share."""
+        transport, _far_ends = coordinator
+        a, b, c = transport._connections
+        b.dead = True
+        ours, theirs = socket.socketpair()
+        theirs.settimeout(30)
+        hub = _WorkerHub(ours, a.ranks, transport._blocks)
+        endpoints = {rank: Endpoint(rank, hub.inboxes[rank], hub.links)
+                     for rank in (1, 2)}
+        try:
+            group = Group(CTX, 1, "genome", ((2, 31), (5, 32), (8, 33)))
+            assert endpoints[1].send_group(group) == 3   # own worker, B and C
+            assert endpoints[2].recv(CTX, 1, 31, timeout=30).payload == "genome"
+            frame = wire.read_frame(theirs)               # as A's reader gets it
+            assert frame.routes == ((5, 32), (8, 33))
+            transport._route(frame)
+            assert _queued(a) == [] and _queued(b) == []
+            (parts,) = _queued(c)
+            assert parts[1] is frame.body
+            assert frame.payload() == (CTX, 1, "genome")
+        finally:
+            for endpoint in endpoints.values():
+                endpoint.close()
+            theirs.close()
+            ours.close()
+
+    def test_readmitted_worker_gets_only_later_frames(self, coordinator):
+        """A replacement starts with the respawn flag and nothing of the
+        frames routed while its slot was dead: its slave skips what
+        precedes its run task, whose resume directive replays every
+        notice."""
         transport, _far_ends = coordinator
         c = transport._connections[2]
         c.dead = True
         transport._respawn_pending.add(c.index)
         transport._program = wire.encode_body((_fan_out, ()))
-        frame = _received_group_frame([(2, 1), (8, 5), (9, 6)], "parked")
-        transport._route(frame)
+        transport._route(_received_group_frame([(2, 1), (8, 5)], "in the gap"))
 
         listener = socket.create_server(("127.0.0.1", 0))
         worker = socket.create_connection(listener.getsockname())
@@ -309,14 +318,16 @@ class TestCoordinatorRouting:
                 }).encode()))
             transport._admit_slots.acquire()
             transport._admit(admitted)
+            assert c.index not in transport._respawn_pending
             start = wire.read_frame(worker)
             assert start.kind == wire.START
             assert start.payload()["blocks"] == transport._blocks
-            flushed = wire.read_frame(worker)
-            assert flushed.kind == wire.MSG
-            assert flushed.routes == frame.routes
-            assert flushed.payload() == (CTX, 1, "parked")
-            assert c.index not in transport._parked
+            assert start.payload()["respawn"] and not start.payload()["join"]
+            later = _received_group_frame([(9, 6)], "after the gap")
+            transport._route(later)
+            relayed = wire.read_frame(worker)
+            assert relayed.kind == wire.MSG
+            assert relayed.payload() == (CTX, 1, "after the gap")
         finally:
             transport.shutdown()
             worker.close()

@@ -39,6 +39,10 @@ def collective_program(world, offset):
     return float(sum(g.sum() for g in gathered)) + reduced
 
 
+def rank_program(world):
+    return world.Get_rank()
+
+
 def crash_program(world, victim):
     if world.Get_rank() == victim:
         raise RuntimeError("deliberate crash for the failure test")
@@ -379,6 +383,56 @@ class TestSocketJobs:
         assert not outcomes[0].failed and not outcomes[1].failed
         assert outcomes[2].failed
         assert "lost" in outcomes[2].error
+
+
+class TestWorkerCounters:
+    """What a worker's ranks start their ``TransportStats`` with: one
+    reconnect for a replacement or a joiner, and the connect retries it
+    took — per incarnation, nothing carried over."""
+
+    @pytest.mark.parametrize("late", [{}, {"respawn": True}, {"join": True}],
+                             ids=["rendezvous", "respawn", "join"])
+    def test_reconnect_and_connect_retries(self, monkeypatch, late):
+        import socket
+        import threading
+
+        from repro.mpi import socket_transport, wire
+
+        real_connect = socket_transport.retry_connect
+
+        def refused_twice(address, *, timeout, on_retry):
+            for attempt in (1, 2):
+                on_retry(attempt, ConnectionRefusedError("not yet"))
+            return real_connect(address, timeout=timeout, on_retry=on_retry)
+
+        monkeypatch.setattr(socket_transport, "retry_connect", refused_twice)
+        listener = socket.create_server(("127.0.0.1", 0))
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(
+            socket_transport.worker_main(
+                f"127.0.0.1:{listener.getsockname()[1]}", slots=1, index=1,
+                token="t", quiet=True, timeout=30)))
+        worker.start()
+        coordinator, _ = listener.accept()
+        listener.close()
+        coordinator.settimeout(30)
+        try:
+            assert wire.read_frame(coordinator).kind == wire.HELLO
+            wire.write_frame(coordinator, wire.pack_frame(wire.START, 1, {
+                "ranks": [1], "size": 2, "blocks": [[0], [1]],
+                "program": wire.encode_body((rank_program, ())), **late}))
+            result = wire.read_frame(coordinator)
+            assert result.kind == wire.RESULT
+            outcome = result.payload()
+            assert outcome.value == 1
+            assert outcome.stats.reconnects == (1 if late else 0)
+            assert outcome.stats.send_retries == 2
+            assert outcome.stats.ranks_lost == 0
+            wire.write_frame(coordinator, wire.pack_frame(wire.SHUTDOWN, 0))
+            worker.join(timeout=30)
+            assert codes == [0]
+        finally:
+            coordinator.close()
 
 
 def sleepy_program(world, seconds):

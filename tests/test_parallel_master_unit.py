@@ -215,21 +215,32 @@ class TestMasterFailureHandling:
         assert [at for at, rank in comm.pings if rank == 2] == pytest.approx(
             [0.0, 0.02, 0.04])
 
-    def test_a_live_rank_falsely_declared_dead_is_aborted_too(self, config, monkeypatch):
-        """Regression: under ``abort`` a rank the heartbeat wrongly declared
-        dead (silent, but alive — a long batch on a loaded node) was left
-        out of the abort, and then waited on neighbours that had already
-        left until the run's timeout.  It now gets the abort like the
-        survivors, and its aborted result is taken in.  (The zombies of the
-        other policies — a falsely dead rank whose cells moved on — are out
-        of scope here.)"""
+    @pytest.mark.parametrize("policy", ["abort", "degrade", "recover"])
+    def test_a_live_rank_falsely_declared_dead_is_aborted_too(self, config,
+                                                             monkeypatch, policy):
+        """Regression: a rank the heartbeat wrongly declared dead (silent,
+        but alive — a long batch on a loaded node) was left out of the
+        abort, and then waited on neighbours that had stopped sending to it
+        until the run's timeout.  It now gets an abort under every policy.
+        Its aborted result is taken in under ``abort``; elsewhere its cell
+        moved on, and the frozen placeholder or the adopter's result
+        stands."""
         comm = ScriptedMasterComm(config, silent_ranks={2}, abortable_ranks={2},
                                   result_delay_s=0.4)
-        outcome = run_master(comm, config, monkeypatch, miss_limit=3)
-        assert 2 in comm.aborts_sent
-        assert outcome.results[1].rank == 2 and outcome.results[1].aborted
+        outcome = run_master(comm, config, monkeypatch, miss_limit=3,
+                             fault_policy=policy)
+        assert comm.aborts_sent.count(2) == 1
         assert sorted(outcome.results) == [0, 1, 2, 3]
         assert outcome.dead_ranks == [2]  # declared dead all the same
+        cell = outcome.results[1]
+        if policy == "abort":
+            assert cell.rank == 2 and cell.aborted
+        elif policy == "degrade":
+            assert outcome.degraded_ranks == [2]
+            assert cell.reports == [] and not cell.aborted  # the placeholder
+        else:
+            assert outcome.recovered_ranks == [2]
+            assert cell.rank != 2 and cell.recovered and not cell.aborted
 
 
 class TestMasterAppliesTransitions:

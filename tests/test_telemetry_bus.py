@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.mpi.stats import TransportStats, transport_stats_from_telemetry
+from repro.mpi.stats import TransportStats
 from repro.telemetry.bus import MergedTelemetry, SpanEvent, TelemetrySnapshot, merge_telemetry
 
 
@@ -236,12 +236,12 @@ class TestAdapters:
         stats.count_sent(b"x" * 100)
         stats.count_sent(b"y" * 50)
         stats.count_received(b"z" * 25)
-        rebuilt = transport_stats_from_telemetry(telemetry_bus.snapshot(2))
-        assert rebuilt.rank == 2
-        assert rebuilt.messages_sent == stats.messages_sent == 2
-        assert rebuilt.bytes_sent == stats.bytes_sent == 150
-        assert rebuilt.messages_received == 1
-        assert rebuilt.bytes_received == 25
+        snapshot = telemetry_bus.snapshot(2)
+        assert snapshot.rank == 2
+        assert snapshot.counters["mpi.messages_sent"] == stats.messages_sent == 2
+        assert snapshot.counters["mpi.bytes_sent"] == stats.bytes_sent == 150
+        assert snapshot.counters["mpi.messages_received"] == 1
+        assert snapshot.counters["mpi.bytes_received"] == 25
 
 
 class TestMergedTelemetryShape:
