@@ -11,8 +11,8 @@ arXiv:2004.04633), including every substrate the paper depends on:
 * :mod:`repro.metrics` — classifier score / FID / mode coverage;
 * :mod:`repro.coevolution` — the Lipizzaner/Mustangs cellular algorithm and
   the single-core baseline trainer;
-* :mod:`repro.mpi` — message-passing runtime with an mpi4py-style API
-  (threads or forked processes);
+* :mod:`repro.mpi` — message-passing runtime: the MPI subset the program
+  calls, with an mpi4py-style API (threads, forked processes or TCP);
 * :mod:`repro.cluster` — simulated HPC platform (Cluster-UY substitute);
 * :mod:`repro.parallel` — **the paper's contribution**: the master-slave
   distributed implementation (CommManager, Grid, heartbeats, two-thread

@@ -1,18 +1,17 @@
 """Message-passing runtime with an mpi4py-style API (the MPI substitute).
 
 The paper parallelizes Lipizzaner with MPI (mpi4py) on a cluster.  This
-package provides the MPI subset the paper's implementation uses, built from
-scratch:
+package provides the MPI subset the program uses, built from scratch:
 
-* point-to-point ``send``/``recv``/``isend``/``irecv``/``probe``/``iprobe``
-  with tags and wildcards (pickled Python objects, like mpi4py's lowercase
-  methods), plus ``send_group`` — one object to a list of ``(dest, tag)``,
-  moved once per destination host (``send`` is the group of one);
-* collectives: ``bcast``, ``gather``, ``allgather``, ``scatter``,
-  ``reduce``, ``allreduce``, ``barrier``;
-* communicator management: ``Split`` (builds the paper's LOCAL and GLOBAL
-  communicators out of WORLD) and ``Create_cart`` (the Cartesian topology
-  the paper suggests via ``MPI_CART_CREATE``);
+* point-to-point ``send``/``recv``/``iprobe`` with tags and wildcards
+  (pickled Python objects, like mpi4py's lowercase methods), plus
+  ``send_group`` — one object to a list of ``(dest, tag)``, moved once per
+  destination host (``send`` is the group of one) — and ``sendrecv``;
+* two collectives, ``barrier`` and ``allgather`` (the paper's LOCAL
+  exchange in its ``allgather`` mode);
+* ``Attach_derived``: a sub-communicator of WORLD (the paper's LOCAL) that
+  every member attaches to on its own, with no collective — the same way
+  for a rank launched with the job and one respawned or joined mid-run;
 * pluggable transports with identical semantics behind the
   :class:`~repro.mpi.transport.Transport` protocol: **threads** (one rank
   per thread, for fast deterministic tests), **processes** (one rank per OS
@@ -27,7 +26,7 @@ runtime.
 
 from repro.mpi.backoff import BackoffPolicy, retry_connect, with_backoff
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG, MAX_USER_TAG
-from repro.mpi.comm import CartComm, Comm, Status
+from repro.mpi.comm import Comm, Status
 from repro.mpi.errors import MpiError, MpiTimeoutError, MpiWorkerError
 from repro.mpi.launcher import run_mpi
 from repro.mpi.stats import TransportStats, merge_transport_stats
@@ -46,7 +45,6 @@ __all__ = [
     "retry_connect",
     "with_backoff",
     "Comm",
-    "CartComm",
     "Status",
     "MpiError",
     "MpiTimeoutError",

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "MAX_USER_TAG", "WORLD_CONTEXT"]
 
-#: Wildcard source for ``recv``/``probe`` (matches any sender).
+#: Wildcard source for ``recv``/``iprobe`` (matches any sender).
 ANY_SOURCE: int = -1
 
-#: Wildcard tag for ``recv``/``probe`` (matches any tag).
+#: Wildcard tag for ``recv``/``iprobe`` (matches any tag).
 ANY_TAG: int = -1
 
 #: User tags must lie in ``0..MAX_USER_TAG``; the runtime reserves the

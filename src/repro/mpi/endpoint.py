@@ -2,7 +2,7 @@
 
 Every rank owns one :class:`Endpoint`.  A background *pump thread* drains
 the rank's transport mailbox into an in-memory buffer and notifies a
-condition variable; ``recv``/``probe`` then match on ``(context, source,
+condition variable; ``recv``/``iprobe`` then match on ``(context, source,
 tag)`` against that buffer.  This single-consumer design makes the endpoint
 safe for multiple user threads — exactly what the paper's slaves need, where
 the main thread (master communication) and the execution thread (training)
@@ -33,7 +33,7 @@ SHUTDOWN = ("__shutdown__",)
 
 @dataclass
 class Envelope:
-    """One received message, as ``recv``/``probe`` match it.
+    """One received message, as ``recv``/``iprobe`` match it.
 
     ``context`` is the communicator's tree-structured tuple id (see
     :class:`repro.mpi.comm.Comm`), keeping traffic of different
@@ -281,11 +281,6 @@ class Endpoint:
                 if self._matches(env, context, source, tag):
                     return env
         return None
-
-    def pending(self, context: tuple) -> int:
-        """Number of buffered envelopes for one communicator (diagnostics)."""
-        with self._cond:
-            return sum(1 for env in self._buffer if env.context == context)
 
     # -- shutdown -----------------------------------------------------------------
 

@@ -8,8 +8,9 @@ parallel/distributed implementation of Mustangs/Lipizzaner:
   with *dynamic* neighborhood rewiring, fully decoupled from communication.
 * :mod:`repro.parallel.comm_manager` — the new ``CommManager`` class
   (replaces ``node-comm``): every inter-process interaction behind an
-  abstract interface, MPI underneath, including the WORLD / LOCAL / GLOBAL
-  communicator split of Section III-D.
+  abstract interface, MPI underneath, over the WORLD and LOCAL contexts of
+  Section III-D (every slave attaches to LOCAL on its own, no collective;
+  the typed WORLD streams carry the paper's GLOBAL role).
 * :mod:`repro.parallel.messages` — the control protocol: one stream of
   typed messages each way between master and slaves, one tag each.
 * :mod:`repro.parallel.master` / :mod:`repro.parallel.slave` — the two

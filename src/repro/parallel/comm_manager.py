@@ -6,14 +6,21 @@ communications and synchronization in an abstract way, using underlying MPI
 functions".  :class:`CommManager` is that abstract interface;
 :class:`MpiCommManager` is the MPI implementation over :mod:`repro.mpi`.
 
-Three communication contexts, exactly as in Section III-D:
+The communication contexts of Section III-D:
 
 * **WORLD** — the control protocol: one stream of typed messages from the
   master to the slaves and one back (see :mod:`repro.parallel.messages`),
   moved by :meth:`CommManager.send` and :meth:`CommManager.receive`;
 * **LOCAL** — only the active slaves; carries the per-iteration genome
-  exchange (the profiled ``gather`` routine) without involving the master;
-* **GLOBAL** — master + all slaves; final collective operations.
+  exchange (the profiled ``gather`` routine) without involving the master.
+  Every slave attaches to it on its own (:meth:`CommManager.build_contexts`,
+  no collective), so a rank launched with the job and one respawned or
+  joined mid-run hold the same LOCAL.
+
+The paper's **GLOBAL** (master + slaves, for the final collective
+operations) has no communicator of its own: the typed WORLD streams carry
+its role — results, snapshots and status reach the master as messages of
+the one slave-to-master stream.
 """
 
 from __future__ import annotations
@@ -68,11 +75,8 @@ class CommManager:
     # -- communication contexts ---------------------------------------------------
 
     def build_contexts(self, is_active_slave: bool) -> None:
-        """Collectively derive the LOCAL and GLOBAL communicators."""
-        raise NotImplementedError
-
-    def rejoin_contexts(self, is_active_slave: bool = True) -> None:
-        """Re-derive LOCAL/GLOBAL *non-collectively* (respawned rank)."""
+        """Attach to LOCAL (an active slave) or to nothing (the master);
+        non-collective."""
         raise NotImplementedError
 
     # -- the control protocol -----------------------------------------------------
@@ -141,7 +145,6 @@ class MpiCommManager(CommManager):
     def __init__(self, world: Comm):
         self.world = world
         self.local: Comm | None = None
-        self.global_: Comm | None = None
 
     # -- identity -------------------------------------------------------------------
 
@@ -156,30 +159,15 @@ class MpiCommManager(CommManager):
     # -- communication contexts -----------------------------------------------------
 
     def build_contexts(self, is_active_slave: bool) -> None:
-        """LOCAL = active slaves only; GLOBAL = everyone (a WORLD duplicate).
+        """LOCAL = the slaves, WORLD ranks 1..N in rank order; the master
+        gets none.
 
-        Collective over WORLD — the master participates with ``color=None``
-        in the LOCAL split (MPI_UNDEFINED), receiving no LOCAL communicator.
+        Non-collective: each slave attaches on its own, so launch waits on
+        no peer, and a rank born mid-run (respawned or joined) attaches
+        exactly as a launched one does.  The context is ``(0, 0, 1)``.
         """
-        color = 1 if is_active_slave else None
-        self.local = self.world.Split(color=color, key=self.rank)
-        self.global_ = self.world.Dup()
-
-    def rejoin_contexts(self, is_active_slave: bool = True) -> None:
-        """Reconstruct LOCAL/GLOBAL without re-running the collectives.
-
-        A respawned worker joins a job whose :meth:`build_contexts` already
-        ran; the context tuples that derivation produced are deterministic
-        (Split seq 0 with color 1 for LOCAL, Dup = Split seq 1 color 0 for
-        GLOBAL, members ordered by rank), so the reborn rank re-attaches
-        with :meth:`Comm.Attach_derived` and immediately speaks both
-        contexts.
-        """
-        slaves = list(range(1, self.size))
-        everyone = list(range(self.size))
-        self.local = (self.world.Attach_derived((0, 1), slaves)
+        self.local = (self.world.Attach_derived((0, 1), range(1, self.size))
                       if is_active_slave else None)
-        self.global_ = self.world.Attach_derived((1, 0), everyone)
 
     # -- the control protocol -----------------------------------------------------------
     #

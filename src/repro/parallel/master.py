@@ -13,9 +13,10 @@ The master is single-threaded: one receive loop (:meth:`MasterProcess._step`)
 takes every slave message in arrival order and runs the heartbeat's tick
 (:class:`~repro.parallel.heartbeat.HeartbeatMonitor`), waiting for a
 message at most until the next tick is due.  The launch node-info gather,
-the main watch loop, the respawn grace wait and the straggler drain are all
-that loop with a different stop condition, so the heartbeat keeps ticking
-through each of them.
+the main watch loop (entered right after the run tasks go out: the master
+takes part in no context derivation), the respawn grace wait and the
+straggler drain are all that loop with a different stop condition, so the
+heartbeat keeps ticking through each of them.
 
 Every protocol step, fault and membership decision is put on rank 0's
 telemetry timeline with ``telemetry.mark`` — the master lane of Fig. 3.
@@ -177,16 +178,16 @@ class MasterProcess:
         telemetry.mark("placement decided",
                        f"{len(plan.tasks_per_node())} nodes, max load {plan.max_load()}")
 
-        # (iv) Share the parameter configuration; launch the slaves.
+        # (iv) Share the parameter configuration; launch the slaves.  Each
+        # slave attaches to LOCAL on its own, so the master goes straight
+        # from the run tasks back to its receive loop: a rank that dies
+        # from here on is a heartbeat death like any other.
         self._config_json = config.to_json()
         self._slave_telemetry = (telemetry.level_name()
                                  if telemetry.enabled() else None)
         for rank in slave_ranks:
             comm.send(rank, self._run_task(rank, grid.cell_of_rank(rank)))
         telemetry.mark("run tasks sent", f"{len(slave_ranks)} slaves")
-
-        # Join the collective context derivation (LOCAL excludes the master).
-        comm.build_contexts(is_active_slave=False)
 
         # Fig. 3's "Create heartbeat thread": the launched ranks go under
         # the watch of the receive loop's heartbeat tick.

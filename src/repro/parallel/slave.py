@@ -169,17 +169,14 @@ class SlaveProcess:
             telemetry.set_level(task.telemetry_level)
         telemetry.mark("run task received", f"cell {task.cell_index}")
         self.machine.start_processing()
-        # 3. Join the LOCAL/GLOBAL communication contexts.  A rank born
-        # mid-run (respawned, or joined) re-attaches non-collectively — its
-        # peers built theirs before it existed and will not re-enter the
-        # collective — and replays the run's fault history so its view of
-        # frozen cells matches the survivors'.
+        # 3. Attach to LOCAL — on its own, with no collective, so a rank
+        # launched with the job and one born mid-run (respawned, or joined)
+        # do the same thing.  A rank born mid-run also replays the run's
+        # fault history so its view of frozen cells matches the survivors'.
+        comm.build_contexts(is_active_slave=True)
         if task.resume is not None:
-            comm.rejoin_contexts(is_active_slave=True)
             for notice in task.resume.notices:
                 self.fault_state.apply(notice)
-        else:
-            comm.build_contexts(is_active_slave=True)
         self._task = task
         self._config = ExperimentConfig.from_json(task.config_json)
         self._grid = Grid.from_payload(task.grid_payload)

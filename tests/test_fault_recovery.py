@@ -3,12 +3,14 @@ policy), the heartbeat finish/death race, no-fault bit-identity of
 recovery-enabled runs, and the CLI's fault reporting contract."""
 
 import hashlib
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.parallel import DistributedRunner
+from repro.parallel.comm_manager import MpiCommManager
 from repro.parallel.heartbeat import HeartbeatMonitor
 from repro.parallel.states import SlaveState
 from tests.conftest import make_quick_config
@@ -16,8 +18,6 @@ from tests.conftest import make_quick_config
 
 @pytest.fixture(scope="module")
 def module_dataset():
-    import os
-
     os.environ.setdefault("REPRO_CACHE_DIR", "/tmp/repro-test-cache")
     from repro.data.dataset import ArrayDataset
     from repro.data.synthetic import load_synthetic_mnist
@@ -130,25 +130,39 @@ class TestInitialCellSnapshot:
 
 
 class TestChaosMatrixProcess:
-    """Kill a forked rank with os._exit at two timings (before its first
-    iteration completes / mid-run, after checkpoints exist) under every
-    fault policy."""
+    """Kill a forked rank with os._exit at three timings (as it attaches to
+    LOCAL at launch / before its first iteration completes / mid-run,
+    after checkpoints exist) under every fault policy."""
 
     @pytest.mark.parametrize("policy", ["abort", "degrade", "recover"])
-    @pytest.mark.parametrize("kill_at", [0, 1],
-                             ids=["before-first-checkpoint", "mid-run"])
-    def test_process_kill(self, module_dataset, policy, kill_at):
+    @pytest.mark.parametrize("kill_at", ["launch", 0, 1],
+                             ids=["at-launch", "before-first-checkpoint", "mid-run"])
+    def test_process_kill(self, module_dataset, monkeypatch, policy, kill_at):
+        if kill_at == "launch":
+            # Rank 2 dies after its node info: no rank waits on a launch
+            # collective for it, so the heartbeat declares it dead like any
+            # other.  Forked ranks inherit the patch.
+            attach = MpiCommManager.build_contexts
+
+            def build_contexts(comm, is_active_slave):
+                if comm.rank == 2:
+                    os._exit(1)
+                attach(comm, is_active_slave)
+
+            monkeypatch.setattr(MpiCommManager, "build_contexts", build_contexts)
+            fault = dict(allow_failures=True, timeout_s=60)
+        else:
+            # cell 1 -> rank 2
+            fault = dict(fault_at={1: kill_at}, fault_kill=True, timeout_s=240)
         config = make_quick_config(2, 2, iterations=3)
         runner = DistributedRunner(
             config,
             backend="process",
             dataset=module_dataset,
-            fault_at={1: kill_at},   # cell 1 -> rank 2
-            fault_kill=True,
             fault_policy=policy,
             heartbeat_interval_s=0.05,
             miss_limit=4,
-            timeout_s=240,
+            **fault,
         )
         result = runner.run()
         assert result.dead_ranks == [2]
@@ -281,7 +295,6 @@ class TestTwoWorkerSplit:
         from repro.mpi.constants import WORLD_CONTEXT
         from repro.mpi.endpoint import Endpoint
         from repro.mpi.socket_transport import _WorkerHub
-        from repro.parallel.comm_manager import MpiCommManager
         from repro.parallel.grid import Grid
         from repro.parallel.messages import ExchangePayload
         from repro.parallel.recovery import FaultNotice, FaultState, FrozenCell
@@ -297,7 +310,7 @@ class TestTwoWorkerSplit:
             for rank in (1, 2, 3, 4):
                 managers[rank] = MpiCommManager(
                     Comm(endpoints[rank], WORLD_CONTEXT, range(10)))
-                managers[rank].rejoin_contexts(is_active_slave=True)
+                managers[rank].build_contexts(is_active_slave=True)
             grid = Grid(3, 3)
             assert sorted(grid.incoming_neighbors(0)) == [1, 2, 3, 6]
             state = FaultState()

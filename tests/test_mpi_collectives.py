@@ -1,43 +1,29 @@
-"""Collectives, communicator splitting, and Cartesian topologies."""
+"""The collectives that stay (``barrier``, ``allgather``), ``sendrecv`` and
+the isolation of a derived context, on every transport.
 
-import operator
+Per-rank programs live at module level — the socket transport pickles them
+to its workers.
+"""
 
 import pytest
 
 from repro.mpi import run_mpi
 
-BACKENDS = ("threaded", "process")
+BACKENDS = ("threaded", "process", "socket")
 
 
-def _bcast(comm):
-    data = {"cfg": [1, 2, 3]} if comm.Get_rank() == 0 else None
-    return comm.bcast(data, root=0)
-
-
-def _bcast_nonzero_root(comm):
-    data = "payload" if comm.Get_rank() == 2 else None
-    return comm.bcast(data, root=2)
-
-
-def _gather(comm):
-    return comm.gather(comm.Get_rank() ** 2, root=0)
+def _run(size, program, backend):
+    """``run_mpi`` over ``backend``; socket ranks are split across two
+    workers so collectives cross the coordinator."""
+    options = None
+    if backend == "socket":
+        options = {"hosts": f"127.0.0.1:{size // 2},127.0.0.1:{size - size // 2}"}
+    return run_mpi(size, program, backend=backend, timeout=120,
+                   transport_options=options)
 
 
 def _allgather(comm):
     return comm.allgather(chr(ord("a") + comm.Get_rank()))
-
-
-def _scatter(comm):
-    items = [i * 10 for i in range(comm.Get_size())] if comm.Get_rank() == 0 else None
-    return comm.scatter(items, root=0)
-
-
-def _reduce(comm):
-    return comm.reduce(comm.Get_rank() + 1, op=operator.add, root=0)
-
-
-def _allreduce_max(comm):
-    return comm.allreduce(comm.Get_rank(), op=max)
 
 
 def _barrier_ordering(comm):
@@ -59,162 +45,51 @@ def _back_to_back_collectives(comm):
     return True
 
 
+def _ring_sendrecv(comm):
+    rank, size = comm.Get_rank(), comm.Get_size()
+    right = (rank + 1) % size
+    left = (rank - 1) % size
+    # Everyone sends right and receives from left simultaneously — the
+    # combined call cannot deadlock.
+    return comm.sendrecv(f"token-{rank}", dest=right, source=left,
+                         sendtag=2, recvtag=2)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCollectives:
-    def test_bcast(self, backend):
-        results = run_mpi(4, _bcast, backend=backend, timeout=60)
-        assert all(r == {"cfg": [1, 2, 3]} for r in results)
-
-    def test_bcast_nonzero_root(self, backend):
-        results = run_mpi(4, _bcast_nonzero_root, backend=backend, timeout=60)
-        assert all(r == "payload" for r in results)
-
-    def test_gather(self, backend):
-        results = run_mpi(4, _gather, backend=backend, timeout=60)
-        assert results[0] == [0, 1, 4, 9]
-        assert all(r is None for r in results[1:])
-
     def test_allgather(self, backend):
-        results = run_mpi(4, _allgather, backend=backend, timeout=60)
+        results = _run(4, _allgather, backend)
         assert all(r == ["a", "b", "c", "d"] for r in results)
 
-    def test_scatter(self, backend):
-        results = run_mpi(4, _scatter, backend=backend, timeout=60)
-        assert results == [0, 10, 20, 30]
-
-    def test_reduce(self, backend):
-        results = run_mpi(4, _reduce, backend=backend, timeout=60)
-        assert results[0] == 10
-
-    def test_allreduce(self, backend):
-        results = run_mpi(4, _allreduce_max, backend=backend, timeout=60)
-        assert all(r == 3 for r in results)
-
     def test_barrier_orders_sends(self, backend):
-        results = run_mpi(4, _barrier_ordering, backend=backend, timeout=60)
+        results = _run(4, _barrier_ordering, backend)
         assert sorted(results) == [0, 1, 2, 3]
 
     def test_sequenced_collectives(self, backend):
-        assert all(run_mpi(3, _back_to_back_collectives, backend=backend, timeout=60))
+        assert all(_run(3, _back_to_back_collectives, backend))
+
+    def test_ring_shift(self, backend):
+        results = _run(4, _ring_sendrecv, backend)
+        assert results == [f"token-{(r - 1) % 4}" for r in range(4)]
 
 
-def _scatter_wrong_arity(comm):
-    if comm.Get_rank() == 0:
-        with pytest.raises(ValueError):
-            comm.scatter([1, 2], root=0)  # size is 3
-    return True
-
-
-class TestCollectiveErrors:
-    def test_scatter_arity(self):
-        # Only rank 0 validates; others would block, so give them nothing to do.
-        def program(comm):
-            if comm.Get_rank() == 0:
-                with pytest.raises(ValueError):
-                    comm.scatter([1, 2], root=0)
-            return True
-
-        assert all(run_mpi(3, program, backend="threaded", timeout=30))
-
-
-def _split_evens_odds(comm):
+def _local_traffic_isolated(comm):
+    """A LOCAL message never matches a WORLD receive with the same tag."""
     rank = comm.Get_rank()
-    sub = comm.Split(color=rank % 2, key=rank)
-    members = sub.allgather(rank)
-    return (sub.Get_rank(), sub.Get_size(), members)
-
-
-def _split_with_undefined(comm):
-    rank = comm.Get_rank()
-    sub = comm.Split(color=None if rank == 0 else 1, key=rank)
+    local = comm.Attach_derived((0, 1), range(comm.Get_size()))
     if rank == 0:
-        assert sub is None
-        return "master-out"
-    return sub.allgather(rank)
-
-
-def _split_key_reorders(comm):
-    rank = comm.Get_rank()
-    # Reverse order via descending keys.
-    sub = comm.Split(color=0, key=-rank)
-    return (rank, sub.Get_rank())
-
-
-def _split_traffic_isolated(comm):
-    """Messages in a sub-communicator never leak into the parent."""
-    rank = comm.Get_rank()
-    sub = comm.Split(color=0, key=rank)
-    if rank == 0:
-        sub.send("sub-message", dest=1, tag=7)
+        local.send("local-message", dest=1, tag=7)
         comm.send("world-message", dest=1, tag=7)
         return True
+    # The LOCAL message arrived first; WORLD's receive skips it.
     world_msg = comm.recv(source=0, tag=7)
-    sub_msg = sub.recv(source=0, tag=7)
-    return (world_msg, sub_msg)
+    assert not comm.iprobe(source=0, tag=7)
+    local_msg = local.recv(source=0, tag=7)
+    return (world_msg, local_msg)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-class TestSplit:
-    def test_evens_odds(self, backend):
-        results = run_mpi(5, _split_evens_odds, backend=backend, timeout=60)
-        assert results[0] == (0, 3, [0, 2, 4])
-        assert results[1] == (0, 2, [1, 3])
-        assert results[4] == (2, 3, [0, 2, 4])
-
-    def test_undefined_color(self, backend):
-        results = run_mpi(3, _split_with_undefined, backend=backend, timeout=60)
-        assert results[0] == "master-out"
-        assert results[1] == [1, 2]
-
-    def test_key_reorders(self, backend):
-        results = run_mpi(3, _split_key_reorders, backend=backend, timeout=60)
-        assert dict(results) == {0: 2, 1: 1, 2: 0}
-
-    def test_traffic_isolation(self, backend):
-        results = run_mpi(2, _split_traffic_isolated, backend=backend, timeout=60)
-        assert results[1] == ("world-message", "sub-message")
-
-
-def _cartesian(comm):
-    cart = comm.Create_cart((3, 3), periods=True)
-    rank = comm.Get_rank()
-    coords = cart.Get_coords(rank)
-    west_src, west_dst = cart.Shift(1, 1)
-    north_src, north_dst = cart.Shift(0, 1)
-    assert cart.Get_cart_rank(coords) == rank
-    return (coords, west_src, west_dst, north_src, north_dst)
-
-
-def _cartesian_nonperiodic(comm):
-    cart = comm.Create_cart((4,), periods=False)
-    return cart.Shift(0, 1)
-
-
-class TestCartesian:
-    def test_3x3_torus(self):
-        results = run_mpi(9, _cartesian, backend="threaded", timeout=60)
-        coords, west_src, west_dst, north_src, north_dst = results[4]  # center (1,1)
-        assert coords == (1, 1)
-        assert west_src == 3 and west_dst == 5
-        assert north_src == 1 and north_dst == 7
-        # wraparound at the west edge
-        coords0 = results[0][0]
-        assert coords0 == (0, 0)
-        assert results[0][1] == 2  # west neighbor of column 0 wraps to column 2
-
-    def test_nonperiodic_boundaries(self):
-        results = run_mpi(4, _cartesian_nonperiodic, backend="threaded", timeout=60)
-        assert results[0][0] is None      # no source left of rank 0
-        assert results[3][1] is None      # no dest right of rank 3
-
-    def test_dims_must_match_size(self):
-        def program(comm):
-            with pytest.raises(ValueError):
-                comm.Create_cart((2, 2))
-            # Everyone must still participate in the same number of
-            # collective rounds -> nothing else to do.
-            return True
-
-        # Create_cart validates before any communication, so all 3 ranks
-        # raise locally and return.
-        assert all(run_mpi(3, program, backend="threaded", timeout=30))
+class TestDerivedContext:
+    def test_local_message_never_matches_a_world_receive(self, backend):
+        results = _run(2, _local_traffic_isolated, backend)
+        assert results[1] == ("world-message", "local-message")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.endpoint import Endpoint, Group, Link, mailbox_links
+from repro.mpi.endpoint import Endpoint, Group, mailbox_links
 from repro.mpi.errors import MpiError, MpiTimeoutError
 
 CTX = (0,)
@@ -70,18 +70,6 @@ class TestProbeAndPending:
         assert endpoint.iprobe(CTX, 1, 7) is not None  # still there
         endpoint.recv(CTX, 1, 7, timeout=5)
         assert endpoint.iprobe(CTX, 1, 7) is None
-
-    def test_pending_counts_by_context(self, endpoint):
-        put(endpoint, ctx=CTX, source=1, tag=1)
-        put(endpoint, ctx=CTX, source=1, tag=2)
-        put(endpoint, ctx=(0, 9, 9), source=1, tag=1)
-        # The demux thread files messages one at a time: wait for the last
-        # one put, not only for the context counted first.
-        deadline = time.monotonic() + 5
-        while endpoint.pending(CTX) < 2 or endpoint.pending((0, 9, 9)) < 1:
-            assert time.monotonic() < deadline
-        assert endpoint.pending(CTX) == 2
-        assert endpoint.pending((0, 9, 9)) == 1
 
 
 class TestTimeoutsAndShutdown:

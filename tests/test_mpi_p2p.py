@@ -53,17 +53,6 @@ def _fifo_per_pair(comm):
     return [comm.recv(source=0, tag=3) for _ in range(50)]
 
 
-def _isend_irecv(comm):
-    rank = comm.Get_rank()
-    if rank == 0:
-        request = comm.isend(np.arange(5), dest=1, tag=9)
-        request.wait()
-        return None
-    request = comm.irecv(source=0, tag=9)
-    value = request.wait(timeout=10.0)
-    return value.sum()
-
-
 def _iprobe(comm):
     rank = comm.Get_rank()
     if rank == 0:
@@ -92,10 +81,6 @@ class TestPointToPoint:
     def test_fifo_per_sender(self):
         results = run_mpi(2, _fifo_per_pair, backend=BACKEND, timeout=30)
         assert results[1] == list(range(50))
-
-    def test_isend_irecv(self):
-        results = run_mpi(2, _isend_irecv, backend=BACKEND, timeout=30)
-        assert results[1] == 10
 
     def test_iprobe(self):
         results = run_mpi(2, _iprobe, backend=BACKEND, timeout=30)

@@ -35,8 +35,8 @@ def ring_program(world, payload_size):
 def collective_program(world, offset):
     rank = world.Get_rank()
     gathered = world.allgather(np.arange(3.0) + rank + offset)
-    reduced = world.allreduce(rank, op=lambda a, b: a + b)
-    return float(sum(g.sum() for g in gathered)) + reduced
+    world.barrier(timeout=30)
+    return float(sum(g.sum() for g in gathered))
 
 
 def rank_program(world):
@@ -59,13 +59,14 @@ class _CreatesFileOnUnpickle:
         return (open, (self.path, "w"))
 
 
-def split_program(world, _unused):
-    """LOCAL/GLOBAL context derivation, as the comm-manager performs it."""
-    color = 1 if world.Get_rank() > 0 else None
-    local = world.Split(color=color, key=world.Get_rank())
-    dup = world.Dup()
-    dup.barrier(timeout=30)
-    return local.Get_size() if local is not None else 0
+def local_program(world, _unused):
+    """The LOCAL context, attached as the comm-manager does it: every rank
+    but 0 on its own, then a barrier over it that crosses workers."""
+    if world.Get_rank() == 0:
+        return 0
+    local = world.Attach_derived((0, 1), range(1, world.Get_size()))
+    local.barrier(timeout=30)
+    return local.Get_size()
 
 
 class TestHostSpecs:
@@ -323,7 +324,7 @@ class TestSocketJobs:
 
     def test_context_split_across_workers(self):
         results = run_mpi(
-            3, split_program, args=(None,), backend="socket", timeout=120,
+            3, local_program, args=(None,), backend="socket", timeout=120,
             transport_options={"hosts": "127.0.0.1:1,127.0.0.1:2"})
         assert list(results) == [0, 2, 2]
 

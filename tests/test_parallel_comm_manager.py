@@ -55,17 +55,30 @@ class TestSetupPhase:
         assert results[1] == 0 and results[2] == 0
 
     def test_build_contexts_local_excludes_master(self):
+        """The master gets no LOCAL; every slave attaches to the same one
+        on its own, so a rank that attaches after a peer already sent on
+        it (a reborn rank, as far as LOCAL can tell) receives the message."""
         def program(world):
             comm = MpiCommManager(world)
+            if comm.rank == 2:
+                # Attach only once rank 1 has sent on LOCAL: its WORLD
+                # "sent" follows the LOCAL message from the same sender.
+                world.recv(source=1, tag=9, timeout=30)
             comm.build_contexts(is_active_slave=not comm.is_master)
             if comm.is_master:
-                return comm.local is None and comm.global_ is not None
-            return (comm.local.Get_size(), comm.global_.Get_size())
+                return comm.local is None
+            local = comm.local
+            if comm.rank == 1:
+                local.send("before you attached", dest=1, tag=3)
+                world.send("sent", dest=2, tag=9)
+                return (local.context, local.Get_size(), local.Get_rank(), None)
+            return (local.context, local.Get_size(), local.Get_rank(),
+                    local.recv(source=0, tag=3, timeout=30))
 
         results = run_mpi(3, program, backend="threaded", timeout=30)
         assert results[0] is True
-        assert results[1] == (2, 3)
-        assert results[2] == (2, 3)
+        assert results[1] == ((0, 0, 1), 2, 0, None)
+        assert results[2] == ((0, 0, 1), 2, 1, "before you attached")
 
 
 class TestHeartbeatPlumbing:

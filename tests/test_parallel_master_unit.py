@@ -39,6 +39,8 @@ class ScriptedMasterComm(CommManager):
     each of ``join_ranks`` introduces a fresh process for its slot.  A rank
     named adopter in a fault notice delivers the adopted cell's result, and
     a rank in ``abortable_ranks`` answers an abort with its aborted result.
+    There is no ``build_contexts`` here: the master attaches to no context,
+    and the base class's would raise.
     """
 
     def __init__(self, config, *, silent_ranks=frozenset(), result_delay_s=0.0,
@@ -56,7 +58,6 @@ class ScriptedMasterComm(CommManager):
         self.aborts_sent = []
         self.notices_sent = []
         self.drain_acks = []
-        self.contexts_built = False
         #: (arrival time, sequence, message) of everything in flight.
         self._inbox = []
         for rank in range(1, self.size):
@@ -72,9 +73,6 @@ class ScriptedMasterComm(CommManager):
 
     def clock(self):
         return self.now
-
-    def build_contexts(self, is_active_slave):
-        self.contexts_built = True
 
     # the slaves' side ---------------------------------------------------------
     def _arrive(self, at, message):
@@ -155,7 +153,6 @@ class TestMasterHappyPath:
         outcome = run_master(comm, config, monkeypatch)
         assert outcome.complete
         assert sorted(outcome.results) == [0, 1, 2, 3]
-        assert comm.contexts_built
         assert len(comm.sent_tasks) == 4
 
     def test_run_tasks_carry_configuration(self, config, monkeypatch):

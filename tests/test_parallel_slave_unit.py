@@ -306,9 +306,6 @@ class RecoveryComm(ScriptedComm):
             thread.name.startswith(f"slave-{self.rank}-")
             for thread in threading.enumerate()))
 
-    def rejoin_contexts(self, is_active_slave=True):
-        self.contexts_built = True
-
     def receive(self, timeout=None):
         self._sample()
         return super().receive(timeout)
