@@ -5,23 +5,16 @@ processors and 128 GB RAM, scheduled by slurm with a best-effort queue
 (resource availability is *not* guaranteed).  The master process gathers
 information about the platform, decides which node runs each slave, and
 balances load (paper Section III-B).  This package models exactly the parts
-of that infrastructure the master interacts with:
+of that infrastructure the master interacts with — not the slurm queue,
+which no run and no table reads:
 
-* :mod:`repro.cluster.platform` — nodes and their resources;
-* :mod:`repro.cluster.scheduler` — a slurm-like best-effort job queue with
-  time limits and background occupancy;
+* :mod:`repro.cluster.platform` — nodes and their resources, with optional
+  background occupancy;
 * :mod:`repro.cluster.placement` — the master's load-balancing placement
   strategy and the Table II resource accounting.
 """
 
 from repro.cluster.platform import ClusterPlatform, ComputeNode, cluster_uy
-from repro.cluster.scheduler import (
-    Allocation,
-    BestEffortScheduler,
-    Job,
-    JobState,
-    ResourceRequest,
-)
 from repro.cluster.placement import (
     PlacementPlan,
     place_tasks,
@@ -34,11 +27,6 @@ __all__ = [
     "ComputeNode",
     "ClusterPlatform",
     "cluster_uy",
-    "ResourceRequest",
-    "Job",
-    "JobState",
-    "Allocation",
-    "BestEffortScheduler",
     "PlacementPlan",
     "place_tasks",
     "plan_from_hosts",

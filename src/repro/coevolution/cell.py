@@ -89,6 +89,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from repro.config import ExperimentConfig
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.fitness import evaluate_subpopulations
 from repro.coevolution.genome import Genome, genome_from_network
 from repro.coevolution.mixture import MixtureWeights, sample_mixture
@@ -146,7 +147,7 @@ def _window(network_class, settings, vector: np.ndarray):
 class Cell:
     """State and per-iteration logic of one grid cell."""
 
-    def __init__(self, config: ExperimentConfig, cell_index: int, dataset: ArrayDataset,
+    def __init__(self, config: ExperimentConfig, cell_index: int, dataset: ArrayDataset | None,
                  neighborhood_size: int = NEIGHBORHOOD_SIZE):
         if neighborhood_size < 1:
             raise ValueError("neighborhood must contain at least the center")
@@ -154,8 +155,8 @@ class Cell:
         self.cell_index = cell_index
         self.neighborhood_size = neighborhood_size
         self.rng = _cell_rng(config.seed, cell_index, stream=0)
-        loader_rng = _cell_rng(config.seed, cell_index, stream=1)
-        self.loader = DataLoader(dataset, config.training.batch_size, loader_rng)
+        self.dataset = dataset
+        self.loader: DataLoader | None = None  # built on the first batch drawn
         self._batches = iter(())
 
         # Mustangs: each cell draws its loss from the pool; Lipizzaner uses
@@ -334,6 +335,11 @@ class Cell:
         try:
             return next(self._batches)
         except StopIteration:
+            if self.loader is None:
+                # Its stream (seed, cell, 1) is its own, so building it late
+                # moves no draw, and a cell that never trains needs no data.
+                self.loader = DataLoader(self.dataset, self.config.training.batch_size,
+                                         _cell_rng(self.config.seed, self.cell_index, stream=1))
             self._batches = iter(self.loader)
             return next(self._batches)
 
@@ -461,30 +467,42 @@ class Cell:
         _bind(self.center.discriminator, arena_of(self._sub_discriminators[d_idx]).data)
         self.center.learning_rate = self._sub_lr[g_idx]
 
-    # -- checkpoint restore ------------------------------------------------------
+    # -- the cell's record ---------------------------------------------------------
 
-    def restore(self, generator_genome: Genome, discriminator_genome: Genome,
-                mixture_weights: np.ndarray, iteration: int) -> None:
-        """Restore this cell from checkpointed state (resume after a kill).
+    def snapshot(self) -> CellSnapshot:
+        """This cell's record at an iteration boundary: one
+        :meth:`center_genomes` copy, the mixture weights and the iteration."""
+        g_genome, d_genome = self.center_genomes()
+        return CellSnapshot(self.cell_index, self.iteration, g_genome, d_genome,
+                            self.mixture.weights.copy())
 
-        Adopts the genomes' loss and learning rate, resets the iteration
-        counter, and re-derives the RNG stream from ``(seed, cell,
+    def restore(self, snapshot: CellSnapshot) -> None:
+        """Restore this cell from its record (resume after a kill); its
+        :meth:`snapshot` is then that record, bit for bit.
+
+        Adopts the genomes' loss and learning rate and the record's
+        iteration, and re-derives the RNG stream from ``(seed, cell,
         iteration)`` so the resumed run is deterministic per checkpoint.
         """
-        if iteration < 0:
+        if snapshot.cell_index != self.cell_index:
+            raise ValueError(f"cell {self.cell_index} cannot restore the "
+                             f"record of cell {snapshot.cell_index}")
+        if snapshot.iteration < 0:
             raise ValueError("iteration must be >= 0")
         # Private copies (widened from the storage dtype if need be): the
-        # checkpoint's arrays stay the caller's.
-        for network, genome in ((self.center.generator, generator_genome),
-                                (self.center.discriminator, discriminator_genome)):
+        # record's arrays stay the caller's.
+        for network, genome in ((self.center.generator, snapshot.generator_genome),
+                                (self.center.discriminator, snapshot.discriminator_genome)):
             _bind(network, genome.parameters.astype(arena_of(network).data.dtype))
-        self.loss_name = generator_genome.loss_name
+        self.loss_name = snapshot.generator_genome.loss_name
         self.loss = loss_by_name(self.loss_name)
         self.center.loss = self._trainee.loss = self.loss
-        self.center.learning_rate = generator_genome.learning_rate
-        self.mixture = MixtureWeights(np.asarray(mixture_weights, dtype=np.float64))
-        self.iteration = iteration
-        self.rng = _cell_rng(self.config.seed, self.cell_index, stream=4 + iteration)
+        self.center.learning_rate = snapshot.generator_genome.learning_rate
+        self.mixture = MixtureWeights(snapshot.mixture_weights)
+        # Verbatim: renormalising a normalised vector can move its last bits.
+        np.copyto(self.mixture.weights, snapshot.mixture_weights)
+        self.iteration = snapshot.iteration
+        self.rng = _cell_rng(self.config.seed, self.cell_index, stream=4 + self.iteration)
 
     # -- final artifacts ---------------------------------------------------------
 

@@ -12,8 +12,9 @@ Two granularities live here:
 
 * :class:`TrainingCheckpoint` — the whole grid at one iteration, written
   end-of-run or between jobs (the original wall-time-limit use case);
-* :class:`CellSnapshot` / :class:`CellCheckpointStore` — periodic in-run
-  per-cell snapshots streamed to the master during distributed training,
+* :class:`CellSnapshot` — one cell's record, the form in which every
+  message of distributed training carries a cell's state; the
+  :class:`CellCheckpointStore` keeps the latest one per cell on the master,
   the state the fault-recovery path resumes a lost cell from.
 
 Resume semantics: cell RNG streams are re-derived from ``(seed, cell,
@@ -162,9 +163,12 @@ def load_checkpoint(path: str | os.PathLike) -> TrainingCheckpoint:
 
 @dataclass(frozen=True)
 class CellSnapshot:
-    """One cell's resumable state after ``iteration`` completed iterations.
+    """One cell's resumable state after ``iteration`` completed iterations:
+    the one record of a cell, in every message that carries a cell's state.
 
-    Genomes are storage-dtype copies (the same quantization boundary as
+    ``Cell.snapshot()`` and ``Cell.restore(snapshot)`` are the only
+    conversions between a live cell and its record, and round-trip bit for
+    bit.  Genomes are storage-dtype copies (the same quantization boundary as
     exchange payloads — see :meth:`Cell.center_genomes`), so taking a
     snapshot never perturbs training and the snapshot is safe to queue on
     any transport.
@@ -205,42 +209,13 @@ class CellCheckpointStore:
 
 def initial_cell_snapshot(config: ExperimentConfig, cell_index: int,
                           neighborhood_size: int) -> CellSnapshot:
-    """A cell's iteration-0 state, derived without a dataset.
+    """A cell's iteration-0 state, derived without a dataset: a fresh
+    cell's :meth:`~repro.coevolution.cell.Cell.snapshot`.
 
-    Replays :class:`~repro.coevolution.cell.Cell` construction exactly —
-    same RNG streams, same mustangs loss draw, same storage-dtype
-    quantization — so a rank that dies before its first in-run snapshot can
-    still be recovered from deterministic initial state.  Guarded by a
-    parity test against a real ``Cell``; keep the two in lockstep.
+    A cell draws nothing from its dataset until its first batch, so the
+    master — which has none — can still recover a rank that died before
+    its first in-run snapshot.
     """
-    from repro.coevolution.cell import _cell_rng
-    from repro.coevolution.genome import genome_from_network
-    from repro.coevolution.mixture import MixtureWeights
-    from repro.gan.networks import Discriminator, Generator
-    from repro.nn.losses import MUSTANGS_LOSSES
-    from repro.registry import dtype_policy
+    from repro.coevolution.cell import Cell
 
-    rng = _cell_rng(config.seed, cell_index, stream=0)
-    if config.training.loss_function == "mustangs":
-        loss_cls = MUSTANGS_LOSSES[int(rng.integers(len(MUSTANGS_LOSSES)))]
-        loss_name = loss_cls.name
-    else:
-        loss_name = config.training.loss_function
-    init_rng = _cell_rng(config.seed, cell_index, stream=2)
-    generator = Generator(config.network, init_rng)
-    discriminator = Discriminator(config.network, init_rng)
-    lr = config.mutation.initial_learning_rate
-    g = genome_from_network(generator, lr, loss_name)
-    d = genome_from_network(discriminator, lr, loss_name)
-    storage = np.dtype(
-        dtype_policy(getattr(config.network, "dtype", "float64")).storage)
-    if g.parameters.dtype != storage:
-        g = Genome(g.parameters.astype(storage), lr, loss_name)
-        d = Genome(d.parameters.astype(storage), lr, loss_name)
-    return CellSnapshot(
-        cell_index=cell_index,
-        iteration=0,
-        generator_genome=g,
-        discriminator_genome=d,
-        mixture_weights=MixtureWeights.uniform(neighborhood_size).weights.copy(),
-    )
+    return Cell(config, cell_index, None, neighborhood_size).snapshot()

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.config import ExperimentConfig
 from repro.coevolution.cell import Cell, CellReport, step_block
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.coevolution.grid import ToroidalGrid
 from repro.data.dataset import ArrayDataset
@@ -90,7 +91,7 @@ class SequentialTrainer:
         trainer = cls(checkpoint.config, dataset)
         for cell, (g, d), weights in zip(
                 trainer.cells, checkpoint.center_genomes, checkpoint.mixture_weights):
-            cell.restore(g, d, weights, checkpoint.iteration)
+            cell.restore(CellSnapshot(cell.cell_index, checkpoint.iteration, g, d, weights))
         trainer.start_iteration = checkpoint.iteration
         return trainer
 

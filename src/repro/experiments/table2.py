@@ -1,22 +1,15 @@
 """Table II — resources used per grid size.
 
 Regenerates the cores/memory accounting from the placement model and
-compares against the paper's numbers (5/10/17 cores; 9216/18432/32768 MB).
-Also exercises the full placement path: submitting the request to the
-simulated Cluster-UY scheduler and verifying it fits.
+compares against the paper's numbers (5/10/17 cores; 9216/18432/32768 MB),
+placing each job on the simulated Cluster-UY.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster import (
-    BestEffortScheduler,
-    ResourceRequest,
-    cluster_uy,
-    place_tasks,
-    table2_resources,
-)
+from repro.cluster import cluster_uy, place_tasks, table2_resources
 from repro.experiments.workloads import PAPER_GRIDS
 
 __all__ = ["Table2Row", "run", "format_table"]
@@ -51,17 +44,6 @@ def run(busy_fraction: float = 0.0) -> list[Table2Row]:
         resources = table2_resources(*grid)
         platform = cluster_uy(busy_fraction=busy_fraction)
         plan = place_tasks(platform, tasks=resources["cores"])
-        # Also verify the slurm-like path accepts the request.
-        scheduler = BestEffortScheduler(cluster_uy(busy_fraction=busy_fraction))
-        request = ResourceRequest(
-            tasks=resources["cores"],
-            memory_mb_per_task=resources["memory_mb"] // resources["cores"],
-            time_limit_hours=96.0,
-            storage_gb=40,
-        )
-        job = scheduler.submit(request, runtime_hours=1.0)
-        if job.state.value != "running":
-            raise RuntimeError(f"Table II job for grid {grid} did not start")
         rows.append(
             Table2Row(
                 grid=grid,

@@ -88,7 +88,11 @@ LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 # v7: the MEMBERSHIP broadcast (kind 7) and START's incarnation and
 #     peer-loss counts are gone — the master's notices are the only
 #     membership record; START's respawn/join flags remain.
-_WIRE_VERSION = 7
+# v8: every message that carries a cell's state carries a CellSnapshot
+#     (SlaveResult, FrozenCell), and the protocol's unread fields are gone
+#     (RunTask.fault_policy, FaultNotice.dead_ranks, StatusReply.timestamp,
+#     NodeInfo.pid, SlaveResult's in-band telemetry copy and aborted flag).
+_WIRE_VERSION = 8
 
 #: Size cap on the pre-auth hello body.  A real hello is ~150 bytes; the
 #: coordinator refuses to buffer more than this for a peer that has not

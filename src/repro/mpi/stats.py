@@ -35,19 +35,24 @@ __all__ = [
     "merge_transport_stats",
 ]
 
-#: How deep :func:`payload_nbytes` walks nested containers/dataclasses.
-_MAX_DEPTH = 6
 
-
-def payload_nbytes(obj: Any, _depth: int = _MAX_DEPTH) -> int:
+def payload_nbytes(obj: Any) -> int:
     """Approximate payload size of one message in bytes.
 
-    Counts NumPy buffers (``.nbytes``), byte blobs and strings, recursing
-    through tuples, lists, dicts and dataclasses (genome exchange payloads
-    are dataclasses of arrays).  Opaque objects count as zero — this is an
-    accounting aid, not a serializer.
+    Counts NumPy buffers (``.nbytes``), byte blobs and strings, walking
+    tuples, lists, dicts and dataclasses to their leaves however deep they
+    nest (a respawn's run task carries genomes seven levels down).  A
+    container already on the path from the message to the current object
+    counts zero there, so a cyclic payload still returns; an object reached
+    twice along different paths counts twice, as the wire would send it.
+    Opaque objects count as zero — this is an accounting aid, not a
+    serializer.
     """
-    if _depth <= 0 or obj is None:
+    return _nbytes(obj, set())
+
+
+def _nbytes(obj: Any, path: set[int]) -> int:
+    if obj is None:
         return 0
     if isinstance(obj, memoryview):
         # Explicitly .nbytes, never len(): len() is the element count, so
@@ -63,14 +68,19 @@ def payload_nbytes(obj: Any, _depth: int = _MAX_DEPTH) -> int:
     if isinstance(obj, str):
         return len(obj.encode("utf-8", errors="replace"))
     if isinstance(obj, dict):
-        return sum(payload_nbytes(v, _depth - 1) for v in obj.values())
-    if isinstance(obj, (tuple, list)):
-        return sum(payload_nbytes(v, _depth - 1) for v in obj)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return sum(
-            payload_nbytes(getattr(obj, f.name), _depth - 1) for f in fields(obj)
-        )
-    return 0
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in fields(obj)]
+    else:
+        return 0
+    if id(obj) in path:
+        return 0
+    path.add(id(obj))
+    total = sum(_nbytes(child, path) for child in children)
+    path.discard(id(obj))
+    return total
 
 
 @dataclass

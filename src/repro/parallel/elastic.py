@@ -352,18 +352,14 @@ class MembershipTable:
                     self._owner[cell] = owner
                     if kind != "drain":  # a drain is not a fault
                         self._outcome["recovered"].add(source)
-                frozen.append(FrozenCell.from_snapshot(
+                frozen.append(FrozenCell(
                     snapshots[cell], adopter_rank=owner,
                     rejoin_iteration=(self._iterations if owner is None
                                       else rejoin),
                     epoch=epoch))
             notice = None
             if frozen:
-                notice = FaultNotice(
-                    policy=self._policy,
-                    dead_ranks=(tuple(sorted({s for s, _c, _o in moves}))
-                                if leaving else ()),
-                    cells=tuple(frozen))
+                notice = FaultNotice(policy=self._policy, cells=tuple(frozen))
                 self._ledger.append(notice)
             starts: tuple[tuple[int, int, ResumeDirective], ...] = ()
             if not leaving:

@@ -246,10 +246,8 @@ class MasterProcess:
             fault_at_iteration=(self.fault_at.get(cell)
                                 if resume is None else None),
             fault_kill=self.fault_kill and resume is None,
-            fault_policy=self.fault_policy,
             snapshot_every=self.snapshot_every,
             resume=resume,
-            standby=resume is not None and resume.snapshot is None,
         )
 
     # -- the receive loop ---------------------------------------------------------------
@@ -293,22 +291,22 @@ class MasterProcess:
             raise TypeError(f"unexpected message to the master: {message!r}")
 
     def _take_result(self, result: SlaveResult) -> None:
-        sender = result.rank
-        if self._table.moved(result.cell_index, sender):
+        sender, index = result.rank, result.snapshot.cell_index
+        if self._table.moved(index, sender):
             # From a rank declared dead after all (aborted, or late): the
             # frozen placeholder or the new owner's result stands.
             telemetry.mark("stale result dropped",
-                           f"cell {result.cell_index} from rank {sender}")
+                           f"cell {index} from rank {sender}")
             return
-        self._results[result.cell_index] = result
-        self._table.finish(result.cell_index)
+        self._results[index] = result
+        self._table.finish(index)
         if self._table.idle(sender):
             # A rank is finished only once every cell it hosts (own plus
             # adopted) has reported; until then the heartbeat keeps watch.
             if self._monitor.mark_finished(sender):
                 telemetry.mark("rank resurrected by result", f"rank {sender}")
         label = "recovered result received" if result.recovered else "result received"
-        telemetry.mark(label, f"cell {result.cell_index} from rank {sender}")
+        telemetry.mark(label, f"cell {index} from rank {sender}")
 
     def _react(self) -> None:
         """Turn whatever the run reported since the last turn into
@@ -407,23 +405,20 @@ class MasterProcess:
                 elif kind in ("respawn", "join"):
                     self._monitor.watch(rank, time.monotonic())
             for cell in transition.cells:
-                index = cell.cell_index
+                index, iteration = cell.snapshot.cell_index, cell.snapshot.iteration
                 if cell.adopter_rank is None:
                     # Degraded: the checkpoint stands in for the result.
                     self._results[index] = SlaveResult(
-                        rank=self._grid.rank_of_cell(index), cell_index=index,
-                        generator_genome=cell.generator_genome,
-                        discriminator_genome=cell.discriminator_genome,
-                        mixture_weights=cell.mixture_weights, reports=[])
+                        self._grid.rank_of_cell(index), cell.snapshot, reports=[])
                     telemetry.mark(
                         "cell frozen",
-                        f"cell {index} degraded at iteration {cell.iteration}")
+                        f"cell {index} degraded at iteration {iteration}")
                 else:
                     self._results.pop(index, None)  # a reclaimed placeholder
                     telemetry.mark(
                         _MOVED_MARK[kind],
                         f"cell {index} -> rank {cell.adopter_rank} from "
-                        f"iteration {cell.iteration}, rejoin "
+                        f"iteration {iteration}, rejoin "
                         f"{cell.rejoin_iteration}")
             # Silence is not proof of death: a rank declared dead may be
             # alive, and its neighbours stop sending to it — so under every

@@ -16,6 +16,14 @@ blocking receive and dispatches on the message's type:
 The genome exchange between slaves runs on the separate LOCAL communicator
 under :attr:`Tags.EXCHANGE`.  The field-less orders (status request, abort,
 drain ack) carry no payload bytes, exactly like the bare tags they replace.
+
+A cell's state travels in one form only, a
+:class:`~repro.coevolution.checkpoint.CellSnapshot`: a :class:`SlaveResult`
+embeds the cell's final one, a fault notice's
+:class:`~repro.parallel.recovery.FrozenCell` and a respawn's
+:class:`~repro.parallel.recovery.ResumeDirective` the one it resumes from.
+Every field is read by its receiver.  A rank's telemetry is not among
+them: it comes home once, in the transport's per-rank outcome.
 """
 
 from __future__ import annotations
@@ -24,9 +32,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.coevolution.cell import CellReport
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 
 __all__ = [
@@ -50,7 +57,6 @@ class NodeInfo:
 
     rank: int
     node_name: str
-    pid: int
 
 
 @dataclass(frozen=True)
@@ -77,9 +83,6 @@ class RunTask:
     fault_kill: bool = False
     """Harden the injected fault to ``os._exit`` — a real process death the
     transport must detect externally (process/socket backends only)."""
-    fault_policy: str = "abort"
-    """What the master does when a rank dies (``abort``/``degrade``/
-    ``recover``); slaves need it to know whether fault notices may arrive."""
     snapshot_every: int = 0
     """Ship a :class:`~repro.coevolution.checkpoint.CellSnapshot` to the
     master every N completed iterations (0 = never; the default keeps the
@@ -88,11 +91,15 @@ class RunTask:
     """A :class:`~repro.parallel.recovery.ResumeDirective` when this task
     restarts a respawned worker from checkpointed state; ``None`` for the
     normal from-scratch start."""
-    standby: bool = False
-    """True when this task parks an elastically-joined rank with no cell of
-    its own yet: the slave replays the resume directive's fault notices,
-    joins the communicators, and serves the master — ready to adopt a cell
-    when a later drain or death re-balances onto it."""
+
+    @property
+    def standby(self) -> bool:
+        """True when this task parks an elastically-joined rank with no cell
+        of its own yet (a resume directive without a snapshot): the slave
+        replays the directive's fault notices, joins the communicators, and
+        serves the master — ready to adopt a cell when a later drain or
+        death re-balances onto it."""
+        return self.resume is not None and self.resume.snapshot is None
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,6 @@ class StatusReply:
     rank: int
     state: str
     iteration: int
-    timestamp: float
 
 
 @dataclass(frozen=True)
@@ -122,19 +128,12 @@ class DrainAck:
 
 @dataclass
 class SlaveResult:
-    """Slave -> master at the end of training (the gathered local results)."""
+    """Slave -> master at the end of training (the gathered local results):
+    one hosted cell's final record and its per-iteration reports."""
 
     rank: int
-    cell_index: int
-    generator_genome: Genome
-    discriminator_genome: Genome
-    mixture_weights: np.ndarray
+    snapshot: CellSnapshot
     reports: list[CellReport] = field(default_factory=list)
-    telemetry: Any = None
-    """This rank's :class:`repro.telemetry.bus.TelemetrySnapshot` (or
-    ``None`` when telemetry is off) — the in-band fallback for workers
-    whose transport-level outcome does not reach the master process."""
-    aborted: bool = False
     recovered: bool = False
     """True when this result was produced by fault recovery — an adopted
     cell on a surviving rank or a respawned worker resuming from its

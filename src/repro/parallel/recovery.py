@@ -95,19 +95,17 @@ def validate_fault_policy(policy: str) -> str:
 
 @dataclass(frozen=True)
 class FrozenCell:
-    """One dead cell as the survivors must treat it from now on.
+    """One moved cell as the survivors must treat it from now on: its
+    record (:class:`~repro.coevolution.checkpoint.CellSnapshot`) and who
+    holds it.
 
     ``adopter_rank`` is the WORLD rank now speaking for the cell (``None``
     under ``degrade`` — frozen for the rest of the run).  Exchange receives
     from this cell at iterations ``< rejoin_iteration`` are satisfied from
-    the frozen genomes; sends to it before then are skipped.
+    the snapshot's genomes; sends to it before then are skipped.
     """
 
-    cell_index: int
-    iteration: int
-    generator_genome: object
-    discriminator_genome: object
-    mixture_weights: object
+    snapshot: CellSnapshot
     adopter_rank: int | None
     rejoin_iteration: int
     epoch: int = 0
@@ -116,37 +114,12 @@ class FrozenCell:
     cell reclaimed by a joiner, an adopted cell re-adopted after a second
     death); exchange payloads stamped with an older epoch are fenced out."""
 
-    @classmethod
-    def from_snapshot(cls, snapshot: CellSnapshot, *, adopter_rank: int | None,
-                      rejoin_iteration: int, epoch: int) -> "FrozenCell":
-        """The hand-off record of ``snapshot``'s cell at ``epoch``."""
-        return cls(
-            cell_index=snapshot.cell_index,
-            iteration=snapshot.iteration,
-            generator_genome=snapshot.generator_genome,
-            discriminator_genome=snapshot.discriminator_genome,
-            mixture_weights=snapshot.mixture_weights,
-            adopter_rank=adopter_rank,
-            rejoin_iteration=rejoin_iteration,
-            epoch=epoch,
-        )
-
-    def snapshot(self) -> CellSnapshot:
-        return CellSnapshot(
-            cell_index=self.cell_index,
-            iteration=self.iteration,
-            generator_genome=self.generator_genome,
-            discriminator_genome=self.discriminator_genome,
-            mixture_weights=self.mixture_weights,
-        )
-
 
 @dataclass(frozen=True)
 class FaultNotice:
-    """Master -> surviving slaves: ranks died, here is the new world order."""
+    """Master -> slaves: cells changed hands, here is the new world order."""
 
     policy: str
-    dead_ranks: tuple[int, ...]
     cells: tuple[FrozenCell, ...]
 
 
@@ -190,9 +163,10 @@ class FaultState:
         fresh: list[FrozenCell] = []
         with self._lock:
             for cell in notice.cells:
-                existing = self._frozen.get(cell.cell_index)
+                index = cell.snapshot.cell_index
+                existing = self._frozen.get(index)
                 if existing is None or cell.epoch > existing.epoch:
-                    self._frozen[cell.cell_index] = cell
+                    self._frozen[index] = cell
                     fresh.append(cell)
         return fresh
 
@@ -227,8 +201,8 @@ class FaultState:
         return ExchangePayload(
             cell_index=cell_index,
             iteration=iteration,
-            generator_genome=frozen.generator_genome,
-            discriminator_genome=frozen.discriminator_genome,
+            generator_genome=frozen.snapshot.generator_genome,
+            discriminator_genome=frozen.snapshot.discriminator_genome,
             epoch=frozen.epoch,
         )
 

@@ -445,8 +445,9 @@ class DistributedRunner:
         mixtures: list[np.ndarray | None] = [None] * cells
         reports: list[list[CellReport]] = [[] for _ in range(cells)]
         for cell_index, result in sorted(outcome.results.items()):
-            genomes[cell_index] = (result.generator_genome, result.discriminator_genome)
-            mixtures[cell_index] = result.mixture_weights
+            snapshot = result.snapshot
+            genomes[cell_index] = (snapshot.generator_genome, snapshot.discriminator_genome)
+            mixtures[cell_index] = snapshot.mixture_weights
             reports[cell_index] = result.reports
 
         present = [g for g in genomes if g is not None]
@@ -473,15 +474,9 @@ class DistributedRunner:
             cell_reports=reports,
             wall_time_s=wall_time_s,
         )
-        # Telemetry merge: prefer the transport-level per-rank snapshots,
-        # add the in-band SlaveResult copies (the fallback path) and the
-        # launcher's own buffer; merge_telemetry dedupes rank collisions
-        # keeping the richer snapshot.
+        # Telemetry merge: the transport's per-rank outcomes bring every
+        # rank's snapshot home; the launcher's own buffer joins them.
         snapshots = [s for s in (rank_telemetry or []) if s is not None]
-        for _cell, result in sorted(outcome.results.items()):
-            snap = getattr(result, "telemetry", None)
-            if snap is not None:
-                snapshots.append(snap)
         if telemetry.enabled():
             launcher_snap = telemetry.snapshot(None)
             if not launcher_snap.empty:

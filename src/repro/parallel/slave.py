@@ -95,17 +95,6 @@ class ExecutionEnded:
     the main thread, blocked in its receive, to wind the rank up."""
 
 
-def _checkpoint(cell: Cell, centers: tuple[Genome, Genome]) -> CellSnapshot:
-    """``cell`` as it stands at an iteration boundary, with ``centers``."""
-    return CellSnapshot(
-        cell_index=cell.cell_index,
-        iteration=cell.iteration,
-        generator_genome=centers[0],
-        discriminator_genome=centers[1],
-        mixture_weights=cell.mixture.weights.copy(),
-    )
-
-
 class SlaveProcess:
     """One slave rank; drive with :meth:`run`."""
 
@@ -155,7 +144,7 @@ class SlaveProcess:
         """
         comm = self.comm
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
-        comm.send(0, NodeInfo(comm.rank, socket.gethostname(), os.getpid()))
+        comm.send(0, NodeInfo(comm.rank, socket.gethostname()))
         # 2. Wait for the workload (state: inactive).  Whatever comes first
         # is for an earlier incarnation of this rank — a heartbeat ping,
         # or the abort its death was answered with — and the run task's
@@ -229,7 +218,6 @@ class SlaveProcess:
                 rank=self.comm.rank,
                 state=self.machine.state.value,
                 iteration=iteration,
-                timestamp=time.time(),
             ))
         elif isinstance(message, Abort):
             self.abort_event.set()
@@ -253,8 +241,7 @@ class SlaveProcess:
         without being declared dead.
         """
         comm = self.comm
-        snapshots = [_checkpoint(cell, cell.center_genomes())
-                     for _index, cell in sorted(self._block.items())]
+        snapshots = [cell.snapshot() for _index, cell in sorted(self._block.items())]
         while not self._admissions.empty():
             queued = self._admissions.get()
             if queued is not None:
@@ -289,10 +276,10 @@ class SlaveProcess:
             return
         telemetry.mark(
             "fault notice received",
-            f"cells {[fc.cell_index for fc in fresh]} ({notice.policy})")
+            f"cells {[fc.snapshot.cell_index for fc in fresh]} ({notice.policy})")
         for frozen in fresh:
             if frozen.adopter_rank == self.comm.rank:
-                self._admissions.put((frozen.cell_index, frozen.snapshot(),
+                self._admissions.put((frozen.snapshot.cell_index, frozen.snapshot,
                                       frozen.rejoin_iteration))
 
     # -- execution thread ----------------------------------------------------------------
@@ -343,7 +330,7 @@ class SlaveProcess:
                 with self._iteration_lock:
                     self._iteration = iteration + 1
         except ExchangeAborted:
-            self._ship(aborted=True)
+            self._ship()
         except BaseException as exc:  # noqa: BLE001 - re-raised by the main thread
             self._execution_error = exc
         finally:
@@ -367,8 +354,7 @@ class SlaveProcess:
         cell = Cell(self._config, cell_index, self.dataset,
                     neighborhood_size=self._grid.neighborhood_size(cell_index))
         if snapshot is not None:
-            cell.restore(snapshot.generator_genome, snapshot.discriminator_genome,
-                         snapshot.mixture_weights, snapshot.iteration)
+            cell.restore(snapshot)
             telemetry.mark("admit cell", f"cell {cell_index} from iteration "
                                          f"{snapshot.iteration}, rejoin {rejoin}")
         if not self._block:
@@ -416,26 +402,18 @@ class SlaveProcess:
         if (task.snapshot_every and done % task.snapshot_every == 0
                 and done < self._config.coevolution.iterations):
             for index, cell in cells.items():
-                centers = self._centers[index] = cell.center_genomes()
-                self.comm.send(0, _checkpoint(cell, centers))
+                snapshot = cell.snapshot()
+                self._centers[index] = (snapshot.generator_genome,
+                                        snapshot.discriminator_genome)
+                self.comm.send(0, snapshot)
 
-    def _ship(self, *, aborted: bool = False) -> None:
+    def _ship(self) -> None:
         """Send one result per hosted cell to the master; empty the block."""
         task = self._task
         telemetry.mark("send results to master")
-        # Taken after the mark, so the in-band copy includes it.
-        snapshot = telemetry.snapshot(self.comm.rank) if telemetry.enabled() else None
         for index, cell in sorted(self._block.items()):
-            g_genome, d_genome = cell.center_genomes()
             result = SlaveResult(
-                rank=self.comm.rank,
-                cell_index=index,
-                generator_genome=g_genome,
-                discriminator_genome=d_genome,
-                mixture_weights=cell.mixture.weights.copy(),
-                reports=cell.reports,
-                telemetry=snapshot,
-                aborted=aborted,
+                self.comm.rank, cell.snapshot(), cell.reports,
                 # Every cell but a launched rank's own came from a snapshot.
                 recovered=task.resume is not None or index != task.cell_index,
             )

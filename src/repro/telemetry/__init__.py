@@ -67,9 +67,8 @@ gauge                    emitted by
 =======================  =========================================
 
 Rank flow: each rank's buffer is snapshotted in ``mpi.transport.
-execute_rank`` (and, for remote socket workers, inside ``SlaveResult``),
-ships over the existing transport, and is merged time-aligned on the
-master into ``RunResult.telemetry``.  Table IV / Fig. 4
+execute_rank``, ships over the existing transport, and is merged
+time-aligned on the master into ``RunResult.telemetry``.  Table IV / Fig. 4
 (``RunResult.profile``), Fig. 3 (:func:`mark_timeline`) and ``repro trace``
 (:func:`summarize`) are computed from that one object.
 """

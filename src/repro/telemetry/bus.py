@@ -410,20 +410,17 @@ class MergedTelemetry:
 def merge_telemetry(snapshots: list[TelemetrySnapshot | None]) -> MergedTelemetry:
     """Combine per-rank snapshots (``None`` holes from dead ranks allowed).
 
-    Two snapshots claiming the same rank (e.g. the launcher's transport-side
-    capture and a slave's own) are collapsed by keeping the richer one —
-    more events, then more recorded spans — so nothing is double-counted.
+    One snapshot per rank: each rank's buffer comes home once, in the
+    transport's per-rank outcome, so a second snapshot claiming the same
+    rank is an error rather than something to pick between.
     """
     by_rank: dict[int | None, TelemetrySnapshot] = {}
     for snap in snapshots:
         if snap is None or snap.empty:
             continue
-        held = by_rank.get(snap.rank)
-        if held is None or (
-            (len(snap.events), len(snap.span_counts), len(snap.counters))
-            > (len(held.events), len(held.span_counts), len(held.counters))
-        ):
-            by_rank[snap.rank] = snap
+        if snap.rank in by_rank:
+            raise ValueError(f"two telemetry snapshots for rank {snap.rank}")
+        by_rank[snap.rank] = snap
     merged = MergedTelemetry(snapshots=sorted(
         by_rank.values(),
         key=lambda s: (s.rank is None, s.rank if s.rank is not None else 0),

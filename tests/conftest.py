@@ -183,10 +183,8 @@ def copying_cell(config, cell_index, dataset, **kwargs):
                 self.center.discriminator)
             self.center.learning_rate = self._sub_lr[g_idx]
 
-        def restore(self, generator_genome, discriminator_genome,
-                    mixture_weights, iteration):
-            super().restore(generator_genome, discriminator_genome,
-                            mixture_weights, iteration)
+        def restore(self, snapshot):
+            super().restore(snapshot)
             # super() bound the center to private copies; own them writably.
             for network in (self.center.generator, self.center.discriminator):
                 arena = arena_of(network)

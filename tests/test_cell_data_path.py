@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.coevolution import cell as cell_module
 from repro.coevolution.cell import Cell
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.nn import arena_of
 from tests.conftest import copying_cell, make_quick_config
 from tests.test_coevolution_cell import cell_state
@@ -94,7 +95,7 @@ class TestAgainstCopyingCell:
         cell, oracle = pair
         for each in pair:
             each.step(neighbors[:2])
-            each.restore(*neighbors[6], np.full(5, 0.2), iteration=3)
+            each.restore(CellSnapshot(0, 3, *neighbors[6], np.full(5, 0.2)))
         for _ in range(2):
             assert_same(cell, oracle, cell.step(neighbors[:2]), oracle.step(neighbors[:2]))
 

@@ -1,5 +1,7 @@
 """Tests for training checkpoints (survive the 96-hour wall-time limit)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from repro.coevolution import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.coevolution.cell import Cell
+from repro.coevolution.checkpoint import CellSnapshot
 from tests.conftest import make_quick_config
 
 
@@ -129,7 +133,56 @@ class TestResume:
         g, d = cell.center_genomes()
         g.loss_name = "mse"
         d.loss_name = "mse"
-        cell.restore(g, d, np.full(5, 0.2), iteration=1)
+        cell.restore(CellSnapshot(cell.cell_index, 1, g, d, np.full(5, 0.2)))
         assert cell.loss_name == "mse"
         assert cell.center.loss.name == "mse"
         assert cell.iteration == 1
+
+
+def record_bytes(snapshot):
+    """Everything a :class:`CellSnapshot` holds, as comparable bytes."""
+    genomes = [(genome.parameters.dtype.str, genome.parameters.tobytes(),
+                genome.learning_rate, genome.loss_name)
+               for genome in (snapshot.generator_genome, snapshot.discriminator_genome)]
+    return (snapshot.cell_index, snapshot.iteration, genomes,
+            snapshot.mixture_weights.dtype.str, snapshot.mixture_weights.tobytes())
+
+
+class TestCellRecord:
+    """``Cell.snapshot`` and ``Cell.restore`` are the only conversions
+    between a live cell and its record."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "mixed16"])
+    def test_round_trip_under_every_dtype_policy(self, small_dataset, dtype):
+        quick = make_quick_config(2, 2, iterations=4)
+        config = dataclasses.replace(
+            quick, network=dataclasses.replace(quick.network, dtype=dtype))
+        neighbors = [Cell(config, index, small_dataset).center_genomes()
+                     for index in (1, 2, 3, 1)]
+        trained = Cell(config, 0, small_dataset)
+        for _ in range(2):
+            trained.step(neighbors)
+        record = trained.snapshot()
+        assert record.iteration == 2
+
+        # Restored from another cell's record, a fresh cell's own record
+        # is that record, bit for bit (storage dtype included).
+        restored = Cell(config, 0, small_dataset)
+        restored.restore(record)
+        assert record_bytes(restored.snapshot()) == record_bytes(record)
+
+        # Two cells restored from one record step identically.
+        twins = [Cell(config, 0, small_dataset) for _ in range(2)]
+        for twin in twins:
+            twin.restore(record)
+            twin.step(neighbors)
+        first, second = (twin.center_genomes() for twin in twins)
+        for ours, theirs in zip(first, second):
+            assert ours.parameters.tobytes() == theirs.parameters.tobytes()
+
+    def test_restore_refuses_another_cells_record(self, small_dataset):
+        config = make_quick_config(2, 2)
+        record = Cell(config, 1, small_dataset).snapshot()
+        with pytest.raises(ValueError, match="record of cell 1"):
+            Cell(config, 0, small_dataset).restore(record)
+

@@ -1,17 +1,9 @@
-"""Tests for the simulated platform, scheduler, and placement."""
+"""Tests for the simulated platform and placement."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    BestEffortScheduler,
-    ComputeNode,
-    ResourceRequest,
-    cluster_uy,
-    place_tasks,
-    table2_resources,
-)
-from repro.cluster.scheduler import JobState
+from repro.cluster import ComputeNode, cluster_uy, place_tasks, table2_resources
 
 
 class TestComputeNode:
@@ -67,92 +59,6 @@ class TestClusterUy:
         assert platform.node("node01").name == "node01"
         with pytest.raises(KeyError):
             platform.node("nodeXX")
-
-
-class TestScheduler:
-    def test_job_starts_when_resources_free(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1))
-        job = scheduler.submit(
-            ResourceRequest(tasks=5, memory_mb_per_task=1844, time_limit_hours=96),
-            runtime_hours=2.0,
-        )
-        assert job.state is JobState.RUNNING
-        assert job.allocation is not None
-        assert len(job.allocation.task_nodes) == 5
-
-    def test_job_queues_when_full(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1, busy_fraction=0.975))
-        # 1 free core; ask for 5.
-        job = scheduler.submit(
-            ResourceRequest(tasks=5, memory_mb_per_task=100, time_limit_hours=1),
-            runtime_hours=1.0,
-        )
-        assert job.state is JobState.PENDING
-
-    def test_fifo_no_backfill(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1))
-        big = scheduler.submit(
-            ResourceRequest(tasks=40, memory_mb_per_task=100, time_limit_hours=10),
-            runtime_hours=5.0,
-        )
-        blocked = scheduler.submit(
-            ResourceRequest(tasks=40, memory_mb_per_task=100, time_limit_hours=10),
-            runtime_hours=1.0,
-        )
-        small = scheduler.submit(
-            ResourceRequest(tasks=1, memory_mb_per_task=100, time_limit_hours=10),
-            runtime_hours=1.0,
-        )
-        assert big.state is JobState.RUNNING
-        assert blocked.state is JobState.PENDING
-        assert small.state is JobState.PENDING  # strict FIFO: no jumping ahead
-
-    def test_completion_releases_and_starts_next(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1))
-        first = scheduler.submit(
-            ResourceRequest(tasks=40, memory_mb_per_task=100, time_limit_hours=10),
-            runtime_hours=2.0,
-        )
-        second = scheduler.submit(
-            ResourceRequest(tasks=40, memory_mb_per_task=100, time_limit_hours=10),
-            runtime_hours=1.0,
-        )
-        finished = scheduler.advance(2.0)
-        assert first in finished and first.state is JobState.COMPLETED
-        assert second.state is JobState.RUNNING
-        scheduler.advance(1.0)
-        assert second.state is JobState.COMPLETED
-        assert scheduler.platform.free_cores == 40
-
-    def test_time_limit_kills_job(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1))
-        job = scheduler.submit(
-            ResourceRequest(tasks=1, memory_mb_per_task=100, time_limit_hours=1.0),
-            runtime_hours=50.0,
-        )
-        scheduler.advance(1.5)
-        assert job.state is JobState.TIMEOUT
-        assert scheduler.platform.free_cores == 40
-
-    def test_advance_accumulates_clock(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1))
-        scheduler.advance(3.0)
-        assert scheduler.clock_hours == pytest.approx(3.0)
-
-    def test_cancel_pending(self):
-        scheduler = BestEffortScheduler(cluster_uy(servers=1, busy_fraction=0.975))
-        job = scheduler.submit(
-            ResourceRequest(tasks=10, memory_mb_per_task=100, time_limit_hours=1),
-            runtime_hours=1.0,
-        )
-        scheduler.cancel(job)
-        assert job.state is JobState.CANCELLED
-
-    def test_request_validation(self):
-        with pytest.raises(ValueError):
-            ResourceRequest(tasks=0, memory_mb_per_task=1, time_limit_hours=1)
-        with pytest.raises(ValueError):
-            ResourceRequest(tasks=1, memory_mb_per_task=1, time_limit_hours=0)
 
 
 class TestPlacement:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coevolution.cell import Cell, NEIGHBORHOOD_SIZE
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.sequential import SequentialTrainer
 from tests.conftest import eagerly_initialize, make_quick_config
 
@@ -178,7 +179,7 @@ class TestLazySubpopulations:
         lazy, eager = pair
         g, d = neighbors[6]
         for cell in (lazy, eager):
-            cell.restore(g, d, np.full(5, 0.2), iteration=3)
+            cell.restore(CellSnapshot(0, 3, g, d, np.full(5, 0.2)))
         lazy.step(neighbors[:2])
         eager.step(neighbors[:2])
         assert cell_state(lazy) == cell_state(eager)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.placement import PlacementPlan, migration_count
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.mpi.socket_transport import drain_request
 from repro.parallel import DistributedRunner, elastic
 from repro.parallel.elastic import (DrainNotice, MembershipEvent,
@@ -157,16 +158,13 @@ class TestPlanRebalance:
 
 
 def _frozen(cell, *, epoch, adopter=None, rejoin=5):
-    return FrozenCell(cell_index=cell, iteration=0,
-                      generator_genome=object(),
-                      discriminator_genome=object(),
-                      mixture_weights=object(),
-                      adopter_rank=adopter, rejoin_iteration=rejoin,
+    snapshot = CellSnapshot(cell, 0, object(), object(), object())
+    return FrozenCell(snapshot, adopter_rank=adopter, rejoin_iteration=rejoin,
                       epoch=epoch)
 
 
 def _notice(*cells):
-    return FaultNotice(policy="recover", dead_ranks=(), cells=tuple(cells))
+    return FaultNotice(policy="recover", cells=tuple(cells))
 
 
 class TestEpochFencing:
@@ -223,8 +221,6 @@ class TestDrainRegistry:
         assert not elastic.was_drained(1)
 
     def test_drain_notice_exposes_its_cells(self):
-        from repro.coevolution.checkpoint import CellSnapshot
-
         snap = CellSnapshot(cell_index=7, iteration=1,
                             generator_genome=None, discriminator_genome=None,
                             mixture_weights=None)

@@ -105,9 +105,9 @@ class TestHeartbeatFinishRace:
 
 class TestInitialCellSnapshot:
     def test_parity_with_real_cell(self, module_dataset):
-        """The dataset-free iteration-0 snapshot must replay Cell.__init__
-        exactly — same loss draw, same init RNG streams, same storage-dtype
-        quantization (the guard the docstring promises)."""
+        """The dataset-free iteration-0 snapshot must equal a real cell's —
+        same loss draw, same init RNG streams, same storage-dtype
+        quantization."""
         from repro.coevolution.cell import Cell
         from repro.coevolution.checkpoint import initial_cell_snapshot
 
@@ -297,6 +297,7 @@ class TestTwoWorkerSplit:
         from repro.mpi.socket_transport import _WorkerHub
         from repro.parallel.grid import Grid
         from repro.parallel.messages import ExchangePayload
+        from repro.coevolution.checkpoint import CellSnapshot
         from repro.parallel.recovery import FaultNotice, FaultState, FrozenCell
 
         blocks = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
@@ -314,9 +315,8 @@ class TestTwoWorkerSplit:
             grid = Grid(3, 3)
             assert sorted(grid.incoming_neighbors(0)) == [1, 2, 3, 6]
             state = FaultState()
-            state.apply(FaultNotice(policy="recover", dead_ranks=(7,), cells=(
-                FrozenCell(cell_index=6, iteration=1, generator_genome=None,
-                           discriminator_genome=None, mixture_weights=None,
+            state.apply(FaultNotice(policy="recover", cells=(
+                FrozenCell(CellSnapshot(6, 1, None, None, None),
                            adopter_rank=2, rejoin_iteration=2, epoch=1),)))
             payload = ExchangePayload(0, 3, np.arange(8.0), np.arange(4.0), epoch=1)
             sender = managers[1]

@@ -77,10 +77,10 @@ class TestDepart:
         assert not t.abort and t.peers == (1, 3, 4)
         (cell,) = t.cells
         assert frozen(t) == t.cells and t.notice.cells == t.cells
-        assert (cell.cell_index, cell.adopter_rank, cell.epoch) == (1, None, 1)
-        assert cell.iteration == 3 and cell.generator_genome == "g1"
+        assert (cell.snapshot.cell_index, cell.adopter_rank, cell.epoch) == (1, None, 1)
+        assert cell.snapshot.iteration == 3 and cell.snapshot.generator_genome == "g1"
         assert cell.rejoin_iteration == ITERATIONS  # never rejoins
-        assert t.notice.policy == "degrade" and t.notice.dead_ranks == (2,)
+        assert t.notice.policy == "degrade" and t.ranks == (2,)
         assert t.ack == (2 if kind == "drain" else None)
         assert table.outcome("degraded") == [2]
         assert table.outcome("recovered") == []
@@ -92,7 +92,7 @@ class TestDepart:
         t = depart(table, kind, [2])
         (cell,) = t.cells
         assert frozen(t) == () and not t.abort and t.peers == (1, 3, 4)
-        assert (cell.cell_index, cell.adopter_rank) == (1, 1)  # least loaded
+        assert (cell.snapshot.cell_index, cell.adopter_rank) == (1, 1)  # least loaded
         assert cell.rejoin_iteration == REJOIN and cell.epoch == 1
         assert table.cells_of(1) == (0, 1)
         assert table.outcome("degraded") == []
@@ -112,8 +112,8 @@ class TestDepart:
         table = table_2x2("recover")
         t = depart(table, "death", [2, 3])
         assert t.epoch == 1 and t.ranks == (2, 3)
-        assert {c.cell_index: c.adopter_rank for c in t.cells} == {1: 1, 2: 4}
-        assert t.notice.dead_ranks == (2, 3) and t.peers == (1, 4)
+        assert {c.snapshot.cell_index: c.adopter_rank for c in t.cells} == {1: 1, 2: 4}
+        assert t.peers == (1, 4)
 
     def test_death_with_no_unfinished_cells_emits_no_notice(self):
         for policy in FAULT_POLICIES:
@@ -158,7 +158,7 @@ class TestArrive:
         for cell in (0, 1, 3):
             table.finish(cell)                # ranks 1 and 4 are done
         t = depart(table, "death", [3])
-        assert [(c.cell_index, c.adopter_rank) for c in t.cells] == [(2, 2)]
+        assert [(c.snapshot.cell_index, c.adopter_rank) for c in t.cells] == [(2, 2)]
         assert t.peers == (2,)                # the standby gets the notice
         assert table.standby() == (2,) and table.cells_of(2) == (2,)
 
@@ -167,10 +167,10 @@ class TestArrive:
         death = depart(table, "death", [2])
         t = arrive(table, "join", 2)
         (cell,) = t.cells
-        assert (cell.cell_index, cell.adopter_rank) == (1, 2)
+        assert (cell.snapshot.cell_index, cell.adopter_rank) == (1, 2)
         assert cell.epoch == 2 > death.cells[0].epoch  # epoch-newer
         assert cell.rejoin_iteration == REJOIN and frozen(t) == ()
-        assert t.peers == (1, 3, 4) and t.notice.dead_ranks == ()
+        assert t.peers == (1, 3, 4)
         ((rank, start_cell, directive),) = t.starts
         assert (rank, start_cell) == (2, 1)
         assert directive.snapshot.cell_index == 1
@@ -195,7 +195,7 @@ class TestArrive:
         t = arrive(table, "respawn", 4)
         assert (t.kind, t.epoch, t.peers) == ("respawn", 2, (1, 2, 3))
         (cell,) = t.cells
-        assert (cell.cell_index, cell.adopter_rank, cell.epoch) == (3, 4, 2)
+        assert (cell.snapshot.cell_index, cell.adopter_rank, cell.epoch) == (3, 4, 2)
         ((rank, start_cell, directive),) = t.starts
         assert (rank, start_cell) == (4, 3)
         assert directive.snapshot.iteration == 3
@@ -208,9 +208,9 @@ class TestArrive:
         table = table_2x2("recover")
         depart(table, "death", [2])           # rank 1 now owns cells 0, 1
         t = depart(table, "death", [1], held=[1])
-        assert [(c.cell_index, c.adopter_rank) for c in t.cells] == [(1, 4)]  # next to cell 3
+        assert [(c.snapshot.cell_index, c.adopter_rank) for c in t.cells] == [(1, 4)]  # next to cell 3
         t = arrive(table, "respawn", 1)
-        assert [(c.cell_index, c.adopter_rank) for c in t.cells] == [(0, 1)]
+        assert [(c.snapshot.cell_index, c.adopter_rank) for c in t.cells] == [(0, 1)]
 
     def test_arrival_in_an_occupied_slot_changes_nothing(self):
         table = table_2x2("recover")
@@ -223,7 +223,7 @@ class TestArrive:
 
 
 def frozen_view(state):
-    return {c.cell_index: (c.adopter_rank, c.epoch, c.rejoin_iteration)
+    return {c.snapshot.cell_index: (c.adopter_rank, c.epoch, c.rejoin_iteration)
             for c in state.frozen_cells()}
 
 

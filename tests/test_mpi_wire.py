@@ -311,6 +311,39 @@ class TestTransportStats:
         payload = ExchangePayload(0, 1, genome, genome)
         assert payload_nbytes(payload) >= 1600  # two 800-byte vectors
 
+    @staticmethod
+    def _resume_task():
+        """A respawn's run task: the genomes of a cell its replayed notice
+        moved sit deeper than any fixed walk limit (RunTask ->
+        ResumeDirective -> notices -> FaultNotice -> cells -> FrozenCell ->
+        CellSnapshot -> Genome -> vector), and every one of them counts."""
+        from repro.coevolution.checkpoint import CellSnapshot
+        from repro.coevolution.genome import Genome
+        from repro.parallel.messages import RunTask
+        from repro.parallel.recovery import FaultNotice, FrozenCell, ResumeDirective
+
+        def record(cell):
+            genome = Genome(np.zeros(100), 1e-3, "bce")
+            return CellSnapshot(cell, 2, genome, genome.copy(), np.full(5, 0.2))
+
+        notice = FaultNotice("recover", (FrozenCell(record(3), 1, 4, epoch=1),))
+        task = RunTask("{}", 0, {}, "node00",
+                       resume=ResumeDirective(record(0), 4, notices=(notice,)))
+        # Two records of two 800-byte vectors + "bce" and 40 bytes of
+        # weights, plus the task's and the notice's strings.
+        return task, 2 * (2 * (800 + 3) + 40) + len("{}node00neighbors" + "recover")
+
+    @staticmethod
+    def _cyclic_list():
+        looped = [np.zeros(4)]
+        looped.append(looped)  # a container on its own path counts zero there
+        return looped, 32
+
+    @pytest.mark.parametrize("build", ["_resume_task", "_cyclic_list"])
+    def test_payload_nbytes_walks_to_the_leaves(self, build):
+        payload, expected = getattr(self, build)()
+        assert payload_nbytes(payload) == expected
+
     def test_counters_and_merge(self):
         stats = TransportStats(rank=1)
         stats.count_sent(np.zeros(4))

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.mpi import run_mpi
 from repro.parallel.comm_manager import EXCHANGE_MODES, ExchangeAborted, MpiCommManager
@@ -34,7 +35,7 @@ class TestSetupPhase:
                 infos = sorted((comm.receive() for _ in range(comm.size - 1)),
                                key=lambda i: i.rank)
                 return [(i.rank, i.node_name) for i in infos]
-            comm.send(0, NodeInfo(comm.rank, f"host{comm.rank}", 0))
+            comm.send(0, NodeInfo(comm.rank, f"host{comm.rank}"))
             return None
 
         results = run_mpi(4, program, backend="threaded", timeout=30)
@@ -90,7 +91,7 @@ class TestHeartbeatPlumbing:
                 reply = comm.receive(timeout=5)
                 return (reply.rank, reply.state)
             assert isinstance(comm.receive(timeout=5), StatusRequest)
-            comm.send(0, StatusReply(comm.rank, "processing", 3, 0.0))
+            comm.send(0, StatusReply(comm.rank, "processing", 3))
             return "replied"
 
         results = run_mpi(2, program, backend="threaded", timeout=30)
@@ -125,9 +126,9 @@ class TestHeartbeatPlumbing:
                 comm.send(1, Abort())
                 return type(comm.receive(timeout=5)).__name__
             first, second = comm.receive(timeout=5), comm.receive(timeout=5)
-            comm.send(comm.rank, StatusReply(comm.rank, "mine", 0, 0.0))
+            comm.send(comm.rank, StatusReply(comm.rank, "mine", 0))
             own = comm.receive(timeout=5)
-            comm.send(0, StatusReply(comm.rank, "processing", 0, 0.0))
+            comm.send(0, StatusReply(comm.rank, "processing", 0))
             return [type(first).__name__, type(second).__name__, own.state]
 
         results = run_mpi(2, program, backend="threaded", timeout=30)
@@ -225,9 +226,8 @@ class TestBlockRound:
             if comm.rank in (0, 3):
                 return None
             state = FaultState()
-            state.apply(FaultNotice(policy="recover", dead_ranks=(3,), cells=(
-                FrozenCell(cell_index=2, iteration=0, generator_genome=None,
-                           discriminator_genome=None, mixture_weights=None,
+            state.apply(FaultNotice(policy="recover", cells=(
+                FrozenCell(CellSnapshot(2, 0, None, None, None),
                            adopter_rank=1, rejoin_iteration=0),)))
             hosted = (0, 2) if comm.rank == 1 else (1,)
             received = comm.exchange_round(
@@ -244,13 +244,14 @@ class TestBlockRound:
 class TestResults:
     def test_result_transfer(self, rng):
         genome = Genome(rng.normal(size=8), 1e-3, "bce")
-        result = SlaveResult(1, 0, genome, genome.copy(), np.full(5, 0.2))
+        result = SlaveResult(1, CellSnapshot(0, 0, genome, genome.copy(),
+                                             np.full(5, 0.2)))
 
         def program(world):
             comm = MpiCommManager(world)
             if comm.is_master:
                 collected = comm.receive(timeout=5.0)
-                return collected.cell_index
+                return collected.snapshot.cell_index
             comm.send(0, result)
             return None
 

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, NodeInfo, RunTask, SlaveResult, StatusReply
@@ -126,12 +127,12 @@ class TestMessages:
     def test_all_messages_pickle(self, rng):
         genome = Genome(rng.normal(size=16), 2e-4, "bce")
         messages = [
-            NodeInfo(1, "host", 1234),
+            NodeInfo(1, "host"),
             RunTask("{}", 0, {"rows": 2, "cols": 2, "first_slave_rank": 1,
                               "overrides": {}}, "node00"),
-            StatusReply(1, "processing", 3, 0.0),
+            StatusReply(1, "processing", 3),
             ExchangePayload(0, 2, genome, genome.copy()),
-            SlaveResult(1, 0, genome, genome.copy(), np.full(5, 0.2)),
+            SlaveResult(1, CellSnapshot(0, 3, genome, genome.copy(), np.full(5, 0.2))),
         ]
         for message in messages:
             clone = pickle.loads(pickle.dumps(message))

@@ -11,7 +11,7 @@ from repro.parallel.states import SlaveState
 
 
 def reply(rank, state="processing", iteration=0):
-    return StatusReply(rank, state, iteration, 0.0)
+    return StatusReply(rank, state, iteration)
 
 
 def watched(*ranks, interval_s=1.0, miss_limit=3):

@@ -29,6 +29,11 @@ from repro.parallel.recovery import FaultNotice
 from tests.conftest import make_quick_config
 
 
+def snapshot(cell, iteration):
+    genome = Genome(np.zeros(4), 1e-3, "bce")
+    return CellSnapshot(cell, iteration, genome, genome.copy(), np.full(5, 0.2))
+
+
 class ScriptedMasterComm(CommManager):
     """Plays all slaves for a master under test.
 
@@ -61,7 +66,7 @@ class ScriptedMasterComm(CommManager):
         #: (arrival time, sequence, message) of everything in flight.
         self._inbox = []
         for rank in range(1, self.size):
-            self._arrive(0.0, NodeInfo(rank, f"host{rank}", 100 + rank))
+            self._arrive(0.0, NodeInfo(rank, f"host{rank}"))
 
     @property
     def rank(self):
@@ -78,12 +83,9 @@ class ScriptedMasterComm(CommManager):
     def _arrive(self, at, message):
         self._inbox.append((at, len(self._inbox), message))
 
-    def _result(self, rank, cell, *, at, recovered=False, aborted=False):
-        genome = Genome(np.zeros(4), 1e-3, "bce")
-        self._arrive(at, SlaveResult(
-            rank=rank, cell_index=cell, generator_genome=genome,
-            discriminator_genome=genome.copy(), mixture_weights=np.full(5, 0.2),
-            recovered=recovered, aborted=aborted))
+    def _result(self, rank, cell, *, at, recovered=False, iteration=1):
+        self._arrive(at, SlaveResult(rank, snapshot(cell, iteration),
+                                     recovered=recovered))
 
     def send(self, dest, message):
         if isinstance(message, RunTask):
@@ -91,31 +93,30 @@ class ScriptedMasterComm(CommManager):
             if dest in self.silent_ranks or message.standby:
                 return  # no cell to report on
             if dest in self.drain_ranks and message.resume is None:
-                genome = Genome(np.zeros(4), 1e-3, "bce")
-                self._arrive(self.now, DrainNotice(dest, (CellSnapshot(
-                    cell_index=message.cell_index, iteration=0,
-                    generator_genome=genome, discriminator_genome=genome.copy(),
-                    mixture_weights=np.full(5, 0.2)),)))
+                self._arrive(self.now, DrainNotice(
+                    dest, (snapshot(message.cell_index, 0),)))
                 return
             self._result(dest, message.cell_index,
                          at=max(self.now, self.result_delay_s))
         elif isinstance(message, StatusRequest):
             self.pings.append((self.now, dest))
             if dest not in self.silent_ranks:
-                self._arrive(self.now, StatusReply(dest, "processing", 1, self.now))
+                self._arrive(self.now, StatusReply(dest, "processing", 1))
         elif isinstance(message, Abort):
             self.aborts_sent.append(dest)
             if dest in self.abortable_ranks:
-                self._result(dest, dest - 1, at=self.now, aborted=True)
+                # Aborted at iteration 0: its record says how far it got.
+                self._result(dest, dest - 1, at=self.now, iteration=0)
         elif isinstance(message, FaultNotice):
             self.notices_sent.append((dest, message))
             for cell in message.cells:
                 if cell.adopter_rank == dest:
-                    self._result(dest, cell.cell_index, at=self.now, recovered=True)
+                    self._result(dest, cell.snapshot.cell_index, at=self.now,
+                                 recovered=True)
         elif isinstance(message, DrainAck):
             self.drain_acks.append(dest)
             for rank in self.join_ranks:
-                self._arrive(self.now, NodeInfo(rank, f"late{rank}", 900 + rank))
+                self._arrive(self.now, NodeInfo(rank, f"late{rank}"))
             self.join_ranks = []
         else:
             raise AssertionError(f"unexpected send to {dest}: {message!r}")
@@ -231,13 +232,19 @@ class TestMasterFailureHandling:
         assert outcome.dead_ranks == [2]  # declared dead all the same
         cell = outcome.results[1]
         if policy == "abort":
-            assert cell.rank == 2 and cell.aborted
+            # Its own, aborted result.
+            assert cell.rank == 2 and not cell.recovered
+            assert cell.snapshot.iteration == 0
         elif policy == "degrade":
             assert outcome.degraded_ranks == [2]
-            assert cell.reports == [] and not cell.aborted  # the placeholder
+            # The placeholder: the frozen record, the initial state here.
+            assert cell.rank == 2 and cell.reports == [] and not cell.recovered
+            assert cell.snapshot.iteration == 0
+            assert cell.snapshot.generator_genome.parameters.size > 4
         else:
             assert outcome.recovered_ranks == [2]
-            assert cell.rank != 2 and cell.recovered and not cell.aborted
+            assert cell.rank != 2 and cell.recovered
+            assert cell.snapshot.iteration == 1
 
 
 class TestMasterAppliesTransitions:
@@ -256,7 +263,7 @@ class TestMasterAppliesTransitions:
         assert outcome.results[1].rank == 1 and outcome.results[1].recovered
         assert sorted(rank for rank, _ in comm.notices_sent) == [1, 3, 4]
         (notice,) = {id(n): n for _, n in comm.notices_sent}.values()
-        assert [(c.cell_index, c.adopter_rank, c.epoch)
+        assert [(c.snapshot.cell_index, c.adopter_rank, c.epoch)
                 for c in notice.cells] == [(1, 1, 1)]
         assert comm.drain_acks == [2]
         # The joiner found its home cell owned: parked, then released.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.parallel.master import MasterOutcome
 from repro.parallel.messages import SlaveResult
@@ -11,16 +12,10 @@ from repro.telemetry import SpanEvent, TelemetrySnapshot, mark_timeline, routine
 from tests.conftest import make_quick_config
 
 
-def make_result(cell_index, rank, value=1.0, telemetry=None):
+def make_result(cell_index, rank, value=1.0):
     genome = Genome(np.full(6, value), 1e-3, "bce")
-    return SlaveResult(
-        rank=rank,
-        cell_index=cell_index,
-        generator_genome=genome,
-        discriminator_genome=genome.copy(),
-        mixture_weights=np.full(5, 0.2),
-        telemetry=telemetry,
-    )
+    return SlaveResult(rank, CellSnapshot(cell_index, 1, genome, genome.copy(),
+                                          np.full(5, 0.2)))
 
 
 def make_outcome(results, dead=()):
@@ -63,13 +58,13 @@ class TestReduction:
         with pytest.raises(RuntimeError, match="nothing to reduce"):
             runner._reduce(make_outcome({}), wall_time_s=1.0)
 
-    def test_profile_views_read_the_in_band_slave_telemetry(self, runner):
-        results = {
-            i: make_result(i, i + 1, telemetry=TelemetrySnapshot(
-                rank=i + 1, span_totals={"cell.train": float(i + 1)},
-                span_counts={"cell.train": 1}))
-            for i in range(4)}
-        reduced = runner._reduce(make_outcome(results), wall_time_s=1.0)
+    def test_profile_views_read_the_per_rank_telemetry(self, runner):
+        results = {i: make_result(i, i + 1) for i in range(4)}
+        rank_telemetry = [None] + [TelemetrySnapshot(
+            rank=i + 1, span_totals={"cell.train": float(i + 1)},
+            span_counts={"cell.train": 1}) for i in range(4)]
+        reduced = runner._reduce(make_outcome(results), wall_time_s=1.0,
+                                 rank_telemetry=rank_telemetry)
         assert reduced.telemetry.ranks == [1, 2, 3, 4]
         # parallel view = max over ranks; total-work view = sum
         wall = routine_profile(reduced.telemetry, parallel=True)
@@ -83,9 +78,10 @@ class TestReduction:
             return TelemetrySnapshot(rank=rank, events=[
                 SpanEvent(name, 0.0, 0.0, "t", instant=True)])
 
-        results = {0: make_result(0, 1, telemetry=marked(1, "start training"))}
+        results = {0: make_result(0, 1)}
         reduced = runner._reduce(make_outcome(results), wall_time_s=1.0,
-                                 rank_telemetry=[marked(0, "run tasks sent")])
+                                 rank_telemetry=[marked(0, "run tasks sent"),
+                                                 marked(1, "start training")])
         actors = {actor for _at, actor, _event in mark_timeline(reduced.telemetry)}
         assert actors == {"master", "slave-1"}
 

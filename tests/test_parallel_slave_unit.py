@@ -154,9 +154,10 @@ class TestHappyPath:
         assert comm.contexts_built
         assert slave.machine.state is SlaveState.FINISHED
         assert comm.result is result
-        assert result.cell_index == 0
+        assert result.snapshot.cell_index == 0
+        assert result.snapshot.iteration == 2
         assert len(result.reports) == 2
-        assert isinstance(result.generator_genome, Genome)
+        assert isinstance(result.snapshot.generator_genome, Genome)
 
     def test_state_history_matches_fig2(self, config, small_dataset):
         comm = ScriptedComm(make_task(config))
@@ -182,29 +183,33 @@ class TestHappyPath:
         assert comm.receive_calls == 2
         assert comm.inbox.empty()
 
+    # The rank's buffer is what the transport's per-rank outcome ships home.
+
     def test_trace_level_marks_the_protocol_steps(self, config, small_dataset,
                                                   telemetry_bus):
         telemetry_bus.bind_rank(1)  # what execute_rank does for the main thread
         comm = ScriptedComm(make_task(config, telemetry_level="trace"))
-        result = SlaveProcess(comm, small_dataset).run()
-        marks = [e.name for e in result.telemetry.events if e.instant]
+        SlaveProcess(comm, small_dataset).run()
+        buffer = telemetry_bus.snapshot(1)
+        marks = [e.name for e in buffer.events if e.instant]
         assert "start training" in marks
-        # The in-band copy is retaken after the send mark, so it is in it.
         assert marks[-1] == "send results to master"
-        assert result.telemetry.span_seconds("cell.train") > 0
+        assert buffer.span_seconds("cell.train") > 0
 
     def test_basic_level_ships_totals_and_no_marks(self, config, small_dataset,
                                                    telemetry_bus):
         telemetry_bus.bind_rank(1)
         comm = ScriptedComm(make_task(config, telemetry_level="basic"))
-        result = SlaveProcess(comm, small_dataset).run()
-        assert result.telemetry.events == []
-        assert result.telemetry.span_counts["cell.train"] == 2  # one per iteration
+        SlaveProcess(comm, small_dataset).run()
+        buffer = telemetry_bus.snapshot(1)
+        assert buffer.events == []
+        assert buffer.span_counts["cell.train"] == 2  # one per iteration
 
-    def test_no_telemetry_by_default(self, config, small_dataset):
+    def test_no_telemetry_by_default(self, config, small_dataset, telemetry_bus):
+        telemetry_bus.bind_rank(1)
         comm = ScriptedComm(make_task(config))
-        result = SlaveProcess(comm, small_dataset).run()
-        assert result.telemetry is None
+        SlaveProcess(comm, small_dataset).run()
+        assert telemetry_bus.snapshot(1).empty
 
 
 class TestAbortPath:
@@ -217,9 +222,9 @@ class TestAbortPath:
         slave = SlaveProcess(comm, small_dataset)
         result = slave.run()
 
-        assert result.aborted
         assert slave.machine.state is SlaveState.FINISHED
         assert len(result.reports) == 1  # iteration 0 done, 1 aborted
+        assert result.snapshot.iteration == 1  # the record says how far it got
 
 
 class TestFaultInjection:
@@ -245,8 +250,7 @@ class TestCheckpointStreaming:
 
         iterations = 4
         config = make_quick_config(2, 2, iterations=iterations)
-        comm = ScriptedComm(make_task(config, fault_policy="recover",
-                                      snapshot_every=1))
+        comm = ScriptedComm(make_task(config, snapshot_every=1))
         payloads = []
         exchange = comm.exchange_round
 
@@ -341,9 +345,8 @@ def cell3_notice(config, dataset, *, iteration, rejoin):
         cell.step([cell.center_genomes()] * 4)
     g_genome, d_genome = cell.center_genomes()
     snapshot = CellSnapshot(3, iteration, g_genome, d_genome, cell.mixture.weights.copy())
-    frozen = FrozenCell.from_snapshot(snapshot, adopter_rank=1,
-                                      rejoin_iteration=rejoin, epoch=1)
-    return FaultNotice(policy="recover", dead_ranks=(4,), cells=(frozen,))
+    frozen = FrozenCell(snapshot, adopter_rank=1, rejoin_iteration=rejoin, epoch=1)
+    return FaultNotice(policy="recover", cells=(frozen,))
 
 
 def reference_cell(config, dataset, notice):
@@ -351,9 +354,8 @@ def reference_cell(config, dataset, notice):
     with its own center in every slot to the end (what catch-up and the
     scripted echo both hand it)."""
     (frozen,) = notice.cells
-    cell = Cell(config, frozen.cell_index, dataset)
-    cell.restore(frozen.generator_genome, frozen.discriminator_genome,
-                 frozen.mixture_weights, frozen.iteration)
+    cell = Cell(config, frozen.snapshot.cell_index, dataset)
+    cell.restore(frozen.snapshot)
     while cell.iteration < config.coevolution.iterations:
         cell.step([cell.center_genomes()] * 4)
     return cell
@@ -366,16 +368,20 @@ def report_bytes(reports):
 
 
 def assert_matches_reference(result, cell):
-    g_genome, d_genome = cell.center_genomes()
-    assert result.generator_genome.parameters.tobytes() == g_genome.parameters.tobytes()
-    assert result.discriminator_genome.parameters.tobytes() == d_genome.parameters.tobytes()
-    assert result.mixture_weights.tobytes() == cell.mixture.weights.tobytes()
+    ours, theirs = result.snapshot, cell.snapshot()
+    assert (ours.cell_index, ours.iteration) == (theirs.cell_index, theirs.iteration)
+    for mine, reference in ((ours.generator_genome, theirs.generator_genome),
+                            (ours.discriminator_genome, theirs.discriminator_genome)):
+        assert mine.parameters.tobytes() == reference.parameters.tobytes()
+    assert ours.mixture_weights.tobytes() == theirs.mixture_weights.tobytes()
     assert report_bytes(result.reports) == report_bytes(cell.reports)
 
 
 def standby_task(config):
-    return make_task(config, cell_index=3, standby=True,
+    task = make_task(config, cell_index=3,
                      resume=ResumeDirective(snapshot=None, rejoin_iteration=0))
+    assert task.standby  # a directive without a snapshot parks the rank
+    return task
 
 
 class TestBlock:
@@ -392,7 +398,8 @@ class TestBlock:
         # (1 -> 2), then the block of two rounds together.
         assert comm.rounds == [(0, [0], []), (1, [0], []), (1, [3], [3]),
                                (2, [0, 3], [3]), (3, [0, 3], [3])]
-        assert [(r.cell_index, r.recovered) for r in comm.results] == [(0, False), (3, True)]
+        assert [(r.snapshot.cell_index, r.recovered)
+                for r in comm.results] == [(0, False), (3, True)]
         assert result is comm.results[0]
         assert_matches_reference(comm.results[1],
                                  reference_cell(config, small_dataset, notice))
@@ -407,7 +414,7 @@ class TestBlock:
         assert comm.thread_counts and max(comm.thread_counts) == 1
         # The empty block took the admitted cell's iteration.
         assert [round_[:2] for round_ in comm.rounds] == [(1, [3]), (2, [3]), (3, [3])]
-        assert [(r.cell_index, r.recovered) for r in comm.results] == [(3, True)]
+        assert [(r.snapshot.cell_index, r.recovered) for r in comm.results] == [(3, True)]
         assert_matches_reference(comm.results[0],
                                  reference_cell(config, small_dataset, notice))
 

@@ -197,13 +197,14 @@ class TestMerge:
         assert merged.span_counts["cell.train"] == 2
         assert merged.ranks == [1, 2]
 
-    def test_same_rank_collapses_to_the_richer_snapshot(self):
+    def test_same_rank_twice_is_an_error(self):
+        """Each rank's buffer comes home once, in the transport's per-rank
+        outcome: a second snapshot for a rank is a bug, not a choice."""
         poor = self._snap(1, counters={"mpi.messages_sent": 5})
         rich = self._snap(1, events=3, counters={"mpi.messages_sent": 9},
                           spans={"cell.train": 1.0})
-        merged = merge_telemetry([poor, rich])
-        assert merged.ranks == [1]
-        assert merged.counter("mpi.messages_sent") == 9  # not 14
+        with pytest.raises(ValueError, match="two telemetry snapshots for rank 1"):
+            merge_telemetry([poor, rich])
 
     def test_none_holes_and_empty_snapshots_skipped(self):
         merged = merge_telemetry([None, TelemetrySnapshot(rank=3),
