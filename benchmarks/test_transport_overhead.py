@@ -1,11 +1,13 @@
 """Transport overhead: per-iteration exchange latency, process vs. socket.
 
-The socket transport adds two serialization hops and a coordinator relay to
-every message the process transport moves through a kernel pipe.  This
-bench measures what that costs where it matters — the per-iteration
-neighbor exchange of genome-sized arrays — and records the baseline in
-``BENCH_transport.json`` so future transport work (zero-copy framing,
-direct worker-to-worker connections) has a number to beat.
+Both transports move the same wire frames (pickle 5, genome vectors out of
+band); the process transport writes each one straight into the destination
+rank's Unix socket pair, while the socket transport adds a TCP hop through
+the coordinator relay (and, within one worker, hands messages over by
+reference).  This bench measures what that costs where it matters — the
+per-iteration neighbor exchange of genome-sized arrays — and records the
+baseline in ``BENCH_transport.json`` so future transport work (direct
+worker-to-worker connections) has a number to beat.
 
 Pattern: every rank sendrecv's a genome-sized vector around a ring, one
 round per iteration, like the LOCAL exchange of the training loop.

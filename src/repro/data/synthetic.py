@@ -10,9 +10,9 @@ Rendering pipeline (fully vectorized, chunked to bound memory):
    thickness, add speckle noise, clip to ``[0, 1]``.
 
 The result is deterministic per ``(n_samples, seed)`` and cached on disk as
-an ``.npz`` so the master and every slave process can load the same dataset
-without re-rendering (the paper's flow diagram has a "Download data
-(optional)" step in each slave; the cache plays that role).
+an uncompressed ``.npz`` so the master and every slave process can load the
+same dataset without re-rendering (the paper's flow diagram has a "Download
+data (optional)" step in each slave; the cache plays that role).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +150,18 @@ def load_synthetic_mnist(n_samples: int, seed: int = 42, *, cache: bool = True,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    key = f"v1-{n_samples}-{seed}-{noise_std}"
+    # v2: stored, not deflated (v1 files were compressed; not reused).
+    key = f"v2-{n_samples}-{seed}-{noise_std}"
     digest = hashlib.sha1(key.encode()).hexdigest()[:16]
     path = os.path.join(default_cache_dir(), f"synmnist-{digest}.npz")
     if cache and os.path.exists(path):
         try:
-            with np.load(path) as archive:
+            # Our own handle: np.load leaks the one it opens when the
+            # archive turns out to be damaged.
+            with open(path, "rb") as handle, np.load(handle) as archive:
                 return SyntheticMNIST(archive["images"], archive["labels"])
-        except (OSError, KeyError, ValueError):
-            pass  # corrupted cache: fall through and re-render
+        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile):
+            pass  # damaged cache (truncated, empty, ...): fall through and re-render
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, n_samples]))
     labels = np.arange(n_samples, dtype=np.int64) % NUM_CLASSES
@@ -167,6 +171,8 @@ def load_synthetic_mnist(n_samples: int, seed: int = 42, *, cache: bool = True,
         os.makedirs(default_cache_dir(), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, images=images, labels=labels)
+            # Stored, not deflated: every run and rank-hosting launcher
+            # loads this file, and inflating it costs more than reading it.
+            np.savez(handle, images=images, labels=labels)
         os.replace(tmp, path)  # atomic: concurrent slaves race benignly
     return SyntheticMNIST(images, labels)

@@ -90,8 +90,8 @@ def mailbox_links(mailboxes: dict[int, Callable[[Group], None]], blocking: bool
                   ) -> Callable[[Sequence[tuple[int, int]]], list[Link]]:
     """Links of a transport with one mailbox per rank: a group is put once
     into each distinct destination's mailbox.  ``blocking`` mailboxes
-    (pipes) get a lane each, so a dead peer's full pipe stalls only the
-    sends addressed to it."""
+    (socket pairs) get a lane each, so a dead peer's full mailbox stalls
+    only the sends addressed to it."""
     def links(routes: Sequence[tuple[int, int]]) -> list[Link]:
         try:
             return [Link(mailboxes[rank], rank if blocking else None)
@@ -105,7 +105,7 @@ class _Lane:
     """Outbound lane: a deque drained by a daemon sender thread.
 
     ``send`` never blocks the caller.  The sender thread performs the
-    (possibly blocking: pipe-backed mailboxes, a full TCP window) ``put``;
+    (possibly blocking: a full socket-pair mailbox, a full TCP window) ``put``;
     a rank whose peer died therefore keeps running — the paper's
     heartbeat/abort path depends on exactly this.  One thread per lane
     writes in send order, which is MPI's per-pair FIFO.
@@ -288,7 +288,7 @@ class Endpoint:
         """Flush outbound lanes, then stop the pump thread (idempotent).
 
         Messages still undeliverable after the flush timeout (their
-        destination died and its pipe is full) are abandoned — their daemon
+        destination died and its mailbox is full) are abandoned — their daemon
         lane threads die with the process.
         """
         with self._cond:

@@ -1012,13 +1012,11 @@ class _WorkerHub:
         # payload copies, like the coordinator's forward path.  The views
         # stay valid for the whole write: the group is referenced here
         # until write_frame returns.
-        parts = wire.pack_frame_parts(
-            wire.MSG, 0, (group.context, group.source, group.payload),
-            routes=routes)
+        parts = wire.pack_group_parts(group, routes)
         try:
             with self._send_lock:
                 if self._closed:
-                    return  # coordinator gone: drop, like a dead pipe
+                    return  # coordinator gone: drop, like a dead mailbox
                 wire.write_frame(self.sock, parts)
         except wire.WireError:
             self._on_connection_lost()
@@ -1038,7 +1036,7 @@ class _WorkerHub:
                 frame = wire.read_frame(self.sock)
                 if frame.kind == wire.MSG:
                     # Decoded once for every rank hosted here.
-                    self.deliver(Group(*frame.payload(), frame.routes))
+                    self.deliver(frame.group())
                     del frame  # the inboxes own the body now, not a blocked read
                 elif frame.kind == wire.DRAIN:
                     # Coordinator requests a graceful drain of one hosted

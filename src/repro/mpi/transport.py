@@ -10,9 +10,10 @@ delivers one :class:`WorkerOutcome` per rank:
   shares one GIL — which is exactly what the backend ablation benchmark
   demonstrates.
 * :class:`ProcessTransport` — every rank is a forked OS process; mailboxes
-  are ``multiprocessing.SimpleQueue`` (OS pipes + pickle).  Gives the true
-  multi-core parallelism used in all timing experiments; the fork start
-  method lets children inherit the queue handles.
+  are ``AF_UNIX`` socket pairs carrying the socket transport's
+  :mod:`~repro.mpi.wire` frames (pickle 5, genome vectors out of band).
+  Gives the true multi-core parallelism used in all timing experiments;
+  the fork start method lets children inherit both ends of every pair.
 * :class:`~repro.mpi.socket_transport.SocketTransport` (registered lazily
   as ``"socket"``) — ranks live in worker processes (forked for local
   host entries, ``repro worker`` elsewhere) connected over TCP, one
@@ -31,14 +32,17 @@ import abc
 import importlib
 import multiprocessing
 import queue
+import select
+import socket
 import threading
 import time
 import traceback
 from typing import Any, Callable, Sequence
 
+from repro.mpi import wire
 from repro.mpi.comm import Comm
 from repro.mpi.constants import WORLD_CONTEXT
-from repro.mpi.endpoint import SHUTDOWN, Endpoint, Link, mailbox_links
+from repro.mpi.endpoint import SHUTDOWN, Endpoint, Group, Link, mailbox_links
 from repro.mpi.stats import TransportStats
 from repro.telemetry import bus as telemetry
 
@@ -197,25 +201,66 @@ class ThreadTransport(Transport):
             thread.join(timeout=5.0)
 
 
+class _FrameChannel:
+    """A many-writer, one-reader channel between forked processes: an
+    ``AF_UNIX`` socket pair carrying :mod:`~repro.mpi.wire` frames.
+
+    Made before fork, so every process inherits both ends.  Writers share
+    one cross-process lock, so a frame is written whole and frames of
+    different writers never interleave; exactly one process reads.  A
+    group goes out as a gather-write MSG frame — its genome vectors from
+    the sender's memory to the kernel, no user-space copy — and comes out
+    as arrays that are aligned windows onto the one buffer ``recv_into``
+    filled.  ``put``/``get`` are the :class:`~repro.mpi.endpoint.Endpoint`
+    inbox protocol (groups and its ``SHUTDOWN`` sentinel).
+    """
+
+    def __init__(self, lock):
+        self._reader, self._writer = socket.socketpair(socket.AF_UNIX,
+                                                       socket.SOCK_STREAM)
+        self._lock = lock
+
+    def write(self, frame: "bytes | list") -> None:
+        with self._lock:
+            wire.write_frame(self._writer, frame)
+
+    def put(self, item: "Group | tuple") -> None:
+        self.write(wire.pack_frame(wire.SHUTDOWN, 0) if item is SHUTDOWN
+                   else wire.pack_group_parts(item))
+
+    def read(self) -> wire.Frame:
+        return wire.read_frame(self._reader)
+
+    def get(self) -> "Group | tuple":
+        frame = self.read()
+        return SHUTDOWN if frame.kind == wire.SHUTDOWN else frame.group()
+
+    def readable(self, timeout: float) -> bool:
+        return bool(select.select([self._reader], [], [], timeout)[0])
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+
 class ProcessTransport(Transport):
-    """Ranks as forked processes; multiprocessing queues as mailboxes."""
+    """Ranks as forked processes; Unix socket pairs carrying wire frames
+    as mailboxes and as the launcher's result channel."""
 
     name = "process"
 
     def __init__(self, size: int):
         super().__init__(size)
         self._ctx = multiprocessing.get_context("fork")
-        # SimpleQueue: a plain pipe + lock; one pickling hop, no feeder
-        # thread of its own (the Endpoint lane provides the async layer).
-        self.mailboxes = [self._ctx.SimpleQueue() for _ in range(size)]
-        self.results = self._ctx.SimpleQueue()
+        self.mailboxes = [_FrameChannel(self._ctx.Lock()) for _ in range(size)]
+        self.results = _FrameChannel(self._ctx.Lock())
         self._processes: list[multiprocessing.process.BaseProcess] = []
 
     def launch(self, fn: Callable[..., Any], args: Sequence[Any] = ()) -> None:
-        # Pipe-backed mailboxes have finite kernel buffers: a put can block
-        # once a dead rank's pipe fills, so every destination gets its own
-        # lane and a send never blocks its caller.  A group is pickled once
-        # per destination rank, whatever the number of tags it carries.
+        # Socket buffers are finite: a put can block once a dead rank's
+        # mailbox fills, so every destination gets its own lane and a send
+        # never blocks its caller.  A group is framed once per destination
+        # rank, whatever the number of tags it carries.
         links = mailbox_links(
             {rank: mailbox.put for rank, mailbox in enumerate(self.mailboxes)},
             blocking=True)
@@ -228,8 +273,9 @@ class ProcessTransport(Transport):
             process.start()
 
     def _run_rank(self, rank: int, links, fn, args) -> None:
-        self.results.put(execute_rank(rank, self.size, self.mailboxes[rank],
-                                      links, fn, args))
+        outcome = execute_rank(rank, self.size, self.mailboxes[rank],
+                               links, fn, args)
+        self.results.write(wire.pack_frame_parts(wire.RESULT, rank, outcome))
 
     def collect(self, timeout: float | None) -> list[WorkerOutcome]:
         """Wait for one outcome per rank.
@@ -237,22 +283,20 @@ class ProcessTransport(Transport):
         A rank killed before posting (fault injection, OOM kill, ...) is
         detected through its exit code and synthesized as a failed outcome —
         otherwise one dead slave would hang the whole job collection.
-        ``multiprocessing.SimpleQueue`` has no timeout, so the underlying
-        pipe reader is polled directly.
         """
         outcomes: dict[int, WorkerOutcome] = {}
         deadline = None if timeout is None else time.monotonic() + timeout
         while len(outcomes) < self.size:
-            if self.results._reader.poll(0.25):
-                outcome: WorkerOutcome = self.results.get()
+            if self.results.readable(0.25):
+                outcome: WorkerOutcome = self.results.read().payload()
                 outcomes[outcome.rank] = outcome
                 continue
             for rank, process in enumerate(self._processes):
                 if rank in outcomes or process.exitcode is None:
                     continue
-                # Exited without a buffered result? Give the pipe one last
-                # grace poll, then declare the rank dead.
-                if self.results._reader.poll(0.2):
+                # Exited without a buffered result? Give the channel one
+                # last grace wait, then declare the rank dead.
+                if self.results.readable(0.2):
                     break
                 outcomes[rank] = WorkerOutcome(
                     rank,
@@ -270,6 +314,8 @@ class ProcessTransport(Transport):
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
+        for channel in (*self.mailboxes, self.results):
+            channel.close()
 
     def kill_rank(self, rank: int) -> None:
         """Forcibly kill one rank (fault-injection tests)."""

@@ -1,4 +1,9 @@
-"""Length-prefix framing for the TCP transport.
+"""Length-prefix framing for every process boundary.
+
+The TCP transport's connections and the process transport's Unix
+socket-pair mailboxes carry the same frames, written and read by the same
+functions here; only the TCP transport uses the verbs beyond MSG, RESULT
+and SHUTDOWN.
 
 One frame is a fixed header, a routing table and an opaque body::
 
@@ -12,7 +17,9 @@ rank for DRAIN, unused otherwise).  A MSG is addressed by its **routes**
 instead: every ``(destination world rank, tag)`` the one body goes to.  A
 plain send is the group of one route; a genome going to four neighbour
 cells is one frame with four routes, however many workers host them.  No
-other kind carries routes.
+other kind carries routes.  :func:`pack_group_parts` and
+:meth:`Frame.group` are the one way a :class:`~repro.mpi.endpoint.Group`
+becomes a MSG frame and back.
 
 Segment 0 of the body is the pickle (protocol 5); segments 1..n are the
 out-of-band buffers pickle 5 extracted — NumPy genome vectors therefore
@@ -55,6 +62,7 @@ import socket
 import struct
 from typing import Any, Sequence
 
+from repro.mpi.endpoint import Group
 from repro.mpi.errors import MpiError
 
 __all__ = [
@@ -62,6 +70,7 @@ __all__ = [
     "WireError",
     "pack_frame",
     "pack_frame_parts",
+    "pack_group_parts",
     "encode_body",
     "encode_body_parts",
     "body_parts_nbytes",
@@ -129,6 +138,12 @@ class Frame:
 
     def payload(self) -> Any:
         return decode_body(self.body)
+
+    def group(self) -> Group:
+        """The :class:`~repro.mpi.endpoint.Group` a MSG frame carries
+        (inverse of :func:`pack_group_parts`), decoded once for every
+        destination it names."""
+        return Group(*self.payload(), self.routes)
 
     @property
     def parts(self) -> "tuple[bytes, bytes | bytearray]":
@@ -291,6 +306,16 @@ def pack_frame_parts(kind: int, rank: int, obj: Any, *,
     body_len = body_parts_nbytes(parts)
     _check_body_size(body_len)
     return [_pack_header(kind, rank, routes, body_len) + parts[0], *parts[1:]]
+
+
+def pack_group_parts(group: Group,
+                     routes: "Sequence[tuple[int, int]] | None" = None
+                     ) -> list["bytes | memoryview"]:
+    """One group as a MSG frame's gather-write parts: ``(context, source,
+    payload)`` addressed to ``routes`` (default: all of the group's).
+    :meth:`Frame.group` reads it back on the receiving side."""
+    return pack_frame_parts(MSG, 0, (group.context, group.source, group.payload),
+                            routes=group.routes if routes is None else routes)
 
 
 #: Conservative bound under every platform's IOV_MAX (Linux: 1024); frames

@@ -123,13 +123,18 @@ def _distributed_entry(world, config: ExperimentConfig, dataset_payload: tuple,
     Pinning happens *here* rather than only in the launching process so
     spawn-based remote workers — which inherit neither the parent's ctypes
     call nor necessarily its environment — initialise BLAS correctly too.
+
+    Only the master's outcome comes back to the launcher: it already holds
+    every cell's final state, so a slave rank returns ``None`` and its
+    result does not cross the process boundary a second time.
     """
     pin_blas_threads(1)  # one rank = one core (paper Table II)
     comm = MpiCommManager(world)
     if world.Get_rank() == 0:
         return MasterProcess(comm, config, **master_options).run()
     dataset = _materialize_dataset(config, dataset_payload)
-    return SlaveProcess(comm, dataset).run()
+    SlaveProcess(comm, dataset).run()
+    return None
 
 
 @dataclass

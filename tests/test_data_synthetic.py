@@ -1,5 +1,8 @@
 """Tests for the synthetic-MNIST renderer and dataset cache."""
 
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -103,3 +106,44 @@ class TestLoadSyntheticMnist:
             SyntheticMNIST(np.zeros((3, 10)), np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             SyntheticMNIST(np.zeros((3, IMAGE_PIXELS)), np.zeros(2, dtype=int))
+
+
+class TestCacheFile:
+    """The cache file is stored (not deflated), and a damaged one is
+    re-rendered rather than failing every run that loads it."""
+
+    @pytest.fixture()
+    def own_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def cache_file(directory: Path) -> Path:
+        (path,) = directory.glob("synmnist-*.npz")
+        return path
+
+    def test_members_are_stored_and_equal_a_fresh_render(self, own_cache):
+        cached = load_synthetic_mnist(64, seed=11)
+        with zipfile.ZipFile(self.cache_file(own_cache)) as archive:
+            members = archive.infolist()
+        assert {m.filename for m in members} == {"images.npy", "labels.npy"}
+        assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+        loaded = load_synthetic_mnist(64, seed=11)
+        fresh = load_synthetic_mnist(64, seed=11, cache=False)
+        for dataset in (cached, loaded):
+            np.testing.assert_array_equal(dataset.images, fresh.images)
+            np.testing.assert_array_equal(dataset.labels, fresh.labels)
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty"])
+    def test_damaged_file_is_rendered_again(self, own_cache, damage):
+        fresh = load_synthetic_mnist(64, seed=12, cache=False)
+        load_synthetic_mnist(64, seed=12)
+        path = self.cache_file(own_cache)
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] if damage == "truncated" else b"")
+        again = load_synthetic_mnist(64, seed=12)
+        np.testing.assert_array_equal(again.images, fresh.images)
+        np.testing.assert_array_equal(again.labels, fresh.labels)
+        # ...and the damaged file was replaced by a good one.
+        reloaded = load_synthetic_mnist(64, seed=12)
+        np.testing.assert_array_equal(reloaded.images, fresh.images)

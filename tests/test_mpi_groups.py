@@ -10,7 +10,10 @@ transport moves, written once per destination host.
 * coordinator — a group frame is forwarded once per destination connection
   as the very objects that were received; a dead connection's share is
   dropped, whether or not a replacement is awaited, and the group's other
-  routes still go through.
+  routes still go through;
+* process mailbox — a Unix socket pair carrying the same frames: writers
+  from several processes never interleave a frame, per-pair order holds,
+  and a received array is a window onto the one receive buffer.
 """
 
 import json
@@ -74,8 +77,8 @@ class TestCommGroups:
         assert results[0][0] == 2
         tags, objects = zip(*results[2])
         assert tags == (8, 9, 9, 9)
-        # One pickle per destination pipe: the three envelopes cut from it
-        # share the one unpickled array.
+        # One frame per destination mailbox: the three envelopes cut from
+        # it share the one decoded array.
         assert len(set(objects[:3])) == 1
         assert results.transport_stats[0].messages_sent == 3
 
@@ -98,6 +101,91 @@ class TestCommGroups:
             return True
 
         assert all(run_mpi(2, program, backend="threaded", timeout=60))
+
+
+# -- process mailbox ------------------------------------------------------------
+
+
+BIG = 400_000          # float64 elements: a 3.2 MB frame
+ROUNDS = 4
+
+
+def _concurrent_writers(comm):
+    """Ranks 1 and 2 write multi-MB frames to rank 0 at the same time,
+    each big send followed by a small one; rank 0 checks every frame whole
+    and every sender's order."""
+    rank = comm.Get_rank()
+    if rank != 0:
+        for seq in range(ROUNDS):
+            comm.send(np.full(BIG, rank * 100.0 + seq), dest=0, tag=1)
+            comm.send((rank, seq), dest=0, tag=2)
+        return None
+    arrived = {1: [], 2: []}
+    for _ in range(2 * ROUNDS * 2):
+        status = Status()
+        message = comm.recv(source=ANY_SOURCE, tag=ANY_TAG, status=status,
+                            timeout=60)
+        if status.tag == 1:
+            assert message.shape == (BIG,)
+            value = message[0]
+            assert np.all(message == value)           # never torn
+            arrived[status.source].append(("big", int(value) % 100))
+        else:
+            assert message[0] == status.source
+            arrived[status.source].append(("small", message[1]))
+    return arrived
+
+
+def _window_report(comm):
+    """What rank 1 receives: a genome-like pair of arrays."""
+    if comm.Get_rank() == 0:
+        comm.send(("pad", np.arange(4096.0), np.arange(1025.0)), dest=1, tag=3)
+        return None
+    _, g, d = comm.recv(source=0, tag=3, timeout=60)
+    report = []
+    for array, expected in ((g, np.arange(4096.0)), (d, np.arange(1025.0))):
+        base = array.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        report.append((np.array_equal(array, expected), array.flags.owndata,
+                       array.ctypes.data % 8, array.flags.writeable,
+                       type(base).__name__,
+                       type(base.obj).__name__ if isinstance(base, memoryview) else None))
+    return report
+
+
+def _torus_pair(comm):
+    """A 2x2 torus cell neighbours the same cell on two sides: one group
+    with two tags for one destination rank."""
+    if comm.Get_rank() == 0:
+        return comm.send_group(np.arange(512.0), [(1, 3), (1, 4)])
+    east = comm.recv(source=0, tag=3, timeout=60)
+    west = comm.recv(source=0, tag=4, timeout=60)
+    return east is west, float(east.sum())
+
+
+class TestProcessMailbox:
+    def test_concurrent_multi_mb_writers_keep_frames_whole_and_in_order(self):
+        results = run_mpi(3, _concurrent_writers, backend="process", timeout=120)
+        expected = [entry for seq in range(ROUNDS)
+                    for entry in (("big", seq), ("small", seq))]
+        assert results[0] == {1: expected, 2: expected}
+
+    def test_received_array_is_an_aligned_window_onto_the_receive_buffer(self):
+        results = run_mpi(2, _window_report, backend="process", timeout=60)
+        for equal, owndata, misalignment, writeable, base, buffer in results[1]:
+            assert equal and writeable
+            assert not owndata and misalignment == 0
+            assert (base, buffer) == ("memoryview", "bytearray")
+
+    def test_two_tags_for_one_rank_are_one_frame_and_one_payload(self):
+        results = run_mpi(2, _torus_pair, backend="process", timeout=60)
+        assert results[0] == 1                               # one host written
+        assert results[1] == (True, float(np.arange(512.0).sum()))
+        sender, receiver = results.transport_stats
+        assert sender.messages_sent == 1
+        assert receiver.messages_received == 1
+        assert receiver.bytes_received == 512 * 8
 
 
 # -- socket worker hub ----------------------------------------------------------

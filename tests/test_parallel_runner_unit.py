@@ -7,6 +7,8 @@ from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.genome import Genome
 from repro.parallel.master import MasterOutcome
 from repro.parallel.messages import SlaveResult
+from repro.mpi import run_mpi
+from repro.parallel import runner as runner_module
 from repro.parallel.runner import DistributedRunner
 from repro.telemetry import SpanEvent, TelemetrySnapshot, mark_timeline, routine_profile
 from tests.conftest import make_quick_config
@@ -84,6 +86,27 @@ class TestReduction:
                                                  marked(1, "start training")])
         actors = {actor for _at, actor, _event in mark_timeline(reduced.telemetry)}
         assert actors == {"master", "slave-1"}
+
+
+class TestRankOutcomes:
+    def test_only_the_master_outcome_comes_home(self, monkeypatch, cache_dir):
+        """The master already delivered every slave's final genomes: a slave
+        rank returns None, so its result does not cross to the launcher a
+        second time."""
+        launched = []
+
+        def recording_run_mpi(*args, **kwargs):
+            outcomes = run_mpi(*args, **kwargs)
+            launched.append(list(outcomes))
+            return outcomes
+
+        monkeypatch.setattr(runner_module, "run_mpi", recording_run_mpi)
+        result = DistributedRunner(make_quick_config(2, 2, iterations=1),
+                                   backend="threaded").run()
+        assert result.complete
+        (outcomes,) = launched
+        assert isinstance(outcomes[0], MasterOutcome)
+        assert outcomes[1:] == [None] * 4
 
 
 class TestValidation:
