@@ -38,8 +38,8 @@ def test_ablation_backend(benchmark, workload, results_dir):
     )
 
     seq_s = sequential.wall_time_s
-    thr_s = threaded.training.wall_time_s
-    proc_s = process.training.wall_time_s
+    thr_s = threaded.wall_time_s
+    proc_s = process.wall_time_s
     lines = [
         "ABLATION — EXECUTION BACKEND (3x3 grid, identical protocol)",
         f"sequential (single core):     {seq_s:8.2f}s",

@@ -42,7 +42,7 @@ def test_ablation_allgather_exchange(benchmark, workload, results_dir):
     assert allgather.complete
     lines = [
         "ABLATION — EXCHANGE TRANSPORT (3x3, process backend)",
-        f"neighbor p2p:     {p2p.training.wall_time_s:8.2f}s",
-        f"LOCAL allgather:  {allgather.training.wall_time_s:8.2f}s",
+        f"neighbor p2p:     {p2p.wall_time_s:8.2f}s",
+        f"LOCAL allgather:  {allgather.wall_time_s:8.2f}s",
     ]
     save_artifact(results_dir, "ablation_exchange.txt", "\n".join(lines))

@@ -52,7 +52,7 @@ def main() -> None:
     print(f"complete: {result.complete}; wall time {result.wall_time_s:.1f}s")
 
     print("\nplacement (rank -> node):")
-    placement = result.distributed.outcome_placement
+    placement = result.outcome_placement
     for rank in sorted(placement):
         role = "master" if rank == 0 else f"slave (cell {rank - 1})"
         print(f"  rank {rank:>2} -> {placement[rank]}  [{role}]")

@@ -56,7 +56,8 @@ execution backend and select it from the same facade::
     Experiment().loss("wgan").run()
 
 The engines behind the facade (:class:`SequentialTrainer`,
-:class:`DistributedRunner`) remain exported for direct use.
+:class:`DistributedRunner`) remain exported for direct use, and return the
+same :class:`RunResult` the facade does.
 """
 
 # The runtime concurrency checker must patch the threading factories before
@@ -68,8 +69,8 @@ _lockcheck.install_if_enabled()
 
 from repro.api import Experiment, RunResult
 from repro.config import ExperimentConfig, default_config, paper_table1_config
-from repro.coevolution import SequentialTrainer, TrainingResult
-from repro.parallel import DistributedResult, DistributedRunner
+from repro.coevolution import SequentialTrainer
+from repro.parallel import DistributedRunner
 from repro.registry import BACKENDS, DATASETS, LOSSES
 from repro.runtime import pin_blas_threads
 from repro.serving import GeneratorServer, ModelRegistry, ServableEnsemble
@@ -83,9 +84,7 @@ __all__ = [
     "default_config",
     "paper_table1_config",
     "SequentialTrainer",
-    "TrainingResult",
     "DistributedRunner",
-    "DistributedResult",
     "BACKENDS",
     "DATASETS",
     "LOSSES",

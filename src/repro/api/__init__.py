@@ -34,7 +34,7 @@ from repro.api.experiment import (
     load_ensemble,
     serve_checkpoint,
 )
-from repro.api.result import RunResult
+from repro.coevolution.sequential import RunResult
 from repro.registry import (
     BACKENDS,
     DATASETS,

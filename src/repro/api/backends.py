@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.api.callbacks import CallbackList
-from repro.api.result import RunResult
+from repro.coevolution.sequential import RunResult
 from repro.config import ExperimentConfig
 from repro.data.dataset import ArrayDataset
 from repro.telemetry import bus as telemetry
@@ -139,22 +139,10 @@ class SequentialBackend(TrainerBackend):
             if ctx.stop_requested:
                 stopped = True
                 break
-        wall = time.perf_counter() - start
-
-        merged = None
-        if telemetry.enabled():
-            snap = telemetry.snapshot(None)
-            if not snap.empty:
-                merged = telemetry.merge_telemetry([snap])
-        result = RunResult(
-            backend=self.name,
-            training=trainer.result(wall),
-            iteration=trainer.cells[0].iteration if trainer.cells else 0,
-            iterations_run=executed,
-            stopped_early=stopped,
-            trainer=trainer,
-            telemetry=merged,
-        )
+        result = trainer.result(time.perf_counter() - start,
+                                iterations_run=executed)
+        result.stopped_early = stopped
+        result.trainer = trainer
         ctx.callbacks.on_run_end(ctx, result)
         return result
 
@@ -188,27 +176,20 @@ class _DistributedBackend(TrainerBackend):
         if telemetry.enabled():
             telemetry.reset()
         ctx.callbacks.on_run_start(ctx)
-        distributed = runner.run()
+        result = runner.run()
 
-        reports = distributed.training.cell_reports
-        # The furthest any slave got; < configured when ranks died mid-run,
-        # so checkpoints of aborted runs stay resumable.
-        iterations = max((len(r) for r in reports), default=0)
-        result = RunResult(
-            backend=self.name,
-            training=distributed.training,
-            distributed=distributed,
-            iteration=iterations,
-            iterations_run=iterations,
-            telemetry=distributed.telemetry,
-        )
         # Replay the per-iteration hooks from the reduced reports so
         # observers (metrics streams, loggers) see the same event sequence
-        # as on the live sequential loop.
-        for index in range(iterations):
-            present = [r[index] for r in reports if len(r) > index]
-            ctx.callbacks.on_exchange(ctx, present[0].iteration)
-            ctx.callbacks.on_iteration_end(ctx, present[0].iteration, present)
+        # as on the live sequential loop.  Reports are grouped by the
+        # iteration they carry: a cell restored from a snapshot has lost
+        # its earlier reports, so list positions do not line up.
+        by_iteration: dict[int, list] = {}
+        for reports in result.cell_reports:
+            for report in reports:
+                by_iteration.setdefault(report.iteration, []).append(report)
+        for iteration in sorted(by_iteration):
+            ctx.callbacks.on_exchange(ctx, iteration)
+            ctx.callbacks.on_iteration_end(ctx, iteration, by_iteration[iteration])
         ctx.callbacks.on_run_end(ctx, result)
         return result
 

@@ -33,7 +33,7 @@ from repro.coevolution.cell import CellReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends imports us)
     from repro.api.backends import RunContext
-    from repro.api.result import RunResult
+    from repro.coevolution.sequential import RunResult
 
 __all__ = [
     "Callback",

@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.api.backends import RunContext, TrainerBackend
 from repro.api.callbacks import Callback, CallbackList
-from repro.api.result import RunResult
+from repro.coevolution.sequential import RunResult
 from repro.config import ExperimentConfig, default_config
 from repro.data.dataset import ArrayDataset
 from repro.registry import BACKENDS, DATASETS, RegistryError

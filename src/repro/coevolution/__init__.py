@@ -24,7 +24,7 @@ from repro.coevolution.mixture import MixtureWeights, evolve_mixture, sample_mix
 from repro.coevolution.fitness import FitnessTable, evaluate_subpopulations
 from repro.coevolution.cell import Cell, CellReport, step_block
 from repro.coevolution.checkpoint import TrainingCheckpoint, load_checkpoint, save_checkpoint
-from repro.coevolution.sequential import SequentialTrainer, TrainingResult
+from repro.coevolution.sequential import SequentialTrainer
 
 __all__ = [
     "ToroidalGrid",
@@ -47,5 +47,4 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "SequentialTrainer",
-    "TrainingResult",
 ]

@@ -20,10 +20,15 @@ delivers one :class:`WorkerOutcome` per rank:
   coordinator routing length-prefixed pickle-5 frames.  The multi-node
   substrate; the per-rank program must be picklable.
 
-New transports plug in through :func:`register_transport`; the launcher,
-the distributed runner and the CLI all resolve names through
-:func:`make_transport`, so a registered transport is immediately reachable
-as an execution backend.
+New transports plug in through :func:`register_transport`; the launcher
+(:func:`~repro.mpi.run_mpi`) and :class:`~repro.parallel.DistributedRunner`
+resolve names through :func:`make_transport` and
+:func:`available_transports`, so a registered transport is reachable from
+both.  It is not yet an execution backend of the facade:
+``Experiment.backend()``, ``ExecutionSettings`` validation and the CLI's
+``--backend`` choices resolve through :data:`repro.registry.BACKENDS`, so
+that needs a ``BACKENDS`` entry as well (a backend class named after the
+transport, as :class:`~repro.api.backends.SocketBackend` is).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from repro.parallel.states import SlaveState, SlaveStateMachine
 from repro.parallel.heartbeat import HeartbeatMonitor, SlaveLiveness
 from repro.parallel.master import MasterProcess
 from repro.parallel.slave import SlaveProcess
-from repro.parallel.runner import DistributedResult, DistributedRunner
+from repro.parallel.runner import DistributedRunner
 
 __all__ = [
     "Grid",
@@ -58,5 +58,4 @@ __all__ = [
     "MasterProcess",
     "SlaveProcess",
     "DistributedRunner",
-    "DistributedResult",
 ]

@@ -78,7 +78,7 @@ class MembershipLog:
     """Append-only record of every epoch transition in a run.
 
     Deliberately timestamp-free (rule R2): the log rides home inside the
-    :class:`~repro.parallel.runner.DistributedResult` and must not make an
+    :class:`~repro.coevolution.sequential.RunResult` and must not make an
     otherwise-deterministic result object differ between runs.
     """
 

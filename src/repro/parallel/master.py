@@ -75,7 +75,6 @@ class MasterOutcome:
     dead_ranks: list[int]
     node_info: list[NodeInfo]
     placement: dict[int, str]
-    wall_time_s: float
     degraded_ranks: list[int] = field(default_factory=list)
     recovered_ranks: list[int] = field(default_factory=list)
     drained_ranks: list[int] = field(default_factory=list)
@@ -138,7 +137,6 @@ class MasterProcess:
             # The master rank itself may be a remote worker that never saw
             # the launcher's environment; the level travels in its options.
             telemetry.set_level(self.telemetry_level)
-        start = time.perf_counter()
         rows, cols = config.coevolution.grid_rows, config.coevolution.grid_cols
         grid = self._grid = Grid(rows, cols, first_slave_rank=1)
         slave_ranks = grid.slave_ranks()
@@ -224,7 +222,6 @@ class MasterProcess:
                               | set(monitor.dead_ranks())),
             node_info=node_info,
             placement=placement,
-            wall_time_s=time.perf_counter() - start,
             degraded_ranks=table.outcome("degraded"),
             recovered_ranks=table.outcome("recovered"),
             drained_ranks=table.outcome("drain"),

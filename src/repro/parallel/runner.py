@@ -31,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -40,7 +39,7 @@ from repro.cluster import ClusterPlatform, PlacementPlan, plan_from_hosts, platf
 from repro.config import ExperimentConfig
 from repro.coevolution.cell import CellReport
 from repro.coevolution.genome import Genome
-from repro.coevolution.sequential import TrainingResult, build_training_dataset
+from repro.coevolution.sequential import RunResult, build_training_dataset
 from repro.data.dataset import ArrayDataset
 from repro.mpi import TransportStats, run_mpi
 from repro.mpi.errors import MpiWorkerError
@@ -51,7 +50,7 @@ from repro.parallel.slave import SlaveProcess
 from repro.runtime import pin_blas_threads
 from repro.telemetry import bus as telemetry
 
-__all__ = ["DistributedRunner", "DistributedResult"]
+__all__ = ["DistributedRunner"]
 
 
 # -- the per-rank program (module-level: picklable for remote workers) --------
@@ -135,67 +134,6 @@ def _distributed_entry(world, config: ExperimentConfig, dataset_payload: tuple,
     dataset = _materialize_dataset(config, dataset_payload)
     SlaveProcess(comm, dataset).run()
     return None
-
-
-@dataclass
-class DistributedResult:
-    """Everything a distributed run produced."""
-
-    training: TrainingResult
-    outcome_placement: dict[int, str]
-    dead_ranks: list[int] = field(default_factory=list)
-    master_wall_time_s: float = 0.0
-    transport_stats: list[TransportStats] = field(default_factory=list)
-    """Per-rank message/byte counters, rank order (rank 0 is the master)."""
-    telemetry: Any = None
-    """Merged :class:`repro.telemetry.bus.MergedTelemetry` across every rank
-    plus the launcher (``None`` when telemetry was off for the run) — the
-    source of the Table IV profile and, at ``trace`` level, of the Fig. 3
-    master/slave protocol lanes."""
-    fault_policy: str = "abort"
-    degraded_ranks: list[int] = field(default_factory=list)
-    """Ranks whose cells finished frozen at their last checkpoint (degrade
-    policy, or recover with nobody left to adopt)."""
-    recovered_ranks: list[int] = field(default_factory=list)
-    """Dead ranks whose cells were trained to completion anyway — by a
-    respawned replacement worker or an adopting survivor."""
-    drained_ranks: list[int] = field(default_factory=list)
-    """Ranks that left *voluntarily* mid-run (``repro drain``, SIGTERM):
-    their cells were checkpointed and handed off, so a drain is never a
-    fault — it does not appear in ``dead_ranks`` and leaves ``ok`` True."""
-    joined_ranks: list[int] = field(default_factory=list)
-    """Ranks admitted through the live rendezvous after launch — elastic
-    joiners filling vacant slots (as standby adopters or reclaiming a
-    degraded cell)."""
-    membership: Any = None
-    """The run's :class:`repro.parallel.elastic.MembershipLog` — every
-    epoch transition (launch/death/drain/join/respawn) in order, or ``None``
-    when the backend did not report one."""
-
-    @property
-    def complete(self) -> bool:
-        return not self.dead_ranks
-
-    @property
-    def ok(self) -> bool:
-        """Did the run deliver what its fault policy promises?
-
-        ``abort``: only a fault-free run is ok.  ``degrade``: ok — frozen
-        cells are the documented contract.  ``recover``: ok unless a cell
-        could not be recovered and fell back to degraded.
-        """
-        if not self.dead_ranks:
-            return True
-        if self.fault_policy == "abort":
-            return False
-        if self.fault_policy == "degrade":
-            return True
-        return not self.degraded_ranks
-
-    def to_servable(self, cell: int | None = None):
-        """Hand the reduced result to the serving layer (see
-        :meth:`TrainingResult.to_servable`)."""
-        return self.training.to_servable(cell=cell)
 
 
 class DistributedRunner:
@@ -380,7 +318,7 @@ class DistributedRunner:
                 options.setdefault("max_restarts", self.max_restarts)
         return options
 
-    def run(self) -> DistributedResult:
+    def run(self) -> RunResult:
         # One rank = one core (paper Table II).  Forked ranks and forked
         # socket workers inherit the pin; `repro worker` processes re-pin
         # inside _distributed_entry.
@@ -443,7 +381,7 @@ class DistributedRunner:
 
     def _reduce(self, outcome: MasterOutcome, wall_time_s: float,
                 transport_stats: list[TransportStats] | None = None,
-                rank_telemetry: list[Any] | None = None) -> DistributedResult:
+                rank_telemetry: list[Any] | None = None) -> RunResult:
         """The paper's reduction: merge per-slave results into one artifact."""
         cells = self.config.coevolution.cells
         genomes: list[tuple[Genome, Genome] | None] = [None] * cells
@@ -468,7 +406,18 @@ class DistributedRunner:
 
         grid = Grid(self.config.coevolution.grid_rows,
                     self.config.coevolution.grid_cols)
-        training = TrainingResult(
+        # Telemetry merge: the transport's per-rank outcomes bring every
+        # rank's snapshot home; the launcher's own buffer joins them.
+        snapshots = [s for s in (rank_telemetry or []) if s is not None]
+        if telemetry.enabled():
+            launcher_snap = telemetry.snapshot(None)
+            if not launcher_snap.empty:
+                snapshots.append(launcher_snap)
+        # The furthest any cell got; < configured when ranks died mid-run,
+        # so checkpoints of aborted runs stay resumable.
+        iteration = max((report.iteration for cell_reports in reports
+                         for report in cell_reports), default=0)
+        return RunResult(
             config=self.config,
             center_genomes=[g if g is not None else filler for g in genomes],
             mixture_weights=[
@@ -478,22 +427,13 @@ class DistributedRunner:
             ],
             cell_reports=reports,
             wall_time_s=wall_time_s,
-        )
-        # Telemetry merge: the transport's per-rank outcomes bring every
-        # rank's snapshot home; the launcher's own buffer joins them.
-        snapshots = [s for s in (rank_telemetry or []) if s is not None]
-        if telemetry.enabled():
-            launcher_snap = telemetry.snapshot(None)
-            if not launcher_snap.empty:
-                snapshots.append(launcher_snap)
-        merged = telemetry.merge_telemetry(snapshots) if snapshots else None
-        return DistributedResult(
-            training=training,
+            backend=self.backend,
+            iteration=iteration,
+            iterations_run=iteration,
+            telemetry=telemetry.merge_telemetry(snapshots) if snapshots else None,
             outcome_placement=outcome.placement,
             dead_ranks=outcome.dead_ranks,
-            master_wall_time_s=outcome.wall_time_s,
             transport_stats=list(transport_stats or []),
-            telemetry=merged,
             fault_policy=self.fault_policy,
             degraded_ranks=outcome.degraded_ranks,
             recovered_ranks=outcome.recovered_ranks,
@@ -501,3 +441,4 @@ class DistributedRunner:
             joined_ranks=outcome.joined_ranks,
             membership=outcome.membership,
         )
+

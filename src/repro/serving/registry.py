@@ -79,15 +79,18 @@ class ServableEnsemble:
         )
 
     @classmethod
-    def from_training_result(cls, result, cell: int | None = None
-                             ) -> "ServableEnsemble":
-        """Build from a finished run; ``cell`` defaults to the fittest cell."""
+    def from_run_result(cls, result, cell: int | None = None
+                        ) -> "ServableEnsemble":
+        """Build from a finished run; ``cell`` defaults to the fittest cell.
+
+        The ensemble carries the iteration the run reached, which is less
+        than the configured count when the run stopped early.
+        """
         if cell is None:
             cell = result.best_cell_index()
-        iteration = result.config.coevolution.iterations
         return cls._from_centers(
             result.config, result.center_genomes, result.mixture_weights,
-            cell, iteration,
+            cell, result.iteration,
         )
 
     @classmethod

@@ -65,6 +65,38 @@ class TestHookSequence:
         Experiment(config).backend("threaded").callbacks(replayed).run()
         assert live.events == replayed.events
 
+    def test_recovered_run_replays_each_iteration_once(self, cache_dir):
+        """A cell restored from its snapshot has lost the reports from
+        before it, so its report list is shorter than its neighbours': the
+        replay still fires each hook once per iteration, in order, with
+        only that iteration's reports."""
+
+        class ReplayRecorder(Callback):
+            def __init__(self):
+                self.exchanges, self.ends = [], []
+
+            def on_exchange(self, ctx, iteration):
+                self.exchanges.append(iteration)
+
+            def on_iteration_end(self, ctx, iteration, reports):
+                self.ends.append((iteration, [r.iteration for r in reports]))
+
+        config = make_quick_config(iterations=6)
+        recorder = ReplayRecorder()
+        result = (Experiment(config)
+                  .backend("threaded", fault_at={0: 2},
+                           heartbeat_interval_s=0.05, miss_limit=4)
+                  .fault_policy("recover")
+                  .callbacks(recorder)
+                  .run())
+        iterations = [iteration for iteration, _ in recorder.ends]
+        assert iterations == recorder.exchanges == list(range(1, 7))
+        for iteration, carried in recorder.ends:
+            assert carried and set(carried) == {iteration}
+        assert (sum(len(carried) for _, carried in recorder.ends)
+                == sum(len(reports) for reports in result.cell_reports))
+        assert result.iteration == result.iterations_run == 6
+
     def test_callback_list_dispatch_order(self):
         first, second = RecordingCallback(), RecordingCallback()
         callbacks = CallbackList([first, second])

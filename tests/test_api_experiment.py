@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from repro.api import Experiment, RunResult
+from repro.api import Callback, Experiment, RunResult
 from repro.config import default_config
 
 from tests.conftest import make_quick_config
@@ -91,10 +91,30 @@ class TestRunResult:
         assert 0 <= result.best_cell_index() < config.coevolution.cells
         assert "sequential run" in result.summary()
 
+    @pytest.mark.parametrize("entry", ["sequential", "threaded", "process", "socket",
+                                       "SequentialTrainer", "DistributedRunner"])
+    def test_one_record_from_every_entry_point(self, cache_dir, entry):
+        """Every trainer and backend returns the one run record (the
+        genome equality across them is asserted by TestEquivalence)."""
+        from repro.coevolution.sequential import SequentialTrainer
+        from repro.parallel import DistributedRunner
+
+        config = make_quick_config(iterations=1)
+        if entry == "SequentialTrainer":
+            result = SequentialTrainer(config).run()
+        elif entry == "DistributedRunner":
+            result = DistributedRunner(config, backend="threaded").run()
+        else:
+            result = Experiment(config).backend(entry).run()
+        assert isinstance(result, RunResult)
+        assert result.ok and result.complete
+        assert result.iteration == result.iterations_run == 1
+        assert len(result.center_genomes) == config.coevolution.cells
+
     def test_distributed_result_reachable(self, cache_dir):
         config = make_quick_config(iterations=1)
         result = Experiment(config).backend("threaded").run()
-        assert result.distributed is not None
+        assert set(result.outcome_placement) == {0, 1, 2, 3, 4}
         assert result.backend == "threaded"
         assert result.trainer is None
         assert result.iterations_run == 1
@@ -113,6 +133,21 @@ class TestRunResult:
         ensemble = result.to_servable()
         images = ensemble.sample(4, seed=1)
         assert images.shape == (4, config.network.output_neurons)
+
+    def test_servable_carries_the_iteration_reached(self, cache_dir):
+        """An early-stopped run serves the iteration it reached, as its
+        checkpoint does, not the configured count."""
+
+        class StopAtTwo(Callback):
+            def on_iteration_end(self, ctx, iteration, reports):
+                if iteration == 2:
+                    ctx.request_stop()
+
+        config = make_quick_config(iterations=8)
+        result = (Experiment(config).backend("sequential")
+                  .callbacks(StopAtTwo()).run())
+        assert result.stopped_early
+        assert result.to_servable().iteration == result.to_checkpoint().iteration == 2
 
     def test_checkpoint_roundtrip_any_backend(self, cache_dir, tmp_path):
         config = make_quick_config(iterations=2)

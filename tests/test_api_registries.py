@@ -222,16 +222,16 @@ class TestExtensibility:
             DATASETS.unregister("tiny")
 
     def test_custom_backend_reachable_from_facade(self):
-        from repro.api import RunResult, TrainerBackend
+        from repro.api import TrainerBackend
         from repro.coevolution.sequential import SequentialTrainer
 
         class RecordingBackend(TrainerBackend):
             name = "recording"
 
             def execute(self, ctx):
-                trainer = SequentialTrainer(ctx.config, ctx.dataset)
-                training = trainer.result(0.0)
-                return RunResult(backend=self.name, training=training)
+                result = SequentialTrainer(ctx.config, ctx.dataset).result(0.0)
+                result.backend = self.name
+                return result
 
         BACKENDS.register("recording", RecordingBackend)
         try:

@@ -263,9 +263,9 @@ class TestThreadedDrain:
         assert result.drained_ranks == [2]
         assert result.dead_ranks == []
         assert result.ok and result.complete
-        assert len(result.training.center_genomes) == 4
+        assert len(result.center_genomes) == 4
         for cell in range(4):
-            assert result.training.cell_reports[cell], f"cell {cell} untrained"
+            assert result.cell_reports[cell], f"cell {cell} untrained"
         kinds = [event.kind for event in result.membership]
         assert kinds[0] == "launch"
         assert kinds.count("drain") == 1
@@ -304,8 +304,8 @@ class TestStaticMembershipIdentity:
                 fault_policy="recover", snapshot_every=1, **options,
             ).run()
             assert result.complete and result.ok
-            assert _digest(result.training.center_genomes,
-                           result.training.mixture_weights) == reference, \
+            assert _digest(result.center_genomes,
+                           result.mixture_weights) == reference, \
                 f"{backend} diverged from the sequential baseline"
             kinds = [event.kind for event in result.membership]
             assert kinds == ["launch"], f"{backend} saw phantom churn"
@@ -431,9 +431,9 @@ class TestChurnAcceptance:
         assert result.drained_ranks == drains
         assert sorted(result.joined_ranks) == joined
         assert result.ok, f"degraded {result.degraded_ranks}"
-        assert len(result.training.center_genomes) == cells
+        assert len(result.center_genomes) == cells
         for cell in range(cells):
-            assert result.training.cell_reports[cell], f"cell {cell} untrained"
+            assert result.cell_reports[cell], f"cell {cell} untrained"
         log = result.membership
         kinds = [event.kind for event in log]
         assert kinds[0] == "launch"

@@ -30,10 +30,10 @@ def module_dataset():
 def _genome_digest(result) -> str:
     """Hash of every cell's final genomes + mixture weights."""
     digest = hashlib.sha256()
-    for g, d in result.training.center_genomes:
+    for g, d in result.center_genomes:
         digest.update(g.parameters.tobytes())
         digest.update(d.parameters.tobytes())
-    for weights in result.training.mixture_weights:
+    for weights in result.mixture_weights:
         digest.update(np.asarray(weights).tobytes())
     return digest.hexdigest()
 
@@ -167,7 +167,7 @@ class TestChaosMatrixProcess:
         result = runner.run()
         assert result.dead_ranks == [2]
         assert result.fault_policy == policy
-        assert len(result.training.center_genomes) == 4
+        assert len(result.center_genomes) == 4
         # The killed rank, and only it, counts as lost.
         assert [s.ranks_lost for s in result.transport_stats] == [0, 0, 1, 0, 0]
         if policy == "abort":
@@ -181,7 +181,7 @@ class TestChaosMatrixProcess:
             assert result.recovered_ranks == [2]
             assert result.degraded_ranks == []
             # The adopted cell really trained: it has post-death reports.
-            assert result.training.cell_reports[1], "recovered cell has no reports"
+            assert result.cell_reports[1], "recovered cell has no reports"
 
 
 class TestChaosMatrixSocket:
@@ -226,7 +226,7 @@ class TestChaosMatrixSocket:
         assert result.ok
         assert result.degraded_ranks == [4]
         # The frozen cell reports its initial-state genomes.
-        assert len(result.training.center_genomes) == 4
+        assert len(result.center_genomes) == 4
         self._assert_one_rank_lost(result)
 
     def test_socket_recover_by_adoption(self, module_dataset):
@@ -235,7 +235,7 @@ class TestChaosMatrixSocket:
         assert result.dead_ranks == [4]
         assert result.ok, f"degraded {result.degraded_ranks}"
         assert result.recovered_ranks == [4]
-        assert result.training.cell_reports[3], "adopted cell has no reports"
+        assert result.cell_reports[3], "adopted cell has no reports"
         self._assert_one_rank_lost(result)
 
     def test_socket_recover_by_respawn(self, module_dataset):
@@ -246,7 +246,7 @@ class TestChaosMatrixSocket:
         assert result.dead_ranks == [4]
         assert result.ok, f"degraded {result.degraded_ranks}"
         assert result.recovered_ranks == [4]
-        assert result.training.cell_reports[3], "respawned cell has no reports"
+        assert result.cell_reports[3], "respawned cell has no reports"
         # The reborn rank counts one reconnect; the rendezvous ranks none.
         assert [s.reconnects for s in result.transport_stats] == [0, 0, 0, 0, 1]
 
@@ -276,12 +276,12 @@ class TestTwoWorkerSplit:
         ).run()
         assert result.dead_ranks == [7]
         assert result.ok
-        assert len(result.training.center_genomes) == 9
+        assert len(result.center_genomes) == 9
         if policy == "degrade":
             assert result.degraded_ranks == [7]
         else:
             assert result.recovered_ranks == [7]
-            assert result.training.cell_reports[6], "adopted cell has no reports"
+            assert result.cell_reports[6], "adopted cell has no reports"
 
     def test_send_rerouted_to_an_adopter_on_the_senders_worker(self):
         """Cell 6 (rank 7, worker B) is adopted by rank 2 on worker A:
@@ -370,11 +370,11 @@ class TestSocketRecoverAcceptance:
         assert result.dead_ranks == [16]
         assert result.ok, f"degraded {result.degraded_ranks}"
         assert result.recovered_ranks == [16]
-        assert len(result.training.center_genomes) == 16
+        assert len(result.center_genomes) == 16
         for cell in range(16):
-            g, d = result.training.center_genomes[cell]
+            g, d = result.center_genomes[cell]
             assert g.parameters.size and d.parameters.size
-            assert result.training.cell_reports[cell], f"cell {cell} untrained"
+            assert result.cell_reports[cell], f"cell {cell} untrained"
 
 
 # -- no-fault bit-identity ----------------------------------------------------
@@ -464,21 +464,15 @@ class _FakeExperiment:
 
 
 def _fake_run_result(*, fault_policy, dead_ranks, degraded=(), recovered=()):
-    from repro.api.result import RunResult
-    from repro.parallel.runner import DistributedResult
+    from repro.api import RunResult
 
-    training = SimpleNamespace(cell_reports=[[]], wall_time_s=0.5,
-                               best_cell_index=lambda: 0)
-    distributed = DistributedResult(
-        training=training,
-        outcome_placement={},
-        dead_ranks=list(dead_ranks),
-        fault_policy=fault_policy,
-        degraded_ranks=list(degraded),
-        recovered_ranks=list(recovered),
-    )
-    return RunResult(backend="threaded", training=training,
-                     distributed=distributed, iterations_run=2)
+    return RunResult(config=None, center_genomes=[], mixture_weights=[],
+                     cell_reports=[[]], wall_time_s=0.5, backend="threaded",
+                     iterations_run=2,
+                     dead_ranks=list(dead_ranks),
+                     fault_policy=fault_policy,
+                     degraded_ranks=list(degraded),
+                     recovered_ranks=list(recovered))
 
 
 class TestCliFaultContract:

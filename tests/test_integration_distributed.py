@@ -35,7 +35,7 @@ class TestSequentialDistributedEquivalence:
         ).run()
         for cell in range(rows * cols):
             sg, sd = sequential.center_genomes[cell]
-            dg, dd = distributed.training.center_genomes[cell]
+            dg, dd = distributed.center_genomes[cell]
             np.testing.assert_array_equal(sg.parameters, dg.parameters)
             np.testing.assert_array_equal(sd.parameters, dd.parameters)
             assert sg.learning_rate == pytest.approx(dg.learning_rate)
@@ -48,7 +48,7 @@ class TestSequentialDistributedEquivalence:
         ).run()
         for cell in range(4):
             sg, _ = sequential.center_genomes[cell]
-            dg, _ = distributed.training.center_genomes[cell]
+            dg, _ = distributed.center_genomes[cell]
             np.testing.assert_allclose(sg.parameters, dg.parameters, atol=1e-12)
 
     def test_socket_backend_equivalence(self, module_dataset):
@@ -69,12 +69,12 @@ class TestSequentialDistributedEquivalence:
                     .run())
         assert socketed.complete
         for cell in range(4):
-            pg, pd = process.training.center_genomes[cell]
+            pg, pd = process.center_genomes[cell]
             sg, sd = socketed.center_genomes[cell]
             np.testing.assert_array_equal(pg.parameters, sg.parameters)
             np.testing.assert_array_equal(pd.parameters, sd.parameters)
         # Real placement: ranks 0-2 on worker A, ranks 3-4 on worker B.
-        placement = socketed.distributed.outcome_placement
+        placement = socketed.outcome_placement
         assert set(placement) == {0, 1, 2, 3, 4}
         assert all(node == "127.0.0.1" for node in placement.values())
         # Per-rank counters made it back: slaves exchanged genomes.
@@ -95,15 +95,15 @@ class TestSequentialDistributedEquivalence:
         ).run()
         for cell in range(4):
             np.testing.assert_array_equal(
-                p2p.training.center_genomes[cell][0].parameters,
-                allgather.training.center_genomes[cell][0].parameters,
+                p2p.center_genomes[cell][0].parameters,
+                allgather.center_genomes[cell][0].parameters,
             )
 
     def test_mixture_weights_travel(self, module_dataset):
         config = make_quick_config(2, 2, iterations=2)
         result = DistributedRunner(config, backend="threaded",
                                    dataset=module_dataset).run()
-        for weights in result.training.mixture_weights:
+        for weights in result.mixture_weights:
             assert weights.shape == (5,)
             assert weights.sum() == pytest.approx(1.0)
 
@@ -213,7 +213,7 @@ class TestFaultTolerance:
         assert result.dead_ranks == [1]
         assert not result.complete
         # Survivors delivered (partial) results for their cells.
-        assert len(result.training.center_genomes) == 4
+        assert len(result.center_genomes) == 4
 
     def test_fault_free_run_is_complete(self, module_dataset):
         config = make_quick_config(2, 2, iterations=1)
@@ -244,7 +244,7 @@ class TestFaultTolerance:
         result = runner.run()
         assert result.dead_ranks == [4]
         assert not result.complete
-        assert len(result.training.center_genomes) == 4
+        assert len(result.center_genomes) == 4
 
     def test_fault_kill_rejected_on_threaded_backend(self, module_dataset):
         """os._exit in a thread would take the launcher down with it."""

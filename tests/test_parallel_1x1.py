@@ -44,7 +44,7 @@ def test_1x1_process_backend_completes_and_matches_sequential(module_dataset):
         config, backend="process", dataset=module_dataset
     ).run()
     sg, sd = sequential.center_genomes[0]
-    dg, dd = distributed.training.center_genomes[0]
+    dg, dd = distributed.center_genomes[0]
     np.testing.assert_array_equal(sg.parameters, dg.parameters)
     np.testing.assert_array_equal(sd.parameters, dd.parameters)
 
@@ -61,7 +61,7 @@ def test_1x1_socket_backend_completes(module_dataset):
                 .backend("socket", hosts="127.0.0.1:2")  # master + one slave
                 .run())
     assert socketed.complete
-    pg, pd = process.training.center_genomes[0]
+    pg, pd = process.center_genomes[0]
     sg, sd = socketed.center_genomes[0]
     np.testing.assert_array_equal(pg.parameters, sg.parameters)
     np.testing.assert_array_equal(pd.parameters, sd.parameters)
@@ -74,4 +74,4 @@ def test_1xn_row_grid_completes(module_dataset):
     distributed = DistributedRunner(
         config, backend="threaded", dataset=module_dataset
     ).run()
-    assert len(distributed.training.center_genomes) == 2
+    assert len(distributed.center_genomes) == 2

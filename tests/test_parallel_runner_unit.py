@@ -26,7 +26,6 @@ def make_outcome(results, dead=()):
         dead_ranks=list(dead),
         node_info=[],
         placement={0: "node00"},
-        wall_time_s=1.0,
     )
 
 
@@ -41,9 +40,9 @@ class TestReduction:
         results = {i: make_result(i, i + 1, value=float(i)) for i in range(4)}
         reduced = runner._reduce(make_outcome(results), wall_time_s=2.0)
         assert reduced.complete
-        assert reduced.training.wall_time_s == 2.0
+        assert reduced.wall_time_s == 2.0
         for cell in range(4):
-            g, _ = reduced.training.center_genomes[cell]
+            g, _ = reduced.center_genomes[cell]
             assert g.parameters[0] == float(cell)
 
     def test_dead_slave_leaves_hole_filled_with_survivor(self, runner):
@@ -53,7 +52,7 @@ class TestReduction:
         assert reduced.dead_ranks == [2]
         # The hole (cell 1) is filled with the first available genome so the
         # result stays rectangular.
-        g_hole, _ = reduced.training.center_genomes[1]
+        g_hole, _ = reduced.center_genomes[1]
         assert g_hole.parameters[0] == 0.0
 
     def test_no_results_raises(self, runner):
