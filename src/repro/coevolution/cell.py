@@ -11,8 +11,8 @@ Per iteration (one call to :meth:`step`):
    the gathered neighbor genomes (profiled, Table IV row 3).
 2. evaluate all s x s pairings on a batch (fitness table);
    tournament-select (k=2) the generator and discriminator to train, and
-   copy those two into the cell's trainee pair (the copies are charged to
-   "update genomes" as well).
+   copy those two into the trainee pair's networks (the copies are charged
+   to "update genomes" as well).
 3. **mutate** — Gaussian learning-rate mutation (Table I) and the
    (1+1)-ES step on the mixture weights (profiled, Table IV row 4).
 4. **train** — for every batch of the iteration: one discriminator step
@@ -36,17 +36,24 @@ the rest:
   float16), which is widened into a buffer that the slot owns and reuses.
   The vectors handed to :meth:`step` are shared (the sequential trainer
   gives one snapshot to four cells; thread and co-hosted socket ranks
-  receive payloads by reference), stay referenced by the slots until the
-  next step replaces them, and are **never written**: NumPy rejects a
-  write through the read-only views.  A slot whose neighbor is missing
-  keeps whatever it was bound to (Lipizzaner's stale-entry tolerance).
-* The cell owns **two slabs per kind**.  At any time one of them may hold
-  the center; the other is free and becomes the *work slab*: the selected
+  receive payloads by reference), stay referenced by the slots until
+  :meth:`release_neighbors` or the next step replaces them, and are
+  **never written**: NumPy rejects a write through the read-only views.
+  A slot whose neighbor is missing keeps whatever it was bound to
+  (Lipizzaner's stale-entry tolerance).
+* The cell owns **two slabs per kind**: the one its center was drawn into
+  and a spare it allocates itself.  At any time one of them may hold the
+  center; the other is free and becomes the *work slab*: the selected
   individual is copied into it (the only genome memcpy of the step), the
-  persistent **trainee** :class:`~repro.gan.pair.GANPair` — one gradient
-  slab and one set of optimizer moments per kind, reset in place — trains
-  there, and the selected slot is re-pointed at it so opponents and the
-  final fitness table see the individual as it trains.
+  **trainee** :class:`~repro.gan.pair.GANPair` trains there, and the
+  selected slot is re-pointed at it so opponents and the final fitness
+  table see the individual as it trains.
+* The trainee is not the cell's.  Its gradient slabs and optimizer moments
+  are reset at every step, so they are scratch of the execution thread
+  (:func:`~repro.gan.pair.thread_trainee`): every cell a thread steps
+  borrows the same pair, hands it its loss and rebinds it onto its own
+  work slabs.  One thread steps one block, so a block — the whole grid of
+  the sequential trainer, a slave's cells — holds one trainee.
 * **Promotion is a pointer move.**  The center is never trained in place,
   so it is just "the vector of the current best": :meth:`_promote` rebinds
   the center networks onto the winner's vector — the work slab when the
@@ -62,10 +69,10 @@ the rest:
   answered since); it is given a private copy first.
 * :meth:`center_genomes` copies: what leaves the cell never aliases it.
 
-Resident per cell, in genome pairs: two parameter slabs, one gradient
-slab and the optimizer moments (two under Adam) — five, plus one optimizer
-scratch block; down from ten-plus (center, its never-stepped optimizers,
-``s`` owning slots and a gradient slab on every slot ever trained).
+Resident per cell, in genome pairs: two parameter slabs, plus the vectors
+its center adopted from neighbors.  Per execution thread: one trainee — a
+gradient slab and the optimizer moments (two under Adam) — and one
+optimizer scratch block.
 
 Table IV row 2 ("train") dominates the single-core budget (~85% of the
 wall time in ``benchmarks/results/table4.txt``); steps 2, 4 and 5 — the
@@ -97,7 +104,7 @@ from repro.coevolution.mutation import mutate_learning_rate
 from repro.coevolution.selection import tournament_select
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.gan.networks import Discriminator, Generator
-from repro.gan.pair import GANPair
+from repro.gan.pair import GANPair, thread_trainee
 from repro.nn import arena_of, kernel_for, loss_by_name
 from repro.nn.kernels import loss_kernel_for
 from repro.nn.losses import MUSTANGS_LOSSES
@@ -179,19 +186,12 @@ class Cell:
             config.mutation.optimizer,
             config.mutation.initial_learning_rate,
         )
-        # The one pair this cell trains; its networks move between the
-        # cell's two slabs per kind, its optimizers are reset in place.
-        self._trainee = GANPair(
-            Generator(config.network, None),
-            Discriminator(config.network, None),
-            self.loss,
-            config.mutation.optimizer,
-            config.mutation.initial_learning_rate,
-        )
-        self._g_slabs = [arena_of(pair.generator).data
-                         for pair in (self.center, self._trainee)]
-        self._d_slabs = [arena_of(pair.discriminator).data
-                         for pair in (self.center, self._trainee)]
+        # Two slabs per kind: the center's and a spare.  The thread's
+        # trainee moves between them; the center only ever points at one.
+        g_slab = arena_of(self.center.generator).data
+        d_slab = arena_of(self.center.discriminator).data
+        self._g_slabs = [g_slab, np.empty_like(g_slab)]
+        self._d_slabs = [d_slab, np.empty_like(d_slab)]
         _bind(self.center.generator, self._g_slabs[0])
         _bind(self.center.discriminator, self._d_slabs[0])
 
@@ -303,18 +303,21 @@ class Cell:
             vector = widened
         _bind(slot, vector)
 
-    def _load_trainee(self, g_idx: int, d_idx: int) -> None:
-        """Copy the selected individuals into the trainee pair's networks.
+    def _load_trainee(self, g_idx: int, d_idx: int) -> GANPair:
+        """Copy the selected individuals into the thread's trainee pair.
 
-        Per kind: take the slab the center is not using, copy the selected
-        slot's vector into it, bind the trainee network to it (writable)
-        and re-point the slot at it, so that every later read of that slot
-        this step sees the individual as it trains.
+        The pair is :func:`~repro.gan.pair.thread_trainee`'s, given this
+        cell's loss.  Per kind: take the slab the center is not using, copy
+        the selected slot's vector into it, bind the trainee network to it
+        (writable) and re-point the slot at it, so that every later read of
+        that slot this step sees the individual as it trains.
         """
+        pair = thread_trainee(self.config.network, self.config.mutation.optimizer,
+                              self.loss, self._sub_lr[g_idx])
         for slots, index, trainee, center, slabs in (
-                (self._sub_generators, g_idx, self._trainee.generator,
+                (self._sub_generators, g_idx, pair.generator,
                  self.center.generator, self._g_slabs),
-                (self._sub_discriminators, d_idx, self._trainee.discriminator,
+                (self._sub_discriminators, d_idx, pair.discriminator,
                  self.center.discriminator, self._d_slabs)):
             held = arena_of(center).data
             work = next(slab for slab in slabs if not np.may_share_memory(slab, held))
@@ -328,6 +331,27 @@ class Cell:
             np.copyto(work, selected.data)
             arena_of(trainee).rebind(work)
             _bind(slots[index], work)
+        return pair
+
+    def release_neighbors(self) -> None:
+        """Let go of the neighbor vectors the last step was handed.
+
+        Every slot is rebound onto the center — slot 0 too, which still
+        shows the pre-promotion center, possibly a vector adopted from a
+        neighbor earlier — so the snapshot copies and payloads the slots
+        borrowed are freed before the next gather makes new ones, unless
+        the center adopted them.  Every trainer calls this just
+        before each gather; the next :meth:`step` binds every slot again,
+        since a trainer always hands a cell all ``s − 1`` neighbors (a
+        missing one is stood in for by the center itself).  Between a
+        step and the next release the slots are untouched, so callbacks
+        and post-run sampling see what the step saw.
+        """
+        for slots, center in ((self._sub_generators, self.center.generator),
+                              (self._sub_discriminators, self.center.discriminator)):
+            vector = arena_of(center).data
+            for slot in slots:
+                _bind(slot, vector)
 
     # -- batching -----------------------------------------------------------------
 
@@ -395,7 +419,7 @@ class Cell:
         # only genomes this step copies — the rest of this step's one
         # "update genomes" call.
         with telemetry.span("cell.update_genomes", attrs=self._span_attrs, calls=0):
-            self._load_trainee(g_idx, d_idx)
+            pair = self._load_trainee(g_idx, d_idx)
 
         with telemetry.span("cell.mutate", attrs=self._span_attrs):
             mutated_lr = mutate_learning_rate(
@@ -413,7 +437,6 @@ class Cell:
 
         # Train the selected pair against randomly drawn opponents.
         with telemetry.span("cell.train", attrs=self._span_attrs, calls=0):
-            pair = self._trainee
             pair.learning_rate = mutated_lr
             pair.reset_optimizers()
             pair.d_optimizer.learning_rate = self._sub_lr[d_idx]
@@ -496,7 +519,7 @@ class Cell:
             _bind(network, genome.parameters.astype(arena_of(network).data.dtype))
         self.loss_name = snapshot.generator_genome.loss_name
         self.loss = loss_by_name(self.loss_name)
-        self.center.loss = self._trainee.loss = self.loss
+        self.center.loss = self.loss
         self.center.learning_rate = snapshot.generator_genome.learning_rate
         self.mixture = MixtureWeights(snapshot.mixture_weights)
         # Verbatim: renormalising a normalised vector can move its last bits.

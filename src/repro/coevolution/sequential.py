@@ -237,8 +237,15 @@ class SequentialTrainer:
         :func:`~repro.coevolution.cell.step_block`, as the block that is the
         whole grid with no halo.  ``on_exchange`` (optional) is called with
         the snapshot list between the two phases — the hook the
-        :mod:`repro.api` run loop exposes.
+        :mod:`repro.api` run loop exposes.  Every cell has released last
+        iteration's neighbor vectors by then (:meth:`Cell.release_neighbors`),
+        so a hook that reads a cell's sub-population sees every slot on
+        the center.
         """
+        # Last iteration's snapshots go before this iteration's are made:
+        # one generation of copies is alive at a time, not two.
+        for cell in self.cells:
+            cell.release_neighbors()
         # The in-memory snapshot is this trainer's whole "gather" routine
         # (its cost is what Table IV row 1 compares against MPI): one span
         # per iteration, counted once per cell like the per-round span the

@@ -12,13 +12,23 @@ them.  It exposes exactly the operations the cellular trainer schedules:
 * :meth:`train_discriminator_step` / :meth:`train_generator_step` — one
   gradient step each (the paper's profiled ``train`` routine), run on the
   graph-free kernels of :mod:`repro.nn.kernels`.
+
+Because that optimizer state is reset at every step, it is scratch that
+lives for one ``Cell.step``: the pair a cell trains is not the cell's but
+its execution thread's (:func:`thread_trainee`), one per thread and network
+configuration, rebound onto the cell's own slabs for the step.  One
+execution thread steps one block of cells, so a block holds one trainee
+whatever its size.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
-from repro.config import ExperimentConfig
+from repro.config import ExperimentConfig, NetworkSettings
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.sampling import sample_latent
 from repro.nn import kernel_for, loss_by_name, optimizer_by_name
@@ -27,7 +37,7 @@ from repro.nn.losses import GANLoss
 from repro.nn.optim import Optimizer
 from repro.telemetry import bus as telemetry
 
-__all__ = ["GANPair", "build_gan_pair"]
+__all__ = ["GANPair", "build_gan_pair", "thread_trainee"]
 
 
 class GANPair:
@@ -151,6 +161,47 @@ class GANPair:
             g_kernel.backward(z, g_ws, d_fake_grad)
             optimizer.step_blocked()
             return value
+
+
+class _TraineeStore(threading.local):
+    def __init__(self) -> None:
+        self.pairs: "OrderedDict[tuple, GANPair]" = OrderedDict()
+
+
+_TRAINEES = _TraineeStore()
+
+#: LRU cap on cached trainees per thread.  An execution thread steps cells
+#: of one configuration; the cap only bounds a long-lived thread that trains
+#: several network shapes, dtypes or optimizers in turn.
+_TRAINEE_CACHE_LIMIT = 4
+
+
+def thread_trainee(settings: NetworkSettings, optimizer_name: str, loss: GANLoss,
+                   learning_rate: float) -> GANPair:
+    """The calling thread's trainee for ``settings`` networks under ``optimizer_name``.
+
+    Built on first use, then shared by every cell the thread steps: the
+    pair owns its gradient slabs and optimizer moments, while its weights
+    are whatever vectors it was last bound to — the caller rebinds both
+    networks (:meth:`~repro.nn.arena.ParameterArena.rebind`) onto its own
+    slabs and resets the optimizers before training.  Every call hands the
+    pair ``loss`` and ``learning_rate``, since cells differ in both
+    (Mustangs draws a loss per cell).  The key is what fixes the state's
+    shape: the network settings (dtype included) and the optimizer.
+    """
+    key = (settings, optimizer_name)
+    pairs = _TRAINEES.pairs
+    pair = pairs.get(key)
+    if pair is None:
+        pair = pairs[key] = GANPair(Generator(settings, None), Discriminator(settings, None),
+                                    loss, optimizer_name, learning_rate)
+        while len(pairs) > _TRAINEE_CACHE_LIMIT:
+            pairs.popitem(last=False)
+    else:
+        pairs.move_to_end(key)
+        pair.loss = loss
+        pair.learning_rate = learning_rate
+    return pair
 
 
 def build_gan_pair(config: ExperimentConfig, rng: np.random.Generator,

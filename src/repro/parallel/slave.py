@@ -28,11 +28,14 @@ ahead of the block waits until the block reaches it.  Every hosted cell
 shares the block's counter, so the heartbeat reply, the drain checkpoint,
 fault injection and abort all read one number.
 
-**One round.**  Per iteration the block builds every stepping cell's
-payload, exchanges them in one :meth:`CommManager.exchange_round` (send
-all, then receive per cell), and steps the cells in index order through
+**One round.**  Per iteration every stepping cell lets go of last round's
+neighbor payloads (:meth:`~repro.coevolution.cell.Cell.release_neighbors`),
+the block builds every stepping cell's payload, exchanges them in one
+:meth:`CommManager.exchange_round` (send all, then receive per cell), and
+steps the cells in index order through
 :func:`repro.coevolution.cell.step_block` — the function the sequential
-trainer steps its whole grid with.
+trainer steps its whole grid with.  All of them train on the execution
+thread's one trainee pair (:func:`repro.gan.pair.thread_trainee`).
 
 Both threads put their protocol steps (the boxes of Fig. 3) on the rank's
 telemetry timeline with ``telemetry.mark``.
@@ -379,6 +382,8 @@ class SlaveProcess:
         epoch = self.fault_state.current_epoch()
         payloads = {}
         for index, cell in cells.items():
+            # Last round's payloads go before this round's are made.
+            cell.release_neighbors()
             # The center copy a checkpoint took at the end of the previous
             # iteration is the one this exchange sends: nothing trains in
             # between, and both consumers only read it.

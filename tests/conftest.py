@@ -128,9 +128,10 @@ def copying_cell(config, cell_index, dataset, **kwargs):
 
     A :class:`~repro.coevolution.cell.Cell` whose sub-population slots are
     2·s *owning* networks: every step memcpys the center and each gathered
-    genome into them, trains the selected two in place under a freshly
-    built pair (fresh optimizer state), and copies the winners into a
-    center that owns its weights.  Slower and several times larger, and
+    genome into them, trains the selected two in place under a pair built
+    for that step alone (fresh optimizer state, nothing shared with other
+    cells or threads), and copies the winners into a center that owns its
+    weights.  Slower and several times larger, and
     obviously right — the zero-copy cell must match it byte for byte in
     everything it computes, keeps and reports.
     """
@@ -170,7 +171,8 @@ def copying_cell(config, cell_index, dataset, **kwargs):
                 self._sub_lr[i] = g_genome.learning_rate
 
         def _load_trainee(self, g_idx, d_idx):
-            self._trainee = GANPair(
+            # A pair of its own per step, over the selected owning slots.
+            return GANPair(
                 self._sub_generators[g_idx], self._sub_discriminators[d_idx],
                 self.loss, self.config.mutation.optimizer, self._sub_lr[g_idx])
 

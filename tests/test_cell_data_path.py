@@ -64,6 +64,23 @@ class TestAgainstCopyingCell:
     #: and left behind while another slot trains.
     SCRIPT = [(0, 0), (1, 2), (4, 3), (3, 4), (4, 4), (0, 1), (3, 3)]
 
+    @pytest.mark.parametrize("count", [4, 7])
+    def test_release_between_steps(self, pair, neighbors, count):
+        """What every trainer does between steps: release the slots onto
+        the center, then step against a full neighborhood — nothing the
+        cell computes changes, and the released slots keep no neighbor
+        vector alive."""
+        cell, oracle = pair
+        for _ in range(4):
+            cell.release_neighbors()
+            centers = [arena_of(cell.center.generator).data,
+                       arena_of(cell.center.discriminator).data]
+            for slots, center in zip((cell._sub_generators, cell._sub_discriminators),
+                                     centers):
+                assert all(np.shares_memory(arena_of(slot).data, center) for slot in slots)
+            assert_same(cell, oracle,
+                        cell.step(neighbors[:count]), oracle.step(neighbors[:count]))
+
     @pytest.mark.parametrize("count", [4, 2, 0, 7])
     def test_scripted_selection(self, pair, neighbors, count, monkeypatch):
         cell, oracle = pair
@@ -191,13 +208,16 @@ class TestHandedVectorsAreNeverWritten:
 
 class TestMemoryBudget:
     def test_owned_bytes_per_cell(self, small_dataset):
-        """A cell owns two slabs per kind, one gradient slab and the Adam
-        moments — five genome pairs and an optimizer scratch — and does
-        not grow with the iterations.  (The copying cell held ~12.)"""
+        """A cell owns two slabs per kind — two genome pairs — and does not
+        grow with the iterations.  The gradient slab, the Adam moments and
+        the optimizer scratch are the thread's trainee, allocated by the
+        warm-up step.  (A cell that owned its trainee held ~5.3, the
+        copying cell ~12.)"""
         config = make_quick_config()
         neighbors = neighbor_genomes(config, small_dataset, 4)
         pair_bytes = sum(genome.parameters.nbytes for genome in neighbors[0])
-        Cell(config, 5, small_dataset).step(neighbors)  # warm the kernel workspaces
+        # Warm the kernel workspaces and the thread's trainee.
+        Cell(config, 5, small_dataset).step(neighbors)
         gc.collect()
         tracemalloc.start()
         try:
@@ -210,8 +230,8 @@ class TestMemoryBudget:
                 owned[iteration] = tracemalloc.get_traced_memory()[0] - baseline
         finally:
             tracemalloc.stop()
-        assert owned[2] >= 4.5 * pair_bytes    # the measurement sees the slabs
-        assert owned[2] <= 5.5 * pair_bytes
+        assert owned[2] >= 1.5 * pair_bytes    # the measurement sees the slabs
+        assert owned[2] <= 2.5 * pair_bytes
         assert owned[10] <= owned[2] + 64 * 1024   # reports, not genomes
 
     def test_read_only_pairs_build_no_optimizer(self, small_dataset):
@@ -220,3 +240,16 @@ class TestMemoryBudget:
         for network in (cell.center.generator, cell.center.discriminator):
             assert arena_of(network).grad is None
         assert cell.center._g_optimizer is None and cell.center._d_optimizer is None
+
+    def test_cell_owns_no_trainee(self, small_dataset):
+        """After a step no attribute of the cell reaches a gradient slab or
+        optimizer state: the pair that trained is the thread's."""
+        from repro.gan.pair import GANPair
+
+        config = make_quick_config()
+        cell = Cell(config, 0, small_dataset)
+        cell.step(neighbor_genomes(config, small_dataset, 4))
+        pairs = [value for value in vars(cell).values() if isinstance(value, GANPair)]
+        assert pairs == [cell.center]
+        for network in cell._sub_generators + cell._sub_discriminators:
+            assert arena_of(network).grad is None
