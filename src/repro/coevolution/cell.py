@@ -51,9 +51,11 @@ the rest:
 * The trainee is not the cell's.  Its gradient slabs and optimizer moments
   are reset at every step, so they are scratch of the execution thread
   (:func:`~repro.gan.pair.thread_trainee`): every cell a thread steps
-  borrows the same pair, hands it its loss and rebinds it onto its own
-  work slabs.  One thread steps one block, so a block — the whole grid of
-  the sequential trainer, a slave's cells — holds one trainee.
+  borrows the same pair, hands it its loss, rebinds it onto its own
+  work slabs and releases it from them when the step ends (so a dropped
+  cell's slabs are freed though the thread lives on).  One thread steps
+  one block, so a block — the whole grid of the sequential trainer, a
+  slave's cells — holds one trainee.
 * **Promotion is a pointer move.**  The center is never trained in place,
   so it is just "the vector of the current best": :meth:`_promote` rebinds
   the center networks onto the winner's vector — the work slab when the
@@ -312,8 +314,8 @@ class Cell:
         (writable) and re-point the slot at it, so that every later read of
         that slot this step sees the individual as it trains.
         """
-        pair = thread_trainee(self.config.network, self.config.mutation.optimizer,
-                              self.loss, self._sub_lr[g_idx])
+        pair = thread_trainee(self.config)
+        pair.loss = self.loss
         for slots, index, trainee, center, slabs in (
                 (self._sub_generators, g_idx, pair.generator,
                  self.center.generator, self._g_slabs),
@@ -332,6 +334,15 @@ class Cell:
             arena_of(trainee).rebind(work)
             _bind(slots[index], work)
         return pair
+
+    def _unload_trainee(self, pair: GANPair) -> None:
+        """Release the trainee from this cell's work slabs after the step.
+
+        The thread keeps its pair after this cell — and its trainer — are
+        gone; released, the pair keeps none of their memory alive.
+        """
+        arena_of(pair.generator).release()
+        arena_of(pair.discriminator).release()
 
     def release_neighbors(self) -> None:
         """Let go of the neighbor vectors the last step was handed.
@@ -463,6 +474,7 @@ class Cell:
             best_g = final_table.best_generator
             best_d = final_table.best_discriminator
             self._promote(best_g, best_d)
+            self._unload_trainee(pair)
 
         self.iteration += 1
         report = CellReport(

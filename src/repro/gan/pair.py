@@ -15,20 +15,19 @@ them.  It exposes exactly the operations the cellular trainer schedules:
 
 Because that optimizer state is reset at every step, it is scratch that
 lives for one ``Cell.step``: the pair a cell trains is not the cell's but
-its execution thread's (:func:`thread_trainee`), one per thread and network
-configuration, rebound onto the cell's own slabs for the step.  One
-execution thread steps one block of cells, so a block holds one trainee
-whatever its size.
+its execution thread's (:func:`thread_trainee`), one per thread, rebound
+onto the cell's own slabs for the step and released from them after it.
+One execution thread steps one block of cells, so a block holds one
+trainee whatever its size.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
-from repro.config import ExperimentConfig, NetworkSettings
+from repro.config import ExperimentConfig
 from repro.gan.networks import Discriminator, Generator
 from repro.gan.sampling import sample_latent
 from repro.nn import kernel_for, loss_by_name, optimizer_by_name
@@ -164,44 +163,35 @@ class GANPair:
 
 
 class _TraineeStore(threading.local):
-    def __init__(self) -> None:
-        self.pairs: "OrderedDict[tuple, GANPair]" = OrderedDict()
+    key: tuple | None = None
+    pair: GANPair | None = None
 
 
-_TRAINEES = _TraineeStore()
-
-#: LRU cap on cached trainees per thread.  An execution thread steps cells
-#: of one configuration; the cap only bounds a long-lived thread that trains
-#: several network shapes, dtypes or optimizers in turn.
-_TRAINEE_CACHE_LIMIT = 4
+_TRAINEE = _TraineeStore()
 
 
-def thread_trainee(settings: NetworkSettings, optimizer_name: str, loss: GANLoss,
-                   learning_rate: float) -> GANPair:
-    """The calling thread's trainee for ``settings`` networks under ``optimizer_name``.
+def thread_trainee(config: ExperimentConfig) -> GANPair:
+    """The calling thread's trainee for ``config``'s networks and optimizer.
 
     Built on first use, then shared by every cell the thread steps: the
     pair owns its gradient slabs and optimizer moments, while its weights
     are whatever vectors it was last bound to — the caller rebinds both
     networks (:meth:`~repro.nn.arena.ParameterArena.rebind`) onto its own
-    slabs and resets the optimizers before training.  Every call hands the
-    pair ``loss`` and ``learning_rate``, since cells differ in both
-    (Mustangs draws a loss per cell).  The key is what fixes the state's
-    shape: the network settings (dtype included) and the optimizer.
+    slabs, gives the pair its loss (it is built with none: Mustangs draws
+    one per cell) and sets its learning rate before training.  The thread
+    keeps one pair, keyed by what fixes its state's shape — the network
+    settings (dtype included) and the optimizer; a thread that moves to
+    another configuration builds a new pair in place of the old.
     """
-    key = (settings, optimizer_name)
-    pairs = _TRAINEES.pairs
-    pair = pairs.get(key)
-    if pair is None:
-        pair = pairs[key] = GANPair(Generator(settings, None), Discriminator(settings, None),
-                                    loss, optimizer_name, learning_rate)
-        while len(pairs) > _TRAINEE_CACHE_LIMIT:
-            pairs.popitem(last=False)
-    else:
-        pairs.move_to_end(key)
-        pair.loss = loss
-        pair.learning_rate = learning_rate
-    return pair
+    key = (config.network, config.mutation.optimizer)
+    store = _TRAINEE
+    if store.key != key:
+        store.pair = None  # let the old pair go before the new one is built
+        store.pair = GANPair(Generator(config.network, None),
+                             Discriminator(config.network, None), None,
+                             config.mutation.optimizer, config.mutation.initial_learning_rate)
+        store.key = key
+    return store.pair
 
 
 def build_gan_pair(config: ExperimentConfig, rng: np.random.Generator,

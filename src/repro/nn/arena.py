@@ -168,6 +168,19 @@ class ParameterArena:
             tensor.data = view
         self._data = flat
 
+    def release(self) -> None:
+        """Let go of the current slab without binding another.
+
+        Every parameter becomes a read-only view of one shared zero, so
+        the network holds no weight memory until the next :meth:`rebind`
+        — for a network that trains on borrowed slabs and must not keep
+        them alive between uses.  The gradient slab is kept.
+        """
+        zero = np.zeros((), dtype=self._data.dtype)
+        for tensor, shape in zip(self._tensors, self._shapes):
+            tensor.data = np.broadcast_to(zero, shape)
+        self._data = np.broadcast_to(zero, (self.size,))
+
     # -- gradients ---------------------------------------------------------------
 
     def ensure_grads(self) -> np.ndarray:

@@ -176,6 +176,9 @@ def copying_cell(config, cell_index, dataset, **kwargs):
                 self._sub_generators[g_idx], self._sub_discriminators[d_idx],
                 self.loss, self.config.mutation.optimizer, self._sub_lr[g_idx])
 
+        def _unload_trainee(self, pair):
+            pass  # the pair's networks are the owning slots themselves
+
         def _promote(self, g_idx, d_idx):
             vector_to_parameters(
                 parameters_to_vector(self._sub_generators[g_idx], alias=True),

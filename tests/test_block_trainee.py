@@ -14,6 +14,7 @@ import gc
 import hashlib
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.coevolution import cell as cell_module
 from repro.coevolution.sequential import SequentialTrainer
 from repro.nn import arena_of
 from tests.conftest import make_quick_config
+from tests.test_cell_data_path import neighbor_genomes
 
 
 def _config(dtype="float64", loss="bce", seed=42):
@@ -140,24 +142,36 @@ class TestIsolation:
         assert all(len(ids) == 1 for ids in trainees.values())
         assert len(set().union(*trainees.values())) == 4
 
-    def test_trainee_cache_is_keyed_by_shape_and_optimizer(self):
+    def test_trainee_is_keyed_by_shape_and_optimizer(self):
         from repro.gan.pair import thread_trainee
-        from repro.nn import loss_by_name
 
-        loss = loss_by_name("bce")
+        config = _config()
+        wide = dataclasses.replace(
+            config, network=dataclasses.replace(config.network, dtype="float32"))
+        sgd = dataclasses.replace(
+            config, mutation=dataclasses.replace(config.mutation, optimizer="sgd"))
 
         def pairs():
-            network = _config().network
-            wide = dataclasses.replace(network, dtype="float32")
-            return [thread_trainee(settings, optimizer, loss, 1e-3)
-                    for settings, optimizer in ((network, "adam"), (wide, "adam"),
-                                                (network, "sgd"), (network, "adam"))]
+            first = thread_trainee(config)
+            return [first, thread_trainee(config), thread_trainee(wide), thread_trainee(sgd)]
 
-        first, wide, sgd, again = _on_fresh_thread(pairs)
-        assert first is again
-        assert len({id(first), id(wide), id(sgd)}) == 3
-        assert arena_of(wide.generator).data.dtype == np.float32
+        first, same, wide_pair, sgd_pair = _on_fresh_thread(pairs)
+        assert first is same
+        assert len({id(first), id(wide_pair), id(sgd_pair)}) == 3
+        assert arena_of(wide_pair.generator).data.dtype == np.float32
         assert _on_fresh_thread(pairs)[0] is not first      # per thread
+
+    def test_a_dropped_cell_frees_its_slabs(self, small_dataset):
+        """The thread's trainee outlives the cell it last trained, but keeps
+        none of that cell's memory alive."""
+        config = make_quick_config()
+        neighbors = neighbor_genomes(config, small_dataset, 4)
+        cell = cell_module.Cell(config, 0, small_dataset)
+        cell.step(neighbors)
+        slabs = [weakref.ref(slab) for slab in cell._g_slabs + cell._d_slabs]
+        del cell
+        gc.collect()
+        assert sum(ref() is not None for ref in slabs) == 0
 
 
 class TestGridResidentBytes:
