@@ -3,10 +3,11 @@
 profiling, transport counters, and the master/slave event trace — the last
 two read from the one telemetry record of the run.
 
-Runs a 3x3 grid (10 ranks: 1 master + 9 slaves).  By default the ranks are
-forked processes and the master places them on the simulated Cluster-UY
-platform.  With ``--hosts`` the same job runs over the TCP transport on
-*real* machines instead: localhost entries are spawned automatically,
+Runs a 3x3 grid.  By default the ranks are forked processes (10 ranks:
+1 master + 9 slaves, one cell each) and the master places them on the
+simulated Cluster-UY platform.  With ``--hosts`` the same job runs over the
+TCP transport on *real* machines instead, one rank per worker training the
+worker's block of cells: localhost entries are spawned automatically,
 remote entries print the ``repro worker`` command to start over there, and
 the placement report shows the hosts the ranks actually ran on.
 
@@ -54,7 +55,7 @@ def main() -> None:
     print("\nplacement (rank -> node):")
     placement = result.outcome_placement
     for rank in sorted(placement):
-        role = "master" if rank == 0 else f"slave (cell {rank - 1})"
+        role = "master" if rank == 0 else "slave"
         print(f"  rank {rank:>2} -> {placement[rank]}  [{role}]")
 
     if result.transport_stats:

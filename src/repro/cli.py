@@ -31,7 +31,7 @@ Commands
     ``python -m repro sample --checkpoint out.npz --n 64 --out images.npz``.
 ``worker``
     Attach this machine to a socket-backend run:
-    ``python -m repro worker --connect coordinator:5555 --slots 4``.
+    ``python -m repro worker --connect coordinator:5555 --slots 1``.
     The coordinator side is ``repro run --backend socket --hosts ...``.
     With ``--join``, attach to an *already running* job through the live
     rendezvous, filling a vacant rank slot (a dead or drained worker's).
@@ -106,10 +106,12 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exchange", choices=("neighbors", "allgather"),
                         default="neighbors")
     parser.add_argument("--hosts", metavar="HOST:SLOTS,...",
-                        help="socket backend only: where the ranks run, e.g. "
+                        help="socket backend only: where the cells run, e.g. "
                              "'nodeA:5,nodeB:4' (localhost entries are "
                              "forked automatically; slots must sum to "
-                             "cells + 1)")
+                             "cells + 1, the master takes the first, and "
+                             "each worker trains the rest of its slots' "
+                             "cells as one block rank)")
     parser.add_argument("--bind", metavar="HOST:PORT",
                         help="socket backend only: coordinator listen "
                              "address (default 127.0.0.1, ephemeral port; "
@@ -208,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator's rendezvous address")
     worker.add_argument("--slots", type=int, default=1,
-                        help="how many ranks this worker hosts (default 1)")
+                        help="how many ranks this worker hosts (default 1; "
+                             "a worker trains its cells as one rank, so only "
+                             "the master's worker hosts 2)")
     worker.add_argument("--token", default=None,
                         help="rendezvous token printed by the coordinator")
     worker.add_argument("--index", type=int, default=None,

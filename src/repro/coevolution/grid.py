@@ -70,8 +70,10 @@ class ToroidalGrid:
     """An ``rows x cols`` torus with cell-index bookkeeping.
 
     Cells are numbered row-major: ``index = row * cols + col``.  The
-    distributed implementation maps cell index ``i`` to MPI rank ``i + 1``
-    (rank 0 is the master), so this ordering fixes the whole rank layout.
+    distributed implementation hands each slave rank a contiguous run of
+    these indices (:func:`repro.parallel.grid.layout_blocks`; rank 0 is
+    the master), so a block that covers whole rows holds every west/east
+    neighbour of its cells.
     """
 
     rows: int

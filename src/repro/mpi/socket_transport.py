@@ -92,7 +92,9 @@ LOCAL_HOSTNAMES = {"localhost", "127.0.0.1", "::1"}
 #     (SlaveResult, FrozenCell), and the protocol's unread fields are gone
 #     (RunTask.fault_policy, FaultNotice.dead_ranks, StatusReply.timestamp,
 #     NodeInfo.pid, SlaveResult's in-band telemetry copy and aborted flag).
-_WIRE_VERSION = 8
+# v9: a rank trains a block — RunTask carries its cells, ResumeDirective one
+#     snapshot per cell, and the grid payload the blocks of every rank.
+_WIRE_VERSION = 9
 
 #: Size cap on the pre-auth hello body.  A real hello is ~150 bytes; the
 #: coordinator refuses to buffer more than this for a peer that has not

@@ -30,7 +30,7 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Collection, Mapping
 
-from repro.mpi import ANY_SOURCE, Comm, MpiTimeoutError
+from repro.mpi import ANY_SOURCE, MAX_USER_TAG, Comm, MpiTimeoutError
 from repro.mpi.stats import payload_nbytes
 from repro.parallel.grid import Grid
 from repro.parallel.messages import ExchangePayload, Tags
@@ -41,9 +41,31 @@ from repro.parallel.recovery import RESYNC_TIMEOUT_S
 if TYPE_CHECKING:  # type-only: recovery types never constructed here
     from repro.parallel.recovery import FaultState
 
-__all__ = ["CommManager", "MpiCommManager", "ExchangeAborted", "EXCHANGE_MODES"]
+__all__ = ["CommManager", "MpiCommManager", "ExchangeAborted", "EXCHANGE_MODES",
+           "exchange_tag", "check_exchange_tags"]
 
 EXCHANGE_MODES = ("neighbors", "allgather")
+
+
+def exchange_tag(grid: Grid, iteration: int, dest_cell: int) -> int:
+    """Tag encoding (iteration, destination cell), injective for any grid.
+
+    The iteration part keeps a fast neighbor's round-(k+1) message from
+    matching a round-k receive; the destination part separates the cells
+    of one block, so one cell's ``ANY_SOURCE`` receive never takes a
+    message addressed to another.  The destination field is the grid's
+    cell count wide, so :func:`check_exchange_tags` bounds the whole run.
+    """
+    return (int(Tags.EXCHANGE) * 1000 + iteration) * grid.cell_count + dest_cell
+
+
+def check_exchange_tags(grid: Grid, iterations: int) -> None:
+    """Refuse a run whose last exchange tag would pass ``MAX_USER_TAG``."""
+    last = exchange_tag(grid, iterations - 1, grid.cell_count - 1)
+    if last > MAX_USER_TAG:
+        raise ValueError(
+            f"{iterations} iterations of a {grid.cell_count}-cell grid need "
+            f"exchange tags up to {last}, past MAX_USER_TAG ({MAX_USER_TAG})")
 
 
 class ExchangeAborted(RuntimeError):
@@ -109,13 +131,15 @@ class CommManager:
           (synchronous: blocks for every neighbor, honoring an abort).
           Every cell's payload is sent before any cell receives — what
           keeps a multi-cell block deadlock-free (see
-          :mod:`repro.parallel.recovery`).
-        * ``allgather`` — collective over LOCAL, paper-style, for a block
-          of one: every slave receives every center and keeps its
-          neighbors'.
+          :mod:`repro.parallel.recovery`).  A neighbor in the block takes
+          this round's payload object itself: only the genomes of cells
+          hosted elsewhere touch the transport.
+        * ``allgather`` — collective over LOCAL, paper-style: every rank
+          contributes its block's payloads as one list, receives every
+          center and hands each cell its neighbors'.
 
         Recovery hooks (``neighbors`` mode only — the non-abort fault
-        policies require it, and only they grow a block past one cell):
+        policies require it):
         ``fault_state`` satisfies receives from dead cells locally and
         reroutes sends to adopting ranks; cells in ``catch_up`` run the
         round communication-free (a recovered cell replaying iterations
@@ -127,16 +151,10 @@ class CommManager:
 
     def exchange_genomes(self, grid: Grid, cell_index: int, payload: ExchangePayload,
                          mode: str, abort_event: threading.Event | None = None,
-                         fault_state: "FaultState | None" = None,
-                         catch_up: bool = False,
-                         resync_until: int | None = None,
                          ) -> dict[int, ExchangePayload]:
-        """:meth:`exchange_round` for a block of one cell."""
-        return self.exchange_round(
-            grid, {cell_index: payload}, mode, abort_event, fault_state,
-            catch_up=(cell_index,) if catch_up else (),
-            resync_until=None if resync_until is None else {cell_index: resync_until},
-        )[cell_index]
+        """:meth:`exchange_round` for a block of one cell, without faults."""
+        return self.exchange_round(grid, {cell_index: payload}, mode,
+                                   abort_event)[cell_index]
 
 
 class MpiCommManager(CommManager):
@@ -187,11 +205,6 @@ class MpiCommManager(CommManager):
 
     # -- training-time exchange -------------------------------------------------------------
 
-    def _local_rank_of_cell(self, grid: Grid, cell: int) -> int:
-        """LOCAL ranks follow WORLD order, so slave of cell i has LOCAL rank i."""
-        assert self.local is not None, "build_contexts must run before exchanging"
-        return cell  # slaves are WORLD ranks 1..N in cell order; LOCAL keeps order
-
     def exchange_round(self, grid: Grid, payloads: Mapping[int, ExchangePayload],
                        mode: str, abort_event: threading.Event | None = None,
                        fault_state: "FaultState | None" = None,
@@ -203,31 +216,20 @@ class MpiCommManager(CommManager):
         # One span per round, counted once per cell (the Table IV rule).
         with telemetry.span("exchange.gather", calls=len(payloads)):
             if mode == "allgather":
-                ((cell_index, payload),) = payloads.items()
-                return {cell_index: self._exchange_allgather(grid, cell_index, payload)}
-            for cell_index, payload in payloads.items():
-                if cell_index not in catch_up:
-                    self._send_to_consumers(grid, cell_index, payload, fault_state)
+                return self._exchange_allgather(grid, payloads)
+            # The cells that talk this round; a catch-up cell neither sends
+            # nor receives.
+            live = {cell_index: payload for cell_index, payload in payloads.items()
+                    if cell_index not in catch_up}
+            for cell_index, payload in live.items():
+                self._send_to_consumers(grid, cell_index, payload, fault_state, live)
             resync_until = resync_until or {}
             return {
                 cell_index: self._receive_neighbors(
-                    grid, cell_index, payload, abort_event, fault_state,
+                    grid, cell_index, payload, live, abort_event, fault_state,
                     cell_index in catch_up, resync_until.get(cell_index))
                 for cell_index, payload in sorted(payloads.items())
             }
-
-    @staticmethod
-    def _exchange_tag(iteration: int, dest_cell: int) -> int:
-        """Tag encoding (iteration, destination cell).
-
-        The iteration part keeps a fast neighbor's round-(k+1) message from
-        matching a round-k receive; the destination part separates the
-        co-hosted cells of one block (fault recovery: an adopted cell joins
-        its adopter's block), so one cell's ``ANY_SOURCE`` receive never
-        takes a message addressed to another.  Stays far below
-        ``MAX_USER_TAG`` (2**30) for any realistic grid/iteration count.
-        """
-        return (int(Tags.EXCHANGE) * 1000 + iteration) * 1024 + dest_cell
 
     def _count_exchange(self, payload: ExchangePayload, sends: int) -> None:
         """Mirror one exchange round into the bus (enabled-path only);
@@ -240,49 +242,54 @@ class MpiCommManager(CommManager):
 
     def _send_to_consumers(self, grid: Grid, cell_index: int,
                            payload: ExchangePayload,
-                           fault_state: "FaultState | None" = None) -> None:
+                           fault_state: "FaultState | None" = None,
+                           live: Collection[int] = ()) -> None:
         """Send my center along every *incoming* edge (cells that list me
-        as neighbor) as one group: the transport moves it once per
-        destination host, not once per edge."""
-        assert self.local is not None
+        as neighbor) that leaves this round's ``live`` cells, as one group:
+        the transport moves it once per destination host, not once per
+        edge."""
+        assert self.local is not None, "build_contexts must run before exchanging"
         iteration = payload.iteration
         dests = []
         for consumer in grid.incoming_neighbors(cell_index):
-            dest = self._local_rank_of_cell(grid, consumer)
+            if consumer in live:
+                continue  # takes this very payload in _receive_neighbors
+            dest = grid.rank_of_cell(consumer)
             if fault_state is not None:
                 if fault_state.skip_send(consumer, iteration):
                     continue
                 route = fault_state.send_route(consumer)
                 if route is not None:
                     dest = route  # the adopter: one more entry of the list
-            dests.append((dest, self._exchange_tag(iteration, consumer)))
+            # LOCAL is WORLD ranks 1..N in rank order (build_contexts).
+            dests.append((dest - 1, exchange_tag(grid, iteration, consumer)))
         self._count_exchange(payload, self.local.send_group(payload, dests))
 
     def _receive_neighbors(self, grid: Grid, cell_index: int, payload: ExchangePayload,
+                           live: Mapping[int, ExchangePayload],
                            abort_event: threading.Event | None,
                            fault_state: "FaultState | None",
                            catch_up: bool, resync_until: int | None,
                            ) -> dict[int, ExchangePayload]:
-        """Receive one message per outgoing edge of ``cell_index``."""
+        """Receive one message per outgoing edge of ``cell_index`` that
+        leaves this round's ``live`` cells; a live neighbor's payload is
+        taken as it is."""
         assert self.local is not None
         iteration = payload.iteration
         needed = list(grid.neighbor_cells(cell_index))
-        received: dict[int, ExchangePayload] = {}
-        # Torus self-edges (any grid dimension of 1: on 1x1 all four
-        # neighbors wrap to the center) are satisfied locally — sends
-        # follow incoming_neighbors, which excludes self, so no message
-        # ever arrives for them; waiting on them deadlocked 1x1 runs.
-        if cell_index in needed:
-            received[cell_index] = payload
         if catch_up:
             # Replaying below the rejoin point: nobody expects this cell's
             # payloads (they satisfy it from the frozen checkpoint) and
             # nobody resends what its predecessor received — the round is
-            # communication-free; the step backfills missing neighbors
-            # with the own-center fallback.
-            return received
-        tag = self._exchange_tag(iteration, cell_index)
-        outstanding = Counter(cell for cell in needed if cell != cell_index)
+            # communication-free; the step backfills every neighbor with
+            # the own-center fallback.
+            return {}
+        # A neighbor live in this round takes its payload in place — the
+        # cell itself too, on a torus self-edge (any grid dimension of 1):
+        # sends skip live cells, so no message ever arrives for them.
+        received = {cell: live[cell] for cell in needed if cell in live}
+        tag = exchange_tag(grid, iteration, cell_index)
+        outstanding = Counter(cell for cell in needed if cell not in received)
         deadline = (time.monotonic() + RESYNC_TIMEOUT_S
                     if resync_until is not None and iteration < resync_until
                     else None)
@@ -327,10 +334,14 @@ class MpiCommManager(CommManager):
                 outstanding[message.cell_index] -= 1
         return received
 
-    def _exchange_allgather(self, grid: Grid, cell_index: int,
-                            payload: ExchangePayload) -> dict[int, ExchangePayload]:
+    def _exchange_allgather(self, grid: Grid, payloads: Mapping[int, ExchangePayload],
+                            ) -> dict[int, dict[int, ExchangePayload]]:
+        """One allgather of the block's payloads as one list; each cell then
+        picks its neighbors from everything gathered."""
         assert self.local is not None
-        self._count_exchange(payload, 1)
-        everything: list[ExchangePayload] = self.local.allgather(payload)
-        wanted = set(grid.neighbor_cells(cell_index))
-        return {p.cell_index: p for p in everything if p.cell_index in wanted}
+        for payload in payloads.values():
+            self._count_exchange(payload, 1)
+        gathered = self.local.allgather(list(payloads.values()))
+        everything = {p.cell_index: p for block in gathered for p in block}
+        return {cell_index: {n: everything[n] for n in grid.neighbor_cells(cell_index)}
+                for cell_index in sorted(payloads)}

@@ -116,8 +116,8 @@ class Transition:
     placeholder result; ``notice`` wraps them for the wire (``None`` when
     no cell moved).  ``peers`` are the ranks still exchanging: they get the
     notice, or the abort when ``abort`` is set.  ``starts`` are the arriving
-    ranks to send a run task: ``(rank, cell, directive)``, parked as standby
-    when the directive carries no snapshot.  ``ranks`` are the slots that
+    ranks to send a run task: ``(rank, cells, directive)``, parked as
+    standby when the directive carries no snapshot.  ``ranks`` are the slots that
     actually changed (none for a duplicate); ``ack`` is the drained rank to
     acknowledge.
     """
@@ -128,7 +128,7 @@ class Transition:
     cells: tuple[FrozenCell, ...] = ()
     notice: FaultNotice | None = None
     peers: tuple[int, ...] = ()
-    starts: tuple[tuple[int, int, ResumeDirective], ...] = ()
+    starts: tuple[tuple[int, tuple[int, ...], ResumeDirective], ...] = ()
     abort: bool = False
     ack: int | None = None
 
@@ -138,7 +138,7 @@ class MembershipTable:
 
     **A cell has exactly one owner per epoch, and only a transition changes
     it.**  An unfinished cell is owned by a live rank, kept for a rank whose
-    replacement process is about to resume it, or frozen at its checkpoint
+    replacement process is about to resume its block, or frozen at its checkpoint
     (``degrade``, or ``recover`` with nobody left to adopt); a vacant slot
     owns nothing, and a standby rank owns nothing until a notice names it.
 
@@ -156,16 +156,17 @@ class MembershipTable:
         self._grid = grid
         self._policy = validate_fault_policy(policy)
         self._iterations = iterations
-        ranks = tuple(sorted(grid.slave_ranks()))
+        ranks = tuple(grid.slave_ranks())
         self._epoch = 0
         self._log = MembershipLog()
         self._log.record(MembershipEvent(epoch=0, kind="launch", ranks=ranks))
         #: unfinished cell -> the live rank that owns it
-        self._owner = {grid.cell_of_rank(rank): rank for rank in ranks}
+        self._owner = {cell: rank for rank in ranks
+                       for cell in grid.cells_of_rank(rank)}
         #: finished cell -> the owner whose result finished it
         self._finished: dict[int, int] = {}
-        #: dead rank -> the cell kept for its replacement process
-        self._held: dict[int, int] = {}
+        #: dead rank -> the cells kept for its replacement process
+        self._held: dict[int, tuple[int, ...]] = {}
         #: frozen cell -> the departed rank that owned it
         self._degraded: dict[int, int] = {}
         self._vacant: set[int] = set()
@@ -242,11 +243,12 @@ class MembershipTable:
         return tuple(sorted(c for c, r in self._owner.items() if r == rank))
 
     def _returning_to(self, rank: int) -> tuple[int, ...]:
-        """The cell an arrival in ``rank``'s slot takes back, if any."""
-        if rank in self._held:
-            return (self._held[rank],)
-        home = self._grid.cell_of_rank(rank)
-        return (home,) if home in self._degraded else ()
+        """The cells an arrival in ``rank``'s slot takes back: those kept
+        for it, else the cells of its home block that sit frozen."""
+        if self._held.get(rank):
+            return self._held[rank]
+        return tuple(cell for cell in self._grid.cells_of_rank(rank)
+                     if cell in self._degraded)
 
     def _exchanging(self) -> set[int]:
         """Ranks that take part in the exchange: owners and standbys."""
@@ -263,8 +265,9 @@ class MembershipTable:
         none (the run ends), ``degrade`` freezes them, ``recover`` hands
         them to the survivors and standbys by ``plan_rebalance`` and
         freezes what nobody can take.  ``held`` names the dead ranks whose
-        replacement process already introduced itself: one cell is kept for
-        each, and ``arrive("respawn", rank)`` must follow.  Ranks whose slot
+        replacement process already introduced itself: the cells of its
+        home block are kept for each (what it adopted moves like any
+        orphan), and ``arrive("respawn", rank)`` must follow.  Ranks whose slot
         is already vacant are skipped; a drain is acknowledged either way.
         """
         if kind not in ("death", "drain"):
@@ -276,8 +279,8 @@ class MembershipTable:
                rejoin: int) -> Transition:
         """A process filled ``rank``'s vacant slot (``respawn`` or ``join``).
 
-        It takes back the cell kept for it, or its home cell if that sits
-        frozen (an epoch-newer notice re-animates it for the peers);
+        It takes back the cells kept for it, or those of its home block that
+        sit frozen (an epoch-newer notice re-animates them for the peers);
         otherwise it parks as standby, a candidate for the next
         re-balance.  A slot that is not vacant changes nothing.
         """
@@ -309,9 +312,11 @@ class MembershipTable:
                     owned = list(self._cells_of(rank))
                     for cell in owned:
                         del self._owner[cell]
-                    if rank in held and owned:
-                        self._held[rank] = owned.pop(0)
-                        kept.append(self._held[rank])
+                    if rank in held:
+                        home = self._grid.cells_of_rank(rank)
+                        self._held[rank] = tuple(c for c in owned if c in home)
+                        kept.extend(self._held[rank])
+                        owned = [c for c in owned if c not in home]
                     orphans.extend((rank, cell) for cell in owned)
                 plan: dict[int, int | None] = {}
                 if self._policy == "recover" and orphans:
@@ -361,12 +366,12 @@ class MembershipTable:
             if frozen:
                 notice = FaultNotice(policy=self._policy, cells=tuple(frozen))
                 self._ledger.append(notice)
-            starts: tuple[tuple[int, int, ResumeDirective], ...] = ()
+            starts: tuple[tuple[int, tuple[int, ...], ResumeDirective], ...] = ()
             if not leaving:
                 (rank,) = ranks
-                cell = moves[0][1] if moves else self._grid.cell_of_rank(rank)
-                starts = ((rank, cell, ResumeDirective(
-                    snapshot=snapshots[cell] if moves else None,
+                cells = tuple(cell for _r, cell, _o in moves)
+                starts = ((rank, cells, ResumeDirective(
+                    snapshots=tuple(snapshots[cell] for cell in cells),
                     rejoin_iteration=rejoin if moves else 0,
                     notices=tuple(self._ledger))),)
             return Transition(

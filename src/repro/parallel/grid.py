@@ -1,8 +1,9 @@
 """The execution-level ``Grid`` class (the paper's replacement for
 Lipizzaner's ``neighbourhood``).
 
-Each slave holds a ``Grid`` describing the whole training grid, the mapping
-between cells and MPI ranks, and — the feature the paper highlights — a
+Each slave holds a ``Grid`` describing the whole training grid, the rank
+layout (which block of cells each slave rank hosts — :func:`layout_blocks`,
+the one place that decides it), and — the feature the paper highlights — a
 *dynamically modifiable* neighborhood structure: ``rewire`` changes a cell's
 neighbor list at run time, "allow[ing] exploring different patterns for
 training and learning".
@@ -15,22 +16,54 @@ answers topology questions; the comm-manager moves the bytes.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import accumulate
+from typing import Any, Sequence
 
 from repro.coevolution.grid import ToroidalGrid
 
-__all__ = ["Grid"]
+__all__ = ["Grid", "layout_blocks"]
+
+
+def layout_blocks(cell_count: int,
+                  slots: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """The rank layout: the cells each slave rank hosts, row-major and
+    contiguous — slave rank ``r`` hosts ``blocks[r - 1]``.
+
+    ``slots`` are a socket host spec's per-worker slot counts, summing to
+    the cells plus the master.  The master takes the first slot, and what a
+    worker has left becomes one block, so a first entry of one slot hosts
+    only the master.  ``None`` (the process and threaded backends) is one
+    slot per worker: every cell has a rank of its own.  :class:`Grid`
+    rejects blocks that do not partition the grid.
+    """
+    slots = slots or [1] * (cell_count + 1)
+    bounds = [0, *accumulate([slots[0] - 1, *slots[1:]])]
+    return tuple(tuple(range(first, end))
+                 for first, end in zip(bounds, bounds[1:]) if end > first)
 
 
 class Grid:
-    """Topology view shared by the master and every slave."""
+    """Topology view shared by the master and every slave: the torus, its
+    (rewirable) neighborhoods, and the rank layout ``blocks``."""
 
-    def __init__(self, rows: int, cols: int, first_slave_rank: int = 1,
-                 overrides: dict[int, list[int]] | None = None):
+    def __init__(self, rows: int, cols: int,
+                 overrides: dict[int, list[int]] | None = None,
+                 blocks: Sequence[Sequence[int]] | None = None):
         self.topology = ToroidalGrid(rows, cols)
-        if first_slave_rank < 0:
-            raise ValueError("first_slave_rank must be >= 0")
-        self.first_slave_rank = first_slave_rank
+        self.rows, self.cols = rows, cols
+        self.cell_count = self.topology.cell_count
+        self.blocks = (layout_blocks(self.cell_count) if blocks is None
+                       else tuple(tuple(int(c) for c in block) for block in blocks))
+        #: The master plus one rank per block.
+        self.world_size = len(self.blocks) + 1
+        #: cell index -> the WORLD rank hosting it (rank 0 is the master).
+        self._rank_of = {cell: rank
+                         for rank, block in enumerate(self.blocks, start=1)
+                         for cell in block}
+        if (sorted(c for block in self.blocks for c in block)
+                != list(range(self.cell_count)) or not all(self.blocks)):
+            raise ValueError(f"blocks {self.blocks} do not partition the "
+                             f"{self.cell_count} cells")
         #: Dynamic neighborhood overrides: cell index -> neighbor cell list.
         self._overrides: dict[int, list[int]] = {}
         for cell, neighbors in (overrides or {}).items():
@@ -38,31 +71,24 @@ class Grid:
 
     # -- cell/rank mapping --------------------------------------------------------
 
-    @property
-    def rows(self) -> int:
-        return self.topology.rows
-
-    @property
-    def cols(self) -> int:
-        return self.topology.cols
-
-    @property
-    def cell_count(self) -> int:
-        return self.topology.cell_count
-
     def rank_of_cell(self, cell_index: int) -> int:
-        if not 0 <= cell_index < self.cell_count:
+        if cell_index not in self._rank_of:
             raise ValueError(f"cell index {cell_index} outside grid")
-        return cell_index + self.first_slave_rank
+        return self._rank_of[cell_index]
+
+    def cells_of_rank(self, rank: int) -> tuple[int, ...]:
+        """The block slave rank ``rank`` hosts."""
+        if not 0 < rank < self.world_size:
+            raise ValueError(f"rank {rank} hosts no cell")
+        return self.blocks[rank - 1]
 
     def cell_of_rank(self, rank: int) -> int:
-        cell = rank - self.first_slave_rank
-        if not 0 <= cell < self.cell_count:
-            raise ValueError(f"rank {rank} maps to no cell")
+        """The cell of a rank whose block is one cell."""
+        (cell,) = self.cells_of_rank(rank)
         return cell
 
     def slave_ranks(self) -> list[int]:
-        return [self.rank_of_cell(c) for c in range(self.cell_count)]
+        return list(range(1, self.world_size))
 
     # -- neighborhoods --------------------------------------------------------------
 
@@ -72,9 +98,6 @@ class Grid:
         if override is not None:
             return list(override)
         return self.topology.neighbors_of(cell_index)
-
-    def neighbor_ranks(self, cell_index: int) -> list[int]:
-        return [self.rank_of_cell(c) for c in self.neighbor_cells(cell_index)]
 
     def neighborhood_size(self, cell_index: int) -> int:
         """Sub-population size s for a cell (center + neighbors)."""
@@ -125,7 +148,7 @@ class Grid:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "first_slave_rank": self.first_slave_rank,
+            "blocks": [list(block) for block in self.blocks],
             "overrides": {cell: list(ns) for cell, ns in self._overrides.items()},
         }
 
@@ -134,6 +157,6 @@ class Grid:
         return cls(
             rows=payload["rows"],
             cols=payload["cols"],
-            first_slave_rank=payload["first_slave_rank"],
             overrides={int(k): list(v) for k, v in payload["overrides"].items()},
+            blocks=payload["blocks"],
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.cluster import ClusterPlatform, PlacementPlan, cluster_uy, place_tasks
 from repro.config import ExperimentConfig
@@ -109,9 +109,13 @@ class MasterProcess:
                  snapshot_every: int = 0,
                  max_restarts: int = 0,
                  restart_grace_s: float = 30.0,
-                 respawn_expected: bool = False):
+                 respawn_expected: bool = False,
+                 blocks: Sequence[Sequence[int]] | None = None):
         self.comm = comm
         self.config = config
+        #: The rank layout (:func:`~repro.parallel.grid.layout_blocks`);
+        #: ``None`` is one cell per rank.
+        self.blocks = blocks
         self.platform = platform if platform is not None else cluster_uy()
         self.placement_plan = placement_plan
         self.exchange_mode = exchange_mode
@@ -138,7 +142,7 @@ class MasterProcess:
             # the launcher's environment; the level travels in its options.
             telemetry.set_level(self.telemetry_level)
         rows, cols = config.coevolution.grid_rows, config.coevolution.grid_cols
-        grid = self._grid = Grid(rows, cols, first_slave_rank=1)
+        grid = self._grid = Grid(rows, cols, blocks=self.blocks)
         slave_ranks = grid.slave_ranks()
         monitor = self._monitor = HeartbeatMonitor(
             interval_s=self.heartbeat_interval_s, miss_limit=self.miss_limit)
@@ -164,15 +168,13 @@ class MasterProcess:
         # strategy over the (simulated) platform.
         if self.placement_plan is not None:
             plan = self.placement_plan
-            if plan.tasks != len(slave_ranks) + 1:
+            if plan.tasks != grid.world_size:
                 raise ValueError(
                     f"placement plan covers {plan.tasks} rank(s), job has "
-                    f"{len(slave_ranks) + 1}")
+                    f"{grid.world_size}")
         else:
-            plan = place_tasks(self.platform, tasks=len(slave_ranks) + 1)
-        placement = self._placement = {0: plan.task_nodes[0]}
-        for i, rank in enumerate(slave_ranks):
-            placement[rank] = plan.task_nodes[i + 1]
+            plan = place_tasks(self.platform, tasks=grid.world_size)
+        placement = self._placement = dict(enumerate(plan.task_nodes))
         telemetry.mark("placement decided",
                        f"{len(plan.tasks_per_node())} nodes, max load {plan.max_load()}")
 
@@ -184,7 +186,7 @@ class MasterProcess:
         self._slave_telemetry = (telemetry.level_name()
                                  if telemetry.enabled() else None)
         for rank in slave_ranks:
-            comm.send(rank, self._run_task(rank, grid.cell_of_rank(rank)))
+            comm.send(rank, self._run_task(rank, grid.cells_of_rank(rank)))
         telemetry.mark("run tasks sent", f"{len(slave_ranks)} slaves")
 
         # Fig. 3's "Create heartbeat thread": the launched ranks go under
@@ -196,7 +198,7 @@ class MasterProcess:
 
         # Collect results as slaves finish, and react to membership changes
         # through the table.
-        while len(results) < len(slave_ranks):
+        while len(results) < grid.cell_count:
             if monitor.all_accounted():
                 # Everyone is finished or dead; give stragglers a second.
                 count = len(results)
@@ -229,18 +231,19 @@ class MasterProcess:
             membership=table.log,
         )
 
-    def _run_task(self, rank: int, cell: int,
+    def _run_task(self, rank: int, cells: Sequence[int],
                   resume: ResumeDirective | None = None) -> RunTask:
         """The one run-task shape: launch (no directive), resume/reclaim (a
-        directive with a snapshot) and standby (a directive without)."""
+        directive with snapshots) and standby (a directive without)."""
+        faults = [self.fault_at[cell] for cell in cells if cell in self.fault_at]
         return RunTask(
             config_json=self._config_json,
-            cell_index=cell,
+            cells=tuple(cells),
             grid_payload=self._grid.to_payload(),
             assigned_node=self._placement[rank],
             exchange_mode=self.exchange_mode,
             telemetry_level=self._slave_telemetry,
-            fault_at_iteration=(self.fault_at.get(cell)
+            fault_at_iteration=(min(faults, default=None)
                                 if resume is None else None),
             fault_kill=self.fault_kill and resume is None,
             snapshot_every=self.snapshot_every,
@@ -431,11 +434,11 @@ class MasterProcess:
                     comm.send(rank, transition.notice)
             for rank in sorted(doomed):
                 comm.send(rank, Abort())
-            for rank, cell, directive in transition.starts:
-                if directive.snapshot is None:
+            for rank, cells, directive in transition.starts:
+                if not directive.snapshots:
                     telemetry.mark("standby joiner parked",
                                    f"rank {rank} at epoch {transition.epoch}")
-                comm.send(rank, self._run_task(rank, cell, directive))
+                comm.send(rank, self._run_task(rank, cells, directive))
             if transition.ack is not None:
                 comm.send(transition.ack, DrainAck())
 

@@ -64,12 +64,12 @@ class RunTask:
     """Master -> slave: the workload assignment starting execution.
 
     Carries the full experiment configuration (serialized, so one broadcast
-    parameterizes every slave identically — Section III-B), the slave's cell
-    index, its grid view, and execution options.
+    parameterizes every slave identically — Section III-B), the block of
+    cells the slave trains, its grid view, and execution options.
     """
 
     config_json: str
-    cell_index: int
+    cells: tuple[int, ...]
     grid_payload: dict[str, Any]
     assigned_node: str
     exchange_mode: str = "neighbors"
@@ -79,7 +79,9 @@ class RunTask:
     master's ``REPRO_TELEMETRY`` environment; ``None`` leaves the worker's
     own setting untouched."""
     fault_at_iteration: int | None = None
-    """Raise inside the execution thread at this iteration (fault-injection tests)."""
+    """Raise inside the execution thread at this iteration (fault-injection
+    tests): the block's earliest ``fault_at`` entry, so a fault takes the
+    whole block."""
     fault_kill: bool = False
     """Harden the injected fault to ``os._exit`` — a real process death the
     transport must detect externally (process/socket backends only)."""
@@ -89,17 +91,17 @@ class RunTask:
     no-fault message flow byte-identical to the pre-recovery protocol)."""
     resume: Any = None
     """A :class:`~repro.parallel.recovery.ResumeDirective` when this task
-    restarts a respawned worker from checkpointed state; ``None`` for the
-    normal from-scratch start."""
+    restarts a respawned worker's block from checkpointed state; ``None``
+    for the normal from-scratch start."""
 
     @property
     def standby(self) -> bool:
         """True when this task parks an elastically-joined rank with no cell
-        of its own yet (a resume directive without a snapshot): the slave
+        of its own yet (a resume directive without snapshots): the slave
         replays the directive's fault notices, joins the communicators, and
         serves the master — ready to adopt a cell when a later drain or
         death re-balances onto it."""
-        return self.resume is not None and self.resume.snapshot is None
+        return self.resume is not None and not self.resume.snapshots
 
 
 @dataclass(frozen=True)

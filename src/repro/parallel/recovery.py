@@ -25,8 +25,8 @@ Every rank runs one exchange round per iteration for its whole block, and
 a round sends the payload of every hosted cell before any hosted cell
 receives.  So no receive ever waits on a send of the same round that sits
 behind it — not another rank's, and not a co-hosted cell's, whose payload
-the adopter delivers to itself through the ordinary send path.  A block of
-any size therefore exchanges exactly like a block of one.
+its block neighbours take in place.  A block of any size therefore
+exchanges exactly like a block of one.
 
 Only *direct* neighbors of a dead cell ``c`` ever send to it
 (:meth:`Grid.incoming_neighbors`).  When ``c`` stops answering, its direct
@@ -125,15 +125,15 @@ class FaultNotice:
 
 @dataclass(frozen=True)
 class ResumeDirective:
-    """Master -> respawned worker: resume your cell from this state.
+    """Master -> respawned worker: resume your block from these states.
 
     ``notices`` replays every fault the run has seen so far, so the reborn
     rank's exchange treats earlier dead cells exactly like the survivors do.
-    ``snapshot`` is ``None`` for a standby joiner — a rank admitted with no
+    ``snapshots`` is empty for a standby joiner — a rank admitted with no
     cell to resume, parked until a re-balance assigns it one.
     """
 
-    snapshot: CellSnapshot | None
+    snapshots: tuple[CellSnapshot, ...]
     rejoin_iteration: int
     notices: tuple[FaultNotice, ...] = ()
 
@@ -147,10 +147,9 @@ class FaultState:
     neighbor unblocks it on the next poll.
     """
 
-    def __init__(self, first_slave_rank: int = 1):
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._frozen: dict[int, FrozenCell] = {}
-        self._first_slave_rank = first_slave_rank
 
     def apply(self, notice: FaultNotice) -> list[FrozenCell]:
         """Record a notice; returns only the cells not seen before.
@@ -215,12 +214,10 @@ class FaultState:
         return frozen.adopter_rank is None or iteration < frozen.rejoin_iteration
 
     def send_route(self, cell_index: int) -> int | None:
-        """LOCAL-rank override for sends to an adopted cell (else ``None``)."""
+        """WORLD-rank override for sends to an adopted cell (else ``None``)."""
         with self._lock:
             frozen = self._frozen.get(cell_index)
-        if frozen is None or frozen.adopter_rank is None:
-            return None
-        return frozen.adopter_rank - self._first_slave_rank
+        return None if frozen is None else frozen.adopter_rank
 
 
 def plan_rebalance(orphans: Iterable[int],

@@ -1,10 +1,12 @@
 """One-call distributed training: the ``mpiexec`` entry of the system.
 
 :class:`DistributedRunner` assembles the whole job — one master rank plus
-one slave rank per grid cell — over any registered MPI transport: the
-process backend (true multi-core parallelism; all paper measurements), the
-threaded backend (deterministic tests), or the socket backend (TCP worker
-processes on one or many machines).
+one slave rank per block of cells (:class:`~repro.parallel.grid.Grid`'s
+``blocks``) — over any registered MPI transport: the process backend (true
+multi-core parallelism; all paper measurements) and the threaded backend
+(deterministic tests) run one rank per cell, the paper's shape; the socket
+backend (TCP worker processes on one or many machines) runs one rank per
+worker, which trains the worker's share of the grid as one block.
 
 The dataset travels in whichever way the substrate makes cheap.  Fork-based
 backends render it **once** in the parent and share the pages copy-on-write
@@ -44,7 +46,8 @@ from repro.data.dataset import ArrayDataset
 from repro.mpi import TransportStats, run_mpi
 from repro.mpi.errors import MpiWorkerError
 from repro.mpi.transport import available_transports
-from repro.parallel.comm_manager import MpiCommManager
+from repro.parallel.comm_manager import MpiCommManager, check_exchange_tags
+from repro.parallel.grid import Grid, layout_blocks
 from repro.parallel.master import MasterOutcome, MasterProcess
 from repro.parallel.slave import SlaveProcess
 from repro.runtime import pin_blas_threads
@@ -183,11 +186,21 @@ class DistributedRunner:
             raise ValueError(
                 "fault_kill terminates the hosting process; on the threaded "
                 "backend that would kill the launcher itself")
+        self.platform, self.placement = platform, placement
+        self._layout(config, hosts)
+        check_exchange_tags(self.grid, config.coevolution.iterations)
         if fault_kill and self.backend == "socket":
-            # os._exit takes down the whole worker process — every
-            # co-hosted rank dies with the victim, so the faulted rank
-            # must ride alone on its worker for the test to mean anything.
-            self._check_fault_kill_isolation(config, fault_at, hosts)
+            # os._exit takes the whole worker process down, and the only
+            # worker hosting two ranks is the master's, beside block 1.
+            shared = sorted(set(fault_at or ()) & set(self.grid.cells_of_rank(1)))
+            if shared and self.launch_hosts[0][1] > 1:
+                raise ValueError(
+                    f"fault_kill on the socket backend requires each faulted "
+                    f"rank to be alone on its worker (os._exit kills every "
+                    f"co-hosted rank); cell(s) {shared} ride with the master — "
+                    "give the first hosts entry one slot, or fault a cell of "
+                    "another worker, e.g. '127.0.0.1:4,127.0.0.1:1' to kill "
+                    "the block of cell 3 of a 2x2 grid")
         from repro.parallel.recovery import validate_fault_policy
 
         validate_fault_policy(fault_policy)
@@ -199,8 +212,6 @@ class DistributedRunner:
         if max_restarts and fault_policy != "recover":
             raise ValueError("max_restarts only applies to fault_policy='recover'")
         self.exchange_mode = exchange_mode
-        self.platform = platform
-        self.placement = placement
         self.fault_at = fault_at
         self.fault_kill = fault_kill
         self.fault_policy = fault_policy
@@ -225,31 +236,38 @@ class DistributedRunner:
 
     # -- wiring ----------------------------------------------------------------
 
-    @staticmethod
-    def _check_fault_kill_isolation(config: ExperimentConfig,
-                                    fault_at: dict[int, int] | None,
-                                    hosts: Any) -> None:
-        """Faulted ranks must be the sole occupant of their socket worker."""
-        from repro.mpi.socket_transport import parse_host_spec
+    def _layout(self, config: ExperimentConfig, hosts: Any) -> None:
+        """Decide the rank layout once: :attr:`grid` (whose ``blocks`` every
+        rank receives) and, on the socket backend, :attr:`launch_hosts`
+        and the master's placement inputs.
 
-        if not fault_at:
-            return
-        size = config.coevolution.cells + 1
-        victim_ranks = {cell + 1 for cell in fault_at}
-        lonely: set[int] = set()
-        rank = 0
-        for _host, slots in parse_host_spec(hosts, size):  # None -> 1 worker
-            if slots == 1:
-                lonely.add(rank)
-            rank += slots
-        stranded = victim_ranks - lonely
-        if stranded:
-            raise ValueError(
-                f"fault_kill on the socket backend requires each faulted "
-                f"rank to be alone on its worker (os._exit kills every "
-                f"co-hosted rank); rank(s) {sorted(stranded)} share a "
-                "worker — isolate them in hosts, e.g. "
-                "'127.0.0.1:4,127.0.0.1:1' to kill rank 4 of a 2x2 grid")
+        A socket host spec keeps its meaning — slots sum to the paper's
+        task count (cells plus the master), and the master takes the first
+        — but each worker's slots become one block rank, so the transport
+        launches ``[(host, ranks on that worker)]``: the master's worker
+        hosts the master plus block 1 (or the master alone, for a first
+        entry of one slot), every other worker one rank.  The master then
+        reports that real rank-to-host mapping, against the machines
+        attached instead of the simulated Cluster-UY.  Off the socket
+        backend every cell has a rank of its own and ``launch_hosts`` is
+        ``None``.
+        """
+        self.launch_hosts = slots = None
+        #: Will the transport fork workers from this process at launch?
+        self._forks = False
+        if self.backend == "socket":
+            from repro.mpi.socket_transport import LOCAL_HOSTNAMES, parse_host_spec
+
+            spec = parse_host_spec(hosts, config.execution.number_of_tasks)
+            self._forks = any(host in LOCAL_HOSTNAMES for host, _n in spec)
+            slots = [count for _host, count in spec]
+            self.launch_hosts = [(host, int(i == 0) + int(count > (i == 0)))
+                                 for i, (host, count) in enumerate(spec)]
+            if self.placement is None:
+                self.placement = plan_from_hosts(self.launch_hosts)
+                self.platform = self.platform or platform_from_hosts(spec)
+        self.grid = Grid(config.coevolution.grid_rows, config.coevolution.grid_cols,
+                         blocks=layout_blocks(config.coevolution.cells, slots))
 
     def _dataset_payload(self) -> tuple:
         """How the training data travels to the slaves (see module docstring)."""
@@ -263,37 +281,6 @@ class DistributedRunner:
         # Fork/thread substrates: render once here, share by reference/COW.
         return ("inline", build_training_dataset(self.config))
 
-    def _placement_and_platform(self) -> tuple[PlacementPlan | None, ClusterPlatform | None]:
-        """The master's placement inputs.
-
-        With a socket host spec, rank-to-host assignment is decided by the
-        transport (contiguous blocks in spec order) — the plan derived here
-        reports that real mapping, and the platform models the attached
-        machines instead of the simulated Cluster-UY.
-        """
-        plan, platform = self.placement, self.platform
-        if self.backend == "socket" and plan is None:
-            from repro.mpi.socket_transport import parse_host_spec
-
-            size = self.config.coevolution.cells + 1
-            hosts = parse_host_spec(self.hosts, size)  # None -> one local worker
-            plan = plan_from_hosts(hosts)
-            if platform is None:
-                platform = platform_from_hosts(hosts)
-        # Other remote transports: no placement assumption is safe, so the
-        # master falls back to its simulated-platform strategy unless the
-        # caller provides an explicit plan.
-        return plan, platform
-
-    def _forks_local_workers(self, size: int, transport_options: dict[str, Any]) -> bool:
-        """Will the transport fork workers from this process at launch?"""
-        if self.backend != "socket":
-            return False
-        from repro.mpi.socket_transport import LOCAL_HOSTNAMES, parse_host_spec
-
-        hosts = parse_host_spec(transport_options.get("hosts"), size)
-        return any(host in LOCAL_HOSTNAMES for host, _slots in hosts)
-
     def _transport_options(self) -> dict[str, Any]:
         options = dict(self.transport_options)
         if self.remote:
@@ -302,6 +289,8 @@ class DistributedRunner:
             if self.bind is not None:
                 options.setdefault("bind", self.bind)
         if self.backend == "socket":
+            # Ranks per worker, not the spec's slots (see _layout).
+            options["hosts"] = self.launch_hosts
             # The socket handshake advertises the run's dtype policy so
             # mixed-dtype peers are rejected at rendezvous, not after they
             # corrupt a genome exchange.
@@ -324,12 +313,14 @@ class DistributedRunner:
         # inside _distributed_entry.
         pin_blas_threads(1)
         config = self.config
-        size = config.coevolution.cells + 1
-        plan, platform = self._placement_and_platform()
+        size = self.grid.world_size
 
         master_options = dict(
-            platform=platform,
-            placement_plan=plan,
+            # Other remote transports: no placement assumption is safe, so
+            # the master falls back to its simulated-platform strategy
+            # unless the caller provides an explicit plan.
+            platform=self.platform,
+            placement_plan=self.placement,
             exchange_mode=self.exchange_mode,
             fault_at=self.fault_at,
             fault_kill=self.fault_kill,
@@ -337,6 +328,7 @@ class DistributedRunner:
             snapshot_every=self.snapshot_every,
             max_restarts=self.max_restarts,
             restart_grace_s=self.restart_grace_s,
+            blocks=self.grid.blocks,
             # Only the socket transport can put a new process under a dead
             # rank; elsewhere "recover" falls back to in-grid adoption.
             respawn_expected=(self.backend == "socket"
@@ -358,8 +350,7 @@ class DistributedRunner:
         # Local socket workers are forked from this process: load the
         # dataset they will ask for once, here, instead of once per worker.
         preload = (_node_dataset_preloaded(config, payload)
-                   if payload[0] != "inline"
-                   and self._forks_local_workers(size, transport_options)
+                   if payload[0] != "inline" and self._forks
                    else contextlib.nullcontext())
         with preload:
             outcomes = run_mpi(
@@ -402,10 +393,7 @@ class DistributedRunner:
         # A hole's uniform mixture filler must match *that cell's*
         # neighborhood size (per-cell on custom grids; wraparound 2x2
         # grids have s=4) or it mismatches the cell's generator list.
-        from repro.parallel.grid import Grid
-
-        grid = Grid(self.config.coevolution.grid_rows,
-                    self.config.coevolution.grid_cols)
+        grid = self.grid
         # Telemetry merge: the transport's per-rank outcomes bring every
         # rank's snapshot home; the launcher's own buffer joins them.
         snapshots = [s for s in (rank_telemetry or []) if s is not None]

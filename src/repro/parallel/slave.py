@@ -12,12 +12,15 @@ Two threads, exactly as the paper describes:
   rank sends to itself;
 * the **execution thread** performs the GAN training of the rank's
   **block**: the ``{cell index: Cell}`` map the rank hosts, stepped by one
-  loop with one iteration counter.  A rank launches with a block of one
-  (its own cell); recovery grows the block, never the thread count.  A
-  standby's execution thread blocks on its admission queue until a cell
-  arrives or the main thread wakes it to leave.
+  loop with one iteration counter.  A rank launches with the block its run
+  task names (:attr:`Grid.blocks <repro.parallel.grid.Grid.blocks>`: one
+  cell per rank on the process and threaded backends, a worker's whole
+  share of the grid on the socket backend); recovery grows the block,
+  never the thread count.  A standby's execution thread blocks on its
+  admission queue until a cell arrives or the main thread wakes it to
+  leave.
 
-**One admission.**  A cell enters the block in one of four ways — the
+**One admission.**  A cell enters the block in one of four ways — a
 launch cell (fresh, from iteration 0), a respawn's resume directive, a
 fault-notice adoption, a standby's reclaim or adoption — and all four go
 through the same step at an iteration boundary: restore the cell from its
@@ -31,7 +34,8 @@ fault injection and abort all read one number.
 **One round.**  Per iteration every stepping cell lets go of last round's
 neighbor payloads (:meth:`~repro.coevolution.cell.Cell.release_neighbors`),
 the block builds every stepping cell's payload, exchanges them in one
-:meth:`CommManager.exchange_round` (send all, then receive per cell), and
+:meth:`CommManager.exchange_round` (send all, then receive per cell; a
+neighbour in the block takes the payload object itself), and
 steps the cells in index order through
 :func:`repro.coevolution.cell.step_block` — the function the sequential
 trainer steps its whole grid with.  All of them train on the execution
@@ -129,21 +133,21 @@ class SlaveProcess:
         self._task: RunTask | None = None
         self._config: ExperimentConfig | None = None
         self._grid: Grid | None = None
-        #: What was shipped for the task's own cell (:meth:`run`'s value).
-        self._result: SlaveResult | None = None
+        #: What was shipped for the task's own block (:meth:`run`'s value).
+        self._results: list[SlaveResult] = []
 
     # -- public entry point -------------------------------------------------------
 
-    def run(self) -> SlaveResult | None:
-        """Full slave lifecycle; returns the result it sent the master for
-        the task's own cell.
+    def run(self) -> list[SlaveResult]:
+        """Full slave lifecycle; returns the results it sent the master for
+        the task's own block, in cell order.
 
         A standby rank (an elastic joiner admitted with no cell of its own)
         starts with an empty block: it serves the master, admits a cell
         when a :class:`FaultNotice` names it, and leaves on the master's
-        end-of-run abort or a drain.  Returns ``None`` when nothing was
-        shipped for the task's cell — a standby, or a drained rank whose
-        cells left through a :class:`~repro.parallel.elastic.DrainNotice`.
+        end-of-run abort or a drain.  Returns nothing for a standby, or for
+        a drained rank whose cells left through a
+        :class:`~repro.parallel.elastic.DrainNotice`.
         """
         comm = self.comm
         # 1. Introduce ourselves (Fig. 3: "Send node name to master").
@@ -159,7 +163,7 @@ class SlaveProcess:
             # In-band level propagation: remote socket workers never saw
             # the master's REPRO_TELEMETRY environment.
             telemetry.set_level(task.telemetry_level)
-        telemetry.mark("run task received", f"cell {task.cell_index}")
+        telemetry.mark("run task received", f"cells {list(task.cells)}")
         self.machine.start_processing()
         # 3. Attach to LOCAL — on its own, with no collective, so a rank
         # launched with the job and one born mid-run (respawned, or joined)
@@ -172,15 +176,17 @@ class SlaveProcess:
         self._task = task
         self._config = ExperimentConfig.from_json(task.config_json)
         self._grid = Grid.from_payload(task.grid_payload)
-        # 4. Queue the task's cell and launch the execution thread (Fig. 3:
+        # 4. Queue the task's block and launch the execution thread (Fig. 3:
         # "Create execution thread") — the only one, whatever the block grows to.
         if task.standby:
             telemetry.mark("standby", "parked, ready to adopt")
         elif task.resume is None:
-            self._admissions.put((task.cell_index, None, 0))
+            for cell in task.cells:
+                self._admissions.put((cell, None, 0))
         else:
-            self._admissions.put((task.cell_index, task.resume.snapshot,
-                                  task.resume.rejoin_iteration))
+            for snapshot in task.resume.snapshots:
+                self._admissions.put((snapshot.cell_index, snapshot,
+                                      task.resume.rejoin_iteration))
         execution = threading.Thread(target=self._train_block,
                                      name=f"slave-{comm.rank}-exec", daemon=True)
         execution.start()
@@ -194,11 +200,11 @@ class SlaveProcess:
         if self._drain.is_set():
             # Planned departure: hand the unfinished cells to the master.
             self._drain_and_exit()
-            return self._result
+            return self._results
         # 6. Finished: every hosted cell has shipped its result (Fig. 3:
         # "Send results to master").
         self.machine.finish()
-        return self._result
+        return self._results
 
     # -- main-thread duties -----------------------------------------------------------
 
@@ -420,11 +426,11 @@ class SlaveProcess:
             result = SlaveResult(
                 self.comm.rank, cell.snapshot(), cell.reports,
                 # Every cell but a launched rank's own came from a snapshot.
-                recovered=task.resume is not None or index != task.cell_index,
+                recovered=task.resume is not None or index not in task.cells,
             )
             self.comm.send(0, result)
-            if index == task.cell_index and not task.standby:
-                self._result = result
+            if index in task.cells:
+                self._results.append(result)
         self._block.clear()
         self._rejoin.clear()
         self._centers.clear()

@@ -154,7 +154,7 @@ class TestCommands:
         assert code == 0
         assert "backend=socket" in out
         assert "transport traffic:" in out
-        assert "rank 4:" in out  # per-rank counters printed in rank order
+        assert "rank 2:" in out  # per-rank counters printed in rank order
 
     def test_worker_unreachable_coordinator(self, capsys):
         code = main(["worker", "--connect", "127.0.0.1:1",

@@ -328,26 +328,25 @@ class TestChurnAcceptance:
     transition."""
 
     def test_4x4_kill_drain_join(self, module_dataset):
-        # Ranks 0-14 share the big worker; ranks 15 and 16 each get a
-        # single-rank worker, so the kill and the drain vacate slots a
-        # `repro worker --join` can fill.  (Not 17 single-rank workers:
-        # CI-sized machines cannot schedule that many python processes,
-        # and the churn under test is membership churn, not the box's.)
+        # The master and block {0..13} (rank 1) share the big worker;
+        # cells 14 and 15 each get a worker of their own (ranks 2 and 3),
+        # so the kill and the drain vacate slots a `repro worker --join`
+        # can fill, and rank 1 survives to adopt what they leave.
         self._churn(module_dataset, grid=(4, 4),
                     hosts="127.0.0.1:15,127.0.0.1:1,127.0.0.1:1",
                     iterations=10, kill_cell=14, fault_kill=True,
-                    dead=[15], drains=[16], joiner_slots=1, joined=[15, 16])
+                    dead=[2], drains=[3], joiner_slots=1, joined=[2, 3])
 
-    def test_3x3_two_workers_fault_drain_join(self, module_dataset):
-        """The benchmark's split, where every exchange is a group mixing
-        co-hosted and remote destinations: a rank of worker A crashes and
-        its cell is adopted, worker B (ranks 5-9) is drained rank by rank
-        until it leaves, and a five-slot worker joins in its place."""
+    def test_3x3_row_workers_fault_drain_join(self, module_dataset):
+        """One grid row per worker, so every round mixes in-block and
+        remote neighbours: the middle row's worker is killed and its block
+        adopted, the bottom row's rank is drained, and one-rank workers
+        join the vacated slots as standbys.  The row beside the master
+        survives to train whatever is left."""
         self._churn(module_dataset, grid=(3, 3),
-                    hosts="127.0.0.1:5,127.0.0.1:5",
-                    iterations=40, kill_cell=0, fault_kill=False,
-                    dead=[1], drains=[5, 6, 7, 8, 9], joiner_slots=5,
-                    joined=[5, 6, 7, 8, 9])
+                    hosts="127.0.0.1:4,127.0.0.1:3,127.0.0.1:3",
+                    iterations=40, kill_cell=3, fault_kill=True,
+                    dead=[2], drains=[3], joiner_slots=1, joined=[2, 3])
 
     def _churn(self, module_dataset, *, grid, hosts, iterations, kill_cell,
                fault_kill, dead, drains, joiner_slots, joined):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import DistributedRunner
-from repro.parallel.comm_manager import MpiCommManager
+from repro.parallel.comm_manager import MpiCommManager, exchange_tag
 from repro.parallel.heartbeat import HeartbeatMonitor
 from repro.parallel.states import SlaveState
 from tests.conftest import make_quick_config
@@ -188,14 +188,14 @@ class TestChaosMatrixSocket:
     """The TCP variant: a worker process hosting exactly the victim rank
     dies with os._exit — a real socket-visible death."""
 
-    HOSTS = "127.0.0.1:4,127.0.0.1:1"   # rank 4 (cell 3) alone on worker B
+    HOSTS = "127.0.0.1:4,127.0.0.1:1"   # rank 2 (cell 3) alone on worker B
 
     @staticmethod
     def _assert_one_rank_lost(result):
         """As on the process backend: the killed rank counts as lost, and
         none of the co-hosted survivors does."""
         assert sum(s.ranks_lost for s in result.transport_stats) == 1
-        assert result.transport_stats[4].ranks_lost == 1
+        assert result.transport_stats[2].ranks_lost == 1
 
     def _run(self, dataset, *, kill_at, policy, **options):
         config = make_quick_config(2, 2, iterations=3)
@@ -216,15 +216,15 @@ class TestChaosMatrixSocket:
 
     def test_socket_abort_mid_run(self, module_dataset):
         result = self._run(module_dataset, kill_at=1, policy="abort")
-        assert result.dead_ranks == [4]
+        assert result.dead_ranks == [2]
         assert not result.ok and not result.complete
         self._assert_one_rank_lost(result)
 
     def test_socket_degrade_before_first_checkpoint(self, module_dataset):
         result = self._run(module_dataset, kill_at=0, policy="degrade")
-        assert result.dead_ranks == [4]
+        assert result.dead_ranks == [2]
         assert result.ok
-        assert result.degraded_ranks == [4]
+        assert result.degraded_ranks == [2]
         # The frozen cell reports its initial-state genomes.
         assert len(result.center_genomes) == 4
         self._assert_one_rank_lost(result)
@@ -232,9 +232,9 @@ class TestChaosMatrixSocket:
     def test_socket_recover_by_adoption(self, module_dataset):
         """No restart budget: a surviving worker's slave adopts the cell."""
         result = self._run(module_dataset, kill_at=1, policy="recover")
-        assert result.dead_ranks == [4]
+        assert result.dead_ranks == [2]
         assert result.ok, f"degraded {result.degraded_ranks}"
-        assert result.recovered_ranks == [4]
+        assert result.recovered_ranks == [2]
         assert result.cell_reports[3], "adopted cell has no reports"
         self._assert_one_rank_lost(result)
 
@@ -243,19 +243,20 @@ class TestChaosMatrixSocket:
         worker and the cell resumes there from its checkpoint."""
         result = self._run(module_dataset, kill_at=1, policy="recover",
                            max_restarts=1)
-        assert result.dead_ranks == [4]
+        assert result.dead_ranks == [2]
         assert result.ok, f"degraded {result.degraded_ranks}"
-        assert result.recovered_ranks == [4]
+        assert result.recovered_ranks == [2]
         assert result.cell_reports[3], "respawned cell has no reports"
         # The reborn rank counts one reconnect; the rendezvous ranks none.
-        assert [s.reconnects for s in result.transport_stats] == [0, 0, 0, 0, 1]
+        assert [s.reconnects for s in result.transport_stats] == [0, 0, 1]
 
 
 class TestTwoWorkerSplit:
-    """The benchmark's 3x3 split (ranks 0-4 | 5-9): every exchange is a
-    group that mixes co-hosted and remote destinations, and an adopter may
-    sit on the sender's own worker.  A co-hosted rank cannot be killed with
-    ``os._exit`` (the whole worker would go), so the victim crashes."""
+    """The benchmark's 3x3 split (the master and block {0..3} | block
+    {4..8}): every round mixes in-block and remote neighbours, and an
+    adopter may sit on the sender's own worker.  The block beside the
+    master cannot be killed with ``os._exit`` (the master would go too),
+    so the victim crashes."""
 
     HOSTS = "127.0.0.1:5,127.0.0.1:5"
 
@@ -267,21 +268,22 @@ class TestTwoWorkerSplit:
             backend="socket",
             hosts=self.HOSTS,
             dataset=module_dataset,
-            fault_at={6: 1},          # cell 6 -> rank 7, mid-run
+            fault_at={0: 1},          # cell 0 -> rank 1 (block 0-3), mid-run
             fault_policy=policy,
             snapshot_every=1,
             heartbeat_interval_s=0.05,
             miss_limit=6,
             timeout_s=240,
         ).run()
-        assert result.dead_ranks == [7]
+        assert result.dead_ranks == [1]
         assert result.ok
         assert len(result.center_genomes) == 9
         if policy == "degrade":
-            assert result.degraded_ranks == [7]
+            assert result.degraded_ranks == [1]
         else:
-            assert result.recovered_ranks == [7]
-            assert result.cell_reports[6], "adopted cell has no reports"
+            assert result.recovered_ranks == [1]
+            assert all(result.cell_reports[cell] for cell in range(4)), \
+                "an adopted cell has no reports"
 
     def test_send_rerouted_to_an_adopter_on_the_senders_worker(self):
         """Cell 6 (rank 7, worker B) is adopted by rank 2 on worker A:
@@ -322,7 +324,9 @@ class TestTwoWorkerSplit:
             sender = managers[1]
             sender._send_to_consumers(grid, 0, payload, state)
 
-            tag = sender._exchange_tag
+            def tag(iteration, cell):
+                return exchange_tag(grid, iteration, cell)
+
             local = {rank: managers[rank].local for rank in (2, 3, 4)}
             # Rank 2 hosts cell 1 and speaks for adopted cell 6.
             assert local[2].recv(source=0, tag=tag(3, 1), timeout=30) is payload
@@ -357,7 +361,7 @@ class TestSocketRecoverAcceptance:
         runner = DistributedRunner(
             config,
             backend="socket",
-            hosts="127.0.0.1:16,127.0.0.1:1",   # rank 16 (cell 15) alone
+            hosts="127.0.0.1:16,127.0.0.1:1",   # rank 2 (cell 15) alone
             dataset=module_dataset,
             fault_at={15: 1},
             fault_kill=True,
@@ -367,9 +371,9 @@ class TestSocketRecoverAcceptance:
             timeout_s=480,
         )
         result = runner.run()
-        assert result.dead_ranks == [16]
+        assert result.dead_ranks == [2]
         assert result.ok, f"degraded {result.degraded_ranks}"
-        assert result.recovered_ranks == [16]
+        assert result.recovered_ranks == [2]
         assert len(result.center_genomes) == 16
         for cell in range(16):
             g, d = result.center_genomes[cell]

@@ -73,17 +73,20 @@ class TestSequentialDistributedEquivalence:
             sg, sd = socketed.center_genomes[cell]
             np.testing.assert_array_equal(pg.parameters, sg.parameters)
             np.testing.assert_array_equal(pd.parameters, sd.parameters)
-        # Real placement: ranks 0-2 on worker A, ranks 3-4 on worker B.
+        # Real placement: the master and block {0, 1} (rank 1) on worker
+        # A, block {2, 3} (rank 2) on worker B.
         placement = socketed.outcome_placement
-        assert set(placement) == {0, 1, 2, 3, 4}
+        assert set(placement) == {0, 1, 2}
         assert all(node == "127.0.0.1" for node in placement.values())
         # Per-rank counters made it back: slaves exchanged genomes.
         stats = socketed.transport_stats
-        assert [s.rank for s in stats] == [0, 1, 2, 3, 4]
+        assert [s.rank for s in stats] == [0, 1, 2]
         assert all(s.messages_sent > 0 and s.bytes_sent > 0 for s in stats)
 
     def test_allgather_mode_equivalence(self, module_dataset):
-        """The paper-style LOCAL allgather delivers the same neighbors."""
+        """The paper-style LOCAL allgather delivers the same neighbors —
+        one cell per rank (threaded), and two blocks of two cells (socket:
+        each rank gathers its block's payloads as one list)."""
         config = make_quick_config(2, 2, iterations=2)
         p2p = DistributedRunner(
             config, backend="threaded", dataset=module_dataset,
@@ -93,11 +96,17 @@ class TestSequentialDistributedEquivalence:
             config, backend="threaded", dataset=module_dataset,
             exchange_mode="allgather",
         ).run()
+        blocks = DistributedRunner(
+            config, backend="socket", hosts="127.0.0.1:3,127.0.0.1:2",
+            dataset=module_dataset, exchange_mode="allgather",
+        ).run()
+        assert [s.rank for s in blocks.transport_stats] == [0, 1, 2]
         for cell in range(4):
-            np.testing.assert_array_equal(
-                p2p.center_genomes[cell][0].parameters,
-                allgather.center_genomes[cell][0].parameters,
-            )
+            for other in (allgather, blocks):
+                np.testing.assert_array_equal(
+                    p2p.center_genomes[cell][0].parameters,
+                    other.center_genomes[cell][0].parameters,
+                )
 
     def test_mixture_weights_travel(self, module_dataset):
         config = make_quick_config(2, 2, iterations=2)
@@ -109,24 +118,29 @@ class TestSequentialDistributedEquivalence:
 
 
 class TestGroupExchange:
-    """A cell's center pair travels once per destination *worker*: the
+    """A worker trains its share of the grid as one block, and a cell's
+    center pair travels once per *other* worker hosting a neighbour: the
     genomes are the sequential oracle's whatever the host split, and the
-    exchange volume is one message per distinct (cell, worker) pair."""
+    exchange volume is one message per distinct cross-worker
+    (cell, worker) pair."""
 
     @staticmethod
-    def _cell_worker_pairs(config, hosts) -> int:
-        from repro.mpi.socket_transport import parse_host_spec
-        from repro.parallel.grid import Grid
-
-        grid = Grid(config.coevolution.grid_rows, config.coevolution.grid_cols)
+    def _cross_worker_pairs(config, hosts) -> int:
+        runner = DistributedRunner(config, backend="socket", hosts=hosts)
         worker_of, rank = {}, 0
-        for index, (_, slots) in enumerate(parse_host_spec(hosts, grid.cell_count + 1)):
-            for _ in range(slots):
+        for index, (_host, ranks) in enumerate(runner.launch_hosts):
+            for _ in range(ranks):
                 worker_of[rank] = index
                 rank += 1
-        return len({(cell, worker_of[grid.rank_of_cell(consumer)])
+        grid = runner.grid
+
+        def worker(cell):
+            return worker_of[grid.rank_of_cell(cell)]
+
+        return len({(cell, worker(consumer))
                     for cell in range(grid.cell_count)
-                    for consumer in grid.incoming_neighbors(cell)})
+                    for consumer in grid.incoming_neighbors(cell)
+                    if worker(consumer) != worker(cell)})
 
     def _run(self, config, dataset, hosts):
         from repro.api import Experiment
@@ -143,28 +157,32 @@ class TestGroupExchange:
                                           result.mixture_weights[cell])
         return result
 
-    @pytest.mark.parametrize("hosts,pairs", [
-        ("127.0.0.1:5,127.0.0.1:5", 18),
-        ("127.0.0.1:4,127.0.0.1:3,127.0.0.1:3", 27),    # one row per worker
-        ("127.0.0.1:10", 9),
+    @pytest.mark.parametrize("hosts,pairs,ranks", [
+        ("127.0.0.1:5,127.0.0.1:5", 9, 3),      # blocks {0..3}, {4..8}
+        ("127.0.0.1:4,127.0.0.1:3,127.0.0.1:3", 18, 4),    # one row per worker
+        ("127.0.0.1:10", 0, 2),                 # one block: nothing crosses
     ])
     def test_3x3_matches_sequential_on_any_split(self, module_dataset,
-                                                 telemetry_bus, hosts, pairs):
+                                                 telemetry_bus, hosts, pairs,
+                                                 ranks):
         iterations = 2
         config = make_quick_config(3, 3, iterations=iterations,
                                    batch_size=10, batches=1)
-        assert self._cell_worker_pairs(config, hosts) == pairs
+        assert self._cross_worker_pairs(config, hosts) == pairs
         result = self._run(config, module_dataset, hosts)
+        assert [s.rank for s in result.transport_stats] == list(range(ranks))
         assert (result.telemetry.counter("exchange.genomes_sent")
-                == pairs * iterations)                  # 36 per iteration before
+                == pairs * iterations)
 
     def test_2x2_moves_eight_messages_per_iteration(self, module_dataset,
                                                     telemetry_bus):
         """Every 2x2 cell neighbours the same cell on two sides: the
-        duplicate ``(rank, tag)`` pair rides one message (16 before)."""
+        duplicate ``(rank, tag)`` pair rides one message (16 before).  One
+        cell per worker (the master alone on the first), so every
+        neighbour sits behind another worker."""
         iterations = 3
         config = make_quick_config(2, 2, iterations=iterations)
-        result = self._run(config, module_dataset, "127.0.0.1:3,127.0.0.1:2")
+        result = self._run(config, module_dataset, ",".join(["127.0.0.1:1"] * 5))
         assert result.telemetry.counter("exchange.genomes_sent") == 8 * iterations
         from repro.mpi.stats import payload_nbytes
 
@@ -223,7 +241,7 @@ class TestFaultTolerance:
 
     def test_killed_socket_worker_detected_and_survivors_abort(self, module_dataset):
         """The socket variant of the fault test, hardened: the worker
-        process hosting cell 3 (rank 4, alone on worker B) dies with
+        process hosting cell 3 (rank 2, alone on worker B) dies with
         ``os._exit`` mid-run — a real TCP-visible process death.  The
         heartbeat layer must report the dead rank and the run must degrade
         exactly like the process backend: survivors aborted, partial
@@ -242,7 +260,7 @@ class TestFaultTolerance:
             timeout_s=120,
         )
         result = runner.run()
-        assert result.dead_ranks == [4]
+        assert result.dead_ranks == [2]
         assert not result.complete
         assert len(result.center_genomes) == 4
 
@@ -256,8 +274,8 @@ class TestFaultTolerance:
 
     def test_fault_kill_requires_isolated_victim_worker(self, module_dataset):
         """os._exit kills every co-hosted rank, so the faulted rank must
-        ride alone on its socket worker — co-hosting is rejected up front
-        instead of collapsing the whole run."""
+        ride alone on its socket worker — a block beside the master is
+        rejected up front instead of collapsing the whole run."""
         config = make_quick_config(2, 2, iterations=2)
         with pytest.raises(ValueError, match="alone on its worker"):
             DistributedRunner(config, backend="socket",
@@ -267,7 +285,11 @@ class TestFaultTolerance:
             DistributedRunner(config, backend="socket",
                               hosts="127.0.0.1:3,127.0.0.1:2",
                               dataset=module_dataset,
-                              fault_at={3: 1}, fault_kill=True)
+                              fault_at={1: 1}, fault_kill=True)
+        # Block {2, 3} has worker B to itself.
+        DistributedRunner(config, backend="socket",
+                          hosts="127.0.0.1:3,127.0.0.1:2",
+                          dataset=module_dataset, fault_at={3: 1}, fault_kill=True)
 
 
 class TestDynamicNeighborhoods:

@@ -145,9 +145,9 @@ class TestArrive:
         t = arrive(table, "join", 2)
         assert (t.kind, t.ranks, t.epoch) == ("join", (2,), 2)
         assert t.notice is None and t.cells == () and not t.abort
-        ((rank, cell, directive),) = t.starts
-        assert (rank, cell) == (2, 1)  # its home cell, nothing to resume
-        assert directive.snapshot is None and directive.rejoin_iteration == 0
+        ((rank, cells, directive),) = t.starts
+        assert (rank, cells) == (2, ())  # nothing to resume
+        assert directive.snapshots == () and directive.rejoin_iteration == 0
         assert table.standby() == (2,) and table.cells_of(2) == ()
         assert table.outcome("join") == [2] and table.vacant() == set()
 
@@ -171,9 +171,9 @@ class TestArrive:
         assert cell.epoch == 2 > death.cells[0].epoch  # epoch-newer
         assert cell.rejoin_iteration == REJOIN and frozen(t) == ()
         assert t.peers == (1, 3, 4)
-        ((rank, start_cell, directive),) = t.starts
-        assert (rank, start_cell) == (2, 1)
-        assert directive.snapshot.cell_index == 1
+        ((rank, start_cells, directive),) = t.starts
+        assert (rank, start_cells) == (2, (1,))
+        assert [s.cell_index for s in directive.snapshots] == [1]
         assert directive.rejoin_iteration == REJOIN
         assert directive.notices == (death.notice, t.notice)
         assert table.outcome("degraded") == []
@@ -183,7 +183,7 @@ class TestArrive:
         peer.apply(death.notice)
         assert peer.skip_send(1, 0) and peer.send_route(1) is None
         peer.apply(t.notice)
-        assert peer.send_route(1) == 1  # LOCAL rank of world rank 2
+        assert peer.send_route(1) == 2  # the joiner's WORLD rank
 
     def test_respawn_resumes_the_cell_kept_for_it(self):
         table = table_2x2("recover")
@@ -196,13 +196,26 @@ class TestArrive:
         assert (t.kind, t.epoch, t.peers) == ("respawn", 2, (1, 2, 3))
         (cell,) = t.cells
         assert (cell.snapshot.cell_index, cell.adopter_rank, cell.epoch) == (3, 4, 2)
-        ((rank, start_cell, directive),) = t.starts
-        assert (rank, start_cell) == (4, 3)
-        assert directive.snapshot.iteration == 3
+        ((rank, start_cells, directive),) = t.starts
+        assert (rank, start_cells) == (4, (3,))
+        assert [s.iteration for s in directive.snapshots] == [3]
         assert directive.notices == (t.notice,)
         assert table.outcome("recovered") == [4]
         assert table.outcome("join") == [] and table.outcome("death") == [4]
         assert table.standby() == () and owner(table, 3) == 4
+
+    def test_replacement_resumes_its_whole_home_block(self):
+        table = MembershipTable(Grid(2, 2, blocks=((0, 1), (2, 3))), "recover",
+                                ITERATIONS)
+        death = depart(table, "death", [2], held=[2])
+        assert death.notice is None and table.log.events[-1].cells == (2, 3)
+        t = arrive(table, "respawn", 2)
+        assert [(c.snapshot.cell_index, c.adopter_rank) for c in t.cells] == [
+            (2, 2), (3, 2)]
+        ((rank, cells, directive),) = t.starts
+        assert (rank, cells) == (2, (2, 3))
+        assert [s.cell_index for s in directive.snapshots] == [2, 3]
+        assert table.cells_of(2) == (2, 3) and table.cells_of(1) == (0, 1)
 
     def test_replacement_keeps_one_cell_the_rest_are_rebalanced(self):
         table = table_2x2("recover")
@@ -235,9 +248,16 @@ events = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 3), cols=st.integers(1, 3),
-       policy=st.sampled_from(FAULT_POLICIES), sequence=events)
-def test_invariants_hold_over_random_churn(rows, cols, policy, sequence):
+       policy=st.sampled_from(FAULT_POLICIES), sequence=events,
+       cuts=st.none() | st.sets(st.integers(1, 8), max_size=4))
+def test_invariants_hold_over_random_churn(rows, cols, policy, sequence, cuts):
+    # One cell per rank, or contiguous blocks split wherever ``cuts`` fall
+    # inside the grid (the socket backend's layout).
     grid = Grid(rows, cols)
+    if cuts is not None:
+        bounds = sorted({0, grid.cell_count} | {c for c in cuts if c < grid.cell_count})
+        grid = Grid(rows, cols, blocks=[range(first, end)
+                                        for first, end in zip(bounds, bounds[1:])])
     table = MembershipTable(grid, policy, ITERATIONS)
     ranks = grid.slave_ranks()
     views = {rank: FaultState() for rank in ranks}  # each slave's replay

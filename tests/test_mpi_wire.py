@@ -327,8 +327,8 @@ class TestTransportStats:
             return CellSnapshot(cell, 2, genome, genome.copy(), np.full(5, 0.2))
 
         notice = FaultNotice("recover", (FrozenCell(record(3), 1, 4, epoch=1),))
-        task = RunTask("{}", 0, {}, "node00",
-                       resume=ResumeDirective(record(0), 4, notices=(notice,)))
+        task = RunTask("{}", (0,), {}, "node00",
+                       resume=ResumeDirective((record(0),), 4, notices=(notice,)))
         # Two records of two 800-byte vectors + "bce" and 40 bytes of
         # weights, plus the task's and the notice's strings.
         return task, 2 * (2 * (800 + 3) + 40) + len("{}node00neighbors" + "recover")

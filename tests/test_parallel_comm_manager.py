@@ -42,7 +42,7 @@ class TestSetupPhase:
         assert results[0] == [(1, "host1"), (2, "host2"), (3, "host3")]
 
     def test_run_task_roundtrip(self):
-        task = RunTask("{}", 0, Grid(1, 2).to_payload(), "node00")
+        task = RunTask("{}", (0,), Grid(1, 2).to_payload(), "node00")
 
         def program(world):
             comm = MpiCommManager(world)
@@ -50,10 +50,10 @@ class TestSetupPhase:
                 comm.send(1, task)
                 comm.send(2, task)
                 return "sent"
-            return comm.receive().cell_index
+            return comm.receive().cells
 
         results = run_mpi(3, program, backend="threaded", timeout=30)
-        assert results[1] == 0 and results[2] == 0
+        assert results[1] == (0,) and results[2] == (0,)
 
     def test_build_contexts_local_excludes_master(self):
         """The master gets no LOCAL; every slave attaches to the same one
@@ -239,6 +239,66 @@ class TestBlockRound:
         results = run_mpi(4, program, backend="threaded", timeout=60)
         assert results[1] == {0: {0: 0.0, 1: 1.0, 2: 2.0}, 2: {0: 0.0, 1: 1.0, 2: 2.0}}
         assert results[2] == {1: {0: 0.0, 1: 1.0, 2: 2.0}}
+
+
+    def test_allgather_hands_a_two_cell_block_its_neighbours(self):
+        """1x3 torus laid out as blocks (0, 1) and (2,): rank 1 gathers its
+        block's two payloads as one list and hands each cell its
+        neighbours — the same ones point-to-point delivers, where cells 0
+        and 1 take each other's payload in the round itself."""
+        grid_payload = Grid(1, 3, blocks=((0, 1), (2,))).to_payload()
+
+        def program(world):
+            comm = MpiCommManager(world)
+            comm.build_contexts(is_active_slave=not comm.is_master)
+            if comm.is_master:
+                return None
+            grid = Grid.from_payload(grid_payload)
+            seen = {}
+            for iteration, mode in enumerate(("allgather", "neighbors")):
+                payloads = {cell: make_payload(cell, iteration)
+                            for cell in grid.cells_of_rank(comm.rank)}
+                received = comm.exchange_round(grid, payloads, mode)
+                seen[mode] = {cell: {c: p.generator_genome.parameters[0]
+                                     for c, p in neighbours.items()}
+                              for cell, neighbours in received.items()}
+                if mode == "neighbors" and comm.rank == 1:
+                    assert received[1][0] is payloads[0]
+                    assert received[0][1] is payloads[1]
+            return seen
+
+        results = run_mpi(3, program, backend="threaded", timeout=60)
+        everyone = {0: 0.0, 1: 1.0, 2: 2.0}
+        assert results[1]["allgather"] == {0: everyone, 1: everyone}
+        assert results[2]["allgather"] == {2: everyone}
+        for rank in (1, 2):
+            assert results[rank]["allgather"] == results[rank]["neighbors"]
+
+
+class TestExchangeTags:
+    def test_tags_are_injective_on_a_33x33_grid(self):
+        """Past 1,024 cells a fixed-width destination field aliased
+        (iteration 3, cell 1024) onto (iteration 4, cell 0)."""
+        from repro.mpi import MAX_USER_TAG
+        from repro.parallel.comm_manager import exchange_tag
+
+        grid = Grid(33, 33)
+        iterations = 6
+        tags = {exchange_tag(grid, iteration, cell)
+                for iteration in range(iterations)
+                for cell in range(grid.cell_count)}
+        assert len(tags) == iterations * grid.cell_count
+        assert 0 <= min(tags) and max(tags) <= MAX_USER_TAG
+
+    def test_a_run_past_max_user_tag_is_refused_at_launch(self):
+        from repro.config import paper_table1_config
+        from repro.parallel import DistributedRunner
+
+        config = paper_table1_config(33, 33)
+        DistributedRunner(config, backend="threaded")  # validates, as before
+        too_long = config.scaled(iterations=1_000_000, dataset_size=1000)
+        with pytest.raises(ValueError, match="MAX_USER_TAG"):
+            DistributedRunner(too_long, backend="threaded")
 
 
 class TestResults:

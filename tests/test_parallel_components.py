@@ -24,7 +24,7 @@ from repro.telemetry import (
 class TestGrid:
     @pytest.fixture()
     def grid(self):
-        return Grid(3, 3, first_slave_rank=1)
+        return Grid(3, 3)
 
     def test_rank_mapping(self, grid):
         assert grid.rank_of_cell(0) == 1
@@ -41,7 +41,6 @@ class TestGrid:
     def test_default_neighbors_match_torus(self, grid):
         # cell 4 = (1,1) on 3x3: W=3, N=1, E=5, S=7
         assert grid.neighbor_cells(4) == [3, 1, 5, 7]
-        assert grid.neighbor_ranks(4) == [4, 2, 6, 8]
 
     def test_neighborhood_size(self, grid):
         assert grid.neighborhood_size(4) == 5
@@ -85,7 +84,7 @@ class TestGrid:
         clone = Grid.from_payload(grid.to_payload())
         assert clone.neighbor_cells(2) == [0, 1]
         assert clone.neighbor_cells(4) == [3, 1, 5, 7]
-        assert clone.first_slave_rank == 1
+        assert clone.blocks == grid.blocks == tuple((c,) for c in range(9))
 
     def test_2x2_duplicate_neighbors(self):
         grid = Grid(2, 2)
@@ -128,8 +127,7 @@ class TestMessages:
         genome = Genome(rng.normal(size=16), 2e-4, "bce")
         messages = [
             NodeInfo(1, "host"),
-            RunTask("{}", 0, {"rows": 2, "cols": 2, "first_slave_rank": 1,
-                              "overrides": {}}, "node00"),
+            RunTask("{}", (0,), Grid(2, 2).to_payload(), "node00"),
             StatusReply(1, "processing", 3),
             ExchangePayload(0, 2, genome, genome.copy()),
             SlaveResult(1, CellSnapshot(0, 3, genome, genome.copy(), np.full(5, 0.2))),

@@ -94,10 +94,10 @@ class ScriptedMasterComm(CommManager):
                 return  # no cell to report on
             if dest in self.drain_ranks and message.resume is None:
                 self._arrive(self.now, DrainNotice(
-                    dest, (snapshot(message.cell_index, 0),)))
+                    dest, tuple(snapshot(cell, 0) for cell in message.cells)))
                 return
-            self._result(dest, message.cell_index,
-                         at=max(self.now, self.result_delay_s))
+            for cell in message.cells:
+                self._result(dest, cell, at=max(self.now, self.result_delay_s))
         elif isinstance(message, StatusRequest):
             self.pings.append((self.now, dest))
             if dest not in self.silent_ranks:
@@ -160,7 +160,7 @@ class TestMasterHappyPath:
         comm = ScriptedMasterComm(config)
         run_master(comm, config, monkeypatch)
         task = comm.sent_tasks[1]
-        assert task.cell_index == 0
+        assert task.cells == (0,)
         from repro.config import ExperimentConfig
 
         assert ExperimentConfig.from_json(task.config_json) == config
@@ -268,7 +268,7 @@ class TestMasterAppliesTransitions:
         assert comm.drain_acks == [2]
         # The joiner found its home cell owned: parked, then released.
         task = comm.sent_tasks[2]
-        assert task.standby and task.resume.snapshot is None
+        assert task.standby and task.resume.snapshots == ()
         assert task.resume.notices == (notice,)
         assert task.assigned_node == "late2" == outcome.placement[2]
         assert comm.aborts_sent == [2]

@@ -130,7 +130,7 @@ class ScriptedComm(CommManager):
 def make_task(config, **overrides):
     defaults = dict(
         config_json=config.to_json(),
-        cell_index=0,
+        cells=(0,),
         grid_payload=Grid(config.coevolution.grid_rows,
                           config.coevolution.grid_cols).to_payload(),
         assigned_node="node00",
@@ -148,7 +148,7 @@ class TestHappyPath:
     def test_full_lifecycle(self, config, small_dataset):
         comm = ScriptedComm(make_task(config))
         slave = SlaveProcess(comm, small_dataset)
-        result = slave.run()
+        (result,) = slave.run()
 
         assert comm.node_info.rank == 1
         assert comm.contexts_built
@@ -220,7 +220,7 @@ class TestAbortPath:
         long_config = dataclasses.replace(config, coevolution=coev)
         comm = ScriptedComm(make_task(long_config), abort_at=1)
         slave = SlaveProcess(comm, small_dataset)
-        result = slave.run()
+        (result,) = slave.run()
 
         assert slave.machine.state is SlaveState.FINISHED
         assert len(result.reports) == 1  # iteration 0 done, 1 aborted
@@ -378,8 +378,8 @@ def assert_matches_reference(result, cell):
 
 
 def standby_task(config):
-    task = make_task(config, cell_index=3,
-                     resume=ResumeDirective(snapshot=None, rejoin_iteration=0))
+    task = make_task(config, cells=(),
+                     resume=ResumeDirective(snapshots=(), rejoin_iteration=0))
     assert task.standby  # a directive without a snapshot parks the rank
     return task
 
@@ -391,7 +391,7 @@ class TestBlock:
         config = make_quick_config(2, 2, iterations=4)
         notice = cell3_notice(config, small_dataset, iteration=1, rejoin=4)
         comm = RecoveryComm(make_task(config), notice=notice, release_at=1)
-        result = SlaveProcess(comm, small_dataset).run()
+        (result,) = SlaveProcess(comm, small_dataset).run()
 
         assert comm.thread_counts and max(comm.thread_counts) == 1
         # Admitted at boundary 2: one communication-free catch-up round
@@ -410,7 +410,7 @@ class TestBlock:
         comm = RecoveryComm(standby_task(config), notice=notice, abort_after_results=1)
         result = SlaveProcess(comm, small_dataset).run()
 
-        assert result is None  # a standby ships no cell of its own
+        assert result == []  # a standby ships no cell of its own
         assert comm.thread_counts and max(comm.thread_counts) == 1
         # The empty block took the admitted cell's iteration.
         assert [round_[:2] for round_ in comm.rounds] == [(1, [3]), (2, [3]), (3, [3])]
@@ -469,7 +469,7 @@ class TestBlock:
         finally:
             elastic.reset_drain_registry()
 
-        assert result is None and comm.results == []
+        assert result == [] and comm.results == []
         (drained,) = comm.drain_notices
         assert [(s.cell_index, s.iteration) for s in drained.snapshots] == [(0, 3), (3, 3)]
 
