@@ -35,19 +35,19 @@ the rest:
   move — unless the genome is in a narrower storage dtype (``mixed16``'s
   float16), which is widened into a buffer that the slot owns and reuses.
   The vectors handed to :meth:`step` are shared (the sequential trainer
-  gives one snapshot to four cells; thread and co-hosted socket ranks
-  receive payloads by reference), stay referenced by the slots until
-  :meth:`release_neighbors` or the next step replaces them, and are
-  **never written**: NumPy rejects a write through the read-only views.
-  A slot whose neighbor is missing keeps whatever it was bound to
-  (Lipizzaner's stale-entry tolerance).
+  gives each neighbor's center vector itself to four cells; thread and
+  co-hosted socket ranks receive payloads by reference), stay referenced
+  by the slots until :meth:`release_neighbors` or the next step replaces
+  them, and are **never written**: NumPy rejects a write through the
+  read-only views.  A slot whose neighbor is missing keeps whatever it was
+  bound to (Lipizzaner's stale-entry tolerance).
 * The cell owns **two slabs per kind**: the one its center was drawn into
   and a spare it allocates itself.  At any time one of them may hold the
-  center; the other is free and becomes the *work slab*: the selected
-  individual is copied into it (the only genome memcpy of the step), the
-  **trainee** :class:`~repro.gan.pair.GANPair` trains there, and the
-  selected slot is re-pointed at it so opponents and the final fitness
-  table see the individual as it trains.
+  center; the other becomes the *work slab*: the selected individual is
+  copied into it (the only genome memcpy of the step), the **trainee**
+  :class:`~repro.gan.pair.GANPair` trains there, and the selected slot is
+  re-pointed at it so opponents and the final fitness table see the
+  individual as it trains.
 * The trainee is not the cell's.  Its gradient slabs and optimizer moments
   are reset at every step, so they are scratch of the execution thread
   (:func:`~repro.gan.pair.thread_trainee`): every cell a thread steps
@@ -60,19 +60,32 @@ the rest:
   so it is just "the vector of the current best": :meth:`_promote` rebinds
   the center networks onto the winner's vector — the work slab when the
   trainee won (the other slab is then next step's work slab), a
-  neighbor's vector when a neighbor won (both slabs are then free).
-  Nothing is written, so slot 0 still shows the pre-promotion center and
-  the other slots what they showed during the step, which is what
-  :meth:`subpopulation_generators` and :meth:`sample_from_mixture` report
-  after a run.  A vector the center adopted stays alive until the center
-  moves on.
+  neighbor's vector when a neighbor won.  Nothing is written, so slot 0
+  still shows the pre-promotion center and the other slots what they
+  showed during the step, which is what :meth:`subpopulation_generators`
+  and :meth:`sample_from_mixture` report after a run.
+* **An adopted vector is re-homed.**  :meth:`release_neighbors` copies a
+  center that lies outside the cell's slabs into the work slab, which
+  only the cell itself has seen.  (Not "whichever slab slot 0 does not
+  show": a step that selects slot 0 re-points it at the work slab, so that
+  rule would overwrite the gathered center, which another cell may have
+  adopted.)
+* **An exported vector is immutable.**  What leaves the cell is its
+  center, and a center's slab is written again only once the center has
+  moved off it, been released and stepped past — after every in-process
+  consumer of that round is done with it.  So the sequential gather hands
+  out :meth:`center_genomes` by reference (``alias=True``), and a run's
+  result takes :meth:`export_center`, which also retires the buffers it
+  hands out, so that no later step trains in them.  Only payloads for a
+  transport, checkpoints and ``mixed16``'s quantized snapshots are copies.
 * A stale slot can still be looking at a slab that is about to become the
   work slab (it was trained in an earlier step and its neighbor never
   answered since); it is given a private copy first.
-* :meth:`center_genomes` copies: what leaves the cell never aliases it.
 
-Resident per cell, in genome pairs: two parameter slabs, plus the vectors
-its center adopted from neighbors.  Per execution thread: one trainee — a
+Resident per cell, in genome pairs: two parameter slabs, and nothing else
+once released — the cells of a sequential float64/float32 grid of ``c``
+cells reach exactly ``2c`` parameter buffers per kind (``mixed16`` adds
+the slots' widened buffers).  Per execution thread: one trainee — a
 gradient slab and the optimizer moments (two under Adam) — and one
 optimizer scratch block.
 
@@ -190,6 +203,8 @@ class Cell:
         )
         # Two slabs per kind: the center's and a spare.  The thread's
         # trainee moves between them; the center only ever points at one.
+        # ``slabs[1]`` is the work slab: the one the last step trained in
+        # (the spare before the first step).
         g_slab = arena_of(self.center.generator).data
         d_slab = arena_of(self.center.discriminator).data
         self._g_slabs = [g_slab, np.empty_like(g_slab)]
@@ -237,9 +252,12 @@ class Cell:
         the process/socket transports) exchanges bit-identical vectors.
 
         ``alias=True`` borrows the center vectors themselves (read-only,
-        zero copies, no quantization) — for handing this cell's own
-        :meth:`step` a stand-in for a neighbor that did not answer; never
-        for payloads handed to a transport or to another cell.
+        zero copies, no quantization).  A center is never trained in place,
+        so the borrowed bytes hold still until this cell has been released
+        and stepped once more — long enough for every in-process consumer
+        of one round: this cell's own :meth:`step` (a stand-in for a
+        neighbor that did not answer) and the sequential trainer's gather.
+        Never for payloads handed to a transport.
         """
         lr = self.center.learning_rate
         g = genome_from_network(self.center.generator, lr, self.loss_name, alias=alias)
@@ -248,6 +266,27 @@ class Cell:
             g = Genome(g.parameters.astype(self._storage_dtype), lr, self.loss_name)
             d = Genome(d.parameters.astype(self._storage_dtype), lr, self.loss_name)
         return g, d
+
+    def export_center(self) -> tuple[Genome, Genome]:
+        """The center pair for a consumer that keeps it (a run's result).
+
+        The center vectors leave by reference, and the buffers they lie in
+        are *retired*: made read-only, so no later step trains in them.  A
+        cell whose work slab was retired allocates a fresh one
+        (:meth:`_work_slab`) — this cell, or the neighbor whose slab a
+        not yet re-homed center adopted.  Under a narrower storage dtype
+        (``mixed16``) the center leaves as a quantized
+        :meth:`center_genomes` copy.
+        """
+        if arena_of(self.center.generator).data.dtype != self._storage_dtype:
+            return self.center_genomes()
+        genomes = []
+        for center in (self.center.generator, self.center.discriminator):
+            held = arena_of(center).data       # a view: its base is the buffer
+            if isinstance(held.base, np.ndarray):
+                held.base.flags.writeable = False
+            genomes.append(Genome(held, self.center.learning_rate, self.loss_name))
+        return genomes[0], genomes[1]
 
     def _define_subpopulations(self) -> None:
         """Give every sub-population slot its initial weights, once.
@@ -309,10 +348,10 @@ class Cell:
         """Copy the selected individuals into the thread's trainee pair.
 
         The pair is :func:`~repro.gan.pair.thread_trainee`'s, given this
-        cell's loss.  Per kind: take the slab the center is not using, copy
-        the selected slot's vector into it, bind the trainee network to it
-        (writable) and re-point the slot at it, so that every later read of
-        that slot this step sees the individual as it trains.
+        cell's loss.  Per kind: take the slab the center is not using as the
+        work slab, copy the selected slot's vector into it, bind the trainee
+        network to it (writable) and re-point the slot at it, so that every
+        later read of that slot this step sees the individual as it trains.
         """
         pair = thread_trainee(self.config)
         pair.loss = self.loss
@@ -321,8 +360,9 @@ class Cell:
                  self.center.generator, self._g_slabs),
                 (self._sub_discriminators, d_idx, pair.discriminator,
                  self.center.discriminator, self._d_slabs)):
-            held = arena_of(center).data
-            work = next(slab for slab in slabs if not np.may_share_memory(slab, held))
+            if np.may_share_memory(slabs[1], arena_of(center).data):
+                slabs.reverse()     # the center was promoted or re-homed there
+            work = self._work_slab(slabs)
             selected = arena_of(slots[index])
             for slot in slots:
                 arena = arena_of(slot)
@@ -334,6 +374,14 @@ class Cell:
             arena_of(trainee).rebind(work)
             _bind(slots[index], work)
         return pair
+
+    @staticmethod
+    def _work_slab(slabs: list[np.ndarray]) -> np.ndarray:
+        """``slabs[1]``, replaced by a fresh slab if :meth:`export_center`
+        retired it: an exported vector is never written."""
+        if not slabs[1].flags.writeable:
+            slabs[1] = np.empty_like(slabs[1])
+        return slabs[1]
 
     def _unload_trainee(self, pair: GANPair) -> None:
         """Release the trainee from this cell's work slabs after the step.
@@ -347,20 +395,28 @@ class Cell:
     def release_neighbors(self) -> None:
         """Let go of the neighbor vectors the last step was handed.
 
-        Every slot is rebound onto the center — slot 0 too, which still
-        shows the pre-promotion center, possibly a vector adopted from a
-        neighbor earlier — so the snapshot copies and payloads the slots
-        borrowed are freed before the next gather makes new ones, unless
-        the center adopted them.  Every trainer calls this just
-        before each gather; the next :meth:`step` binds every slot again,
-        since a trainer always hands a cell all ``s − 1`` neighbors (a
-        missing one is stood in for by the center itself).  Between a
-        step and the next release the slots are untouched, so callbacks
-        and post-run sampling see what the step saw.
+        A center that adopted a neighbor's vector is first *re-homed*: copied
+        into the work slab, the slab the last step trained in — which no
+        other cell has seen, since what leaves a cell is its center — and
+        re-pointed there.  Then every slot is rebound onto the center — slot
+        0 too, which still shows the pre-promotion center.  So the payloads
+        and borrowed centers the slots and the center held are let go
+        before the next gather hands out new ones, and a center is always
+        in one of its cell's own slabs when it is gathered.  Every trainer
+        calls this just before each gather; the next :meth:`step` binds
+        every slot again, since a trainer always hands a cell all ``s − 1``
+        neighbors (a missing one is stood in for by the center itself).
+        Between a step and the next release the slots are untouched, so
+        callbacks and post-run sampling see what the step saw.
         """
-        for slots, center in ((self._sub_generators, self.center.generator),
-                              (self._sub_discriminators, self.center.discriminator)):
+        for slots, center, slabs in (
+                (self._sub_generators, self.center.generator, self._g_slabs),
+                (self._sub_discriminators, self.center.discriminator, self._d_slabs)):
             vector = arena_of(center).data
+            if not any(np.may_share_memory(slab, vector) for slab in slabs):
+                vector = self._work_slab(slabs)
+                np.copyto(vector, arena_of(center).data)
+                _bind(center, vector)
             for slot in slots:
                 _bind(slot, vector)
 

@@ -10,7 +10,12 @@ for both.
 The table is batched: all ``s`` latent batches drawn in one RNG call, the
 ``s`` fake batches plus the real batch stacked into one matrix, one
 graph-free forward per discriminator (:mod:`repro.nn.kernels`), and each
-discriminator's column of losses computed from the stacked logits.
+discriminator's column of losses computed from the stacked logits.  Slots
+bound to one parameter vector — W and E, N and S on a 2x2 torus, where a
+neighbor's center fills two slots — are computed once: their latent rows
+go through the generator as one stacked GEMM, and the discriminator's
+column is forwarded once and repeated.  Wide layers are row-block-stable,
+so the table stays bitwise equal to the per-slot one.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.gan.networks import Discriminator, Generator
-from repro.nn import kernel_for
+from repro.nn import FusedStepKernel, kernel_for
 from repro.nn.kernels import loss_kernel_for
 from repro.nn.losses import GANLoss
 
@@ -91,17 +96,31 @@ def evaluate_subpopulations(generators: Sequence[Generator],
     n = real_batch.shape[0]
     z_all = g_kernels[0].as_compute(rng.standard_normal((s, n, latent)))
     stack = np.empty((s * n + n, features), dtype=d_kernels[0].dtype)
-    for i, gk in enumerate(g_kernels):
-        gk.forward(z_all[i], final_out=stack[i * n:(i + 1) * n])
+    for slots in _by_vector(g_kernels):
+        fakes = g_kernels[slots[0]].forward(z_all[slots].reshape(len(slots) * n, latent))
+        for k, i in enumerate(slots):
+            stack[i * n:(i + 1) * n] = fakes[k * n:(k + 1) * n]
     stack[s * n:] = real_batch
 
     blocks = tuple(slice(i * n, (i + 1) * n) for i in range(s + 1))
     g_losses = np.empty((s, len(d_kernels)))
     d_losses = np.empty_like(g_losses)
-    for j, dk in enumerate(d_kernels):
-        # One wide GEMM chain per discriminator; the width-1 logit head
-        # runs per row block (see ``FusedStepKernel.forward``).
-        logits = dk.forward(stack, branches=blocks)
-        g_losses[:, j], d_losses[:, j] = l_kernel.table_column(
+    for slots in _by_vector(d_kernels):
+        # One wide GEMM chain per distinct discriminator; the width-1 logit
+        # head runs per row block (see ``FusedStepKernel.forward``).
+        logits = d_kernels[slots[0]].forward(stack, branches=blocks)
+        g_column, d_column = l_kernel.table_column(
             logits[s * n:], logits[:s * n].reshape(s, n))
+        g_losses[:, slots] = g_column[:, None]
+        d_losses[:, slots] = d_column[:, None]
     return FitnessTable(g_losses=g_losses, d_losses=d_losses)
+
+
+def _by_vector(kernels: Sequence[FusedStepKernel]) -> list[list[int]]:
+    """Slot indices grouped by the parameter vector their network is bound
+    to (one address, one group), in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, kernel in enumerate(kernels):
+        address = kernel.arena.data.__array_interface__["data"][0]
+        groups.setdefault(address, []).append(i)
+    return list(groups.values())

@@ -55,13 +55,21 @@ class Genome:
     is zero-copy too: ``Cell.step`` binds its slots straight onto the
     ``parameters`` arrays it is handed and keeps reading them until its
     next step, and one array reaches several readers — the sequential
-    trainer hands one snapshot to four cells, thread and co-hosted socket
-    ranks receive payloads by reference, a socket frame's arrays are
-    windows onto its receive buffer.  So: whoever hands a genome to a cell
-    or a transport gives up writing ``parameters``; a cell never writes
-    what it was handed (its bindings are read-only views, and
-    ``write_into`` a network bound that way is refused by NumPy); anyone
-    who wants to change a received genome copies it first.
+    trainer hands each cell's center vector itself to four cells, thread
+    and co-hosted socket ranks receive payloads by reference, a socket
+    frame's arrays are windows onto its receive buffer.  So: whoever hands
+    a genome to a cell or a transport gives up writing ``parameters``; a
+    cell never writes what it was handed (its bindings are read-only
+    views, and ``write_into`` a network bound that way is refused by
+    NumPy); anyone who wants to change a received genome copies it first.
+
+    A cell keeps the producer's side of this too: a center is never
+    trained in place, so the vector it hands out holds still for the
+    round, and every in-process consumer takes it by reference — the
+    sequential gather (``Cell.center_genomes(alias=True)``) and a run's
+    result (``Cell.export_center``, which makes the buffer read-only for
+    good).  Copies are made only for a transport, a checkpoint, or a
+    narrower storage dtype.
     """
 
     #: dtypes a genome vector may carry (the storage dtypes of the

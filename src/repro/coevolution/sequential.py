@@ -2,8 +2,8 @@
 
 Runs all ``m x m`` cells in one process, one after another, with the exact
 synchronous-exchange semantics of the distributed version: at the start of
-every iteration the centers of *all* cells are snapshotted, and every cell's
-step consumes the snapshots of its four neighbors.  This matches the
+every iteration the centers of *all* cells are gathered, and every cell's
+step consumes the centers of its four neighbors.  This matches the
 per-iteration ``allgather`` of the distributed implementation, so (with the
 same seed) both produce identical genomes — asserted by the integration
 tests — and the runtime comparison isolates parallelization effects only.
@@ -29,6 +29,7 @@ from repro.coevolution.grid import ToroidalGrid
 from repro.data.dataset import ArrayDataset
 from repro.data.synthetic import load_synthetic_mnist
 from repro.data.transforms import to_tanh_range
+from repro.registry import dtype_policy
 from repro.runtime import pin_blas_threads
 from repro.telemetry import TimerSnapshot, routine_profile
 from repro.telemetry import bus as telemetry
@@ -211,6 +212,10 @@ class SequentialTrainer:
         self.dataset = dataset if dataset is not None else build_training_dataset(config)
         self.cells = [Cell(config, index, self.dataset)
                       for index in range(self.grid.cell_count)]
+        # The gather hands out the center vectors themselves unless they
+        # must be quantized to a narrower storage dtype (mixed16).
+        policy = dtype_policy(config.network.dtype)
+        self._gather_alias = policy.storage == policy.compute
         self.start_iteration = 0
 
     @classmethod
@@ -232,26 +237,33 @@ class SequentialTrainer:
         """Run exactly one synchronous-exchange iteration over all cells.
 
         The exchange semantics match the distributed per-iteration
-        ``allgather``: the centers of *all* cells are snapshotted first,
-        then every cell steps against its neighbors' snapshots — through
+        ``allgather``: the centers of *all* cells are gathered first, then
+        every cell steps against its neighbors' centers — through
         :func:`~repro.coevolution.cell.step_block`, as the block that is the
-        whole grid with no halo.  ``on_exchange`` (optional) is called with
-        the snapshot list between the two phases — the hook the
-        :mod:`repro.api` run loop exposes.  Every cell has released last
-        iteration's neighbor vectors by then (:meth:`Cell.release_neighbors`),
-        so a hook that reads a cell's sub-population sees every slot on
-        the center.
+        whole grid with no halo.  The gather copies nothing: a center is
+        never trained in place, so each cell's center vector itself is
+        handed to its neighbors (``center_genomes(alias=True)``; only
+        ``mixed16`` makes its quantized copies).  ``on_exchange`` (optional)
+        is called with the gathered list between the two phases — the hook
+        the :mod:`repro.api` run loop exposes; the vectors hold still until
+        the next call, so a hook that keeps one past it copies it.  Every
+        cell has released last iteration's neighbor vectors and re-homed
+        an adopted center by then (:meth:`Cell.release_neighbors`), so a
+        hook that reads a cell's sub-population sees every slot on the
+        center, and every center lies in its own cell's slabs.
         """
-        # Last iteration's snapshots go before this iteration's are made:
-        # one generation of copies is alive at a time, not two.
+        # Every cell lets go of last iteration's neighbors before any
+        # center is gathered: a cell that adopted a neighbor's center
+        # copies it home before that neighbor trains in its slab again.
         for cell in self.cells:
             cell.release_neighbors()
-        # The in-memory snapshot is this trainer's whole "gather" routine
-        # (its cost is what Table IV row 1 compares against MPI): one span
-        # per iteration, counted once per cell like the per-round span the
+        # The gather is this trainer's whole "gather" routine (its cost is
+        # what Table IV row 1 compares against MPI): one span per
+        # iteration, counted once per cell like the per-round span the
         # distributed backends record inside MpiCommManager.
         with telemetry.span("exchange.gather", calls=len(self.cells)):
-            snapshots = [cell.center_genomes() for cell in self.cells]
+            snapshots = [cell.center_genomes(alias=self._gather_alias)
+                         for cell in self.cells]
         if on_exchange is not None:
             on_exchange(snapshots)
         everyone = dict(enumerate(snapshots))
@@ -261,6 +273,8 @@ class SequentialTrainer:
     def result(self, wall_time_s: float, *, iterations_run: int = 0) -> RunResult:
         """Assemble the :class:`RunResult` for the current cell state.
 
+        The centers are handed out by reference (:meth:`Cell.export_center`
+        retires their buffers, so training on leaves them as they are).
         The telemetry view is the process's default buffer merged on its
         own (``None`` when telemetry is off); the caller decides where the
         run began by resetting the bus.
@@ -272,7 +286,7 @@ class SequentialTrainer:
                 merged = telemetry.merge_telemetry([snap])
         return RunResult(
             config=self.config,
-            center_genomes=[cell.center_genomes() for cell in self.cells],
+            center_genomes=[cell.export_center() for cell in self.cells],
             mixture_weights=[cell.mixture.weights.copy() for cell in self.cells],
             cell_reports=[cell.reports for cell in self.cells],
             wall_time_s=wall_time_s,

@@ -47,8 +47,11 @@ def parameters_to_vector(module: Module, out: np.ndarray | None = None, *,
     ``alias=True`` (``out=None`` only) returns the arena's **live** parameter
     memory with zero copies.  The caller owns the aliasing hazard: copy
     before the network trains again, or hand the vector only to consumers
-    that copy immediately (see the contract on
-    :class:`~repro.coevolution.genome.Genome`).
+    that are done with it by then (see the contract on
+    :class:`~repro.coevolution.genome.Genome`).  A network that is only
+    ever re-pointed, never trained in place — a cell's center — has no
+    such hazard while it stays on one vector, which is why a cell can hand
+    out its center by reference.
     """
     data = arena_of(module).data
     if out is None:

@@ -66,6 +66,9 @@ class Grid:
                              f"{self.cell_count} cells")
         #: Dynamic neighborhood overrides: cell index -> neighbor cell list.
         self._overrides: dict[int, list[int]] = {}
+        #: cell index -> its incoming neighbors; rebuilt on first use after
+        #: a change of the structure.
+        self._incoming: list[list[int]] | None = None
         for cell, neighbors in (overrides or {}).items():
             self.rewire(cell, neighbors)
 
@@ -122,25 +125,32 @@ class Grid:
                 raise ValueError("a cell cannot neighbor itself (it is already the center)")
             checked.append(int(n))
         self._overrides[cell_index] = checked
+        self._incoming = None
 
     def reset_neighborhoods(self) -> None:
         """Drop all overrides, returning to the paper's Moore-5 structure."""
         self._overrides.clear()
+        self._incoming = None
 
     def incoming_neighbors(self, cell_index: int) -> list[int]:
-        """Cells that list ``cell_index`` as a neighbor (multiset).
+        """Cells that list ``cell_index`` as a neighbor (multiset, in cell
+        order).
 
         With the default symmetric structure this equals
         ``neighbor_cells`` — the overlap reciprocity of the torus; with
         rewired (asymmetric) structures they differ, and the exchange layer
-        must send to exactly these cells.
+        must send to exactly these cells.  The exchange asks for every
+        hosted cell every round, so the lists are inverted once per change
+        of the structure, not scanned per call.
         """
-        incoming: list[int] = []
-        for other in range(self.cell_count):
-            if other == cell_index:
-                continue
-            incoming.extend(other for n in self.neighbor_cells(other) if n == cell_index)
-        return incoming
+        if self._incoming is None:
+            incoming: list[list[int]] = [[] for _ in range(self.cell_count)]
+            for other in range(self.cell_count):
+                for n in self.neighbor_cells(other):
+                    if n != other:
+                        incoming[n].append(other)
+            self._incoming = incoming
+        return list(self._incoming[cell_index])
 
     # -- (de)serialization (sent inside RunTask) ----------------------------------------
 

@@ -27,8 +27,8 @@ from tests.conftest import make_quick_config
 from tests.test_cell_data_path import neighbor_genomes
 
 
-def _config(dtype="float64", loss="bce", seed=42):
-    config = make_quick_config(2, 2, iterations=4, batch_size=10, seed=seed)
+def _config(dtype="float64", loss="bce", seed=42, grid=2):
+    config = make_quick_config(grid, grid, iterations=4, batch_size=10, seed=seed)
     return dataclasses.replace(
         config,
         network=dataclasses.replace(config.network, dtype=dtype),
@@ -175,14 +175,14 @@ class TestIsolation:
 
 
 class TestGridResidentBytes:
-    def test_one_trainee_and_one_snapshot_generation(self, small_dataset):
+    def test_one_trainee_and_no_center_copies(self, small_dataset):
         """Peak traced bytes over iterations 3 and 12 of a 3x3 grid: two
-        slabs per cell, one trainee (gradient slab, Adam ``m``/``v``,
-        optimizer scratch), one generation of snapshot copies and the
-        vectors centers adopted from neighbors — plus two pairs of slack
-        for batches, reports and kernel workspaces.  A trainee per cell,
-        or last iteration's copies still referenced at the gather, breaks
-        it (~69 pairs with both)."""
+        slabs per cell and one trainee (gradient slab, Adam ``m``/``v``,
+        optimizer scratch), plus two pairs of slack for batches, reports
+        and kernel workspaces.  The gather hands out the centers
+        themselves and an adopted center is re-homed into its cell's own
+        slab, so no copy of a center is alive at any time.  A trainee per
+        cell, a copying gather or adopted copies kept alive break it."""
         config = make_quick_config(3, 3, iterations=12)
         gc.collect()
         tracemalloc.start()
@@ -194,25 +194,65 @@ class TestGridResidentBytes:
                        for genome in trainer.cells[0].center_genomes())
             peaks = {}
             for iteration in range(1, 13):
-                adopted = _adopted_bytes(trainer.cells)
                 tracemalloc.reset_peak()
                 trainer.step_iteration()
-                budget = (2 * cells + 3.25 + cells + 2) * pair + adopted
-                peaks[iteration] = (tracemalloc.get_traced_memory()[1] - baseline, budget)
+                peaks[iteration] = tracemalloc.get_traced_memory()[1] - baseline
+            tracemalloc.reset_peak()
+            trainer.result(0.0)
+            peaks["result"] = tracemalloc.get_traced_memory()[1] - baseline
         finally:
             tracemalloc.stop()
-        for iteration in (3, 12):
-            peak, budget = peaks[iteration]
-            assert peak <= budget, (iteration, peak / pair, budget / pair)
+        budget = (2 * cells + 3.25 + 2) * pair
+        for when in (3, 12, "result"):
+            assert peaks[when] <= budget, (when, peaks[when] / pair, budget / pair)
 
 
-def _adopted_bytes(cells) -> int:
-    """Bytes of center vectors that are not one of their cell's own slabs."""
-    total = 0
-    for cell in cells:
-        for network, slabs in ((cell.center.generator, cell._g_slabs),
-                               (cell.center.discriminator, cell._d_slabs)):
-            held = arena_of(network).data
-            if not any(np.may_share_memory(slab, held) for slab in slabs):
-                total += held.nbytes
-    return total
+def _buffers(network) -> int:
+    """Identity of the buffer a network's parameters lie in."""
+    data = arena_of(network).data
+    return id(data if data.base is None else data.base)
+
+
+class TestTwoSlabsPerKind:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_cells_reach_exactly_two_buffers_per_kind(self, small_dataset, dtype):
+        """Every buffer a 3x3 grid's cells reach — centers, slots (on the
+        gathered neighbor centers after a step) and slabs — is one of the
+        cells' own two slabs per kind."""
+        trainer = SequentialTrainer(_config(dtype, grid=3), small_dataset)
+        for iteration in range(1, 6):
+            trainer.step_iteration()
+            for kind in ("generator", "discriminator"):
+                reached = set()
+                for cell in trainer.cells:
+                    slots = (cell._sub_generators if kind == "generator"
+                             else cell._sub_discriminators)
+                    slabs = cell._g_slabs if kind == "generator" else cell._d_slabs
+                    reached.add(_buffers(getattr(cell.center, kind)))
+                    reached.update(_buffers(slot) for slot in slots)
+                    reached.update(id(slab) for slab in slabs)
+                assert len(reached) == 2 * len(trainer.cells), (iteration, kind)
+
+    def test_result_hands_out_centers_that_training_on_leaves_alone(self, small_dataset):
+        """``result()`` copies no center: its vectors are the cells' (or
+        the neighbors' they adopted), read-only, and a trainer that keeps
+        training after it leaves them as they were and ends where an
+        uninterrupted run ends."""
+        config = _config()
+        trainer = SequentialTrainer(config, small_dataset)
+        for _ in range(2):
+            trainer.step_iteration()
+        result = trainer.result(0.0)
+        kept = _digest(result.center_genomes, result.mixture_weights)
+        slabs = [slab for cell in trainer.cells for slab in cell._g_slabs + cell._d_slabs]
+        for g, d in result.center_genomes:
+            for genome in (g, d):
+                assert not genome.parameters.flags.writeable
+                assert any(np.shares_memory(genome.parameters, slab) for slab in slabs)
+        for _ in range(2):
+            trainer.step_iteration()
+        assert _digest(result.center_genomes, result.mixture_weights) == kept
+        straight = SequentialTrainer(config, small_dataset)
+        for _ in range(4):
+            straight.step_iteration()
+        assert _trainer_digest(trainer) == _trainer_digest(straight)

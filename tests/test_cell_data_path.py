@@ -169,6 +169,44 @@ class TestAgainstCopyingCell:
         assert cell_state(cell) == cell_state(oracle)
 
 
+class TestExportedCentersHoldStill:
+    def test_adopted_center_survives_the_release_loop(self, small_dataset, monkeypatch):
+        """Cell 0 hands its center out by reference (the sequential
+        gather), cell 1 adopts it, and cell 0 trains slot 0 and adopts a
+        neighbor in turn.  Re-homing cell 0's adopted center must not land
+        in the slab cell 1 now holds: the release loop leaves cell 1's
+        center bytes as they were gathered, then copies them home."""
+        config = make_quick_config()
+        others = neighbor_genomes(config, small_dataset, 4)
+        first, second = Cell(config, 0, small_dataset), Cell(config, 1, small_dataset)
+        gathered = first.center_genomes(alias=True)
+        sent = [genome.parameters.copy() for genome in gathered]
+
+        script_selection(monkeypatch, [2, 2])
+        second.step([gathered] + others[:3])
+        second._promote(1, 1)                   # cell 1 adopts cell 0's center
+        script_selection(monkeypatch, [0, 0])   # cell 0 trains slot 0 ...
+        first.step(others)
+        first._promote(1, 1)                    # ... and adopts a neighbor
+        assert all(np.shares_memory(arena_of(network).data, genome.parameters)
+                   for network, genome in zip((second.center.generator,
+                                               second.center.discriminator), gathered))
+
+        for cell in (first, second):
+            cell.release_neighbors()
+        for network, sent_bytes in zip((second.center.generator,
+                                        second.center.discriminator), sent):
+            np.testing.assert_array_equal(arena_of(network).data, sent_bytes)
+        for cell in (first, second):
+            for network, slabs in ((cell.center.generator, cell._g_slabs),
+                                   (cell.center.discriminator, cell._d_slabs)):
+                assert any(np.shares_memory(arena_of(network).data, slab)
+                           for slab in slabs)   # every center is home again
+        for network, genome in zip((first.center.generator,
+                                    first.center.discriminator), others[0]):
+            np.testing.assert_array_equal(arena_of(network).data, genome.parameters)
+
+
 class TestHandedVectorsAreNeverWritten:
     @given(count=st.integers(0, 6), steps=st.integers(1, 3),
            seed=st.integers(0, 2 ** 16), alias_center=st.booleans())

@@ -387,6 +387,40 @@ class TestBatchedFitness:
         np.testing.assert_array_equal(batched.d_losses, loop.d_losses)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "mixed16"])
+    def test_slots_sharing_a_vector_are_computed_once(self, small_dataset,
+                                                      telemetry_bus, dtype):
+        """On a 2x2 torus W = E and N = S: a table over the gathered centers
+        forwards three distinct generators and three distinct discriminators
+        (mixed16 widens each slot into a buffer of its own, so its five stay
+        distinct), and equals the per-slot table bit for bit."""
+        from repro.coevolution.sequential import SequentialTrainer
+        from tests.conftest import make_quick_config
+
+        config = make_quick_config(2, 2).with_dtype(dtype)
+        trainer = SequentialTrainer(config, small_dataset)
+        cell = trainer.cells[0]
+        real = np.random.default_rng(5).standard_normal(
+            (10, config.network.output_neurons))
+        tables = {}
+
+        def at_the_gather(gathered):
+            cell._update_subpopulations(
+                [gathered[n] for n in trainer.grid.neighbors_of(0)])
+            slots = (cell._sub_generators, cell._sub_discriminators, cell.loss, real)
+            telemetry_bus.set_level("basic")
+            tables["merged"] = evaluate_subpopulations(*slots, np.random.default_rng(7))
+            tables["forwards"] = telemetry_bus.snapshot(None).counters["kernels.forward"]
+            telemetry_bus.set_level("off")
+            tables["per_slot"] = _per_slot_table(*slots, np.random.default_rng(7))
+
+        trainer.step_iteration()
+        trainer.step_iteration(on_exchange=at_the_gather)
+        assert trainer.grid.neighbors_of(0) == [1, 2, 1, 2]
+        assert tables["forwards"] == (5 + 5 if dtype == "mixed16" else 3 + 3)
+        np.testing.assert_array_equal(tables["merged"].g_losses, tables["per_slot"].g_losses)
+        np.testing.assert_array_equal(tables["merged"].d_losses, tables["per_slot"].d_losses)
+
     def test_mixed_dtype_neighbourhood_is_an_error(self):
         import dataclasses
 
@@ -409,6 +443,30 @@ class TestBatchedFitness:
         assert table.generator_fitness is first          # cached, not recomputed
         assert table.discriminator_fitness is table.discriminator_fitness
         np.testing.assert_array_equal(first, table.g_losses.mean(axis=1))
+
+
+def _per_slot_table(generators, discriminators, loss, real_batch, rng):
+    """``evaluate_subpopulations`` forwarding every slot on its own, however
+    many slots share one vector."""
+    from repro.coevolution.fitness import FitnessTable
+
+    l_kernel = loss_kernel_for(loss)
+    g_kernels = [kernel_for(g) for g in generators]
+    d_kernels = [kernel_for(d) for d in discriminators]
+    s, n = len(g_kernels), real_batch.shape[0]
+    z_all = g_kernels[0].as_compute(rng.standard_normal((s, n, g_kernels[0].in_dim)))
+    stack = np.empty((s * n + n, g_kernels[0].dims[-1]), dtype=d_kernels[0].dtype)
+    for i, gk in enumerate(g_kernels):
+        gk.forward(z_all[i], final_out=stack[i * n:(i + 1) * n])
+    stack[s * n:] = real_batch
+    blocks = tuple(slice(i * n, (i + 1) * n) for i in range(s + 1))
+    g_losses = np.empty((s, len(d_kernels)))
+    d_losses = np.empty_like(g_losses)
+    for j, dk in enumerate(d_kernels):
+        logits = dk.forward(stack, branches=blocks)
+        g_losses[:, j], d_losses[:, j] = l_kernel.table_column(
+            logits[s * n:], logits[:s * n].reshape(s, n))
+    return FitnessTable(g_losses=g_losses, d_losses=d_losses)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,42 @@ class TestGrid:
         assert grid.neighbor_cells(0) == [1, 2, 1, 2]
         assert sorted(grid.incoming_neighbors(0)) == [1, 1, 2, 2]
 
+    @staticmethod
+    def _scanned_incoming(grid, cell):
+        """The reference: scan every other cell's neighbor list."""
+        return [other for other in range(grid.cell_count) if other != cell
+                for n in grid.neighbor_cells(other) if n == cell]
+
+    def test_incoming_equals_the_scan_across_rewires_and_pickling(self):
+        grid = Grid(33, 33, overrides={5: [0, 7, 7], 1088: [0]})
+        rng = np.random.default_rng(3)
+
+        def assert_scan(g):
+            assert all(g.incoming_neighbors(c) == self._scanned_incoming(g, c)
+                       for c in range(g.cell_count))
+
+        assert_scan(grid)
+        for cell in rng.choice(grid.cell_count, 20, replace=False):
+            others = [int(n) for n in rng.choice(grid.cell_count, 3) if n != cell]
+            grid.rewire(int(cell), others)
+        assert_scan(grid)
+        assert_scan(pickle.loads(pickle.dumps(grid)))
+        assert_scan(Grid.from_payload(grid.to_payload()))
+        grid.reset_neighborhoods()
+        assert_scan(grid)
+
+    def test_incoming_of_every_cell_of_33x33_under_10ms(self):
+        """What every exchange round asks, once the lists are built (the
+        first call after a change of the structure builds them)."""
+        import time
+
+        grid = Grid(33, 33)
+        grid.incoming_neighbors(0)
+        start = time.perf_counter()
+        for cell in range(grid.cell_count):
+            grid.incoming_neighbors(cell)
+        assert time.perf_counter() - start < 0.010
+
 
 class TestStateMachine:
     def test_happy_path(self):
