@@ -10,15 +10,23 @@ history shows get broken by hand.  Run it as ``repro lint [paths]`` or
 The invariants
 --------------
 
-**Aliasing contract (R3, and the runtime alias checks).**  Arena views are
-*borrows of live training memory*: ``parameters_to_vector(..., alias=True)``
-and ``center_genomes(alias=True)`` return vectors that the optimizer
-mutates in place on the next step.  A borrow must stay within the borrowing
-function and the borrowing thread; anything that crosses a transport send
-(serialized on a background sender thread) or is parked on an object
-another thread can read must be a ``.copy()``.  Violations are the worst
-kind of bug this codebase produces: silent, seed-dependent corruption of
-training state.
+**Aliasing contract (R3, and the runtime lifetime checks).**  Arena views
+are *borrows of live training memory*: ``parameters_to_vector(...,
+alias=True)`` and ``center_genomes(alias=True)`` return vectors whose
+owner may write them on its next step.  A borrow must stay within the
+borrowing function and the borrowing thread.  What does leave by
+reference obeys one lifetime rule: *a slab that left by reference is
+never written while a frame holding it is unsent, or while a consumer
+outside the round can reach it.*  It leaves as a copy, as a *lent*
+vector (``Cell.lend_center``: the exchange payload; its cell trains in
+no slab under a live lease) or as a *retired* one (``Cell.export_center``:
+a result; read-only for good), and a keeper (the master, which holds
+checkpoints and results past the round) gets copies or retired vectors
+only.  ``REPRO_LOCKCHECK=1`` checks it at every transport send, at every
+hand-over to the master and at every write into a work slab (see
+:mod:`repro.analysis.lockcheck`).  Violations are the worst kind of bug
+this codebase produces: silent, seed-dependent corruption of training
+state.
 
 **Determinism rules (R2).**  All randomness flows through explicitly seeded
 ``np.random.Generator`` objects threaded through call signatures — never

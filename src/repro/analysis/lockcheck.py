@@ -1,5 +1,5 @@
 """Runtime concurrency checker: lock-order graph, blocked-wait watchdog,
-guarded-mutation and alias-crossing assertions.
+guarded-mutation and by-reference lifetime assertions.
 
 Enable with ``REPRO_LOCKCHECK=1`` (the env read lives in
 :func:`repro.runtime.lockcheck_requested`; ``repro/__init__`` installs the
@@ -31,12 +31,31 @@ lock, telemetry buffers under theirs).  With the checker on, a mutation
 reached without holding the protecting lock is a violation; off, the call
 is a no-op.
 
-**Alias crossing.**  The PR-4 arena contract: live parameter-arena views
-(``alias=True``) must never cross a thread or transport boundary.  The
-arena registers live aliases here; :func:`check_no_alias` (called by
-``Endpoint.send_group``) reports any registered alias found inside an outgoing
-payload, and :func:`check_alias_use` reports use from a thread other than
-the borrower.
+**Lifetime of what leaves by reference.**  The one rule: *a slab that
+left by reference is never written while a frame holding it is unsent,
+or while a consumer outside the round can reach it.*  Genome vectors leave
+their owner through three doors only: a copy; a *lent* vector
+(``Cell.lend_center``: the owner never trains in a slab while a lease over
+it lives, see :func:`register_lent`); a *retired* one
+(``Cell.export_center``: its buffer is read-only for good).  A *keeper* —
+the master, which holds checkpoints, results and drain hand-offs past the
+round — is handed copies or retired vectors only: its reach has no end,
+so a lease it held would pin a slab for good.  Three checks enforce it:
+
+* :func:`check_no_alias`, at every transport send
+  (``Endpoint.send_group``, which is also the threaded backend's
+  cross-thread hand-over): a live arena alias — a registered
+  ``alias=True`` borrow, writable or not (:func:`register_alias`) — in the
+  payload is reported, since nothing stops its owner writing it while the
+  frame is unsent;
+* :func:`check_kept`, where a keeper is handed a message
+  (``MpiCommManager.send`` to the master): a live alias *or a lent vector*
+  is reported;
+* :func:`check_unlent`, where a cell starts training in a slab: a live
+  lease over it is reported — the write the rule forbids.
+
+:func:`check_alias_use` reports use of a live alias from a thread other
+than the borrower.
 
 Violations are recorded (:func:`violations`) and printed to stderr; the
 test suite's autouse gate (``tests/conftest.py``) fails any test that
@@ -65,8 +84,11 @@ __all__ = [
     "clear_violations",
     "check_owned",
     "register_alias",
+    "register_lent",
     "check_alias_use",
     "check_no_alias",
+    "check_kept",
+    "check_unlent",
     "dump_threads",
 ]
 
@@ -88,11 +110,12 @@ _names: dict[int, str] = {}
 _held: dict[int, list[int]] = {}             # thread ident -> held lock keys
 _violations: list["Violation"] = []
 _aliases: dict[int, tuple[int, str, object]] = {}   # id(obj) -> (ident, label, ref)
+_lent: dict[int, tuple[str, object]] = {}           # id(obj) -> (label, ref)
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str        # lock-order | blocked-wait | unguarded-mutation | alias-escape
+    kind: str        # lock-order | blocked-wait | unguarded-mutation | alias-escape | lent-write
     message: str
     thread: str = ""
     stack: str = field(default="", compare=False)
@@ -378,6 +401,7 @@ def reset() -> None:
         _held.clear()
         _violations.clear()
         _aliases.clear()
+        _lent.clear()
 
 
 def violations() -> list[Violation]:
@@ -430,22 +454,35 @@ def check_owned(lock_or_condition, what: str) -> None:
 # Annotations: arena aliases.
 # --------------------------------------------------------------------------
 
-def register_alias(obj, label: str) -> None:
-    """Mark ``obj`` (a live arena view) as borrowed by the current thread."""
-    if not _installed:
-        return
+def _track(table: dict, obj, entry: tuple) -> None:
+    """Put ``obj`` in ``table`` (keyed by id) until it is collected."""
     key = id(obj)
 
     def _expire(_ref, _key=key):
         with _state:
-            _aliases.pop(_key, None)
+            table.pop(_key, None)
 
     try:
         ref = weakref.ref(obj, _expire)
     except TypeError:   # not weakref-able: cannot track safely
         return
     with _state:
-        _aliases[key] = (threading.get_ident(), label, ref)
+        table[key] = (*entry, ref)
+
+
+def register_alias(obj, label: str) -> None:
+    """Mark ``obj`` (a live arena view) as borrowed by the current thread."""
+    if not _installed:
+        return
+    _track(_aliases, obj, (threading.get_ident(), label))
+
+
+def register_lent(obj, label: str) -> None:
+    """Mark ``obj`` as a lent vector: it may cross any boundary but a
+    keeper's, and no slab under it may be written while it lives."""
+    if not _installed:
+        return
+    _track(_lent, obj, (label,))
 
 
 def _lookup_alias(obj) -> tuple[int, str] | None:
@@ -477,21 +514,72 @@ def check_no_alias(payload, context: str) -> None:
     """Report any registered live alias reachable (shallowly) in ``payload``.
 
     Called at transport boundaries: whatever crosses is serialized on a
-    background sender thread, so a live alias here is a race by
-    construction, whichever thread it lands on.
+    background sender thread or read by another rank's thread, so a borrow
+    its owner may write at any time is a race by construction.  Lent and
+    retired vectors and copies pass.
     """
     if not _installed:
         return
+    found = _by_reference(payload, lent=False)
+    if found is not None:
+        _record("alias-escape",
+                f"{context}: {found} inside an outgoing payload — its owner "
+                f"may write it before the frame is sent; send a copy or lend it")
+
+
+def check_kept(payload, context: str) -> None:
+    """Report a live alias or a lent vector in a message a keeper (the
+    master) is handed: what it keeps must be a copy or retired."""
+    if not _installed:
+        return
+    found = _by_reference(payload, lent=True)
+    if found is not None:
+        _record("alias-escape",
+                f"{context}: {found} handed to a keeper, which holds it past "
+                f"the round — send a copy or a retired (export_center) vector")
+
+
+def _by_reference(payload, *, lent: bool) -> str | None:
+    """The first registered live alias (or, with ``lent``, lent vector)
+    reachable in ``payload``, described; ``None`` if there is none."""
     for obj in _walk(payload, depth=3):
         entry = _lookup_alias(obj)
         if entry is not None:
+            return f"live arena alias '{entry[1]}'"
+        if lent:
+            with _state:
+                entry = _lent.get(id(obj))
+            if entry is not None and entry[1]() is obj:
+                return f"lent vector '{entry[0]}'"
+    return None
+
+
+def check_unlent(buffer, context: str) -> None:
+    """Report a live lent vector lying in ``buffer``, about to be written."""
+    if not _installed:
+        return
+    with _state:
+        entries = list(_lent.values())
+    low, high = _span(buffer)
+    for label, ref in entries:
+        lent = ref()
+        if lent is None:
+            continue
+        start, end = _span(lent)
+        if start < high and low < end:
             _record(
-                "alias-escape",
-                f"{context}: live arena alias '{entry[1]}' inside an "
-                f"outgoing payload — transports serialize on background "
-                f"threads; send a .copy()",
+                "lent-write",
+                f"{context}: writes a slab while '{label}', lent by "
+                f"reference, can still be reached — a queued frame or a "
+                f"consumer would see the write",
             )
             return
+
+
+def _span(array) -> tuple[int, int]:
+    """First and one-past-last byte address of a contiguous array."""
+    start = array.__array_interface__["data"][0]
+    return start, start + array.nbytes
 
 
 def _walk(obj, depth: int):

@@ -33,7 +33,8 @@ the rest:
   of some flat vector: slot 0 onto the center's, slots 1.. onto the
   ``parameters`` arrays of the genomes :meth:`step` was handed.  No bytes
   move — unless the genome is in a narrower storage dtype (``mixed16``'s
-  float16), which is widened into a buffer that the slot owns and reuses.
+  float16), which is widened once per distinct vector into a buffer the
+  cell keeps from step to step, shared by every slot handed that vector.
   The vectors handed to :meth:`step` are shared (the sequential trainer
   gives each neighbor's center vector itself to four cells; thread and
   co-hosted socket ranks receive payloads by reference), stay referenced
@@ -76,8 +77,14 @@ the rest:
   consumer of that round is done with it.  So the sequential gather hands
   out :meth:`center_genomes` by reference (``alias=True``), and a run's
   result takes :meth:`export_center`, which also retires the buffers it
-  hands out, so that no later step trains in them.  Only payloads for a
-  transport, checkpoints and ``mixed16``'s quantized snapshots are copies.
+  hands out, so that no later step trains in them.
+* **A lent vector holds still while anyone can reach it.**  A slave's
+  exchange payload may sit in a send queue, or in a neighbour's slots,
+  past the round it was made for.  :meth:`lend_center` hands the center
+  out by reference as a *lease* (an array the cell holds a weak reference
+  to), and :meth:`_work_slab` never trains in a slab under a live lease —
+  it takes a fresh slab instead.  Only checkpoints and ``mixed16``'s
+  quantized snapshots are copies.
 * A stale slot can still be looking at a slab that is about to become the
   work slab (it was trained in an earlier step and its neighbor never
   answered since); it is given a private copy first.
@@ -85,9 +92,9 @@ the rest:
 Resident per cell, in genome pairs: two parameter slabs, and nothing else
 once released — the cells of a sequential float64/float32 grid of ``c``
 cells reach exactly ``2c`` parameter buffers per kind (``mixed16`` adds
-the slots' widened buffers).  Per execution thread: one trainee — a
-gradient slab and the optimizer moments (two under Adam) — and one
-optimizer scratch block.
+one widened buffer per distinct neighbour vector).  Per execution thread:
+one trainee — a gradient slab and the optimizer moments (two under Adam)
+— and one optimizer scratch block.
 
 Table IV row 2 ("train") dominates the single-core budget (~85% of the
 wall time in ``benchmarks/results/table4.txt``); steps 2, 4 and 5 — the
@@ -105,11 +112,13 @@ cell or in which order cells execute.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.analysis import lockcheck
 from repro.config import ExperimentConfig
 from repro.coevolution.checkpoint import CellSnapshot
 from repro.coevolution.fitness import evaluate_subpopulations
@@ -222,8 +231,10 @@ class Cell:
         self._sub_discriminators = [_window(Discriminator, config.network, self._d_slabs[0])
                                     for _ in range(neighborhood_size)]
         self._sub_defined = False
-        #: id(slot) -> the buffer its narrower-dtype genomes are widened into.
-        self._widened: dict[int, np.ndarray] = {}
+        #: Buffers narrower-dtype genomes are widened into, reused per step.
+        self._widened: list[np.ndarray] = []
+        #: Weak references to the vectors :meth:`lend_center` handed out.
+        self._leases: list[weakref.ref] = []
         #: learning rate travelling with each sub-population member.
         self._sub_lr = [config.mutation.initial_learning_rate] * neighborhood_size
 
@@ -257,7 +268,9 @@ class Cell:
         and stepped once more — long enough for every in-process consumer
         of one round: this cell's own :meth:`step` (a stand-in for a
         neighbor that did not answer) and the sequential trainer's gather.
-        Never for payloads handed to a transport.
+        Never for payloads handed to a transport: a queued frame or a
+        neighbour on another thread can outlive the round, so those take
+        :meth:`lend_center`.
         """
         lr = self.center.learning_rate
         g = genome_from_network(self.center.generator, lr, self.loss_name, alias=alias)
@@ -285,8 +298,44 @@ class Cell:
             held = arena_of(center).data       # a view: its base is the buffer
             if isinstance(held.base, np.ndarray):
                 held.base.flags.writeable = False
-            genomes.append(Genome(held, self.center.learning_rate, self.loss_name))
+            # A view of its own: the window may be a registered borrow
+            # (center_genomes(alias=True)), the retired vector is not.
+            genomes.append(Genome(held.view(), self.center.learning_rate, self.loss_name))
         return genomes[0], genomes[1]
+
+    def lend_center(self) -> tuple[Genome, Genome]:
+        """The center pair for one round's exchange payload, by reference.
+
+        Each vector is a new read-only array over the center's memory,
+        built on a ``memoryview`` so that whatever reads it — a receiving
+        slot's view, the pickle buffer of a frame waiting in a send queue —
+        keeps *that array* alive: the cell's weak reference to it is the
+        *lease*.  While a lease lives, the slab under it is not written
+        (:meth:`_work_slab` takes a fresh one), so the bytes hold still
+        until the last frame carrying them is sent and the last consumer
+        has let go, however late that is.  Under a narrower storage dtype
+        (``mixed16``) the center leaves as a quantized
+        :meth:`center_genomes` copy.
+        """
+        if arena_of(self.center.generator).data.dtype != self._storage_dtype:
+            return self.center_genomes()
+        self._leases = [lease for lease in self._leases if lease() is not None]
+        genomes = []
+        for center in (self.center.generator, self.center.discriminator):
+            held = arena_of(center).data
+            lent = np.frombuffer(memoryview(held), dtype=held.dtype)
+            lockcheck.register_lent(lent, f"center of cell {self.cell_index}")
+            self._leases.append(weakref.ref(lent))
+            genomes.append(Genome(lent, self.center.learning_rate, self.loss_name))
+        return genomes[0], genomes[1]
+
+    def _lent(self, slab: np.ndarray) -> bool:
+        """True while a vector :meth:`lend_center` handed out lies in ``slab``."""
+        for lease in self._leases:
+            lent = lease()
+            if lent is not None and np.may_share_memory(lent, slab):
+                return True
+        return False
 
     def _define_subpopulations(self) -> None:
         """Give every sub-population slot its initial weights, once.
@@ -321,27 +370,44 @@ class Cell:
         _bind(self._sub_generators[0], arena_of(self.center.generator).data)
         _bind(self._sub_discriminators[0], arena_of(self.center.discriminator).data)
         self._sub_lr[0] = self.center.learning_rate
+        # What the buffers widened this step must not overwrite: the
+        # center's vectors and the slots that keep their binding.
+        kept = [arena_of(network).data for network in (
+            self.center.generator, self.center.discriminator,
+            *self._sub_generators[len(neighbors) + 1:],
+            *self._sub_discriminators[len(neighbors) + 1:])]
+        widened: dict[int, np.ndarray] = {}
         for i, (g_genome, d_genome) in enumerate(neighbors, start=1):
-            self._bind_genome(self._sub_generators[i], self.center.generator, g_genome)
-            self._bind_genome(self._sub_discriminators[i], self.center.discriminator, d_genome)
+            self._bind_genome(self._sub_generators[i], g_genome, widened, kept)
+            self._bind_genome(self._sub_discriminators[i], d_genome, widened, kept)
             self._sub_lr[i] = g_genome.learning_rate
 
-    def _bind_genome(self, slot, center, genome: Genome) -> None:
+    def _bind_genome(self, slot, genome: Genome, widened: dict[int, np.ndarray],
+                     kept: list[np.ndarray]) -> None:
         """Point ``slot`` at ``genome``'s vector; widen it first if narrower.
 
         A float16 ``mixed16`` vector cannot be computed on in place: it is
-        widened into a buffer the slot keeps from step to step.  Should the
-        center have been promoted onto that buffer, the center keeps it and
-        the slot gets a new one.
+        widened once per step into a buffer of the cell's (``widened`` maps
+        each vector already widened this step to its buffer), so slots
+        handed one vector share one buffer, as they share the vector itself
+        under float64/float32.  A buffer the center was promoted onto, or a
+        slot that keeps its binding looks at, is left alone.
         """
         vector = genome.parameters
         dtype = arena_of(slot).data.dtype
         if vector.dtype != dtype:
-            widened = self._widened.get(id(slot))
-            if widened is None or np.may_share_memory(widened, arena_of(center).data):
-                widened = self._widened[id(slot)] = np.empty(vector.shape, dtype)
-            np.copyto(widened, vector)
-            vector = widened
+            if id(vector) not in widened:
+                busy = kept + list(widened.values())
+                buffer = next((spare for spare in self._widened
+                               if spare.shape == vector.shape and spare.dtype == dtype
+                               and not any(np.may_share_memory(spare, held)
+                                           for held in busy)), None)
+                if buffer is None:
+                    buffer = np.empty(vector.shape, dtype)
+                    self._widened.append(buffer)
+                np.copyto(buffer, vector)
+                widened[id(vector)] = buffer
+            vector = widened[id(vector)]
         _bind(slot, vector)
 
     def _load_trainee(self, g_idx: int, d_idx: int) -> GANPair:
@@ -363,6 +429,7 @@ class Cell:
             if np.may_share_memory(slabs[1], arena_of(center).data):
                 slabs.reverse()     # the center was promoted or re-homed there
             work = self._work_slab(slabs)
+            lockcheck.check_unlent(work, f"cell {self.cell_index} trains")
             selected = arena_of(slots[index])
             for slot in slots:
                 arena = arena_of(slot)
@@ -375,11 +442,11 @@ class Cell:
             _bind(slots[index], work)
         return pair
 
-    @staticmethod
-    def _work_slab(slabs: list[np.ndarray]) -> np.ndarray:
-        """``slabs[1]``, replaced by a fresh slab if :meth:`export_center`
-        retired it: an exported vector is never written."""
-        if not slabs[1].flags.writeable:
+    def _work_slab(self, slabs: list[np.ndarray]) -> np.ndarray:
+        """``slabs[1]``, replaced by a fresh slab if it may not be written:
+        :meth:`export_center` retired it, or a lease of :meth:`lend_center`
+        over it is still alive."""
+        if not slabs[1].flags.writeable or self._lent(slabs[1]):
             slabs[1] = np.empty_like(slabs[1])
         return slabs[1]
 
@@ -560,10 +627,16 @@ class Cell:
 
     # -- the cell's record ---------------------------------------------------------
 
-    def snapshot(self) -> CellSnapshot:
-        """This cell's record at an iteration boundary: one
-        :meth:`center_genomes` copy, the mixture weights and the iteration."""
-        g_genome, d_genome = self.center_genomes()
+    def snapshot(self, *, export: bool = False) -> CellSnapshot:
+        """This cell's record at an iteration boundary: the center pair, a
+        copy of the mixture weights and the iteration.
+
+        The center is a :meth:`center_genomes` copy, or with ``export`` the
+        vectors themselves, retired by :meth:`export_center` — for a record
+        whose cell trains no more (a slave's result).  Either may be kept
+        for good: neither is ever written again.
+        """
+        g_genome, d_genome = self.export_center() if export else self.center_genomes()
         return CellSnapshot(self.cell_index, self.iteration, g_genome, d_genome,
                             self.mixture.weights.copy())
 

@@ -65,11 +65,13 @@ class Genome:
 
     A cell keeps the producer's side of this too: a center is never
     trained in place, so the vector it hands out holds still for the
-    round, and every in-process consumer takes it by reference — the
-    sequential gather (``Cell.center_genomes(alias=True)``) and a run's
-    result (``Cell.export_center``, which makes the buffer read-only for
-    good).  Copies are made only for a transport, a checkpoint, or a
-    narrower storage dtype.
+    round, and every consumer takes it by reference — the sequential
+    gather (``Cell.center_genomes(alias=True)``), a slave's exchange
+    payload (``Cell.lend_center``: the cell trains in no slab a lent
+    vector lies in while a queued frame or a consumer can reach it) and a
+    run's or a slave's result (``Cell.export_center``, which makes the
+    buffer read-only for good).  Copies are made only for a checkpoint or
+    a narrower storage dtype.
     """
 
     #: dtypes a genome vector may carry (the storage dtypes of the

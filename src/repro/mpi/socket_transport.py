@@ -735,6 +735,9 @@ class SocketTransport(Transport):
                 frame = wire.read_frame(conn.sock)
                 if frame.kind == wire.MSG:
                     self._route(frame)
+                    # The writers own the body now: the next blocking read
+                    # must not keep its receive buffer from the pool.
+                    del frame
                 elif frame.kind == wire.RESULT:
                     outcome: WorkerOutcome = frame.payload()
                     with conn.lock:  # races _mark_dead's unfinished snapshot
@@ -759,6 +762,8 @@ class SocketTransport(Transport):
         path depends on — and so is the share of one whose replacement is
         still awaited: the replacement's slave skips everything before its
         run task, whose resume directive replays every notice so far.
+        The body is a window of the coordinator's receive pool: it goes
+        back to the pool once the last writer has written it.
         """
         for conn in dict.fromkeys(self._rank_conn.get(rank)
                                   for rank, _ in frame.routes):
@@ -775,6 +780,7 @@ class SocketTransport(Transport):
             except wire.WireError:
                 self._mark_dead(conn)
                 return
+            del frame  # written: its body goes back to the pool, not to the wait
 
     def _mark_dead(self, conn: _WorkerConnection) -> None:
         """Synthesize failed outcomes for a worker's unreported ranks."""

@@ -44,22 +44,28 @@ The *first* hop is zero-copy too: :func:`pack_frame_parts` returns the
 frame as gather-write parts — header+routes+segment-table, pickle blob, and
 the raw out-of-band buffers as live memoryviews — and :func:`write_frame`
 hands them to ``socket.sendmsg`` without ever concatenating, so a genome
-vector goes from the sender's arena snapshot to the kernel in one hop.
+vector goes from the sender's center slab (lent, not copied) to the kernel
+in one hop.
 
 So is the *last*: :func:`read_frame` receives a body with ``recv_into``
-into one ``bytearray`` and :func:`decode_body` hands pickle writable
-slices of it, so a received genome vector is that buffer — the cell reads
-its GEMM operands straight out of what the socket filled.  The arrays of
-one frame therefore share (and keep alive) one allocation, and so do all
-the co-hosted ranks a group frame is delivered to: it is decoded once.
+into a window of this process's receive pool and :func:`decode_body`
+hands pickle writable slices of it, so a received genome vector is that
+buffer — the cell reads its GEMM operands straight out of what the socket
+filled.  The arrays of one frame therefore share one buffer, and so do
+all the co-hosted ranks a group frame is delivered to: it is decoded
+once.  The buffer comes back to the pool when the last array over it
+dies, and the next frame lands in it: in steady state a receive allocates
+nothing and zero-fills nothing (:class:`ReceivePool`).
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 import pickle
 import socket
 import struct
+import threading
 from typing import Any, Sequence
 
 from repro.mpi.endpoint import Group
@@ -77,6 +83,8 @@ __all__ = [
     "decode_body",
     "read_frame",
     "write_frame",
+    "ReceivePool",
+    "RECEIVE_POOL",
     "HELLO",
     "START",
     "MSG",
@@ -126,7 +134,7 @@ class Frame:
 
     __slots__ = ("kind", "rank", "routes", "body", "header")
 
-    def __init__(self, kind: int, rank: int, body: "bytes | bytearray",
+    def __init__(self, kind: int, rank: int, body: "bytes | bytearray | memoryview",
                  header: bytes | None = None,
                  routes: "Sequence[tuple[int, int]]" = ()):
         self.kind = kind
@@ -146,7 +154,7 @@ class Frame:
         return Group(*self.payload(), self.routes)
 
     @property
-    def parts(self) -> "tuple[bytes, bytes | bytearray]":
+    def parts(self) -> "tuple[bytes, bytes | bytearray | memoryview]":
         """Header (routes included) and body, ready for a gather-write
         forward — the very objects that were received."""
         return self.header, self.body
@@ -253,7 +261,7 @@ def decode_body(body: "bytes | bytearray | memoryview") -> Any:
     Out-of-band buffers must come back *writable*: NumPy arrays
     reconstructed over a read-only view would refuse in-place math,
     silently diverging from the thread/process transports' semantics.  A
-    writable ``body`` (the ``bytearray`` :func:`read_frame` filled) is
+    writable ``body`` (the pool window :func:`read_frame` filled) is
     therefore shared, not copied — the arrays are windows onto it, which
     the caller gives up by decoding; an immutable one (``bytes``) is copied
     buffer by buffer, as is any buffer that sits misaligned in ``body``.
@@ -367,28 +375,102 @@ def _read_into(sock: socket.socket, buffer: "bytearray | memoryview", *,
         got += count
 
 
-def _read_body(sock: socket.socket, n: int) -> bytearray:
-    """Receive an ``n``-byte segment-framed body into one ``bytearray``.
+def _idle(buffer: bytearray) -> bool:
+    """True when no view of ``buffer`` is left — no window, no array
+    decoded over one.  A ``bytearray`` refuses to change size while it
+    is exported, so a one-byte shrink and regrow (within its allocation:
+    nothing moves) is the test."""
+    try:
+        del buffer[-1:]
+    except BufferError:
+        return False
+    buffer.append(0)
+    return True
+
+
+#: The most buffers :class:`ReceivePool` keeps: two rounds of a worker's
+#: exchange frames (one per neighbour hosted elsewhere) with room to spare.
+_POOL_BUFFERS = 16
+
+
+class ReceivePool:
+    """This process's receive buffers for frame bodies.
+
+    :meth:`window` hands out a buffer as a ``memoryview`` window, and every
+    array decoded from the frame is a view onto it, so the buffer is
+    exported exactly as long as one of them lives: it is idle again when
+    the last array over it dies, and the next body of at most its size is
+    received into it — no allocation, no zero-fill.  The pool is bounded:
+    it grows only while every buffer it keeps is busy, to at most
+    :data:`_POOL_BUFFERS`; an idle buffer too small for a body makes way
+    for a new one, and a body that finds every pooled buffer busy gets a
+    buffer of its own, freed with its arrays.
+    """
+
+    def __init__(self):
+        self._buffers: list[bytearray] = []
+        self._lock = threading.Lock()
+
+    def window(self, n: int, first: int) -> memoryview:
+        """``n`` writable bytes, placed so that body offset ``first`` (the
+        first out-of-band buffer) lies on a multiple of :data:`_ALIGN`."""
+        with self._lock:
+            idle = [buffer for buffer in self._buffers if _idle(buffer)]
+            fits = [buffer for buffer in idle if len(buffer) >= n + _ALIGN]
+            if fits:
+                buffer = min(fits, key=len)
+            else:
+                # Some slack, so that a frame a little longer than the one
+                # before (a result after the exchange frames) still fits.
+                buffer = bytearray(n + n // 64 + _ALIGN)
+                if idle:
+                    # The pool grows only while every buffer is busy: an
+                    # idle one too small makes way.
+                    self._buffers.remove(max(idle, key=len))
+                if len(self._buffers) < _POOL_BUFFERS:
+                    self._buffers.append(buffer)
+            view = memoryview(buffer)   # busy from here on
+        pad = -(_address(view) + first) % _ALIGN
+        return view[pad:pad + n]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the pool keeps, busy or idle."""
+        with self._lock:
+            return sum(len(buffer) for buffer in self._buffers)
+
+    def forget(self) -> None:
+        """Start empty (a forked child: its parent's readers are not its own)."""
+        self._buffers = []
+        self._lock = threading.Lock()
+
+
+#: Every frame body of this process that carries an out-of-band buffer
+#: lands here.
+RECEIVE_POOL = ReceivePool()
+os.register_at_fork(after_in_child=RECEIVE_POOL.forget)
+
+
+def _read_body(sock: socket.socket, n: int) -> "bytearray | memoryview":
+    """Receive an ``n``-byte segment-framed body.
 
     The first table entry is read ahead: it says where the first
     out-of-band buffer — a genome vector on the exchange path — will sit.
-    The body is received behind ``pad`` spare bytes chosen so that this
-    offset lands on a multiple of :data:`_ALIGN` from the start of the
-    allocation (itself at least that aligned), and the later buffers (whole
-    float vectors) stay element-aligned behind it.  ``del body[:pad]`` then
-    drops the spare bytes; CPython advances the array's start for that and
-    moves nothing.  Where an implementation does move the bytes, the
-    placement is lost and :func:`decode_body` copies the misaligned buffers
-    instead — slower, never wrong.
+    A body that carries one is received into a :data:`RECEIVE_POOL` window
+    placed so that this offset lands on a multiple of :data:`_ALIGN`, and
+    the later buffers (whole float vectors) stay element-aligned behind
+    it.  A body without one (a control message: it decodes into objects
+    that keep nothing of it) gets a ``bytearray`` of its own.
     """
     prefix = bytearray(min(n, 4 + _SEG_LEN.size))
     _read_into(sock, prefix)
     first = _first_buffer_offset(prefix)
-    pad = 0 if first is None else -first % _ALIGN
-    body = bytearray(pad + n)
-    body[pad:pad + len(prefix)] = prefix
-    _read_into(sock, memoryview(body)[pad + len(prefix):])
-    del body[:pad]
+    if first is None:
+        body = bytearray(n)
+    else:
+        body = RECEIVE_POOL.window(n, first)
+    body[:len(prefix)] = prefix
+    _read_into(sock, memoryview(body)[len(prefix):])
     return body
 
 

@@ -30,6 +30,7 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING, Any, Collection, Mapping
 
+from repro.analysis import lockcheck
 from repro.mpi import ANY_SOURCE, MAX_USER_TAG, Comm, MpiTimeoutError
 from repro.mpi.stats import payload_nbytes
 from repro.parallel.grid import Grid
@@ -193,6 +194,10 @@ class MpiCommManager(CommManager):
     # same stream as the master's orders.
 
     def send(self, dest: int, message: Any) -> None:
+        if dest == 0:
+            # The master keeps checkpoints, results and hand-offs past the
+            # round: only copies and retired vectors may reach it.
+            lockcheck.check_kept(message, f"rank {self.rank} -> master")
         tag = Tags.TO_MASTER if dest == 0 else Tags.TO_SLAVE
         self.world.send(message, dest=dest, tag=tag)
 

@@ -161,9 +161,15 @@ class ExchangePayload:
     receive buffer.  Every receiving cell binds its sub-population slots
     straight onto those vectors for the length of an iteration (see
     :class:`~repro.coevolution.genome.Genome`) — nobody, sender included,
-    may write them again.  Under ``recover`` the same genome objects also
-    ride the :class:`~repro.coevolution.checkpoint.CellSnapshot` taken at
-    the end of the previous iteration.
+    may write them again.
+
+    The sender's vectors are its center itself, lent by reference
+    (:meth:`~repro.coevolution.cell.Cell.lend_center`; ``mixed16``: a
+    quantized copy).  The lifetime rule makes that safe: the sending cell
+    trains in no slab a lent vector lies in while anything — a frame
+    waiting in a send lane, a consumer's slot on another thread — can
+    still reach it.  A checkpoint the master keeps is never a payload: it
+    is a copy of its own.
     """
 
     cell_index: int

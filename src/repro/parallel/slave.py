@@ -33,9 +33,10 @@ fault injection and abort all read one number.
 
 **One round.**  Per iteration every stepping cell lets go of last round's
 neighbor payloads (:meth:`~repro.coevolution.cell.Cell.release_neighbors`),
-the block builds every stepping cell's payload, exchanges them in one
-:meth:`CommManager.exchange_round` (send all, then receive per cell; a
-neighbour in the block takes the payload object itself), and
+the block builds every stepping cell's payload (its center, lent by
+reference: :meth:`~repro.coevolution.cell.Cell.lend_center`), exchanges
+them in one :meth:`CommManager.exchange_round` (send all, then receive per
+cell; a neighbour in the block takes the payload object itself), and
 steps the cells in index order through
 :func:`repro.coevolution.cell.step_block` — the function the sequential
 trainer steps its whole grid with.  All of them train on the execution
@@ -47,7 +48,10 @@ telemetry timeline with ``telemetry.mark``.
 Lifecycle (Fig. 2): the slave starts ``inactive``, becomes ``processing``
 when the *run task* message arrives, and ``finished`` after the last
 iteration, at which point it ships one result per hosted cell to the
-master.
+master — its center by reference, retired
+(:meth:`~repro.coevolution.cell.Cell.export_center`), since the cell
+trains no more.  The checkpoints the master keeps under ``recover`` are
+copies.
 
 The cell step itself runs on the kernels of :mod:`repro.nn.kernels`, so the
 slave's ``train`` profile row measures the same code as the sequential
@@ -66,7 +70,6 @@ from dataclasses import dataclass
 from repro.config import ExperimentConfig
 from repro.coevolution.cell import Cell, step_block
 from repro.coevolution.checkpoint import CellSnapshot
-from repro.coevolution.genome import Genome
 from repro.data.dataset import ArrayDataset
 from repro.parallel import elastic
 from repro.parallel.comm_manager import CommManager, ExchangeAborted
@@ -124,12 +127,10 @@ class SlaveProcess:
         #: main thread's wake for a standby blocked on an empty queue.
         self._admissions: queue.SimpleQueue = queue.SimpleQueue()
         # The block, owned by the execution thread (the main thread reads
-        # it only once that thread has ended): hosted cells, each one's
-        # rejoin iteration, and the center copy its last checkpoint took —
-        # the payload of its next exchange.
+        # it only once that thread has ended): hosted cells and each one's
+        # rejoin iteration.
         self._block: dict[int, Cell] = {}
         self._rejoin: dict[int, int] = {}
-        self._centers: dict[int, tuple[Genome, Genome]] = {}
         self._task: RunTask | None = None
         self._config: ExperimentConfig | None = None
         self._grid: Grid | None = None
@@ -390,10 +391,9 @@ class SlaveProcess:
         for index, cell in cells.items():
             # Last round's payloads go before this round's are made.
             cell.release_neighbors()
-            # The center copy a checkpoint took at the end of the previous
-            # iteration is the one this exchange sends: nothing trains in
-            # between, and both consumers only read it.
-            g_genome, d_genome = self._centers.pop(index, None) or cell.center_genomes()
+            # By reference: the cell trains in no slab a payload lies in
+            # while a queued frame or a consumer can still reach it.
+            g_genome, d_genome = cell.lend_center()
             payloads[index] = ExchangePayload(index, iteration, g_genome, d_genome,
                                               epoch=epoch)
         telemetry.mark("get results from neighbours", f"iteration {iteration}")
@@ -412,11 +412,9 @@ class SlaveProcess:
         done = iteration + 1
         if (task.snapshot_every and done % task.snapshot_every == 0
                 and done < self._config.coevolution.iterations):
-            for index, cell in cells.items():
-                snapshot = cell.snapshot()
-                self._centers[index] = (snapshot.generator_genome,
-                                        snapshot.discriminator_genome)
-                self.comm.send(0, snapshot)
+            for cell in cells.values():
+                # A copy: the master keeps it while the cell trains on.
+                self.comm.send(0, cell.snapshot())
 
     def _ship(self) -> None:
         """Send one result per hosted cell to the master; empty the block."""
@@ -424,7 +422,7 @@ class SlaveProcess:
         telemetry.mark("send results to master")
         for index, cell in sorted(self._block.items()):
             result = SlaveResult(
-                self.comm.rank, cell.snapshot(), cell.reports,
+                self.comm.rank, cell.snapshot(export=True), cell.reports,
                 # Every cell but a launched rank's own came from a snapshot.
                 recovered=task.resume is not None or index not in task.cells,
             )
@@ -433,4 +431,3 @@ class SlaveProcess:
                 self._results.append(result)
         self._block.clear()
         self._rejoin.clear()
-        self._centers.clear()

@@ -278,3 +278,120 @@ def test_parameters_to_vector_registers_the_borrow(checker):
     copied = parameters_to_vector(network)
     lockcheck.check_no_alias({"genome": copied}, "send")
     assert not lockcheck.violations()
+
+
+# -- the lifetime rule: lent, retired, kept ------------------------------------
+
+class _World:
+    """The WORLD communicator of a slave, as far as sending goes."""
+
+    def __init__(self):
+        self.sent = []
+
+    def Get_rank(self):
+        return 1
+
+    def send(self, message, dest, tag):
+        self.sent.append((dest, message))
+
+
+def _cell():
+    from repro.coevolution.cell import Cell
+    from tests.conftest import make_quick_config
+
+    return Cell(make_quick_config(), 0, None)
+
+
+def _send_to_master(message):
+    from repro.parallel.comm_manager import MpiCommManager
+
+    MpiCommManager(_World()).send(0, message)
+
+
+def _group(payload):
+    from repro.mpi.endpoint import Group
+
+    return Group((0, 0, 1), 1, payload, ((2, 7),))
+
+
+def test_writable_arena_view_crossing_a_send_is_reported(checker):
+    """The old rule's first case, kept: a live borrow of memory that trains
+    — a network's own writable arena — inside an outgoing group."""
+    from repro.coevolution.genome import genome_from_network
+    from repro.gan.networks import Generator
+    from tests.conftest import make_quick_config
+
+    network = Generator(make_quick_config().network, np.random.default_rng(0))
+    genome = genome_from_network(network, 2e-4, "bce", alias=True)
+    assert genome.parameters.flags.writeable
+    lockcheck.check_no_alias(_group({"genome": genome}), "Endpoint.send_group")
+    assert [v.kind for v in lockcheck.clear_violations()] == ["alias-escape"]
+
+
+def test_by_reference_snapshot_to_a_keeping_master_is_reported(checker):
+    """The old rule's second case, kept: a snapshot of borrowed center
+    vectors sent to the master — at the send, and where the master keeps
+    it; a lent center is reported there too, a copy or a retired center
+    is not."""
+    from repro.coevolution.checkpoint import CellSnapshot
+
+    cell = _cell()
+    weights = cell.mixture.weights.copy()
+    borrowed = CellSnapshot(0, 0, *cell.center_genomes(alias=True), weights)
+    lockcheck.check_no_alias(_group(borrowed), "Endpoint.send_group")
+    _send_to_master(borrowed)
+    assert [v.kind for v in lockcheck.clear_violations()] == ["alias-escape"] * 2
+
+    lent = CellSnapshot(0, 0, *cell.lend_center(), weights)
+    _send_to_master(lent)
+    (violation,) = lockcheck.clear_violations()
+    assert "lent vector" in violation.message and "keeper" in violation.message
+
+    _send_to_master(cell.snapshot())
+    _send_to_master(cell.snapshot(export=True))
+    assert not lockcheck.violations()
+
+
+def test_lent_payload_crosses_a_send(checker):
+    """What the lifetime rule lets through: the center lent by reference."""
+    from repro.parallel.messages import ExchangePayload
+
+    cell = _cell()
+    payload = ExchangePayload(0, 0, *cell.lend_center())
+    lockcheck.check_no_alias(_group(payload), "Endpoint.send_group")
+    assert not lockcheck.violations()
+
+
+def test_writing_a_slab_under_a_live_lease_is_reported(checker):
+    cell = _cell()
+    g, d = cell.lend_center()
+    lockcheck.check_unlent(cell._g_slabs[0], "test writes the center slab")
+    (violation,) = lockcheck.clear_violations()
+    assert violation.kind == "lent-write"
+    lockcheck.check_unlent(cell._g_slabs[1], "test writes the spare slab")
+    assert not lockcheck.violations()
+    del g, d
+    lockcheck.check_unlent(cell._g_slabs[0], "test writes after the lease died")
+    assert not lockcheck.violations()
+
+
+def test_a_cell_never_trains_under_its_own_lease(checker, small_dataset):
+    """The cell keeps the rule itself: with last round's lent vectors still
+    reachable, its next step trains in a fresh slab, and the check at the
+    write stays silent."""
+    from repro.coevolution.cell import Cell
+    from tests.conftest import make_quick_config
+    from tests.test_cell_data_path import neighbor_genomes
+
+    config = make_quick_config()
+    neighbors = neighbor_genomes(config, small_dataset, 4)
+    cell = Cell(config, 0, small_dataset)
+    held, lent_bytes = [], []
+    for _ in range(3):
+        cell.release_neighbors()
+        pair = cell.lend_center()
+        held.append(pair)
+        lent_bytes.append([genome.parameters.tobytes() for genome in pair])
+        cell.step(neighbors)
+    assert [[genome.parameters.tobytes() for genome in pair] for pair in held] == lent_bytes
+    assert not lockcheck.violations()

@@ -139,21 +139,24 @@ class TestAgainstCopyingCell:
             assert_same(cell, oracle, cell.step(neighbors), oracle.step(neighbors))
 
     def test_mixed16_slots_reuse_their_widened_buffers(self, small_dataset):
-        """A slot widens into the same buffer step after step — except when
-        the center was promoted onto it: the center then keeps those bytes
-        and the slot moves to a new buffer."""
+        """The slots widen into the same buffers step after step, one per
+        distinct neighbour vector and kind — except that a buffer the
+        center was promoted onto stays the center's, and the slot that
+        showed it widens into a new one."""
         config = make_quick_config()
         config = dataclasses.replace(
             config, network=dataclasses.replace(config.network, dtype="mixed16"))
         rounds = [neighbor_genomes(config, small_dataset, 8)[start:start + 4]
                   for start in (0, 4)]
         cell, oracle = Cell(config, 0, small_dataset), copying_cell(config, 0, small_dataset)
-        slots = cell._sub_generators[1:] + cell._sub_discriminators[1:]
         for step in range(4):
             neighbors = rounds[step % 2]
+            cell.release_neighbors()        # as every trainer does
             assert_same(cell, oracle, cell.step(neighbors), oracle.step(neighbors))
-        buffers = dict(cell._widened)
-        assert sorted(buffers) == sorted(id(slot) for slot in slots)
+            if step == 0:
+                buffers = list(cell._widened)
+        assert len(buffers) == 8
+        assert all(now is then for now, then in zip(cell._widened, buffers, strict=True))
 
         for each in (cell, oracle):
             each._promote(2, 3)     # the center now *is* what slots 2 / 3 show
@@ -162,9 +165,12 @@ class TestAgainstCopyingCell:
         g, d = cell.center_genomes()
         assert g.parameters.tobytes() == adopted[0].parameters.tobytes()
         assert d.parameters.tobytes() == adopted[1].parameters.tobytes()
-        moved = {id(cell._sub_generators[2]), id(cell._sub_discriminators[3])}
-        for key, buffer in cell._widened.items():
-            assert (buffer is buffers[key]) == (key not in moved)
+        assert len(cell._widened) == 10
+        assert all(now is then for now, then in zip(cell._widened[:8], buffers))
+        for slots, center in ((cell._sub_generators, cell.center.generator),
+                              (cell._sub_discriminators, cell.center.discriminator)):
+            assert not any(np.may_share_memory(arena_of(slot).data, arena_of(center).data)
+                           for slot in slots[1:])
         oracle._update_subpopulations(rounds[0])
         assert cell_state(cell) == cell_state(oracle)
 

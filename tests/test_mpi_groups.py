@@ -277,7 +277,7 @@ class TestWorkerHub:
 
 def _received_group_frame(routes, payload):
     """A MSG frame exactly as the coordinator's reader gets it: read off a
-    socket, so the body is the ``bytearray`` ``read_frame`` filled."""
+    socket, so the body is the receive-pool window ``read_frame`` filled."""
     a, b = socket.socketpair()
     try:
         wire.write_frame(a, wire.pack_frame_parts(
@@ -325,7 +325,7 @@ class TestCoordinatorRouting:
         a, b, c = transport._connections
         frame = _received_group_frame(
             [(4, 1), (5, 2), (5, 2), (8, 3), (6, 4)], _genomes())
-        assert isinstance(frame.body, bytearray)
+        assert isinstance(frame.body, memoryview)
         transport._route(frame)
         assert _queued(a) == []                      # no destination there
         for conn in (b, c):

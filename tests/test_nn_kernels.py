@@ -392,8 +392,8 @@ class TestBatchedFitness:
                                                       telemetry_bus, dtype):
         """On a 2x2 torus W = E and N = S: a table over the gathered centers
         forwards three distinct generators and three distinct discriminators
-        (mixed16 widens each slot into a buffer of its own, so its five stay
-        distinct), and equals the per-slot table bit for bit."""
+        (mixed16 widens each distinct vector once, into one buffer its slots
+        share), and equals the per-slot table bit for bit."""
         from repro.coevolution.sequential import SequentialTrainer
         from tests.conftest import make_quick_config
 
@@ -417,7 +417,7 @@ class TestBatchedFitness:
         trainer.step_iteration()
         trainer.step_iteration(on_exchange=at_the_gather)
         assert trainer.grid.neighbors_of(0) == [1, 2, 1, 2]
-        assert tables["forwards"] == (5 + 5 if dtype == "mixed16" else 3 + 3)
+        assert tables["forwards"] == 3 + 3
         np.testing.assert_array_equal(tables["merged"].g_losses, tables["per_slot"].g_losses)
         np.testing.assert_array_equal(tables["merged"].d_losses, tables["per_slot"].d_losses)
 

@@ -243,9 +243,10 @@ class TestFaultInjection:
 
 class TestCheckpointStreaming:
     def test_one_center_snapshot_per_iteration(self, small_dataset, monkeypatch):
-        """Under ``snapshot_every=1`` the copy a checkpoint took is the one
-        the next exchange sends: N iterations cost N+1 center snapshots
-        (one per exchange, one for the final result), not 2N."""
+        """Under ``snapshot_every=1`` the checkpoints the master keeps are
+        the only center copies: N iterations cost N-1 of them (none after
+        the last, whose record is the result), each exchange lends the
+        center by reference and the result hands it out retired."""
         from repro.coevolution.cell import Cell
 
         iterations = 4
@@ -268,17 +269,23 @@ class TestCheckpointStreaming:
             return center_genomes(self, *args, **kwargs)
 
         monkeypatch.setattr(Cell, "center_genomes", counting)
-        SlaveProcess(comm, small_dataset).run()
+        (result,) = SlaveProcess(comm, small_dataset).run()
 
-        assert len(calls) == iterations + 1
+        assert calls == list(range(1, iterations))
         assert [s.iteration for s in comm.snapshots] == list(range(1, iterations))
-        # The checkpoint after iteration i and the payload of iteration i+1
-        # are the same pair of genome objects.
+        assert [p.iteration for p in payloads] == list(range(iterations))
+        for payload in payloads:
+            for genome in (payload.generator_genome, payload.discriminator_genome):
+                assert not genome.parameters.flags.writeable
+                assert not genome.parameters.flags.owndata
         for snapshot in comm.snapshots:
             payload = payloads[snapshot.iteration]
-            assert payload.iteration == snapshot.iteration
-            assert payload.generator_genome is snapshot.generator_genome
-            assert payload.discriminator_genome is snapshot.discriminator_genome
+            assert payload.generator_genome is not snapshot.generator_genome
+            assert snapshot.generator_genome.parameters.flags.owndata
+        record = result.snapshot
+        for genome in (record.generator_genome, record.discriminator_genome):
+            assert not genome.parameters.flags.writeable
+            assert not genome.parameters.flags.owndata
 
 
 class RecoveryComm(ScriptedComm):
